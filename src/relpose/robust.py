@@ -11,7 +11,7 @@ import numpy as np
 
 from .exceptions import NoHypothesis, RelposeError
 from .geom import BearingPair, PluckerPair, RelativePose, rotation_angle
-from .solver_gen5 import ray_point_errors, solve_gen5pt_angle
+from .solver_gen5 import ray_arrays, ray_point_errors, solve_gen5pt_angle
 from .solver_reg4 import sampson_errors, solve_4pt_angle
 from .synth import SceneConfig, _random_in_ball, _unit, generate_scene
 
@@ -56,10 +56,10 @@ class RansacResult:
         return int(np.count_nonzero(self.inlier_mask))
 
 
-def _score(kind: str, pose: RelativePose, observations, q1s, q2s) -> np.ndarray:
+def _score(kind: str, pose: RelativePose, rays: tuple[np.ndarray, ...]) -> np.ndarray:
     if kind == "reg4":
-        return sampson_errors(pose.R, pose.t, q1s, q2s)
-    return ray_point_errors(pose, observations)
+        return sampson_errors(pose.R, pose.t, *rays)
+    return ray_point_errors(pose.R, pose.t, *rays)
 
 
 def ransac_estimate(
@@ -82,8 +82,11 @@ def ransac_estimate(
         raise ValueError(f"at least {sample_size} observations required, got {n}")
     rng = np.random.default_rng(cfg.seed)
     solve = solve_4pt_angle if kind == "reg4" else solve_gen5pt_angle
-    q1s = np.array([o.q1 for o in observations])
-    q2s = np.array([o.q2 for o in observations])
+    # Stacked once per call; each hypothesis only moves them by its pose.
+    if kind == "reg4":
+        rays = (np.array([o.q1 for o in observations]), np.array([o.q2 for o in observations]))
+    else:
+        rays = ray_arrays(observations)
 
     best_pose = None
     best_mask = None
@@ -101,7 +104,7 @@ def ransac_estimate(
             continue
         for pose in poses:
             n_hypotheses += 1
-            errors = _score(kind, pose, observations, q1s, q2s)
+            errors = _score(kind, pose, rays)
             mask = errors < cfg.inlier_threshold
             count = int(np.count_nonzero(mask))
             total = float(np.sum(errors[mask])) if count else math.inf

@@ -54,7 +54,10 @@ def _rotation_candidates(pairs, c, pivot_tol):
     template = assemble_reduced_template(
         gs, GENERAL_MULTIPLIERS, GENERAL_TARGET_DEGREE, c, extra_rows=GENERAL_EXTRA_ROWS
     )
-    assert template.matrix.shape == GENERAL_TEMPLATE_SHAPE
+    if template.matrix.shape != GENERAL_TEMPLATE_SHAPE:
+        raise BasisAnomaly(
+            f"template has shape {template.matrix.shape}, expected {GENERAL_TEMPLATE_SHAPE}"
+        )
     # Pivot columns are chosen for conditioning rather than left to right: the
     # top-degree monomials must be pivots, the root-reading monomials must
     # stay in the basis, everything else goes to the largest remaining entry.
@@ -68,29 +71,32 @@ def _rotation_candidates(pairs, c, pivot_tol):
     )
     qb = quotient_basis_from_pivots(template.basis, pivots, expected_size=GENERAL_BASIS_SIZE)
     action = build_action_matrix(reduced, pivots, template.basis, qb)
-    assert action.shape == (GENERAL_BASIS_SIZE, GENERAL_BASIS_SIZE)
+    if action.shape != (GENERAL_BASIS_SIZE, GENERAL_BASIS_SIZE):
+        raise BasisAnomaly(
+            f"action matrix has shape {action.shape}, expected {GENERAL_BASIS_SIZE} square"
+        )
     return extract_roots(eigensolve_real(action), qb)
 
 
-def _depth_rows(pairs: list[PluckerPair], R: np.ndarray) -> np.ndarray:
-    """Stacked constraint rows on (lambda, mu, 1) for anchor 0 under rotation R."""
+def _depth_rows(pairs: list[PluckerPair], Rs: np.ndarray) -> np.ndarray:
+    """Constraint rows on (lambda, mu, 1) for anchor 0, one (4, 3) block per
+    rotation in the ``(K, 3, 3)`` stack ``Rs``; every entry is a bilinear
+    form ``x @ R @ y`` in the non-anchor rays."""
     pi = pairs[0]
+    q1 = np.array([p.q1 for p in pairs[1:]])
+    q2 = np.array([p.q2 for p in pairs[1:]])
+    m1 = np.array([p.m1 for p in pairs[1:]])
+    m2 = np.array([p.m2 for p in pairs[1:]])
     e1 = np.cross(pi.m1, pi.q1)
     e2 = np.cross(pi.m2, pi.q2)
-    rows = []
-    for pj in pairs[1:]:
-        p1 = np.cross(pi.q1, pj.q1)
-        p2 = np.cross(pi.q2, pj.q2)
-        a = float(pj.q2 @ R @ p1)
-        b = float(p2 @ R @ pj.q1)
-        w = float(
-            pj.q2 @ R @ np.cross(e1, pj.q1)
-            + np.cross(e2, pj.q2) @ R @ pj.q1
-            + pj.q2 @ R @ pj.m1
-            + pj.m2 @ R @ pj.q1
-        )
-        rows.append((a, b, w))
-    return np.array(rows)
+
+    def bilinear(x, y):
+        return np.einsum("ja,kab,jb->kj", x, Rs, y)
+
+    a = bilinear(q2, np.cross(pi.q1, q1))
+    b = bilinear(np.cross(pi.q2, q2), q1)
+    w = bilinear(q2, np.cross(e1, q1) + m1) + bilinear(np.cross(e2, q2) + m2, q1)
+    return np.stack([a, b, w], axis=-1)
 
 
 def solve_gen5pt_angle(
@@ -127,65 +133,66 @@ def solve_gen5pt_angle(
         roots = list(extraction.roots)
     root_count = len(roots)
 
+    quats = []
+    for u in roots:
+        try:
+            quats.append(rectify_quaternion(u, c))
+        except NearZeroVector:
+            continue
+    if not quats:
+        raise DegenerateConfiguration("no usable rotation candidates survived filtering")
+    Rs = np.array([quat_to_rotation(q) for q in quats])
+    _, s, vt = np.linalg.svd(_depth_rows(ordered, Rs))
+    v = vt[:, -1]
+    unobservable = (s[:, 1] <= SCALE_RANK_EPS * s[:, 0]) | (np.abs(v[:, 2]) < SCALE_COMPONENT_EPS)
+
     anchor_pair = ordered[0]
     e1 = np.cross(anchor_pair.m1, anchor_pair.q1)
     e2 = np.cross(anchor_pair.m2, anchor_pair.q2)
     poses: list[RelativePose] = []
-    n_scale_dropped = 0
-    for u in roots:
-        try:
-            quat = rectify_quaternion(u, c)
-        except NearZeroVector:
-            continue
-        R = quat_to_rotation(quat)
-        rows = _depth_rows(ordered, R)
-        _, s, vt = np.linalg.svd(rows)
-        if s[1] <= SCALE_RANK_EPS * s[0]:
-            n_scale_dropped += 1
-            continue
-        v = vt[-1]
-        if abs(v[2]) < SCALE_COMPONENT_EPS:
-            n_scale_dropped += 1
-            continue
-        lam = float(v[0] / v[2])
-        mu = float(v[1] / v[2])
+    for k in np.flatnonzero(~unobservable):
+        lam = float(v[k, 0] / v[k, 2])
+        mu = float(v[k, 1] / v[k, 2])
         t1 = e1 + lam * anchor_pair.q1
         t2 = e2 + mu * anchor_pair.q2
         poses.append(
             RelativePose(
-                R=R,
-                t=t2 - R @ t1,
-                quat=quat,
+                R=Rs[k],
+                t=t2 - Rs[k] @ t1,
+                quat=quats[k],
                 depths=(lam, mu),
                 root_count=root_count,
             )
         )
     if not poses:
-        if n_scale_dropped:
-            raise ScaleUnobservable(
-                "translation scale is unobservable for every rotation candidate"
-            )
-        raise DegenerateConfiguration("no usable rotation candidates survived filtering")
+        raise ScaleUnobservable("translation scale is unobservable for every rotation candidate")
     return poses
 
 
-def _rays_in_common_frame(pose: RelativePose, pair: PluckerPair):
-    o1 = np.cross(pair.m1, pair.q1)
-    d1 = pair.q1
-    o2 = pose.R.T @ (np.cross(pair.m2, pair.q2) - pose.t)
-    d2 = pose.R.T @ pair.q2
-    return o1, d1, o2, d2
+def ray_arrays(pairs: list[PluckerPair]) -> tuple[np.ndarray, ...]:
+    """Stacked rays ``(d1, o1, q2, c2)`` of the pairs, as ``ray_point_errors``
+    takes them: first-view directions and origins ``m1 x q1``, second-view
+    directions and origins ``m2 x q2`` in the second camera's frame."""
+    q1 = np.array([p.q1 for p in pairs])
+    q2 = np.array([p.q2 for p in pairs])
+    m1 = np.array([p.m1 for p in pairs])
+    m2 = np.array([p.m2 for p in pairs])
+    return q1, np.cross(m1, q1), q2, np.cross(m2, q2)
 
 
-def ray_point_errors(pose: RelativePose, pairs: list[PluckerPair]) -> np.ndarray:
-    """Vectorized point-to-ray RMS distances; +inf for parallel-ray pairs."""
-    n = len(pairs)
-    o1 = np.empty((n, 3))
-    d1 = np.empty((n, 3))
-    o2 = np.empty((n, 3))
-    d2 = np.empty((n, 3))
-    for i, pair in enumerate(pairs):
-        o1[i], d1[i], o2[i], d2[i] = _rays_in_common_frame(pose, pair)
+def ray_point_errors(
+    R: np.ndarray, t: np.ndarray, d1: np.ndarray, o1: np.ndarray, q2: np.ndarray, c2: np.ndarray
+) -> np.ndarray:
+    """Point-to-ray RMS distances of N correspondences under the pose ``(R, t)``.
+
+    ``d1``, ``o1``, ``q2`` and ``c2`` are ``(N, 3)`` arrays as returned by
+    ``ray_arrays``.  The second-view rays are moved into the first frame, the
+    point minimizing the summed squared distance to both rays is
+    triangulated, and the result holds the RMS of its two distances, or
+    +inf where the rays are parallel.
+    """
+    o2 = (c2 - t) @ R
+    d2 = q2 @ R
     eye = np.eye(3)
     proj1 = eye[None, :, :] - d1[:, :, None] * d1[:, None, :]
     proj2 = eye[None, :, :] - d2[:, :, None] * d2[:, None, :]
@@ -206,7 +213,7 @@ def ray_point_errors(pose: RelativePose, pairs: list[PluckerPair]) -> np.ndarray
 def ray_point_error(pose: RelativePose, pair: PluckerPair) -> float:
     """RMS of the two point-to-ray distances after triangulating the point
     that minimizes the summed squared distance to both rays."""
-    err = float(ray_point_errors(pose, [pair])[0])
+    err = float(ray_point_errors(pose.R, pose.t, *ray_arrays([pair]))[0])
     if not np.isfinite(err):
         raise SkewDegenerate("rays are parallel; the correspondence cannot be triangulated")
     return err

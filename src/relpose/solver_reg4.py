@@ -48,7 +48,10 @@ def _rotation_candidates(pairs, c, pivot_tol):
     """Candidate quaternion vector parts from the elimination template."""
     fs = build_f_polynomials(pairs, c)
     template = assemble_reduced_template(fs, REGULAR_MULTIPLIERS, REGULAR_TARGET_DEGREE, c)
-    assert template.matrix.shape == REGULAR_TEMPLATE_SHAPE
+    if template.matrix.shape != REGULAR_TEMPLATE_SHAPE:
+        raise BasisAnomaly(
+            f"template has shape {template.matrix.shape}, expected {REGULAR_TEMPLATE_SHAPE}"
+        )
     # Conditioning-driven pivot columns (see rref_conditioned): top-degree
     # monomials are always eliminated, root-reading monomials always kept.
     rem = template.basis.remainder_monomials
@@ -61,7 +64,10 @@ def _rotation_candidates(pairs, c, pivot_tol):
     )
     qb = quotient_basis_from_pivots(template.basis, pivots, expected_size=REGULAR_BASIS_SIZE)
     action = build_action_matrix(reduced, pivots, template.basis, qb)
-    assert action.shape == (REGULAR_BASIS_SIZE, REGULAR_BASIS_SIZE)
+    if action.shape != (REGULAR_BASIS_SIZE, REGULAR_BASIS_SIZE):
+        raise BasisAnomaly(
+            f"action matrix has shape {action.shape}, expected {REGULAR_BASIS_SIZE} square"
+        )
     return extract_roots(eigensolve_real(action), qb)
 
 

@@ -293,12 +293,14 @@ def run_trials(
 
 
 def summarize(records: list[TrialRecord]) -> dict[str, dict[str, float]]:
-    """Lower quartile, median and upper quartile of every error metric, plus
-    mean solve time and the degenerate-trial count."""
+    """Lower quartile, median and upper quartile of every error metric over
+    its finite values, plus mean solve time and the degenerate-trial count.
+
+    Degenerate trials carry +inf errors; they are counted, not ranked."""
     out: dict[str, dict[str, float]] = {}
     for metric in ("rot_err", "t_ang_err_deg", "scale_rel_err"):
         vals = np.array([getattr(r, metric) for r in records], dtype=float)
-        vals = vals[~np.isnan(vals)]
+        vals = vals[np.isfinite(vals)]
         if vals.size:
             lq, med, uq = np.percentile(vals, [25.0, 50.0, 75.0])
         else:

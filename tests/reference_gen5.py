@@ -1,0 +1,94 @@
+"""Per-item loop versions of the generalized solver's array code, kept as
+oracles: the point-to-ray scorer that gathers its rays one pair at a time,
+and depth recovery with one constraint stack and one SVD per root."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from relpose.exceptions import DegenerateConfiguration, NearZeroVector, ScaleUnobservable
+from relpose.geom import PluckerPair, RelativePose, quat_to_rotation, rectify_quaternion
+from relpose.solver_gen5 import SCALE_COMPONENT_EPS, SCALE_RANK_EPS
+
+
+def loop_ray_point_errors(pose: RelativePose, pairs: list[PluckerPair]) -> np.ndarray:
+    """Point-to-ray RMS distances; +inf for parallel-ray pairs."""
+    n = len(pairs)
+    o1 = np.empty((n, 3))
+    d1 = np.empty((n, 3))
+    o2 = np.empty((n, 3))
+    d2 = np.empty((n, 3))
+    for i, pair in enumerate(pairs):
+        o1[i] = np.cross(pair.m1, pair.q1)
+        d1[i] = pair.q1
+        o2[i] = pose.R.T @ (np.cross(pair.m2, pair.q2) - pose.t)
+        d2[i] = pose.R.T @ pair.q2
+    eye = np.eye(3)
+    proj1 = eye[None, :, :] - d1[:, :, None] * d1[:, None, :]
+    proj2 = eye[None, :, :] - d2[:, :, None] * d2[:, None, :]
+    gram = np.einsum("ij,ij->i", d1, d2)
+    parallel = 1.0 - gram**2 <= 1e-12
+    A = proj1 + proj2
+    rhs = np.einsum("ijk,ik->ij", proj1, o1) + np.einsum("ijk,ik->ij", proj2, o2)
+    A_safe = np.where(parallel[:, None, None], eye[None, :, :], A)
+    X = np.linalg.solve(A_safe, rhs[:, :, None])[:, :, 0]
+    r1 = np.einsum("ijk,ik->ij", proj1, X - o1)
+    r2 = np.einsum("ijk,ik->ij", proj2, X - o2)
+    rms = np.sqrt((np.einsum("ij,ij->i", r1, r1) + np.einsum("ij,ij->i", r2, r2)) / 2.0)
+    return np.where(parallel, np.inf, rms)
+
+
+def loop_depth_rows(pairs: list[PluckerPair], R: np.ndarray) -> np.ndarray:
+    """Stacked constraint rows on (lambda, mu, 1) for anchor 0 under rotation R."""
+    pi = pairs[0]
+    e1 = np.cross(pi.m1, pi.q1)
+    e2 = np.cross(pi.m2, pi.q2)
+    rows = []
+    for pj in pairs[1:]:
+        p1 = np.cross(pi.q1, pj.q1)
+        p2 = np.cross(pi.q2, pj.q2)
+        a = float(pj.q2 @ R @ p1)
+        b = float(p2 @ R @ pj.q1)
+        w = float(
+            pj.q2 @ R @ np.cross(e1, pj.q1)
+            + np.cross(e2, pj.q2) @ R @ pj.q1
+            + pj.q2 @ R @ pj.m1
+            + pj.m2 @ R @ pj.q1
+        )
+        rows.append((a, b, w))
+    return np.array(rows)
+
+
+def loop_depth_poses(ordered: list[PluckerPair], roots, c) -> list[RelativePose]:
+    """Metric poses from rotation roots, one depth SVD per root."""
+    anchor_pair = ordered[0]
+    e1 = np.cross(anchor_pair.m1, anchor_pair.q1)
+    e2 = np.cross(anchor_pair.m2, anchor_pair.q2)
+    poses: list[RelativePose] = []
+    n_scale_dropped = 0
+    for u in roots:
+        try:
+            quat = rectify_quaternion(u, c)
+        except NearZeroVector:
+            continue
+        R = quat_to_rotation(quat)
+        _, s, vt = np.linalg.svd(loop_depth_rows(ordered, R))
+        if s[1] <= SCALE_RANK_EPS * s[0]:
+            n_scale_dropped += 1
+            continue
+        v = vt[-1]
+        if abs(v[2]) < SCALE_COMPONENT_EPS:
+            n_scale_dropped += 1
+            continue
+        lam = float(v[0] / v[2])
+        mu = float(v[1] / v[2])
+        t1 = e1 + lam * anchor_pair.q1
+        t2 = e2 + mu * anchor_pair.q2
+        poses.append(
+            RelativePose(R=R, t=t2 - R @ t1, quat=quat, depths=(lam, mu), root_count=len(roots))
+        )
+    if not poses:
+        if n_scale_dropped:
+            raise ScaleUnobservable("translation scale is unobservable for every rotation candidate")
+        raise DegenerateConfiguration("no usable rotation candidates survived filtering")
+    return poses

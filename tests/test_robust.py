@@ -1,17 +1,44 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import relpose.robust as robust
 from relpose.exceptions import NoHypothesis
 from relpose.geom import rotation_angle
 from relpose.robust import (
+    DEFAULT_POINT_RAY_THRESHOLD,
     RansacConfig,
+    _corrupt,
     ransac_estimate,
     run_ransac_trials,
     sampson_threshold_from_pixels,
     summarize_ransac,
 )
 from relpose.solver_reg4 import sampson_errors
-from relpose.synth import SceneConfig, generate_scene, rotation_error
+from relpose.synth import SceneConfig, add_image_noise, generate_scene, rotation_error
+from reference_gen5 import loop_ray_point_errors
+
+
+def gen5_frame_pair(seed, n_obs=100):
+    """A generalized frame pair with 0.5 px noise and 30% outliers."""
+    cfg = SceneConfig(seed=seed, generalized=True)
+    rng = np.random.default_rng(seed)
+    truth, pairs = generate_scene(cfg, n_obs, rng=rng)
+    observed, _ = _corrupt(add_image_noise(pairs, 0.5, cfg, rng), truth, cfg, 0.3, rng)
+    return observed, rotation_angle(truth.R)
+
+
+def gen5_cfg(seed):
+    return RansacConfig(max_iterations=200, inlier_threshold=DEFAULT_POINT_RAY_THRESHOLD, seed=seed)
+
+
+def assert_same_result(r1, r2):
+    assert np.array_equal(r1.pose.R, r2.pose.R)
+    assert np.array_equal(r1.pose.t, r2.pose.t)
+    assert np.array_equal(r1.inlier_mask, r2.inlier_mask)
+    assert r1.iterations == r2.iterations
+    assert r1.n_hypotheses == r2.n_hypotheses
 
 
 def default_cfg(seed=0, **kw):
@@ -62,6 +89,25 @@ class TestRansacEstimate:
         assert np.array_equal(r1.pose.R, r2.pose.R)
         assert np.array_equal(r1.inlier_mask, r2.inlier_mask)
         assert r1.iterations == r2.iterations
+
+    def test_deterministic_gen5(self):
+        observed, theta = gen5_frame_pair(11)
+        r1 = ransac_estimate(observed, theta, gen5_cfg(11), "gen5")
+        r2 = ransac_estimate(observed, theta, gen5_cfg(11), "gen5")
+        assert_same_result(r1, r2)
+
+    def test_gen5_loop_scorer_gives_same_result(self, monkeypatch):
+        # RANSAC scored by the per-pair loop reference, which gathers its rays
+        # from the observations on every call, picks the same consensus.
+        observed, theta = gen5_frame_pair(12)
+        fast = ransac_estimate(observed, theta, gen5_cfg(12), "gen5")
+        monkeypatch.setattr(
+            robust,
+            "ray_point_errors",
+            lambda R, t, *rays: loop_ray_point_errors(SimpleNamespace(R=R, t=t), observed),
+        )
+        slow = ransac_estimate(observed, theta, gen5_cfg(12), "gen5")
+        assert_same_result(fast, slow)
 
     def test_trace_monotone(self):
         truth, pairs = generate_scene(SceneConfig(seed=5), 60)

@@ -1,19 +1,30 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from relpose.exceptions import ScaleUnobservable, SkewDegenerate
+import relpose.solver_gen5 as solver_gen5
+from relpose.exceptions import (
+    DegenerateConfiguration,
+    NearZeroVector,
+    ScaleUnobservable,
+    SkewDegenerate,
+)
+from relpose.gbsolver import DEFAULT_PIVOT_TOL
 from relpose.geom import (
     PluckerPair,
     generalized_epipolar_residual,
     quat_from_rotation,
     rotation_angle,
+    sigma_from_angle,
 )
-from relpose.solver_gen5 import ray_point_error, ray_point_errors, solve_gen5pt_angle
+from relpose.robust import _corrupt
+from relpose.solver_gen5 import ray_arrays, ray_point_error, ray_point_errors, solve_gen5pt_angle
 from relpose.solver_reg4 import solve_4pt_angle
 from relpose.geom import BearingPair
 from relpose.synth import SceneConfig, generate_scene, rotation_error, translation_errors
+from reference_gen5 import loop_depth_poses, loop_ray_point_errors
 
 
 def solve_scene(seed, **cfg_kwargs):
@@ -220,6 +231,63 @@ class TestRayPointError:
 
     def test_vectorized_matches_scalar(self):
         truth, pairs, _, _ = solve_scene(20)
-        vec = ray_point_errors(truth, pairs)
+        vec = ray_point_errors(truth.R, truth.t, *ray_arrays(pairs))
         for i, pair in enumerate(pairs):
             assert vec[i] == pytest.approx(ray_point_error(truth, pair), abs=1e-15)
+
+    def test_array_scorer_matches_loop_reference(self):
+        # A contaminated frame pair with one parallel-ray pair: every error,
+        # and the position of every +inf, equals the per-pair loop scorer's.
+        cfg = SceneConfig(seed=21, generalized=True)
+        rng = np.random.default_rng(21)
+        truth, pairs = generate_scene(cfg, 100, rng=rng)
+        observed, _ = _corrupt(pairs, truth, cfg, 0.3, rng)
+        d = np.array([0.0, 0.0, 1.0])
+        observed[7] = PluckerPair(
+            q1=d, q2=truth.R @ d, m1=np.cross(d, np.array([0.1, 0.0, 0.0])), m2=np.zeros(3)
+        )
+        errs = ray_point_errors(truth.R, truth.t, *ray_arrays(observed))
+        assert np.isinf(errs[7])
+        assert np.array_equal(errs, loop_ray_point_errors(truth, observed))
+
+
+class TestDepthRecovery:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_batched_depths_match_loop_reference(self, seed):
+        truth, pairs = generate_scene(SceneConfig(seed=seed, generalized=True), 5)
+        theta = rotation_angle(truth.R)
+        c = sigma_from_angle(theta)
+        roots = solver_gen5._rotation_candidates(pairs, c, DEFAULT_PIVOT_TOL).roots
+        expected = loop_depth_poses(pairs, roots, c)
+        poses = solve_gen5pt_angle(pairs, theta)
+        assert len(poses) == len(expected)
+        for got, want in zip(poses, expected):
+            assert np.array_equal(got.quat.u, want.quat.u)
+            assert np.max(np.abs(got.R - want.R)) <= 1e-12
+            assert np.max(np.abs(got.t - want.t)) <= 1e-12 * np.linalg.norm(want.t)
+
+    def test_no_rectifiable_root_is_degenerate(self, monkeypatch):
+        def reject(u, c):
+            raise NearZeroVector("rejected")
+
+        truth, pairs = generate_scene(SceneConfig(seed=3, generalized=True), 5)
+        monkeypatch.setattr(solver_gen5, "rectify_quaternion", reject)
+        with pytest.raises(DegenerateConfiguration):
+            solve_gen5pt_angle(pairs, rotation_angle(truth.R))
+
+
+@pytest.mark.parametrize("stage", ["assemble_reduced_template", "build_action_matrix"])
+def test_wrong_shape_is_degenerate(monkeypatch, stage):
+    # The shape checks raise instead of asserting, so they also run under -O.
+    original = getattr(solver_gen5, stage)
+
+    def truncated(*args, **kwargs):
+        out = original(*args, **kwargs)
+        if stage == "assemble_reduced_template":
+            return replace(out, matrix=out.matrix[:-1])
+        return out[:-1]
+
+    truth, pairs = generate_scene(SceneConfig(seed=4, generalized=True), 5)
+    monkeypatch.setattr(solver_gen5, stage, truncated)
+    with pytest.raises(DegenerateConfiguration, match="shape"):
+        solve_gen5pt_angle(pairs, rotation_angle(truth.R))

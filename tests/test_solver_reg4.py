@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import relpose.solver_reg4 as solver_reg4
 from relpose.exceptions import DegenerateConfiguration, RelposeError
 from relpose.geom import BearingPair, epipolar_residual, rotation_angle, skew
 from relpose.solver_reg4 import sampson_error, sampson_errors, solve_4pt_angle
@@ -190,3 +192,20 @@ class TestSampsonError:
         q = np.array([0.0, 0.0, 1.0])
         # translation along the optical axis, ray through the epipole
         assert sampson_error(np.eye(3), q, BearingPair(q, q)) == math.inf
+
+
+@pytest.mark.parametrize("stage", ["assemble_reduced_template", "build_action_matrix"])
+def test_wrong_shape_is_degenerate(monkeypatch, stage):
+    # The shape checks raise instead of asserting, so they also run under -O.
+    original = getattr(solver_reg4, stage)
+
+    def truncated(*args, **kwargs):
+        out = original(*args, **kwargs)
+        if stage == "assemble_reduced_template":
+            return replace(out, matrix=out.matrix[:-1])
+        return out[:-1]
+
+    truth, pairs = generate_scene(SceneConfig(seed=24), 4)
+    monkeypatch.setattr(solver_reg4, stage, truncated)
+    with pytest.raises(DegenerateConfiguration, match="shape"):
+        solve_4pt_angle(pairs, rotation_angle(truth.R))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from relpose.geom import (
 )
 from relpose.synth import (
     SceneConfig,
+    TrialRecord,
     add_angle_noise,
     add_image_noise,
     generate_scene,
@@ -207,6 +209,24 @@ class TestHarness:
         summary = summarize(recs)
         assert summary["rot_err"]["median"] < 1e-8
         assert summary["rot_err"]["lq"] <= summary["rot_err"]["median"] <= summary["rot_err"]["uq"]
+
+    def test_summary_ranks_only_finite_errors(self):
+        # Failed trials carry +inf errors: they are counted as degenerate and
+        # kept out of the quartiles, which then raise no warning.
+        inf = math.inf
+        recs = [
+            TrialRecord(0, 0.5, 1e-9, 0.1, math.nan, 4, 2, False, 1.0),
+            TrialRecord(1, 0.5, 3e-9, 0.3, math.nan, 4, 2, False, 1.0),
+            TrialRecord(2, 0.5, inf, inf, inf, 0, 0, True, 1.0),
+            TrialRecord(3, 0.5, inf, inf, inf, 0, 0, True, 1.0),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            summary = summarize(recs)
+        assert summary["rot_err"] == pytest.approx({"lq": 1.5e-9, "median": 2e-9, "uq": 2.5e-9})
+        assert summary["t_ang_err_deg"]["median"] == pytest.approx(0.2)
+        assert all(math.isnan(v) for v in summary["scale_rel_err"].values())
+        assert summary["degenerate"]["count"] == 2
 
     def test_deterministic_given_seed(self):
         a = run_trials("reg4", SceneConfig(seed=21), 5)
