@@ -268,7 +268,7 @@ def emit_trial_csv(records: list[TrialRecord], summary: dict) -> str:
 
 _RANSAC_COLUMNS = (
     "record,trial,rot_err,t_ang_err_deg,scale_rel_err,inlier_count,recall,"
-    "iterations,no_hypothesis"
+    "iterations,no_hypothesis,precision"
 )
 
 
@@ -288,6 +288,7 @@ def emit_ransac_csv(records: list[RansacTrialRecord], summary: dict[str, float])
                     _cell(r.recall),
                     str(r.iterations),
                     _cell(r.no_hypothesis),
+                    _cell(r.precision),
                 ]
             )
             + "\n"
@@ -304,6 +305,7 @@ def emit_ransac_csv(records: list[RansacTrialRecord], summary: dict[str, float])
                 _cell(summary["mean_recall"]),
                 _cell(summary["mean_iterations"]),
                 _cell(summary["no_hypothesis_rate"]),
+                _cell(summary["mean_precision"]),
             ]
         )
         + "\n"

@@ -10,6 +10,7 @@ matrix for gamma, and recover candidate roots from its eigenvectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,10 +28,7 @@ from .poly import (
     Monomial,
     grevlex_basis,
     grevlex_key,
-    monomial_poly,
-    poly_mul,
-    reduce_mod_h,
-    sphere_constraint_poly,
+    reduce_columns_mod_h,
 )
 
 DEFAULT_PIVOT_TOL = 1e-10
@@ -67,9 +65,28 @@ class EliminationTemplate:
     matrix: np.ndarray
     row_labels: tuple[tuple[Monomial, int], ...]
 
-    @property
-    def columns(self) -> tuple[Monomial, ...]:
-        return self.basis.remainder_monomials
+
+@lru_cache(maxsize=None)
+def _assembly_plan(multipliers, extra_rows, degrees: tuple[int, ...], target_degree: int):
+    """Row labels and the gather of every multiplier-times-generator row.
+
+    Entry ``dest[k]`` of the flat monomial-major ``(basis.size, n_rows)``
+    stack receives entry ``src[k]`` of the concatenated generator
+    coefficients.
+    """
+    basis = grevlex_basis(target_degree)
+    labels = tuple((m, gi) for m in multipliers for gi in range(len(degrees))) + extra_rows
+    offsets = np.cumsum([0] + [grevlex_basis(d).size for d in degrees])
+    dest, src = [], []
+    for row, (m, gi) in enumerate(labels):
+        if sum(m) + degrees[gi] > target_degree:
+            raise DegreeOverflow(
+                f"multiplier {m} on a degree-{degrees[gi]} generator exceeds degree {target_degree}"
+            )
+        for k, e in enumerate(grevlex_basis(degrees[gi]).monomials):
+            dest.append(basis.index[(m[0] + e[0], m[1] + e[1], m[2] + e[2])] * len(labels) + row)
+            src.append(offsets[gi] + k)
+    return labels, np.array(dest, dtype=np.int64), np.array(src, dtype=np.int64)
 
 
 def assemble_reduced_template(
@@ -79,86 +96,21 @@ def assemble_reduced_template(
     c: RotationConstraint,
     extra_rows: tuple[tuple[Monomial, int], ...] = (),
 ) -> EliminationTemplate:
-    """Stack reduced multiplier-times-generator rows over the remainder block."""
+    """Stack reduced multiplier-times-generator rows over the remainder block.
+
+    Every product is gathered into a column of one monomial-major stack by a
+    cached index plan, and the whole stack is reduced modulo the sphere
+    constraint at once.
+    """
     basis = grevlex_basis(target_degree)
-    plan = [(m, gi) for m in multipliers for gi in range(len(generators))]
-    plan.extend(extra_rows)
-    rows = []
-    for m, gi in plan:
-        g = generators[gi]
-        if sum(m) + g.basis.max_degree > target_degree:
-            raise DegreeOverflow(
-                f"multiplier {m} on a degree-{g.basis.max_degree} generator exceeds degree {target_degree}"
-            )
-        prod = poly_mul(monomial_poly(m), g, basis)
-        rows.append(reduce_mod_h(prod, c).coeffs[basis.alpha2_size :])
-    return EliminationTemplate(basis=basis, matrix=np.array(rows), row_labels=tuple(plan))
-
-
-def schur_equivalence_check(generators: list[DensePolynomial], c: RotationConstraint) -> float:
-    """Maximum deviation between the two elimination routes of the 16x36 template.
-
-    The explicit route builds the full 36x56 coefficient matrix (twenty rows of
-    sphere-constraint multiples on top of the sixteen generator rows),
-    partitions it against the alpha^2-divisible block and forms the Schur
-    complement X - W U^{-1} V.  The modular route is
-    :func:`assemble_reduced_template`.  The two are algebraically identical.
-    """
-    if len(generators) != 4:
-        raise ValueError("the explicit block elimination is defined for the 4-generator problem")
-    b5 = grevlex_basis(REGULAR_TARGET_DEGREE)
-    h = sphere_constraint_poly(c)
-    cube_monomials = sorted(
-        ((a, b, cc) for a in range(4) for b in range(4 - a) for cc in range(4 - a - b)),
-        key=grevlex_key,
-        reverse=True,
-    )
-    h_rows = [poly_mul(monomial_poly(m), h, b5).coeffs for m in cube_monomials]
-    f_rows = [
-        poly_mul(monomial_poly(m), g, b5).coeffs for m in REGULAR_MULTIPLIERS for g in generators
-    ]
-    ahat = np.array(h_rows + f_rows)
-    k = b5.alpha2_size
-    U, V = ahat[:k, :k], ahat[:k, k:]
-    W, X = ahat[k:, :k], ahat[k:, k:]
-    if np.max(np.abs(np.tril(U, -1))) != 0.0 or np.max(np.abs(np.diag(U) - 1.0)) != 0.0:
-        raise AssertionError("constraint-multiple block is not unit upper triangular")
-    b_schur = X - W @ np.linalg.solve(U, V)
-    b_mod = assemble_reduced_template(generators, REGULAR_MULTIPLIERS, REGULAR_TARGET_DEGREE, c).matrix
-    return float(np.max(np.abs(b_schur - b_mod)))
-
-
-def rref(B: np.ndarray, pivot_tol: float = DEFAULT_PIVOT_TOL) -> tuple[np.ndarray, list[int]]:
-    """Gauss-Jordan reduction with partial pivoting, columns left to right.
-
-    A pivot is accepted only when its magnitude exceeds ``pivot_tol`` times the
-    max-norm of its row.  Raises when fewer pivots than rows are found.
-    """
-    A = np.array(B, dtype=float)
-    n_rows, n_cols = A.shape
-    # Pivot magnitudes are judged against each row's incoming scale so that
-    # rows annihilated by the elimination cannot supply pivots.
-    scales = np.max(np.abs(A), axis=1)
-    pivots: list[int] = []
-    r = 0
-    for col in range(n_cols):
-        if r == n_rows:
-            break
-        sub = np.abs(A[r:, col])
-        cand = int(np.argmax(sub)) + r
-        if scales[cand] == 0.0 or abs(A[cand, col]) <= pivot_tol * scales[cand]:
-            continue
-        if cand != r:
-            A[[r, cand]] = A[[cand, r]]
-            scales[[r, cand]] = scales[[cand, r]]
-        A[r] /= A[r, col]
-        others = np.concatenate([np.arange(r), np.arange(r + 1, n_rows)])
-        A[others] -= np.outer(A[others, col], A[r])
-        pivots.append(col)
-        r += 1
-    if r < n_rows:
-        raise RankDeficient(f"only {r} pivots found for {n_rows} rows")
-    return A, pivots
+    degrees = tuple(g.basis.max_degree for g in generators)
+    labels, dest, src = _assembly_plan(tuple(multipliers), tuple(extra_rows), degrees, target_degree)
+    stack = np.zeros(basis.size * len(labels))
+    stack[dest] = np.concatenate([g.coeffs for g in generators])[src]
+    stack = stack.reshape(basis.size, len(labels))
+    reduce_columns_mod_h(stack, basis, c.tau)
+    matrix = np.ascontiguousarray(stack[basis.alpha2_size :].T)
+    return EliminationTemplate(basis=basis, matrix=matrix, row_labels=labels)
 
 
 def rref_conditioned(
@@ -169,7 +121,7 @@ def rref_conditioned(
 ) -> tuple[np.ndarray, list[int]]:
     """Gauss-Jordan reduction with conditioning-driven pivot columns.
 
-    The left-to-right column order of :func:`rref` forces the grevlex-largest
+    Pivoting columns left to right would force the grevlex-largest
     monomials to become pivots, and on the degree-8 generalized template that
     pivot block is nearly singular (condition numbers around 1e7 on
     benchmark-geometry data), which inflates the action matrix to norm ~1e5 and

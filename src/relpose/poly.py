@@ -34,12 +34,6 @@ def grevlex_key(m: Monomial) -> tuple[int, int, int, int]:
     return (a + b + c, -c, -b, -a)
 
 
-def grevlex_compare(m1: Monomial, m2: Monomial) -> int:
-    """+1 if ``m1`` is grevlex-greater than ``m2``, -1 if smaller, 0 if equal."""
-    k1, k2 = grevlex_key(m1), grevlex_key(m2)
-    return (k1 > k2) - (k1 < k2)
-
-
 class GrevlexBasis:
     """Monomials of total degree <= ``max_degree``, alpha^2-divisible block first."""
 
@@ -63,18 +57,18 @@ class GrevlexBasis:
         self.exponents = np.array(self.monomials, dtype=np.int64).reshape(self.size, 3)
         # Substitution plan: higher alpha-degree first so every write lands on
         # a monomial that has not been processed yet.
-        steps = []
-        for m in sorted(alpha2, key=lambda m: -m[0]):
-            a, b, c = m
-            steps.append(
-                (
-                    self.index[m],
-                    self.index[(a - 2, b + 2, c)],
-                    self.index[(a - 2, b, c + 2)],
-                    self.index[(a - 2, b, c)],
-                )
-            )
-        self._reduction_steps = tuple(steps)
+        ix = self.index
+        self._reduction_steps = tuple(
+            (ix[(a, b, c)], ix[(a - 2, b + 2, c)], ix[(a - 2, b, c + 2)], ix[(a - 2, b, c)])
+            for a, b, c in sorted(alpha2, key=lambda m: -m[0])
+        )
+        # The steps as array updates in rounds on alpha^a and alpha^(a-1): a
+        # round writes only below alpha^(a-1), each write kind hits a target at
+        # most once, and the steps give each target its tau, gamma, beta writes in that order.
+        rounds: dict[int, list] = {}
+        for step in self._reduction_steps:
+            rounds.setdefault((max_degree - self.monomials[step[0]][0]) // 2, []).append(step)
+        self._reduction_rounds = tuple(np.array(r).T for r in rounds.values())
 
     @property
     def remainder_monomials(self) -> tuple[Monomial, ...]:
@@ -117,14 +111,6 @@ class DensePolynomial:
         self._check_same_basis(other)
         return DensePolynomial(self.basis, self.coeffs - other.coeffs)
 
-    def __neg__(self) -> "DensePolynomial":
-        return DensePolynomial(self.basis, -self.coeffs)
-
-    def __mul__(self, scalar: float) -> "DensePolynomial":
-        return DensePolynomial(self.basis, self.coeffs * float(scalar))
-
-    __rmul__ = __mul__
-
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.coeffs)))
 
@@ -144,29 +130,28 @@ def monomial_poly(m: Monomial) -> DensePolynomial:
     return DensePolynomial(basis, coeffs)
 
 
-def embed(p: DensePolynomial, out_basis: GrevlexBasis) -> DensePolynomial:
-    """Re-express ``p`` on a basis of equal or higher degree."""
-    if p.basis.max_degree > out_basis.max_degree:
-        raise DegreeOverflow("cannot embed into a smaller basis")
-    coeffs = np.zeros(out_basis.size)
-    for m, c in zip(p.basis.monomials, p.coeffs):
-        coeffs[out_basis.index[m]] = c
-    return DensePolynomial(out_basis, coeffs)
-
-
-_MUL_TABLES: dict[tuple[int, int, int], np.ndarray] = {}
-
-
+@lru_cache(maxsize=None)
 def _mul_table(d1: int, d2: int, dout: int) -> np.ndarray:
-    table = _MUL_TABLES.get((d1, d2, dout))
-    if table is None:
-        b1, b2, bout = grevlex_basis(d1), grevlex_basis(d2), grevlex_basis(dout)
-        table = np.empty((b1.size, b2.size), dtype=np.int64)
-        for i, mi in enumerate(b1.monomials):
-            for j, mj in enumerate(b2.monomials):
-                table[i, j] = bout.index[(mi[0] + mj[0], mi[1] + mj[1], mi[2] + mj[2])]
-        _MUL_TABLES[(d1, d2, dout)] = table
-    return table
+    """Output index of every product of a degree-``d1`` and a degree-``d2`` monomial."""
+    index = grevlex_basis(dout).index
+    rows = [
+        [index[(a + x, b + y, c + z)] for x, y, z in grevlex_basis(d2).monomials]
+        for a, b, c in grevlex_basis(d1).monomials
+    ]
+    return np.array(rows, dtype=np.int64)
+
+
+def _mul_stack(p: np.ndarray, q: np.ndarray, d1: int, d2: int, dout: int) -> np.ndarray:
+    """Coefficient convolutions ``p[k] * q[k]`` of stacked degree-``d1`` and
+    degree-``d2`` rows on the degree-``dout`` basis, by one ``bincount`` over
+    :func:`_mul_table`; it adds in order, exactly as a sequential scatter."""
+    table = _mul_table(d1, d2, dout)
+    n_out = grevlex_basis(dout).size
+    lead = p.shape[:-1]
+    k = int(np.prod(lead))
+    idx = (np.arange(k)[:, None] * n_out + table.ravel()).ravel()
+    weights = (p.reshape(k, -1, 1) * q.reshape(k, 1, -1)).ravel()
+    return np.bincount(idx, weights=weights, minlength=k * n_out).reshape(*lead, n_out)
 
 
 def poly_mul(p: DensePolynomial, q: DensePolynomial, out_basis: GrevlexBasis) -> DensePolynomial:
@@ -176,21 +161,25 @@ def poly_mul(p: DensePolynomial, q: DensePolynomial, out_basis: GrevlexBasis) ->
             f"degree {p.basis.max_degree} * degree {q.basis.max_degree} exceeds basis degree "
             f"{out_basis.max_degree}"
         )
-    table = _mul_table(p.basis.max_degree, q.basis.max_degree, out_basis.max_degree)
-    out = np.zeros(out_basis.size)
-    np.add.at(out, table.ravel(), np.outer(p.coeffs, q.coeffs).ravel())
-    return DensePolynomial(out_basis, out)
+    coeffs = _mul_stack(
+        p.coeffs, q.coeffs, p.basis.max_degree, q.basis.max_degree, out_basis.max_degree
+    )
+    return DensePolynomial(out_basis, coeffs)
 
 
-def sphere_constraint_poly(c: RotationConstraint) -> DensePolynomial:
-    """The quadratic ``alpha^2 + beta^2 + gamma^2 + tau``."""
-    basis = grevlex_basis(2)
-    coeffs = np.zeros(basis.size)
-    coeffs[basis.index[(2, 0, 0)]] = 1.0
-    coeffs[basis.index[(0, 2, 0)]] = 1.0
-    coeffs[basis.index[(0, 0, 2)]] = 1.0
-    coeffs[basis.index[(0, 0, 0)]] = c.tau
-    return DensePolynomial(basis, coeffs)
+def reduce_columns_mod_h(stack: np.ndarray, basis: GrevlexBasis, tau: float) -> None:
+    """Normal form modulo the sphere constraint of every column of the
+    monomial-major ``(basis.size, n)`` array ``stack``, in place.
+
+    Each entry gets the subtractions of a sequential run of the basis's
+    ``_reduction_steps``, in the same order (see ``GrevlexBasis``).
+    """
+    for sources, ib, ic, it in basis._reduction_rounds:
+        v = stack[sources]
+        stack[it] -= tau * v
+        stack[ic] -= v
+        stack[ib] -= v
+    stack[: basis.alpha2_size] = 0.0
 
 
 def reduce_mod_h(p: DensePolynomial, c: RotationConstraint) -> DensePolynomial:
@@ -201,15 +190,48 @@ def reduce_mod_h(p: DensePolynomial, c: RotationConstraint) -> DensePolynomial:
     and agrees with ``p`` on the constraint sphere.
     """
     out = p.coeffs.copy()
-    tau = c.tau
-    for src, ib, ic, it in p.basis._reduction_steps:
-        v = out[src]
-        if v != 0.0:
-            out[ib] -= v
-            out[ic] -= v
-            out[it] -= tau * v
-            out[src] = 0.0
+    reduce_columns_mod_h(out[:, None], p.basis, c.tau)
     return DensePolynomial(p.basis, out)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` of stacked vectors, each rounded as a single ``a @ b``."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+_NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.cross`` of stacked 3-vectors, rounded as ``np.cross`` rounds it."""
+    a1, a2, b1, b2 = (np.take(x, i, -1) for x in (a, b) for i in (_NEXT, _LAST))
+    return a1 * b2 - a2 * b1
+
+
+# Flat indices into the outer product ``b_k a_l`` (at ``3 k + l``): the
+# minuends and subtrahends of ``a x b``, then the pairs summed into ab, ac, bc.
+_PICK, _OTHER = [7, 2, 3, 1, 2, 5], [5, 6, 1, 3, 6, 7]
+# From the blocks (a^2, b^2, c^2), (ab, ac, bc), (a, b, c), (1) to the
+# degree-2 basis order a^2, ab, b^2, ac, bc, c^2, a, b, c, 1.
+_BILINEAR_ORDER = [0, 3, 1, 4, 5, 2, 6, 7, 8, 9]
+
+
+def _bilinear_coeffs(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
+    """Degree-2 coefficient rows of ``b^T R a`` for stacked ``(..., 3)`` vectors.
+
+    Every coefficient is rounded as in the single-pair formula: the constant
+    from ``a @ b``, the linear terms from ``np.cross(a, b)``.
+    """
+    outer = (b[..., :, None] * a[..., None, :]).reshape(a.shape[:-1] + (9,))
+    pick, other = outer[..., _PICK], outer[..., _OTHER]
+    const = (2.0 * sigma * sigma - 1.0) * _dot(a, b)
+    parts = (
+        2.0 * b * a,
+        2.0 * (pick[..., 3:] + other[..., 3:]),
+        -2.0 * sigma * (pick[..., :3] - other[..., :3]),
+        const[..., None],
+    )
+    return np.concatenate(parts, axis=-1)[..., _BILINEAR_ORDER]
 
 
 def rotation_bilinear_form(a, b, c: RotationConstraint) -> DensePolynomial:
@@ -221,20 +243,32 @@ def rotation_bilinear_form(a, b, c: RotationConstraint) -> DensePolynomial:
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    basis = grevlex_basis(2)
-    coeffs = np.zeros(basis.size)
-    coeffs[basis.index[(0, 0, 0)]] = (2.0 * c.sigma * c.sigma - 1.0) * float(a @ b)
-    lin = -2.0 * c.sigma * np.cross(a, b)
-    coeffs[basis.index[(1, 0, 0)]] = lin[0]
-    coeffs[basis.index[(0, 1, 0)]] = lin[1]
-    coeffs[basis.index[(0, 0, 1)]] = lin[2]
-    coeffs[basis.index[(2, 0, 0)]] = 2.0 * b[0] * a[0]
-    coeffs[basis.index[(0, 2, 0)]] = 2.0 * b[1] * a[1]
-    coeffs[basis.index[(0, 0, 2)]] = 2.0 * b[2] * a[2]
-    coeffs[basis.index[(1, 1, 0)]] = 2.0 * (b[0] * a[1] + b[1] * a[0])
-    coeffs[basis.index[(1, 0, 1)]] = 2.0 * (b[0] * a[2] + b[2] * a[0])
-    coeffs[basis.index[(0, 1, 1)]] = 2.0 * (b[1] * a[2] + b[2] * a[1])
-    return DensePolynomial(basis, coeffs)
+    return DensePolynomial(grevlex_basis(2), _bilinear_coeffs(a, b, c.sigma))
+
+
+def _ray_stack(pairs, *names: str) -> list[np.ndarray]:
+    """``(N, 3)`` arrays of the named ray attributes of ``pairs``."""
+    return [np.array([getattr(p, name) for p in pairs], dtype=float) for name in names]
+
+
+def _polys(coeffs: np.ndarray, degree: int) -> list[DensePolynomial]:
+    basis = grevlex_basis(degree)
+    return [DensePolynomial(basis, row) for row in coeffs]
+
+
+def _f_rows(pairs: list[BearingPair], i, j, sigma: float) -> np.ndarray:
+    """Depth-elimination rows ``(..., 2, 10)`` for anchors ``i`` and
+    correspondences ``j`` (index arrays of one shape)."""
+    q1, q2 = _ray_stack(pairs, "q1", "q2")
+    p1, p2 = _cross(np.stack([q1[i], q2[i]]), np.stack([q1[j], q2[j]]))
+    entries = _bilinear_coeffs(np.stack([p1, q1[j]]), np.stack([q2[j], p2]), sigma)
+    return np.moveaxis(entries, 0, -2)
+
+
+def _f_dets(entries: np.ndarray) -> np.ndarray:
+    """Quartic determinants of stacked ``(..., 2, 2, 10)`` quadratic matrices."""
+    prods = _mul_stack(entries[..., [0, 0], [0, 1], :], entries[..., [1, 1], [1, 0], :], 2, 2, 4)
+    return prods[..., 0, :] - prods[..., 1, :]
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,45 +285,67 @@ class FMatrixSpec:
         return np.array([[e(u) for e in row] for row in self.entries])
 
     def det(self) -> DensePolynomial:
-        b4 = grevlex_basis(4)
-        (f11, f12), (f21, f22) = self.entries
-        return poly_mul(f11, f22, b4) - poly_mul(f12, f21, b4)
+        entries = np.array([[e.coeffs for e in row] for row in self.entries])
+        return DensePolynomial(grevlex_basis(4), _f_dets(entries))
 
 
 def f_matrix_spec(pairs: list[BearingPair], i: int, j: int, k: int, c: RotationConstraint) -> FMatrixSpec:
     """Depth-elimination matrix for anchor ``i`` and free correspondences ``j, k``."""
+    rows = _f_rows(pairs, np.array([i, i]), np.array([j, k]), c.sigma)
+    return FMatrixSpec(anchor=i, j=j, k=k, entries=tuple(tuple(_polys(r, 2)) for r in rows))
 
-    def row(jj: int) -> tuple[DensePolynomial, DensePolynomial]:
-        p1 = np.cross(pairs[i].q1, pairs[jj].q1)
-        p2 = np.cross(pairs[i].q2, pairs[jj].q2)
-        return (
-            rotation_bilinear_form(p1, pairs[jj].q2, c),
-            rotation_bilinear_form(pairs[jj].q1, p2, c),
-        )
 
-    return FMatrixSpec(anchor=i, j=j, k=k, entries=(row(j), row(k)))
+# Anchor and free correspondences of each generator: cyclic patterns that
+# make each generator set symmetric under relabelling of the correspondences.
+_F_TRIPLES = np.array([(1, 2, 3), (2, 3, 0), (3, 0, 1), (0, 1, 2)])
+_G_QUADRUPLES = np.array([(1, 2, 3, 4), (2, 3, 4, 0), (3, 4, 0, 1), (4, 0, 1, 2), (0, 1, 2, 3)])
 
 
 def build_f_polynomials(pairs: list[BearingPair], c: RotationConstraint) -> list[DensePolynomial]:
     """The four quartic determinant constraints of the 4-point problem.
 
     The cyclic anchor pattern (2,3,4), (3,4,1), (4,1,2), (1,2,3) makes the set
-    symmetric under relabelling of the four correspondences.
+    symmetric under relabelling of the four correspondences.  All four
+    determinants are formed in one batch.
     """
     if len(pairs) != 4:
         raise ValueError("exactly 4 bearing pairs required")
-    for i in range(4):
-        for j in range(i + 1, 4):
-            for qa, qb, view in (
-                (pairs[i].q1, pairs[j].q1, "view 1"),
-                (pairs[i].q2, pairs[j].q2, "view 2"),
-            ):
-                if np.linalg.norm(np.cross(qa, qb)) < COINCIDENT_RAY_EPS:
-                    raise DegenerateInput(
-                        f"rays {i} and {j} coincide in {view}; correspondences must be distinct"
-                    )
-    triples = [(1, 2, 3), (2, 3, 0), (3, 0, 1), (0, 1, 2)]
-    return [f_matrix_spec(pairs, i, j, k, c).det() for i, j, k in triples]
+    q1, q2 = _ray_stack(pairs, "q1", "q2")
+    first, second = np.triu_indices(4, 1)
+    crosses = _cross(np.stack([q1[first], q2[first]], 1), np.stack([q1[second], q2[second]], 1))
+    coincident = np.flatnonzero(np.sqrt(_dot(crosses, crosses)) < COINCIDENT_RAY_EPS)
+    if coincident.size:
+        pair, view = divmod(int(coincident[0]), 2)
+        raise DegenerateInput(
+            f"rays {first[pair]} and {second[pair]} coincide in view {view + 1}; "
+            "correspondences must be distinct"
+        )
+    anchors = np.repeat(_F_TRIPLES[:, :1], 2, axis=1)
+    return _polys(_f_dets(_f_rows(pairs, anchors, _F_TRIPLES[:, 1:], c.sigma)), 4)
+
+
+def _g_rows(pairs: list[PluckerPair], i, j, sigma: float) -> np.ndarray:
+    """Generalized constraint rows ``(..., 3, 10)``, the quadratics ``(a, b, w)``
+    acting on (lambda, mu, 1), for anchors ``i`` and correspondences ``j``."""
+    q1, q2, m1, m2 = _ray_stack(pairs, "q1", "q2", "m1", "m2")
+    e1, e2 = _cross(np.stack([m1[i], m2[i]]), np.stack([q1[i], q2[i]]))
+    qj1, qj2 = q1[j], q2[j]
+    p1, p2, c1, c2 = _cross(np.stack([q1[i], q2[i], e1, e2]), np.stack([qj1, qj2, qj1, qj2]))
+    left = np.stack([p1, qj1, c1, qj1, m1[j], qj1])
+    right = np.stack([qj2, p2, qj2, c2, qj2, m2[j]])
+    f = _bilinear_coeffs(left, right, sigma)
+    w = f[2] + f[3] + f[4] + f[5]
+    return np.stack([f[0], f[1], w], axis=-2)
+
+
+def _g_dets(rows: np.ndarray) -> np.ndarray:
+    """Sextic determinants of stacked ``(..., 3, 3, 10)`` quadratic matrices,
+    expanded along the first row."""
+    second, third = rows[..., 1, [1, 2, 0, 2, 0, 1], :], rows[..., 2, [2, 1, 2, 0, 1, 0], :]
+    minors = _mul_stack(second, third, 2, 2, 4)
+    cofactors = minors[..., 0::2, :] - minors[..., 1::2, :]
+    terms = _mul_stack(rows[..., 0, :, :], cofactors, 2, 4, 6)
+    return terms[..., 0, :] - terms[..., 1, :] + terms[..., 2, :]
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,17 +359,9 @@ class GMatrixSpec:
     l: int
     rows: tuple[tuple[DensePolynomial, DensePolynomial, DensePolynomial], ...]
 
-    def evaluate(self, u) -> np.ndarray:
-        return np.array([[e(u) for e in row] for row in self.rows])
-
     def det(self) -> DensePolynomial:
-        b4 = grevlex_basis(4)
-        b6 = grevlex_basis(6)
-        (a1, b1, w1), (a2, b2, w2), (a3, b3, w3) = self.rows
-        m1 = poly_mul(b2, w3, b4) - poly_mul(w2, b3, b4)
-        m2 = poly_mul(a2, w3, b4) - poly_mul(w2, a3, b4)
-        m3 = poly_mul(a2, b3, b4) - poly_mul(b2, a3, b4)
-        return poly_mul(a1, m1, b6) - poly_mul(b1, m2, b6) + poly_mul(w1, m3, b6)
+        rows = np.array([[e.coeffs for e in row] for row in self.rows])
+        return DensePolynomial(grevlex_basis(6), _g_dets(rows))
 
 
 def g_constraint_row(
@@ -321,40 +369,25 @@ def g_constraint_row(
 ) -> tuple[DensePolynomial, DensePolynomial, DensePolynomial]:
     """Generalized epipolar constraint of correspondence ``j`` under the
     anchor-``i`` translation parametrization, collected against (lambda, mu, 1)."""
-    pi, pj = pairs[i], pairs[j]
-    p1 = np.cross(pi.q1, pj.q1)
-    p2 = np.cross(pi.q2, pj.q2)
-    a = rotation_bilinear_form(p1, pj.q2, c)
-    b = rotation_bilinear_form(pj.q1, p2, c)
-    e1 = np.cross(pi.m1, pi.q1)
-    e2 = np.cross(pi.m2, pi.q2)
-    w = (
-        rotation_bilinear_form(np.cross(e1, pj.q1), pj.q2, c)
-        + rotation_bilinear_form(pj.q1, np.cross(e2, pj.q2), c)
-        + rotation_bilinear_form(pj.m1, pj.q2, c)
-        + rotation_bilinear_form(pj.q1, pj.m2, c)
-    )
-    return a, b, w
+    return tuple(_polys(_g_rows(pairs, i, j, c.sigma), 2))
 
 
 def g_matrix_spec(
     pairs: list[PluckerPair], i: int, j: int, k: int, l: int, c: RotationConstraint
 ) -> GMatrixSpec:
-    rows = tuple(g_constraint_row(pairs, i, jj, c) for jj in (j, k, l))
-    return GMatrixSpec(anchor=i, j=j, k=k, l=l, rows=rows)
+    rows = _g_rows(pairs, np.array([i, i, i]), np.array([j, k, l]), c.sigma)
+    return GMatrixSpec(anchor=i, j=j, k=k, l=l, rows=tuple(tuple(_polys(r, 2)) for r in rows))
 
 
 def build_g_polynomials(pairs: list[PluckerPair], c: RotationConstraint) -> list[DensePolynomial]:
-    """The five sextic determinant constraints of the generalized 5-point problem."""
+    """The five sextic determinant constraints of the generalized 5-point
+    problem, formed in one batch."""
     if len(pairs) != 5:
         raise ValueError("exactly 5 Pluecker pairs required")
-    quadruples = [(1, 2, 3, 4), (2, 3, 4, 0), (3, 4, 0, 1), (4, 0, 1, 2), (0, 1, 2, 3)]
-    out = []
-    for i, j, k, l in quadruples:
-        g = g_matrix_spec(pairs, i, j, k, l, c).det()
-        if g.max_abs() < 1e-12:
-            raise DegenerateInput(
-                "a determinant constraint collapsed to zero; the ray configuration is degenerate"
-            )
-        out.append(g)
-    return out
+    anchors = np.repeat(_G_QUADRUPLES[:, :1], 3, axis=1)
+    dets = _g_dets(_g_rows(pairs, anchors, _G_QUADRUPLES[:, 1:], c.sigma))
+    if np.any(np.max(np.abs(dets), axis=1) < 1e-12):
+        raise DegenerateInput(
+            "a determinant constraint collapsed to zero; the ray configuration is degenerate"
+        )
+    return _polys(dets, 6)

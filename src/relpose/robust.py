@@ -141,9 +141,17 @@ class RansacTrialRecord:
     scale_rel_err: float
     inlier_count: int
     recall: float
+    precision: float
     iterations: int
     no_hypothesis: bool
     solve_ms: float
+
+
+def inlier_precision_recall(returned: np.ndarray, true: np.ndarray) -> tuple[float, float]:
+    """Shares of the returned inliers that are true inliers (precision) and of
+    the true inliers that were returned (recall); 0 when the set is empty."""
+    hits = np.count_nonzero(returned & true)
+    return hits / max(1, np.count_nonzero(returned)), hits / max(1, np.count_nonzero(true))
 
 
 def _corrupt(observations, truth, cfg: SceneConfig, outlier_frac: float, rng):
@@ -203,16 +211,14 @@ def run_ransac_trials(
             result = ransac_estimate(observed, theta_in, trial_cfg, solver)
         except (NoHypothesis, RelposeError):
             records.append(
-                RansacTrialRecord(idx, math.inf, math.inf, math.inf, 0, 0.0, 0, True,
+                RansacTrialRecord(idx, math.inf, math.inf, math.inf, 0, 0.0, 0.0, 0, True,
                                   (time.perf_counter() - start) * 1e3)
             )
             continue
         elapsed_ms = (time.perf_counter() - start) * 1e3
         rot = rotation_error([result.pose], truth.R)
         ang, scale = translation_errors([result.pose], truth.t, with_scale=generalized)
-        recall = float(np.count_nonzero(result.inlier_mask & true_inliers)) / max(
-            1, int(np.count_nonzero(true_inliers))
-        )
+        precision, recall = inlier_precision_recall(result.inlier_mask, true_inliers)
         records.append(
             RansacTrialRecord(
                 trial=idx,
@@ -221,6 +227,7 @@ def run_ransac_trials(
                 scale_rel_err=scale,
                 inlier_count=result.inlier_count,
                 recall=recall,
+                precision=precision,
                 iterations=result.iterations,
                 no_hypothesis=False,
                 solve_ms=elapsed_ms,
@@ -234,7 +241,7 @@ def summarize_ransac(records: list[RansacTrialRecord]) -> dict[str, float]:
     ok = [r for r in records if not r.no_hypothesis]
     out = {"no_hypothesis_rate": (len(records) - len(ok)) / max(1, len(records))}
     for metric in ("rot_err", "t_ang_err_deg", "scale_rel_err", "inlier_count", "recall",
-                   "iterations", "solve_ms"):
+                   "precision", "iterations", "solve_ms"):
         vals = [getattr(r, metric) for r in ok]
         vals = [v for v in vals if not (isinstance(v, float) and math.isnan(v))]
         out[f"mean_{metric}"] = float(np.mean(vals)) if vals else math.nan

@@ -26,7 +26,6 @@ from relpose.gbsolver import (
     extract_roots,
     quotient_basis_from_pivots,
     rref_conditioned,
-    schur_equivalence_check,
 )
 from relpose.imu import GyroSample, integrate_gyro
 from relpose.poly import (
@@ -53,6 +52,7 @@ from relpose.synth import (
     run_trials,
     translation_errors,
 )
+from reference_templates import schur_equivalence_check
 
 
 def report(num: int, name: str, detail: str) -> None:

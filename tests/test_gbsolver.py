@@ -14,9 +14,7 @@ from relpose.gbsolver import (
     eigensolve_real,
     extract_roots,
     quotient_basis_from_pivots,
-    rref,
     rref_conditioned,
-    schur_equivalence_check,
 )
 from relpose.geom import quat_from_rotation, rotation_angle, sigma_from_angle
 from relpose.poly import (
@@ -27,6 +25,7 @@ from relpose.poly import (
     reduce_mod_h,
 )
 from relpose.synth import SceneConfig, generate_scene
+from reference_templates import rref, schur_equivalence_check
 
 # Leading exponents of the ten reduced generating polynomials of the regular
 # problem; the expected quotient basis is everything they do not divide.

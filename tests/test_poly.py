@@ -14,7 +14,6 @@ from relpose.poly import (
     f_matrix_spec,
     g_constraint_row,
     grevlex_basis,
-    grevlex_compare,
     grevlex_key,
     monomial_poly,
     poly_mul,
@@ -23,6 +22,7 @@ from relpose.poly import (
 )
 from relpose.geom import generalized_residual
 from relpose.synth import SceneConfig, generate_scene
+from reference_templates import grevlex_compare
 
 monomials = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
 
