@@ -48,14 +48,8 @@ def _write_output(text: str, out: str | None) -> None:
 
 def cmd_solve(args) -> int:
     doc = formats.parse_correspondence_document(Path(args.input).read_text())
-    if doc.kind == "regular":
-        if len(doc.pairs) != 4:
-            raise DocumentError(f"regular documents need exactly 4 pairs, got {len(doc.pairs)}")
-        poses = solve_4pt_angle(doc.pairs, doc.theta_rad, anchor=args.anchor)
-    else:
-        if len(doc.pairs) != 5:
-            raise DocumentError(f"generalized documents need exactly 5 pairs, got {len(doc.pairs)}")
-        poses = solve_gen5pt_angle(doc.pairs, doc.theta_rad, anchor=args.anchor)
+    solve = solve_4pt_angle if doc.kind == "regular" else solve_gen5pt_angle
+    poses = solve(doc.pairs, doc.theta_rad, anchor=args.anchor)
     _write_output(formats.emit_pose_document(poses, doc.kind), args.out)
     return 0
 

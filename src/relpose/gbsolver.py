@@ -5,23 +5,31 @@ monomials, reduce every product modulo the sphere constraint, stack the
 remainder-block coefficients into a template matrix, row-reduce it, read the
 quotient-ring basis off the non-pivot columns, build the multiplication
 matrix for gamma, and recover candidate roots from its eigenvectors.
+
+Each minimal problem is one ``TemplateProblem``.  Each solver module keeps
+its own call sequence through these layers; the steps both run around it
+live here.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .exceptions import (
     BasisAnomaly,
+    DegenerateConfiguration,
+    DegenerateInput,
     DegreeOverflow,
     EigenFailure,
+    NearZeroVector,
     RankDeficient,
     UnreachableMonomial,
 )
-from .geom import RotationConstraint
+from .geom import RotationConstraint, UnitQuaternion, rectify_quaternion, sigma_from_angle
 from .poly import (
     DensePolynomial,
     GrevlexBasis,
@@ -31,30 +39,103 @@ from .poly import (
     reduce_columns_mod_h,
 )
 
-DEFAULT_PIVOT_TOL = 1e-10
-DEFAULT_IMAG_TOL = 1e-6
-DEFAULT_ROOT_TOL = 1e-6
+PIVOT_TOL = 1e-10
+IMAG_TOL = 1e-6
+ROOT_TOL = 1e-6
 
-# Row plans of the two problems: multiplier monomials applied to every
-# generator, plus individually listed extra rows (multiplier, generator index).
-REGULAR_MULTIPLIERS: tuple[Monomial, ...] = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
-REGULAR_TARGET_DEGREE = 5
-REGULAR_TEMPLATE_SHAPE = (16, 36)
-REGULAR_BASIS_SIZE = 20
+# Roots are read off the eigenvector entries at 1, alpha, beta and gamma, so
+# these monomials must stay in the quotient basis.
+ROOT_MONOMIALS: tuple[Monomial, ...] = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
 
-GENERAL_MULTIPLIERS: tuple[Monomial, ...] = (
-    (0, 2, 0),
-    (1, 0, 1),
-    (0, 1, 1),
-    (0, 0, 2),
-    (1, 0, 0),
-    (0, 1, 0),
-    (0, 0, 1),
+# A zero rotation angle pins the quaternion to the identity.
+ZERO_ANGLE_ROOTS = (np.zeros(3),)
+
+
+@dataclass(frozen=True)
+class TemplateProblem:
+    """One minimal problem as the template engine sees it.
+
+    The template holds every generator times every monomial of
+    ``multipliers``, plus the ``extra_rows`` (multiplier, generator index),
+    reduced over the remainder block of degree ``target_degree``.
+    """
+
+    sample_size: int
+    multipliers: tuple[Monomial, ...]
+    extra_rows: tuple[tuple[Monomial, int], ...]
+    target_degree: int
+    template_shape: tuple[int, int]
+    basis_size: int
+
+    @cached_property
+    def pivot_hints(self) -> dict:
+        """``rref_conditioned`` keywords: the top-degree columns must be
+        pivots, or multiplying by gamma would leave the template, and the
+        root-reading columns must never be."""
+        rem = grevlex_basis(self.target_degree).remainder_monomials
+        return {
+            "protected_cols": frozenset(j for j, m in enumerate(rem) if m in ROOT_MONOMIALS),
+            "eliminate_first": tuple(j for j, m in enumerate(rem) if sum(m) == self.target_degree),
+        }
+
+    def prepare(self, pairs: list, theta: float, anchor: int) -> tuple[list, RotationConstraint]:
+        """Check the sample size, relabel the pairs cyclically so that
+        ``pairs[anchor]`` comes first, and fix the sphere constraint."""
+        n = self.sample_size
+        if len(pairs) != n:
+            raise ValueError(f"exactly {n} correspondences required, got {len(pairs)}")
+        c = sigma_from_angle(theta)
+        return list(pairs[anchor % n :]) + list(pairs[: anchor % n]), c
+
+
+# Central cameras, four bearing pairs: 20 solutions.
+REGULAR = TemplateProblem(
+    sample_size=4,
+    multipliers=((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    extra_rows=(),
+    target_degree=5,
+    template_shape=(16, 36),
+    basis_size=20,
 )
-GENERAL_EXTRA_ROWS: tuple[tuple[Monomial, int], ...] = (((0, 0, 0), 0), ((0, 0, 0), 1))
-GENERAL_TARGET_DEGREE = 8
-GENERAL_TEMPLATE_SHAPE = (37, 81)
-GENERAL_BASIS_SIZE = 44
+
+# Generalized cameras, five Pluecker pairs: 44 solutions.
+GENERAL = TemplateProblem(
+    sample_size=5,
+    multipliers=((0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2), (1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    extra_rows=(((0, 0, 0), 0), ((0, 0, 0), 1)),
+    target_degree=8,
+    template_shape=(37, 81),
+    basis_size=44,
+)
+
+
+def check_shape(what: str, shape: tuple[int, ...], expected: tuple[int, ...]) -> None:
+    """Raise ``BasisAnomaly`` on a wrong shape; unlike ``assert``, this survives ``-O``."""
+    if shape != expected:
+        raise BasisAnomaly(f"{what} has shape {shape}, expected {expected}")
+
+
+@contextmanager
+def degenerate_configuration():
+    """Re-raise template failures as ``DegenerateConfiguration``."""
+    try:
+        yield
+    except (DegenerateInput, RankDeficient, BasisAnomaly, UnreachableMonomial) as exc:
+        raise DegenerateConfiguration(str(exc)) from exc
+
+
+def rectified_quaternions(roots, c: RotationConstraint) -> list[UnitQuaternion]:
+    """Quaternions of the roots that carry a usable rotation axis; raises
+    ``DegenerateConfiguration`` when none does."""
+    quats = []
+    for u in roots:
+        try:
+            quats.append(rectify_quaternion(u, c))
+        except NearZeroVector:
+            continue
+    if not quats:
+        raise DegenerateConfiguration("no usable rotation candidates survived filtering")
+    return quats
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +196,6 @@ def assemble_reduced_template(
 
 def rref_conditioned(
     B: np.ndarray,
-    pivot_tol: float = DEFAULT_PIVOT_TOL,
     protected_cols: frozenset[int] = frozenset(),
     eliminate_first: tuple[int, ...] = (),
 ) -> tuple[np.ndarray, list[int]]:
@@ -142,7 +222,7 @@ def rref_conditioned(
         nonlocal r
         sub = np.abs(A[r:, col])
         cand = int(np.argmax(sub)) + r
-        if scales[cand] == 0.0 or abs(A[cand, col]) <= pivot_tol * scales[cand]:
+        if scales[cand] == 0.0 or abs(A[cand, col]) <= PIVOT_TOL * scales[cand]:
             return False
         if cand != r:
             A[[r, cand]] = A[[cand, r]]
@@ -155,22 +235,14 @@ def rref_conditioned(
         return True
 
     first = list(eliminate_first)
-    while first and r < n_rows:
-        sub = np.abs(A[r:, :][:, first])
-        col = first[int(np.unravel_index(np.argmax(sub), sub.shape)[1])]
-        if not eliminate(col):
-            break
-        first.remove(col)
-    remaining = [
-        c for c in range(n_cols)
-        if c not in pivots and c not in protected_cols and c not in first
-    ]
-    while r < n_rows and remaining:
-        sub = np.abs(A[r:, :][:, remaining])
-        col = remaining[int(np.unravel_index(np.argmax(sub), sub.shape)[1])]
-        if not eliminate(col):
-            break
-        remaining.remove(col)
+    rest = [c for c in range(n_cols) if c not in protected_cols and c not in eliminate_first]
+    for group in (first, rest):
+        while group and r < n_rows:
+            sub = np.abs(A[r:, :][:, group])
+            col = group[int(np.unravel_index(np.argmax(sub), sub.shape)[1])]
+            if not eliminate(col):
+                break
+            group.remove(col)
     if r < n_rows:
         raise RankDeficient(f"only {r} pivots found for {n_rows} rows")
     return A, pivots
@@ -205,7 +277,7 @@ def quotient_basis_from_pivots(
     index = {m: i for i, m in enumerate(monomials)}
     if expected_size is not None and len(monomials) != expected_size:
         raise BasisAnomaly(f"quotient basis has size {len(monomials)}, expected {expected_size}")
-    for needed in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)):
+    for needed in ROOT_MONOMIALS:
         if needed not in index:
             raise BasisAnomaly(f"quotient basis is missing monomial {needed}")
     return QuotientBasis(
@@ -243,9 +315,7 @@ def build_action_matrix(
     return M
 
 
-def eigensolve_real(
-    M: np.ndarray, eps_im: float = DEFAULT_IMAG_TOL
-) -> list[tuple[float, np.ndarray]]:
+def eigensolve_real(M: np.ndarray) -> list[tuple[float, np.ndarray]]:
     """Eigenpairs of a real square matrix whose eigenvalue is (near-)real.
 
     Eigenvectors are returned as real unit vectors; the complex phase is fixed
@@ -258,7 +328,7 @@ def eigensolve_real(
         raise EigenFailure(str(exc)) from exc
     out: list[tuple[float, np.ndarray]] = []
     for k in range(len(w)):
-        if abs(w[k].imag) > eps_im * (1.0 + abs(w[k].real)):
+        if abs(w[k].imag) > IMAG_TOL * (1.0 + abs(w[k].real)):
             continue
         v = V[:, k]
         v = v / v[int(np.argmax(np.abs(v)))]
@@ -279,11 +349,7 @@ class ExtractedRoots:
 def _product_checks(qb: QuotientBasis) -> list[tuple[int, int, int]]:
     """Indices (m, x, y) with basis monomial m equal to the product of the
     degree-one basis monomials x and y."""
-    ones = {
-        (1, 0, 0): qb.pos_alpha,
-        (0, 1, 0): qb.pos_beta,
-        (0, 0, 1): qb.pos_gamma,
-    }
+    ones = {m: qb.index[m] for m in ROOT_MONOMIALS[1:]}
     checks = []
     for m, i in qb.index.items():
         if sum(m) != 2:
@@ -296,11 +362,7 @@ def _product_checks(qb: QuotientBasis) -> list[tuple[int, int, int]]:
     return checks
 
 
-def extract_roots(
-    pairs: list[tuple[float, np.ndarray]],
-    qb: QuotientBasis,
-    eps_root: float = DEFAULT_ROOT_TOL,
-) -> ExtractedRoots:
+def extract_roots(pairs: list[tuple[float, np.ndarray]], qb: QuotientBasis) -> ExtractedRoots:
     """Read candidate (alpha, beta, gamma) vectors off near-real eigenvectors.
 
     Candidates whose eigenvector cannot be normalized at the monomial 1, whose
@@ -317,10 +379,10 @@ def extract_roots(
             n_inf += 1
             continue
         v = v / v1
-        if abs(lam - v[qb.pos_gamma]) > eps_root:
+        if abs(lam - v[qb.pos_gamma]) > ROOT_TOL:
             n_incons += 1
             continue
-        if any(abs(v[m] - v[x] * v[y]) > eps_root for m, x, y in checks):
+        if any(abs(v[m] - v[x] * v[y]) > ROOT_TOL for m, x, y in checks):
             n_incons += 1
             continue
         roots.append(np.array([v[qb.pos_alpha], v[qb.pos_beta], v[qb.pos_gamma]]))

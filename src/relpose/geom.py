@@ -43,7 +43,7 @@ def _as_vec3(v, name: str) -> np.ndarray:
 
 def _as_unit3(v, name: str) -> np.ndarray:
     v = _as_vec3(v, name)
-    if abs(v @ v - 1.0) > 2e-12:
+    if not abs(v @ v - 1.0) <= 2e-12:
         raise ValueError(f"{name} must be a unit vector (|{name}| = {np.linalg.norm(v)!r})")
     return v
 
@@ -58,10 +58,10 @@ class UnitQuaternion:
     def __post_init__(self):
         object.__setattr__(self, "sigma", float(self.sigma))
         object.__setattr__(self, "u", _as_vec3(self.u, "u"))
-        if self.sigma < 0.0:
+        if not self.sigma >= 0.0:
             raise ValueError("quaternion scalar part must be non-negative")
         n2 = self.sigma * self.sigma + float(self.u @ self.u)
-        if abs(n2 - 1.0) > 2e-12:
+        if not abs(n2 - 1.0) <= 2e-12:
             raise ValueError(f"quaternion is not unit: sigma^2 + |u|^2 = {n2!r}")
 
 
@@ -116,7 +116,7 @@ class PluckerPair:
         object.__setattr__(self, "m1", _as_vec3(self.m1, "m1"))
         object.__setattr__(self, "m2", _as_vec3(self.m2, "m2"))
         for q, m, name in ((self.q1, self.m1, "m1"), (self.q2, self.m2, "m2")):
-            if abs(float(q @ m)) > 1e-12:
+            if not abs(float(q @ m)) <= 1e-12:
                 raise ValueError(f"{name} violates line incidence: q.m = {float(q @ m)!r}")
 
 
@@ -142,7 +142,7 @@ class RelativePose:
         R = np.asarray(self.R, dtype=float)
         if R.shape != (3, 3):
             raise ValueError("R must be a 3x3 matrix")
-        if np.max(np.abs(R.T @ R - np.eye(3))) > 1e-9 or abs(np.linalg.det(R) - 1.0) > 1e-9:
+        if not (np.max(np.abs(R.T @ R - np.eye(3))) <= 1e-9 and abs(np.linalg.det(R) - 1.0) <= 1e-9):
             raise ValueError("R is not a rotation matrix")
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "t", _as_vec3(self.t, "t"))

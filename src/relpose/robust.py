@@ -35,8 +35,8 @@ class RansacConfig:
     keep_trace: bool = False
 
     def __post_init__(self):
-        if self.inlier_threshold <= 0:
-            raise ValueError("inlier_threshold must be positive")
+        if not 0.0 < self.inlier_threshold < math.inf:
+            raise ValueError("inlier_threshold must be positive and finite")
         if not 0.0 < self.confidence < 1.0:
             raise ValueError("confidence must lie in (0, 1)")
         if self.max_iterations < 1:

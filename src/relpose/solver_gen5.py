@@ -6,37 +6,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import (
-    BasisAnomaly,
-    DegenerateConfiguration,
-    DegenerateInput,
-    NearZeroVector,
-    RankDeficient,
-    ScaleUnobservable,
-    SkewDegenerate,
-    UnreachableMonomial,
-)
+from .exceptions import ScaleUnobservable, SkewDegenerate
 from .gbsolver import (
-    DEFAULT_PIVOT_TOL,
-    GENERAL_BASIS_SIZE,
-    GENERAL_EXTRA_ROWS,
-    GENERAL_MULTIPLIERS,
-    GENERAL_TARGET_DEGREE,
-    GENERAL_TEMPLATE_SHAPE,
+    GENERAL,
+    ZERO_ANGLE_ROOTS,
     assemble_reduced_template,
     build_action_matrix,
+    check_shape,
+    degenerate_configuration,
     eigensolve_real,
     extract_roots,
     quotient_basis_from_pivots,
+    rectified_quaternions,
     rref_conditioned,
 )
-from .geom import (
-    PluckerPair,
-    RelativePose,
-    quat_to_rotation,
-    rectify_quaternion,
-    sigma_from_angle,
-)
+from .geom import PluckerPair, RelativePose, quat_to_rotation
 from .poly import build_g_polynomials
 
 # All moments below this norm mean a purely central configuration.
@@ -49,32 +33,17 @@ SCALE_RANK_EPS = 1e-10
 SCALE_COMPONENT_EPS = 1e-10
 
 
-def _rotation_candidates(pairs, c, pivot_tol):
-    gs = build_g_polynomials(pairs, c)
+def _rotation_candidates(pairs, c):
+    """Candidate quaternion vector parts from the elimination template."""
     template = assemble_reduced_template(
-        gs, GENERAL_MULTIPLIERS, GENERAL_TARGET_DEGREE, c, extra_rows=GENERAL_EXTRA_ROWS
+        build_g_polynomials(pairs, c), GENERAL.multipliers, GENERAL.target_degree, c,
+        extra_rows=GENERAL.extra_rows,
     )
-    if template.matrix.shape != GENERAL_TEMPLATE_SHAPE:
-        raise BasisAnomaly(
-            f"template has shape {template.matrix.shape}, expected {GENERAL_TEMPLATE_SHAPE}"
-        )
-    # Pivot columns are chosen for conditioning rather than left to right: the
-    # top-degree monomials must be pivots, the root-reading monomials must
-    # stay in the basis, everything else goes to the largest remaining entry.
-    rem = template.basis.remainder_monomials
-    top = tuple(j for j, m in enumerate(rem) if sum(m) == GENERAL_TARGET_DEGREE)
-    keep = frozenset(
-        j for j, m in enumerate(rem) if m in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
-    )
-    reduced, pivots = rref_conditioned(
-        template.matrix, pivot_tol, protected_cols=keep, eliminate_first=top
-    )
-    qb = quotient_basis_from_pivots(template.basis, pivots, expected_size=GENERAL_BASIS_SIZE)
+    check_shape("template", template.matrix.shape, GENERAL.template_shape)
+    reduced, pivots = rref_conditioned(template.matrix, **GENERAL.pivot_hints)
+    qb = quotient_basis_from_pivots(template.basis, pivots, expected_size=GENERAL.basis_size)
     action = build_action_matrix(reduced, pivots, template.basis, qb)
-    if action.shape != (GENERAL_BASIS_SIZE, GENERAL_BASIS_SIZE):
-        raise BasisAnomaly(
-            f"action matrix has shape {action.shape}, expected {GENERAL_BASIS_SIZE} square"
-        )
+    check_shape("action matrix", action.shape, (GENERAL.basis_size, GENERAL.basis_size))
     return extract_roots(eigensolve_real(action), qb)
 
 
@@ -100,11 +69,7 @@ def _depth_rows(pairs: list[PluckerPair], Rs: np.ndarray) -> np.ndarray:
 
 
 def solve_gen5pt_angle(
-    pairs: list[PluckerPair],
-    theta: float,
-    *,
-    anchor: int = 0,
-    pivot_tol: float = DEFAULT_PIVOT_TOL,
+    pairs: list[PluckerPair], theta: float, *, anchor: int = 0
 ) -> list[RelativePose]:
     """All relative poses consistent with five Pluecker pairs and the rotation angle.
 
@@ -113,34 +78,16 @@ def solve_gen5pt_angle(
     null vector of the stacked constraint rows, scaled so its inhomogeneous
     component is one; candidates whose scale is unobservable are dropped.
     """
-    if len(pairs) != 5:
-        raise ValueError(f"exactly 5 Pluecker pairs required, got {len(pairs)}")
-    c = sigma_from_angle(theta)
-    ordered = list(pairs[anchor % 5 :]) + list(pairs[: anchor % 5])
-
+    ordered, c = GENERAL.prepare(pairs, theta, anchor)
     if max(float(np.linalg.norm(m)) for p in ordered for m in (p.m1, p.m2)) < CENTRAL_MOMENT_EPS:
         raise ScaleUnobservable(
             "all ray moments vanish: a central configuration carries no translation scale"
         )
-
-    if c.tau == 0.0:
-        roots = [np.zeros(3)]
-    else:
-        try:
-            extraction = _rotation_candidates(ordered, c, pivot_tol)
-        except (DegenerateInput, RankDeficient, BasisAnomaly, UnreachableMonomial) as exc:
-            raise DegenerateConfiguration(str(exc)) from exc
-        roots = list(extraction.roots)
+    with degenerate_configuration():
+        roots = _rotation_candidates(ordered, c).roots if c.tau != 0.0 else ZERO_ANGLE_ROOTS
     root_count = len(roots)
 
-    quats = []
-    for u in roots:
-        try:
-            quats.append(rectify_quaternion(u, c))
-        except NearZeroVector:
-            continue
-    if not quats:
-        raise DegenerateConfiguration("no usable rotation candidates survived filtering")
+    quats = rectified_quaternions(roots, c)
     Rs = np.array([quat_to_rotation(q) for q in quats])
     _, s, vt = np.linalg.svd(_depth_rows(ordered, Rs))
     v = vt[:, -1]

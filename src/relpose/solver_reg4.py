@@ -6,34 +6,24 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import (
-    BasisAnomaly,
-    DegenerateConfiguration,
-    DegenerateInput,
-    NearZeroVector,
-    NoCheiralSolution,
-    RankDeficient,
-    UnreachableMonomial,
-)
+from .exceptions import NoCheiralSolution
 from .gbsolver import (
-    DEFAULT_PIVOT_TOL,
-    REGULAR_BASIS_SIZE,
-    REGULAR_MULTIPLIERS,
-    REGULAR_TARGET_DEGREE,
-    REGULAR_TEMPLATE_SHAPE,
+    REGULAR,
+    ZERO_ANGLE_ROOTS,
     assemble_reduced_template,
     build_action_matrix,
+    check_shape,
+    degenerate_configuration,
     eigensolve_real,
     extract_roots,
     quotient_basis_from_pivots,
+    rectified_quaternions,
     rref_conditioned,
 )
 from .geom import (
     BearingPair,
     RelativePose,
     quat_to_rotation,
-    rectify_quaternion,
-    sigma_from_angle,
     skew,
     triangulate_and_count_cheiral,
 )
@@ -44,39 +34,21 @@ from .poly import build_f_polynomials
 LOW_PARALLAX_RATIO = 0.5
 
 
-def _rotation_candidates(pairs, c, pivot_tol):
+def _rotation_candidates(pairs, c):
     """Candidate quaternion vector parts from the elimination template."""
-    fs = build_f_polynomials(pairs, c)
-    template = assemble_reduced_template(fs, REGULAR_MULTIPLIERS, REGULAR_TARGET_DEGREE, c)
-    if template.matrix.shape != REGULAR_TEMPLATE_SHAPE:
-        raise BasisAnomaly(
-            f"template has shape {template.matrix.shape}, expected {REGULAR_TEMPLATE_SHAPE}"
-        )
-    # Conditioning-driven pivot columns (see rref_conditioned): top-degree
-    # monomials are always eliminated, root-reading monomials always kept.
-    rem = template.basis.remainder_monomials
-    top = tuple(j for j, m in enumerate(rem) if sum(m) == REGULAR_TARGET_DEGREE)
-    keep = frozenset(
-        j for j, m in enumerate(rem) if m in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+    template = assemble_reduced_template(
+        build_f_polynomials(pairs, c), REGULAR.multipliers, REGULAR.target_degree, c
     )
-    reduced, pivots = rref_conditioned(
-        template.matrix, pivot_tol, protected_cols=keep, eliminate_first=top
-    )
-    qb = quotient_basis_from_pivots(template.basis, pivots, expected_size=REGULAR_BASIS_SIZE)
+    check_shape("template", template.matrix.shape, REGULAR.template_shape)
+    reduced, pivots = rref_conditioned(template.matrix, **REGULAR.pivot_hints)
+    qb = quotient_basis_from_pivots(template.basis, pivots, expected_size=REGULAR.basis_size)
     action = build_action_matrix(reduced, pivots, template.basis, qb)
-    if action.shape != (REGULAR_BASIS_SIZE, REGULAR_BASIS_SIZE):
-        raise BasisAnomaly(
-            f"action matrix has shape {action.shape}, expected {REGULAR_BASIS_SIZE} square"
-        )
+    check_shape("action matrix", action.shape, (REGULAR.basis_size, REGULAR.basis_size))
     return extract_roots(eigensolve_real(action), qb)
 
 
 def solve_4pt_angle(
-    pairs: list[BearingPair],
-    theta: float,
-    *,
-    anchor: int = 0,
-    pivot_tol: float = DEFAULT_PIVOT_TOL,
+    pairs: list[BearingPair], theta: float, *, anchor: int = 0
 ) -> list[RelativePose]:
     """All relative poses consistent with four bearing pairs and the rotation angle.
 
@@ -85,35 +57,18 @@ def solve_4pt_angle(
     relabels the correspondences before the constraint system is built; any
     choice yields the same solution set.
     """
-    if len(pairs) != 4:
-        raise ValueError(f"exactly 4 bearing pairs required, got {len(pairs)}")
-    c = sigma_from_angle(theta)
-    ordered = list(pairs[anchor % 4 :]) + list(pairs[: anchor % 4])
-
-    if c.tau == 0.0:
-        # Zero rotation angle pins the quaternion to the identity.
-        roots = [np.zeros(3)]
-    else:
-        try:
-            extraction = _rotation_candidates(ordered, c, pivot_tol)
-        except (DegenerateInput, RankDeficient, BasisAnomaly, UnreachableMonomial) as exc:
-            raise DegenerateConfiguration(str(exc)) from exc
-        roots = list(extraction.roots)
+    ordered, c = REGULAR.prepare(pairs, theta, anchor)
+    with degenerate_configuration():
+        roots = _rotation_candidates(ordered, c).roots if c.tau != 0.0 else ZERO_ANGLE_ROOTS
     root_count = len(roots)
 
     poses: list[RelativePose] = []
-    had_candidate = False
-    for u in roots:
-        try:
-            quat = rectify_quaternion(u, c)
-        except NearZeroVector:
-            continue
+    for quat in rectified_quaternions(roots, c):
         R = quat_to_rotation(quat)
         stack = np.array([np.cross(R @ p.q1, p.q2) for p in ordered])
         _, s, vt = np.linalg.svd(stack)
         t = vt[-1]
         low_parallax = s[1] == 0.0 or s[2] / s[1] > LOW_PARALLAX_RATIO
-        had_candidate = True
         n_pos, _ = triangulate_and_count_cheiral(R, t, ordered)
         n_neg, _ = triangulate_and_count_cheiral(R, -t, ordered)
         if n_pos == 0 and n_neg == 0:
@@ -135,9 +90,7 @@ def solve_4pt_angle(
                 )
             )
     if not poses:
-        if had_candidate:
-            raise NoCheiralSolution("no candidate places any point in front of both cameras")
-        raise DegenerateConfiguration("no usable rotation candidates survived filtering")
+        raise NoCheiralSolution("no candidate places any point in front of both cameras")
     return poses
 
 

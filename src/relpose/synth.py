@@ -53,8 +53,10 @@ class SceneConfig:
     def __post_init__(self):
         for name in ("distance_to_scene", "scene_depth", "baseline", "image_width",
                      "image_height", "fov_deg", "multi_center_radius"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be strictly positive and finite")
+        if self.theta_rad is not None and not 0.0 <= self.theta_rad < math.pi:
+            raise ValueError(f"theta_rad must lie in [0, pi), got {self.theta_rad!r}")
         if self.motion not in ("forward", "sideways"):
             raise ValueError(f"motion must be 'forward' or 'sideways', got {self.motion!r}")
 
@@ -187,8 +189,8 @@ def add_image_noise(correspondences, sigma_px: float, cfg: SceneConfig, rng) -> 
     is recomputed from the noisy direction, so line incidence is preserved
     exactly.
     """
-    if sigma_px < 0:
-        raise ValueError("sigma_px must be non-negative")
+    if not 0.0 <= sigma_px < math.inf:
+        raise ValueError("sigma_px must be non-negative and finite")
     if sigma_px == 0.0:
         return list(correspondences)
     f = cfg.focal_px
@@ -208,8 +210,8 @@ def add_image_noise(correspondences, sigma_px: float, cfg: SceneConfig, rng) -> 
 def add_angle_noise(theta: float, sigma: float, rng) -> float:
     """Multiplicative Gaussian angle noise ``theta * (1 + s)``, clamped to the
     valid angle domain."""
-    if sigma < 0:
-        raise ValueError("sigma must be non-negative")
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError("sigma must be non-negative and finite")
     s = rng.normal(0.0, sigma) if sigma > 0.0 else 0.0
     return min(max(theta * (1.0 + s), 0.0), math.pi - ANGLE_CLAMP_EPS)
 

@@ -17,12 +17,7 @@ import numpy as np
 
 from relpose.exceptions import DegenerateInput, DegreeOverflow, RankDeficient
 from relpose import gbsolver
-from relpose.gbsolver import (
-    DEFAULT_PIVOT_TOL,
-    REGULAR_MULTIPLIERS,
-    REGULAR_TARGET_DEGREE,
-    EliminationTemplate,
-)
+from relpose.gbsolver import PIVOT_TOL, REGULAR, EliminationTemplate
 from relpose.poly import (
     COINCIDENT_RAY_EPS,
     DensePolynomial,
@@ -185,7 +180,7 @@ def assemble_reduced_template(generators, multipliers, target_degree, c, extra_r
     return EliminationTemplate(basis=basis, matrix=np.array(rows), row_labels=tuple(plan))
 
 
-def rref(B: np.ndarray, pivot_tol: float = DEFAULT_PIVOT_TOL) -> tuple[np.ndarray, list[int]]:
+def rref(B: np.ndarray, pivot_tol: float = PIVOT_TOL) -> tuple[np.ndarray, list[int]]:
     """Gauss-Jordan reduction with partial pivoting, columns left to right.
 
     A pivot is accepted only when its magnitude exceeds ``pivot_tol`` times the
@@ -240,7 +235,7 @@ def schur_equivalence_check(generators: list[DensePolynomial], c) -> float:
     """
     if len(generators) != 4:
         raise ValueError("the explicit block elimination is defined for the 4-generator problem")
-    b5 = grevlex_basis(REGULAR_TARGET_DEGREE)
+    b5 = grevlex_basis(REGULAR.target_degree)
     h = sphere_constraint_poly(c)
     cube_monomials = sorted(
         ((a, b, cc) for a in range(4) for b in range(4 - a) for cc in range(4 - a - b)),
@@ -249,7 +244,7 @@ def schur_equivalence_check(generators: list[DensePolynomial], c) -> float:
     )
     h_rows = [poly_mul(monomial_poly(m), h, b5).coeffs for m in cube_monomials]
     f_rows = [
-        poly_mul(monomial_poly(m), g, b5).coeffs for m in REGULAR_MULTIPLIERS for g in generators
+        poly_mul(monomial_poly(m), g, b5).coeffs for m in REGULAR.multipliers for g in generators
     ]
     ahat = np.array(h_rows + f_rows)
     k = b5.alpha2_size
@@ -259,6 +254,6 @@ def schur_equivalence_check(generators: list[DensePolynomial], c) -> float:
         raise AssertionError("constraint-multiple block is not unit upper triangular")
     b_schur = X - W @ np.linalg.solve(U, V)
     b_mod = gbsolver.assemble_reduced_template(
-        generators, REGULAR_MULTIPLIERS, REGULAR_TARGET_DEGREE, c
+        generators, REGULAR.multipliers, REGULAR.target_degree, c
     ).matrix
     return float(np.max(np.abs(b_schur - b_mod)))

@@ -17,9 +17,8 @@ from relpose.geom import (
     sigma_from_angle,
 )
 from relpose.gbsolver import (
-    GENERAL_EXTRA_ROWS,
-    GENERAL_MULTIPLIERS,
-    REGULAR_MULTIPLIERS,
+    GENERAL,
+    REGULAR,
     assemble_reduced_template,
     build_action_matrix,
     eigensolve_real,
@@ -104,7 +103,7 @@ def _regular_pipeline_stats(seed):
     truth, pairs = generate_scene(SceneConfig(seed=seed), 4)
     c = sigma_from_angle(rotation_angle(truth.R))
     fs = build_f_polynomials(pairs, c)
-    tpl = assemble_reduced_template(fs, REGULAR_MULTIPLIERS, 5, c)
+    tpl = assemble_reduced_template(fs, REGULAR.multipliers, 5, c)
     rem = tpl.basis.remainder_monomials
     top = tuple(j for j, m in enumerate(rem) if sum(m) == 5)
     keep = frozenset(j for j, m in enumerate(rem)
@@ -120,7 +119,7 @@ def _general_pipeline_stats(seed):
     truth, pairs = generate_scene(SceneConfig(seed=seed, generalized=True), 5)
     c = sigma_from_angle(rotation_angle(truth.R))
     gs = build_g_polynomials(pairs, c)
-    tpl = assemble_reduced_template(gs, GENERAL_MULTIPLIERS, 8, c, extra_rows=GENERAL_EXTRA_ROWS)
+    tpl = assemble_reduced_template(gs, GENERAL.multipliers, 8, c, extra_rows=GENERAL.extra_rows)
     rem = tpl.basis.remainder_monomials
     top = tuple(j for j, m in enumerate(rem) if sum(m) == 8)
     keep = frozenset(j for j, m in enumerate(rem)
@@ -166,13 +165,13 @@ def test_criterion_04_template_shapes():
     for seed in range(5):
         truth, pairs = generate_scene(SceneConfig(seed=seed), 4)
         c = sigma_from_angle(rotation_angle(truth.R))
-        tpl = assemble_reduced_template(build_f_polynomials(pairs, c), REGULAR_MULTIPLIERS, 5, c)
+        tpl = assemble_reduced_template(build_f_polynomials(pairs, c), REGULAR.multipliers, 5, c)
         assert tpl.matrix.shape == (16, 36)
         truth, pairs = generate_scene(SceneConfig(seed=seed, generalized=True), 5)
         c = sigma_from_angle(rotation_angle(truth.R))
         tpl = assemble_reduced_template(
-            build_g_polynomials(pairs, c), GENERAL_MULTIPLIERS, 8, c,
-            extra_rows=GENERAL_EXTRA_ROWS,
+            build_g_polynomials(pairs, c), GENERAL.multipliers, 8, c,
+            extra_rows=GENERAL.extra_rows,
         )
         assert tpl.matrix.shape == (37, 81)
     report(4, "template shapes", "16x36 and 37x81 on every instance")
@@ -206,13 +205,13 @@ def test_criterion_05_schur_equivalence():
         theta = rng.uniform(0.2, 2.8)
         c = sigma_from_angle(theta)
         fs = build_f_polynomials(_random_bearing_pairs(rng, 4), c)
-        tpl = assemble_reduced_template(fs, REGULAR_MULTIPLIERS, 5, c)
+        tpl = assemble_reduced_template(fs, REGULAR.multipliers, 5, c)
         A = np.zeros((4, 35))
         for r, f in enumerate(fs):
             for m, v in zip(f.basis.monomials, f.coeffs):
                 A[r, plain.index(m)] = v
         rem = tpl.basis.remainder_monomials
-        for mi, mult in enumerate(REGULAR_MULTIPLIERS):
+        for mi, mult in enumerate(REGULAR.multipliers):
             for gi in range(4):
                 col = rem.index((mult[0], mult[1], mult[2] + 2))
                 expected = 2 * c.tau * A[gi, 0] - c.tau * A[gi, 9] - A[gi, 25] + A[gi, 30]

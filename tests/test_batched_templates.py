@@ -9,14 +9,7 @@ import pytest
 
 import reference_templates as ref
 from relpose.exceptions import DegenerateConfiguration, DegenerateInput, DegreeOverflow
-from relpose.gbsolver import (
-    GENERAL_EXTRA_ROWS,
-    GENERAL_MULTIPLIERS,
-    GENERAL_TARGET_DEGREE,
-    REGULAR_MULTIPLIERS,
-    REGULAR_TARGET_DEGREE,
-    assemble_reduced_template,
-)
+from relpose.gbsolver import GENERAL, REGULAR, assemble_reduced_template
 from relpose.geom import BearingPair, PluckerPair, sigma_from_angle
 from relpose.poly import (
     DensePolynomial,
@@ -60,11 +53,11 @@ def problem(solver: str, rays: str, motion: str, theta: float, seed: int):
 def generators_and_template(module, solver: str, pairs, c):
     if solver == "reg4":
         gens = module.build_f_polynomials(pairs, c)
-        tpl = module.assemble_reduced_template(gens, REGULAR_MULTIPLIERS, REGULAR_TARGET_DEGREE, c)
+        tpl = module.assemble_reduced_template(gens, REGULAR.multipliers, REGULAR.target_degree, c)
         return gens, tpl
     gens = module.build_g_polynomials(pairs, c)
     return gens, module.assemble_reduced_template(
-        gens, GENERAL_MULTIPLIERS, GENERAL_TARGET_DEGREE, c, extra_rows=GENERAL_EXTRA_ROWS
+        gens, GENERAL.multipliers, GENERAL.target_degree, c, extra_rows=GENERAL.extra_rows
     )
 
 
@@ -189,7 +182,7 @@ class TestDegenerateInputs:
         c = sigma_from_angle(0.5)
         fs = build_f_polynomials(pairs, c)
         with pytest.raises(DegreeOverflow):
-            assemble_reduced_template(fs, ((0, 0, 2),), REGULAR_TARGET_DEGREE, c)
+            assemble_reduced_template(fs, ((0, 0, 2),), REGULAR.target_degree, c)
         with pytest.raises(DegreeOverflow):
-            assemble_reduced_template(fs, REGULAR_MULTIPLIERS, REGULAR_TARGET_DEGREE, c,
+            assemble_reduced_template(fs, REGULAR.multipliers, REGULAR.target_degree, c,
                                       extra_rows=(((1, 1, 0), 0),))

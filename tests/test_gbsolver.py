@@ -6,9 +6,8 @@ import pytest
 from relpose import gbsolver
 from relpose.exceptions import BasisAnomaly, RankDeficient
 from relpose.gbsolver import (
-    GENERAL_EXTRA_ROWS,
-    GENERAL_MULTIPLIERS,
-    REGULAR_MULTIPLIERS,
+    GENERAL,
+    REGULAR,
     assemble_reduced_template,
     build_action_matrix,
     eigensolve_real,
@@ -51,12 +50,12 @@ def general_instance(seed):
 
 def regular_template(seed):
     fs, c, u = regular_instance(seed)
-    return assemble_reduced_template(fs, REGULAR_MULTIPLIERS, 5, c), c, u
+    return assemble_reduced_template(fs, REGULAR.multipliers, 5, c), c, u
 
 
 def general_template(seed):
     gs, c, u = general_instance(seed)
-    tpl = assemble_reduced_template(gs, GENERAL_MULTIPLIERS, 8, c, extra_rows=GENERAL_EXTRA_ROWS)
+    tpl = assemble_reduced_template(gs, GENERAL.multipliers, 8, c, extra_rows=GENERAL.extra_rows)
     return tpl, c, u
 
 
@@ -71,7 +70,7 @@ class TestAssemble:
 
     def test_unit_multiplier_row_is_reduced_generator(self):
         fs, c, _ = regular_instance(1)
-        tpl = assemble_reduced_template(fs, REGULAR_MULTIPLIERS, 5, c)
+        tpl = assemble_reduced_template(fs, REGULAR.multipliers, 5, c)
         b5 = grevlex_basis(5)
         embedded = np.zeros(b5.size)
         for m, v in zip(fs[0].basis.monomials, fs[0].coeffs):
@@ -105,7 +104,7 @@ class TestSchurEquivalence:
         # column is a fixed four-term combination of the generator's raw
         # coefficients: 2*tau*A[a^4] - tau*A[a^2 c^2] - A[a^2] + A[c^2].
         fs, c, _ = regular_instance(7)
-        tpl = assemble_reduced_template(fs, REGULAR_MULTIPLIERS, 5, c)
+        tpl = assemble_reduced_template(fs, REGULAR.multipliers, 5, c)
         b4 = grevlex_basis(4)
         plain = sorted(b4.monomials, key=grevlex_key, reverse=True)
         A = np.zeros((4, 35))
@@ -119,7 +118,7 @@ class TestSchurEquivalence:
         assert plain[25] == (2, 0, 0)
         assert plain[30] == (0, 0, 2)
         rem = tpl.basis.remainder_monomials
-        for mi, mult in enumerate(REGULAR_MULTIPLIERS):
+        for mi, mult in enumerate(REGULAR.multipliers):
             for gi in range(4):
                 row = mi * 4 + gi
                 col = rem.index((mult[0], mult[1], mult[2] + 2))
@@ -324,7 +323,7 @@ class TestRootResiduals:
         theta = rotation_angle(truth.R)
         c = sigma_from_angle(theta)
         fs = build_f_polynomials(pairs, c)
-        ext = _rotation_candidates(pairs, c, 1e-10)
+        ext = _rotation_candidates(pairs, c)
         scale = max(f.max_abs() for f in fs)
         for u in ext.roots:
             q = rectify_quaternion(np.asarray(u), c)

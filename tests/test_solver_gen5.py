@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 import relpose.solver_gen5 as solver_gen5
+from relpose import gbsolver
 from relpose.exceptions import (
     DegenerateConfiguration,
     NearZeroVector,
     ScaleUnobservable,
     SkewDegenerate,
 )
-from relpose.gbsolver import DEFAULT_PIVOT_TOL
 from relpose.geom import (
     PluckerPair,
     generalized_epipolar_residual,
@@ -257,7 +257,7 @@ class TestDepthRecovery:
         truth, pairs = generate_scene(SceneConfig(seed=seed, generalized=True), 5)
         theta = rotation_angle(truth.R)
         c = sigma_from_angle(theta)
-        roots = solver_gen5._rotation_candidates(pairs, c, DEFAULT_PIVOT_TOL).roots
+        roots = solver_gen5._rotation_candidates(pairs, c).roots
         expected = loop_depth_poses(pairs, roots, c)
         poses = solve_gen5pt_angle(pairs, theta)
         assert len(poses) == len(expected)
@@ -266,14 +266,19 @@ class TestDepthRecovery:
             assert np.max(np.abs(got.R - want.R)) <= 1e-12
             assert np.max(np.abs(got.t - want.t)) <= 1e-12 * np.linalg.norm(want.t)
 
-    def test_no_rectifiable_root_is_degenerate(self, monkeypatch):
+    @pytest.mark.parametrize("solver", ["reg4", "gen5"])
+    def test_no_rectifiable_root_is_degenerate(self, monkeypatch, solver):
         def reject(u, c):
             raise NearZeroVector("rejected")
 
-        truth, pairs = generate_scene(SceneConfig(seed=3, generalized=True), 5)
-        monkeypatch.setattr(solver_gen5, "rectify_quaternion", reject)
+        generalized = solver == "gen5"
+        truth, pairs = generate_scene(
+            SceneConfig(seed=3, generalized=generalized), 5 if generalized else 4
+        )
+        solve = solve_gen5pt_angle if generalized else solve_4pt_angle
+        monkeypatch.setattr(gbsolver, "rectify_quaternion", reject)
         with pytest.raises(DegenerateConfiguration):
-            solve_gen5pt_angle(pairs, rotation_angle(truth.R))
+            solve(pairs, rotation_angle(truth.R))
 
 
 @pytest.mark.parametrize("stage", ["assemble_reduced_template", "build_action_matrix"])
