@@ -38,7 +38,6 @@ from .geom import (
     rectify_quaternion,
     rotation_angle,
     sigma_from_angle,
-    triangulate_and_count_cheiral,
 )
 from .imu import GyroSample, angle_between_frames, integrate_gyro
 from .robust import RansacConfig, RansacResult, ransac_estimate
@@ -105,5 +104,4 @@ __all__ = [
     "solve_gen5pt_angle",
     "summarize",
     "translation_errors",
-    "triangulate_and_count_cheiral",
 ]

@@ -34,6 +34,21 @@ def skew(v: np.ndarray) -> np.ndarray:
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
+def stacked_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` of stacked vectors, each rounded as a single ``a @ b``."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+_NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
+def stacked_cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.cross`` of stacked 3-vectors, rounded as ``np.cross`` rounds it,
+    without its argument handling, which costs more than the arithmetic."""
+    a1, a2, b1, b2 = (np.take(x, i, -1) for x in (a, b) for i in (_NEXT, _LAST))
+    return a1 * b2 - a2 * b1
+
+
 def _as_vec3(v, name: str) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
@@ -144,8 +159,11 @@ class RelativePose:
             raise ValueError("R must be a 3x3 matrix")
         if not (np.max(np.abs(R.T @ R - np.eye(3))) <= 1e-9 and abs(np.linalg.det(R) - 1.0) <= 1e-9):
             raise ValueError("R is not a rotation matrix")
+        t = _as_vec3(self.t, "t")
+        if not all(map(math.isfinite, t.tolist())):
+            raise ValueError(f"t must be finite, got {t!r}")
         object.__setattr__(self, "R", R)
-        object.__setattr__(self, "t", _as_vec3(self.t, "t"))
+        object.__setattr__(self, "t", t)
 
     def inverse(self) -> "RelativePose":
         """Pose mapping the second camera frame back into the first."""
@@ -161,6 +179,16 @@ def quat_to_rotation(q: UnitQuaternion) -> np.ndarray:
     """Rotation matrix ``(2 sigma^2 - 1) I + 2 (u u^T - sigma [u]x)``."""
     s, u = q.sigma, q.u
     return (2.0 * s * s - 1.0) * np.eye(3) + 2.0 * (np.outer(u, u) - s * skew(u))
+
+
+def rotation_stack(quats: list[UnitQuaternion]) -> np.ndarray:
+    """``quat_to_rotation`` of every quaternion, stacked, with the same floats."""
+    s = np.array([q.sigma for q in quats])[:, None, None]
+    u = np.array([q.u for q in quats])
+    x, y, z = u.T
+    zero = np.zeros(len(quats))
+    u_skew = np.stack((zero, -z, y, z, zero, -x, -y, x, zero), axis=1).reshape(-1, 3, 3)
+    return (2.0 * s * s - 1.0) * np.eye(3) + 2.0 * (u[:, :, None] * u[:, None, :] - s * u_skew)
 
 
 def rotation_angle(R: np.ndarray) -> float:
@@ -255,41 +283,30 @@ def rectify_quaternion(u_raw: np.ndarray, c: RotationConstraint) -> UnitQuaterni
     return UnitQuaternion(c.sigma, (target / n) * u_raw)
 
 
-def triangulate_midpoint(
-    d1: np.ndarray, origin2: np.ndarray, d2: np.ndarray
-) -> tuple[float, float] | None:
-    """Closest-approach coefficients ``(s, r)`` of rays ``s d1`` and ``origin2 + r d2``.
-
-    Returns None when the rays are parallel beyond tolerance.
-    """
-    a = float(d1 @ d1)
-    b = float(d1 @ d2)
-    d = float(d2 @ d2)
+def cheiral_counts(
+    Rs: np.ndarray, T: np.ndarray, q1: np.ndarray, q2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoint-triangulate the bearing rows ``q1``, ``q2`` (``(N, 3)``) under
+    cameras ``[I|0]``, ``[Rs[k]|T[k]]`` and count, for ``+T[k]`` and for
+    ``-T[k]``, the points with positive depth in both views.  Parallel-ray
+    pairs are not counted.  Every product is a matmul, so it rounds as the
+    per-vector ``R @ v`` and ``v @ w`` do."""
+    Rt = Rs.transpose(0, 2, 1)
+    d2 = (Rt[:, None] @ q2[None, :, :, None])[..., 0]
+    origin2 = (-Rt @ T[:, :, None])[:, None, :, 0]
+    a = stacked_dot(q1, q1)
+    b = stacked_dot(q1, d2)
+    d = stacked_dot(d2, d2)
+    e1 = stacked_dot(q1, origin2)
+    e2 = stacked_dot(d2, origin2)
     det = b * b - a * d
-    if abs(det) <= PARALLEL_RAY_EPS * a * d:
-        return None
-    e1 = float(d1 @ origin2)
-    e2 = float(d2 @ origin2)
-    # [a -b; b -d] [s r]^T = [e1 e2]^T
-    s = (-d * e1 + b * e2) / det
-    r = (-b * e1 + a * e2) / det
-    return s, r
-
-
-def triangulate_and_count_cheiral(
-    R: np.ndarray, t: np.ndarray, pairs: list[BearingPair]
-) -> tuple[int, list[tuple[float, float] | None]]:
-    """Midpoint-triangulate each pair under cameras ``[I|0]``, ``[R|t]`` and
-    count the points with positive depth in both views.
-
-    Parallel-ray pairs are skipped (depth entry None) and not counted.
-    """
-    origin2 = -R.T @ t
-    count = 0
-    depths: list[tuple[float, float] | None] = []
-    for pair in pairs:
-        sr = triangulate_midpoint(pair.q1, origin2, R.T @ pair.q2)
-        depths.append(sr)
-        if sr is not None and sr[0] > 0.0 and sr[1] > 0.0:
-            count += 1
-    return count, depths
+    solvable = ~(np.abs(det) <= PARALLEL_RAY_EPS * a * d)
+    # Closest approach of rays s q1 and origin2 + r d2:
+    # [a -b; b -d] [s r]^T = [e1 e2]^T.  Negating the translation negates
+    # origin2, e1, e2 and so s and r exactly: one solve serves both signs.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = (-d * e1 + b * e2) / det
+        r = (-b * e1 + a * e2) / det
+    n_pos = (solvable & (s > 0.0) & (r > 0.0)).sum(axis=1)
+    n_neg = (solvable & (s < 0.0) & (r < 0.0)).sum(axis=1)
+    return n_pos, n_neg

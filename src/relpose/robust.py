@@ -4,6 +4,7 @@ outlier-contaminated benchmark harness."""
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, replace
 
@@ -39,8 +40,8 @@ class RansacConfig:
             raise ValueError("inlier_threshold must be positive and finite")
         if not 0.0 < self.confidence < 1.0:
             raise ValueError("confidence must lie in (0, 1)")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        if not isinstance(self.max_iterations, numbers.Integral) or self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")
 
 
 @dataclass(frozen=True, eq=False)

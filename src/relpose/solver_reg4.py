@@ -23,9 +23,10 @@ from .gbsolver import (
 from .geom import (
     BearingPair,
     RelativePose,
-    quat_to_rotation,
+    cheiral_counts,
+    rotation_stack,
     skew,
-    triangulate_and_count_cheiral,
+    stacked_cross,
 )
 from .poly import build_f_polynomials
 
@@ -62,15 +63,22 @@ def solve_4pt_angle(
         roots = _rotation_candidates(ordered, c).roots if c.tau != 0.0 else ZERO_ANGLE_ROOTS
     root_count = len(roots)
 
+    quats = rectified_quaternions(roots, c)
+    Rs = rotation_stack(quats)
+    q1 = np.array([p.q1 for p in ordered])
+    q2 = np.array([p.q2 for p in ordered])
+    # Rows cross(R q1_i, q2_i) for every root at once; the broadcast matmul
+    # rounds as the per-root R @ q1_i does.
+    _, s, vt = np.linalg.svd(stacked_cross((Rs[:, None] @ q1[None, :, :, None])[..., 0], q2))
+    T = vt[:, -1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        low_parallax = (s[:, 1] == 0.0) | (s[:, 2] / s[:, 1] > LOW_PARALLAX_RATIO)
+    pos, neg = cheiral_counts(Rs, T, q1, q2)
+
     poses: list[RelativePose] = []
-    for quat in rectified_quaternions(roots, c):
-        R = quat_to_rotation(quat)
-        stack = np.array([np.cross(R @ p.q1, p.q2) for p in ordered])
-        _, s, vt = np.linalg.svd(stack)
-        t = vt[-1]
-        low_parallax = s[1] == 0.0 or s[2] / s[1] > LOW_PARALLAX_RATIO
-        n_pos, _ = triangulate_and_count_cheiral(R, t, ordered)
-        n_neg, _ = triangulate_and_count_cheiral(R, -t, ordered)
+    for quat, R, t, n_pos, n_neg, flag in zip(
+        quats, Rs, T, pos.tolist(), neg.tolist(), low_parallax.tolist()
+    ):
         if n_pos == 0 and n_neg == 0:
             continue
         winners = [(t, n_pos)] if n_pos > n_neg else [(-t, n_neg)]
@@ -85,7 +93,7 @@ def solve_4pt_angle(
                     quat=quat,
                     cheiral_count=nw,
                     cheirality_tie=tie,
-                    low_parallax=low_parallax,
+                    low_parallax=flag,
                     root_count=root_count,
                 )
             )

@@ -19,9 +19,9 @@ from relpose.geom import (
     rectify_quaternion,
     rotation_angle,
     sigma_from_angle,
-    triangulate_and_count_cheiral,
 )
 from relpose.synth import SceneConfig, generate_scene
+from reference_reg4 import triangulate_and_count_cheiral
 
 
 def random_quat(rng):

@@ -42,9 +42,17 @@ class TestConstructors:
         with pytest.raises(ValueError):
             RelativePose(R=R, t=Z, quat=UnitQuaternion(1.0, np.zeros(3)))
 
+    def test_relative_pose_translation(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            RelativePose(R=np.eye(3), t=[0.0, bad, 1.0], quat=UnitQuaternion(1.0, np.zeros(3)))
+
     def test_ransac_config(self, bad):
         with pytest.raises(ValueError):
             RansacConfig(inlier_threshold=bad)
+
+    def test_ransac_config_iterations(self, bad):
+        with pytest.raises(ValueError, match="max_iterations"):
+            RansacConfig(inlier_threshold=1.0, max_iterations=bad)
 
     @pytest.mark.parametrize(
         "field", ["distance_to_scene", "scene_depth", "baseline", "fov_deg", "theta_rad"]

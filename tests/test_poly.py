@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from relpose.exceptions import DegenerateInput, DegreeOverflow
 from relpose.geom import quat_from_rotation, quat_to_rotation, rotation_angle, sigma_from_angle
-from relpose.geom import triangulate_midpoint
 from relpose.poly import (
     DensePolynomial,
     build_f_polynomials,
@@ -22,6 +21,7 @@ from relpose.poly import (
 )
 from relpose.geom import generalized_residual
 from relpose.synth import SceneConfig, generate_scene
+from reference_reg4 import triangulate_midpoint
 from reference_templates import grevlex_compare
 
 monomials = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))

@@ -57,6 +57,21 @@ class TestRansacConfig:
         with pytest.raises(ValueError):
             RansacConfig(inlier_threshold=1.0, max_iterations=0)
 
+    @pytest.mark.parametrize("value", [2.5, 3.0, np.float64(4.0), "5", None])
+    def test_rejects_non_integer_iterations(self, value):
+        with pytest.raises(ValueError, match="max_iterations"):
+            RansacConfig(inlier_threshold=1.0, max_iterations=value)
+
+    @pytest.mark.parametrize("value", [1, 7, np.int32(7), np.int64(7)])
+    def test_accepts_integer_iterations(self, value):
+        assert RansacConfig(inlier_threshold=1.0, max_iterations=value).max_iterations == value
+
+    def test_numpy_integer_iterations_run(self):
+        truth, pairs = generate_scene(SceneConfig(seed=1), 30)
+        cfg = default_cfg(seed=1, max_iterations=np.int64(3))
+        result = ransac_estimate(pairs, rotation_angle(truth.R), cfg, "reg4")
+        assert 1 <= result.iterations <= 3
+
 
 class TestRansacEstimate:
     def test_all_inliers_zero_noise(self):

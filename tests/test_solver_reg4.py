@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,16 @@ import pytest
 
 import relpose.solver_reg4 as solver_reg4
 from relpose.exceptions import DegenerateConfiguration, RelposeError
-from relpose.geom import BearingPair, epipolar_residual, rotation_angle, skew
+from relpose.geom import (
+    BearingPair,
+    UnitQuaternion,
+    cheiral_counts,
+    epipolar_residual,
+    quat_to_rotation,
+    rotation_angle,
+    rotation_stack,
+    skew,
+)
 from relpose.solver_reg4 import sampson_error, sampson_errors, solve_4pt_angle
 from relpose.synth import (
     SceneConfig,
@@ -14,6 +24,7 @@ from relpose.synth import (
     rotation_error,
     translation_errors,
 )
+from reference_reg4 import loop_solve_4pt_angle, triangulate_and_count_cheiral
 
 
 def solve_scene(seed, **cfg_kwargs):
@@ -107,7 +118,9 @@ class TestSolve4ptAngle:
 
         truth, pairs = generate_scene(SceneConfig(seed=20), 4)
         theta = rotation_angle(truth.R)
-        monkeypatch.setattr(mod, "triangulate_and_count_cheiral", lambda R, t, ps: (2, []))
+        monkeypatch.setattr(
+            mod, "cheiral_counts", lambda Rs, T, q1, q2: (np.full(len(Rs), 2), np.full(len(Rs), 2))
+        )
         poses = solve_4pt_angle(pairs, theta)
         assert all(p.cheirality_tie for p in poses)
         assert len(poses) % 2 == 0
@@ -192,6 +205,126 @@ class TestSampsonError:
         q = np.array([0.0, 0.0, 1.0])
         # translation along the optical axis, ray through the epipole
         assert sampson_error(np.eye(3), q, BearingPair(q, q)) == math.inf
+
+
+def _poses_or_error(solve, *args, **kwargs):
+    try:
+        return solve(*args, **kwargs)
+    except RelposeError as exc:
+        return type(exc)
+
+
+def _assert_identical(got, want):
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g.R, w.R)
+        # signbit also tells -0.0 from 0.0
+        assert np.array_equal(g.t, w.t) and np.array_equal(np.signbit(g.t), np.signbit(w.t))
+        assert np.array_equal(g.quat.u, w.quat.u) and g.quat.sigma == w.quat.sigma
+        assert g.cheiral_count == w.cheiral_count
+        assert g.cheirality_tie == w.cheirality_tie
+        assert g.low_parallax == w.low_parallax
+        assert g.root_count == w.root_count
+
+
+def _parallel_pair_scene(seed):
+    # The last point lies at infinity: its rays are parallel under the truth.
+    truth, pairs = generate_scene(SceneConfig(seed=seed), 4)
+    q1 = pairs[3].q1
+    q2 = truth.R @ q1
+    return truth, pairs[:3] + [BearingPair(q1, q2 / np.linalg.norm(q2))]
+
+
+def _random_rotation(rng):
+    theta = rng.uniform(0.05, 3.0)
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    return quat_to_rotation(UnitQuaternion(math.cos(theta / 2), math.sin(theta / 2) * axis))
+
+
+class TestBatchedPoseRecovery:
+    """The array pose recovery returns exactly what the per-root loop of
+    ``reference_reg4`` returns."""
+
+    RANDOM_THETA = float(np.random.default_rng(60).uniform(0.0, math.pi))
+
+    @pytest.mark.parametrize("anchor", range(4))
+    @pytest.mark.parametrize("theta", [1e-3, RANDOM_THETA, math.pi - 1e-3])
+    def test_matches_loop_reference(self, theta, anchor):
+        for seed in range(3):
+            _, pairs = generate_scene(SceneConfig(seed=seed, theta_rad=theta), 4)
+            _assert_identical(
+                _poses_or_error(solve_4pt_angle, pairs, theta, anchor=anchor),
+                _poses_or_error(loop_solve_4pt_angle, pairs, theta, anchor=anchor),
+            )
+
+    @pytest.mark.parametrize("anchor", range(4))
+    def test_matches_loop_reference_near_zero_baseline(self, anchor):
+        # At a 1e-8 baseline seed 17 is degenerate and seeds 18 and 19 return
+        # low-parallax poses.
+        low_parallax = 0
+        for seed in (17, 18, 19):
+            truth, pairs = generate_scene(SceneConfig(seed=seed, baseline=1e-8), 4)
+            theta = rotation_angle(truth.R)
+            got = _poses_or_error(solve_4pt_angle, pairs, theta, anchor=anchor)
+            want = _poses_or_error(loop_solve_4pt_angle, pairs, theta, anchor=anchor)
+            _assert_identical(got, want)
+            if not isinstance(got, type):
+                low_parallax += sum(p.low_parallax for p in got)
+        assert low_parallax > 0
+
+    @pytest.mark.parametrize("anchor", range(4))
+    def test_matches_loop_reference_with_parallel_rays(self, anchor):
+        truth, pairs = _parallel_pair_scene(25)
+        theta = rotation_angle(truth.R)
+        poses = solve_4pt_angle(pairs, theta, anchor=anchor)
+        _assert_identical(poses, loop_solve_4pt_angle(pairs, theta, anchor=anchor))
+        # The parallel pair is skipped, so the truth counts three points.
+        best = min(poses, key=lambda p: np.linalg.norm(p.R - truth.R))
+        assert best.cheiral_count == 3
+
+    def test_counts_match_loop_reference(self):
+        rng = np.random.default_rng(61)
+        truth, pairs = _parallel_pair_scene(26)
+        q1 = np.array([p.q1 for p in pairs])
+        q2 = np.array([p.q2 for p in pairs])
+        Rs = np.array([truth.R] + [_random_rotation(rng) for _ in range(30)])
+        T = np.array([truth.t] + list(rng.normal(size=(30, 3))))
+        n_pos, n_neg = cheiral_counts(Rs, T, q1, q2)
+        assert (n_pos[0], n_neg[0]) == (3, 0)
+        for k in range(len(Rs)):
+            assert n_pos[k] == triangulate_and_count_cheiral(Rs[k], T[k], pairs)[0]
+            assert n_neg[k] == triangulate_and_count_cheiral(Rs[k], -T[k], pairs)[0]
+
+    def test_rotation_stack_matches_quat_to_rotation(self):
+        rng = np.random.default_rng(62)
+        quats = [UnitQuaternion(1.0, np.zeros(3)), UnitQuaternion(0.0, np.array([0.0, -1.0, 0.0]))]
+        for _ in range(50):
+            axis = rng.normal(size=3)
+            axis /= np.linalg.norm(axis)
+            half = rng.uniform(0.0, math.pi / 2)
+            quats.append(UnitQuaternion(math.cos(half), math.sin(half) * axis))
+        want = np.array([quat_to_rotation(q) for q in quats])
+        got = rotation_stack(quats)
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_parallel_rays_are_not_counted(self):
+        # Rays meeting 1e6 units ahead are parallel within PARALLEL_RAY_EPS;
+        # exactly parallel rays give a zero determinant, without a warning.
+        q1 = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+        q2 = np.array([[0.1, 0.0, 1e6], [0.0, 0.0, 1.0]])
+        q2 /= np.linalg.norm(q2, axis=1, keepdims=True)
+        Rs, T = np.array([np.eye(3), np.eye(3)]), np.array([[0.1, 0.0, 0.0], [-0.1, 0.0, 0.0]])
+        pairs = [BearingPair(a, b) for a, b in zip(q1, q2)]
+        for t in (T[0], -T[0]):
+            assert triangulate_and_count_cheiral(Rs[0], t, pairs) == (0, [None, None])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            n_pos, n_neg = cheiral_counts(Rs, T, q1, q2)
+        assert n_pos.tolist() == [0, 0] and n_neg.tolist() == [0, 0]
 
 
 @pytest.mark.parametrize("stage", ["assemble_reduced_template", "build_action_matrix"])
