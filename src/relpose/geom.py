@@ -181,16 +181,6 @@ def quat_to_rotation(q: UnitQuaternion) -> np.ndarray:
     return (2.0 * s * s - 1.0) * np.eye(3) + 2.0 * (np.outer(u, u) - s * skew(u))
 
 
-def rotation_stack(quats: list[UnitQuaternion]) -> np.ndarray:
-    """``quat_to_rotation`` of every quaternion, stacked, with the same floats."""
-    s = np.array([q.sigma for q in quats])[:, None, None]
-    u = np.array([q.u for q in quats])
-    x, y, z = u.T
-    zero = np.zeros(len(quats))
-    u_skew = np.stack((zero, -z, y, z, zero, -x, -y, x, zero), axis=1).reshape(-1, 3, 3)
-    return (2.0 * s * s - 1.0) * np.eye(3) + 2.0 * (u[:, :, None] * u[:, None, :] - s * u_skew)
-
-
 def rotation_angle(R: np.ndarray) -> float:
     """Rotation angle in ``[0, pi]`` from the matrix trace."""
     c = (float(np.trace(R)) - 1.0) / 2.0

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .exceptions import DegenerateInput, DegreeOverflow
-from .geom import BearingPair, PluckerPair, RotationConstraint, stacked_cross, stacked_dot
+from .geom import BearingPair, PluckerPair, RotationConstraint, stacked_cross as _cross, stacked_dot as _dot
 
 Monomial = tuple[int, int, int]
 
@@ -210,7 +210,7 @@ def _bilinear_coeffs(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
     """
     outer = (b[..., :, None] * a[..., None, :]).reshape(a.shape[:-1] + (9,))
     pick, other = outer[..., _PICK], outer[..., _OTHER]
-    const = (2.0 * sigma * sigma - 1.0) * stacked_dot(a, b)
+    const = (2.0 * sigma * sigma - 1.0) * _dot(a, b)
     parts = (
         2.0 * b * a,
         2.0 * (pick[..., 3:] + other[..., 3:]),
@@ -246,7 +246,7 @@ def _f_rows(pairs: list[BearingPair], i, j, sigma: float) -> np.ndarray:
     """Depth-elimination rows ``(..., 2, 10)`` for anchors ``i`` and
     correspondences ``j`` (index arrays of one shape)."""
     q1, q2 = _ray_stack(pairs, "q1", "q2")
-    p1, p2 = stacked_cross(np.stack([q1[i], q2[i]]), np.stack([q1[j], q2[j]]))
+    p1, p2 = _cross(np.stack([q1[i], q2[i]]), np.stack([q1[j], q2[j]]))
     entries = _bilinear_coeffs(np.stack([p1, q1[j]]), np.stack([q2[j], p2]), sigma)
     return np.moveaxis(entries, 0, -2)
 
@@ -298,10 +298,8 @@ def build_f_polynomials(pairs: list[BearingPair], c: RotationConstraint) -> list
         raise ValueError("exactly 4 bearing pairs required")
     q1, q2 = _ray_stack(pairs, "q1", "q2")
     first, second = np.triu_indices(4, 1)
-    crosses = stacked_cross(
-        np.stack([q1[first], q2[first]], 1), np.stack([q1[second], q2[second]], 1)
-    )
-    coincident = np.flatnonzero(np.sqrt(stacked_dot(crosses, crosses)) < COINCIDENT_RAY_EPS)
+    crosses = _cross(np.stack([q1[first], q2[first]], 1), np.stack([q1[second], q2[second]], 1))
+    coincident = np.flatnonzero(np.sqrt(_dot(crosses, crosses)) < COINCIDENT_RAY_EPS)
     if coincident.size:
         pair, view = divmod(int(coincident[0]), 2)
         raise DegenerateInput(
@@ -316,11 +314,9 @@ def _g_rows(pairs: list[PluckerPair], i, j, sigma: float) -> np.ndarray:
     """Generalized constraint rows ``(..., 3, 10)``, the quadratics ``(a, b, w)``
     acting on (lambda, mu, 1), for anchors ``i`` and correspondences ``j``."""
     q1, q2, m1, m2 = _ray_stack(pairs, "q1", "q2", "m1", "m2")
-    e1, e2 = stacked_cross(np.stack([m1[i], m2[i]]), np.stack([q1[i], q2[i]]))
+    e1, e2 = _cross(np.stack([m1[i], m2[i]]), np.stack([q1[i], q2[i]]))
     qj1, qj2 = q1[j], q2[j]
-    p1, p2, c1, c2 = stacked_cross(
-        np.stack([q1[i], q2[i], e1, e2]), np.stack([qj1, qj2, qj1, qj2])
-    )
+    p1, p2, c1, c2 = _cross(np.stack([q1[i], q2[i], e1, e2]), np.stack([qj1, qj2, qj1, qj2]))
     left = np.stack([p1, qj1, c1, qj1, m1[j], qj1])
     right = np.stack([qj2, p2, qj2, c2, qj2, m2[j]])
     f = _bilinear_coeffs(left, right, sigma)

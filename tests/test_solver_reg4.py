@@ -14,7 +14,6 @@ from relpose.geom import (
     epipolar_residual,
     quat_to_rotation,
     rotation_angle,
-    rotation_stack,
     skew,
 )
 from relpose.solver_reg4 import sampson_error, sampson_errors, solve_4pt_angle
@@ -298,18 +297,6 @@ class TestBatchedPoseRecovery:
         for k in range(len(Rs)):
             assert n_pos[k] == triangulate_and_count_cheiral(Rs[k], T[k], pairs)[0]
             assert n_neg[k] == triangulate_and_count_cheiral(Rs[k], -T[k], pairs)[0]
-
-    def test_rotation_stack_matches_quat_to_rotation(self):
-        rng = np.random.default_rng(62)
-        quats = [UnitQuaternion(1.0, np.zeros(3)), UnitQuaternion(0.0, np.array([0.0, -1.0, 0.0]))]
-        for _ in range(50):
-            axis = rng.normal(size=3)
-            axis /= np.linalg.norm(axis)
-            half = rng.uniform(0.0, math.pi / 2)
-            quats.append(UnitQuaternion(math.cos(half), math.sin(half) * axis))
-        want = np.array([quat_to_rotation(q) for q in quats])
-        got = rotation_stack(quats)
-        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_parallel_rays_are_not_counted(self):
         # Rays meeting 1e6 units ahead are parallel within PARALLEL_RAY_EPS;
