@@ -30,14 +30,7 @@ from .exceptions import (
     UnreachableMonomial,
 )
 from .geom import RotationConstraint, UnitQuaternion, rectify_quaternion, sigma_from_angle
-from .poly import (
-    DensePolynomial,
-    GrevlexBasis,
-    Monomial,
-    grevlex_basis,
-    grevlex_key,
-    reduce_columns_mod_h,
-)
+from .poly import GrevlexBasis, Monomial, grevlex_basis, grevlex_key, reduce_columns_mod_h
 
 PIVOT_TOL = 1e-10
 IMAG_TOL = 1e-6
@@ -148,30 +141,30 @@ class EliminationTemplate:
 
 
 @lru_cache(maxsize=None)
-def _assembly_plan(multipliers, extra_rows, degrees: tuple[int, ...], target_degree: int):
+def _assembly_plan(multipliers, extra_rows, n_generators: int, degree: int, target_degree: int):
     """Row labels and the gather of every multiplier-times-generator row.
 
     Entry ``dest[k]`` of the flat monomial-major ``(basis.size, n_rows)``
-    stack receives entry ``src[k]`` of the concatenated generator
-    coefficients.
+    stack receives entry ``src[k]`` of the flattened ``(n_generators,
+    n_coeffs)`` array of degree-``degree`` generators.
     """
     basis = grevlex_basis(target_degree)
-    labels = tuple((m, gi) for m in multipliers for gi in range(len(degrees))) + extra_rows
-    offsets = np.cumsum([0] + [grevlex_basis(d).size for d in degrees])
+    labels = tuple((m, gi) for m in multipliers for gi in range(n_generators)) + extra_rows
+    monomials = grevlex_basis(degree).monomials
     dest, src = [], []
     for row, (m, gi) in enumerate(labels):
-        if sum(m) + degrees[gi] > target_degree:
+        if sum(m) + degree > target_degree:
             raise DegreeOverflow(
-                f"multiplier {m} on a degree-{degrees[gi]} generator exceeds degree {target_degree}"
+                f"multiplier {m} on a degree-{degree} generator exceeds degree {target_degree}"
             )
-        for k, e in enumerate(grevlex_basis(degrees[gi]).monomials):
+        for k, e in enumerate(monomials):
             dest.append(basis.index[(m[0] + e[0], m[1] + e[1], m[2] + e[2])] * len(labels) + row)
-            src.append(offsets[gi] + k)
+            src.append(gi * len(monomials) + k)
     return labels, np.array(dest, dtype=np.int64), np.array(src, dtype=np.int64)
 
 
 def assemble_reduced_template(
-    generators: list[DensePolynomial],
+    generators: np.ndarray,
     multipliers: tuple[Monomial, ...],
     target_degree: int,
     c: RotationConstraint,
@@ -179,15 +172,23 @@ def assemble_reduced_template(
 ) -> EliminationTemplate:
     """Stack reduced multiplier-times-generator rows over the remainder block.
 
-    Every product is gathered into a column of one monomial-major stack by a
-    cached index plan, and the whole stack is reduced modulo the sphere
-    constraint at once.
+    ``generators`` is an ``(n_gen, n_coeffs)`` coefficient array; its width
+    fixes the generator degree.  Every product is gathered into a column of
+    one monomial-major stack by a cached index plan, and the whole stack is
+    reduced modulo the sphere constraint at once.
     """
     basis = grevlex_basis(target_degree)
-    degrees = tuple(g.basis.max_degree for g in generators)
-    labels, dest, src = _assembly_plan(tuple(multipliers), tuple(extra_rows), degrees, target_degree)
+    n_generators, width = generators.shape
+    degree = 0
+    while grevlex_basis(degree).size < width:
+        degree += 1
+    if grevlex_basis(degree).size != width:
+        raise ValueError(f"{width} coefficients fit no monomial basis")
+    labels, dest, src = _assembly_plan(
+        tuple(multipliers), tuple(extra_rows), n_generators, degree, target_degree
+    )
     stack = np.zeros(basis.size * len(labels))
-    stack[dest] = np.concatenate([g.coeffs for g in generators])[src]
+    stack[dest] = generators.ravel()[src]
     stack = stack.reshape(basis.size, len(labels))
     reduce_columns_mod_h(stack, basis, c.tau)
     matrix = np.ascontiguousarray(stack[basis.alpha2_size :].T)
@@ -266,7 +267,7 @@ class QuotientBasis:
 
 
 def quotient_basis_from_pivots(
-    basis: GrevlexBasis, pivots: list[int], expected_size: int | None = None
+    basis: GrevlexBasis, pivots: list[int], expected_size: int
 ) -> QuotientBasis:
     """Non-pivot template columns as standard monomials, ascending grevlex."""
     remainder = basis.remainder_monomials
@@ -275,7 +276,7 @@ def quotient_basis_from_pivots(
     standard.sort(key=lambda mc: grevlex_key(mc[0]))
     monomials = tuple(m for m, _ in standard)
     index = {m: i for i, m in enumerate(monomials)}
-    if expected_size is not None and len(monomials) != expected_size:
+    if len(monomials) != expected_size:
         raise BasisAnomaly(f"quotient basis has size {len(monomials)}, expected {expected_size}")
     for needed in ROOT_MONOMIALS:
         if needed not in index:

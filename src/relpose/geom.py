@@ -165,20 +165,20 @@ class RelativePose:
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "t", t)
 
-    def inverse(self) -> "RelativePose":
-        """Pose mapping the second camera frame back into the first."""
-        return RelativePose(
-            R=self.R.T,
-            t=-self.R.T @ self.t,
-            quat=UnitQuaternion(self.quat.sigma, -self.quat.u),
-            depths=None,
-        )
+
+def rotation_stack(sigma: float, u: np.ndarray) -> np.ndarray:
+    """Rotations ``(2 sigma^2 - 1) I + 2 (u u^T - sigma [u]x)`` of a ``(K, 3)``
+    stack of vector parts sharing the scalar part ``sigma``, as ``(K, 3, 3)``."""
+    x, y, z = u[:, 0], u[:, 1], u[:, 2]
+    zero = np.zeros_like(x)
+    skews = np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=-1).reshape(-1, 3, 3)
+    outer = u[:, :, None] * u[:, None, :]
+    return (2.0 * sigma * sigma - 1.0) * np.eye(3) + 2.0 * (outer - sigma * skews)
 
 
 def quat_to_rotation(q: UnitQuaternion) -> np.ndarray:
     """Rotation matrix ``(2 sigma^2 - 1) I + 2 (u u^T - sigma [u]x)``."""
-    s, u = q.sigma, q.u
-    return (2.0 * s * s - 1.0) * np.eye(3) + 2.0 * (np.outer(u, u) - s * skew(u))
+    return rotation_stack(q.sigma, q.u[None])[0]
 
 
 def rotation_angle(R: np.ndarray) -> float:

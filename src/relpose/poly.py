@@ -1,10 +1,12 @@
 """Polynomial arithmetic over the quaternion unknowns (alpha, beta, gamma).
 
-Coefficient vectors are dense and aligned to a fixed monomial basis.  A basis
-of maximal total degree d lists every monomial of degree <= d in descending
-graded reverse lexicographic order (alpha > beta > gamma), with the monomials
-divisible by alpha^2 placed first.  That partition is what the elimination
-step operates on: reducing a polynomial modulo the sphere constraint
+Coefficient vectors are dense and aligned to a fixed monomial basis, and a
+set of generators is one ``(n_gen, basis.size)`` float array, a row per
+polynomial.  A basis of maximal total degree d lists every monomial of degree
+<= d in descending graded reverse lexicographic order (alpha > beta > gamma),
+with the monomials divisible by alpha^2 placed first.  That partition is
+what the elimination step operates on: reducing a polynomial modulo the
+sphere constraint
 
     h = alpha^2 + beta^2 + gamma^2 + tau,   tau = sigma^2 - 1
 
@@ -14,12 +16,11 @@ non-divisible remainder block carries coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .exceptions import DegenerateInput, DegreeOverflow
+from .exceptions import DegenerateInput
 from .geom import BearingPair, PluckerPair, RotationConstraint, stacked_cross as _cross, stacked_dot as _dot
 
 Monomial = tuple[int, int, int]
@@ -83,53 +84,6 @@ def grevlex_basis(max_degree: int) -> GrevlexBasis:
     return GrevlexBasis(max_degree)
 
 
-@dataclass(frozen=True, eq=False)
-class DensePolynomial:
-    """Coefficient vector aligned to a :class:`GrevlexBasis`."""
-
-    basis: GrevlexBasis
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=float)
-        if coeffs.shape != (self.basis.size,):
-            raise ValueError(
-                f"coefficient vector length {coeffs.shape} does not match basis size {self.basis.size}"
-            )
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __call__(self, u) -> float:
-        u = np.asarray(u, dtype=float)
-        powers = np.prod(u[None, :] ** self.basis.exponents, axis=1)
-        return float(powers @ self.coeffs)
-
-    def __add__(self, other: "DensePolynomial") -> "DensePolynomial":
-        self._check_same_basis(other)
-        return DensePolynomial(self.basis, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "DensePolynomial") -> "DensePolynomial":
-        self._check_same_basis(other)
-        return DensePolynomial(self.basis, self.coeffs - other.coeffs)
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.coeffs)))
-
-    def coefficient(self, m: Monomial) -> float:
-        return float(self.coeffs[self.basis.index[m]])
-
-    def _check_same_basis(self, other: "DensePolynomial") -> None:
-        if other.basis is not self.basis:
-            raise ValueError("polynomials live on different bases")
-
-
-def monomial_poly(m: Monomial) -> DensePolynomial:
-    """The monomial ``m`` as a one-hot polynomial on the basis of its degree."""
-    basis = grevlex_basis(sum(m))
-    coeffs = np.zeros(basis.size)
-    coeffs[basis.index[m]] = 1.0
-    return DensePolynomial(basis, coeffs)
-
-
 @lru_cache(maxsize=None)
 def _mul_table(d1: int, d2: int, dout: int) -> np.ndarray:
     """Output index of every product of a degree-``d1`` and a degree-``d2`` monomial."""
@@ -154,19 +108,6 @@ def _mul_stack(p: np.ndarray, q: np.ndarray, d1: int, d2: int, dout: int) -> np.
     return np.bincount(idx, weights=weights, minlength=k * n_out).reshape(*lead, n_out)
 
 
-def poly_mul(p: DensePolynomial, q: DensePolynomial, out_basis: GrevlexBasis) -> DensePolynomial:
-    """Exact coefficient convolution of ``p * q`` on ``out_basis``."""
-    if p.basis.max_degree + q.basis.max_degree > out_basis.max_degree:
-        raise DegreeOverflow(
-            f"degree {p.basis.max_degree} * degree {q.basis.max_degree} exceeds basis degree "
-            f"{out_basis.max_degree}"
-        )
-    coeffs = _mul_stack(
-        p.coeffs, q.coeffs, p.basis.max_degree, q.basis.max_degree, out_basis.max_degree
-    )
-    return DensePolynomial(out_basis, coeffs)
-
-
 def reduce_columns_mod_h(stack: np.ndarray, basis: GrevlexBasis, tau: float) -> None:
     """Normal form modulo the sphere constraint of every column of the
     monomial-major ``(basis.size, n)`` array ``stack``, in place.
@@ -180,18 +121,6 @@ def reduce_columns_mod_h(stack: np.ndarray, basis: GrevlexBasis, tau: float) -> 
         stack[ic] -= v
         stack[ib] -= v
     stack[: basis.alpha2_size] = 0.0
-
-
-def reduce_mod_h(p: DensePolynomial, c: RotationConstraint) -> DensePolynomial:
-    """Normal form of ``p`` modulo the sphere constraint.
-
-    Substitutes ``alpha^2 <- -(beta^2 + gamma^2 + tau)`` until no monomial is
-    divisible by ``alpha^2``; the result is supported on the remainder block
-    and agrees with ``p`` on the constraint sphere.
-    """
-    out = p.coeffs.copy()
-    reduce_columns_mod_h(out[:, None], p.basis, c.tau)
-    return DensePolynomial(p.basis, out)
 
 
 # Flat indices into the outer product ``b_k a_l`` (at ``3 k + l``): the
@@ -220,26 +149,9 @@ def _bilinear_coeffs(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
     return np.concatenate(parts, axis=-1)[..., _BILINEAR_ORDER]
 
 
-def rotation_bilinear_form(a, b, c: RotationConstraint) -> DensePolynomial:
-    """The quadratic polynomial ``b^T R a`` in (alpha, beta, gamma).
-
-    With the rotation written as ``(2 sigma^2 - 1) I + 2 (u u^T - sigma [u]x)``
-    the coefficients are: constant ``(2 sigma^2 - 1)(a.b)``, linear
-    ``-2 sigma (a x b)``, and quadratic terms from ``2 (b.u)(u.a)``.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return DensePolynomial(grevlex_basis(2), _bilinear_coeffs(a, b, c.sigma))
-
-
 def _ray_stack(pairs, *names: str) -> list[np.ndarray]:
     """``(N, 3)`` arrays of the named ray attributes of ``pairs``."""
     return [np.array([getattr(p, name) for p in pairs], dtype=float) for name in names]
-
-
-def _polys(coeffs: np.ndarray, degree: int) -> list[DensePolynomial]:
-    basis = grevlex_basis(degree)
-    return [DensePolynomial(basis, row) for row in coeffs]
 
 
 def _f_rows(pairs: list[BearingPair], i, j, sigma: float) -> np.ndarray:
@@ -257,38 +169,15 @@ def _f_dets(entries: np.ndarray) -> np.ndarray:
     return prods[..., 0, :] - prods[..., 1, :]
 
 
-@dataclass(frozen=True, eq=False)
-class FMatrixSpec:
-    """2x2 matrix of quadratics tying the anchor depth pair to two other
-    correspondences of a central-camera problem."""
-
-    anchor: int
-    j: int
-    k: int
-    entries: tuple[tuple[DensePolynomial, DensePolynomial], tuple[DensePolynomial, DensePolynomial]]
-
-    def evaluate(self, u) -> np.ndarray:
-        return np.array([[e(u) for e in row] for row in self.entries])
-
-    def det(self) -> DensePolynomial:
-        entries = np.array([[e.coeffs for e in row] for row in self.entries])
-        return DensePolynomial(grevlex_basis(4), _f_dets(entries))
-
-
-def f_matrix_spec(pairs: list[BearingPair], i: int, j: int, k: int, c: RotationConstraint) -> FMatrixSpec:
-    """Depth-elimination matrix for anchor ``i`` and free correspondences ``j, k``."""
-    rows = _f_rows(pairs, np.array([i, i]), np.array([j, k]), c.sigma)
-    return FMatrixSpec(anchor=i, j=j, k=k, entries=tuple(tuple(_polys(r, 2)) for r in rows))
-
-
 # Anchor and free correspondences of each generator: cyclic patterns that
 # make each generator set symmetric under relabelling of the correspondences.
 _F_TRIPLES = np.array([(1, 2, 3), (2, 3, 0), (3, 0, 1), (0, 1, 2)])
 _G_QUADRUPLES = np.array([(1, 2, 3, 4), (2, 3, 4, 0), (3, 4, 0, 1), (4, 0, 1, 2), (0, 1, 2, 3)])
 
 
-def build_f_polynomials(pairs: list[BearingPair], c: RotationConstraint) -> list[DensePolynomial]:
-    """The four quartic determinant constraints of the 4-point problem.
+def build_f_polynomials(pairs: list[BearingPair], c: RotationConstraint) -> np.ndarray:
+    """The four quartic determinant constraints of the 4-point problem, as a
+    ``(4, 35)`` coefficient array on the degree-4 basis.
 
     The cyclic anchor pattern (2,3,4), (3,4,1), (4,1,2), (1,2,3) makes the set
     symmetric under relabelling of the four correspondences.  All four
@@ -307,7 +196,7 @@ def build_f_polynomials(pairs: list[BearingPair], c: RotationConstraint) -> list
             "correspondences must be distinct"
         )
     anchors = np.repeat(_F_TRIPLES[:, :1], 2, axis=1)
-    return _polys(_f_dets(_f_rows(pairs, anchors, _F_TRIPLES[:, 1:], c.sigma)), 4)
+    return _f_dets(_f_rows(pairs, anchors, _F_TRIPLES[:, 1:], c.sigma))
 
 
 def _g_rows(pairs: list[PluckerPair], i, j, sigma: float) -> np.ndarray:
@@ -334,40 +223,10 @@ def _g_dets(rows: np.ndarray) -> np.ndarray:
     return terms[..., 0, :] - terms[..., 1, :] + terms[..., 2, :]
 
 
-@dataclass(frozen=True, eq=False)
-class GMatrixSpec:
-    """3x3 matrix of quadratics tying the anchor depth pair of a generalized
-    problem to three other correspondences; rows act on (lambda, mu, 1)."""
-
-    anchor: int
-    j: int
-    k: int
-    l: int
-    rows: tuple[tuple[DensePolynomial, DensePolynomial, DensePolynomial], ...]
-
-    def det(self) -> DensePolynomial:
-        rows = np.array([[e.coeffs for e in row] for row in self.rows])
-        return DensePolynomial(grevlex_basis(6), _g_dets(rows))
-
-
-def g_constraint_row(
-    pairs: list[PluckerPair], i: int, j: int, c: RotationConstraint
-) -> tuple[DensePolynomial, DensePolynomial, DensePolynomial]:
-    """Generalized epipolar constraint of correspondence ``j`` under the
-    anchor-``i`` translation parametrization, collected against (lambda, mu, 1)."""
-    return tuple(_polys(_g_rows(pairs, i, j, c.sigma), 2))
-
-
-def g_matrix_spec(
-    pairs: list[PluckerPair], i: int, j: int, k: int, l: int, c: RotationConstraint
-) -> GMatrixSpec:
-    rows = _g_rows(pairs, np.array([i, i, i]), np.array([j, k, l]), c.sigma)
-    return GMatrixSpec(anchor=i, j=j, k=k, l=l, rows=tuple(tuple(_polys(r, 2)) for r in rows))
-
-
-def build_g_polynomials(pairs: list[PluckerPair], c: RotationConstraint) -> list[DensePolynomial]:
+def build_g_polynomials(pairs: list[PluckerPair], c: RotationConstraint) -> np.ndarray:
     """The five sextic determinant constraints of the generalized 5-point
-    problem, formed in one batch."""
+    problem, formed in one batch, as a ``(5, 84)`` coefficient array on the
+    degree-6 basis."""
     if len(pairs) != 5:
         raise ValueError("exactly 5 Pluecker pairs required")
     anchors = np.repeat(_G_QUADRUPLES[:, :1], 3, axis=1)
@@ -376,4 +235,4 @@ def build_g_polynomials(pairs: list[PluckerPair], c: RotationConstraint) -> list
         raise DegenerateInput(
             "a determinant constraint collapsed to zero; the ray configuration is degenerate"
         )
-    return _polys(dets, 6)
+    return dets

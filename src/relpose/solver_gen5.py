@@ -20,7 +20,7 @@ from .gbsolver import (
     rectified_quaternions,
     rref_conditioned,
 )
-from .geom import PluckerPair, RelativePose, quat_to_rotation
+from .geom import PluckerPair, RelativePose, rotation_stack, stacked_cross
 from .poly import build_g_polynomials
 
 # All moments below this norm mean a purely central configuration.
@@ -56,15 +56,15 @@ def _depth_rows(pairs: list[PluckerPair], Rs: np.ndarray) -> np.ndarray:
     q2 = np.array([p.q2 for p in pairs[1:]])
     m1 = np.array([p.m1 for p in pairs[1:]])
     m2 = np.array([p.m2 for p in pairs[1:]])
-    e1 = np.cross(pi.m1, pi.q1)
-    e2 = np.cross(pi.m2, pi.q2)
+    e1 = stacked_cross(pi.m1, pi.q1)
+    e2 = stacked_cross(pi.m2, pi.q2)
 
     def bilinear(x, y):
         return np.einsum("ja,kab,jb->kj", x, Rs, y)
 
-    a = bilinear(q2, np.cross(pi.q1, q1))
-    b = bilinear(np.cross(pi.q2, q2), q1)
-    w = bilinear(q2, np.cross(e1, q1) + m1) + bilinear(np.cross(e2, q2) + m2, q1)
+    a = bilinear(q2, stacked_cross(pi.q1, q1))
+    b = bilinear(stacked_cross(pi.q2, q2), q1)
+    w = bilinear(q2, stacked_cross(e1, q1) + m1) + bilinear(stacked_cross(e2, q2) + m2, q1)
     return np.stack([a, b, w], axis=-1)
 
 
@@ -88,14 +88,14 @@ def solve_gen5pt_angle(
     root_count = len(roots)
 
     quats = rectified_quaternions(roots, c)
-    Rs = np.array([quat_to_rotation(q) for q in quats])
+    Rs = rotation_stack(c.sigma, np.array([q.u for q in quats]))
     _, s, vt = np.linalg.svd(_depth_rows(ordered, Rs))
     v = vt[:, -1]
     unobservable = (s[:, 1] <= SCALE_RANK_EPS * s[:, 0]) | (np.abs(v[:, 2]) < SCALE_COMPONENT_EPS)
 
     anchor_pair = ordered[0]
-    e1 = np.cross(anchor_pair.m1, anchor_pair.q1)
-    e2 = np.cross(anchor_pair.m2, anchor_pair.q2)
+    e1 = stacked_cross(anchor_pair.m1, anchor_pair.q1)
+    e2 = stacked_cross(anchor_pair.m2, anchor_pair.q2)
     poses: list[RelativePose] = []
     for k in np.flatnonzero(~unobservable):
         lam = float(v[k, 0] / v[k, 2])
@@ -124,7 +124,7 @@ def ray_arrays(pairs: list[PluckerPair]) -> tuple[np.ndarray, ...]:
     q2 = np.array([p.q2 for p in pairs])
     m1 = np.array([p.m1 for p in pairs])
     m2 = np.array([p.m2 for p in pairs])
-    return q1, np.cross(m1, q1), q2, np.cross(m2, q2)
+    return q1, stacked_cross(m1, q1), q2, stacked_cross(m2, q2)
 
 
 def ray_point_errors(

@@ -24,7 +24,7 @@ from .geom import (
     BearingPair,
     RelativePose,
     cheiral_counts,
-    quat_to_rotation,
+    rotation_stack,
     skew,
     stacked_cross,
 )
@@ -64,7 +64,7 @@ def solve_4pt_angle(
     root_count = len(roots)
 
     quats = rectified_quaternions(roots, c)
-    Rs = np.array([quat_to_rotation(q) for q in quats])
+    Rs = rotation_stack(c.sigma, np.array([q.u for q in quats]))
     q1 = np.array([p.q1 for p in ordered])
     q2 = np.array([p.q2 for p in ordered])
     # Rows cross(R q1_i, q2_i) for every root at once; the broadcast matmul

@@ -1,14 +1,28 @@
 """Per-item loop versions of the generalized solver's array code, kept as
 oracles: the point-to-ray scorer that gathers its rays one pair at a time,
-and depth recovery with one constraint stack and one SVD per root."""
+and depth recovery with one constraint stack and one SVD per root.  The
+inverse of a pose, which only tests use, also lives here."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from relpose.exceptions import DegenerateConfiguration, NearZeroVector, ScaleUnobservable
-from relpose.geom import PluckerPair, RelativePose, quat_to_rotation, rectify_quaternion
+from relpose.geom import (
+    PluckerPair,
+    RelativePose,
+    UnitQuaternion,
+    quat_to_rotation,
+    rectify_quaternion,
+)
 from relpose.solver_gen5 import SCALE_COMPONENT_EPS, SCALE_RANK_EPS
+
+
+def inverse_pose(pose: RelativePose) -> RelativePose:
+    """Pose mapping the second camera frame back into the first."""
+    return RelativePose(
+        R=pose.R.T, t=-pose.R.T @ pose.t, quat=UnitQuaternion(pose.quat.sigma, -pose.quat.u)
+    )
 
 
 def loop_ray_point_errors(pose: RelativePose, pairs: list[PluckerPair]) -> np.ndarray:

@@ -1,11 +1,14 @@
 """Scalar versions of the template layers, kept as oracles for the batched
 kernels in ``relpose.poly`` and ``relpose.gbsolver``.
 
-Everything here builds one ``DensePolynomial`` at a time: the bilinear
-rotation form of one vector pair, the ``np.add.at`` coefficient convolution,
-the row-by-row reduction modulo the sphere constraint, the generators as
-per-matrix determinants, and the template as one reduced row per
-multiplier-generator product.  The batched path must reproduce these bit
+The package passes generators as ``(n_gen, n_coeffs)`` coefficient arrays
+and has no polynomial type; ``DensePolynomial``, one coefficient vector with
+its basis, lives here, and ``as_polynomials`` turns a generator array into a
+list of them.  Everything else here builds one ``DensePolynomial`` at a time:
+the bilinear rotation form of one vector pair, the ``np.add.at`` coefficient
+convolution, the row-by-row reduction modulo the sphere constraint, the
+generators as per-matrix determinants, and the template as one reduced row
+per multiplier-generator product.  The batched path must reproduce these bit
 for bit.  The left-to-right Gauss-Jordan reduction ``rref``, the
 ``grevlex_compare`` order predicate and the Schur-complement cross-check of
 the template also live here; the package uses none of them.
@@ -13,20 +16,52 @@ the template also live here; the package uses none of them.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from relpose.exceptions import DegenerateInput, DegreeOverflow, RankDeficient
 from relpose import gbsolver
 from relpose.gbsolver import PIVOT_TOL, REGULAR, EliminationTemplate
-from relpose.poly import (
-    COINCIDENT_RAY_EPS,
-    DensePolynomial,
-    GrevlexBasis,
-    _mul_table,
-    grevlex_basis,
-    grevlex_key,
-    monomial_poly,
-)
+from relpose.poly import COINCIDENT_RAY_EPS, GrevlexBasis, _mul_table, grevlex_basis, grevlex_key
+
+
+@dataclass(frozen=True, eq=False)
+class DensePolynomial:
+    """Coefficient vector aligned to a ``GrevlexBasis``."""
+
+    basis: GrevlexBasis
+    coeffs: np.ndarray
+
+    def __call__(self, u) -> float:
+        powers = np.prod(np.asarray(u, dtype=float)[None, :] ** self.basis.exponents, axis=1)
+        return float(powers @ self.coeffs)
+
+    def __add__(self, other: DensePolynomial) -> DensePolynomial:
+        return DensePolynomial(self.basis, self.coeffs + other.coeffs)
+
+    def __sub__(self, other: DensePolynomial) -> DensePolynomial:
+        return DensePolynomial(self.basis, self.coeffs - other.coeffs)
+
+    def max_abs(self) -> float:
+        return float(np.max(np.abs(self.coeffs)))
+
+    def coefficient(self, m) -> float:
+        return float(self.coeffs[self.basis.index[m]])
+
+
+def as_polynomials(generators: np.ndarray) -> list[DensePolynomial]:
+    """The rows of an ``(n_gen, n_coeffs)`` generator array as polynomials."""
+    basis = next(grevlex_basis(d) for d in range(9) if grevlex_basis(d).size == generators.shape[1])
+    return [DensePolynomial(basis, row) for row in generators]
+
+
+def monomial_poly(m) -> DensePolynomial:
+    """The monomial ``m`` as a one-hot polynomial on the basis of its degree."""
+    basis = grevlex_basis(sum(m))
+    coeffs = np.zeros(basis.size)
+    coeffs[basis.index[m]] = 1.0
+    return DensePolynomial(basis, coeffs)
 
 
 def grevlex_compare(m1, m2) -> int:
@@ -82,19 +117,17 @@ def rotation_bilinear_form(a, b, c) -> DensePolynomial:
     return DensePolynomial(basis, coeffs)
 
 
+def f_constraint_row(pairs, i: int, j: int, c):
+    """Depth-elimination row of correspondence ``j`` under anchor ``i``."""
+    p1 = np.cross(pairs[i].q1, pairs[j].q1)
+    p2 = np.cross(pairs[i].q2, pairs[j].q2)
+    return rotation_bilinear_form(p1, pairs[j].q2, c), rotation_bilinear_form(pairs[j].q1, p2, c)
+
+
 def f_determinant(pairs, i: int, j: int, k: int, c) -> DensePolynomial:
     """Quartic determinant of the 2x2 depth-elimination matrix, entry by entry."""
-
-    def row(jj):
-        p1 = np.cross(pairs[i].q1, pairs[jj].q1)
-        p2 = np.cross(pairs[i].q2, pairs[jj].q2)
-        return (
-            rotation_bilinear_form(p1, pairs[jj].q2, c),
-            rotation_bilinear_form(pairs[jj].q1, p2, c),
-        )
-
     b4 = grevlex_basis(4)
-    (f11, f12), (f21, f22) = row(j), row(k)
+    (f11, f12), (f21, f22) = f_constraint_row(pairs, i, j, c), f_constraint_row(pairs, i, k, c)
     return poly_mul(f11, f22, b4) - poly_mul(f12, f21, b4)
 
 
@@ -224,8 +257,9 @@ def sphere_constraint_poly(c) -> DensePolynomial:
     return DensePolynomial(basis, coeffs)
 
 
-def schur_equivalence_check(generators: list[DensePolynomial], c) -> float:
-    """Maximum deviation between the two elimination routes of the 16x36 template.
+def schur_equivalence_check(generators: np.ndarray, c) -> float:
+    """Maximum deviation between the two elimination routes of the 16x36
+    template, for a ``(4, 35)`` generator array.
 
     The explicit route builds the full 36x56 coefficient matrix (twenty rows of
     sphere-constraint multiples on top of the sixteen generator rows),
@@ -244,7 +278,9 @@ def schur_equivalence_check(generators: list[DensePolynomial], c) -> float:
     )
     h_rows = [poly_mul(monomial_poly(m), h, b5).coeffs for m in cube_monomials]
     f_rows = [
-        poly_mul(monomial_poly(m), g, b5).coeffs for m in REGULAR.multipliers for g in generators
+        poly_mul(monomial_poly(m), g, b5).coeffs
+        for m in REGULAR.multipliers
+        for g in as_polynomials(generators)
     ]
     ahat = np.array(h_rows + f_rows)
     k = b5.alpha2_size

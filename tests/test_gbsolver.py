@@ -16,15 +16,15 @@ from relpose.gbsolver import (
     rref_conditioned,
 )
 from relpose.geom import quat_from_rotation, rotation_angle, sigma_from_angle
-from relpose.poly import (
-    build_f_polynomials,
-    build_g_polynomials,
-    grevlex_basis,
-    grevlex_key,
-    reduce_mod_h,
-)
+from relpose.poly import build_f_polynomials, build_g_polynomials, grevlex_basis, grevlex_key
 from relpose.synth import SceneConfig, generate_scene
-from reference_templates import rref, schur_equivalence_check
+from reference_templates import (
+    DensePolynomial,
+    as_polynomials,
+    reduce_mod_h,
+    rref,
+    schur_equivalence_check,
+)
 
 # Leading exponents of the ten reduced generating polynomials of the regular
 # problem; the expected quotient basis is everything they do not divide.
@@ -73,10 +73,9 @@ class TestAssemble:
         tpl = assemble_reduced_template(fs, REGULAR.multipliers, 5, c)
         b5 = grevlex_basis(5)
         embedded = np.zeros(b5.size)
-        for m, v in zip(fs[0].basis.monomials, fs[0].coeffs):
+        f0 = as_polynomials(fs)[0]
+        for m, v in zip(f0.basis.monomials, f0.coeffs):
             embedded[b5.index[m]] = v
-        from relpose.poly import DensePolynomial
-
         reduced = reduce_mod_h(DensePolynomial(b5, embedded), c)
         assert np.allclose(tpl.matrix[0], reduced.coeffs[b5.alpha2_size :], atol=1e-15)
         assert tpl.row_labels[0] == ((0, 0, 0), 0)
@@ -108,7 +107,7 @@ class TestSchurEquivalence:
         b4 = grevlex_basis(4)
         plain = sorted(b4.monomials, key=grevlex_key, reverse=True)
         A = np.zeros((4, 35))
-        for r, f in enumerate(fs):
+        for r, f in enumerate(as_polynomials(fs)):
             for m, v in zip(f.basis.monomials, f.coeffs):
                 A[r, plain.index(m)] = v
         # 1-indexed positions in the plain descending-grevlex coefficient
@@ -197,7 +196,7 @@ class TestQuotientBasis:
     def test_ascending_order_and_positions(self):
         tpl, _, _ = regular_template(9)
         _, piv = rref(tpl.matrix)
-        qb = quotient_basis_from_pivots(tpl.basis, piv)
+        qb = quotient_basis_from_pivots(tpl.basis, piv, expected_size=REGULAR.basis_size)
         keys = [grevlex_key(m) for m in qb.monomials]
         assert keys == sorted(keys)
         assert qb.monomials[qb.pos_one] == (0, 0, 0)
@@ -322,7 +321,7 @@ class TestRootResiduals:
         truth, pairs = generate_scene(SceneConfig(seed=seed), 4)
         theta = rotation_angle(truth.R)
         c = sigma_from_angle(theta)
-        fs = build_f_polynomials(pairs, c)
+        fs = as_polynomials(build_f_polynomials(pairs, c))
         ext = _rotation_candidates(pairs, c)
         scale = max(f.max_abs() for f in fs)
         for u in ext.roots:

@@ -18,9 +18,12 @@ from relpose.geom import (
     quat_to_rotation,
     rectify_quaternion,
     rotation_angle,
+    rotation_stack,
     sigma_from_angle,
+    skew,
 )
 from relpose.synth import SceneConfig, generate_scene
+from reference_gen5 import inverse_pose
 from reference_reg4 import triangulate_and_count_cheiral
 
 
@@ -54,6 +57,21 @@ class TestQuatToRotation:
         axis /= np.linalg.norm(axis)
         q = UnitQuaternion(math.cos(theta / 2), math.sin(theta / 2) * axis)
         assert abs(rotation_angle(quat_to_rotation(q)) - theta) < 1e-12
+
+
+class TestRotationStack:
+    def test_rows_round_as_the_single_quaternion_formula(self):
+        rng = np.random.default_rng(44)
+        for k in range(1, 45):
+            s = sigma_from_angle(rng.uniform(0.0, math.pi)).sigma
+            u = rng.normal(size=(k, 3))
+            u *= math.sqrt(1.0 - s * s) / np.linalg.norm(u, axis=1, keepdims=True)
+            Rs = rotation_stack(s, u)
+            assert Rs.shape == (k, 3, 3)
+            for R, uk in zip(Rs, u):
+                expected = (2.0 * s * s - 1.0) * np.eye(3) + 2.0 * (np.outer(uk, uk) - s * skew(uk))
+                assert np.array_equal(R, expected)
+                assert np.array_equal(np.signbit(R), np.signbit(expected))
 
 
 class TestRotationAngle:
@@ -150,7 +168,7 @@ class TestGeneralizedResidual:
             m1=pairs[0].m1,
             m2=pairs[1].m2,
         )
-        inv = truth.inverse()
+        inv = inverse_pose(truth)
         swapped = PluckerPair(q1=noisy.q2, q2=noisy.q1, m1=noisy.m2, m2=noisy.m1)
         a = generalized_epipolar_residual(truth, noisy)
         b = generalized_epipolar_residual(inv, swapped)

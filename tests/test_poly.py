@@ -6,23 +6,22 @@ from hypothesis import given, settings, strategies as st
 
 from relpose.exceptions import DegenerateInput, DegreeOverflow
 from relpose.geom import quat_from_rotation, quat_to_rotation, rotation_angle, sigma_from_angle
-from relpose.poly import (
+from relpose.poly import build_f_polynomials, build_g_polynomials, grevlex_basis, grevlex_key
+from relpose.geom import generalized_residual
+from relpose.synth import SceneConfig, generate_scene
+from reference_reg4 import triangulate_midpoint
+from reference_templates import (
     DensePolynomial,
-    build_f_polynomials,
-    build_g_polynomials,
-    f_matrix_spec,
+    as_polynomials,
+    f_constraint_row,
+    f_determinant,
     g_constraint_row,
-    grevlex_basis,
-    grevlex_key,
+    grevlex_compare,
     monomial_poly,
     poly_mul,
     reduce_mod_h,
     rotation_bilinear_form,
 )
-from relpose.geom import generalized_residual
-from relpose.synth import SceneConfig, generate_scene
-from reference_reg4 import triangulate_midpoint
-from reference_templates import grevlex_compare
 
 monomials = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
 
@@ -177,7 +176,7 @@ def scene_with_truth(seed, generalized=False, n=None):
 class TestBuildF:
     def test_vanishes_at_ground_truth(self):
         truth, pairs, c, u = scene_with_truth(11)
-        for f in build_f_polynomials(pairs, c):
+        for f in as_polynomials(build_f_polynomials(pairs, c)):
             assert abs(f(u)) < 1e-12
 
     def test_cyclic_determinant_identity(self):
@@ -192,7 +191,7 @@ class TestBuildF:
             dets = []
             for p in perms:
                 i, j, k = base[p[0]], base[p[1]], base[p[2]]
-                det = f_matrix_spec(pairs, i, j, k, c).det()
+                det = f_determinant(pairs, i, j, k, c)
                 dets.append(reduce_mod_h(det, c).coeffs)
             scale = np.max(np.abs(dets[0]))
             assert np.max(np.abs(dets[0] - dets[1])) < 1e-12 * scale
@@ -207,7 +206,9 @@ class TestBuildF:
             others = [j for j in range(4) if j != i]
             for a in range(3):
                 for b in range(a + 1, 3):
-                    F = f_matrix_spec(pairs, i, others[a], others[b], c).evaluate(u)
+                    F = np.array(
+                        [[e(u) for e in f_constraint_row(pairs, i, j, c)] for j in (others[a], others[b])]
+                    )
                     assert np.max(np.abs(F @ np.array([lam, mu]))) < 1e-10
 
     def test_duplicate_pair_rejected(self):
@@ -229,14 +230,14 @@ class TestAuxiliaryDeterminantIdentity:
 class TestBuildG:
     def test_vanishes_at_ground_truth(self):
         truth, pairs, c, u = scene_with_truth(16, generalized=True)
-        for g in build_g_polynomials(pairs, c):
+        for g in as_polynomials(build_g_polynomials(pairs, c)):
             assert abs(g(u)) < 1e-10
 
     def test_total_degree_is_six(self):
         truth, pairs, c, _ = scene_with_truth(17, generalized=True)
         b6 = grevlex_basis(6)
         deg6 = np.array([sum(m) == 6 for m in b6.monomials])
-        for g in build_g_polynomials(pairs, c):
+        for g in as_polynomials(build_g_polynomials(pairs, c)):
             assert np.max(np.abs(g.coeffs[deg6])) > 1e-10 * g.max_abs()
 
     def test_constraint_row_matches_residual(self):

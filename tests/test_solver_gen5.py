@@ -120,11 +120,12 @@ class TestSolveGen5ptAngle:
     def test_roots_satisfy_generating_polynomials(self, seed):
         from relpose.geom import sigma_from_angle
         from relpose.poly import build_g_polynomials
+        from reference_templates import as_polynomials
 
         truth, pairs = generate_scene(SceneConfig(seed=seed, generalized=True), 5)
         theta = rotation_angle(truth.R)
         c = sigma_from_angle(theta)
-        gs = build_g_polynomials(pairs, c)
+        gs = as_polynomials(build_g_polynomials(pairs, c))
         scale = max(g.max_abs() for g in gs)
         for pose in solve_gen5pt_angle(pairs, theta):
             u = pose.quat.u
@@ -137,7 +138,7 @@ class TestSolveGen5ptAngle:
         from itertools import combinations
 
         from relpose.geom import sigma_from_angle
-        from relpose.poly import g_matrix_spec
+        from reference_templates import g_determinant
 
         truth, pairs = generate_scene(SceneConfig(seed=21, generalized=True), 5)
         theta = rotation_angle(truth.R)
@@ -147,7 +148,7 @@ class TestSolveGen5ptAngle:
         for i in range(5):
             others = [j for j in range(5) if j != i]
             for jkl in combinations(others, 3):
-                dets.append(g_matrix_spec(pairs, i, *jkl, c).det())
+                dets.append(g_determinant(pairs, i, *jkl, c))
         scale = max(d.max_abs() for d in dets)
         for pose in poses:
             u = pose.quat.u
