@@ -211,39 +211,36 @@ def rref_conditioned(
     reduced rows O(1).  ``eliminate_first`` columns are pivoted before all
     others (the top-degree monomials must be pivots or multiplication by gamma
     would leave the template), and ``protected_cols`` are never pivoted so the
-    root-reading monomials stay in the quotient basis.  Fully deterministic.
+    root-reading monomials stay in the quotient basis.  Ties go to the first
+    maximum in row-major order over the remaining rows and the group's
+    columns, lowest column first, so the result is fully deterministic.
     """
     A = np.array(B, dtype=float)
     n_rows, n_cols = A.shape
-    scales = np.max(np.abs(A), axis=1)
+    scales = np.max(np.abs(A), axis=1).tolist()
     pivots: list[int] = []
     r = 0
-
-    def eliminate(col: int) -> bool:
-        nonlocal r
-        sub = np.abs(A[r:, col])
-        cand = int(np.argmax(sub)) + r
-        if scales[cand] == 0.0 or abs(A[cand, col]) <= PIVOT_TOL * scales[cand]:
-            return False
-        if cand != r:
-            A[[r, cand]] = A[[cand, r]]
-            scales[[r, cand]] = scales[[cand, r]]
-        A[r] /= A[r, col]
-        others = np.concatenate([np.arange(r), np.arange(r + 1, n_rows)])
-        A[others] -= np.outer(A[others, col], A[r])
-        pivots.append(col)
-        r += 1
-        return True
-
-    first = list(eliminate_first)
     rest = [c for c in range(n_cols) if c not in protected_cols and c not in eliminate_first]
-    for group in (first, rest):
-        while group and r < n_rows:
-            sub = np.abs(A[r:, :][:, group])
-            col = group[int(np.unravel_index(np.argmax(sub), sub.shape)[1])]
-            if not eliminate(col):
+    for group in (eliminate_first, rest):
+        outside = np.ones(n_cols, dtype=bool)
+        outside[list(group)] = False
+        for _ in range(min(len(set(group)), n_rows - r)):
+            mag = np.abs(A[r:])
+            mag[:, outside] = -1.0
+            cand, col = divmod(int(np.argmax(mag)), n_cols)
+            cand += r
+            if scales[cand] == 0.0 or abs(A[cand, col]) <= PIVOT_TOL * scales[cand]:
                 break
-            group.remove(col)
+            # Row r moves to cand and takes the same rank-1 update there;
+            # its own copy is then overwritten by the normalized pivot row.
+            row = A[cand] / A[cand, col]
+            A[cand] = A[r]
+            scales[r], scales[cand] = scales[cand], scales[r]
+            A -= A[:, col, None] * row
+            A[r] = row
+            outside[col] = True
+            pivots.append(col)
+            r += 1
     if r < n_rows:
         raise RankDeficient(f"only {r} pivots found for {n_rows} rows")
     return A, pivots
@@ -328,9 +325,8 @@ def eigensolve_real(M: np.ndarray) -> list[tuple[float, np.ndarray]]:
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(str(exc)) from exc
     out: list[tuple[float, np.ndarray]] = []
-    for k in range(len(w)):
-        if abs(w[k].imag) > IMAG_TOL * (1.0 + abs(w[k].real)):
-            continue
+    # A negated ">" keeps NaN eigenvalues, as the scalar test always has.
+    for k in np.flatnonzero(~(np.abs(w.imag) > IMAG_TOL * (1.0 + np.abs(w.real)))).tolist():
         v = V[:, k]
         v = v / v[int(np.argmax(np.abs(v)))]
         vr = np.real(v)

@@ -9,7 +9,10 @@ the bilinear rotation form of one vector pair, the ``np.add.at`` coefficient
 convolution, the row-by-row reduction modulo the sphere constraint, the
 generators as per-matrix determinants, and the template as one reduced row
 per multiplier-generator product.  The batched path must reproduce these bit
-for bit.  The left-to-right Gauss-Jordan reduction ``rref``, the
+for bit.  ``rref_conditioned`` is the complete-pivoting reduction as a list
+search with fancy-indexed row swaps and updates, and ``eigensolve_real`` tests
+every eigenvalue in the loop; the package's versions must reproduce them bit
+for bit too.  The left-to-right Gauss-Jordan reduction ``rref``, the
 ``grevlex_compare`` order predicate and the Schur-complement cross-check of
 the template also live here; the package uses none of them.
 """
@@ -20,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from relpose.exceptions import DegenerateInput, DegreeOverflow, RankDeficient
+from relpose.exceptions import DegenerateInput, DegreeOverflow, EigenFailure, RankDeficient
 from relpose import gbsolver
-from relpose.gbsolver import PIVOT_TOL, REGULAR, EliminationTemplate
+from relpose.gbsolver import IMAG_TOL, PIVOT_TOL, REGULAR, EliminationTemplate
 from relpose.poly import COINCIDENT_RAY_EPS, GrevlexBasis, _mul_table, grevlex_basis, grevlex_key
 
 
@@ -244,6 +247,72 @@ def rref(B: np.ndarray, pivot_tol: float = PIVOT_TOL) -> tuple[np.ndarray, list[
     if r < n_rows:
         raise RankDeficient(f"only {r} pivots found for {n_rows} rows")
     return A, pivots
+
+
+def rref_conditioned(
+    B: np.ndarray,
+    protected_cols: frozenset[int] = frozenset(),
+    eliminate_first: tuple[int, ...] = (),
+) -> tuple[np.ndarray, list[int]]:
+    """Complete-pivoting Gauss-Jordan reduction, one list search per step.
+
+    Each step searches the remaining rows over the group's columns in the
+    group's order, then swaps rows and updates every other row by fancy
+    indexing.  ``eliminate_first`` columns are pivoted before all others and
+    ``protected_cols`` are never pivoted.
+    """
+    A = np.array(B, dtype=float)
+    n_rows, n_cols = A.shape
+    scales = np.max(np.abs(A), axis=1)
+    pivots: list[int] = []
+    r = 0
+
+    def eliminate(col: int) -> bool:
+        nonlocal r
+        sub = np.abs(A[r:, col])
+        cand = int(np.argmax(sub)) + r
+        if scales[cand] == 0.0 or abs(A[cand, col]) <= PIVOT_TOL * scales[cand]:
+            return False
+        if cand != r:
+            A[[r, cand]] = A[[cand, r]]
+            scales[[r, cand]] = scales[[cand, r]]
+        A[r] /= A[r, col]
+        others = np.concatenate([np.arange(r), np.arange(r + 1, n_rows)])
+        A[others] -= np.outer(A[others, col], A[r])
+        pivots.append(col)
+        r += 1
+        return True
+
+    first = list(eliminate_first)
+    rest = [c for c in range(n_cols) if c not in protected_cols and c not in eliminate_first]
+    for group in (first, rest):
+        while group and r < n_rows:
+            sub = np.abs(A[r:, :][:, group])
+            col = group[int(np.unravel_index(np.argmax(sub), sub.shape)[1])]
+            if not eliminate(col):
+                break
+            group.remove(col)
+    if r < n_rows:
+        raise RankDeficient(f"only {r} pivots found for {n_rows} rows")
+    return A, pivots
+
+
+def eigensolve_real(M: np.ndarray) -> list[tuple[float, np.ndarray]]:
+    """Near-real eigenpairs of ``M``, testing each eigenvalue in the loop."""
+    M = np.asarray(M, dtype=float)
+    try:
+        w, V = np.linalg.eig(M)
+    except np.linalg.LinAlgError as exc:
+        raise EigenFailure(str(exc)) from exc
+    out: list[tuple[float, np.ndarray]] = []
+    for k in range(len(w)):
+        if abs(w[k].imag) > IMAG_TOL * (1.0 + abs(w[k].real)):
+            continue
+        v = V[:, k]
+        v = v / v[int(np.argmax(np.abs(v)))]
+        vr = np.real(v)
+        out.append((float(w[k].real), vr / np.linalg.norm(vr)))
+    return out
 
 
 def sphere_constraint_poly(c) -> DensePolynomial:

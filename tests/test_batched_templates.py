@@ -1,5 +1,6 @@
-"""The batched generator and template kernels against the scalar oracles in
-``reference_templates``: every coefficient must match bit for bit."""
+"""The batched generator and template kernels, the elimination and the
+eigenpair filter against the scalar oracles in ``reference_templates``: every
+coefficient must match bit for bit."""
 
 import math
 from types import SimpleNamespace
@@ -8,8 +9,21 @@ import numpy as np
 import pytest
 
 import reference_templates as ref
-from relpose.exceptions import DegenerateConfiguration, DegenerateInput, DegreeOverflow
-from relpose.gbsolver import GENERAL, REGULAR, assemble_reduced_template
+from relpose.exceptions import (
+    DegenerateConfiguration,
+    DegenerateInput,
+    DegreeOverflow,
+    RankDeficient,
+)
+from relpose.gbsolver import (
+    GENERAL,
+    REGULAR,
+    assemble_reduced_template,
+    build_action_matrix,
+    eigensolve_real,
+    quotient_basis_from_pivots,
+    rref_conditioned,
+)
 from relpose.geom import BearingPair, PluckerPair, sigma_from_angle
 from relpose.poly import (
     _bilinear_coeffs,
@@ -157,6 +171,90 @@ class TestScalarWrappers:
             reduced = p.coeffs[:, None].copy()
             reduce_columns_mod_h(reduced, basis, c.tau)
             assert_bits(reduced[:, 0], ref.reduce_mod_h(p, c).coeffs)
+
+
+def assert_same_reduction(B: np.ndarray, hints: dict) -> tuple[np.ndarray, list[int]]:
+    red, piv = rref_conditioned(B, **hints)
+    ref_red, ref_piv = ref.rref_conditioned(B, **hints)
+    assert_bits(red, ref_red)
+    assert piv == ref_piv
+    return red, piv
+
+
+def assert_same_eigenpairs(M: np.ndarray) -> None:
+    pairs = eigensolve_real(M)
+    ref_pairs = ref.eigensolve_real(M)
+    assert len(pairs) == len(ref_pairs)
+    for (lam, v), (ref_lam, ref_v) in zip(pairs, ref_pairs):
+        assert type(lam) is float
+        assert lam == ref_lam and math.copysign(1.0, lam) == math.copysign(1.0, ref_lam)
+        assert_bits(v, ref_v)
+
+
+ELIMINATION_THETAS = [1e-3, *np.random.default_rng(2024).uniform(0.0, math.pi, 3), math.pi - 1e-3]
+
+
+class TestEliminationMatchesOracle:
+    @pytest.mark.parametrize("solver", ["reg4", "gen5"])
+    @pytest.mark.parametrize("motion", ["forward", "sideways"])
+    @pytest.mark.parametrize("theta", ELIMINATION_THETAS)
+    def test_bit_identical(self, solver, motion, theta):
+        tp = REGULAR if solver == "reg4" else GENERAL
+        rays = "central" if solver == "reg4" else "generalized"
+        for seed in range(2):
+            pairs = problem(solver, rays, motion, theta, seed)
+            for anchor in range(tp.sample_size):
+                ordered, c = tp.prepare(pairs, theta, anchor)
+                _, tpl = generators_and_template(BATCHED, solver, ordered, c)
+                red, piv = assert_same_reduction(tpl.matrix, tp.pivot_hints)
+                qb = quotient_basis_from_pivots(tpl.basis, piv, expected_size=tp.basis_size)
+                assert_same_eigenpairs(build_action_matrix(red, piv, tpl.basis, qb))
+                assert_same_reduction(tpl.matrix, {})
+
+    def test_ties_go_to_the_first_maximum_in_row_major_order(self):
+        # Four entries of magnitude 3: at (0, 1), (0, 3), (1, 0) and (2, 2).
+        B = np.array([[1.0, -3.0, 0.0, 3.0], [3.0, 1.0, 2.0, 0.0], [0.0, 2.0, 3.0, 1.0]])
+        for hints, first in (
+            ({}, 1),
+            ({"eliminate_first": (2, 3)}, 3),
+            ({"protected_cols": frozenset({1})}, 3),
+            ({"eliminate_first": (0, 2)}, 0),
+        ):
+            _, piv = assert_same_reduction(B, hints)
+            assert piv[0] == first
+
+    def test_rank_deficient_raises_the_oracle_message(self):
+        pairs = problem("reg4", "central", "forward", 0.5, 1)
+        c = sigma_from_angle(0.5)
+        _, tpl = generators_and_template(BATCHED, "reg4", pairs, c)
+        bad = tpl.matrix.copy()
+        bad[5] = bad[2]
+        for B, hints in (
+            (bad, REGULAR.pivot_hints),
+            (bad, {}),
+            (np.array([[1.0, 2.0], [2.0, 4.0]]), {}),
+            (np.zeros((2, 3)), {}),
+            # The last pivot candidate sits exactly at PIVOT_TOL times its
+            # row's scale.
+            (np.array([[1.0, 0.0], [1.0, 1e-10]]), {}),
+            # Two swaps move the scales with their rows; the residue of the
+            # first row is then judged against its own scale 1, not 0.01.
+            (np.array([[1.0, 0.0, 0.0], [4.0, 1e-11, 0.0], [0.0, 0.0, 0.01]]), {}),
+        ):
+            with pytest.raises(RankDeficient) as new:
+                rref_conditioned(B, **hints)
+            with pytest.raises(RankDeficient) as old:
+                ref.rref_conditioned(B, **hints)
+            assert str(new.value) == str(old.value)
+
+    def test_eigenpairs_near_the_imaginary_tolerance(self):
+        # Blocks [[a, -b], [b, a]] have eigenvalues a +- ib; with a = 1 the
+        # filter drops b above 2e-6.
+        for b in (0.0, 1.9e-6, 2.0e-6, 2.1e-6, 1.0):
+            M = np.zeros((5, 5))
+            M[:2, :2] = [[1.0, -b], [b, 1.0]]
+            M[2:, 2:] = [[-2.0, 1.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, -0.0]]
+            assert_same_eigenpairs(M)
 
 
 class TestDegenerateInputs:

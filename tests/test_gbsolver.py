@@ -171,10 +171,15 @@ class TestRrefConditioned:
         # the reduced rows reproduce the template through the pivot block
         assert np.max(np.abs(tpl.matrix[:, piv] @ red - tpl.matrix)) < 1e-8
 
-    def test_determinism(self):
-        tpl, _, _ = general_template(2)
-        r1, p1 = rref_conditioned(tpl.matrix)
-        r2, p2 = rref_conditioned(tpl.matrix)
+    @pytest.mark.parametrize(
+        "problem, template",
+        [(REGULAR, regular_template), (GENERAL, general_template)],
+        ids=["regular", "general"],
+    )
+    def test_determinism(self, problem, template):
+        tpl, _, _ = template(2)
+        r1, p1 = rref_conditioned(tpl.matrix, **problem.pivot_hints)
+        r2, p2 = rref_conditioned(tpl.matrix, **problem.pivot_hints)
         assert np.array_equal(r1, r2) and p1 == p2
 
 
