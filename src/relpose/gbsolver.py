@@ -29,8 +29,14 @@ from .exceptions import (
     RankDeficient,
     UnreachableMonomial,
 )
-from .geom import RotationConstraint, UnitQuaternion, rectify_quaternion, sigma_from_angle
-from .poly import GrevlexBasis, Monomial, grevlex_basis, grevlex_key, reduce_columns_mod_h
+from .geom import (
+    RotationConstraint,
+    UnitQuaternion,
+    rectify_quaternion,
+    sigma_from_angle,
+    stacked_dot,
+)
+from .poly import GrevlexBasis, Monomial, grevlex_basis, reduce_columns_mod_h
 
 PIVOT_TOL = 1e-10
 IMAG_TOL = 1e-6
@@ -268,10 +274,11 @@ def quotient_basis_from_pivots(
 ) -> QuotientBasis:
     """Non-pivot template columns as standard monomials, ascending grevlex."""
     remainder = basis.remainder_monomials
-    pivot_set = set(pivots)
-    standard = [(remainder[j], j) for j in range(len(remainder)) if j not in pivot_set]
-    standard.sort(key=lambda mc: grevlex_key(mc[0]))
-    monomials = tuple(m for m, _ in standard)
+    standard = np.ones(len(remainder), dtype=bool)
+    standard[pivots] = False
+    # The remainder block descends in grevlex, so its reverse ascends.
+    cols = np.flatnonzero(standard)[::-1]
+    monomials = tuple(remainder[j] for j in cols.tolist())
     index = {m: i for i, m in enumerate(monomials)}
     if len(monomials) != expected_size:
         raise BasisAnomaly(f"quotient basis has size {len(monomials)}, expected {expected_size}")
@@ -280,13 +287,23 @@ def quotient_basis_from_pivots(
             raise BasisAnomaly(f"quotient basis is missing monomial {needed}")
     return QuotientBasis(
         monomials=monomials,
-        template_cols=np.array([col for _, col in standard], dtype=np.int64),
+        template_cols=cols,
         index=index,
         pos_one=index[(0, 0, 0)],
         pos_alpha=index[(1, 0, 0)],
         pos_beta=index[(0, 1, 0)],
         pos_gamma=index[(0, 0, 1)],
     )
+
+
+@lru_cache(maxsize=None)
+def _gamma_shift(degree: int) -> np.ndarray:
+    """For each remainder column of the degree-``degree`` basis, the
+    remainder column of gamma times its monomial, or -1 where that product
+    exceeds the degree and so leaves the template."""
+    remainder = grevlex_basis(degree).remainder_monomials
+    col = {m: j for j, m in enumerate(remainder)}
+    return np.array([col.get((a, b, c + 1), -1) for a, b, c in remainder], dtype=np.int64)
 
 
 def build_action_matrix(
@@ -298,18 +315,25 @@ def build_action_matrix(
     the negated coefficient row of the pivot polynomial whose leading monomial
     it hits.
     """
-    remainder = basis.remainder_monomials
-    pivot_row = {remainder[col]: r for r, col in enumerate(pivots)}
     n = qb.size
+    # Standard position and pivot row of every remainder column.  The extra
+    # last slot stays -1, so a product outside the template (column -1)
+    # finds neither.
+    n_cols = basis.size - basis.alpha2_size
+    position = np.full(n_cols + 1, -1)
+    position[qb.template_cols] = np.arange(n)
+    pivot_row = np.full(n_cols + 1, -1)
+    pivot_row[pivots] = np.arange(len(pivots))
+    shifted = _gamma_shift(basis.max_degree)[qb.template_cols]
+    unit, rows = position[shifted], pivot_row[shifted]
+    bad = np.flatnonzero((unit < 0) & (rows < 0))
+    if bad.size:
+        a, b, c = m = qb.monomials[int(bad[0])]
+        raise UnreachableMonomial(f"gamma * {m} = {(a, b, c + 1)} is outside the template")
     M = np.zeros((n, n))
-    for i, (a, b, c) in enumerate(qb.monomials):
-        m = (a, b, c + 1)
-        if m in qb.index:
-            M[i, qb.index[m]] = 1.0
-        elif m in pivot_row:
-            M[i, :] = -reduced[pivot_row[m], qb.template_cols]
-        else:
-            raise UnreachableMonomial(f"gamma * {qb.monomials[i]} = {m} is outside the template")
+    is_unit = unit >= 0
+    M[is_unit, unit[is_unit]] = 1.0
+    M[~is_unit] = -reduced[rows[~is_unit]][:, qb.template_cols]
     return M
 
 
@@ -324,14 +348,14 @@ def eigensolve_real(M: np.ndarray) -> list[tuple[float, np.ndarray]]:
         w, V = np.linalg.eig(M)
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(str(exc)) from exc
-    out: list[tuple[float, np.ndarray]] = []
     # A negated ">" keeps NaN eigenvalues, as the scalar test always has.
-    for k in np.flatnonzero(~(np.abs(w.imag) > IMAG_TOL * (1.0 + np.abs(w.real)))).tolist():
-        v = V[:, k]
-        v = v / v[int(np.argmax(np.abs(v)))]
-        vr = np.real(v)
-        out.append((float(w[k].real), vr / np.linalg.norm(vr)))
-    return out
+    keep = np.flatnonzero(~(np.abs(w.imag) > IMAG_TOL * (1.0 + np.abs(w.real))))
+    V = V[:, keep]
+    V = V / V[np.argmax(np.abs(V), axis=0), np.arange(keep.size)]
+    # Contiguous rows make each stacked dot round as ``np.linalg.norm`` does.
+    vr = np.ascontiguousarray(V.real.T)
+    vr /= np.sqrt(stacked_dot(vr, vr))[:, None]
+    return list(zip(w.real[keep].tolist(), vr))
 
 
 @dataclass(frozen=True)
@@ -343,20 +367,19 @@ class ExtractedRoots:
     n_dropped_inconsistent: int
 
 
-def _product_checks(qb: QuotientBasis) -> list[tuple[int, int, int]]:
-    """Indices (m, x, y) with basis monomial m equal to the product of the
-    degree-one basis monomials x and y."""
-    ones = {m: qb.index[m] for m in ROOT_MONOMIALS[1:]}
-    checks = []
-    for m, i in qb.index.items():
-        if sum(m) != 2:
-            continue
-        first = next(k for k in range(3) if m[k] > 0)
-        x = tuple(1 if k == first else 0 for k in range(3))
-        y = (m[0] - x[0], m[1] - x[1], m[2] - x[2])
-        if y in ones:
-            checks.append((i, ones[x], ones[y]))
-    return checks
+_ALPHA, _BETA, _GAMMA = ROOT_MONOMIALS[1:]
+
+# Every degree-two monomial m with degree-one factors x, y (x the first
+# variable of m): a true root's eigenvector entry at m is the product of its
+# entries at x and y.  The list holds for quotient bases of every degree.
+_DEGREE_TWO_PRODUCTS = (
+    ((0, 0, 2), _GAMMA, _GAMMA),
+    ((0, 1, 1), _BETA, _GAMMA),
+    ((1, 0, 1), _ALPHA, _GAMMA),
+    ((0, 2, 0), _BETA, _BETA),
+    ((1, 1, 0), _ALPHA, _BETA),
+    ((2, 0, 0), _ALPHA, _ALPHA),
+)
 
 
 def extract_roots(pairs: list[tuple[float, np.ndarray]], qb: QuotientBasis) -> ExtractedRoots:
@@ -366,25 +389,22 @@ def extract_roots(pairs: list[tuple[float, np.ndarray]], qb: QuotientBasis) -> E
     gamma entry disagrees with the eigenvalue, or whose degree-two entries are
     not products of the degree-one entries are dropped.
     """
-    checks = _product_checks(qb)
-    roots: list[np.ndarray] = []
-    n_inf = 0
-    n_incons = 0
-    for lam, v in pairs:
-        v1 = v[qb.pos_one]
-        if abs(v1) <= 1e-10 * float(np.max(np.abs(v))):
-            n_inf += 1
-            continue
-        v = v / v1
-        if abs(lam - v[qb.pos_gamma]) > ROOT_TOL:
-            n_incons += 1
-            continue
-        if any(abs(v[m] - v[x] * v[y]) > ROOT_TOL for m, x, y in checks):
-            n_incons += 1
-            continue
-        roots.append(np.array([v[qb.pos_alpha], v[qb.pos_beta], v[qb.pos_gamma]]))
+    if not pairs:
+        return ExtractedRoots(roots=(), n_dropped_at_infinity=0, n_dropped_inconsistent=0)
+    ix = qb.index
+    checks = [(ix[m], ix[x], ix[y]) for m, x, y in _DEGREE_TWO_PRODUCTS if m in ix]
+    m, x, y = np.array(checks, dtype=np.int64).reshape(-1, 3).T
+    lam = np.array([w for w, _ in pairs])
+    V = np.array([v for _, v in pairs])
+    at_infinity = np.abs(V[:, qb.pos_one]) <= 1e-10 * np.max(np.abs(V), axis=1)
+    lam, V = lam[~at_infinity], V[~at_infinity]
+    V = V / V[:, qb.pos_one, None]
+    inconsistent = (np.abs(lam - V[:, qb.pos_gamma]) > ROOT_TOL) | np.any(
+        np.abs(V[:, m] - V[:, x] * V[:, y]) > ROOT_TOL, axis=1
+    )
+    roots = V[~inconsistent][:, [qb.pos_alpha, qb.pos_beta, qb.pos_gamma]]
     return ExtractedRoots(
         roots=tuple(roots),
-        n_dropped_at_infinity=n_inf,
-        n_dropped_inconsistent=n_incons,
+        n_dropped_at_infinity=int(at_infinity.sum()),
+        n_dropped_inconsistent=int(inconsistent.sum()),
     )

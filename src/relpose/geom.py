@@ -157,7 +157,18 @@ class RelativePose:
         R = np.asarray(self.R, dtype=float)
         if R.shape != (3, 3):
             raise ValueError("R must be a 3x3 matrix")
-        if not (np.max(np.abs(R.T @ R - np.eye(3))) <= 1e-9 and abs(np.linalg.det(R) - 1.0) <= 1e-9):
+        # R^T R - I and det R - 1 in Python floats; a NaN fails every test.
+        (a, b, c), (d, e, f), (g, h, i) = R.tolist()
+        residuals = (
+            a * a + d * d + g * g - 1.0,
+            b * b + e * e + h * h - 1.0,
+            c * c + f * f + i * i - 1.0,
+            a * b + d * e + g * h,
+            a * c + d * f + g * i,
+            b * c + e * f + h * i,
+            a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) - 1.0,
+        )
+        if not all(abs(r) <= 1e-9 for r in residuals):
             raise ValueError("R is not a rotation matrix")
         t = _as_vec3(self.t, "t")
         if not all(map(math.isfinite, t.tolist())):

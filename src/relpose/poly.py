@@ -95,17 +95,25 @@ def _mul_table(d1: int, d2: int, dout: int) -> np.ndarray:
     return np.array(rows, dtype=np.int64)
 
 
+@lru_cache(maxsize=None)
+def _mul_index(d1: int, d2: int, dout: int, k: int) -> np.ndarray:
+    """Flat output index of every product of :func:`_mul_table` for ``k``
+    stacked products, product ``j`` owning outputs ``j * n_out`` onwards."""
+    n_out = grevlex_basis(dout).size
+    return (np.arange(k)[:, None] * n_out + _mul_table(d1, d2, dout).ravel()).ravel()
+
+
 def _mul_stack(p: np.ndarray, q: np.ndarray, d1: int, d2: int, dout: int) -> np.ndarray:
     """Coefficient convolutions ``p[k] * q[k]`` of stacked degree-``d1`` and
     degree-``d2`` rows on the degree-``dout`` basis, by one ``bincount`` over
     :func:`_mul_table`; it adds in order, exactly as a sequential scatter."""
-    table = _mul_table(d1, d2, dout)
     n_out = grevlex_basis(dout).size
     lead = p.shape[:-1]
     k = int(np.prod(lead))
-    idx = (np.arange(k)[:, None] * n_out + table.ravel()).ravel()
     weights = (p.reshape(k, -1, 1) * q.reshape(k, 1, -1)).ravel()
-    return np.bincount(idx, weights=weights, minlength=k * n_out).reshape(*lead, n_out)
+    return np.bincount(
+        _mul_index(d1, d2, dout, k), weights=weights, minlength=k * n_out
+    ).reshape(*lead, n_out)
 
 
 def reduce_columns_mod_h(stack: np.ndarray, basis: GrevlexBasis, tau: float) -> None:
@@ -154,10 +162,10 @@ def _ray_stack(pairs, *names: str) -> list[np.ndarray]:
     return [np.array([getattr(p, name) for p in pairs], dtype=float) for name in names]
 
 
-def _f_rows(pairs: list[BearingPair], i, j, sigma: float) -> np.ndarray:
-    """Depth-elimination rows ``(..., 2, 10)`` for anchors ``i`` and
-    correspondences ``j`` (index arrays of one shape)."""
-    q1, q2 = _ray_stack(pairs, "q1", "q2")
+def _f_rows(q1: np.ndarray, q2: np.ndarray, i, j, sigma: float) -> np.ndarray:
+    """Depth-elimination rows ``(..., 2, 10)`` of the ``(N, 3)`` bearing rows
+    ``q1``, ``q2`` for anchors ``i`` and correspondences ``j`` (index arrays
+    of one shape)."""
     p1, p2 = _cross(np.stack([q1[i], q2[i]]), np.stack([q1[j], q2[j]]))
     entries = _bilinear_coeffs(np.stack([p1, q1[j]]), np.stack([q2[j], p2]), sigma)
     return np.moveaxis(entries, 0, -2)
@@ -173,6 +181,8 @@ def _f_dets(entries: np.ndarray) -> np.ndarray:
 # make each generator set symmetric under relabelling of the correspondences.
 _F_TRIPLES = np.array([(1, 2, 3), (2, 3, 0), (3, 0, 1), (0, 1, 2)])
 _G_QUADRUPLES = np.array([(1, 2, 3, 4), (2, 3, 4, 0), (3, 4, 0, 1), (4, 0, 1, 2), (0, 1, 2, 3)])
+# Every pair of the four bearing correspondences, for the coincident-ray test.
+_F_RAY_PAIRS = np.triu_indices(4, 1)
 
 
 def build_f_polynomials(pairs: list[BearingPair], c: RotationConstraint) -> np.ndarray:
@@ -186,7 +196,7 @@ def build_f_polynomials(pairs: list[BearingPair], c: RotationConstraint) -> np.n
     if len(pairs) != 4:
         raise ValueError("exactly 4 bearing pairs required")
     q1, q2 = _ray_stack(pairs, "q1", "q2")
-    first, second = np.triu_indices(4, 1)
+    first, second = _F_RAY_PAIRS
     crosses = _cross(np.stack([q1[first], q2[first]], 1), np.stack([q1[second], q2[second]], 1))
     coincident = np.flatnonzero(np.sqrt(_dot(crosses, crosses)) < COINCIDENT_RAY_EPS)
     if coincident.size:
@@ -196,7 +206,7 @@ def build_f_polynomials(pairs: list[BearingPair], c: RotationConstraint) -> np.n
             "correspondences must be distinct"
         )
     anchors = np.repeat(_F_TRIPLES[:, :1], 2, axis=1)
-    return _f_dets(_f_rows(pairs, anchors, _F_TRIPLES[:, 1:], c.sigma))
+    return _f_dets(_f_rows(q1, q2, anchors, _F_TRIPLES[:, 1:], c.sigma))
 
 
 def _g_rows(pairs: list[PluckerPair], i, j, sigma: float) -> np.ndarray:

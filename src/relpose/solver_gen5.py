@@ -20,7 +20,7 @@ from .gbsolver import (
     rectified_quaternions,
     rref_conditioned,
 )
-from .geom import PluckerPair, RelativePose, rotation_stack, stacked_cross
+from .geom import PluckerPair, RelativePose, rotation_stack, stacked_cross, stacked_dot
 from .poly import build_g_polynomials
 
 # All moments below this norm mean a purely central configuration.
@@ -79,7 +79,8 @@ def solve_gen5pt_angle(
     component is one; candidates whose scale is unobservable are dropped.
     """
     ordered, c = GENERAL.prepare(pairs, theta, anchor)
-    if max(float(np.linalg.norm(m)) for p in ordered for m in (p.m1, p.m2)) < CENTRAL_MOMENT_EPS:
+    moments = np.array([m for p in ordered for m in (p.m1, p.m2)])
+    if np.max(np.sqrt(stacked_dot(moments, moments))) < CENTRAL_MOMENT_EPS:
         raise ScaleUnobservable(
             "all ray moments vanish: a central configuration carries no translation scale"
         )
@@ -94,23 +95,18 @@ def solve_gen5pt_angle(
     unobservable = (s[:, 1] <= SCALE_RANK_EPS * s[:, 0]) | (np.abs(v[:, 2]) < SCALE_COMPONENT_EPS)
 
     anchor_pair = ordered[0]
-    e1 = stacked_cross(anchor_pair.m1, anchor_pair.q1)
-    e2 = stacked_cross(anchor_pair.m2, anchor_pair.q2)
-    poses: list[RelativePose] = []
-    for k in np.flatnonzero(~unobservable):
-        lam = float(v[k, 0] / v[k, 2])
-        mu = float(v[k, 1] / v[k, 2])
-        t1 = e1 + lam * anchor_pair.q1
-        t2 = e2 + mu * anchor_pair.q2
-        poses.append(
-            RelativePose(
-                R=Rs[k],
-                t=t2 - Rs[k] @ t1,
-                quat=quats[k],
-                depths=(lam, mu),
-                root_count=root_count,
-            )
-        )
+    observable = np.flatnonzero(~unobservable)
+    v = v[observable]
+    lam = v[:, 0] / v[:, 2]
+    mu = v[:, 1] / v[:, 2]
+    t1 = stacked_cross(anchor_pair.m1, anchor_pair.q1) + lam[:, None] * anchor_pair.q1
+    t2 = stacked_cross(anchor_pair.m2, anchor_pair.q2) + mu[:, None] * anchor_pair.q2
+    # The stacked matmul rounds as the per-root R @ t1 does.
+    T = t2 - (Rs[observable] @ t1[:, :, None])[..., 0]
+    poses = [
+        RelativePose(R=Rs[k], t=t, quat=quats[k], depths=(a, b), root_count=root_count)
+        for k, t, a, b in zip(observable.tolist(), T, lam.tolist(), mu.tolist())
+    ]
     if not poses:
         raise ScaleUnobservable("translation scale is unobservable for every rotation candidate")
     return poses

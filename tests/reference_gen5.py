@@ -1,21 +1,26 @@
 """Per-item loop versions of the generalized solver's array code, kept as
 oracles: the point-to-ray scorer that gathers its rays one pair at a time,
-and depth recovery with one constraint stack and one SVD per root.  The
+depth recovery with one constraint stack and one SVD per root, and the
+solver with one moment norm per ray and one translation per root.  The
 inverse of a pose, which only tests use, also lives here."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from relpose import solver_gen5
 from relpose.exceptions import DegenerateConfiguration, NearZeroVector, ScaleUnobservable
+from relpose.gbsolver import GENERAL, ZERO_ANGLE_ROOTS, degenerate_configuration, rectified_quaternions
 from relpose.geom import (
     PluckerPair,
     RelativePose,
     UnitQuaternion,
     quat_to_rotation,
     rectify_quaternion,
+    rotation_stack,
+    stacked_cross,
 )
-from relpose.solver_gen5 import SCALE_COMPONENT_EPS, SCALE_RANK_EPS
+from relpose.solver_gen5 import CENTRAL_MOMENT_EPS, SCALE_COMPONENT_EPS, SCALE_RANK_EPS
 
 
 def inverse_pose(pose: RelativePose) -> RelativePose:
@@ -105,4 +110,48 @@ def loop_depth_poses(ordered: list[PluckerPair], roots, c) -> list[RelativePose]
         if n_scale_dropped:
             raise ScaleUnobservable("translation scale is unobservable for every rotation candidate")
         raise DegenerateConfiguration("no usable rotation candidates survived filtering")
+    return poses
+
+
+def loop_solve_gen5pt_angle(pairs: list[PluckerPair], theta: float, anchor: int = 0):
+    """``solve_gen5pt_angle`` with one ``np.linalg.norm`` per moment and the
+    depths, translation and pose of each observable root built in a loop."""
+    ordered, c = GENERAL.prepare(pairs, theta, anchor)
+    if max(float(np.linalg.norm(m)) for p in ordered for m in (p.m1, p.m2)) < CENTRAL_MOMENT_EPS:
+        raise ScaleUnobservable(
+            "all ray moments vanish: a central configuration carries no translation scale"
+        )
+    with degenerate_configuration():
+        if c.tau != 0.0:
+            roots = solver_gen5._rotation_candidates(ordered, c).roots
+        else:
+            roots = ZERO_ANGLE_ROOTS
+    root_count = len(roots)
+
+    quats = rectified_quaternions(roots, c)
+    Rs = rotation_stack(c.sigma, np.array([q.u for q in quats]))
+    _, s, vt = np.linalg.svd(solver_gen5._depth_rows(ordered, Rs))
+    v = vt[:, -1]
+    unobservable = (s[:, 1] <= SCALE_RANK_EPS * s[:, 0]) | (np.abs(v[:, 2]) < SCALE_COMPONENT_EPS)
+
+    anchor_pair = ordered[0]
+    e1 = stacked_cross(anchor_pair.m1, anchor_pair.q1)
+    e2 = stacked_cross(anchor_pair.m2, anchor_pair.q2)
+    poses: list[RelativePose] = []
+    for k in np.flatnonzero(~unobservable):
+        lam = float(v[k, 0] / v[k, 2])
+        mu = float(v[k, 1] / v[k, 2])
+        t1 = e1 + lam * anchor_pair.q1
+        t2 = e2 + mu * anchor_pair.q2
+        poses.append(
+            RelativePose(
+                R=Rs[k],
+                t=t2 - Rs[k] @ t1,
+                quat=quats[k],
+                depths=(lam, mu),
+                root_count=root_count,
+            )
+        )
+    if not poses:
+        raise ScaleUnobservable("translation scale is unobservable for every rotation candidate")
     return poses

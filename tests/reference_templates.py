@@ -10,9 +10,12 @@ convolution, the row-by-row reduction modulo the sphere constraint, the
 generators as per-matrix determinants, and the template as one reduced row
 per multiplier-generator product.  The batched path must reproduce these bit
 for bit.  ``rref_conditioned`` is the complete-pivoting reduction as a list
-search with fancy-indexed row swaps and updates, and ``eigensolve_real`` tests
-every eigenvalue in the loop; the package's versions must reproduce them bit
-for bit too.  The left-to-right Gauss-Jordan reduction ``rref``, the
+search with fancy-indexed row swaps and updates, ``eigensolve_real`` tests and
+normalizes every eigenvalue in the loop, ``quotient_basis_from_pivots`` sorts
+the standard monomials by key, ``build_action_matrix`` looks every row up in
+dictionaries, and ``extract_roots`` filters one eigenpair at a time against
+the checks ``product_checks`` finds by walking the basis; the package's
+versions must reproduce them bit for bit too.  The left-to-right Gauss-Jordan reduction ``rref``, the
 ``grevlex_compare`` order predicate and the Schur-complement cross-check of
 the template also live here; the package uses none of them.
 """
@@ -23,9 +26,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from relpose.exceptions import DegenerateInput, DegreeOverflow, EigenFailure, RankDeficient
+from relpose.exceptions import (
+    BasisAnomaly,
+    DegenerateInput,
+    DegreeOverflow,
+    EigenFailure,
+    RankDeficient,
+    UnreachableMonomial,
+)
 from relpose import gbsolver
-from relpose.gbsolver import IMAG_TOL, PIVOT_TOL, REGULAR, EliminationTemplate
+from relpose.gbsolver import (
+    IMAG_TOL,
+    PIVOT_TOL,
+    REGULAR,
+    ROOT_MONOMIALS,
+    ROOT_TOL,
+    EliminationTemplate,
+    ExtractedRoots,
+    QuotientBasis,
+)
 from relpose.poly import COINCIDENT_RAY_EPS, GrevlexBasis, _mul_table, grevlex_basis, grevlex_key
 
 
@@ -313,6 +332,89 @@ def eigensolve_real(M: np.ndarray) -> list[tuple[float, np.ndarray]]:
         vr = np.real(v)
         out.append((float(w[k].real), vr / np.linalg.norm(vr)))
     return out
+
+
+def quotient_basis_from_pivots(basis: GrevlexBasis, pivots: list[int], expected_size: int):
+    """Non-pivot template columns as standard monomials, sorted by grevlex key."""
+    remainder = basis.remainder_monomials
+    pivot_set = set(pivots)
+    standard = [(remainder[j], j) for j in range(len(remainder)) if j not in pivot_set]
+    standard.sort(key=lambda mc: grevlex_key(mc[0]))
+    monomials = tuple(m for m, _ in standard)
+    index = {m: i for i, m in enumerate(monomials)}
+    if len(monomials) != expected_size:
+        raise BasisAnomaly(f"quotient basis has size {len(monomials)}, expected {expected_size}")
+    for needed in ROOT_MONOMIALS:
+        if needed not in index:
+            raise BasisAnomaly(f"quotient basis is missing monomial {needed}")
+    return QuotientBasis(
+        monomials=monomials,
+        template_cols=np.array([col for _, col in standard], dtype=np.int64),
+        index=index,
+        pos_one=index[(0, 0, 0)],
+        pos_alpha=index[(1, 0, 0)],
+        pos_beta=index[(0, 1, 0)],
+        pos_gamma=index[(0, 0, 1)],
+    )
+
+
+def build_action_matrix(reduced, pivots, basis, qb) -> np.ndarray:
+    """Multiplication-by-gamma matrix, one dictionary lookup per row."""
+    remainder = basis.remainder_monomials
+    pivot_row = {remainder[col]: r for r, col in enumerate(pivots)}
+    n = qb.size
+    M = np.zeros((n, n))
+    for i, (a, b, c) in enumerate(qb.monomials):
+        m = (a, b, c + 1)
+        if m in qb.index:
+            M[i, qb.index[m]] = 1.0
+        elif m in pivot_row:
+            M[i, :] = -reduced[pivot_row[m], qb.template_cols]
+        else:
+            raise UnreachableMonomial(f"gamma * {qb.monomials[i]} = {m} is outside the template")
+    return M
+
+
+def product_checks(qb) -> list[tuple[int, int, int]]:
+    """Indices (m, x, y) with basis monomial m equal to the product of the
+    degree-one basis monomials x and y, found by walking the basis."""
+    ones = {m: qb.index[m] for m in ROOT_MONOMIALS[1:]}
+    checks = []
+    for m, i in qb.index.items():
+        if sum(m) != 2:
+            continue
+        first = next(k for k in range(3) if m[k] > 0)
+        x = tuple(1 if k == first else 0 for k in range(3))
+        y = (m[0] - x[0], m[1] - x[1], m[2] - x[2])
+        if y in ones:
+            checks.append((i, ones[x], ones[y]))
+    return checks
+
+
+def extract_roots(pairs, qb) -> ExtractedRoots:
+    """Root vectors read off the eigenpairs one at a time."""
+    checks = product_checks(qb)
+    roots: list[np.ndarray] = []
+    n_inf = 0
+    n_incons = 0
+    for lam, v in pairs:
+        v1 = v[qb.pos_one]
+        if abs(v1) <= 1e-10 * float(np.max(np.abs(v))):
+            n_inf += 1
+            continue
+        v = v / v1
+        if abs(lam - v[qb.pos_gamma]) > ROOT_TOL:
+            n_incons += 1
+            continue
+        if any(abs(v[m] - v[x] * v[y]) > ROOT_TOL for m, x, y in checks):
+            n_incons += 1
+            continue
+        roots.append(np.array([v[qb.pos_alpha], v[qb.pos_beta], v[qb.pos_gamma]]))
+    return ExtractedRoots(
+        roots=tuple(roots),
+        n_dropped_at_infinity=n_inf,
+        n_dropped_inconsistent=n_incons,
+    )
 
 
 def sphere_constraint_poly(c) -> DensePolynomial:

@@ -3,17 +3,24 @@ eigenpair filter against the scalar oracles in ``reference_templates``: every
 coefficient must match bit for bit."""
 
 import math
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import reference_templates as ref
+from reference_gen5 import loop_solve_gen5pt_angle
+from reference_reg4 import loop_solve_4pt_angle
+from relpose import solver_reg4
 from relpose.exceptions import (
     DegenerateConfiguration,
     DegenerateInput,
     DegreeOverflow,
     RankDeficient,
+    RelposeError,
+    ScaleUnobservable,
+    UnreachableMonomial,
 )
 from relpose.gbsolver import (
     GENERAL,
@@ -21,10 +28,11 @@ from relpose.gbsolver import (
     assemble_reduced_template,
     build_action_matrix,
     eigensolve_real,
+    extract_roots,
     quotient_basis_from_pivots,
     rref_conditioned,
 )
-from relpose.geom import BearingPair, PluckerPair, sigma_from_angle
+from relpose.geom import BearingPair, PluckerPair, RelativePose, sigma_from_angle
 from relpose.poly import (
     _bilinear_coeffs,
     _f_dets,
@@ -32,6 +40,7 @@ from relpose.poly import (
     _g_dets,
     _g_rows,
     _mul_stack,
+    _ray_stack,
     build_f_polynomials,
     build_g_polynomials,
     grevlex_basis,
@@ -117,8 +126,9 @@ class TestGeneratorsMatchSpecs:
         theta = float(np.random.default_rng(seed).uniform(0.05, 3.1))
         pairs = problem("reg4", "central", "forward", theta, seed)
         c = sigma_from_angle(theta)
+        q1, q2 = _ray_stack(pairs, "q1", "q2")
         for f, (i, j, k) in zip(build_f_polynomials(pairs, c), F_TRIPLES, strict=True):
-            assert_bits(f, _f_dets(_f_rows(pairs, np.array([i, i]), np.array([j, k]), c.sigma)))
+            assert_bits(f, _f_dets(_f_rows(q1, q2, np.array([i, i]), np.array([j, k]), c.sigma)))
             assert_bits(f, ref.f_determinant(pairs, i, j, k, c).coeffs)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -255,6 +265,186 @@ class TestEliminationMatchesOracle:
             M[:2, :2] = [[1.0, -b], [b, 1.0]]
             M[2:, 2:] = [[-2.0, 1.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, -0.0]]
             assert_same_eigenpairs(M)
+
+
+def outcome(fn, *args, **kwargs):
+    """The result of a call, or the type and message of the error it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (RelposeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_basis(qb, ref_qb) -> None:
+    if isinstance(ref_qb, tuple):
+        assert qb == ref_qb
+        return
+    assert qb.monomials == ref_qb.monomials and qb.index == ref_qb.index
+    assert np.array_equal(qb.template_cols, ref_qb.template_cols)
+    assert qb.template_cols.dtype == ref_qb.template_cols.dtype
+    assert (qb.pos_one, qb.pos_alpha, qb.pos_beta, qb.pos_gamma) == (
+        ref_qb.pos_one, ref_qb.pos_alpha, ref_qb.pos_beta, ref_qb.pos_gamma
+    )
+
+
+def assert_same_roots(pairs, qb) -> None:
+    ext, ref_ext = extract_roots(pairs, qb), ref.extract_roots(pairs, qb)
+    assert ext.n_dropped_at_infinity == ref_ext.n_dropped_at_infinity
+    assert ext.n_dropped_inconsistent == ref_ext.n_dropped_inconsistent
+    assert type(ext.roots) is tuple and len(ext.roots) == len(ref_ext.roots)
+    for root, ref_root in zip(ext.roots, ref_ext.roots):
+        # A NaN entry at the monomial 1 passes every filter in both.
+        assert np.array_equal(root, ref_root, equal_nan=True)
+        assert np.array_equal(np.signbit(root), np.signbit(ref_root))
+
+
+def assert_same_poses(poses, ref_poses) -> None:
+    if isinstance(ref_poses, tuple):
+        assert poses == ref_poses
+        return
+    assert len(poses) == len(ref_poses)
+    for pose, ref_pose in zip(poses, ref_poses):
+        for f in fields(RelativePose):
+            got, want = getattr(pose, f.name), getattr(ref_pose, f.name)
+            if f.name == "quat":
+                assert got.sigma == want.sigma
+                got, want = got.u, want.u
+            if f.name in ("R", "t", "quat") or (f.name == "depths" and want is not None):
+                assert_bits(np.asarray(got), np.asarray(want))
+                assert type(got) is type(want)
+            else:
+                assert got == want
+
+
+LOOP_SOLVERS = {
+    "reg4": (solve_4pt_angle, loop_solve_4pt_angle),
+    "gen5": (solve_gen5pt_angle, loop_solve_gen5pt_angle),
+}
+
+
+class TestBackEndMatchesOracle:
+    """Quotient basis, action matrix, roots and poses against the loops of
+    ``reference_templates``, ``reference_reg4`` and ``reference_gen5``."""
+
+    @pytest.mark.parametrize("solver", ["reg4", "gen5"])
+    @pytest.mark.parametrize("motion", ["forward", "sideways"])
+    @pytest.mark.parametrize("theta", ELIMINATION_THETAS)
+    def test_bit_identical(self, solver, motion, theta):
+        tp = REGULAR if solver == "reg4" else GENERAL
+        rays = "central" if solver == "reg4" else "generalized"
+        solve, loop_solve = LOOP_SOLVERS[solver]
+        for seed in range(2):
+            pairs = problem(solver, rays, motion, theta, seed)
+            for anchor in range(tp.sample_size):
+                ordered, c = tp.prepare(pairs, theta, anchor)
+                _, tpl = generators_and_template(BATCHED, solver, ordered, c)
+                for hints in (tp.pivot_hints, {}):
+                    # Without hints a top-degree column stays standard on these
+                    # templates, and both must raise UnreachableMonomial alike.
+                    red, piv = rref_conditioned(tpl.matrix, **hints)
+                    qb = outcome(quotient_basis_from_pivots, tpl.basis, piv, tp.basis_size)
+                    ref_qb = outcome(ref.quotient_basis_from_pivots, tpl.basis, piv, tp.basis_size)
+                    assert_same_basis(qb, ref_qb)
+                    if isinstance(qb, tuple):
+                        continue
+                    M = outcome(build_action_matrix, red, piv, tpl.basis, qb)
+                    ref_M = outcome(ref.build_action_matrix, red, piv, tpl.basis, qb)
+                    if isinstance(ref_M, tuple):
+                        assert M == ref_M
+                        continue
+                    assert_bits(M, ref_M)
+                    assert_same_eigenpairs(M)
+                    assert_same_roots(eigensolve_real(M), qb)
+                assert_same_poses(
+                    outcome(solve, pairs, theta, anchor=anchor),
+                    outcome(loop_solve, pairs, theta, anchor=anchor),
+                )
+
+    @pytest.mark.parametrize("motion", ["forward", "sideways"])
+    def test_central_rays_raise_as_the_loop_solver(self, motion):
+        pairs = problem("gen5", "central", motion, 0.5, 0)
+        got = outcome(solve_gen5pt_angle, pairs, 0.5)
+        assert got[0] is ScaleUnobservable
+        assert got == outcome(loop_solve_gen5pt_angle, pairs, 0.5)
+
+
+def regular_basis(seed: int = 0):
+    pairs = problem("reg4", "central", "forward", 0.8, seed)
+    ordered, c = REGULAR.prepare(pairs, 0.8, 0)
+    _, tpl = generators_and_template(BATCHED, "reg4", ordered, c)
+    red, piv = rref_conditioned(tpl.matrix, **REGULAR.pivot_hints)
+    return tpl, red, piv, quotient_basis_from_pivots(tpl.basis, piv, REGULAR.basis_size)
+
+
+class TestHandBuiltEigenpairs:
+    """Each drop rule of ``extract_roots`` on eigenvectors built by hand."""
+
+    def test_every_drop_rule(self):
+        _, _, _, qb = regular_basis()
+        u = np.array([0.1, -0.2, 0.3])
+        root = 2.5 * np.array([np.prod(u ** np.array(m)) for m in qb.monomials])
+        at_infinity = root.copy()
+        at_infinity[qb.pos_one] = 0.0
+        # The entry at 1 sits exactly on the at-infinity bound.
+        near_infinity = at_infinity.copy()
+        near_infinity[qb.pos_one] = 1e-10 * np.max(np.abs(at_infinity))
+        bad_product = root.copy()
+        bad_product[next(i for i, m in enumerate(qb.monomials) if sum(m) == 2)] += 1e-5
+        nan_one, nan_gamma = root.copy(), root.copy()
+        nan_one[qb.pos_one] = math.nan
+        nan_gamma[qb.pos_gamma] = math.nan
+        pairs = [
+            (u[2], root),
+            (0.0, at_infinity),
+            (u[2], near_infinity),
+            (u[2] + 2e-6, root),
+            (u[2], bad_product),
+            (u[2], nan_one),
+            (u[2], nan_gamma),
+            (math.nan, root),
+            (u[2], -root),
+        ]
+        for case in [[p] for p in pairs] + [pairs, pairs[::-1], []]:
+            assert_same_roots(case, qb)
+        ext = extract_roots(pairs, qb)
+        assert ext.n_dropped_at_infinity == 2 and ext.n_dropped_inconsistent == 2
+        assert len(ext.roots) == 5
+
+
+def leave_top_degree_standard(piv: list[int], n_cols: int) -> list[int]:
+    """The REGULAR pivot list with its first top-degree pivot swapped for the
+    highest standard column that reads no root."""
+    hints = REGULAR.pivot_hints
+    assert piv[0] in hints["eliminate_first"]
+    free = [j for j in range(n_cols) if j not in piv and j not in hints["protected_cols"]]
+    return [free[0], *piv[1:]]
+
+
+class TestUnreachableMonomial:
+    def test_raises_the_oracle_message(self):
+        tpl, red, piv, _ = regular_basis(1)
+        bad = leave_top_degree_standard(piv, tpl.matrix.shape[1])
+        qb = quotient_basis_from_pivots(tpl.basis, bad, REGULAR.basis_size)
+        assert_same_basis(qb, ref.quotient_basis_from_pivots(tpl.basis, bad, REGULAR.basis_size))
+        with pytest.raises(UnreachableMonomial) as new:
+            build_action_matrix(red, bad, tpl.basis, qb)
+        with pytest.raises(UnreachableMonomial) as old:
+            ref.build_action_matrix(red, bad, tpl.basis, qb)
+        assert str(new.value) == str(old.value)
+        assert str(new.value).startswith("gamma * ")
+
+    def test_solver_wraps_it_as_degenerate(self, monkeypatch):
+        original = solver_reg4.rref_conditioned
+
+        def leaky(B, **hints):
+            red, piv = original(B, **hints)
+            return red, leave_top_degree_standard(piv, B.shape[1])
+
+        pairs = problem("reg4", "central", "forward", 0.8, 1)
+        monkeypatch.setattr(solver_reg4, "rref_conditioned", leaky)
+        with pytest.raises(DegenerateConfiguration, match="is outside the template") as info:
+            solve_4pt_angle(pairs, 0.8)
+        assert isinstance(info.value.__cause__, UnreachableMonomial)
 
 
 class TestDegenerateInputs:

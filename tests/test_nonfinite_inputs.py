@@ -42,6 +42,14 @@ class TestConstructors:
         with pytest.raises(ValueError):
             RelativePose(R=R, t=Z, quat=UnitQuaternion(1.0, np.zeros(3)))
 
+    @pytest.mark.parametrize("entry", range(9))
+    def test_relative_pose_every_rotation_entry(self, bad, entry):
+        R = np.eye(3)
+        R.flat[entry] = bad
+        assert not matrix_check(R)
+        with pytest.raises(ValueError, match="not a rotation"):
+            RelativePose(R=R, t=Z, quat=UnitQuaternion(1.0, np.zeros(3)))
+
     def test_relative_pose_translation(self, bad):
         with pytest.raises(ValueError, match="finite"):
             RelativePose(R=np.eye(3), t=[0.0, bad, 1.0], quat=UnitQuaternion(1.0, np.zeros(3)))
@@ -60,6 +68,38 @@ class TestConstructors:
     def test_scene_config(self, bad, field):
         with pytest.raises(ValueError):
             SceneConfig(**{field: bad})
+
+
+def matrix_check(R: np.ndarray) -> bool:
+    """The rotation test ``RelativePose`` made with matrix products."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return bool(
+            np.max(np.abs(R.T @ R - np.eye(3))) <= 1e-9 and abs(np.linalg.det(R) - 1.0) <= 1e-9
+        )
+
+
+def accepts(R: np.ndarray) -> bool:
+    try:
+        RelativePose(R=R, t=Z, quat=UnitQuaternion(1.0, np.zeros(3)))
+    except ValueError:
+        return False
+    return True
+
+
+def test_relative_pose_rejects_a_reflection():
+    R = np.diag([1.0, 1.0, -1.0])
+    assert not accepts(R) and not matrix_check(R)
+
+
+@pytest.mark.parametrize("delta,accepted", [(5e-10, True), (5e-9, False)])
+@pytest.mark.parametrize("entry", [1, 2, 3, 5, 6, 7])
+def test_relative_pose_rotation_tolerance(delta, accepted, entry):
+    # An off-diagonal entry of I moves one entry of R^T R - I by delta; a
+    # diagonal one would move it by 2 delta, onto the bound.
+    R = np.eye(3)
+    R.flat[entry] += delta
+    assert accepts(R) is accepted
+    assert matrix_check(R) is accepted
 
 
 @pytest.mark.parametrize("theta", [-0.1, math.pi, 4.0])
