@@ -35,7 +35,6 @@ from .geom import (
     generalized_epipolar_residual,
     quat_from_rotation,
     quat_to_rotation,
-    rectify_quaternion,
     rotation_angle,
     sigma_from_angle,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "quat_to_rotation",
     "ransac_estimate",
     "ray_point_error",
-    "rectify_quaternion",
     "rotation_angle",
     "rotation_error",
     "run_trials",

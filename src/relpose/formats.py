@@ -190,7 +190,10 @@ def parse_gyro_csv(text: str) -> list[GyroSample]:
         if prev_ts is not None and ts <= prev_ts:
             raise DocumentError(f"line {lineno}: timestamps must be strictly increasing")
         prev_ts = ts
-        samples.append(GyroSample(timestamp_ns=ts, w=w))
+        try:
+            samples.append(GyroSample(timestamp_ns=ts, w=w))
+        except ValueError as exc:
+            raise DocumentError(f"line {lineno}: {exc}") from None
     return samples
 
 

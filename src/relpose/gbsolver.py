@@ -13,6 +13,7 @@ live here.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -25,14 +26,13 @@ from .exceptions import (
     DegenerateInput,
     DegreeOverflow,
     EigenFailure,
-    NearZeroVector,
     RankDeficient,
     UnreachableMonomial,
 )
 from .geom import (
     RotationConstraint,
     UnitQuaternion,
-    rectify_quaternion,
+    rotation_stack,
     sigma_from_angle,
     stacked_dot,
 )
@@ -42,12 +42,12 @@ PIVOT_TOL = 1e-10
 IMAG_TOL = 1e-6
 ROOT_TOL = 1e-6
 
+# Below this norm a root carries no usable rotation axis.
+U_DIRECTION_EPS = 1e-10
+
 # Roots are read off the eigenvector entries at 1, alpha, beta and gamma, so
 # these monomials must stay in the quotient basis.
 ROOT_MONOMIALS: tuple[Monomial, ...] = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
-
-# A zero rotation angle pins the quaternion to the identity.
-ZERO_ANGLE_ROOTS = (np.zeros(3),)
 
 
 @dataclass(frozen=True)
@@ -123,18 +123,25 @@ def degenerate_configuration():
         raise DegenerateConfiguration(str(exc)) from exc
 
 
-def rectified_quaternions(roots, c: RotationConstraint) -> list[UnitQuaternion]:
-    """Quaternions of the roots that carry a usable rotation axis; raises
-    ``DegenerateConfiguration`` when none does."""
-    quats = []
-    for u in roots:
-        try:
-            quats.append(rectify_quaternion(u, c))
-        except NearZeroVector:
-            continue
-    if not quats:
+def candidate_rotations(
+    roots: np.ndarray, c: RotationConstraint
+) -> tuple[list[UnitQuaternion], np.ndarray]:
+    """Quaternions and ``(K, 3, 3)`` rotation stack of the ``(K, 3)`` roots
+    that carry a usable rotation axis, each rescaled onto the sphere
+    ``|u| = sqrt(1 - sigma^2)``; raises ``DegenerateConfiguration`` when
+    none does.  A zero angle pins every root to the identity."""
+    if c.tau == 0.0:
+        u = np.zeros_like(roots)
+    else:
+        # The stacked dot rounds as ``np.linalg.norm`` of each row does.  A
+        # NaN norm passes the drop test, so a NaN root fails the
+        # ``UnitQuaternion`` check instead of vanishing.
+        n = np.sqrt(stacked_dot(roots, roots))
+        keep = ~(n <= U_DIRECTION_EPS)
+        u = (math.sqrt(1.0 - c.sigma * c.sigma) / n[keep])[:, None] * roots[keep]
+    if not len(u):
         raise DegenerateConfiguration("no usable rotation candidates survived filtering")
-    return quats
+    return [UnitQuaternion(c.sigma, v) for v in u], rotation_stack(c.sigma, u)
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,11 +365,11 @@ def eigensolve_real(M: np.ndarray) -> list[tuple[float, np.ndarray]]:
     return list(zip(w.real[keep].tolist(), vr))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExtractedRoots:
-    """Recovered root vectors and counts of candidates dropped by the filters."""
+    """Recovered ``(K, 3)`` root rows and counts of candidates dropped by the filters."""
 
-    roots: tuple[np.ndarray, ...]
+    roots: np.ndarray
     n_dropped_at_infinity: int
     n_dropped_inconsistent: int
 
@@ -383,19 +390,17 @@ _DEGREE_TWO_PRODUCTS = (
 
 
 def extract_roots(pairs: list[tuple[float, np.ndarray]], qb: QuotientBasis) -> ExtractedRoots:
-    """Read candidate (alpha, beta, gamma) vectors off near-real eigenvectors.
+    """Read candidate (alpha, beta, gamma) rows off near-real eigenvectors.
 
     Candidates whose eigenvector cannot be normalized at the monomial 1, whose
     gamma entry disagrees with the eigenvalue, or whose degree-two entries are
     not products of the degree-one entries are dropped.
     """
-    if not pairs:
-        return ExtractedRoots(roots=(), n_dropped_at_infinity=0, n_dropped_inconsistent=0)
     ix = qb.index
     checks = [(ix[m], ix[x], ix[y]) for m, x, y in _DEGREE_TWO_PRODUCTS if m in ix]
     m, x, y = np.array(checks, dtype=np.int64).reshape(-1, 3).T
     lam = np.array([w for w, _ in pairs])
-    V = np.array([v for _, v in pairs])
+    V = np.array([v for _, v in pairs]).reshape(-1, qb.size)
     at_infinity = np.abs(V[:, qb.pos_one]) <= 1e-10 * np.max(np.abs(V), axis=1)
     lam, V = lam[~at_infinity], V[~at_infinity]
     V = V / V[:, qb.pos_one, None]
@@ -404,7 +409,7 @@ def extract_roots(pairs: list[tuple[float, np.ndarray]], qb: QuotientBasis) -> E
     )
     roots = V[~inconsistent][:, [qb.pos_alpha, qb.pos_beta, qb.pos_gamma]]
     return ExtractedRoots(
-        roots=tuple(roots),
+        roots=roots,
         n_dropped_at_infinity=int(at_infinity.sum()),
         n_dropped_inconsistent=int(inconsistent.sum()),
     )

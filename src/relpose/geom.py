@@ -19,11 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import NearZeroVector
-
-# Below this norm an estimated quaternion vector part carries no usable direction.
-U_DIRECTION_EPS = 1e-10
-
 # Rays whose normalized Gram determinant falls below this are treated as parallel.
 PARALLEL_RAY_EPS = 1e-12
 
@@ -193,7 +188,11 @@ def quat_to_rotation(q: UnitQuaternion) -> np.ndarray:
 
 
 def rotation_angle(R: np.ndarray) -> float:
-    """Rotation angle in ``[0, pi]`` from the matrix trace."""
+    """Rotation angle in ``[0, pi]`` from the matrix trace.  A non-finite
+    matrix raises ``ValueError``: clamping its NaN cosine would give pi."""
+    R = np.asarray(R, dtype=float)
+    if not np.isfinite(R).all():
+        raise ValueError("rotation matrix must be finite")
     c = (float(np.trace(R)) - 1.0) / 2.0
     return math.acos(min(1.0, max(-1.0, c)))
 
@@ -247,41 +246,11 @@ def generalized_residual(
     return float(q2 @ core @ q1 + q2 @ R @ m1 + m2 @ R @ q1)
 
 
-def generalized_epipolar_residual(
-    pose: RelativePose,
-    pair: PluckerPair,
-    *,
-    t1: np.ndarray | None = None,
-    t2: np.ndarray | None = None,
-) -> float:
-    """Generalized epipolar residual of a Pluecker correspondence.
-
-    By default the world frame is identified with the first camera frame
-    (``t1 = 0``, ``t2 = pose.t``); explicit per-view translations may be
-    supplied to evaluate the form in another frame.
-    """
-    if t1 is None:
-        t1 = np.zeros(3)
-    if t2 is None:
-        t2 = pose.t
-    return generalized_residual(pose.R, t1, t2, pair.q1, pair.m1, pair.q2, pair.m2)
-
-
-def rectify_quaternion(u_raw: np.ndarray, c: RotationConstraint) -> UnitQuaternion:
-    """Rescale an estimated vector part onto the constraint sphere.
-
-    The direction of ``u_raw`` is kept and its norm is set to
-    ``sqrt(1 - sigma^2)`` so the quaternion invariant holds exactly up to
-    rounding.  A zero angle forces ``u = 0`` regardless of direction.
-    """
-    u_raw = _as_vec3(u_raw, "u_raw")
-    if c.tau == 0.0:
-        return UnitQuaternion(1.0, np.zeros(3))
-    n = float(np.linalg.norm(u_raw))
-    if n <= U_DIRECTION_EPS:
-        raise NearZeroVector(f"|u| = {n!r} gives no usable direction for theta = {c.theta!r}")
-    target = math.sqrt(1.0 - c.sigma * c.sigma)
-    return UnitQuaternion(c.sigma, (target / n) * u_raw)
+def generalized_epipolar_residual(pose: RelativePose, pair: PluckerPair) -> float:
+    """Generalized epipolar residual of a Pluecker correspondence, with the
+    world frame identified with the first camera frame (``t1 = 0``,
+    ``t2 = pose.t``)."""
+    return generalized_residual(pose.R, np.zeros(3), pose.t, pair.q1, pair.m1, pair.q2, pair.m2)
 
 
 def cheiral_counts(

@@ -29,6 +29,8 @@ class GyroSample:
         w = np.asarray(self.w, dtype=float)
         if w.shape != (3,):
             raise ValueError("rate must be a 3-vector")
+        if not np.isfinite(w).all():
+            raise ValueError(f"rate must be finite, got {w.tolist()}")
         object.__setattr__(self, "w", w)
 
 
@@ -71,6 +73,8 @@ def integrate_gyro(
             f"requested [{t_start_ns}, {t_end_ns}] ns"
         )
     b = np.zeros(3) if bias is None else np.asarray(bias, dtype=float)
+    if not np.isfinite(b).all():
+        raise ValueError(f"bias must be finite, got {b.tolist()}")
     R = np.eye(3)
     for prev, cur in zip(samples, samples[1:]):
         lo = max(prev.timestamp_ns, t_start_ns)

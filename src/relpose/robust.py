@@ -196,6 +196,10 @@ def run_ransac_trials(
 
     if solver not in ("reg4", "gen5"):
         raise ValueError(f"unknown solver {solver!r}")
+    if not n_trials >= 1:
+        raise ValueError(f"n_trials must be at least 1, got {n_trials!r}")
+    if not 0.0 <= outlier_frac < 1.0:
+        raise ValueError(f"outlier_frac must lie in [0, 1), got {outlier_frac!r}")
     generalized = solver == "gen5"
     base = replace(cfg, generalized=generalized)
     records = []

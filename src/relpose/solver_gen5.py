@@ -9,18 +9,17 @@ import numpy as np
 from .exceptions import ScaleUnobservable, SkewDegenerate
 from .gbsolver import (
     GENERAL,
-    ZERO_ANGLE_ROOTS,
     assemble_reduced_template,
     build_action_matrix,
+    candidate_rotations,
     check_shape,
     degenerate_configuration,
     eigensolve_real,
     extract_roots,
     quotient_basis_from_pivots,
-    rectified_quaternions,
     rref_conditioned,
 )
-from .geom import PluckerPair, RelativePose, rotation_stack, stacked_cross, stacked_dot
+from .geom import PluckerPair, RelativePose, stacked_cross, stacked_dot
 from .poly import build_g_polynomials
 
 # All moments below this norm mean a purely central configuration.
@@ -85,11 +84,8 @@ def solve_gen5pt_angle(
             "all ray moments vanish: a central configuration carries no translation scale"
         )
     with degenerate_configuration():
-        roots = _rotation_candidates(ordered, c).roots if c.tau != 0.0 else ZERO_ANGLE_ROOTS
-    root_count = len(roots)
-
-    quats = rectified_quaternions(roots, c)
-    Rs = rotation_stack(c.sigma, np.array([q.u for q in quats]))
+        roots = _rotation_candidates(ordered, c).roots if c.tau != 0.0 else np.zeros((1, 3))
+    quats, Rs = candidate_rotations(roots, c)
     _, s, vt = np.linalg.svd(_depth_rows(ordered, Rs))
     v = vt[:, -1]
     unobservable = (s[:, 1] <= SCALE_RANK_EPS * s[:, 0]) | (np.abs(v[:, 2]) < SCALE_COMPONENT_EPS)
@@ -104,7 +100,7 @@ def solve_gen5pt_angle(
     # The stacked matmul rounds as the per-root R @ t1 does.
     T = t2 - (Rs[observable] @ t1[:, :, None])[..., 0]
     poses = [
-        RelativePose(R=Rs[k], t=t, quat=quats[k], depths=(a, b), root_count=root_count)
+        RelativePose(R=Rs[k], t=t, quat=quats[k], depths=(a, b), root_count=len(roots))
         for k, t, a, b in zip(observable.tolist(), T, lam.tolist(), mu.tolist())
     ]
     if not poses:

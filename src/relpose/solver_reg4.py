@@ -9,25 +9,17 @@ import numpy as np
 from .exceptions import NoCheiralSolution
 from .gbsolver import (
     REGULAR,
-    ZERO_ANGLE_ROOTS,
     assemble_reduced_template,
     build_action_matrix,
+    candidate_rotations,
     check_shape,
     degenerate_configuration,
     eigensolve_real,
     extract_roots,
     quotient_basis_from_pivots,
-    rectified_quaternions,
     rref_conditioned,
 )
-from .geom import (
-    BearingPair,
-    RelativePose,
-    cheiral_counts,
-    rotation_stack,
-    skew,
-    stacked_cross,
-)
+from .geom import BearingPair, RelativePose, cheiral_counts, skew, stacked_cross
 from .poly import build_f_polynomials
 
 # The translation null direction is considered poorly separated when the
@@ -60,11 +52,8 @@ def solve_4pt_angle(
     """
     ordered, c = REGULAR.prepare(pairs, theta, anchor)
     with degenerate_configuration():
-        roots = _rotation_candidates(ordered, c).roots if c.tau != 0.0 else ZERO_ANGLE_ROOTS
-    root_count = len(roots)
-
-    quats = rectified_quaternions(roots, c)
-    Rs = rotation_stack(c.sigma, np.array([q.u for q in quats]))
+        roots = _rotation_candidates(ordered, c).roots if c.tau != 0.0 else np.zeros((1, 3))
+    quats, Rs = candidate_rotations(roots, c)
     q1 = np.array([p.q1 for p in ordered])
     q2 = np.array([p.q2 for p in ordered])
     # Rows cross(R q1_i, q2_i) for every root at once; the broadcast matmul
@@ -75,28 +64,23 @@ def solve_4pt_angle(
         low_parallax = (s[:, 1] == 0.0) | (s[:, 2] / s[:, 1] > LOW_PARALLAX_RATIO)
     pos, neg = cheiral_counts(Rs, T, q1, q2)
 
-    poses: list[RelativePose] = []
-    for quat, R, t, n_pos, n_neg, flag in zip(
-        quats, Rs, T, pos.tolist(), neg.tolist(), low_parallax.tolist()
-    ):
-        if n_pos == 0 and n_neg == 0:
-            continue
-        winners = [(t, n_pos)] if n_pos > n_neg else [(-t, n_neg)]
-        tie = n_pos == n_neg
-        if tie:
-            winners = [(t, n_pos), (-t, n_neg)]
-        for tw, nw in winners:
-            poses.append(
-                RelativePose(
-                    R=R,
-                    t=tw,
-                    quat=quat,
-                    cheiral_count=nw,
-                    cheirality_tie=tie,
-                    low_parallax=flag,
-                    root_count=root_count,
-                )
-            )
+    # Keep each sign that wins the cheirality vote, both on a tie, none at 0-0.
+    poses = [
+        RelativePose(
+            R=R,
+            t=tw,
+            quat=quat,
+            cheiral_count=nw,
+            cheirality_tie=n_pos == n_neg,
+            low_parallax=flag,
+            root_count=len(roots),
+        )
+        for quat, R, t, n_pos, n_neg, flag in zip(
+            quats, Rs, T, pos.tolist(), neg.tolist(), low_parallax.tolist()
+        )
+        for tw, nw in ((t, n_pos), (-t, n_neg))
+        if nw > 0 and nw == max(n_pos, n_neg)
+    ]
     if not poses:
         raise NoCheiralSolution("no candidate places any point in front of both cameras")
     return poses

@@ -252,6 +252,8 @@ def run_trials(
     """Run independent minimal-solver trials with per-trial derived seeds."""
     if solver not in ("reg4", "gen5"):
         raise ValueError(f"unknown solver {solver!r}")
+    if not n_trials >= 1:
+        raise ValueError(f"n_trials must be at least 1, got {n_trials!r}")
     generalized = solver == "gen5"
     n_points = 5 if generalized else 4
     base = replace(cfg, generalized=generalized)

@@ -8,15 +8,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from reference_templates import ZERO_ANGLE_ROOTS, rectified_quaternions, rectify_quaternion
 from relpose import solver_gen5
 from relpose.exceptions import DegenerateConfiguration, NearZeroVector, ScaleUnobservable
-from relpose.gbsolver import GENERAL, ZERO_ANGLE_ROOTS, degenerate_configuration, rectified_quaternions
+from relpose.gbsolver import GENERAL, degenerate_configuration
 from relpose.geom import (
     PluckerPair,
     RelativePose,
     UnitQuaternion,
     quat_to_rotation,
-    rectify_quaternion,
     rotation_stack,
     stacked_cross,
 )

@@ -6,13 +6,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from reference_templates import ZERO_ANGLE_ROOTS, rectified_quaternions
 from relpose.exceptions import NoCheiralSolution
-from relpose.gbsolver import (
-    REGULAR,
-    ZERO_ANGLE_ROOTS,
-    degenerate_configuration,
-    rectified_quaternions,
-)
+from relpose.gbsolver import REGULAR, degenerate_configuration
 from relpose.geom import PARALLEL_RAY_EPS, BearingPair, RelativePose, quat_to_rotation
 from relpose.solver_reg4 import LOW_PARALLAX_RATIO, _rotation_candidates
 

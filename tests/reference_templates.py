@@ -13,8 +13,10 @@ for bit.  ``rref_conditioned`` is the complete-pivoting reduction as a list
 search with fancy-indexed row swaps and updates, ``eigensolve_real`` tests and
 normalizes every eigenvalue in the loop, ``quotient_basis_from_pivots`` sorts
 the standard monomials by key, ``build_action_matrix`` looks every row up in
-dictionaries, and ``extract_roots`` filters one eigenpair at a time against
-the checks ``product_checks`` finds by walking the basis; the package's
+dictionaries, ``extract_roots`` filters one eigenpair at a time against
+the checks ``product_checks`` finds by walking the basis, and
+``rectified_quaternions`` rescales the roots one ``rectify_quaternion`` at a
+time, with the zero angle's one root in ``ZERO_ANGLE_ROOTS``; the package's
 versions must reproduce them bit for bit too.  The left-to-right Gauss-Jordan reduction ``rref``, the
 ``grevlex_compare`` order predicate and the Schur-complement cross-check of
 the template also live here; the package uses none of them.
@@ -22,15 +24,18 @@ the template also live here; the package uses none of them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from relpose.exceptions import (
     BasisAnomaly,
+    DegenerateConfiguration,
     DegenerateInput,
     DegreeOverflow,
     EigenFailure,
+    NearZeroVector,
     RankDeficient,
     UnreachableMonomial,
 )
@@ -41,10 +46,12 @@ from relpose.gbsolver import (
     REGULAR,
     ROOT_MONOMIALS,
     ROOT_TOL,
+    U_DIRECTION_EPS,
     EliminationTemplate,
     ExtractedRoots,
     QuotientBasis,
 )
+from relpose.geom import UnitQuaternion, _as_vec3
 from relpose.poly import COINCIDENT_RAY_EPS, GrevlexBasis, _mul_table, grevlex_basis, grevlex_key
 
 
@@ -415,6 +422,41 @@ def extract_roots(pairs, qb) -> ExtractedRoots:
         n_dropped_at_infinity=n_inf,
         n_dropped_inconsistent=n_incons,
     )
+
+
+# A zero rotation angle pins the quaternion to the identity.
+ZERO_ANGLE_ROOTS = (np.zeros(3),)
+
+
+def rectify_quaternion(u_raw: np.ndarray, c) -> UnitQuaternion:
+    """Rescale an estimated vector part onto the constraint sphere.
+
+    The direction of ``u_raw`` is kept and its norm is set to
+    ``sqrt(1 - sigma^2)`` so the quaternion invariant holds exactly up to
+    rounding.  A zero angle forces ``u = 0`` regardless of direction.
+    """
+    u_raw = _as_vec3(u_raw, "u_raw")
+    if c.tau == 0.0:
+        return UnitQuaternion(1.0, np.zeros(3))
+    n = float(np.linalg.norm(u_raw))
+    if n <= U_DIRECTION_EPS:
+        raise NearZeroVector(f"|u| = {n!r} gives no usable direction for theta = {c.theta!r}")
+    target = math.sqrt(1.0 - c.sigma * c.sigma)
+    return UnitQuaternion(c.sigma, (target / n) * u_raw)
+
+
+def rectified_quaternions(roots, c) -> list[UnitQuaternion]:
+    """Quaternions of the roots that carry a usable rotation axis; raises
+    ``DegenerateConfiguration`` when none does."""
+    quats = []
+    for u in roots:
+        try:
+            quats.append(rectify_quaternion(u, c))
+        except NearZeroVector:
+            continue
+    if not quats:
+        raise DegenerateConfiguration("no usable rotation candidates survived filtering")
+    return quats
 
 
 def sphere_constraint_poly(c) -> DensePolynomial:

@@ -12,7 +12,7 @@ import pytest
 import reference_templates as ref
 from reference_gen5 import loop_solve_gen5pt_angle
 from reference_reg4 import loop_solve_4pt_angle
-from relpose import solver_reg4
+from relpose import solver_gen5, solver_reg4
 from relpose.exceptions import (
     DegenerateConfiguration,
     DegenerateInput,
@@ -25,14 +25,16 @@ from relpose.exceptions import (
 from relpose.gbsolver import (
     GENERAL,
     REGULAR,
+    U_DIRECTION_EPS,
     assemble_reduced_template,
     build_action_matrix,
+    candidate_rotations,
     eigensolve_real,
     extract_roots,
     quotient_basis_from_pivots,
     rref_conditioned,
 )
-from relpose.geom import BearingPair, PluckerPair, RelativePose, sigma_from_angle
+from relpose.geom import BearingPair, PluckerPair, RelativePose, quat_to_rotation, sigma_from_angle
 from relpose.poly import (
     _bilinear_coeffs,
     _f_dets,
@@ -291,7 +293,7 @@ def assert_same_roots(pairs, qb) -> None:
     ext, ref_ext = extract_roots(pairs, qb), ref.extract_roots(pairs, qb)
     assert ext.n_dropped_at_infinity == ref_ext.n_dropped_at_infinity
     assert ext.n_dropped_inconsistent == ref_ext.n_dropped_inconsistent
-    assert type(ext.roots) is tuple and len(ext.roots) == len(ref_ext.roots)
+    assert ext.roots.shape == (len(ref_ext.roots), 3)
     for root, ref_root in zip(ext.roots, ref_ext.roots):
         # A NaN entry at the monomial 1 passes every filter in both.
         assert np.array_equal(root, ref_root, equal_nan=True)
@@ -366,6 +368,66 @@ class TestBackEndMatchesOracle:
         got = outcome(solve_gen5pt_angle, pairs, 0.5)
         assert got[0] is ScaleUnobservable
         assert got == outcome(loop_solve_gen5pt_angle, pairs, 0.5)
+
+
+def assert_same_rotations(roots, c) -> None:
+    """``candidate_rotations`` against one ``rectify_quaternion`` and one
+    ``quat_to_rotation`` per root: every quaternion and rotation bit for bit,
+    or the same error."""
+    got = outcome(candidate_rotations, roots, c)
+    want = outcome(ref.rectified_quaternions, roots, c)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    quats, Rs = got
+    assert len(quats) == len(want) and Rs.shape == (len(want), 3, 3)
+    for q, R, ref_q in zip(quats, Rs, want):
+        assert q.sigma == ref_q.sigma
+        assert_bits(q.u, ref_q.u)
+        assert_bits(R, quat_to_rotation(ref_q))
+
+
+class TestCandidateRotationsMatchOracle:
+    """Rescaling and rotations of every root against the per-root loop."""
+
+    @pytest.mark.parametrize("solver", ["reg4", "gen5"])
+    @pytest.mark.parametrize("theta", ELIMINATION_THETAS)
+    def test_bit_identical(self, solver, theta):
+        module, rays = (solver_reg4, "central") if solver == "reg4" else (solver_gen5, "generalized")
+        c = sigma_from_angle(theta)
+        for seed in range(3):
+            roots = module._rotation_candidates(problem(solver, rays, "forward", theta, seed), c).roots
+            assert len(roots) > 1
+            assert_same_rotations(roots, c)
+            # The zero angle pins any roots to the identity.
+            assert_same_rotations(roots, sigma_from_angle(0.0))
+            # A root below the direction threshold, or on it, is dropped.
+            eps = U_DIRECTION_EPS
+            for row, n_kept in (
+                (roots[0] * (0.5 * eps / np.linalg.norm(roots[0])), len(roots) - 1),
+                ([0.0, -eps, 0.0], len(roots) - 1),
+                ([0.0, 0.0, math.nextafter(eps, 1.0)], len(roots)),
+            ):
+                short = roots.copy()
+                short[0] = row
+                assert len(candidate_rotations(short, c)[0]) == n_kept
+                assert_same_rotations(short, c)
+            # No root above it: both raise DegenerateConfiguration.
+            assert_same_rotations(roots * (0.5 * eps / np.max(np.abs(roots))), c)
+            assert outcome(candidate_rotations, roots[:0], c)[0] is DegenerateConfiguration
+            # A NaN root is kept and fails the unit-quaternion check in both.
+            nan_root = roots.copy()
+            nan_root[1, 2] = math.nan
+            assert outcome(candidate_rotations, nan_root, c)[0] is ValueError
+            assert_same_rotations(nan_root, c)
+
+    @pytest.mark.parametrize("solver", ["reg4", "gen5"])
+    def test_zero_angle_solve(self, solver):
+        pairs = problem(solver, "generalized", "sideways", 0.0, 1)
+        solve, loop_solve = LOOP_SOLVERS[solver]
+        poses = solve(pairs, 0.0)
+        assert all(np.array_equal(p.R, np.eye(3)) and p.root_count == 1 for p in poses)
+        assert_same_poses(poses, loop_solve(pairs, 0.0))
 
 
 def regular_basis(seed: int = 0):

@@ -156,6 +156,26 @@ class TestCmdSynthBench:
         assert float(med.split(",")[3]) < 1e-6
 
 
+@pytest.mark.parametrize(
+    "argv,field",
+    [
+        (["synth-bench", "--solver", "reg4", "--trials", "-3"], "n_trials"),
+        (["synth-bench", "--solver", "gen5", "--trials", "0"], "n_trials"),
+        (["ransac-bench", "--solver", "reg4", "--trials", "-3"], "n_trials"),
+        (["ransac-bench", "--solver", "gen5", "--trials", "0"], "n_trials"),
+        (["ransac-bench", "--solver", "reg4", "--trials", "2", "--outlier-frac", "1.5"], "outlier_frac"),
+        (["ransac-bench", "--solver", "reg4", "--trials", "2", "--outlier-frac", "1"], "outlier_frac"),
+        (["ransac-bench", "--solver", "gen5", "--trials", "2", "--outlier-frac", "-0.5"], "outlier_frac"),
+        (["ransac-bench", "--solver", "reg4", "--trials", "2", "--outlier-frac", "nan"], "outlier_frac"),
+    ],
+)
+def test_bench_bad_trial_setup_is_validation_error(tmp_path, capsys, argv, field):
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field} must")
+    assert not out.exists()
+
+
 class TestCmdRansacBench:
     def test_runs_and_reports(self, tmp_path):
         out = tmp_path / "ransac.csv"

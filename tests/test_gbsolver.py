@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from relpose import gbsolver
-from relpose.exceptions import BasisAnomaly, RankDeficient
+from relpose.exceptions import BasisAnomaly, DegenerateConfiguration, RankDeficient
 from relpose.gbsolver import (
     GENERAL,
     REGULAR,
     assemble_reduced_template,
     build_action_matrix,
+    candidate_rotations,
     eigensolve_real,
     extract_roots,
     quotient_basis_from_pivots,
@@ -303,7 +304,7 @@ class TestExtractRoots:
         v = np.zeros(20)
         v[qb.pos_gamma] = 1.0
         ext = extract_roots([(0.5, v)], qb)
-        assert ext.roots == () and ext.n_dropped_at_infinity == 1
+        assert ext.roots.shape == (0, 3) and ext.n_dropped_at_infinity == 1
 
     def test_drops_inconsistent_products(self):
         qb, eig, _ = self.full_pipeline(18)
@@ -314,13 +315,12 @@ class TestExtractRoots:
         v[qb.pos_gamma] = 0.3
         # degree-two entries left at zero contradict the degree-one entries
         ext = extract_roots([(0.3, v)], qb)
-        assert ext.roots == () and ext.n_dropped_inconsistent == 1
+        assert ext.roots.shape == (0, 3) and ext.n_dropped_inconsistent == 1
 
 
 class TestRootResiduals:
     @pytest.mark.parametrize("seed", range(4))
     def test_regular_roots_satisfy_system(self, seed):
-        from relpose.geom import rectify_quaternion
         from relpose.solver_reg4 import _rotation_candidates
 
         truth, pairs = generate_scene(SceneConfig(seed=seed), 4)
@@ -329,7 +329,40 @@ class TestRootResiduals:
         fs = as_polynomials(build_f_polynomials(pairs, c))
         ext = _rotation_candidates(pairs, c)
         scale = max(f.max_abs() for f in fs)
-        for u in ext.roots:
-            q = rectify_quaternion(np.asarray(u), c)
+        quats, _ = candidate_rotations(ext.roots, c)
+        for q in quats:
             assert max(abs(f(q.u)) for f in fs) < 1e-8 * scale
             assert abs(q.u @ q.u + c.tau) < 1e-8
+
+
+class TestCandidateRotations:
+    def test_scaling(self):
+        c = sigma_from_angle(math.pi / 2)
+        (q,), Rs = candidate_rotations(np.array([[0.3, 0.0, 0.0]]), c)
+        assert np.allclose(q.u, [math.sqrt(2) / 2, 0.0, 0.0])
+        assert np.allclose(Rs[0], [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
+
+    def test_fixed_point(self):
+        c = sigma_from_angle(1.1)
+        target = math.sqrt(1 - c.sigma**2)
+        u = target * np.array([0.6, 0.0, 0.8])
+        (q,), _ = candidate_rotations(u[None], c)
+        assert np.max(np.abs(q.u - u)) < 1e-15
+
+    def test_zero_angle_forces_zero_vector(self):
+        c = sigma_from_angle(0.0)
+        quats, Rs = candidate_rotations(np.array([[0.5, -0.2, 0.1], [0.0, 0.0, 0.0]]), c)
+        assert [q.sigma for q in quats] == [1.0, 1.0]
+        assert all(np.array_equal(q.u, np.zeros(3)) for q in quats)
+        assert np.array_equal(Rs, np.broadcast_to(np.eye(3), (2, 3, 3)))
+
+    def test_drops_degenerate_directions(self):
+        c = sigma_from_angle(1.0)
+        roots = np.array([[0.0, 1e-12, 0.0], [0.1, 0.2, 0.3], [0.0, 0.0, 1e-10]])
+        quats, Rs = candidate_rotations(roots, c)
+        assert len(quats) == 1 and Rs.shape == (1, 3, 3)
+        assert np.allclose(quats[0].u / np.linalg.norm(quats[0].u), roots[1] / np.linalg.norm(roots[1]))
+        with pytest.raises(DegenerateConfiguration):
+            candidate_rotations(roots[[0, 2]], c)
+        with pytest.raises(DegenerateConfiguration):
+            candidate_rotations(np.empty((0, 3)), c)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from relpose.exceptions import NearZeroVector
 from relpose.geom import (
     BearingPair,
     PluckerPair,
@@ -16,7 +15,6 @@ from relpose.geom import (
     generalized_residual,
     quat_from_rotation,
     quat_to_rotation,
-    rectify_quaternion,
     rotation_angle,
     rotation_stack,
     sigma_from_angle,
@@ -173,30 +171,6 @@ class TestGeneralizedResidual:
         a = generalized_epipolar_residual(truth, noisy)
         b = generalized_epipolar_residual(inv, swapped)
         assert abs(abs(a) - abs(b)) < 1e-12
-
-
-class TestRectifyQuaternion:
-    def test_scaling(self):
-        c = sigma_from_angle(math.pi / 2)
-        q = rectify_quaternion(np.array([0.3, 0.0, 0.0]), c)
-        assert np.allclose(q.u, [math.sqrt(2) / 2, 0.0, 0.0])
-
-    def test_fixed_point(self):
-        c = sigma_from_angle(1.1)
-        target = math.sqrt(1 - c.sigma**2)
-        u = target * np.array([0.6, 0.0, 0.8])
-        q = rectify_quaternion(u, c)
-        assert np.max(np.abs(q.u - u)) < 1e-15
-
-    def test_zero_angle_forces_zero_vector(self):
-        c = sigma_from_angle(0.0)
-        q = rectify_quaternion(np.array([0.5, -0.2, 0.1]), c)
-        assert np.array_equal(q.u, np.zeros(3)) and q.sigma == 1.0
-
-    def test_rejects_degenerate_direction(self):
-        c = sigma_from_angle(1.0)
-        with pytest.raises(NearZeroVector):
-            rectify_quaternion(np.array([0.0, 1e-12, 0.0]), c)
 
 
 class TestCheirality:

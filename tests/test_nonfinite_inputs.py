@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from relpose import formats
 from relpose.cli import main
-from relpose.geom import BearingPair, PluckerPair, RelativePose, UnitQuaternion
+from relpose.geom import BearingPair, PluckerPair, RelativePose, UnitQuaternion, rotation_angle
+from relpose.imu import GyroSample, integrate_gyro
 from relpose.robust import RansacConfig
 from relpose.synth import SceneConfig
 
@@ -61,6 +63,23 @@ class TestConstructors:
     def test_ransac_config_iterations(self, bad):
         with pytest.raises(ValueError, match="max_iterations"):
             RansacConfig(inlier_threshold=1.0, max_iterations=bad)
+
+    def test_gyro_sample(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            GyroSample(0, [0.0, bad, 0.1])
+
+    def test_gyro_bias(self, bad):
+        samples = [GyroSample(0, [0.0, 0.0, 0.1]), GyroSample(10**9, [0.0, 0.0, 0.1])]
+        with pytest.raises(ValueError, match="finite"):
+            integrate_gyro(samples, 0, 10**9, bias=[bad, 0.0, 0.0])
+
+    @pytest.mark.parametrize("entry", range(9))
+    def test_rotation_angle(self, bad, entry):
+        # A NaN cosine clamped to -1 would read as a half turn.
+        R = np.eye(3)
+        R.flat[entry] = bad
+        with pytest.raises(ValueError, match="finite"):
+            rotation_angle(R)
 
     @pytest.mark.parametrize(
         "field", ["distance_to_scene", "scene_depth", "baseline", "fov_deg", "theta_rad"]
@@ -150,3 +169,24 @@ def test_bench_nan_option_is_validation_error(tmp_path, capsys, argv):
     assert main([*argv, "--trials", "2", "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "row,bias,message",
+    [
+        ("1000000000,nan,0,0.1", None, "line 3: rate must be finite"),
+        ("1000000000,inf,0,0.1", None, "line 3: rate must be finite"),
+        ("1000000000,0,0,0.1", "nan,0,0", "bias must be finite"),
+    ],
+    ids=["nan-rate", "inf-rate", "nan-bias"],
+)
+def test_imu_angle_nonfinite_is_validation_error(tmp_path, capsys, row, bias, message):
+    path = tmp_path / "gyro.csv"
+    path.write_text(f"{formats.GYRO_HEADER}\n0,0,0,0.1\n{row}\n")
+    argv = ["imu-angle", "--gyro", str(path), "--from", "0", "--to", "1000000000"]
+    if bias is not None:
+        argv += ["--bias-correct", bias]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.out == ""

@@ -5,13 +5,9 @@ import numpy as np
 import pytest
 
 import relpose.solver_gen5 as solver_gen5
-from relpose import gbsolver
-from relpose.exceptions import (
-    DegenerateConfiguration,
-    NearZeroVector,
-    ScaleUnobservable,
-    SkewDegenerate,
-)
+import relpose.solver_reg4 as solver_reg4
+from relpose.exceptions import DegenerateConfiguration, ScaleUnobservable, SkewDegenerate
+from relpose.gbsolver import ExtractedRoots
 from relpose.geom import (
     PluckerPair,
     generalized_epipolar_residual,
@@ -269,16 +265,17 @@ class TestDepthRecovery:
 
     @pytest.mark.parametrize("solver", ["reg4", "gen5"])
     def test_no_rectifiable_root_is_degenerate(self, monkeypatch, solver):
-        def reject(u, c):
-            raise NearZeroVector("rejected")
+        # Both roots lie below U_DIRECTION_EPS, so neither carries an axis.
+        def tiny_roots(pairs, qb):
+            return ExtractedRoots(np.full((2, 3), 1e-12), 0, 0)
 
         generalized = solver == "gen5"
         truth, pairs = generate_scene(
             SceneConfig(seed=3, generalized=generalized), 5 if generalized else 4
         )
         solve = solve_gen5pt_angle if generalized else solve_4pt_angle
-        monkeypatch.setattr(gbsolver, "rectify_quaternion", reject)
-        with pytest.raises(DegenerateConfiguration):
+        monkeypatch.setattr(solver_gen5 if generalized else solver_reg4, "extract_roots", tiny_roots)
+        with pytest.raises(DegenerateConfiguration, match="no usable rotation candidates"):
             solve(pairs, rotation_angle(truth.R))
 
 
