@@ -15,7 +15,6 @@ from .exceptions import (
     DocumentError,
     EigenFailure,
     EmptyCandidates,
-    NearZeroVector,
     NoCheiralSolution,
     NoHypothesis,
     RankDeficient,
@@ -65,7 +64,6 @@ __all__ = [
     "EigenFailure",
     "EmptyCandidates",
     "GyroSample",
-    "NearZeroVector",
     "NoCheiralSolution",
     "NoHypothesis",
     "PluckerPair",

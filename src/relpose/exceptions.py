@@ -13,10 +13,6 @@ class DegenerateInput(RelposeError):
     """Input correspondences are degenerate (coincident rays, rank collapse)."""
 
 
-class NearZeroVector(RelposeError):
-    """A vector is too short to define a direction."""
-
-
 class SkewDegenerate(RelposeError):
     """Two rays are parallel beyond tolerance and cannot be triangulated."""
 

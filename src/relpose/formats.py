@@ -8,7 +8,6 @@ runs to the end of the line.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -118,9 +117,9 @@ def parse_correspondence_document(text: str) -> CorrespondenceSet:
                 q1, m1 = q1 / n1, m1 / n1
             if fix2:
                 q2, m2 = q2 / n2, m2 / n2
-            if abs(q1 @ m1) > 1e-13:
+            if abs(q1 @ m1) > 1e-13 * max(1.0, np.linalg.norm(m1)):
                 m1 = m1 - (q1 @ m1) * q1
-            if abs(q2 @ m2) > 1e-13:
+            if abs(q2 @ m2) > 1e-13 * max(1.0, np.linalg.norm(m2)):
                 m2 = m2 - (q2 @ m2) * q2
             pairs.append(PluckerPair(q1=q1, q2=q2, m1=m1, m2=m2))
         else:
@@ -206,12 +205,13 @@ def emit_gyro_csv(samples: list[GyroSample]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Benchmark CSV columns in file order: the row kind, then record fields.
 # Timing is reported separately on stderr by the CLI: wall-clock values would
 # break the byte-for-byte determinism of the emitted CSV.
-_TRIAL_COLUMNS = (
-    "record,trial,theta_rad,rot_err,t_ang_err_deg,scale_rel_err,"
-    "root_count,n_poses,degenerate"
-)
+_TRIAL_COLUMNS = ("record", "trial", "theta_rad", "rot_err", "t_ang_err_deg", "scale_rel_err",
+                  "root_count", "n_poses", "degenerate")
+_RANSAC_COLUMNS = ("record", "trial", "rot_err", "t_ang_err_deg", "scale_rel_err",
+                   "inlier_count", "recall", "iterations", "no_hypothesis", "precision")
 
 
 def _cell(v) -> str:
@@ -222,95 +222,25 @@ def _cell(v) -> str:
     return str(v)
 
 
+def _table(columns: tuple[str, ...], rows: list[dict]) -> str:
+    """CSV text with a header line and one line per row; a column that a row
+    does not hold is left empty."""
+    lines = [",".join(columns)]
+    lines += [",".join(_cell(row[c]) if c in row else "" for c in columns) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def emit_trial_csv(records: list[TrialRecord], summary: dict) -> str:
-    buf = io.StringIO()
-    buf.write(_TRIAL_COLUMNS + "\n")
-    for r in records:
-        buf.write(
-            ",".join(
-                [
-                    "trial",
-                    str(r.trial),
-                    _cell(r.theta_rad),
-                    _cell(r.rot_err),
-                    _cell(r.t_ang_err_deg),
-                    _cell(r.scale_rel_err),
-                    str(r.root_count),
-                    str(r.n_poses),
-                    _cell(r.degenerate),
-                ]
-            )
-            + "\n"
-        )
-    for stat in ("lq", "median", "uq"):
-        buf.write(
-            ",".join(
-                [
-                    f"summary_{stat}",
-                    "",
-                    "",
-                    _cell(summary["rot_err"][stat]),
-                    _cell(summary["t_ang_err_deg"][stat]),
-                    _cell(summary["scale_rel_err"][stat]),
-                    "",
-                    "",
-                    "",
-                ]
-            )
-            + "\n"
-        )
-    buf.write(
-        ",".join(
-            ["summary_count", "", "", "", "", "", "", "",
-             _cell(summary["degenerate"]["count"])]
-        )
-        + "\n"
-    )
-    return buf.getvalue()
-
-
-_RANSAC_COLUMNS = (
-    "record,trial,rot_err,t_ang_err_deg,scale_rel_err,inlier_count,recall,"
-    "iterations,no_hypothesis,precision"
-)
+    rows = [{"record": "trial", **vars(r)} for r in records]
+    rows += [
+        {"record": f"summary_{stat}", **{m: s[stat] for m, s in summary.items() if stat in s}}
+        for stat in ("lq", "median", "uq", "count")
+    ]
+    return _table(_TRIAL_COLUMNS, rows)
 
 
 def emit_ransac_csv(records: list[RansacTrialRecord], summary: dict[str, float]) -> str:
-    buf = io.StringIO()
-    buf.write(_RANSAC_COLUMNS + "\n")
-    for r in records:
-        buf.write(
-            ",".join(
-                [
-                    "trial",
-                    str(r.trial),
-                    _cell(r.rot_err),
-                    _cell(r.t_ang_err_deg),
-                    _cell(r.scale_rel_err),
-                    str(r.inlier_count),
-                    _cell(r.recall),
-                    str(r.iterations),
-                    _cell(r.no_hypothesis),
-                    _cell(r.precision),
-                ]
-            )
-            + "\n"
-        )
-    buf.write(
-        ",".join(
-            [
-                "summary_mean",
-                "",
-                _cell(summary["mean_rot_err"]),
-                _cell(summary["mean_t_ang_err_deg"]),
-                _cell(summary["mean_scale_rel_err"]),
-                _cell(summary["mean_inlier_count"]),
-                _cell(summary["mean_recall"]),
-                _cell(summary["mean_iterations"]),
-                _cell(summary["no_hypothesis_rate"]),
-                _cell(summary["mean_precision"]),
-            ]
-        )
-        + "\n"
-    )
-    return buf.getvalue()
+    means = {m[len("mean_"):]: v for m, v in summary.items() if m.startswith("mean_")}
+    rows = [{"record": "trial", **vars(r)} for r in records]
+    rows.append({"record": "summary_mean", **means, "no_hypothesis": summary["no_hypothesis_rate"]})
+    return _table(_RANSAC_COLUMNS, rows)

@@ -118,7 +118,7 @@ def ransac_estimate(
             p_good = w**sample_size
             if p_good >= 1.0:
                 break
-            needed = math.log(1.0 - cfg.confidence) / math.log(1.0 - p_good)
+            needed = math.log(1.0 - cfg.confidence) / math.log1p(-p_good)
             if iterations >= needed:
                 break
     if best_pose is None:

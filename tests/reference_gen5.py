@@ -8,9 +8,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from reference_templates import ZERO_ANGLE_ROOTS, rectified_quaternions, rectify_quaternion
+from reference_templates import (
+    ZERO_ANGLE_ROOTS,
+    NearZeroVector,
+    rectified_quaternions,
+    rectify_quaternion,
+)
 from relpose import solver_gen5
-from relpose.exceptions import DegenerateConfiguration, NearZeroVector, ScaleUnobservable
+from relpose.exceptions import DegenerateConfiguration, ScaleUnobservable
 from relpose.gbsolver import GENERAL, degenerate_configuration
 from relpose.geom import (
     PluckerPair,

@@ -35,8 +35,8 @@ from relpose.exceptions import (
     DegenerateInput,
     DegreeOverflow,
     EigenFailure,
-    NearZeroVector,
     RankDeficient,
+    RelposeError,
     UnreachableMonomial,
 )
 from relpose import gbsolver
@@ -422,6 +422,11 @@ def extract_roots(pairs, qb) -> ExtractedRoots:
         n_dropped_at_infinity=n_inf,
         n_dropped_inconsistent=n_incons,
     )
+
+
+class NearZeroVector(RelposeError):
+    """A root too short to define a rotation axis; the package drops such
+    roots without raising."""
 
 
 # A zero rotation angle pins the quaternion to the identity.

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from relpose.cli import main
 from relpose.exceptions import DocumentError
 from relpose.geom import rotation_angle
 from relpose.imu import GyroSample
-from relpose.synth import SceneConfig, generate_scene
+from relpose.robust import RansacTrialRecord, summarize_ransac
+from relpose.synth import SceneConfig, TrialRecord, generate_scene, summarize
 
 
 @pytest.fixture
@@ -85,6 +87,24 @@ class TestCmdSolve:
         assert main(["solve", str(path)]) == 0
         out = capsys.readouterr().out
         assert "depths" in out
+
+    def test_ray_origins_far_from_the_frame_origin(self, generalized_doc, tmp_path, capsys):
+        # Moving every ray origin of both views by d keeps the correspondences
+        # consistent (with t' = t + d - R d); the moments grow to about |d|,
+        # and with them the rounding of q.m.
+        truth, pairs, theta, _ = generalized_doc
+        d = np.array([1e5, -5e4, 3e4])
+        shifted = [
+            SimpleNamespace(q1=p.q1, q2=p.q2, m1=np.cross(p.q1, np.cross(p.m1, p.q1) + d),
+                            m2=np.cross(p.q2, np.cross(p.m2, p.q2) + d))
+            for p in pairs
+        ]
+        text = formats.emit_correspondence_document("generalized", theta, shifted)
+        assert len(formats.parse_correspondence_document(text).pairs) == 5
+        path = tmp_path / "far.txt"
+        path.write_text(text)
+        assert main(["solve", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("solutions ")
 
     def test_three_pairs_is_validation_error(self, tmp_path, capsys):
         truth, pairs = generate_scene(SceneConfig(seed=2), 4)
@@ -217,6 +237,43 @@ class TestCmdRansacBench:
         assert code == 0
         summary = [l for l in out.read_text().splitlines() if l.startswith("summary_mean")][0]
         assert summary.split(",")[8] != ""  # no_hypothesis rate reported
+
+
+class TestBenchCsvLayout:
+    """Both benchmark CSVs byte for byte: column order, cell formats (bools as
+    0/1, NaN empty, ±inf, 17 digits) and the cells each summary row fills."""
+
+    def test_trial_csv(self):
+        records = [
+            TrialRecord(0, 0.1, 1e-10, 0.25, math.nan, 8, 2, False, 1.0),
+            TrialRecord(1, 1.25, 3e-10, 0.75, 0.125, 10, 3, False, 2.0),
+            TrialRecord(2, 2.5, math.inf, math.inf, -math.inf, 0, 0, True, 0.5),
+        ]
+        assert formats.emit_trial_csv(records, summarize(records)) == (
+            "record,trial,theta_rad,rot_err,t_ang_err_deg,scale_rel_err,root_count,n_poses,degenerate\n"
+            "trial,0,0.10000000000000001,1e-10,0.25,,8,2,0\n"
+            "trial,1,1.25,3e-10,0.75,0.125,10,3,0\n"
+            "trial,2,2.5,inf,inf,-inf,0,0,1\n"
+            "summary_lq,,,1.5e-10,0.375,0.125,,,\n"
+            "summary_median,,,2.0000000000000001e-10,0.5,0.125,,,\n"
+            "summary_uq,,,2.5000000000000002e-10,0.625,0.125,,,\n"
+            "summary_count,,,,,,,,1\n"
+        )
+
+    def test_ransac_csv(self):
+        records = [
+            RansacTrialRecord(0, 0.5, 2.0, math.nan, 37, 0.75, 1.0, 12, False, 3.0),
+            RansacTrialRecord(1, 0.25, 1.0, 0.1, 40, 1.0, 0.5, 7, False, 4.0),
+            RansacTrialRecord(2, math.inf, math.inf, -math.inf, 0, 0.0, 0.0, 0, True, 1.0),
+        ]
+        assert formats.emit_ransac_csv(records, summarize_ransac(records)) == (
+            "record,trial,rot_err,t_ang_err_deg,scale_rel_err,inlier_count,recall,iterations,"
+            "no_hypothesis,precision\n"
+            "trial,0,0.5,2,,37,0.75,12,0,1\n"
+            "trial,1,0.25,1,0.10000000000000001,40,1,7,0,0.5\n"
+            "trial,2,inf,inf,-inf,0,0,0,1,0\n"
+            "summary_mean,,0.375,1.5,0.10000000000000001,38.5,0.875,9.5,0.33333333333333331,0.75\n"
+        )
 
 
 class TestCmdImuAngle:

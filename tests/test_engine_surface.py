@@ -1,6 +1,8 @@
-"""Every public top-level name of the template engine, the geometry and the
-two solvers must be used by the package itself or exported in
-``relpose.__all__``: surface that only tests call belongs in ``tests/``."""
+"""Every public top-level name of the template engine, the geometry, the two
+solvers, the harnesses and the gyro integration must be used by the package
+itself or exported in ``relpose.__all__``, and every toolkit exception must be
+raised or caught by the package: surface that only tests use belongs in
+``tests/``."""
 
 import ast
 from pathlib import Path
@@ -10,7 +12,10 @@ import pytest
 import relpose
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "relpose"
-ENGINE = ("poly.py", "gbsolver.py", "geom.py", "solver_reg4.py", "solver_gen5.py")
+MODULES = (
+    "poly.py", "gbsolver.py", "geom.py", "solver_reg4.py", "solver_gen5.py",
+    "synth.py", "robust.py", "imu.py",
+)
 TREES = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(PACKAGE.glob("*.py"))}
 
 
@@ -50,7 +55,7 @@ def referenced_outside(module: str, name: str, definition: ast.AST) -> bool:
     )
 
 
-CASES = [(module, name, node) for module in ENGINE for name, node in public_definitions(TREES[module])]
+CASES = [(module, name, node) for module in MODULES for name, node in public_definitions(TREES[module])]
 
 
 @pytest.mark.parametrize("module,name,definition", CASES, ids=[f"{m}:{n}" for m, n, _ in CASES])
@@ -58,3 +63,37 @@ def test_public_name_is_used_by_the_package(module, name, definition):
     assert name in relpose.__all__ or referenced_outside(module, name, definition), (
         f"{module} defines {name}, which no package code uses and relpose does not export"
     )
+
+
+def handled_names(tree: ast.Module):
+    """Bare names in the ``raise`` statements and ``except`` clauses of ``tree``."""
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Raise):
+            expr = n.exc
+        elif isinstance(n, ast.ExceptHandler):
+            expr = n.type
+        else:
+            continue
+        if expr is not None:
+            yield from (x.id for x in ast.walk(expr) if isinstance(x, ast.Name))
+
+
+def raised_or_caught(name: str) -> bool:
+    """Whether a package module imports the exception ``name`` and raises or
+    catches it."""
+    return any(
+        name in handled_names(tree)
+        for fname, tree in TREES.items()
+        if fname not in ("__init__.py", "exceptions.py") and sees(tree, name, "exceptions.py")
+    )
+
+
+EXCEPTIONS = [
+    node.name for node in TREES["exceptions.py"].body
+    if isinstance(node, ast.ClassDef) and node.name != "RelposeError"
+]
+
+
+@pytest.mark.parametrize("name", EXCEPTIONS)
+def test_exception_is_raised_or_caught_by_the_package(name):
+    assert raised_or_caught(name), f"exceptions.py defines {name}, which no package code raises or catches"

@@ -215,6 +215,22 @@ class TestTypes:
         with pytest.raises(ValueError):
             PluckerPair(q, q, m1=np.array([0.0, 0.0, 0.5]), m2=np.zeros(3))
 
+    @pytest.mark.parametrize("scale", [1e2, 1e4, 1e5, 1e6])
+    def test_plucker_pair_incidence_is_relative_to_the_moment(self, scale):
+        # m = q x p rounds with an error that grows with |p|: every exactly
+        # incident line is accepted, an off-line moment of 1e-6 |m| is not.
+        rng = np.random.default_rng(int(scale))
+        qs = rng.normal(size=(300, 3))
+        qs /= np.linalg.norm(qs, axis=1, keepdims=True)
+        ps = rng.normal(size=(300, 3)) * scale
+        for q, p in zip(qs, ps):
+            m = np.cross(q, p)
+            PluckerPair(q, q, m1=m, m2=np.zeros(3))
+            with pytest.raises(ValueError, match="incidence"):
+                PluckerPair(q, q, m1=m + 1e-6 * np.linalg.norm(m) * q, m2=np.zeros(3))
+            with pytest.raises(ValueError, match="incidence"):
+                PluckerPair(q, q, m1=m, m2=np.array([scale, math.nan, 0.0]))
+
     def test_relative_pose_rejects_non_rotation(self):
         with pytest.raises(ValueError):
             RelativePose(np.eye(3) * 1.1, np.zeros(3), UnitQuaternion(1.0, np.zeros(3)))

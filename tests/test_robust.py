@@ -124,6 +124,20 @@ class TestRansacEstimate:
         slow = ransac_estimate(observed, theta, gen5_cfg(12), "gen5")
         assert_same_result(fast, slow)
 
+    def test_tiny_inlier_ratio_runs_to_the_iteration_cap(self, monkeypatch):
+        # With 1 inlier in 20 000, w**4 = 6.25e-18 and 1 - w**4 rounds to 1,
+        # so the stopping bound must not divide by log(1 - w**4) = 0.
+        n = 20_000
+        truth, pairs = generate_scene(SceneConfig(seed=7), 4)
+        errors = np.ones(n)
+        errors[17] = 0.0
+        monkeypatch.setattr(robust, "solve_4pt_angle", lambda subset, theta: [truth])
+        monkeypatch.setattr(robust, "sampson_errors", lambda R, t, q1, q2: errors)
+        cfg = RansacConfig(max_iterations=5, inlier_threshold=0.5, seed=0)
+        result = ransac_estimate(pairs[:1] * n, 0.5, cfg, "reg4")
+        assert result.iterations == 5
+        assert np.flatnonzero(result.inlier_mask).tolist() == [17]
+
     def test_trace_monotone(self):
         truth, pairs = generate_scene(SceneConfig(seed=5), 60)
         theta = rotation_angle(truth.R)
