@@ -4,11 +4,16 @@ The pipeline is generic over the generators: multiply them by a fixed set of
 monomials, reduce every product modulo the sphere constraint, stack the
 remainder-block coefficients into a template matrix, row-reduce it, read the
 quotient-ring basis off the non-pivot columns, build the multiplication
-matrix for gamma, and recover candidate roots from its eigenvectors.
+matrix for gamma, recover candidate roots from its eigenvectors, and polish
+every root with Gauss-Newton steps on the generators.
 
-Each minimal problem is one ``TemplateProblem``.  Each solver module keeps
-its own call sequence through these layers; the steps both run around it
-live here.
+Each minimal problem is one ``TemplateProblem``.  It carries a fixed pivot
+partition, so the row reduction is one LU solve; complete pivoting is the
+fallback the solvers take when that fails or yields an inconsistent root
+(``TemplateProblem.eliminations``).  Per-instance pivoting bought accuracy;
+polishing now supplies it.  ``residual_gate`` keeps only poses that satisfy
+their own sample.  Each solver module keeps its own call sequence through
+these layers; the steps both run around it live here.
 """
 
 from __future__ import annotations
@@ -42,6 +47,11 @@ PIVOT_TOL = 1e-10
 IMAG_TOL = 1e-6
 ROOT_TOL = 1e-6
 
+# A pose is returned only if every scaled residual it leaves on its own
+# sample (see ``residual_gate``) is at most this.  A rotation off by d
+# radians leaves residuals of about d, and a polished root about 1e-15.
+POSE_RESIDUAL_TOL = 1e-6
+
 # Below this norm a root carries no usable rotation axis.
 U_DIRECTION_EPS = 1e-10
 
@@ -57,6 +67,8 @@ class TemplateProblem:
     The template holds every generator times every monomial of
     ``multipliers``, plus the ``extra_rows`` (multiplier, generator index),
     reduced over the remainder block of degree ``target_degree``.
+    ``pivots`` is the fixed partition: one template column per row, derived
+    offline by ``tests/derive_partitions.py``.
     """
 
     sample_size: int
@@ -65,6 +77,7 @@ class TemplateProblem:
     target_degree: int
     template_shape: tuple[int, int]
     basis_size: int
+    pivots: tuple[int, ...]
 
     @cached_property
     def pivot_hints(self) -> dict:
@@ -76,6 +89,13 @@ class TemplateProblem:
             "protected_cols": frozenset(j for j, m in enumerate(rem) if m in ROOT_MONOMIALS),
             "eliminate_first": tuple(j for j, m in enumerate(rem) if sum(m) == self.target_degree),
         }
+
+    @cached_property
+    def eliminations(self) -> tuple[dict, dict]:
+        """``rref_conditioned`` keywords of the two elimination paths, in the
+        order the solvers try them: the fixed partition, then complete
+        pivoting."""
+        return {"pivots": self.pivots}, self.pivot_hints
 
     def prepare(self, pairs: list, theta: float, anchor: int) -> tuple[list, RotationConstraint]:
         """Check the sample size, relabel the pairs cyclically so that
@@ -95,6 +115,7 @@ REGULAR = TemplateProblem(
     target_degree=5,
     template_shape=(16, 36),
     basis_size=20,
+    pivots=(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 18, 20, 21, 26, 30),
 )
 
 # Generalized cameras, five Pluecker pairs: 44 solutions.
@@ -105,6 +126,10 @@ GENERAL = TemplateProblem(
     target_degree=8,
     template_shape=(37, 81),
     basis_size=44,
+    pivots=(
+        0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 20, 23, 24, 26, 34, 35, 36, 38,
+        39, 41, 42, 43, 44, 45, 47, 49, 51, 52, 53, 54,
+    ),
 )
 
 
@@ -144,6 +169,16 @@ def candidate_rotations(
     return [UnitQuaternion(c.sigma, v) for v in u], rotation_stack(c.sigma, u)
 
 
+def residual_gate(residuals: np.ndarray) -> np.ndarray:
+    """Indices of the poses whose ``(K, N)`` scaled residuals on their own
+    sample are all at most ``POSE_RESIDUAL_TOL``; raises
+    ``DegenerateConfiguration`` when there is none.  A NaN residual fails."""
+    keep = np.flatnonzero(np.max(np.abs(residuals), axis=1) <= POSE_RESIDUAL_TOL)
+    if not keep.size:
+        raise DegenerateConfiguration("no candidate pose satisfies its own sample")
+    return keep
+
+
 @dataclass(frozen=True, eq=False)
 class EliminationTemplate:
     """Reduced coefficient matrix over the remainder-block monomials."""
@@ -151,6 +186,18 @@ class EliminationTemplate:
     basis: GrevlexBasis
     matrix: np.ndarray
     row_labels: tuple[tuple[Monomial, int], ...]
+
+
+@lru_cache(maxsize=None)
+def _basis_of_width(width: int) -> GrevlexBasis:
+    """The monomial basis with ``width`` monomials: the basis of the
+    generators' degree."""
+    degree = 0
+    while grevlex_basis(degree).size < width:
+        degree += 1
+    if grevlex_basis(degree).size != width:
+        raise ValueError(f"{width} coefficients fit no monomial basis")
+    return grevlex_basis(degree)
 
 
 @lru_cache(maxsize=None)
@@ -192,13 +239,9 @@ def assemble_reduced_template(
     """
     basis = grevlex_basis(target_degree)
     n_generators, width = generators.shape
-    degree = 0
-    while grevlex_basis(degree).size < width:
-        degree += 1
-    if grevlex_basis(degree).size != width:
-        raise ValueError(f"{width} coefficients fit no monomial basis")
     labels, dest, src = _assembly_plan(
-        tuple(multipliers), tuple(extra_rows), n_generators, degree, target_degree
+        tuple(multipliers), tuple(extra_rows), n_generators, _basis_of_width(width).max_degree,
+        target_degree,
     )
     stack = np.zeros(basis.size * len(labels))
     stack[dest] = generators.ravel()[src]
@@ -212,22 +255,40 @@ def rref_conditioned(
     B: np.ndarray,
     protected_cols: frozenset[int] = frozenset(),
     eliminate_first: tuple[int, ...] = (),
+    pivots: tuple[int, ...] | None = None,
 ) -> tuple[np.ndarray, list[int]]:
-    """Gauss-Jordan reduction with conditioning-driven pivot columns.
+    """Gauss-Jordan reduction of the template: on a fixed partition, or with
+    conditioning-driven pivot columns.
 
-    Pivoting columns left to right would force the grevlex-largest
-    monomials to become pivots, and on the degree-8 generalized template that
-    pivot block is nearly singular (condition numbers around 1e7 on
-    benchmark-geometry data), which inflates the action matrix to norm ~1e5 and
-    ruins its eigenvectors.  This variant instead picks, at every step, the
-    remaining entry of largest magnitude (complete pivoting), which keeps the
-    reduced rows O(1).  ``eliminate_first`` columns are pivoted before all
-    others (the top-degree monomials must be pivots or multiplication by gamma
-    would leave the template), and ``protected_cols`` are never pivoted so the
-    root-reading monomials stay in the quotient basis.  Ties go to the first
-    maximum in row-major order over the remaining rows and the group's
-    columns, lowest column first, so the result is fully deterministic.
+    Given ``pivots``, one template column per row, the reduction is one LU
+    solve with the pivot block: row ``i`` of the result has a 1 in column
+    ``pivots[i]`` and 0 in the other pivot columns.  A singular or
+    non-finite solve raises ``RankDeficient``; a poorly conditioned one goes
+    unnoticed here, and the solvers catch it downstream.
+
+    Without ``pivots`` the reduction pivots the instance itself.  Pivoting
+    columns left to right would force the grevlex-largest monomials to
+    become pivots, and on the degree-8 generalized template that pivot block
+    is nearly singular (condition numbers around 1e7 on benchmark-geometry
+    data), which inflates the action matrix to norm ~1e5 and ruins its
+    eigenvectors.  So this path picks, at every step, the remaining entry of
+    largest magnitude (complete pivoting), which keeps the reduced rows
+    O(1), at the cost of one Python step per row.  ``eliminate_first``
+    columns are pivoted before all others (the top-degree monomials must be
+    pivots or multiplication by gamma would leave the template), and
+    ``protected_cols`` are never pivoted so the root-reading monomials stay
+    in the quotient basis.  Ties go to the first maximum in row-major order
+    over the remaining rows and the group's columns, lowest column first, so
+    the result is fully deterministic.
     """
+    if pivots is not None:
+        try:
+            A = np.linalg.solve(B[:, pivots], B)
+        except np.linalg.LinAlgError as exc:
+            raise RankDeficient(f"the fixed pivot block is singular: {exc}") from exc
+        if not np.isfinite(A).all():
+            raise RankDeficient("the fixed pivot block reduced to non-finite rows")
+        return A, list(pivots)
     A = np.array(B, dtype=float)
     n_rows, n_cols = A.shape
     scales = np.max(np.abs(A), axis=1).tolist()
@@ -279,12 +340,23 @@ class QuotientBasis:
 def quotient_basis_from_pivots(
     basis: GrevlexBasis, pivots: list[int], expected_size: int
 ) -> QuotientBasis:
-    """Non-pivot template columns as standard monomials, ascending grevlex."""
-    remainder = basis.remainder_monomials
+    """Non-pivot template columns as standard monomials, ascending grevlex.
+
+    Bases are cached by pivot set, so a fixed partition builds its basis
+    once; the cache is bounded because complete pivoting may choose a new
+    set on every instance.
+    """
+    return _quotient_basis(basis.max_degree, tuple(pivots), expected_size)
+
+
+@lru_cache(maxsize=64)
+def _quotient_basis(degree: int, pivots: tuple[int, ...], expected_size: int) -> QuotientBasis:
+    remainder = grevlex_basis(degree).remainder_monomials
     standard = np.ones(len(remainder), dtype=bool)
-    standard[pivots] = False
+    standard[list(pivots)] = False
     # The remainder block descends in grevlex, so its reverse ascends.
     cols = np.flatnonzero(standard)[::-1]
+    cols.setflags(write=False)
     monomials = tuple(remainder[j] for j in cols.tolist())
     index = {m: i for i, m in enumerate(monomials)}
     if len(monomials) != expected_size:
@@ -413,3 +485,87 @@ def extract_roots(pairs: list[tuple[float, np.ndarray]], qb: QuotientBasis) -> E
         n_dropped_at_infinity=int(at_infinity.sum()),
         n_dropped_inconsistent=int(inconsistent.sum()),
     )
+
+
+# Most Gauss-Newton steps of ``polish_roots``.  A root stops once its
+# squared residual is at rounding level or a step fails to lower it.
+POLISH_STEPS = 8
+POLISH_ROUNDING = 1e-28
+
+
+@lru_cache(maxsize=None)
+def _polish_tables(width: int) -> tuple[int, np.ndarray, ...]:
+    """Degree, power gather and differentiation tables of the basis with
+    ``width`` monomials.
+
+    Row ``v`` of ``powers`` picks the power of variable ``v`` of every
+    monomial out of a flat ``(3, degree + 1)`` table of powers.  The
+    coefficient at monomial ``m`` of the derivative by variable ``v`` is
+    ``factor[v, m]`` times the coefficient at ``source[v, m]``, which is ``m``
+    times that variable, or the zero column ``width`` beyond the basis.
+    ``sphere`` and ``one`` are the coefficient rows of ``alpha^2 + beta^2 +
+    gamma^2`` and of the monomial 1.
+    """
+    basis = _basis_of_width(width)
+    degree = basis.max_degree
+    powers = (basis.exponents + (degree + 1) * np.arange(3)).T.copy()
+    source = np.full((3, width), width)
+    factor = np.zeros((3, width))
+    for j, m in enumerate(basis.monomials):
+        for v in range(3):
+            up = m[:v] + (m[v] + 1,) + m[v + 1 :]
+            if up in basis.index:
+                source[v, j], factor[v, j] = basis.index[up], up[v]
+    sphere, one = np.zeros(width), np.zeros(width)
+    sphere[[basis.index[m] for m in ((2, 0, 0), (0, 2, 0), (0, 0, 2))]] = 1.0
+    one[basis.index[(0, 0, 0)]] = 1.0
+    return degree, powers, source, factor, sphere, one
+
+
+def polish_roots(generators: np.ndarray, roots: np.ndarray, c: RotationConstraint) -> np.ndarray:
+    """Gauss-Newton refinement of the ``(K, 3)`` roots, batched over K.
+
+    The equations are the generators, each row scaled by its largest
+    coefficient, plus the sphere constraint ``|u|^2 + tau = 0``.  One
+    coefficient matrix holds them and their partial derivatives, so each
+    step is one power table, one matmul for values and Jacobians and one
+    batched 3 x 3 solve of the normal equations.  A root takes a step only
+    where its squared residual falls, so polishing never moves a root away
+    from the variety.
+    """
+    if not len(roots):
+        return roots
+    degree, powers, source, factor, sphere, one = _polish_tables(generators.shape[1])
+    scaled = generators / np.max(np.abs(generators), axis=1, keepdims=True)
+    eqs = np.vstack([scaled, sphere + c.tau * one])
+    n_eq, width = eqs.shape
+    padded = np.hstack([eqs, np.zeros((n_eq, 1))])
+    coeffs = np.vstack([eqs, (padded[:, source] * factor).reshape(3 * n_eq, width)]).T
+    exponents = np.arange(degree + 1)
+
+    def evaluate(x):
+        table = (x[:, :, None] ** exponents).reshape(len(x), -1)[:, powers]
+        out = (table[:, 0] * table[:, 1] * table[:, 2]) @ coeffs
+        f = out[:, :n_eq]
+        return f, out[:, n_eq:].reshape(-1, n_eq, 3), stacked_dot(f, f)
+
+    x = roots.copy()
+    f, jac, cost = evaluate(x)
+    # Roots still moving: not yet at rounding level, and their last step helped.
+    live = np.flatnonzero(cost > POLISH_ROUNDING)
+    f, jac, cost = f[live], jac[live], cost[live]
+    for _ in range(POLISH_STEPS):
+        if not live.size:
+            break
+        jt = jac.transpose(0, 2, 1)
+        try:
+            step = np.linalg.solve(jt @ jac, jt @ f[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            break
+        x_new = x[live] - step
+        f_new, jac_new, cost_new = evaluate(x_new)
+        better = cost_new < cost
+        x[live[better]] = x_new[better]
+        go = better & (cost_new > POLISH_ROUNDING)
+        live, f, jac, cost = live[go], f_new[go], jac_new[go], cost_new[go]
+    return x

@@ -4,9 +4,11 @@ point-to-ray scoring function used by the robust estimator."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from .exceptions import ScaleUnobservable, SkewDegenerate
+from .exceptions import RelposeError, ScaleUnobservable, SkewDegenerate
 from .gbsolver import (
     GENERAL,
     assemble_reduced_template,
@@ -16,7 +18,9 @@ from .gbsolver import (
     degenerate_configuration,
     eigensolve_real,
     extract_roots,
+    polish_roots,
     quotient_basis_from_pivots,
+    residual_gate,
     rref_conditioned,
 )
 from .geom import PluckerPair, RelativePose, stacked_cross, stacked_dot
@@ -33,17 +37,28 @@ SCALE_COMPONENT_EPS = 1e-10
 
 
 def _rotation_candidates(pairs, c):
-    """Candidate quaternion vector parts from the elimination template."""
+    """Polished candidate quaternion vector parts from the elimination
+    template: on the fixed partition, or with complete pivoting where that
+    raises or yields an inconsistent root."""
+    generators = build_g_polynomials(pairs, c)
     template = assemble_reduced_template(
-        build_g_polynomials(pairs, c), GENERAL.multipliers, GENERAL.target_degree, c,
-        extra_rows=GENERAL.extra_rows,
+        generators, GENERAL.multipliers, GENERAL.target_degree, c, extra_rows=GENERAL.extra_rows
     )
     check_shape("template", template.matrix.shape, GENERAL.template_shape)
-    reduced, pivots = rref_conditioned(template.matrix, **GENERAL.pivot_hints)
-    qb = quotient_basis_from_pivots(template.basis, pivots, expected_size=GENERAL.basis_size)
-    action = build_action_matrix(reduced, pivots, template.basis, qb)
-    check_shape("action matrix", action.shape, (GENERAL.basis_size, GENERAL.basis_size))
-    return extract_roots(eigensolve_real(action), qb)
+    for last, hints in enumerate(GENERAL.eliminations):
+        try:
+            reduced, pivots = rref_conditioned(template.matrix, **hints)
+            qb = quotient_basis_from_pivots(template.basis, pivots, GENERAL.basis_size)
+            action = build_action_matrix(reduced, pivots, template.basis, qb)
+            check_shape("action matrix", action.shape, (GENERAL.basis_size, GENERAL.basis_size))
+            extracted = extract_roots(eigensolve_real(action), qb)
+        except RelposeError:
+            if last:
+                raise
+            continue
+        if last or not extracted.n_dropped_inconsistent:
+            break
+    return replace(extracted, roots=polish_roots(generators, extracted.roots, c))
 
 
 def _depth_rows(pairs: list[PluckerPair], Rs: np.ndarray) -> np.ndarray:
@@ -65,6 +80,19 @@ def _depth_rows(pairs: list[PluckerPair], Rs: np.ndarray) -> np.ndarray:
     b = bilinear(stacked_cross(pi.q2, q2), q1)
     w = bilinear(q2, stacked_cross(e1, q1) + m1) + bilinear(stacked_cross(e2, q2) + m2, q1)
     return np.stack([a, b, w], axis=-1)
+
+
+def _sample_residuals(pairs: list[PluckerPair], Rs: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """Generalized epipolar residuals ``-q2^T [t]x R q1 + q2^T R m1 + m2^T R
+    q1`` of each pose of the stack ``(Rs, T)`` on each pair, ``(K, N)``,
+    each over ``|t| + |m1| + |m2|`` so that it does not depend on the scale
+    of the rig."""
+    q1, q2, m1, m2 = (np.array([getattr(p, a) for p in pairs]) for a in ("q1", "q2", "m1", "m2"))
+    Rq1 = (Rs[:, None] @ q1[None, :, :, None])[..., 0]
+    Rm1 = (Rs[:, None] @ m1[None, :, :, None])[..., 0]
+    r = stacked_dot(q2, Rm1 - stacked_cross(T[:, None], Rq1)) + stacked_dot(m2, Rq1)
+    n1, n2 = (np.sqrt(stacked_dot(m, m)) for m in (m1, m2))
+    return r / (np.sqrt(stacked_dot(T, T))[:, None] + n1 + n2)
 
 
 def solve_gen5pt_angle(
@@ -99,6 +127,11 @@ def solve_gen5pt_angle(
     t2 = stacked_cross(anchor_pair.m2, anchor_pair.q2) + mu[:, None] * anchor_pair.q2
     # The stacked matmul rounds as the per-root R @ t1 does.
     T = t2 - (Rs[observable] @ t1[:, :, None])[..., 0]
+    if c.tau != 0.0 and observable.size:
+        # A zero angle fixes the rotation, so there the sample
+        # over-determines the pose.
+        keep = residual_gate(_sample_residuals(ordered, Rs[observable], T))
+        observable, T, lam, mu = observable[keep], T[keep], lam[keep], mu[keep]
     poses = [
         RelativePose(R=Rs[k], t=t, quat=quats[k], depths=(a, b), root_count=len(roots))
         for k, t, a, b in zip(observable.tolist(), T, lam.tolist(), mu.tolist())

@@ -6,7 +6,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import NoCheiralSolution
+from dataclasses import replace
+
+from .exceptions import NoCheiralSolution, RelposeError
 from .gbsolver import (
     REGULAR,
     assemble_reduced_template,
@@ -16,7 +18,9 @@ from .gbsolver import (
     degenerate_configuration,
     eigensolve_real,
     extract_roots,
+    polish_roots,
     quotient_basis_from_pivots,
+    residual_gate,
     rref_conditioned,
 )
 from .geom import BearingPair, RelativePose, cheiral_counts, skew, stacked_cross
@@ -28,16 +32,28 @@ LOW_PARALLAX_RATIO = 0.5
 
 
 def _rotation_candidates(pairs, c):
-    """Candidate quaternion vector parts from the elimination template."""
+    """Polished candidate quaternion vector parts from the elimination
+    template: on the fixed partition, or with complete pivoting where that
+    raises or yields an inconsistent root."""
+    generators = build_f_polynomials(pairs, c)
     template = assemble_reduced_template(
-        build_f_polynomials(pairs, c), REGULAR.multipliers, REGULAR.target_degree, c
+        generators, REGULAR.multipliers, REGULAR.target_degree, c
     )
     check_shape("template", template.matrix.shape, REGULAR.template_shape)
-    reduced, pivots = rref_conditioned(template.matrix, **REGULAR.pivot_hints)
-    qb = quotient_basis_from_pivots(template.basis, pivots, expected_size=REGULAR.basis_size)
-    action = build_action_matrix(reduced, pivots, template.basis, qb)
-    check_shape("action matrix", action.shape, (REGULAR.basis_size, REGULAR.basis_size))
-    return extract_roots(eigensolve_real(action), qb)
+    for last, hints in enumerate(REGULAR.eliminations):
+        try:
+            reduced, pivots = rref_conditioned(template.matrix, **hints)
+            qb = quotient_basis_from_pivots(template.basis, pivots, REGULAR.basis_size)
+            action = build_action_matrix(reduced, pivots, template.basis, qb)
+            check_shape("action matrix", action.shape, (REGULAR.basis_size, REGULAR.basis_size))
+            extracted = extract_roots(eigensolve_real(action), qb)
+        except RelposeError:
+            if last:
+                raise
+            continue
+        if last or not extracted.n_dropped_inconsistent:
+            break
+    return replace(extracted, roots=polish_roots(generators, extracted.roots, c))
 
 
 def solve_4pt_angle(
@@ -58,8 +74,16 @@ def solve_4pt_angle(
     q2 = np.array([p.q2 for p in ordered])
     # Rows cross(R q1_i, q2_i) for every root at once; the broadcast matmul
     # rounds as the per-root R @ q1_i does.
-    _, s, vt = np.linalg.svd(stacked_cross((Rs[:, None] @ q1[None, :, :, None])[..., 0], q2))
+    rows = stacked_cross((Rs[:, None] @ q1[None, :, :, None])[..., 0], q2)
+    _, s, vt = np.linalg.svd(rows)
     T = vt[:, -1]
+    if c.tau != 0.0:
+        # Each row dotted with the unit translation is the scaled epipolar
+        # residual q2^T [t]x R q1 of its pair.  A zero angle fixes the
+        # rotation, so there the sample over-determines the pose.
+        keep = residual_gate((rows @ T[:, :, None])[..., 0])
+        quats = [quats[k] for k in keep.tolist()]
+        Rs, T, s = Rs[keep], T[keep], s[keep]
     with np.errstate(divide="ignore", invalid="ignore"):
         low_parallax = (s[:, 1] == 0.0) | (s[:, 2] / s[:, 1] > LOW_PARALLAX_RATIO)
     pos, neg = cheiral_counts(Rs, T, q1, q2)

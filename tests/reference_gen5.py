@@ -1,7 +1,8 @@
 """Per-item loop versions of the generalized solver's array code, kept as
 oracles: the point-to-ray scorer that gathers its rays one pair at a time,
 depth recovery with one constraint stack and one SVD per root, and the
-solver with one moment norm per ray and one translation per root.  The
+solver with one moment norm per ray, one translation per root and one
+residual per pose and pair.  The
 inverse of a pose, which only tests use, also lives here."""
 
 from __future__ import annotations
@@ -16,11 +17,12 @@ from reference_templates import (
 )
 from relpose import solver_gen5
 from relpose.exceptions import DegenerateConfiguration, ScaleUnobservable
-from relpose.gbsolver import GENERAL, degenerate_configuration
+from relpose.gbsolver import GENERAL, POSE_RESIDUAL_TOL, degenerate_configuration
 from relpose.geom import (
     PluckerPair,
     RelativePose,
     UnitQuaternion,
+    generalized_epipolar_residual,
     quat_to_rotation,
     rotation_stack,
     stacked_cross,
@@ -118,6 +120,17 @@ def loop_depth_poses(ordered: list[PluckerPair], roots, c) -> list[RelativePose]
     return poses
 
 
+def passes_residual_gate(pose: RelativePose, pairs: list[PluckerPair]) -> bool:
+    """Every scaled generalized epipolar residual of the pose on the pairs
+    is at most ``POSE_RESIDUAL_TOL``, one pair at a time."""
+    return all(
+        abs(generalized_epipolar_residual(pose, p))
+        / (np.linalg.norm(pose.t) + np.linalg.norm(p.m1) + np.linalg.norm(p.m2))
+        <= POSE_RESIDUAL_TOL
+        for p in pairs
+    )
+
+
 def loop_solve_gen5pt_angle(pairs: list[PluckerPair], theta: float, anchor: int = 0):
     """``solve_gen5pt_angle`` with one ``np.linalg.norm`` per moment and the
     depths, translation and pose of each observable root built in a loop."""
@@ -159,4 +172,8 @@ def loop_solve_gen5pt_angle(pairs: list[PluckerPair], theta: float, anchor: int 
         )
     if not poses:
         raise ScaleUnobservable("translation scale is unobservable for every rotation candidate")
+    if c.tau != 0.0:
+        poses = [p for p in poses if passes_residual_gate(p, ordered)]
+        if not poses:
+            raise DegenerateConfiguration("no candidate pose satisfies its own sample")
     return poses

@@ -1,15 +1,22 @@
 """Per-item loop versions of the central solver's pose recovery, kept as
 oracles: midpoint triangulation of one ray pair, cheirality counting one pair
-at a time, and the per-root loop with one SVD and two counts per root."""
+at a time, and the per-root loop with one SVD, one residual gate and two
+counts per root."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from reference_templates import ZERO_ANGLE_ROOTS, rectified_quaternions
-from relpose.exceptions import NoCheiralSolution
-from relpose.gbsolver import REGULAR, degenerate_configuration
-from relpose.geom import PARALLEL_RAY_EPS, BearingPair, RelativePose, quat_to_rotation
+from relpose.exceptions import DegenerateConfiguration, NoCheiralSolution
+from relpose.gbsolver import POSE_RESIDUAL_TOL, REGULAR, degenerate_configuration
+from relpose.geom import (
+    PARALLEL_RAY_EPS,
+    BearingPair,
+    RelativePose,
+    essential_residual,
+    quat_to_rotation,
+)
 from relpose.solver_reg4 import LOW_PARALLAX_RATIO, _rotation_candidates
 
 
@@ -64,11 +71,17 @@ def loop_solve_4pt_angle(
     root_count = len(roots)
 
     poses: list[RelativePose] = []
+    n_gated = 0
     for quat in rectified_quaternions(roots, c):
         R = quat_to_rotation(quat)
         stack = np.array([np.cross(R @ p.q1, p.q2) for p in ordered])
         _, s, vt = np.linalg.svd(stack)
         t = vt[-1]
+        if c.tau != 0.0 and any(
+            not abs(essential_residual(R, t, p.q1, p.q2)) <= POSE_RESIDUAL_TOL for p in ordered
+        ):
+            continue
+        n_gated += 1
         low_parallax = s[1] == 0.0 or s[2] / s[1] > LOW_PARALLAX_RATIO
         n_pos, _ = triangulate_and_count_cheiral(R, t, ordered)
         n_neg, _ = triangulate_and_count_cheiral(R, -t, ordered)
@@ -90,6 +103,8 @@ def loop_solve_4pt_angle(
                     root_count=root_count,
                 )
             )
+    if not n_gated:
+        raise DegenerateConfiguration("no candidate pose satisfies its own sample")
     if not poses:
         raise NoCheiralSolution("no candidate places any point in front of both cameras")
     return poses

@@ -7,6 +7,7 @@ import pytest
 
 import relpose.solver_reg4 as solver_reg4
 from relpose.exceptions import DegenerateConfiguration, RelposeError
+from relpose.gbsolver import POSE_RESIDUAL_TOL
 from relpose.geom import (
     BearingPair,
     UnitQuaternion,
@@ -262,9 +263,9 @@ class TestBatchedPoseRecovery:
 
     @pytest.mark.parametrize("anchor", range(4))
     def test_matches_loop_reference_near_zero_baseline(self, anchor):
-        # At a 1e-8 baseline seed 17 is degenerate and seeds 18 and 19 return
-        # low-parallax poses.
-        low_parallax = 0
+        # At a 1e-8 baseline seed 17 is degenerate.  Seeds 18 and 19 have a
+        # root near the truth that is off by about 2.5e-3, whose pose would be
+        # flagged low-parallax; the residual gate drops it in both solvers.
         for seed in (17, 18, 19):
             truth, pairs = generate_scene(SceneConfig(seed=seed, baseline=1e-8), 4)
             theta = rotation_angle(truth.R)
@@ -272,8 +273,8 @@ class TestBatchedPoseRecovery:
             want = _poses_or_error(loop_solve_4pt_angle, pairs, theta, anchor=anchor)
             _assert_identical(got, want)
             if not isinstance(got, type):
-                low_parallax += sum(p.low_parallax for p in got)
-        assert low_parallax > 0
+                for p in got:
+                    assert max(abs(epipolar_residual(p, q)) for q in pairs) <= POSE_RESIDUAL_TOL
 
     @pytest.mark.parametrize("anchor", range(4))
     def test_matches_loop_reference_with_parallel_rays(self, anchor):
