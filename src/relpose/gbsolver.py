@@ -7,13 +7,14 @@ quotient-ring basis off the non-pivot columns, build the multiplication
 matrix for gamma, recover candidate roots from its eigenvectors, and polish
 every root with Gauss-Newton steps on the generators.
 
-Each minimal problem is one ``TemplateProblem``.  It carries a fixed pivot
-partition, so the row reduction is one LU solve; complete pivoting is the
-fallback the solvers take when that fails or yields an inconsistent root
-(``TemplateProblem.eliminations``).  Per-instance pivoting bought accuracy;
-polishing now supplies it.  ``residual_gate`` keeps only poses that satisfy
-their own sample.  Each solver module keeps its own call sequence through
-these layers; the steps both run around it live here.
+Each minimal problem is one ``TemplateProblem``.  It carries a short
+chain of committed pivot partitions, so there is one elimination
+algorithm, an LU solve on fixed data: a solver tries the next partition
+only where one raises or drops a root as inconsistent, and keeps the roots
+of the attempt that dropped the fewest.  Polishing supplies the accuracy
+that per-instance pivoting used to buy, and ``residual_gate`` keeps only
+poses that satisfy their own sample.  Each solver module keeps its own call
+sequence through these layers; the steps both run around it live here.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,7 +44,6 @@ from .geom import (
 )
 from .poly import GrevlexBasis, Monomial, grevlex_basis, reduce_columns_mod_h
 
-PIVOT_TOL = 1e-10
 IMAG_TOL = 1e-6
 ROOT_TOL = 1e-6
 
@@ -67,7 +67,8 @@ class TemplateProblem:
     The template holds every generator times every monomial of
     ``multipliers``, plus the ``extra_rows`` (multiplier, generator index),
     reduced over the remainder block of degree ``target_degree``.
-    ``pivots`` is the fixed partition: one template column per row, derived
+    ``partitions`` are the committed pivot partitions, each one template
+    column per row, in the order the solvers try them; they are derived
     offline by ``tests/derive_partitions.py``.
     """
 
@@ -77,25 +78,7 @@ class TemplateProblem:
     target_degree: int
     template_shape: tuple[int, int]
     basis_size: int
-    pivots: tuple[int, ...]
-
-    @cached_property
-    def pivot_hints(self) -> dict:
-        """``rref_conditioned`` keywords: the top-degree columns must be
-        pivots, or multiplying by gamma would leave the template, and the
-        root-reading columns must never be."""
-        rem = grevlex_basis(self.target_degree).remainder_monomials
-        return {
-            "protected_cols": frozenset(j for j, m in enumerate(rem) if m in ROOT_MONOMIALS),
-            "eliminate_first": tuple(j for j, m in enumerate(rem) if sum(m) == self.target_degree),
-        }
-
-    @cached_property
-    def eliminations(self) -> tuple[dict, dict]:
-        """``rref_conditioned`` keywords of the two elimination paths, in the
-        order the solvers try them: the fixed partition, then complete
-        pivoting."""
-        return {"pivots": self.pivots}, self.pivot_hints
+    partitions: tuple[tuple[int, ...], ...]
 
     def prepare(self, pairs: list, theta: float, anchor: int) -> tuple[list, RotationConstraint]:
         """Check the sample size, relabel the pairs cyclically so that
@@ -115,7 +98,10 @@ REGULAR = TemplateProblem(
     target_degree=5,
     template_shape=(16, 36),
     basis_size=20,
-    pivots=(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 18, 20, 21, 26, 30),
+    partitions=(
+        (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 18, 20, 21, 26, 30),
+        (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 13, 14, 15, 16, 19),
+    ),
 )
 
 # Generalized cameras, five Pluecker pairs: 44 solutions.
@@ -126,9 +112,15 @@ GENERAL = TemplateProblem(
     target_degree=8,
     template_shape=(37, 81),
     basis_size=44,
-    pivots=(
-        0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 20, 23, 24, 26, 34, 35, 36, 38,
-        39, 41, 42, 43, 44, 45, 47, 49, 51, 52, 53, 54,
+    partitions=(
+        (
+            0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 20, 23, 24, 26, 34, 35, 36,
+            38, 39, 41, 42, 43, 44, 45, 47, 49, 51, 52, 53, 54,
+        ),
+        (
+            0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 24, 25, 26, 36, 37, 38, 39,
+            42, 45, 46, 47, 48, 49, 50, 51, 52, 53, 58, 61, 63,
+        ),
     ),
 )
 
@@ -144,7 +136,9 @@ def degenerate_configuration():
     """Re-raise template failures as ``DegenerateConfiguration``."""
     try:
         yield
-    except (DegenerateInput, RankDeficient, BasisAnomaly, UnreachableMonomial) as exc:
+    except (
+        DegenerateInput, RankDeficient, BasisAnomaly, UnreachableMonomial, EigenFailure
+    ) as exc:
         raise DegenerateConfiguration(str(exc)) from exc
 
 
@@ -251,73 +245,23 @@ def assemble_reduced_template(
     return EliminationTemplate(basis=basis, matrix=matrix, row_labels=labels)
 
 
-def rref_conditioned(
-    B: np.ndarray,
-    protected_cols: frozenset[int] = frozenset(),
-    eliminate_first: tuple[int, ...] = (),
-    pivots: tuple[int, ...] | None = None,
-) -> tuple[np.ndarray, list[int]]:
-    """Gauss-Jordan reduction of the template: on a fixed partition, or with
-    conditioning-driven pivot columns.
+def rref_conditioned(B: np.ndarray, pivots: tuple[int, ...]) -> np.ndarray:
+    """Gauss-Jordan reduction of the template on a committed partition.
 
-    Given ``pivots``, one template column per row, the reduction is one LU
-    solve with the pivot block: row ``i`` of the result has a 1 in column
-    ``pivots[i]`` and 0 in the other pivot columns.  A singular or
+    ``pivots`` holds one template column per row; the reduction is one LU
+    solve with that pivot block, so row ``i`` of the result has a 1 in
+    column ``pivots[i]`` and 0 in the other pivot columns.  A singular or
     non-finite solve raises ``RankDeficient``; a poorly conditioned one goes
-    unnoticed here, and the solvers catch it downstream.
-
-    Without ``pivots`` the reduction pivots the instance itself.  Pivoting
-    columns left to right would force the grevlex-largest monomials to
-    become pivots, and on the degree-8 generalized template that pivot block
-    is nearly singular (condition numbers around 1e7 on benchmark-geometry
-    data), which inflates the action matrix to norm ~1e5 and ruins its
-    eigenvectors.  So this path picks, at every step, the remaining entry of
-    largest magnitude (complete pivoting), which keeps the reduced rows
-    O(1), at the cost of one Python step per row.  ``eliminate_first``
-    columns are pivoted before all others (the top-degree monomials must be
-    pivots or multiplication by gamma would leave the template), and
-    ``protected_cols`` are never pivoted so the root-reading monomials stay
-    in the quotient basis.  Ties go to the first maximum in row-major order
-    over the remaining rows and the group's columns, lowest column first, so
-    the result is fully deterministic.
+    unnoticed here, and the solvers catch it downstream.  The name is what
+    ``perfbench/spans.py`` traces as the ``gbsolver.rref`` layer.
     """
-    if pivots is not None:
-        try:
-            A = np.linalg.solve(B[:, pivots], B)
-        except np.linalg.LinAlgError as exc:
-            raise RankDeficient(f"the fixed pivot block is singular: {exc}") from exc
-        if not np.isfinite(A).all():
-            raise RankDeficient("the fixed pivot block reduced to non-finite rows")
-        return A, list(pivots)
-    A = np.array(B, dtype=float)
-    n_rows, n_cols = A.shape
-    scales = np.max(np.abs(A), axis=1).tolist()
-    pivots: list[int] = []
-    r = 0
-    rest = [c for c in range(n_cols) if c not in protected_cols and c not in eliminate_first]
-    for group in (eliminate_first, rest):
-        outside = np.ones(n_cols, dtype=bool)
-        outside[list(group)] = False
-        for _ in range(min(len(set(group)), n_rows - r)):
-            mag = np.abs(A[r:])
-            mag[:, outside] = -1.0
-            cand, col = divmod(int(np.argmax(mag)), n_cols)
-            cand += r
-            if scales[cand] == 0.0 or abs(A[cand, col]) <= PIVOT_TOL * scales[cand]:
-                break
-            # Row r moves to cand and takes the same rank-1 update there;
-            # its own copy is then overwritten by the normalized pivot row.
-            row = A[cand] / A[cand, col]
-            A[cand] = A[r]
-            scales[r], scales[cand] = scales[cand], scales[r]
-            A -= A[:, col, None] * row
-            A[r] = row
-            outside[col] = True
-            pivots.append(col)
-            r += 1
-    if r < n_rows:
-        raise RankDeficient(f"only {r} pivots found for {n_rows} rows")
-    return A, pivots
+    try:
+        A = np.linalg.solve(B[:, pivots], B)
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficient(f"the fixed pivot block is singular: {exc}") from exc
+    if not np.isfinite(A).all():
+        raise RankDeficient("the fixed pivot block reduced to non-finite rows")
+    return A
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,18 +282,16 @@ class QuotientBasis:
 
 
 def quotient_basis_from_pivots(
-    basis: GrevlexBasis, pivots: list[int], expected_size: int
+    basis: GrevlexBasis, pivots: tuple[int, ...], expected_size: int
 ) -> QuotientBasis:
     """Non-pivot template columns as standard monomials, ascending grevlex.
 
-    Bases are cached by pivot set, so a fixed partition builds its basis
-    once; the cache is bounded because complete pivoting may choose a new
-    set on every instance.
+    Bases are cached by partition; the solvers pass only committed ones.
     """
     return _quotient_basis(basis.max_degree, tuple(pivots), expected_size)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=None)
 def _quotient_basis(degree: int, pivots: tuple[int, ...], expected_size: int) -> QuotientBasis:
     remainder = grevlex_basis(degree).remainder_monomials
     standard = np.ones(len(remainder), dtype=bool)
@@ -386,7 +328,7 @@ def _gamma_shift(degree: int) -> np.ndarray:
 
 
 def build_action_matrix(
-    reduced: np.ndarray, pivots: list[int], basis: GrevlexBasis, qb: QuotientBasis
+    reduced: np.ndarray, pivots: tuple[int, ...], basis: GrevlexBasis, qb: QuotientBasis
 ) -> np.ndarray:
     """Multiplication-by-gamma matrix on the quotient-ring basis.
 
@@ -402,7 +344,7 @@ def build_action_matrix(
     position = np.full(n_cols + 1, -1)
     position[qb.template_cols] = np.arange(n)
     pivot_row = np.full(n_cols + 1, -1)
-    pivot_row[pivots] = np.arange(len(pivots))
+    pivot_row[list(pivots)] = np.arange(len(pivots))
     shifted = _gamma_shift(basis.max_degree)[qb.template_cols]
     unit, rows = position[shifted], pivot_row[shifted]
     bad = np.flatnonzero((unit < 0) & (rows < 0))

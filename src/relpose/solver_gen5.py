@@ -38,27 +38,35 @@ SCALE_COMPONENT_EPS = 1e-10
 
 def _rotation_candidates(pairs, c):
     """Polished candidate quaternion vector parts from the elimination
-    template: on the fixed partition, or with complete pivoting where that
-    raises or yields an inconsistent root."""
+    template.
+
+    The template is reduced on each committed partition in turn until one
+    neither raises nor drops a root as inconsistent.  The roots kept are
+    those of the first partition that dropped the fewest; where every
+    partition raises, so does this.
+    """
     generators = build_g_polynomials(pairs, c)
     template = assemble_reduced_template(
         generators, GENERAL.multipliers, GENERAL.target_degree, c, extra_rows=GENERAL.extra_rows
     )
     check_shape("template", template.matrix.shape, GENERAL.template_shape)
-    for last, hints in enumerate(GENERAL.eliminations):
+    kept = None
+    for k, pivots in enumerate(GENERAL.partitions):
         try:
-            reduced, pivots = rref_conditioned(template.matrix, **hints)
+            reduced = rref_conditioned(template.matrix, pivots)
             qb = quotient_basis_from_pivots(template.basis, pivots, GENERAL.basis_size)
             action = build_action_matrix(reduced, pivots, template.basis, qb)
             check_shape("action matrix", action.shape, (GENERAL.basis_size, GENERAL.basis_size))
             extracted = extract_roots(eigensolve_real(action), qb)
         except RelposeError:
-            if last:
+            if kept is None and k == len(GENERAL.partitions) - 1:
                 raise
             continue
-        if last or not extracted.n_dropped_inconsistent:
+        if kept is None or extracted.n_dropped_inconsistent < kept.n_dropped_inconsistent:
+            kept = extracted
+        if not kept.n_dropped_inconsistent:
             break
-    return replace(extracted, roots=polish_roots(generators, extracted.roots, c))
+    return replace(kept, roots=polish_roots(generators, kept.roots, c))
 
 
 def _depth_rows(pairs: list[PluckerPair], Rs: np.ndarray) -> np.ndarray:

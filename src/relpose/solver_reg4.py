@@ -33,27 +33,35 @@ LOW_PARALLAX_RATIO = 0.5
 
 def _rotation_candidates(pairs, c):
     """Polished candidate quaternion vector parts from the elimination
-    template: on the fixed partition, or with complete pivoting where that
-    raises or yields an inconsistent root."""
+    template.
+
+    The template is reduced on each committed partition in turn until one
+    neither raises nor drops a root as inconsistent.  The roots kept are
+    those of the first partition that dropped the fewest; where every
+    partition raises, so does this.
+    """
     generators = build_f_polynomials(pairs, c)
     template = assemble_reduced_template(
         generators, REGULAR.multipliers, REGULAR.target_degree, c
     )
     check_shape("template", template.matrix.shape, REGULAR.template_shape)
-    for last, hints in enumerate(REGULAR.eliminations):
+    kept = None
+    for k, pivots in enumerate(REGULAR.partitions):
         try:
-            reduced, pivots = rref_conditioned(template.matrix, **hints)
+            reduced = rref_conditioned(template.matrix, pivots)
             qb = quotient_basis_from_pivots(template.basis, pivots, REGULAR.basis_size)
             action = build_action_matrix(reduced, pivots, template.basis, qb)
             check_shape("action matrix", action.shape, (REGULAR.basis_size, REGULAR.basis_size))
             extracted = extract_roots(eigensolve_real(action), qb)
         except RelposeError:
-            if last:
+            if kept is None and k == len(REGULAR.partitions) - 1:
                 raise
             continue
-        if last or not extracted.n_dropped_inconsistent:
+        if kept is None or extracted.n_dropped_inconsistent < kept.n_dropped_inconsistent:
+            kept = extracted
+        if not kept.n_dropped_inconsistent:
             break
-    return replace(extracted, roots=polish_roots(generators, extracted.roots, c))
+    return replace(kept, roots=polish_roots(generators, kept.roots, c))
 
 
 def solve_4pt_angle(

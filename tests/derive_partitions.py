@@ -1,23 +1,40 @@
-"""Derive the fixed pivot partition of each minimal problem.
+"""Derive the committed pivot partitions of each minimal problem.
 
     PYTHONPATH=src python tests/derive_partitions.py
 
-prints the ``pivots`` tuple of ``REGULAR`` and of ``GENERAL`` as committed in
-``relpose/gbsolver.py``; ``tests/test_partitions.py`` checks that they agree.
+prints the ``partitions`` tuple of ``REGULAR`` and of ``GENERAL`` as
+committed in ``relpose/gbsolver.py``; ``tests/test_partitions.py`` checks
+that they agree.  The solvers try the partitions in order: the first, and
+the fallback where the first raises or drops a root as inconsistent.
 
-The candidates are the complete-pivoting partitions of a few noise-free
-``relpose.synth`` scenes, one per angle stratum.  Each candidate is scored
-on held-out scenes drawn from other seeds over the same strata, by running
-the fixed path alone (elimination on the candidate, action matrix, roots,
-polishing):
+A partition is scored on a set of scenes by running the elimination on it
+(LU solve on the partition, action matrix, roots, polishing):
 
-- a *fallback* is a scene where that path raises or drops a root as
-  inconsistent, so the solver would redo it with complete pivoting;
-- a *miss* is a scene where it returns roots but none within ``TRUTH_TOL``
-  of the true rotation, which no fallback would catch.
+- a *fallback* is a scene where it raises or drops a root as inconsistent,
+  so the solver would go on to the next partition;
+- a *miss* is a scene where no root within ``TRUTH_TOL`` of the true
+  rotation comes out and no later partition would run.  For the first
+  partition only the scenes it does not fall back on count.  For the
+  fallback every scene counts, and the roots are those the solvers keep of
+  the two attempts: the attempt that dropped fewer roots as inconsistent.
 
 The partition with the fewest misses wins, then the fewest fallbacks, then
-the first in candidate order, so the choice is deterministic.
+the first in candidate order, so the choice is deterministic.  Every scene
+is a noise-free ``relpose.synth`` scene, one per angle stratum and seed,
+and no two sets share a seed.
+
+- **First partition.**  The candidates are the complete-pivoting
+  partitions of a few scenes, scored on held-out scenes.
+- **Fallback partition.**  It is scored on the scenes of a larger pool on
+  which the first partition falls back.  The candidates are the
+  complete-pivoting partitions of those of them on which the first
+  partition also misses, then the candidates of the first partition, the
+  first partition itself left out.  (The complete-pivoting partitions of
+  every scored scene pick the same ``GENERAL`` fallback, at three times
+  the cost.)
+
+Complete pivoting is ``reference_templates.rref_conditioned``: the package
+eliminates only on committed partitions.
 """
 
 from __future__ import annotations
@@ -26,6 +43,7 @@ import math
 
 import numpy as np
 
+from reference_templates import pivot_hints, rref_conditioned as complete_pivoting
 from relpose.exceptions import RelposeError
 from relpose.gbsolver import (
     GENERAL,
@@ -46,6 +64,8 @@ from relpose.synth import SceneConfig, generate_scene
 THETAS_DEG = (5.0, 20.0, 40.0, 60.0, 90.0, 120.0, 150.0, 170.0)
 CANDIDATE_SEEDS = range(1)
 HELD_OUT_SEEDS = range(1000, 1012)
+# The fallback's pool.
+POOL_SEEDS = range(2000, 2100)
 # Frobenius distance of a recovered rotation from the truth that counts as found.
 TRUTH_TOL = 1e-6
 
@@ -71,51 +91,104 @@ def scenes(problem, seeds):
     return out
 
 
-def candidates(problem) -> list[tuple[int, ...]]:
-    """Distinct complete-pivoting partitions of the candidate scenes, sorted."""
+def eliminate(problem, pivots, tpl):
+    """Roots extracted on ``pivots``, or None where the elimination raises."""
+    try:
+        reduced = rref_conditioned(tpl.matrix, pivots)
+        qb = quotient_basis_from_pivots(tpl.basis, pivots, problem.basis_size)
+        action = build_action_matrix(reduced, pivots, tpl.basis, qb)
+        return extract_roots(eigensolve_real(action), qb)
+    except RelposeError:
+        return None
+
+
+def falls_back(extracted) -> bool:
+    return extracted is None or extracted.n_dropped_inconsistent > 0
+
+
+def kept(earlier, extracted):
+    """The roots the solvers keep of two attempts: those that dropped fewer
+    roots as inconsistent, the earlier on a tie."""
+    if extracted is None or (
+        earlier is not None and earlier.n_dropped_inconsistent <= extracted.n_dropped_inconsistent
+    ):
+        return earlier
+    return extracted
+
+
+def finds_truth(scene, extracted) -> bool:
+    """Whether a polished root of ``extracted`` is within ``TRUTH_TOL`` of the truth."""
+    c, R, gens, _ = scene
+    if extracted is None or not len(extracted.roots):
+        return False
+    roots = polish_roots(gens, extracted.roots, c)
+    u = roots * (math.sqrt(1.0 - c.sigma**2) / np.linalg.norm(roots, axis=1))[:, None]
+    return bool(np.min(np.linalg.norm(rotation_stack(c.sigma, u) - R, axis=(1, 2))) <= TRUTH_TOL)
+
+
+def complete_pivoting_partitions(problem, among) -> list[tuple[int, ...]]:
+    """Distinct sorted complete-pivoting partitions of the scenes ``among``."""
     found: list[tuple[int, ...]] = []
-    for _, _, _, tpl in scenes(problem, CANDIDATE_SEEDS):
-        pivots = tuple(sorted(rref_conditioned(tpl.matrix, **problem.pivot_hints)[1]))
+    for _, _, _, tpl in among:
+        try:
+            pivots = tuple(sorted(complete_pivoting(tpl.matrix, **pivot_hints(problem))[1]))
+        except RelposeError:
+            continue
         if pivots not in found:
             found.append(pivots)
     return found
 
 
-def score(problem, pivots: tuple[int, ...], held_out) -> tuple[int, int]:
-    """Misses and fallbacks of the fixed path on ``pivots`` over ``held_out``."""
-    misses = fallbacks = 0
-    for c, R, gens, tpl in held_out:
-        try:
-            reduced, piv = rref_conditioned(tpl.matrix, pivots=pivots)
-            qb = quotient_basis_from_pivots(tpl.basis, piv, problem.basis_size)
-            action = build_action_matrix(reduced, piv, tpl.basis, qb)
-            extracted = extract_roots(eigensolve_real(action), qb)
-        except RelposeError:
-            fallbacks += 1
-            continue
-        if extracted.n_dropped_inconsistent:
-            fallbacks += 1
-            continue
-        roots = polish_roots(gens, extracted.roots, c)
-        u = roots * (math.sqrt(1.0 - c.sigma**2) / np.linalg.norm(roots, axis=1))[:, None]
-        if not len(u) or np.min(np.linalg.norm(rotation_stack(c.sigma, u) - R, axis=(1, 2))) > TRUTH_TOL:
-            misses += 1
-    return misses, fallbacks
-
-
-def derive(problem, verbose: bool = False) -> tuple[int, ...]:
-    held_out = scenes(problem, HELD_OUT_SEEDS)
-    scored = [(score(problem, pivots, held_out), pivots) for pivots in candidates(problem)]
+def best(problem, candidates, among, earlier, verbose: bool):
+    """The candidate with the fewest misses, then fewest fallbacks, on the
+    scenes ``among``.  ``earlier`` holds what the partitions before it
+    extracted on each scene; without them the candidate is the first
+    partition, and a miss on a scene it falls back on does not count."""
+    last = earlier is not None
+    top = None
+    for pivots in candidates:
+        misses = fallbacks = 0
+        for scene, before in zip(among, earlier or [None] * len(among)):
+            extracted = eliminate(problem, pivots, scene[3])
+            fell_back = falls_back(extracted)
+            fallbacks += fell_back
+            if last or not fell_back:
+                misses += not finds_truth(scene, kept(before, extracted))
+            # Both counts only grow and ties go to the earlier candidate,
+            # so a candidate that reaches the leader's score cannot win.
+            if top is not None and (misses, fallbacks) >= top[0]:
+                break
+        else:
+            top = (misses, fallbacks), pivots
     if verbose:
-        for (misses, fallbacks), pivots in scored:
-            print(f"#   misses {misses:3d}  fallbacks {fallbacks:3d}  {pivots}")
-    # min keeps the first of equal scores.
-    return min(scored, key=lambda entry: entry[0])[1]
+        print(f"#   {len(candidates)} candidates on {len(among)} scenes; "
+              f"misses {top[0][0]}, fallbacks {top[0][1]}")
+    return top[1]
+
+
+def derive(problem, verbose: bool = False) -> tuple[tuple[int, ...], ...]:
+    """The first partition, then the fallback."""
+    first_candidates = complete_pivoting_partitions(problem, scenes(problem, CANDIDATE_SEEDS))
+    first = best(problem, first_candidates, scenes(problem, HELD_OUT_SEEDS), None, verbose)
+    training, earlier = [], []
+    for scene in scenes(problem, POOL_SEEDS):
+        extracted = eliminate(problem, first, scene[3])
+        if falls_back(extracted):
+            training.append(scene)
+            earlier.append(extracted)
+    missed = [s for s, e in zip(training, earlier) if not finds_truth(s, e)]
+    candidates = [
+        pivots
+        for pivots in dict.fromkeys(complete_pivoting_partitions(problem, missed)
+                                    + first_candidates)
+        if pivots != first
+    ]
+    return first, best(problem, candidates, training, earlier, verbose)
 
 
 def main() -> None:
     for name, problem in PROBLEMS.items():
-        print(f"# {name}: {len(THETAS_DEG) * len(HELD_OUT_SEEDS)} held-out scenes")
+        print(f"# {name}")
         print(f"{name} = {derive(problem, verbose=True)}")
 
 

@@ -9,8 +9,9 @@ the bilinear rotation form of one vector pair, the ``np.add.at`` coefficient
 convolution, the row-by-row reduction modulo the sphere constraint, the
 generators as per-matrix determinants, and the template as one reduced row
 per multiplier-generator product.  The batched path must reproduce these bit
-for bit.  ``rref_conditioned`` is the complete-pivoting reduction as a list
-search with fancy-indexed row swaps and updates, ``eigensolve_real`` tests and
+for bit.  ``rref_conditioned`` is complete pivoting, which the package no
+longer has: it is the oracle of the solvers' fallback and the candidate
+generator of ``derive_partitions.py``.  ``eigensolve_real`` tests and
 normalizes every eigenvalue in the loop, ``quotient_basis_from_pivots`` sorts
 the standard monomials by key, ``build_action_matrix`` looks every row up in
 dictionaries, ``extract_roots`` filters one eigenpair at a time against
@@ -42,7 +43,6 @@ from relpose.exceptions import (
 from relpose import gbsolver
 from relpose.gbsolver import (
     IMAG_TOL,
-    PIVOT_TOL,
     REGULAR,
     ROOT_MONOMIALS,
     ROOT_TOL,
@@ -53,6 +53,9 @@ from relpose.gbsolver import (
 )
 from relpose.geom import UnitQuaternion, _as_vec3
 from relpose.poly import COINCIDENT_RAY_EPS, GrevlexBasis, _mul_table, grevlex_basis, grevlex_key
+
+# A pivot is accepted only above this fraction of its row's incoming scale.
+PIVOT_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,10 +285,15 @@ def rref_conditioned(
 ) -> tuple[np.ndarray, list[int]]:
     """Complete-pivoting Gauss-Jordan reduction, one list search per step.
 
-    Each step searches the remaining rows over the group's columns in the
-    group's order, then swaps rows and updates every other row by fancy
-    indexing.  ``eliminate_first`` columns are pivoted before all others and
-    ``protected_cols`` are never pivoted.
+    Each step picks the remaining entry of largest magnitude over the
+    remaining rows and the group's columns, the first maximum in row-major
+    order with the group's columns in the group's order, then swaps rows
+    and updates every other row by fancy indexing.  ``eliminate_first``
+    columns are pivoted before all others and ``protected_cols`` are never
+    pivoted; ``pivot_hints`` gives the two that keep a minimal problem's
+    quotient basis usable.  The package eliminates only on committed
+    partitions; this is the oracle its fallback is checked against and the
+    candidate generator of ``derive_partitions.py``.
     """
     A = np.array(B, dtype=float)
     n_rows, n_cols = A.shape
@@ -321,6 +329,17 @@ def rref_conditioned(
     if r < n_rows:
         raise RankDeficient(f"only {r} pivots found for {n_rows} rows")
     return A, pivots
+
+
+def pivot_hints(problem) -> dict:
+    """``rref_conditioned`` keywords for a ``TemplateProblem``: the
+    top-degree columns must be pivots, or multiplying by gamma would leave
+    the template, and the root-reading columns must never be."""
+    rem = grevlex_basis(problem.target_degree).remainder_monomials
+    return {
+        "protected_cols": frozenset(j for j, m in enumerate(rem) if m in ROOT_MONOMIALS),
+        "eliminate_first": tuple(j for j, m in enumerate(rem) if sum(m) == problem.target_degree),
+    }
 
 
 def eigensolve_real(M: np.ndarray) -> list[tuple[float, np.ndarray]]:

@@ -24,7 +24,6 @@ from relpose.gbsolver import (
     eigensolve_real,
     extract_roots,
     quotient_basis_from_pivots,
-    rref_conditioned,
 )
 from relpose.imu import GyroSample, integrate_gyro
 from relpose.poly import build_f_polynomials, build_g_polynomials, grevlex_key, grevlex_basis
@@ -48,6 +47,7 @@ from reference_templates import (
     as_polynomials,
     f_determinant,
     reduce_mod_h,
+    rref_conditioned,
     schur_equivalence_check,
 )
 

@@ -19,6 +19,7 @@ from relpose.gbsolver import (
 from relpose.geom import quat_from_rotation, rotation_angle, sigma_from_angle
 from relpose.poly import build_f_polynomials, build_g_polynomials, grevlex_basis, grevlex_key
 from relpose.synth import SceneConfig, generate_scene
+import reference_templates as ref
 from reference_templates import (
     DensePolynomial,
     as_polynomials,
@@ -157,7 +158,33 @@ class TestRref:
 
 
 class TestRrefConditioned:
+    @pytest.mark.parametrize(
+        "problem, template",
+        [(REGULAR, regular_template), (GENERAL, general_template)],
+        ids=["regular", "general"],
+    )
+    def test_every_committed_partition_reduces_the_template(self, problem, template):
+        tpl, _, _ = template(1)
+        for pivots in problem.partitions:
+            red = rref_conditioned(tpl.matrix, pivots)
+            assert np.allclose(red[:, pivots], np.eye(len(pivots)), atol=1e-9)
+            # the reduced rows reproduce the template through the pivot block
+            assert np.max(np.abs(tpl.matrix[:, pivots] @ red - tpl.matrix)) < 1e-8
+
+    def test_singular_or_non_finite_block_raises(self):
+        tpl, _, _ = regular_template(4)
+        pivots = REGULAR.partitions[0]
+        bad = tpl.matrix.copy()
+        bad[7] = bad[3]
+        with pytest.raises(RankDeficient, match="singular"):
+            rref_conditioned(bad, pivots)
+        bad = tpl.matrix.copy()
+        bad[2, pivots[5]] = math.inf
+        with pytest.raises(RankDeficient, match="non-finite"):
+            rref_conditioned(bad, pivots)
+
     def test_row_space_preserved(self):
+        # Complete pivoting, the oracle of the solvers' fallback.
         tpl, _, _ = general_template(1)
         rem = tpl.basis.remainder_monomials
         top = tuple(j for j, m in enumerate(rem) if sum(m) == 8)
@@ -165,7 +192,7 @@ class TestRrefConditioned:
             j for j, m in enumerate(rem)
             if m in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
         )
-        red, piv = rref_conditioned(tpl.matrix, protected_cols=keep, eliminate_first=top)
+        red, piv = ref.rref_conditioned(tpl.matrix, protected_cols=keep, eliminate_first=top)
         assert len(piv) == 37
         assert set(piv).isdisjoint(keep)
         assert set(top) <= set(piv)
@@ -179,8 +206,11 @@ class TestRrefConditioned:
     )
     def test_determinism(self, problem, template):
         tpl, _, _ = template(2)
-        r1, p1 = rref_conditioned(tpl.matrix, **problem.pivot_hints)
-        r2, p2 = rref_conditioned(tpl.matrix, **problem.pivot_hints)
+        r1 = rref_conditioned(tpl.matrix, problem.partitions[0])
+        r2 = rref_conditioned(tpl.matrix, problem.partitions[0])
+        assert np.array_equal(r1, r2)
+        r1, p1 = ref.rref_conditioned(tpl.matrix, **ref.pivot_hints(problem))
+        r2, p2 = ref.rref_conditioned(tpl.matrix, **ref.pivot_hints(problem))
         assert np.array_equal(r1, r2) and p1 == p2
 
 

@@ -1,11 +1,12 @@
-"""The fixed pivot partitions committed on ``REGULAR`` and ``GENERAL``: each
-is a valid elimination of its template, and each is what
+"""The pivot partitions committed on ``REGULAR`` and ``GENERAL``: each is a
+valid elimination of its template, and together they are what
 ``derive_partitions.py`` derives."""
 
 import numpy as np
 import pytest
 
 import derive_partitions
+from reference_templates import pivot_hints
 from relpose.gbsolver import GENERAL, REGULAR, _gamma_shift, quotient_basis_from_pivots
 from relpose.poly import grevlex_basis
 
@@ -15,26 +16,30 @@ PROBLEMS = pytest.mark.parametrize("problem", [REGULAR, GENERAL], ids=["REGULAR"
 @PROBLEMS
 def test_one_distinct_template_column_per_row(problem):
     n_rows, n_cols = problem.template_shape
-    assert len(problem.pivots) == n_rows == len(set(problem.pivots))
-    assert all(0 <= j < n_cols for j in problem.pivots)
+    assert len(set(problem.partitions)) == len(problem.partitions)
+    for pivots in problem.partitions:
+        assert len(pivots) == n_rows == len(set(pivots))
+        assert all(0 <= j < n_cols for j in pivots)
 
 
 @PROBLEMS
 def test_respects_the_pivot_hints(problem):
-    hints = problem.pivot_hints
-    assert set(hints["eliminate_first"]) <= set(problem.pivots)
-    assert hints["protected_cols"].isdisjoint(problem.pivots)
+    hints = pivot_hints(problem)
+    for pivots in problem.partitions:
+        assert set(hints["eliminate_first"]) <= set(pivots)
+        assert hints["protected_cols"].isdisjoint(pivots)
 
 
 @PROBLEMS
 def test_multiplication_by_gamma_stays_in_the_template(problem):
     basis = grevlex_basis(problem.target_degree)
-    qb = quotient_basis_from_pivots(basis, list(problem.pivots), problem.basis_size)
-    # gamma times every standard monomial is a template column, and so
-    # either standard or the leading monomial of a pivot row.
-    assert np.all(_gamma_shift(problem.target_degree)[qb.template_cols] >= 0)
+    for pivots in problem.partitions:
+        qb = quotient_basis_from_pivots(basis, pivots, problem.basis_size)
+        # gamma times every standard monomial is a template column, and so
+        # either standard or the leading monomial of a pivot row.
+        assert np.all(_gamma_shift(problem.target_degree)[qb.template_cols] >= 0)
 
 
 @PROBLEMS
 def test_equals_the_derivation(problem):
-    assert derive_partitions.derive(problem) == problem.pivots
+    assert derive_partitions.derive(problem) == problem.partitions

@@ -1,13 +1,22 @@
 """Root polishing, the residual gate on returned poses, and the fallback
-from the fixed partition to complete pivoting, for both solvers."""
+from the first committed partition to the next, for both solvers."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import reference_templates as ref
 import relpose.solver_gen5 as solver_gen5
 import relpose.solver_reg4 as solver_reg4
-from relpose.exceptions import DegenerateConfiguration, RankDeficient
-from relpose.gbsolver import POSE_RESIDUAL_TOL, polish_roots
+from relpose.exceptions import DegenerateConfiguration, EigenFailure
+from relpose.gbsolver import (
+    GENERAL,
+    POSE_RESIDUAL_TOL,
+    REGULAR,
+    assemble_reduced_template,
+    polish_roots,
+)
 from relpose.geom import (
     epipolar_residual,
     generalized_epipolar_residual,
@@ -19,15 +28,24 @@ from relpose.synth import SceneConfig, generate_scene
 SOLVERS = pytest.mark.parametrize("solver", ["reg4", "gen5"])
 
 
-def instance(solver, seed=0, **cfg):
-    """Module, solve function, pairs and angle of a noise-free scene."""
+def truth_and_pairs(solver, seed=0, **cfg):
+    """True pose and pairs of a noise-free scene."""
     generalized = solver == "gen5"
-    truth, pairs = generate_scene(
+    return generate_scene(
         SceneConfig(seed=seed, generalized=generalized, **cfg), 5 if generalized else 4
     )
-    module = solver_gen5 if generalized else solver_reg4
-    solve = module.solve_gen5pt_angle if generalized else module.solve_4pt_angle
+
+
+def instance(solver, seed=0, **cfg):
+    """Module, solve function, pairs and angle of a noise-free scene."""
+    truth, pairs = truth_and_pairs(solver, seed, **cfg)
+    module = solver_gen5 if solver == "gen5" else solver_reg4
+    solve = module.solve_gen5pt_angle if solver == "gen5" else module.solve_4pt_angle
     return module, solve, pairs, rotation_angle(truth.R)
+
+
+def finds(poses, truth) -> bool:
+    return min(np.linalg.norm(p.R - truth.R) for p in poses) <= 1e-6
 
 
 def scaled_residual(pose, pair) -> float:
@@ -93,59 +111,152 @@ class TestResidualGate:
             solve(pairs, theta)
 
 
-def spy_on_elimination(monkeypatch, module, disable_fixed=False):
-    """Record the keywords of every ``rref_conditioned`` call; optionally
-    make the fixed partition raise, so the solver takes complete pivoting."""
+def spy_on_elimination(monkeypatch, module):
+    """Record the partition of every ``rref_conditioned`` call."""
     calls = []
     original = module.rref_conditioned
 
-    def spy(B, **kwargs):
-        calls.append(set(kwargs))
-        if disable_fixed and "pivots" in kwargs:
-            raise RankDeficient("fixed partition disabled")
-        return original(B, **kwargs)
+    def spy(B, pivots):
+        calls.append(pivots)
+        return original(B, pivots)
 
     monkeypatch.setattr(module, "rref_conditioned", spy)
     return calls
 
 
+def template_problem(module):
+    return ("GENERAL", GENERAL) if module is solver_gen5 else ("REGULAR", REGULAR)
+
+
+def complete_pivoting_poses(monkeypatch, module, solve, pairs, theta):
+    """The poses of a solve whose only elimination is the oracle's complete
+    pivoting, with the partition it picks on this input."""
+    name, problem = template_problem(module)
+    gens, c = generators(module, pairs, theta)
+    tpl = assemble_reduced_template(
+        gens, problem.multipliers, problem.target_degree, c, extra_rows=problem.extra_rows
+    )
+    hints = ref.pivot_hints(problem)
+    _, pivots = ref.rref_conditioned(tpl.matrix, **hints)
+    with monkeypatch.context() as m:
+        m.setattr(module, name, replace(problem, partitions=(tuple(pivots),)))
+        m.setattr(module, "rref_conditioned", lambda B, _: ref.rref_conditioned(B, **hints)[0])
+        return solve(pairs, theta)
+
+
+def failing_eig(monkeypatch, module, n_failures):
+    """Make the first ``n_failures`` eigensolves of ``module`` raise."""
+    calls = []
+    original = module.eigensolve_real
+
+    def eig(M):
+        calls.append(1)
+        if len(calls) <= n_failures:
+            raise EigenFailure("eigendecomposition did not converge")
+        return original(M)
+
+    monkeypatch.setattr(module, "eigensolve_real", eig)
+    return calls
+
+
 class TestFallback:
     @SOLVERS
-    def test_typical_input_takes_the_fixed_partition_only(self, monkeypatch, solver):
-        # Complete pivoting runs only after the fixed partition, and on the
+    def test_typical_input_takes_the_first_partition_only(self, monkeypatch, solver):
+        # The fallback runs only after the first partition, and on the
         # default synth scenes (5 to 60 degrees) on at most 2 inputs in 20.
-        fixed_only = 0
+        first_only = 0
         for seed in range(20):
             module, solve, pairs, theta = instance(solver, seed=seed)
+            partitions = template_problem(module)[1].partitions
             with monkeypatch.context() as m:
                 calls = spy_on_elimination(m, module)
                 solve(pairs, theta)
-            assert calls[0] == {"pivots"}
-            assert calls[1:] in ([], [{"protected_cols", "eliminate_first"}])
-            fixed_only += len(calls) == 1
-        assert fixed_only >= 18
+            assert calls == list(partitions[: len(calls)])
+            first_only += len(calls) == 1
+        assert first_only >= 18
 
     @SOLVERS
-    def test_fallback_matches_complete_pivoting(self, monkeypatch, solver):
-        # The first synth seed at 170 degrees whose fixed path drops a root
-        # as inconsistent, so the solver redoes the template.
+    def test_fallback_agrees_with_complete_pivoting(self, monkeypatch, solver):
+        # The first synth seed at 170 degrees on which the first partition
+        # drops a root as inconsistent, so the solver tries the fallback, and
+        # on which complete pivoting finds the truth (at seed 0 gen5 neither
+        # path does).
         for seed in range(200):
-            module, solve, pairs, theta = instance(solver, seed=seed, theta_rad=np.radians(170.0))
+            cfg = {"theta_rad": np.radians(170.0)}
+            module, solve, pairs, theta = instance(solver, seed, **cfg)
             with monkeypatch.context() as m:
                 calls = spy_on_elimination(m, module)
                 try:
                     poses = solve(pairs, theta)
                 except DegenerateConfiguration:
                     continue
-            if len(calls) == 2:
+            if len(calls) < 2:
+                continue
+            truth, _ = truth_and_pairs(solver, seed, **cfg)
+            oracle = complete_pivoting_poses(monkeypatch, module, solve, pairs, theta)
+            if finds(oracle, truth):
                 break
         else:
-            pytest.fail("no input in range fell back to complete pivoting")
-        assert calls == [{"pivots"}, {"protected_cols", "eliminate_first"}]
+            pytest.fail("no input in range fell back")
+        assert calls == list(template_problem(module)[1].partitions)
+        assert finds(poses, truth)
+        # Every pose is, to 1e-9, one that complete pivoting returns too, or
+        # an exact solution of the sample that complete pivoting lost.
+        lost = 0
+        for got in poses:
+            nearest = min(
+                max(np.max(np.abs(got.R - want.R)),
+                    np.max(np.abs(got.t - want.t)) / max(1.0, np.linalg.norm(want.t)))
+                for want in oracle
+            )
+            if nearest > 1e-9:
+                assert max(scaled_residual(got, q) for q in pairs) <= 1e-12
+                lost += 1
+        assert lost <= 1
+
+    @SOLVERS
+    @pytest.mark.parametrize(
+        "dropped, kept_first", [(2, True), (1, True), (0, False), ("raises", True)]
+    )
+    def test_keeps_the_attempt_that_dropped_fewer(self, monkeypatch, solver, dropped, kept_first):
+        # The first partition keeps one root and drops one as inconsistent;
+        # the fallback keeps all its roots and drops ``dropped``, or raises.
+        # Its roots replace the first's only where it dropped fewer.
+        module, _, pairs, theta = instance(solver, seed=6)
+        original = module.extract_roots
+        extracted = []
+
+        def extract(eigenpairs, qb):
+            out = original(eigenpairs, qb)
+            extracted.append(out)
+            if len(extracted) == 1:
+                return replace(out, roots=out.roots[:1], n_dropped_inconsistent=1)
+            if dropped == "raises":
+                raise EigenFailure("eigendecomposition did not converge")
+            return replace(out, n_dropped_inconsistent=dropped)
+
+        monkeypatch.setattr(module, "extract_roots", extract)
+        roots = module._rotation_candidates(pairs, sigma_from_angle(theta)).roots
+        assert len(extracted) == 2 and len(extracted[1].roots) > 1
+        assert len(roots) == (1 if kept_first else len(extracted[1].roots))
+
+    @SOLVERS
+    def test_eig_failure_on_every_partition_is_degenerate(self, monkeypatch, solver):
+        module, solve, pairs, theta = instance(solver, seed=5)
+        n_partitions = len(template_problem(module)[1].partitions)
+        calls = failing_eig(monkeypatch, module, n_failures=n_partitions)
+        with pytest.raises(DegenerateConfiguration) as info:
+            solve(pairs, theta)
+        assert isinstance(info.value.__cause__, EigenFailure)
+        assert len(calls) == n_partitions
+
+    @SOLVERS
+    def test_eig_failure_on_the_first_partition_falls_back(self, monkeypatch, solver):
+        module, solve, pairs, theta = instance(solver, seed=5)
+        truth, _ = truth_and_pairs(solver, seed=5)
         with monkeypatch.context() as m:
-            spy_on_elimination(m, module, disable_fixed=True)
-            conditioned = solve(pairs, theta)
-        assert len(poses) == len(conditioned)
-        for got, want in zip(poses, conditioned):
-            assert np.max(np.abs(got.R - want.R)) <= 1e-9
-            assert np.max(np.abs(got.t - want.t)) <= 1e-9 * max(1.0, np.linalg.norm(want.t))
+            elimination = spy_on_elimination(m, module)
+            failing_eig(m, module, n_failures=1)
+            poses = solve(pairs, theta)
+        assert elimination == list(template_problem(module)[1].partitions[:2])
+        assert finds(poses, truth)
