@@ -13,8 +13,13 @@ algorithm, an LU solve on fixed data: a solver tries the next partition
 only where one raises or drops a root as inconsistent, and keeps the roots
 of the attempt that dropped the fewest.  Polishing supplies the accuracy
 that per-instance pivoting used to buy, and ``residual_gate`` keeps only
-poses that satisfy their own sample.  Each solver module keeps its own call
-sequence through these layers; the steps both run around it live here.
+poses that satisfy their own sample.
+
+Every layer takes a stack of samples, one per leading index, so that RANSAC
+solves the samples of a round at once; a single solve is the stack of one.
+A sample that fails fails alone: ``rotation_roots`` records its error and
+solves the rest.  The solvers call every layer through their own module
+attributes, where ``perfbench/spans.py`` traces them.
 """
 
 from __future__ import annotations
@@ -33,15 +38,10 @@ from .exceptions import (
     DegreeOverflow,
     EigenFailure,
     RankDeficient,
+    RelposeError,
     UnreachableMonomial,
 )
-from .geom import (
-    RotationConstraint,
-    UnitQuaternion,
-    rotation_stack,
-    sigma_from_angle,
-    stacked_dot,
-)
+from .geom import RotationConstraint, sigma_from_angle, stacked_dot
 from .poly import GrevlexBasis, Monomial, grevlex_basis, reduce_columns_mod_h
 
 IMAG_TOL = 1e-6
@@ -83,11 +83,32 @@ class TemplateProblem:
     def prepare(self, pairs: list, theta: float, anchor: int) -> tuple[list, RotationConstraint]:
         """Check the sample size, relabel the pairs cyclically so that
         ``pairs[anchor]`` comes first, and fix the sphere constraint."""
+        ordered, _, c = self.sample_stack(pairs, theta, anchor, None)
+        return ordered, c
+
+    def sample_stack(
+        self, pairs: list, theta: float, anchor: int, samples
+    ) -> tuple[list, int, RotationConstraint]:
+        """The pairs of every sample, sample after sample, the number of
+        samples, and the sphere constraint.
+
+        Without ``samples`` the pairs are one sample and must number exactly
+        ``sample_size``; otherwise ``samples`` is a ``(B, sample_size)``
+        index array into them.  Each sample is relabelled cyclically so that
+        its ``anchor``-th pair comes first.
+        """
         n = self.sample_size
-        if len(pairs) != n:
-            raise ValueError(f"exactly {n} correspondences required, got {len(pairs)}")
+        if samples is None:
+            if len(pairs) != n:
+                raise ValueError(f"exactly {n} correspondences required, got {len(pairs)}")
+            c = sigma_from_angle(theta)
+            return list(pairs[anchor % n :]) + list(pairs[: anchor % n]), 1, c
+        samples = np.asarray(samples)
+        if samples.ndim != 2 or samples.shape[1] != n:
+            raise ValueError(f"samples must be a (B, {n}) index array, got shape {samples.shape}")
         c = sigma_from_angle(theta)
-        return list(pairs[anchor % n :]) + list(pairs[: anchor % n]), c
+        order = (np.arange(n) + anchor) % n
+        return [pairs[i] for i in samples[:, order].ravel().tolist()], len(samples), c
 
 
 # Central cameras, four bearing pairs: 20 solutions.
@@ -131,46 +152,55 @@ def check_shape(what: str, shape: tuple[int, ...], expected: tuple[int, ...]) ->
         raise BasisAnomaly(f"{what} has shape {shape}, expected {expected}")
 
 
-@contextmanager
-def degenerate_configuration():
-    """Re-raise template failures as ``DegenerateConfiguration``."""
-    try:
-        yield
-    except (
-        DegenerateInput, RankDeficient, BasisAnomaly, UnreachableMonomial, EigenFailure
-    ) as exc:
-        raise DegenerateConfiguration(str(exc)) from exc
+_TEMPLATE_FAILURES = (
+    DegenerateInput, RankDeficient, BasisAnomaly, UnreachableMonomial, EigenFailure
+)
 
 
-def candidate_rotations(
-    roots: np.ndarray, c: RotationConstraint
-) -> tuple[list[UnitQuaternion], np.ndarray]:
-    """Quaternions and ``(K, 3, 3)`` rotation stack of the ``(K, 3)`` roots
-    that carry a usable rotation axis, each rescaled onto the sphere
-    ``|u| = sqrt(1 - sigma^2)``; raises ``DegenerateConfiguration`` when
-    none does.  A zero angle pins every root to the identity."""
+def as_degenerate(exc: RelposeError) -> RelposeError:
+    """A template failure as the ``DegenerateConfiguration`` it causes; any
+    other error as it is."""
+    if not isinstance(exc, _TEMPLATE_FAILURES):
+        return exc
+    out = DegenerateConfiguration(str(exc))
+    out.__cause__ = exc
+    return out
+
+
+def rescaled_roots(roots: np.ndarray, c: RotationConstraint) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the ``(K, 3)`` roots that carry a usable rotation axis, and
+    their quaternion vector parts: each such root rescaled onto the sphere
+    ``|u| = sqrt(1 - sigma^2)``.  A zero angle pins every root to the
+    identity."""
     if c.tau == 0.0:
-        u = np.zeros_like(roots)
-    else:
-        # The stacked dot rounds as ``np.linalg.norm`` of each row does.  A
-        # NaN norm passes the drop test, so a NaN root fails the
-        # ``UnitQuaternion`` check instead of vanishing.
-        n = np.sqrt(stacked_dot(roots, roots))
-        keep = ~(n <= U_DIRECTION_EPS)
-        u = (math.sqrt(1.0 - c.sigma * c.sigma) / n[keep])[:, None] * roots[keep]
-    if not len(u):
-        raise DegenerateConfiguration("no usable rotation candidates survived filtering")
-    return [UnitQuaternion(c.sigma, v) for v in u], rotation_stack(c.sigma, u)
+        return np.arange(len(roots)), np.zeros_like(roots)
+    # The stacked dot rounds as ``np.linalg.norm`` of each row does.  A NaN
+    # norm passes the drop test, so a NaN root fails the unit-quaternion
+    # check instead of vanishing.
+    n = np.sqrt(stacked_dot(roots, roots))
+    keep = np.flatnonzero(~(n <= U_DIRECTION_EPS))
+    return keep, (math.sqrt(1.0 - c.sigma * c.sigma) / n[keep])[:, None] * roots[keep]
 
 
 def residual_gate(residuals: np.ndarray) -> np.ndarray:
-    """Indices of the poses whose ``(K, N)`` scaled residuals on their own
-    sample are all at most ``POSE_RESIDUAL_TOL``; raises
-    ``DegenerateConfiguration`` when there is none.  A NaN residual fails."""
-    keep = np.flatnonzero(np.max(np.abs(residuals), axis=1) <= POSE_RESIDUAL_TOL)
-    if not keep.size:
-        raise DegenerateConfiguration("no candidate pose satisfies its own sample")
-    return keep
+    """Which poses have ``(K, N)`` scaled residuals on their own sample that
+    are all at most ``POSE_RESIDUAL_TOL``.  A NaN residual fails."""
+    return np.max(np.abs(residuals), axis=1) <= POSE_RESIDUAL_TOL
+
+
+def unsolved(n: int, sample: np.ndarray, errors: dict) -> list[int]:
+    """The samples of ``range(n)`` with no error yet and no candidate row
+    left in ``sample``."""
+    return sorted(set(range(n)).difference(sample.tolist(), errors))
+
+
+@contextmanager
+def recorded(errors: dict, samples: list[int]):
+    """Record the error raised in the block as the error of each of ``samples``."""
+    try:
+        yield
+    except RelposeError as exc:
+        errors.update(dict.fromkeys(samples, exc))
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,17 +234,20 @@ def _assembly_plan(multipliers, extra_rows, n_generators: int, degree: int, targ
     """
     basis = grevlex_basis(target_degree)
     labels = tuple((m, gi) for m in multipliers for gi in range(n_generators)) + extra_rows
-    monomials = grevlex_basis(degree).monomials
-    dest, src = [], []
-    for row, (m, gi) in enumerate(labels):
+    for m, _ in labels:
         if sum(m) + degree > target_degree:
             raise DegreeOverflow(
                 f"multiplier {m} on a degree-{degree} generator exceeds degree {target_degree}"
             )
-        for k, e in enumerate(monomials):
-            dest.append(basis.index[(m[0] + e[0], m[1] + e[1], m[2] + e[2])] * len(labels) + row)
-            src.append(gi * len(monomials) + k)
-    return labels, np.array(dest, dtype=np.int64), np.array(src, dtype=np.int64)
+    # Basis position of every exponent triple, and every product's triple.
+    position = np.zeros((target_degree + 1,) * 3, dtype=np.int64)
+    position[tuple(basis.exponents.T)] = np.arange(basis.size)
+    exponents = grevlex_basis(degree).exponents
+    products = np.array([m for m, _ in labels])[:, None, :] + exponents
+    rows = np.arange(len(labels))[:, None]
+    dest = position[tuple(np.moveaxis(products, -1, 0))] * len(labels) + rows
+    src = np.array([gi for _, gi in labels])[:, None] * len(exponents) + np.arange(len(exponents))
+    return labels, dest.ravel(), src.ravel()
 
 
 def assemble_reduced_template(
@@ -226,37 +259,42 @@ def assemble_reduced_template(
 ) -> EliminationTemplate:
     """Stack reduced multiplier-times-generator rows over the remainder block.
 
-    ``generators`` is an ``(n_gen, n_coeffs)`` coefficient array; its width
-    fixes the generator degree.  Every product is gathered into a column of
-    one monomial-major stack by a cached index plan, and the whole stack is
-    reduced modulo the sphere constraint at once.
+    ``generators`` is an ``(..., n_gen, n_coeffs)`` coefficient array, one
+    set per leading index; its width fixes the generator degree.  Every
+    product is gathered into a column of one monomial-major stack by a
+    cached index plan, the samples side by side, and the whole stack is
+    reduced modulo the sphere constraint at once.  The matrix has the
+    leading shape of ``generators``.
     """
     basis = grevlex_basis(target_degree)
-    n_generators, width = generators.shape
+    *lead, n_generators, width = generators.shape
     labels, dest, src = _assembly_plan(
         tuple(multipliers), tuple(extra_rows), n_generators, _basis_of_width(width).max_degree,
         target_degree,
     )
-    stack = np.zeros(basis.size * len(labels))
-    stack[dest] = generators.ravel()[src]
-    stack = stack.reshape(basis.size, len(labels))
+    n_samples = math.prod(lead)
+    stack = np.zeros((basis.size * len(labels), n_samples))
+    stack[dest] = generators.reshape(n_samples, -1)[:, src].T
+    stack = stack.reshape(basis.size, len(labels) * n_samples)
     reduce_columns_mod_h(stack, basis, c.tau)
-    matrix = np.ascontiguousarray(stack[basis.alpha2_size :].T)
+    remainder = stack[basis.alpha2_size :].reshape(-1, len(labels), n_samples)
+    matrix = np.ascontiguousarray(remainder.transpose(2, 1, 0)).reshape(*lead, len(labels), -1)
     return EliminationTemplate(basis=basis, matrix=matrix, row_labels=labels)
 
 
 def rref_conditioned(B: np.ndarray, pivots: tuple[int, ...]) -> np.ndarray:
-    """Gauss-Jordan reduction of the template on a committed partition.
+    """Gauss-Jordan reduction of a stack of templates on a committed partition.
 
     ``pivots`` holds one template column per row; the reduction is one LU
-    solve with that pivot block, so row ``i`` of the result has a 1 in
+    solve with that pivot block, so row ``i`` of each result has a 1 in
     column ``pivots[i]`` and 0 in the other pivot columns.  A singular or
-    non-finite solve raises ``RankDeficient``; a poorly conditioned one goes
-    unnoticed here, and the solvers catch it downstream.  The name is what
-    ``perfbench/spans.py`` traces as the ``gbsolver.rref`` layer.
+    non-finite solve anywhere in the stack raises ``RankDeficient``; a
+    poorly conditioned one goes unnoticed here, and the solvers catch it
+    downstream.  The name is what ``perfbench/spans.py`` traces as the
+    ``gbsolver.rref`` layer.
     """
     try:
-        A = np.linalg.solve(B[:, pivots], B)
+        A = np.linalg.solve(B[..., list(pivots)], B)
     except np.linalg.LinAlgError as exc:
         raise RankDeficient(f"the fixed pivot block is singular: {exc}") from exc
     if not np.isfinite(A).all():
@@ -330,32 +368,44 @@ def _gamma_shift(degree: int) -> np.ndarray:
 def build_action_matrix(
     reduced: np.ndarray, pivots: tuple[int, ...], basis: GrevlexBasis, qb: QuotientBasis
 ) -> np.ndarray:
-    """Multiplication-by-gamma matrix on the quotient-ring basis.
+    """Multiplication-by-gamma matrices on the quotient-ring basis, one per
+    leading index of the ``reduced`` stack.
 
     Each row is either a unit row (gamma times the monomial stays standard) or
     the negated coefficient row of the pivot polynomial whose leading monomial
     it hits.
     """
     n = qb.size
+    plan = _action_plan(basis.max_degree, tuple(pivots), qb)
+    unit_rows, unit_cols, pivot_rows, pivot_polys = plan
+    M = np.zeros(reduced.shape[:-2] + (n, n))
+    M[..., unit_rows, unit_cols] = 1.0
+    M[..., pivot_rows, :] = -reduced[..., pivot_polys, :][..., qb.template_cols]
+    return M
+
+
+@lru_cache(maxsize=None)
+def _action_plan(degree: int, pivots: tuple[int, ...], qb: QuotientBasis):
+    """Where ``build_action_matrix`` puts its unit entries, ``(rows,
+    columns)``, and which rows are negated pivot polynomials, ``(rows,
+    polynomials)``."""
     # Standard position and pivot row of every remainder column.  The extra
     # last slot stays -1, so a product outside the template (column -1)
     # finds neither.
+    basis = grevlex_basis(degree)
     n_cols = basis.size - basis.alpha2_size
     position = np.full(n_cols + 1, -1)
-    position[qb.template_cols] = np.arange(n)
+    position[qb.template_cols] = np.arange(qb.size)
     pivot_row = np.full(n_cols + 1, -1)
     pivot_row[list(pivots)] = np.arange(len(pivots))
-    shifted = _gamma_shift(basis.max_degree)[qb.template_cols]
+    shifted = _gamma_shift(degree)[qb.template_cols]
     unit, rows = position[shifted], pivot_row[shifted]
     bad = np.flatnonzero((unit < 0) & (rows < 0))
     if bad.size:
         a, b, c = m = qb.monomials[int(bad[0])]
         raise UnreachableMonomial(f"gamma * {m} = {(a, b, c + 1)} is outside the template")
-    M = np.zeros((n, n))
     is_unit = unit >= 0
-    M[is_unit, unit[is_unit]] = 1.0
-    M[~is_unit] = -reduced[rows[~is_unit]][:, qb.template_cols]
-    return M
+    return np.flatnonzero(is_unit), unit[is_unit], np.flatnonzero(~is_unit), rows[~is_unit]
 
 
 def eigensolve_real(M: np.ndarray) -> list[tuple[float, np.ndarray]]:
@@ -381,11 +431,21 @@ def eigensolve_real(M: np.ndarray) -> list[tuple[float, np.ndarray]]:
 
 @dataclass(frozen=True, eq=False)
 class ExtractedRoots:
-    """Recovered ``(K, 3)`` root rows and counts of candidates dropped by the filters."""
+    """Recovered ``(K, 3)`` root rows, the sample of each, and per sample the
+    counts of candidates dropped by the filters."""
 
     roots: np.ndarray
-    n_dropped_at_infinity: int
-    n_dropped_inconsistent: int
+    sample: np.ndarray
+    at_infinity: np.ndarray
+    inconsistent: np.ndarray
+
+    @property
+    def n_dropped_at_infinity(self) -> int:
+        return int(self.at_infinity.sum())
+
+    @property
+    def n_dropped_inconsistent(self) -> int:
+        return int(self.inconsistent.sum())
 
 
 _ALPHA, _BETA, _GAMMA = ROOT_MONOMIALS[1:]
@@ -403,29 +463,42 @@ _DEGREE_TWO_PRODUCTS = (
 )
 
 
-def extract_roots(pairs: list[tuple[float, np.ndarray]], qb: QuotientBasis) -> ExtractedRoots:
+@lru_cache(maxsize=None)
+def _product_checks(qb: QuotientBasis) -> np.ndarray:
+    """Positions ``(m, x, y)`` in ``qb`` of the degree-two monomials it holds
+    and of their degree-one factors."""
+    ix = qb.index
+    checks = [(ix[m], ix[x], ix[y]) for m, x, y in _DEGREE_TWO_PRODUCTS if m in ix]
+    return np.array(checks, dtype=np.int64).reshape(-1, 3).T
+
+
+def extract_roots(
+    pairs: list[tuple[float, np.ndarray]], qb: QuotientBasis, sizes=None
+) -> ExtractedRoots:
     """Read candidate (alpha, beta, gamma) rows off near-real eigenvectors.
 
+    ``pairs`` are the eigenpairs of a stack of samples, sample after sample,
+    ``sizes[b]`` of them for sample ``b``; by default they are one sample's.
     Candidates whose eigenvector cannot be normalized at the monomial 1, whose
     gamma entry disagrees with the eigenvalue, or whose degree-two entries are
     not products of the degree-one entries are dropped.
     """
-    ix = qb.index
-    checks = [(ix[m], ix[x], ix[y]) for m, x, y in _DEGREE_TWO_PRODUCTS if m in ix]
-    m, x, y = np.array(checks, dtype=np.int64).reshape(-1, 3).T
+    sizes = [len(pairs)] if sizes is None else sizes
+    m, x, y = _product_checks(qb)
     lam = np.array([w for w, _ in pairs])
     V = np.array([v for _, v in pairs]).reshape(-1, qb.size)
+    sample = np.repeat(np.arange(len(sizes)), sizes)
     at_infinity = np.abs(V[:, qb.pos_one]) <= 1e-10 * np.max(np.abs(V), axis=1)
-    lam, V = lam[~at_infinity], V[~at_infinity]
+    lam, V, finite = lam[~at_infinity], V[~at_infinity], sample[~at_infinity]
     V = V / V[:, qb.pos_one, None]
     inconsistent = (np.abs(lam - V[:, qb.pos_gamma]) > ROOT_TOL) | np.any(
         np.abs(V[:, m] - V[:, x] * V[:, y]) > ROOT_TOL, axis=1
     )
-    roots = V[~inconsistent][:, [qb.pos_alpha, qb.pos_beta, qb.pos_gamma]]
     return ExtractedRoots(
-        roots=roots,
-        n_dropped_at_infinity=int(at_infinity.sum()),
-        n_dropped_inconsistent=int(inconsistent.sum()),
+        roots=V[~inconsistent][:, [qb.pos_alpha, qb.pos_beta, qb.pos_gamma]],
+        sample=finite[~inconsistent],
+        at_infinity=np.bincount(sample[at_infinity], minlength=len(sizes)),
+        inconsistent=np.bincount(finite[inconsistent], minlength=len(sizes)),
     )
 
 
@@ -464,35 +537,58 @@ def _polish_tables(width: int) -> tuple[int, np.ndarray, ...]:
     return degree, powers, source, factor, sphere, one
 
 
-def polish_roots(generators: np.ndarray, roots: np.ndarray, c: RotationConstraint) -> np.ndarray:
+def polish_roots(
+    generators: np.ndarray, roots: np.ndarray, c: RotationConstraint, sample=None
+) -> np.ndarray:
     """Gauss-Newton refinement of the ``(K, 3)`` roots, batched over K.
 
+    Root ``k`` solves the generators ``generators[sample[k]]`` of an
+    ``(n_samples, n_gen, n_coeffs)`` stack, or, without ``sample``, the one
+    ``(n_gen, n_coeffs)`` set; the roots of a sample must be consecutive.
     The equations are the generators, each row scaled by its largest
     coefficient, plus the sphere constraint ``|u|^2 + tau = 0``.  One
-    coefficient matrix holds them and their partial derivatives, so each
-    step is one power table, one matmul for values and Jacobians and one
-    batched 3 x 3 solve of the normal equations.  A root takes a step only
-    where its squared residual falls, so polishing never moves a root away
-    from the variety.
+    coefficient matrix per sample holds them and their partial derivatives,
+    so each step is one power table, one matmul per sample for values and
+    Jacobians and one batched 3 x 3 solve of the normal equations.  A root
+    takes a step only where its squared residual falls, so polishing never
+    moves a root away from the variety.
     """
     if not len(roots):
         return roots
-    degree, powers, source, factor, sphere, one = _polish_tables(generators.shape[1])
-    scaled = generators / np.max(np.abs(generators), axis=1, keepdims=True)
-    eqs = np.vstack([scaled, sphere + c.tau * one])
-    n_eq, width = eqs.shape
-    padded = np.hstack([eqs, np.zeros((n_eq, 1))])
-    coeffs = np.vstack([eqs, (padded[:, source] * factor).reshape(3 * n_eq, width)]).T
+    if sample is None:
+        generators, sample = generators[None], np.zeros(len(roots), dtype=np.int64)
+    n_samples, n_gen, width = generators.shape
+    degree, powers, source, factor, sphere, one = _polish_tables(width)
+    n_eq = n_gen + 1
+    # The equations, then their derivatives by each variable.
+    coeffs = np.empty((n_samples, 4 * n_eq, width))
+    eqs = coeffs[:, :n_eq]
+    eqs[:, :n_gen] = generators / np.max(np.abs(generators), axis=-1, keepdims=True)
+    eqs[:, n_gen] = sphere + c.tau * one
+    padded = np.concatenate([eqs, np.zeros((n_samples, n_eq, 1))], axis=-1)
+    coeffs[:, n_eq:] = (padded[..., source] * factor).reshape(n_samples, 3 * n_eq, width)
+    coeffs = coeffs.transpose(0, 2, 1)
     exponents = np.arange(degree + 1)
 
-    def evaluate(x):
+    def evaluate(x, owner):
         table = (x[:, :, None] ** exponents).reshape(len(x), -1)[:, powers]
-        out = (table[:, 0] * table[:, 1] * table[:, 2]) @ coeffs
+        monomials = table[:, 0] * table[:, 1] * table[:, 2]
+        # One matmul per sample on its own rows, so that a sample's values
+        # round as in a solve of that sample alone: the small-matrix BLAS
+        # kernels round by the shape of their operands.
+        if n_samples == 1:
+            out = monomials @ coeffs[0]
+        else:
+            ends = np.cumsum(np.bincount(owner, minlength=n_samples)).tolist()
+            out = np.concatenate([
+                monomials[start:end] @ coeffs[s]
+                for s, (start, end) in enumerate(zip([0, *ends], ends)) if end > start
+            ])
         f = out[:, :n_eq]
         return f, out[:, n_eq:].reshape(-1, n_eq, 3), stacked_dot(f, f)
 
     x = roots.copy()
-    f, jac, cost = evaluate(x)
+    f, jac, cost = evaluate(x, sample)
     # Roots still moving: not yet at rounding level, and their last step helped.
     live = np.flatnonzero(cost > POLISH_ROUNDING)
     f, jac, cost = f[live], jac[live], cost[live]
@@ -500,14 +596,167 @@ def polish_roots(generators: np.ndarray, roots: np.ndarray, c: RotationConstrain
         if not live.size:
             break
         jt = jac.transpose(0, 2, 1)
+        normal, rhs = jt @ jac, jt @ f[:, :, None]
         try:
-            step = np.linalg.solve(jt @ jac, jt @ f[:, :, None])[:, :, 0]
+            step = np.linalg.solve(normal, rhs)[:, :, 0]
         except np.linalg.LinAlgError:
-            break
+            # A singular system ends the polishing of its own sample only.
+            go = np.ones(live.size, dtype=bool)
+            for s in np.unique(sample[live]).tolist():
+                mine = sample[live] == s
+                try:
+                    np.linalg.solve(normal[mine], rhs[mine])
+                except np.linalg.LinAlgError:
+                    go &= ~mine
+            live, f, jac, cost = live[go], f[go], jac[go], cost[go]
+            if not live.size:
+                break
+            step = np.linalg.solve(normal[go], rhs[go])[:, :, 0]
         x_new = x[live] - step
-        f_new, jac_new, cost_new = evaluate(x_new)
+        f_new, jac_new, cost_new = evaluate(x_new, sample[live])
         better = cost_new < cost
         x[live[better]] = x_new[better]
         go = better & (cost_new > POLISH_ROUNDING)
         live, f, jac, cost = live[go], f_new[go], jac_new[go], cost_new[go]
     return x
+
+
+def each_sample(stage, ids: np.ndarray, errors: dict):
+    """``stage(ids)`` for the samples ``ids`` at once, or, where that raises,
+    for one sample at a time.
+
+    Returns the stacked outputs and the samples that passed, and records in
+    ``errors`` the error of every other sample.
+    """
+    if not ids.size:
+        return None, ids
+    try:
+        return stage(ids), ids
+    except RelposeError as exc:
+        if len(ids) == 1:
+            errors[int(ids[0])] = exc
+            return None, ids[:0]
+    outs, passed = [], []
+    for i in ids.tolist():
+        try:
+            outs.append(stage(np.array([i])))
+        except RelposeError as exc:
+            errors[i] = exc
+            continue
+        passed.append(i)
+    return (np.concatenate(outs) if outs else None), np.array(passed, dtype=np.int64)
+
+
+def rotation_roots(layers, problem: TemplateProblem, build, ids: np.ndarray, c, errors: dict):
+    """Polished rotation roots of the samples ``ids``, solved as one stack.
+
+    ``build(ids)`` returns the generators of those samples, and ``layers`` is
+    the solver module through whose attributes every layer is called.  A
+    sample left without roots has its error recorded in ``errors``.  Returns
+    the ``(K, 3)`` roots, grouped by sample in ascending order, and the
+    sample of each.
+    """
+    gens, ok = each_sample(build, ids, errors)
+    lost: dict[int, RelposeError] = {}
+    kept = _eliminate(layers, problem, gens, c, lost) if ok.size else {}
+    errors.update((int(ok[p]), exc) for p, exc in lost.items())
+    done = sorted(kept)
+    if not done:
+        return np.empty((0, 3)), ok[:0]
+    counts = [len(kept[p]) for p in done]
+    roots = np.concatenate([kept[p] for p in done])
+    return layers.polish_roots(gens, roots, c, np.repeat(done, counts)), np.repeat(ok[done], counts)
+
+
+def _eliminate(layers, problem: TemplateProblem, generators: np.ndarray, c, lost: dict) -> dict:
+    """Unpolished roots of each sample of the generator stack, by position.
+
+    Each sample reduces its template on the committed partitions in turn
+    until one neither raises nor drops a root as inconsistent, and keeps the
+    roots of the attempt that dropped the fewest.  A sample that no
+    partition solves has its last error recorded in ``lost``.
+    """
+    n_samples = len(generators)
+    try:
+        template = layers.assemble_reduced_template(
+            generators, problem.multipliers, problem.target_degree, c, extra_rows=problem.extra_rows
+        )
+        check_shape("template", template.matrix.shape, (n_samples, *problem.template_shape))
+    except RelposeError as exc:
+        lost.update(dict.fromkeys(range(n_samples), exc))
+        return {}
+    kept: dict[int, tuple[int, np.ndarray]] = {}
+    last_error: dict[int, RelposeError] = {}
+    pending = np.arange(n_samples)
+    for pivots in problem.partitions:
+        if not pending.size:
+            break
+        extracted, failed = _attempt(layers, problem, template, pivots, pending)
+        last_error.update(failed)
+        for p, (dropped, roots) in extracted.items():
+            if p not in kept or dropped < kept[p][0]:
+                kept[p] = dropped, roots
+        pending = np.array([p for p in pending.tolist() if kept.get(p, (1,))[0]], dtype=np.int64)
+    lost.update((p, exc) for p, exc in last_error.items() if p not in kept)
+    return {p: roots for p, (_, roots) in kept.items()}
+
+
+def _attempt(layers, problem: TemplateProblem, template, pivots, pending: np.ndarray):
+    """The samples ``pending`` of the template stack reduced on one
+    partition: for each sample that it solves, the count of roots dropped as
+    inconsistent and the roots; for each other sample, the error."""
+    n = problem.basis_size
+    failed: dict[int, RelposeError] = {}
+    try:
+        reduced, solved = each_sample(
+            lambda p: layers.rref_conditioned(template.matrix[p], pivots), pending, failed
+        )
+        if not solved.size:
+            return {}, failed
+        qb = layers.quotient_basis_from_pivots(template.basis, pivots, n)
+        action = layers.build_action_matrix(reduced, pivots, template.basis, qb)
+        check_shape("action matrix", action.shape, (solved.size, n, n))
+    except RelposeError as exc:
+        return {}, dict.fromkeys(pending.tolist(), exc)
+    eigenpairs, found = [], []
+    for p, M in zip(solved.tolist(), action):
+        try:
+            eigenpairs.append(layers.eigensolve_real(M))
+        except RelposeError as exc:
+            failed[p] = exc
+            continue
+        found.append(p)
+    if not found:
+        return {}, failed
+    try:
+        extracted = layers.extract_roots(
+            [pair for pairs in eigenpairs for pair in pairs], qb, [len(e) for e in eigenpairs]
+        )
+    except RelposeError as exc:
+        return {}, {**failed, **dict.fromkeys(found, exc)}
+    return {
+        p: (int(extracted.inconsistent[j]), extracted.roots[extracted.sample == j])
+        for j, p in enumerate(found)
+    }, failed
+
+
+def by_sample(poses: list, sample: np.ndarray, n: int, errors: dict) -> list:
+    """One pose list per sample of ``range(n)``, or for a sample in
+    ``errors`` the error the solver raises for it."""
+    out: list = [[] for _ in range(n)]
+    for pose, s in zip(poses, sample.tolist()):
+        out[s].append(pose)
+    for s, exc in errors.items():
+        out[s] = as_degenerate(exc)
+    return out
+
+
+def unstack(results: list, samples) -> list:
+    """A solver's answer from ``by_sample``: with ``samples``, every
+    sample's poses, empty where it failed; without, the one sample's poses,
+    or its error raised."""
+    if samples is not None:
+        return [[] if isinstance(r, RelposeError) else r for r in results]
+    if isinstance(results[0], RelposeError):
+        raise results[0]
+    return results[0]

@@ -24,9 +24,12 @@ PARALLEL_RAY_EPS = 1e-12
 
 
 def skew(v: np.ndarray) -> np.ndarray:
-    """Matrix ``[v]x`` with ``[v]x @ w == np.cross(v, w)``."""
-    x, y, z = v
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    """Matrix ``[v]x`` with ``[v]x @ w == np.cross(v, w)``, or the ``(..., 3, 3)``
+    stack of them for stacked vectors."""
+    v = np.asarray(v, dtype=float)
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    zero = np.zeros_like(x)
+    return np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=-1).reshape(v.shape + (3,))
 
 
 def stacked_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -40,8 +43,7 @@ _NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])
 def stacked_cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``np.cross`` of stacked 3-vectors, rounded as ``np.cross`` rounds it,
     without its argument handling, which costs more than the arithmetic."""
-    a1, a2, b1, b2 = (np.take(x, i, -1) for x in (a, b) for i in (_NEXT, _LAST))
-    return a1 * b2 - a2 * b1
+    return a.take(_NEXT, -1) * b.take(_LAST, -1) - a.take(_LAST, -1) * b.take(_NEXT, -1)
 
 
 def _as_vec3(v, name: str) -> np.ndarray:
@@ -173,14 +175,75 @@ class RelativePose:
         object.__setattr__(self, "t", t)
 
 
+def _frozen(cls, fields):
+    """An instance of the frozen dataclass ``cls`` with the ``(name, value)``
+    ``fields`` set and the others at their defaults, the constructor's
+    checks skipped: the bulk builders below ran them already."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
+def unit_quaternions(sigma: float, u: np.ndarray) -> list[UnitQuaternion]:
+    """``UnitQuaternion`` objects of the ``(K, 3)`` vector parts ``u`` sharing
+    the scalar part ``sigma``, checked as one array with the constructor's
+    tolerance; the first quaternion that fails raises its ``ValueError``."""
+    sigma = float(sigma)
+    if len(u) and not sigma >= 0.0:
+        raise ValueError("quaternion scalar part must be non-negative")
+    n2 = sigma * sigma + stacked_dot(u, u)
+    unit = np.abs(n2 - 1.0) <= 2e-12
+    if not unit.all():
+        n2 = float(n2[np.argmin(unit)])
+        raise ValueError(f"quaternion is not unit: sigma^2 + |u|^2 = {n2!r}")
+    return [_frozen(UnitQuaternion, {"sigma": sigma, "u": v}) for v in u]
+
+
+# Column pairs of a rotation and their products under the identity; the
+# minors of the second and third rows along the first.
+_LEFT_COLUMN, _RIGHT_COLUMN = np.array([0, 1, 2, 0, 0, 1]), np.array([0, 1, 2, 1, 2, 2])
+_IDENTITY_PRODUCTS = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+_MINOR_A, _MINOR_B = np.array([1, 0, 0]), np.array([2, 2, 1])
+
+
+def relative_poses(
+    Rs: np.ndarray, ts: np.ndarray, quats: list[UnitQuaternion], **columns: list
+) -> list[RelativePose]:
+    """``RelativePose`` objects of the ``(P, 3, 3)`` rotations, ``(P, 3)``
+    translations and quaternions, with one value per pose of each
+    diagnostic in ``columns``.
+
+    The constructor's rotation and finite-translation checks run once on
+    the whole stack, with its tolerance; the first pose that fails raises
+    its ``ValueError``.
+    """
+    # The constructor's residuals, in its order of operations: the products
+    # of the columns less the identity, and the determinant less one,
+    # expanded along the first row.
+    products = Rs[..., _LEFT_COLUMN] * Rs[..., _RIGHT_COLUMN]
+    r1, r2 = Rs[:, 1], Rs[:, 2]
+    terms = Rs[:, 0] * (r1[:, _MINOR_A] * r2[:, _MINOR_B] - r1[:, _MINOR_B] * r2[:, _MINOR_A])
+    rotation = np.all(
+        np.abs(products[:, 0] + products[:, 1] + products[:, 2] - _IDENTITY_PRODUCTS) <= 1e-9,
+        axis=1,
+    ) & (np.abs(terms[:, 0] - terms[:, 1] + terms[:, 2] - 1.0) <= 1e-9)
+    valid = rotation & np.isfinite(ts).all(axis=1)
+    if not valid.all():
+        first = np.argmin(valid)
+        if not rotation[first]:
+            raise ValueError("R is not a rotation matrix")
+        raise ValueError(f"t must be finite, got {ts[first]!r}")
+    names = ("R", "t", "quat", *columns)
+    return [
+        _frozen(RelativePose, zip(names, row)) for row in zip(Rs, ts, quats, *columns.values())
+    ]
+
+
 def rotation_stack(sigma: float, u: np.ndarray) -> np.ndarray:
     """Rotations ``(2 sigma^2 - 1) I + 2 (u u^T - sigma [u]x)`` of a ``(K, 3)``
     stack of vector parts sharing the scalar part ``sigma``, as ``(K, 3, 3)``."""
-    x, y, z = u[:, 0], u[:, 1], u[:, 2]
-    zero = np.zeros_like(x)
-    skews = np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=-1).reshape(-1, 3, 3)
     outer = u[:, :, None] * u[:, None, :]
-    return (2.0 * sigma * sigma - 1.0) * np.eye(3) + 2.0 * (outer - sigma * skews)
+    return (2.0 * sigma * sigma - 1.0) * np.eye(3) + 2.0 * (outer - sigma * skew(u))
 
 
 def quat_to_rotation(q: UnitQuaternion) -> np.ndarray:
@@ -257,13 +320,14 @@ def generalized_epipolar_residual(pose: RelativePose, pair: PluckerPair) -> floa
 def cheiral_counts(
     Rs: np.ndarray, T: np.ndarray, q1: np.ndarray, q2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Midpoint-triangulate the bearing rows ``q1``, ``q2`` (``(N, 3)``) under
-    cameras ``[I|0]``, ``[Rs[k]|T[k]]`` and count, for ``+T[k]`` and for
-    ``-T[k]``, the points with positive depth in both views.  Parallel-ray
-    pairs are not counted.  Every product is a matmul, so it rounds as the
-    per-vector ``R @ v`` and ``v @ w`` do."""
+    """Midpoint-triangulate the bearing rows ``q1``, ``q2`` (``(N, 3)``, or
+    ``(K, N, 3)`` with rows of their own for each pose) under cameras
+    ``[I|0]``, ``[Rs[k]|T[k]]`` and count, for ``+T[k]`` and for ``-T[k]``,
+    the points with positive depth in both views.  Parallel-ray pairs are
+    not counted.  Every product is a matmul, so it rounds as the per-vector
+    ``R @ v`` and ``v @ w`` do."""
     Rt = Rs.transpose(0, 2, 1)
-    d2 = (Rt[:, None] @ q2[None, :, :, None])[..., 0]
+    d2 = (Rt[:, None] @ q2[..., None])[..., 0]
     origin2 = (-Rt @ T[:, :, None])[:, None, :, 0]
     a = stacked_dot(q1, q1)
     b = stacked_dot(q1, d2)

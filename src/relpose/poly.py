@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .exceptions import DegenerateInput
-from .geom import BearingPair, PluckerPair, RotationConstraint, stacked_cross as _cross, stacked_dot as _dot
+from .geom import RotationConstraint, stacked_cross as _cross, stacked_dot as _dot
 
 Monomial = tuple[int, int, int]
 
@@ -95,12 +95,20 @@ def _mul_table(d1: int, d2: int, dout: int) -> np.ndarray:
     return np.array(rows, dtype=np.int64)
 
 
-@lru_cache(maxsize=None)
+# The index of the largest stack of each product kind so far; a smaller
+# stack uses a prefix of it.
+_MUL_INDEX: dict[tuple[int, int, int], np.ndarray] = {}
+
+
 def _mul_index(d1: int, d2: int, dout: int, k: int) -> np.ndarray:
     """Flat output index of every product of :func:`_mul_table` for ``k``
     stacked products, product ``j`` owning outputs ``j * n_out`` onwards."""
-    n_out = grevlex_basis(dout).size
-    return (np.arange(k)[:, None] * n_out + _mul_table(d1, d2, dout).ravel()).ravel()
+    table = _mul_table(d1, d2, dout).ravel()
+    index = _MUL_INDEX.get((d1, d2, dout))
+    if index is None or len(index) < k * table.size:
+        n_out = grevlex_basis(dout).size
+        index = _MUL_INDEX[(d1, d2, dout)] = (np.arange(k)[:, None] * n_out + table).ravel()
+    return index[: k * table.size]
 
 
 def _mul_stack(p: np.ndarray, q: np.ndarray, d1: int, d2: int, dout: int) -> np.ndarray:
@@ -133,10 +141,10 @@ def reduce_columns_mod_h(stack: np.ndarray, basis: GrevlexBasis, tau: float) -> 
 
 # Flat indices into the outer product ``b_k a_l`` (at ``3 k + l``): the
 # minuends and subtrahends of ``a x b``, then the pairs summed into ab, ac, bc.
-_PICK, _OTHER = [7, 2, 3, 1, 2, 5], [5, 6, 1, 3, 6, 7]
+_PICK, _OTHER = np.array([7, 2, 3, 1, 2, 5]), np.array([5, 6, 1, 3, 6, 7])
 # From the blocks (a^2, b^2, c^2), (ab, ac, bc), (a, b, c), (1) to the
 # degree-2 basis order a^2, ab, b^2, ac, bc, c^2, a, b, c, 1.
-_BILINEAR_ORDER = [0, 3, 1, 4, 5, 2, 6, 7, 8, 9]
+_BILINEAR_ORDER = np.array([0, 3, 1, 4, 5, 2, 6, 7, 8, 9])
 
 
 def _bilinear_coeffs(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
@@ -158,17 +166,21 @@ def _bilinear_coeffs(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
 
 
 def _ray_stack(pairs, *names: str) -> list[np.ndarray]:
-    """``(N, 3)`` arrays of the named ray attributes of ``pairs``."""
+    """``(N, 3)`` arrays of the named ray attributes of ``pairs``, as the
+    generator builders take them."""
     return [np.array([getattr(p, name) for p in pairs], dtype=float) for name in names]
 
 
 def _f_rows(q1: np.ndarray, q2: np.ndarray, i, j, sigma: float) -> np.ndarray:
-    """Depth-elimination rows ``(..., 2, 10)`` of the ``(N, 3)`` bearing rows
-    ``q1``, ``q2`` for anchors ``i`` and correspondences ``j`` (index arrays
-    of one shape)."""
-    p1, p2 = _cross(np.stack([q1[i], q2[i]]), np.stack([q1[j], q2[j]]))
-    entries = _bilinear_coeffs(np.stack([p1, q1[j]]), np.stack([q2[j], p2]), sigma)
-    return np.moveaxis(entries, 0, -2)
+    """Depth-elimination rows ``(..., 2, 10)`` of the ``(..., N, 3)`` bearing
+    rows ``q1``, ``q2`` for anchors ``i`` and correspondences ``j`` (index
+    arrays of one shape)."""
+    q = np.stack([q1, q2])
+    qj = q[..., j, :]
+    # [q1_i x q1_j, q2_i x q2_j, q1_j, q2_j]
+    rays = np.concatenate([_cross(q[..., i, :], qj), qj])
+    entries = _bilinear_coeffs(rays[[0, 2]], rays[[3, 1]], sigma)
+    return entries.transpose(*range(1, entries.ndim - 1), 0, -1)
 
 
 def _f_dets(entries: np.ndarray) -> np.ndarray:
@@ -185,22 +197,30 @@ _G_QUADRUPLES = np.array([(1, 2, 3, 4), (2, 3, 4, 0), (3, 4, 0, 1), (4, 0, 1, 2)
 _F_RAY_PAIRS = np.triu_indices(4, 1)
 
 
-def build_f_polynomials(pairs: list[BearingPair], c: RotationConstraint) -> np.ndarray:
-    """The four quartic determinant constraints of the 4-point problem, as a
-    ``(4, 35)`` coefficient array on the degree-4 basis.
+def _check_rays(rays: np.ndarray, n: int, what: str) -> None:
+    if rays.shape[-2:] != (n, 3):
+        raise ValueError(f"exactly {n} {what} required")
 
-    The cyclic anchor pattern (2,3,4), (3,4,1), (4,1,2), (1,2,3) makes the set
-    symmetric under relabelling of the four correspondences.  All four
-    determinants are formed in one batch.
+
+def build_f_polynomials(q1: np.ndarray, q2: np.ndarray, c: RotationConstraint) -> np.ndarray:
+    """The four quartic determinant constraints of the 4-point problem, as a
+    ``(..., 4, 35)`` coefficient array on the degree-4 basis.
+
+    ``q1`` and ``q2`` are the ``(..., 4, 3)`` bearing rows of one sample per
+    leading index.  The cyclic anchor pattern (2,3,4), (3,4,1), (4,1,2),
+    (1,2,3) makes each set symmetric under relabelling of the four
+    correspondences.  All determinants are formed in one batch; coincident
+    rays in any sample raise ``DegenerateInput`` for the stack.
     """
-    if len(pairs) != 4:
-        raise ValueError("exactly 4 bearing pairs required")
-    q1, q2 = _ray_stack(pairs, "q1", "q2")
+    _check_rays(q1, 4, "bearing pairs")
     first, second = _F_RAY_PAIRS
-    crosses = _cross(np.stack([q1[first], q2[first]], 1), np.stack([q1[second], q2[second]], 1))
-    coincident = np.flatnonzero(np.sqrt(_dot(crosses, crosses)) < COINCIDENT_RAY_EPS)
+    crosses = _cross(
+        np.stack([q1[..., first, :], q2[..., first, :]], -2),
+        np.stack([q1[..., second, :], q2[..., second, :]], -2),
+    )
+    coincident = np.argwhere(np.sqrt(_dot(crosses, crosses)) < COINCIDENT_RAY_EPS)
     if coincident.size:
-        pair, view = divmod(int(coincident[0]), 2)
+        pair, view = coincident[0, -2:].tolist()
         raise DegenerateInput(
             f"rays {first[pair]} and {second[pair]} coincide in view {view + 1}; "
             "correspondences must be distinct"
@@ -209,16 +229,17 @@ def build_f_polynomials(pairs: list[BearingPair], c: RotationConstraint) -> np.n
     return _f_dets(_f_rows(q1, q2, anchors, _F_TRIPLES[:, 1:], c.sigma))
 
 
-def _g_rows(pairs: list[PluckerPair], i, j, sigma: float) -> np.ndarray:
+def _g_rows(q1, q2, m1, m2, i, j, sigma: float) -> np.ndarray:
     """Generalized constraint rows ``(..., 3, 10)``, the quadratics ``(a, b, w)``
-    acting on (lambda, mu, 1), for anchors ``i`` and correspondences ``j``."""
-    q1, q2, m1, m2 = _ray_stack(pairs, "q1", "q2", "m1", "m2")
-    e1, e2 = _cross(np.stack([m1[i], m2[i]]), np.stack([q1[i], q2[i]]))
-    qj1, qj2 = q1[j], q2[j]
-    p1, p2, c1, c2 = _cross(np.stack([q1[i], q2[i], e1, e2]), np.stack([qj1, qj2, qj1, qj2]))
-    left = np.stack([p1, qj1, c1, qj1, m1[j], qj1])
-    right = np.stack([qj2, p2, qj2, c2, qj2, m2[j]])
-    f = _bilinear_coeffs(left, right, sigma)
+    acting on (lambda, mu, 1), of the ``(..., N, 3)`` Pluecker rows for
+    anchors ``i`` and correspondences ``j``."""
+    r = np.stack([q1, q2, m1, m2])
+    ri, rj = r[..., i, :], r[..., j, :]
+    # The points m x q nearest the origin on the anchor lines, then
+    # [q1_i x q1_j, q2_i x q2_j, e1 x q1_j, e2 x q2_j, q1_j, q2_j, m1_j, m2_j].
+    e = _cross(ri[2:], ri[:2])
+    rays = np.concatenate([_cross(np.concatenate([ri[:2], e]), rj[[0, 1, 0, 1]]), rj])
+    f = _bilinear_coeffs(rays[[0, 4, 2, 4, 6, 4]], rays[[5, 1, 5, 3, 5, 7]], sigma)
     w = f[2] + f[3] + f[4] + f[5]
     return np.stack([f[0], f[1], w], axis=-2)
 
@@ -233,15 +254,18 @@ def _g_dets(rows: np.ndarray) -> np.ndarray:
     return terms[..., 0, :] - terms[..., 1, :] + terms[..., 2, :]
 
 
-def build_g_polynomials(pairs: list[PluckerPair], c: RotationConstraint) -> np.ndarray:
+def build_g_polynomials(
+    q1: np.ndarray, q2: np.ndarray, m1: np.ndarray, m2: np.ndarray, c: RotationConstraint
+) -> np.ndarray:
     """The five sextic determinant constraints of the generalized 5-point
-    problem, formed in one batch, as a ``(5, 84)`` coefficient array on the
-    degree-6 basis."""
-    if len(pairs) != 5:
-        raise ValueError("exactly 5 Pluecker pairs required")
+    problem, formed in one batch, as a ``(..., 5, 84)`` coefficient array on
+    the degree-6 basis, from the ``(..., 5, 3)`` Pluecker rows of one sample
+    per leading index.  A collapsed determinant in any sample raises
+    ``DegenerateInput`` for the stack."""
+    _check_rays(q1, 5, "Pluecker pairs")
     anchors = np.repeat(_G_QUADRUPLES[:, :1], 3, axis=1)
-    dets = _g_dets(_g_rows(pairs, anchors, _G_QUADRUPLES[:, 1:], c.sigma))
-    if np.any(np.max(np.abs(dets), axis=1) < 1e-12):
+    dets = _g_dets(_g_rows(q1, q2, m1, m2, anchors, _G_QUADRUPLES[:, 1:], c.sigma))
+    if np.any(np.max(np.abs(dets), axis=-1) < 1e-12):
         raise DegenerateInput(
             "a determinant constraint collapsed to zero; the ray configuration is degenerate"
         )

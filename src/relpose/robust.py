@@ -10,9 +10,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exceptions import NoHypothesis, RelposeError
+from .exceptions import NoHypothesis, RelposeError, ScaleUnobservable
 from .geom import BearingPair, PluckerPair, RelativePose, rotation_angle
-from .solver_gen5 import ray_arrays, ray_point_errors, solve_gen5pt_angle
+from .solver_gen5 import central, ray_arrays, ray_point_errors, solve_gen5pt_angle
 from .solver_reg4 import sampson_errors, solve_4pt_angle
 from .synth import SceneConfig, _random_in_ball, _unit, generate_scene
 
@@ -57,10 +57,12 @@ class RansacResult:
         return int(np.count_nonzero(self.inlier_mask))
 
 
-def _score(kind: str, pose: RelativePose, rays: tuple[np.ndarray, ...]) -> np.ndarray:
-    if kind == "reg4":
-        return sampson_errors(pose.R, pose.t, *rays)
-    return ray_point_errors(pose.R, pose.t, *rays)
+# Most minimal samples one round of ``ransac_estimate`` solves as a stack.
+# The stopping bound sizes each round, but an early weak consensus asks for
+# far more samples than the stop that a better one soon brings.
+BATCH_LIMIT = 8
+
+_PAIR_TYPES = {"reg4": BearingPair, "gen5": PluckerPair}
 
 
 def ransac_estimate(
@@ -74,20 +76,34 @@ def ransac_estimate(
     Ties on the inlier count are broken by the lower total score over the
     inliers.  Iterations stop early once the standard confidence bound on the
     best inlier ratio is met.
+
+    The samples are drawn and solved in rounds of at most ``BATCH_LIMIT``,
+    sized by the stopping bound, and every pose of a round is scored in one
+    call.  Hypotheses are then weighed and the stopping rule applied sample
+    by sample, and the samples of a round past the stop are discarded, so
+    the result is that of solving one sample at a time.
     """
-    if kind not in ("reg4", "gen5"):
+    if kind not in _PAIR_TYPES:
         raise ValueError(f"unknown solver kind {kind!r}")
+    pair_type = _PAIR_TYPES[kind]
+    if not all(isinstance(o, pair_type) for o in observations):
+        raise ValueError(f"{kind} RANSAC takes {pair_type.__name__} observations")
     sample_size = 4 if kind == "reg4" else 5
     n = len(observations)
     if n < sample_size:
         raise ValueError(f"at least {sample_size} observations required, got {n}")
-    rng = np.random.default_rng(cfg.seed)
-    solve = solve_4pt_angle if kind == "reg4" else solve_gen5pt_angle
     # Stacked once per call; each hypothesis only moves them by its pose.
     if kind == "reg4":
         rays = (np.array([o.q1 for o in observations]), np.array([o.q2 for o in observations]))
+        solve, score = solve_4pt_angle, sampson_errors
     else:
         rays = ray_arrays(observations)
+        if central(*(np.array([getattr(o, m) for o in observations]) for m in ("m1", "m2"))):
+            raise ScaleUnobservable(
+                "all ray moments vanish: a central configuration carries no translation scale"
+            )
+        solve, score = solve_gen5pt_angle, ray_point_errors
+    rng = np.random.default_rng(cfg.seed)
 
     best_pose = None
     best_mask = None
@@ -96,31 +112,44 @@ def ransac_estimate(
     n_hypotheses = 0
     trace: list[int] = []
     iterations = 0
-    for iterations in range(1, cfg.max_iterations + 1):
-        idx = rng.choice(n, size=sample_size, replace=False)
-        subset = [observations[i] for i in idx]
-        try:
-            poses = solve(subset, theta)
-        except RelposeError:
-            continue
-        for pose in poses:
-            n_hypotheses += 1
-            errors = _score(kind, pose, rays)
-            mask = errors < cfg.inlier_threshold
-            count = int(np.count_nonzero(mask))
-            total = float(np.sum(errors[mask])) if count else math.inf
-            if count > best_count or (count == best_count and total < best_score):
-                best_pose, best_mask, best_count, best_score = pose, mask, count, total
-            if cfg.keep_trace:
-                trace.append(best_count)
-        if best_count > 0:
-            w = best_count / n
-            p_good = w**sample_size
-            if p_good >= 1.0:
-                break
-            needed = math.log(1.0 - cfg.confidence) / math.log1p(-p_good)
-            if iterations >= needed:
-                break
+    needed = math.inf
+    stop = False
+    while not stop and iterations < cfg.max_iterations:
+        size = min(BATCH_LIMIT, cfg.max_iterations - iterations)
+        if needed < math.inf:
+            size = max(1, min(size, math.ceil(needed) - iterations))
+        samples = np.array([rng.choice(n, size=sample_size, replace=False) for _ in range(size)])
+        per_sample = solve(observations, theta, samples=samples)
+        hypotheses = [pose for poses in per_sample for pose in poses]
+        if hypotheses:
+            errors = score(
+                np.array([p.R for p in hypotheses]), np.array([p.t for p in hypotheses]), *rays
+            )
+            masks = errors < cfg.inlier_threshold
+            counts = np.count_nonzero(masks, axis=1).tolist()
+        h = 0
+        for poses in per_sample:
+            iterations += 1
+            if not poses:
+                continue
+            for pose in poses:
+                n_hypotheses += 1
+                count = counts[h]
+                if count >= best_count:
+                    mask = masks[h]
+                    total = float(np.sum(errors[h][mask])) if count else math.inf
+                    if count > best_count or total < best_score:
+                        best_pose, best_mask, best_count, best_score = pose, mask, count, total
+                if cfg.keep_trace:
+                    trace.append(best_count)
+                h += 1
+            if best_count > 0:
+                p_good = (best_count / n) ** sample_size
+                if p_good < 1.0:
+                    needed = math.log(1.0 - cfg.confidence) / math.log1p(-p_good)
+                if p_good >= 1.0 or iterations >= needed:
+                    stop = True
+                    break
     if best_pose is None:
         raise NoHypothesis("every sampled minimal subset failed to produce a pose")
     return RansacResult(

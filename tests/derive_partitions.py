@@ -57,7 +57,7 @@ from relpose.gbsolver import (
     rref_conditioned,
 )
 from relpose.geom import rotation_stack, sigma_from_angle
-from relpose.poly import build_f_polynomials, build_g_polynomials
+from relpose.poly import _ray_stack, build_f_polynomials, build_g_polynomials
 from relpose.synth import SceneConfig, generate_scene
 
 # Angle strata in degrees, covering the domain the benchmarks use.
@@ -77,6 +77,7 @@ def scenes(problem, seeds):
     stratum and seed, motions alternating."""
     out = []
     generalized = problem is GENERAL
+    names = ("q1", "q2", "m1", "m2") if generalized else ("q1", "q2")
     build = build_g_polynomials if generalized else build_f_polynomials
     for k, (deg, seed) in enumerate((d, s) for d in THETAS_DEG for s in seeds):
         theta = math.radians(deg)
@@ -84,7 +85,7 @@ def scenes(problem, seeds):
                           motion=("forward", "sideways")[k % 2])
         truth, pairs = generate_scene(cfg, problem.sample_size)
         c = sigma_from_angle(theta)
-        gens = build(pairs, c)
+        gens = build(*_ray_stack(pairs, *names), c)
         tpl = assemble_reduced_template(gens, problem.multipliers, problem.target_degree, c,
                                         extra_rows=problem.extra_rows)
         out.append((c, truth.R, gens, tpl))

@@ -12,12 +12,13 @@ import numpy as np
 from reference_templates import (
     ZERO_ANGLE_ROOTS,
     NearZeroVector,
+    degenerate_configuration,
     rectified_quaternions,
     rectify_quaternion,
 )
 from relpose import solver_gen5
 from relpose.exceptions import DegenerateConfiguration, ScaleUnobservable
-from relpose.gbsolver import GENERAL, POSE_RESIDUAL_TOL, degenerate_configuration
+from relpose.gbsolver import GENERAL, POSE_RESIDUAL_TOL
 from relpose.geom import (
     PluckerPair,
     RelativePose,
@@ -141,14 +142,16 @@ def loop_solve_gen5pt_angle(pairs: list[PluckerPair], theta: float, anchor: int 
         )
     with degenerate_configuration():
         if c.tau != 0.0:
-            roots = solver_gen5._rotation_candidates(ordered, c).roots
+            roots = solver_gen5._rotation_candidates(ordered, c)
         else:
             roots = ZERO_ANGLE_ROOTS
     root_count = len(roots)
 
     quats = rectified_quaternions(roots, c)
     Rs = rotation_stack(c.sigma, np.array([q.u for q in quats]))
-    _, s, vt = np.linalg.svd(solver_gen5._depth_rows(ordered, Rs))
+    rays = (np.array([getattr(p, a) for p in ordered]) for a in ("q1", "q2", "m1", "m2"))
+    own = (np.repeat(r[None], len(Rs), axis=0) for r in rays)
+    _, s, vt = np.linalg.svd(solver_gen5._depth_rows(*own, Rs))
     v = vt[:, -1]
     unobservable = (s[:, 1] <= SCALE_RANK_EPS * s[:, 0]) | (np.abs(v[:, 2]) < SCALE_COMPONENT_EPS)
 

@@ -7,9 +7,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from reference_templates import ZERO_ANGLE_ROOTS, rectified_quaternions
+from reference_templates import ZERO_ANGLE_ROOTS, degenerate_configuration, rectified_quaternions
 from relpose.exceptions import DegenerateConfiguration, NoCheiralSolution
-from relpose.gbsolver import POSE_RESIDUAL_TOL, REGULAR, degenerate_configuration
+from relpose.gbsolver import POSE_RESIDUAL_TOL, REGULAR
 from relpose.geom import (
     PARALLEL_RAY_EPS,
     BearingPair,
@@ -67,7 +67,7 @@ def loop_solve_4pt_angle(
     cheirality counts per rotation root."""
     ordered, c = REGULAR.prepare(pairs, theta, anchor)
     with degenerate_configuration():
-        roots = _rotation_candidates(ordered, c).roots if c.tau != 0.0 else ZERO_ANGLE_ROOTS
+        roots = _rotation_candidates(ordered, c) if c.tau != 0.0 else ZERO_ANGLE_ROOTS
     root_count = len(roots)
 
     poses: list[RelativePose] = []

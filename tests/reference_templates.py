@@ -26,6 +26,7 @@ the template also live here; the package uses none of them.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,14 +49,46 @@ from relpose.gbsolver import (
     ROOT_TOL,
     U_DIRECTION_EPS,
     EliminationTemplate,
-    ExtractedRoots,
     QuotientBasis,
+    as_degenerate,
+    rescaled_roots,
 )
-from relpose.geom import UnitQuaternion, _as_vec3
+from relpose.geom import UnitQuaternion, _as_vec3, rotation_stack, unit_quaternions
 from relpose.poly import COINCIDENT_RAY_EPS, GrevlexBasis, _mul_table, grevlex_basis, grevlex_key
 
 # A pivot is accepted only above this fraction of its row's incoming scale.
 PIVOT_TOL = 1e-10
+
+
+@contextmanager
+def degenerate_configuration():
+    """Re-raise template failures as the ``DegenerateConfiguration`` a
+    solver reports for them."""
+    try:
+        yield
+    except RelposeError as exc:
+        if as_degenerate(exc) is exc:
+            raise
+        raise as_degenerate(exc) from exc
+
+
+def candidate_rotations(roots: np.ndarray, c) -> tuple[list[UnitQuaternion], np.ndarray]:
+    """Quaternions and ``(K, 3, 3)`` rotation stack of the ``(K, 3)`` roots
+    that carry a usable rotation axis, from the kernels the solvers run;
+    raises ``DegenerateConfiguration`` when none does."""
+    _, u = rescaled_roots(roots, c)
+    if not len(u):
+        raise DegenerateConfiguration("no usable rotation candidates survived filtering")
+    return unit_quaternions(c.sigma, u), rotation_stack(c.sigma, u)
+
+
+@dataclass(frozen=True, eq=False)
+class LoopRoots:
+    """Roots and drop counts of one sample, as ``extract_roots`` reports them."""
+
+    roots: tuple
+    n_dropped_at_infinity: int
+    n_dropped_inconsistent: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -436,11 +469,7 @@ def extract_roots(pairs, qb) -> ExtractedRoots:
             n_incons += 1
             continue
         roots.append(np.array([v[qb.pos_alpha], v[qb.pos_beta], v[qb.pos_gamma]]))
-    return ExtractedRoots(
-        roots=tuple(roots),
-        n_dropped_at_infinity=n_inf,
-        n_dropped_inconsistent=n_incons,
-    )
+    return LoopRoots(roots=tuple(roots), n_dropped_at_infinity=n_inf, n_dropped_inconsistent=n_incons)
 
 
 class NearZeroVector(RelposeError):

@@ -26,7 +26,13 @@ from relpose.gbsolver import (
     quotient_basis_from_pivots,
 )
 from relpose.imu import GyroSample, integrate_gyro
-from relpose.poly import build_f_polynomials, build_g_polynomials, grevlex_key, grevlex_basis
+from relpose.poly import (
+    _ray_stack,
+    build_f_polynomials,
+    build_g_polynomials,
+    grevlex_basis,
+    grevlex_key,
+)
 from relpose.robust import (
     RansacConfig,
     run_ransac_trials,
@@ -100,7 +106,7 @@ def test_criterion_02_noise_free_generalized(generalized_noise_free):
 def _regular_pipeline_stats(seed):
     truth, pairs = generate_scene(SceneConfig(seed=seed), 4)
     c = sigma_from_angle(rotation_angle(truth.R))
-    fs = build_f_polynomials(pairs, c)
+    fs = build_f_polynomials(*_ray_stack(pairs, "q1", "q2"), c)
     tpl = assemble_reduced_template(fs, REGULAR.multipliers, 5, c)
     rem = tpl.basis.remainder_monomials
     top = tuple(j for j, m in enumerate(rem) if sum(m) == 5)
@@ -116,7 +122,7 @@ def _regular_pipeline_stats(seed):
 def _general_pipeline_stats(seed):
     truth, pairs = generate_scene(SceneConfig(seed=seed, generalized=True), 5)
     c = sigma_from_angle(rotation_angle(truth.R))
-    gs = build_g_polynomials(pairs, c)
+    gs = build_g_polynomials(*_ray_stack(pairs, "q1", "q2", "m1", "m2"), c)
     tpl = assemble_reduced_template(gs, GENERAL.multipliers, 8, c, extra_rows=GENERAL.extra_rows)
     rem = tpl.basis.remainder_monomials
     top = tuple(j for j, m in enumerate(rem) if sum(m) == 8)
@@ -163,12 +169,13 @@ def test_criterion_04_template_shapes():
     for seed in range(5):
         truth, pairs = generate_scene(SceneConfig(seed=seed), 4)
         c = sigma_from_angle(rotation_angle(truth.R))
-        tpl = assemble_reduced_template(build_f_polynomials(pairs, c), REGULAR.multipliers, 5, c)
+        fs = build_f_polynomials(*_ray_stack(pairs, "q1", "q2"), c)
+        tpl = assemble_reduced_template(fs, REGULAR.multipliers, 5, c)
         assert tpl.matrix.shape == (16, 36)
         truth, pairs = generate_scene(SceneConfig(seed=seed, generalized=True), 5)
         c = sigma_from_angle(rotation_angle(truth.R))
         tpl = assemble_reduced_template(
-            build_g_polynomials(pairs, c), GENERAL.multipliers, 8, c,
+            build_g_polynomials(*_ray_stack(pairs, "q1", "q2", "m1", "m2"), c), GENERAL.multipliers, 8, c,
             extra_rows=GENERAL.extra_rows,
         )
         assert tpl.matrix.shape == (37, 81)
@@ -191,7 +198,7 @@ def test_criterion_05_schur_equivalence():
     for theta in angles:
         c = sigma_from_angle(theta)
         for _ in range(100):
-            fs = build_f_polynomials(_random_bearing_pairs(rng, 4), c)
+            fs = build_f_polynomials(*_ray_stack(_random_bearing_pairs(rng, 4), "q1", "q2"), c)
             worst = max(worst, schur_equivalence_check(fs, c))
     assert worst < 1e-11, f"max deviation {worst:.3e}"
 
@@ -202,7 +209,7 @@ def test_criterion_05_schur_equivalence():
     for _ in range(3):
         theta = rng.uniform(0.2, 2.8)
         c = sigma_from_angle(theta)
-        fs = build_f_polynomials(_random_bearing_pairs(rng, 4), c)
+        fs = build_f_polynomials(*_ray_stack(_random_bearing_pairs(rng, 4), "q1", "q2"), c)
         tpl = assemble_reduced_template(fs, REGULAR.multipliers, 5, c)
         A = np.zeros((4, 35))
         for r, f in enumerate(as_polynomials(fs)):

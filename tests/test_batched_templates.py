@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import reference_templates as ref
+from reference_templates import candidate_rotations
 from reference_gen5 import loop_solve_gen5pt_angle
 from reference_reg4 import loop_solve_4pt_angle
 from relpose import solver_gen5, solver_reg4
@@ -29,7 +30,6 @@ from relpose.gbsolver import (
     U_DIRECTION_EPS,
     assemble_reduced_template,
     build_action_matrix,
-    candidate_rotations,
     eigensolve_real,
     extract_roots,
     quotient_basis_from_pivots,
@@ -55,6 +55,7 @@ from relpose.synth import SceneConfig, generate_scene
 
 F_TRIPLES = [(1, 2, 3), (2, 3, 0), (3, 0, 1), (0, 1, 2)]
 G_QUADRUPLES = [(1, 2, 3, 4), (2, 3, 4, 0), (3, 4, 0, 1), (4, 0, 1, 2), (0, 1, 2, 3)]
+PLUCKER = ("q1", "q2", "m1", "m2")
 THETAS = [1e-3, float(np.random.default_rng(2024).uniform(0.0, math.pi)), math.pi - 1e-3]
 
 
@@ -89,8 +90,8 @@ def generators_and_template(module, solver: str, pairs, c):
 
 
 BATCHED = SimpleNamespace(
-    build_f_polynomials=build_f_polynomials,
-    build_g_polynomials=build_g_polynomials,
+    build_f_polynomials=lambda pairs, c: build_f_polynomials(*_ray_stack(pairs, "q1", "q2"), c),
+    build_g_polynomials=lambda pairs, c: build_g_polynomials(*_ray_stack(pairs, *PLUCKER), c),
     assemble_reduced_template=assemble_reduced_template,
 )
 
@@ -130,7 +131,7 @@ class TestGeneratorsMatchSpecs:
         pairs = problem("reg4", "central", "forward", theta, seed)
         c = sigma_from_angle(theta)
         q1, q2 = _ray_stack(pairs, "q1", "q2")
-        for f, (i, j, k) in zip(build_f_polynomials(pairs, c), F_TRIPLES, strict=True):
+        for f, (i, j, k) in zip(build_f_polynomials(q1, q2, c), F_TRIPLES, strict=True):
             assert_bits(f, _f_dets(_f_rows(q1, q2, np.array([i, i]), np.array([j, k]), c.sigma)))
             assert_bits(f, ref.f_determinant(pairs, i, j, k, c).coeffs)
 
@@ -139,15 +140,17 @@ class TestGeneratorsMatchSpecs:
         theta = float(np.random.default_rng(seed).uniform(0.05, 3.1))
         pairs = problem("gen5", "generalized", "sideways", theta, seed)
         c = sigma_from_angle(theta)
-        for g, (i, j, k, l) in zip(build_g_polynomials(pairs, c), G_QUADRUPLES, strict=True):
-            rows = _g_rows(pairs, np.array([i, i, i]), np.array([j, k, l]), c.sigma)
+        rays = _ray_stack(pairs, *PLUCKER)
+        for g, (i, j, k, l) in zip(build_g_polynomials(*rays, c), G_QUADRUPLES, strict=True):
+            rows = _g_rows(*rays, np.array([i, i, i]), np.array([j, k, l]), c.sigma)
             assert_bits(g, _g_dets(rows))
             assert_bits(g, ref.g_determinant(pairs, i, j, k, l, c).coeffs)
 
     def test_spec_entries_match_scalar_rows(self):
         pairs = problem("gen5", "generalized", "forward", 0.7, 5)
         c = sigma_from_angle(0.7)
-        rows = _g_rows(pairs, np.array([2, 2, 2]), np.array([0, 3, 4]), c.sigma)
+        rays = _ray_stack(pairs, *PLUCKER)
+        rows = _g_rows(*rays, np.array([2, 2, 2]), np.array([0, 3, 4]), c.sigma)
         for row, j in zip(rows, (0, 3, 4), strict=True):
             for e, r in zip(row, ref.g_constraint_row(pairs, 2, j, c), strict=True):
                 assert_bits(e, r.coeffs)
@@ -396,7 +399,7 @@ class TestCandidateRotationsMatchOracle:
         module, rays = (solver_reg4, "central") if solver == "reg4" else (solver_gen5, "generalized")
         c = sigma_from_angle(theta)
         for seed in range(3):
-            roots = module._rotation_candidates(problem(solver, rays, "forward", theta, seed), c).roots
+            roots = module._rotation_candidates(problem(solver, rays, "forward", theta, seed), c)
             assert len(roots) > 1
             assert_same_rotations(roots, c)
             # The zero angle pins any roots to the identity.
@@ -515,7 +518,7 @@ class TestDegenerateInputs:
             ([pairs[0], pairs[1], BearingPair(q1=pairs[2].q1, q2=pairs[0].q2), pairs[3]], "view 2"),
         ):
             with pytest.raises(DegenerateInput) as batched:
-                build_f_polynomials(bad, c)
+                build_f_polynomials(*_ray_stack(bad, "q1", "q2"), c)
             with pytest.raises(DegenerateInput) as scalar:
                 ref.build_f_polynomials(bad, c)
             assert str(batched.value) == str(scalar.value)
@@ -527,14 +530,14 @@ class TestDegenerateInputs:
         pairs = problem("gen5", "generalized", "forward", 0.5, 2)
         c = sigma_from_angle(0.5)
         with pytest.raises(DegenerateInput):
-            build_g_polynomials([pairs[0]] * 5, c)
+            build_g_polynomials(*_ray_stack([pairs[0]] * 5, *PLUCKER), c)
         with pytest.raises(DegenerateConfiguration):
             solve_gen5pt_angle([pairs[0]] * 5, 0.5)
 
     def test_degree_overflow(self):
         pairs = problem("reg4", "central", "forward", 0.5, 3)
         c = sigma_from_angle(0.5)
-        fs = build_f_polynomials(pairs, c)
+        fs = build_f_polynomials(*_ray_stack(pairs, "q1", "q2"), c)
         with pytest.raises(DegreeOverflow):
             assemble_reduced_template(fs, ((0, 0, 2),), REGULAR.target_degree, c)
         with pytest.raises(DegreeOverflow):

@@ -10,19 +10,25 @@ from relpose.gbsolver import (
     REGULAR,
     assemble_reduced_template,
     build_action_matrix,
-    candidate_rotations,
     eigensolve_real,
     extract_roots,
     quotient_basis_from_pivots,
     rref_conditioned,
 )
 from relpose.geom import quat_from_rotation, rotation_angle, sigma_from_angle
-from relpose.poly import build_f_polynomials, build_g_polynomials, grevlex_basis, grevlex_key
+from relpose.poly import (
+    _ray_stack,
+    build_f_polynomials,
+    build_g_polynomials,
+    grevlex_basis,
+    grevlex_key,
+)
 from relpose.synth import SceneConfig, generate_scene
 import reference_templates as ref
 from reference_templates import (
     DensePolynomial,
     as_polynomials,
+    candidate_rotations,
     reduce_mod_h,
     rref,
     schur_equivalence_check,
@@ -40,14 +46,16 @@ def regular_instance(seed):
     truth, pairs = generate_scene(SceneConfig(seed=seed), 4)
     theta = rotation_angle(truth.R)
     c = sigma_from_angle(theta)
-    return build_f_polynomials(pairs, c), c, quat_from_rotation(truth.R).u
+    gens = build_f_polynomials(*_ray_stack(pairs, "q1", "q2"), c)
+    return gens, c, quat_from_rotation(truth.R).u
 
 
 def general_instance(seed):
     truth, pairs = generate_scene(SceneConfig(seed=seed, generalized=True), 5)
     theta = rotation_angle(truth.R)
     c = sigma_from_angle(theta)
-    return build_g_polynomials(pairs, c), c, quat_from_rotation(truth.R).u
+    gens = build_g_polynomials(*_ray_stack(pairs, "q1", "q2", "m1", "m2"), c)
+    return gens, c, quat_from_rotation(truth.R).u
 
 
 def regular_template(seed):
@@ -97,7 +105,7 @@ class TestSchurEquivalence:
     def test_right_angle_instance(self):
         truth, pairs = generate_scene(SceneConfig(seed=6, theta_rad=math.pi / 2), 4)
         c = sigma_from_angle(math.pi / 2)
-        fs = build_f_polynomials(pairs, c)
+        fs = build_f_polynomials(*_ray_stack(pairs, "q1", "q2"), c)
         assert schur_equivalence_check(fs, c) < 1e-11
 
     def test_spot_entry_formula(self):
@@ -356,10 +364,10 @@ class TestRootResiduals:
         truth, pairs = generate_scene(SceneConfig(seed=seed), 4)
         theta = rotation_angle(truth.R)
         c = sigma_from_angle(theta)
-        fs = as_polynomials(build_f_polynomials(pairs, c))
-        ext = _rotation_candidates(pairs, c)
+        fs = as_polynomials(build_f_polynomials(*_ray_stack(pairs, "q1", "q2"), c))
+        roots = _rotation_candidates(pairs, c)
         scale = max(f.max_abs() for f in fs)
-        quats, _ = candidate_rotations(ext.roots, c)
+        quats, _ = candidate_rotations(roots, c)
         for q in quats:
             assert max(abs(f(q.u)) for f in fs) < 1e-8 * scale
             assert abs(q.u @ q.u + c.tau) < 1e-8

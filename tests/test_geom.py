@@ -15,10 +15,12 @@ from relpose.geom import (
     generalized_residual,
     quat_from_rotation,
     quat_to_rotation,
+    relative_poses,
     rotation_angle,
     rotation_stack,
     sigma_from_angle,
     skew,
+    unit_quaternions,
 )
 from relpose.synth import SceneConfig, generate_scene
 from reference_gen5 import inverse_pose
@@ -234,3 +236,70 @@ class TestTypes:
     def test_relative_pose_rejects_non_rotation(self):
         with pytest.raises(ValueError):
             RelativePose(np.eye(3) * 1.1, np.zeros(3), UnitQuaternion(1.0, np.zeros(3)))
+
+
+def message(fn, *args, **kwargs):
+    """The message of the ValueError a call raises."""
+    with pytest.raises(ValueError) as info:
+        fn(*args, **kwargs)
+    return str(info.value)
+
+
+class TestBulkConstruction:
+    """``unit_quaternions`` and ``relative_poses`` check whole stacks as
+    arrays; one bad entry raises the error the constructor raises for it."""
+
+    def stack(self, n=5, seed=3):
+        rng = np.random.default_rng(seed)
+        quats = [random_quat(rng) for _ in range(n)]
+        Rs = np.array([quat_to_rotation(q) for q in quats])
+        ts = rng.normal(size=(n, 3))
+        return quats, Rs, ts
+
+    def test_good_stack_matches_the_constructor(self):
+        quats, Rs, ts = self.stack()
+        poses = relative_poses(Rs, ts, quats, cheiral_count=[1, 2, 3, 4, 5], root_count=[7] * 5)
+        for k, pose in enumerate(poses):
+            want = RelativePose(R=Rs[k], t=ts[k], quat=quats[k], cheiral_count=k + 1, root_count=7)
+            assert np.array_equal(pose.R, want.R) and np.array_equal(pose.t, want.t)
+            assert pose.quat is quats[k]
+            assert (pose.cheiral_count, pose.root_count) == (want.cheiral_count, want.root_count)
+            assert (pose.depths, pose.cheirality_tie, pose.low_parallax) == (None, False, False)
+
+    @pytest.mark.parametrize(
+        "bad", [np.diag([1.0, 1.0, -1.0]), 1.001 * np.eye(3), np.full((3, 3), np.nan)]
+    )
+    def test_one_bad_rotation(self, bad):
+        quats, Rs, ts = self.stack()
+        Rs[3] = bad
+        want = message(RelativePose, R=bad, t=ts[3], quat=quats[3])
+        assert message(relative_poses, Rs, ts, quats) == want == "R is not a rotation matrix"
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_one_bad_translation(self, bad):
+        quats, Rs, ts = self.stack()
+        ts[2, 1] = bad
+        want = message(RelativePose, R=Rs[2], t=ts[2], quat=quats[2])
+        assert message(relative_poses, Rs, ts, quats) == want
+
+    def test_the_first_bad_pose_is_reported(self):
+        quats, Rs, ts = self.stack()
+        ts[1, 0] = np.nan
+        Rs[3] = 2.0 * np.eye(3)
+        assert message(relative_poses, Rs, ts, quats) == message(
+            RelativePose, R=Rs[1], t=ts[1], quat=quats[1]
+        )
+
+    @pytest.mark.parametrize("scale", [1.0 + 1e-9, np.nan])
+    def test_one_bad_quaternion(self, scale):
+        c = sigma_from_angle(0.7)
+        rng = np.random.default_rng(4)
+        u = rng.normal(size=(4, 3))
+        u *= math.sqrt(1.0 - c.sigma**2) / np.linalg.norm(u, axis=1, keepdims=True)
+        assert [q.u.tolist() for q in unit_quaternions(c.sigma, u)] == u.tolist()
+        u[2] *= scale
+        assert message(unit_quaternions, c.sigma, u) == message(UnitQuaternion, c.sigma, u[2])
+
+    def test_negative_scalar_part(self):
+        u = np.zeros((2, 3))
+        assert message(unit_quaternions, -1.0, u) == message(UnitQuaternion, -1.0, u[0])

@@ -23,6 +23,7 @@ from relpose.geom import (
     rotation_angle,
     sigma_from_angle,
 )
+from relpose.poly import _ray_stack
 from relpose.synth import SceneConfig, generate_scene
 
 SOLVERS = pytest.mark.parametrize("solver", ["reg4", "gen5"])
@@ -58,8 +59,9 @@ def scaled_residual(pose, pair) -> float:
 
 def generators(module, pairs, theta):
     c = sigma_from_angle(theta)
-    build = getattr(module, "build_g_polynomials", None) or module.build_f_polynomials
-    return build(pairs, c), c
+    if module is solver_gen5:
+        return module.build_g_polynomials(*_ray_stack(pairs, "q1", "q2", "m1", "m2"), c), c
+    return module.build_f_polynomials(*_ray_stack(pairs, "q1", "q2"), c), c
 
 
 class TestPolishRoots:
@@ -67,7 +69,7 @@ class TestPolishRoots:
     def test_perturbed_roots_return_to_the_variety(self, solver):
         module, _, pairs, theta = instance(solver, seed=1)
         gens, c = generators(module, pairs, theta)
-        roots = module._rotation_candidates(pairs, c).roots
+        roots = module._rotation_candidates(pairs, c)
         rng = np.random.default_rng(0)
         moved = roots + 1e-5 * rng.normal(size=roots.shape)
         assert np.max(np.abs(polish_roots(gens, moved, c) - roots)) < 1e-10
@@ -76,10 +78,27 @@ class TestPolishRoots:
     def test_a_root_is_never_moved_to_a_larger_residual(self, solver):
         module, _, pairs, theta = instance(solver, seed=2)
         gens, c = generators(module, pairs, theta)
-        roots = module._rotation_candidates(pairs, c).roots
+        roots = module._rotation_candidates(pairs, c)
         # A polished root is at rounding level and stays where it is.
         assert np.array_equal(polish_roots(gens, roots, c), roots)
         assert polish_roots(gens, roots[:0], c).shape == (0, 3)
+
+    @SOLVERS
+    def test_a_stack_polishes_each_sample_as_alone(self, solver):
+        # The first sample's generators are pure squares, so at the origin
+        # every derivative vanishes and its normal equations are singular:
+        # that ends its own polishing, not the second sample's.
+        module, _, pairs, theta = instance(solver, seed=1)
+        gens, c = generators(module, pairs, theta)
+        roots = module._rotation_candidates(pairs, c)
+        moved = roots + 1e-5 * np.random.default_rng(0).normal(size=roots.shape)
+        squares = np.zeros_like(gens)
+        squares[:, 0] = 1.0
+        stack = np.stack([squares, gens])
+        owner = np.repeat([0, 1], [1, len(moved)])
+        both = polish_roots(stack, np.vstack([np.zeros((1, 3)), moved]), c, owner)
+        assert np.array_equal(both[0], np.zeros(3))
+        assert np.array_equal(both[1:], polish_roots(gens, moved, c))
 
 
 class TestResidualGate:
@@ -87,13 +106,14 @@ class TestResidualGate:
     def test_a_root_off_the_variety_is_never_returned(self, monkeypatch, solver):
         module, solve, pairs, theta = instance(solver, seed=3)
         honest = solve(pairs, theta)
-        original = module.polish_roots
+        original = module.rotation_roots
 
-        def with_a_stray_root(gens, roots, c):
-            polished = original(gens, roots, c)
-            return np.vstack([polished, polished[:1] + np.array([1e-3, -2e-3, 1e-3])])
+        def with_a_stray_root(*args):
+            polished, sample = original(*args)
+            stray = polished[:1] + np.array([1e-3, -2e-3, 1e-3])
+            return np.vstack([polished, stray]), np.append(sample, sample[:1])
 
-        monkeypatch.setattr(module, "polish_roots", with_a_stray_root)
+        monkeypatch.setattr(module, "rotation_roots", with_a_stray_root)
         poses = solve(pairs, theta)
         assert all(scaled_residual(p, q) <= POSE_RESIDUAL_TOL for p in poses for q in pairs)
         assert len(poses) == len(honest)
@@ -105,7 +125,8 @@ class TestResidualGate:
         module, solve, pairs, theta = instance(solver, seed=4)
         original = module.polish_roots
         monkeypatch.setattr(
-            module, "polish_roots", lambda gens, roots, c: original(gens, roots, c) + 1e-3
+            module, "polish_roots",
+            lambda gens, roots, c, sample: original(gens, roots, c, sample) + 1e-3,
         )
         with pytest.raises(DegenerateConfiguration, match="satisfies its own sample"):
             solve(pairs, theta)
@@ -140,7 +161,10 @@ def complete_pivoting_poses(monkeypatch, module, solve, pairs, theta):
     _, pivots = ref.rref_conditioned(tpl.matrix, **hints)
     with monkeypatch.context() as m:
         m.setattr(module, name, replace(problem, partitions=(tuple(pivots),)))
-        m.setattr(module, "rref_conditioned", lambda B, _: ref.rref_conditioned(B, **hints)[0])
+        m.setattr(
+            module, "rref_conditioned",
+            lambda B, _: np.stack([ref.rref_conditioned(b, **hints)[0] for b in B]),
+        )
         return solve(pairs, theta)
 
 
@@ -226,17 +250,19 @@ class TestFallback:
         original = module.extract_roots
         extracted = []
 
-        def extract(eigenpairs, qb):
-            out = original(eigenpairs, qb)
+        def extract(eigenpairs, qb, sizes):
+            out = original(eigenpairs, qb, sizes)
             extracted.append(out)
             if len(extracted) == 1:
-                return replace(out, roots=out.roots[:1], n_dropped_inconsistent=1)
+                return replace(
+                    out, roots=out.roots[:1], sample=out.sample[:1], inconsistent=np.array([1])
+                )
             if dropped == "raises":
                 raise EigenFailure("eigendecomposition did not converge")
-            return replace(out, n_dropped_inconsistent=dropped)
+            return replace(out, inconsistent=np.array([dropped]))
 
         monkeypatch.setattr(module, "extract_roots", extract)
-        roots = module._rotation_candidates(pairs, sigma_from_angle(theta)).roots
+        roots = module._rotation_candidates(pairs, sigma_from_angle(theta))
         assert len(extracted) == 2 and len(extracted[1].roots) > 1
         assert len(roots) == (1 if kept_first else len(extracted[1].roots))
 

@@ -6,7 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from relpose.exceptions import DegenerateInput, DegreeOverflow
 from relpose.geom import quat_from_rotation, quat_to_rotation, rotation_angle, sigma_from_angle
-from relpose.poly import build_f_polynomials, build_g_polynomials, grevlex_basis, grevlex_key
+from relpose.poly import (
+    _ray_stack,
+    build_f_polynomials,
+    build_g_polynomials,
+    grevlex_basis,
+    grevlex_key,
+)
 from relpose.geom import generalized_residual
 from relpose.synth import SceneConfig, generate_scene
 from reference_reg4 import triangulate_midpoint
@@ -176,7 +182,7 @@ def scene_with_truth(seed, generalized=False, n=None):
 class TestBuildF:
     def test_vanishes_at_ground_truth(self):
         truth, pairs, c, u = scene_with_truth(11)
-        for f in as_polynomials(build_f_polynomials(pairs, c)):
+        for f in as_polynomials(build_f_polynomials(*_ray_stack(pairs, "q1", "q2"), c)):
             assert abs(f(u)) < 1e-12
 
     def test_cyclic_determinant_identity(self):
@@ -214,7 +220,8 @@ class TestBuildF:
     def test_duplicate_pair_rejected(self):
         truth, pairs, c, _ = scene_with_truth(14)
         with pytest.raises(DegenerateInput):
-            build_f_polynomials([pairs[0], pairs[0], pairs[2], pairs[3]], c)
+            bad = [pairs[0], pairs[0], pairs[2], pairs[3]]
+            build_f_polynomials(*_ray_stack(bad, "q1", "q2"), c)
 
 
 class TestAuxiliaryDeterminantIdentity:
@@ -230,14 +237,14 @@ class TestAuxiliaryDeterminantIdentity:
 class TestBuildG:
     def test_vanishes_at_ground_truth(self):
         truth, pairs, c, u = scene_with_truth(16, generalized=True)
-        for g in as_polynomials(build_g_polynomials(pairs, c)):
+        for g in as_polynomials(build_g_polynomials(*_ray_stack(pairs, "q1", "q2", "m1", "m2"), c)):
             assert abs(g(u)) < 1e-10
 
     def test_total_degree_is_six(self):
         truth, pairs, c, _ = scene_with_truth(17, generalized=True)
         b6 = grevlex_basis(6)
         deg6 = np.array([sum(m) == 6 for m in b6.monomials])
-        for g in as_polynomials(build_g_polynomials(pairs, c)):
+        for g in as_polynomials(build_g_polynomials(*_ray_stack(pairs, "q1", "q2", "m1", "m2"), c)):
             assert np.max(np.abs(g.coeffs[deg6])) > 1e-10 * g.max_abs()
 
     def test_constraint_row_matches_residual(self):
@@ -263,4 +270,4 @@ class TestBuildG:
     def test_zero_rows_rejected(self):
         truth, pairs, c, _ = scene_with_truth(19, generalized=True)
         with pytest.raises(DegenerateInput):
-            build_g_polynomials([pairs[0]] * 5, c)
+            build_g_polynomials(*_ray_stack([pairs[0]] * 5, "q1", "q2", "m1", "m2"), c)

@@ -119,7 +119,9 @@ class TestRansacEstimate:
         monkeypatch.setattr(
             robust,
             "ray_point_errors",
-            lambda R, t, *rays: loop_ray_point_errors(SimpleNamespace(R=R, t=t), observed),
+            lambda Rs, ts, *rays: np.array(
+                [loop_ray_point_errors(SimpleNamespace(R=R, t=t), observed) for R, t in zip(Rs, ts)]
+            ),
         )
         slow = ransac_estimate(observed, theta, gen5_cfg(12), "gen5")
         assert_same_result(fast, slow)
@@ -131,8 +133,12 @@ class TestRansacEstimate:
         truth, pairs = generate_scene(SceneConfig(seed=7), 4)
         errors = np.ones(n)
         errors[17] = 0.0
-        monkeypatch.setattr(robust, "solve_4pt_angle", lambda subset, theta: [truth])
-        monkeypatch.setattr(robust, "sampson_errors", lambda R, t, q1, q2: errors)
+        monkeypatch.setattr(
+            robust, "solve_4pt_angle", lambda pairs, theta, samples: [[truth]] * len(samples)
+        )
+        monkeypatch.setattr(
+            robust, "sampson_errors", lambda Rs, ts, q1, q2: np.tile(errors, (len(Rs), 1))
+        )
         cfg = RansacConfig(max_iterations=5, inlier_threshold=0.5, seed=0)
         result = ransac_estimate(pairs[:1] * n, 0.5, cfg, "reg4")
         assert result.iterations == 5

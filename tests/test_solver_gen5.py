@@ -115,13 +115,13 @@ class TestSolveGen5ptAngle:
     @pytest.mark.parametrize("seed", [23, 24])
     def test_roots_satisfy_generating_polynomials(self, seed):
         from relpose.geom import sigma_from_angle
-        from relpose.poly import build_g_polynomials
+        from relpose.poly import _ray_stack, build_g_polynomials
         from reference_templates import as_polynomials
 
         truth, pairs = generate_scene(SceneConfig(seed=seed, generalized=True), 5)
         theta = rotation_angle(truth.R)
         c = sigma_from_angle(theta)
-        gs = as_polynomials(build_g_polynomials(pairs, c))
+        gs = as_polynomials(build_g_polynomials(*_ray_stack(pairs, "q1", "q2", "m1", "m2"), c))
         scale = max(g.max_abs() for g in gs)
         for pose in solve_gen5pt_angle(pairs, theta):
             u = pose.quat.u
@@ -254,7 +254,7 @@ class TestDepthRecovery:
         truth, pairs = generate_scene(SceneConfig(seed=seed, generalized=True), 5)
         theta = rotation_angle(truth.R)
         c = sigma_from_angle(theta)
-        roots = solver_gen5._rotation_candidates(pairs, c).roots
+        roots = solver_gen5._rotation_candidates(pairs, c)
         expected = loop_depth_poses(pairs, roots, c)
         poses = solve_gen5pt_angle(pairs, theta)
         assert len(poses) == len(expected)
@@ -266,8 +266,9 @@ class TestDepthRecovery:
     @pytest.mark.parametrize("solver", ["reg4", "gen5"])
     def test_no_rectifiable_root_is_degenerate(self, monkeypatch, solver):
         # Both roots lie below U_DIRECTION_EPS, so neither carries an axis.
-        def tiny_roots(pairs, qb):
-            return ExtractedRoots(np.full((2, 3), 1e-12), 0, 0)
+        def tiny_roots(pairs, qb, sizes):
+            none = np.zeros(1, dtype=int)
+            return ExtractedRoots(np.full((2, 3), 1e-12), np.zeros(2, dtype=int), none, none)
 
         generalized = solver == "gen5"
         truth, pairs = generate_scene(
@@ -277,7 +278,7 @@ class TestDepthRecovery:
         module = solver_gen5 if generalized else solver_reg4
         monkeypatch.setattr(module, "extract_roots", tiny_roots)
         # Polishing would carry the tiny roots onto the variety.
-        monkeypatch.setattr(module, "polish_roots", lambda generators, roots, c: roots)
+        monkeypatch.setattr(module, "polish_roots", lambda generators, roots, c, sample: roots)
         with pytest.raises(DegenerateConfiguration, match="no usable rotation candidates"):
             solve(pairs, rotation_angle(truth.R))
 
