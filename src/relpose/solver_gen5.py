@@ -46,9 +46,6 @@ CENTRAL_MOMENT_EPS = 1e-12
 SCALE_RANK_EPS = 1e-10
 SCALE_COMPONENT_EPS = 1e-10
 
-# Most poses ``ray_point_errors`` scores at once.
-SCORE_CHUNK = 16
-
 # The layers are called through this module's attributes.
 _LAYERS = sys.modules[__name__]
 
@@ -214,40 +211,28 @@ def ray_point_errors(
     ``(K, N)`` with each row as the single pose gives it.
 
     ``d1``, ``o1``, ``q2`` and ``c2`` are ``(N, 3)`` arrays as returned by
-    ``ray_arrays``.  The second-view rays are moved into the first frame, the
-    point minimizing the summed squared distance to both rays is
-    triangulated, and the result holds the RMS of its two distances, or
-    +inf where the rays are parallel.  A large stack is scored
-    ``SCORE_CHUNK`` poses at a time, which bounds the ``(K, N, 3, 3)``
-    temporaries.
+    ``ray_arrays``.  The second-view rays are moved into the first frame.
+    The point minimizing the summed squared distance to two skew rays is
+    the midpoint of their common perpendicular, so both distances, and
+    their RMS, are half the line-to-line distance
+    ``|(o2 - o1) . n| / (2 |n|)`` with ``n = d1 x d2``; the result is +inf
+    where the rays are parallel.
     """
-    if R.ndim == 3 and len(R) > SCORE_CHUNK:
-        return np.concatenate([
-            ray_point_errors(R[k : k + SCORE_CHUNK], t[k : k + SCORE_CHUNK], d1, o1, q2, c2)
-            for k in range(0, len(R), SCORE_CHUNK)
-        ])
     o2 = (c2 - t[..., None, :]) @ R
     d2 = q2 @ R
-    eye = np.eye(3)
-    proj1 = eye - d1[:, :, None] * d1[:, None, :]
-    proj2 = eye - d2[..., :, None] * d2[..., None, :]
     gram = np.einsum("...ij,...ij->...i", d1, d2)
     parallel = 1.0 - gram**2 <= 1e-12
-    A = proj1 + proj2
-    rhs = np.einsum("...ijk,...ik->...ij", proj1, o1) + np.einsum("...ijk,...ik->...ij", proj2, o2)
-    A_safe = np.where(parallel[..., None, None], eye, A)
-    X = np.linalg.solve(A_safe, rhs[..., None])[..., 0]
-    r1 = np.einsum("...ijk,...ik->...ij", proj1, X - o1)
-    r2 = np.einsum("...ijk,...ik->...ij", proj2, X - o2)
-    rms = np.sqrt(
-        (np.einsum("...ij,...ij->...i", r1, r1) + np.einsum("...ij,...ij->...i", r2, r2)) / 2.0
-    )
-    return np.where(parallel, np.inf, rms)
+    n = np.cross(d1, d2)
+    # |n| times the distance between the lines.
+    scaled_gap = np.abs(np.einsum("...ij,...ij->...i", o2 - o1, n))
+    norm = np.sqrt(np.einsum("...ij,...ij->...i", n, n))
+    return np.divide(scaled_gap, 2.0 * norm, out=np.full_like(scaled_gap, np.inf), where=~parallel)
 
 
 def ray_point_error(pose: RelativePose, pair: PluckerPair) -> float:
-    """RMS of the two point-to-ray distances after triangulating the point
-    that minimizes the summed squared distance to both rays."""
+    """RMS of the two distances from the rays to the point closest to both,
+    which is half the length of the rays' common perpendicular.  Raises
+    ``SkewDegenerate`` for parallel rays."""
     err = float(ray_point_errors(pose.R, pose.t, *ray_arrays([pair]))[0])
     if not np.isfinite(err):
         raise SkewDegenerate("rays are parallel; the correspondence cannot be triangulated")

@@ -111,11 +111,13 @@ class TestRansacEstimate:
         r2 = ransac_estimate(observed, theta, gen5_cfg(11), "gen5")
         assert_same_result(r1, r2)
 
-    def test_gen5_loop_scorer_gives_same_result(self, monkeypatch):
+    @pytest.mark.parametrize("seed", range(12, 24))
+    def test_gen5_loop_scorer_gives_same_result(self, monkeypatch, seed):
         # RANSAC scored by the per-pair loop reference, which gathers its rays
-        # from the observations on every call, picks the same consensus.
-        observed, theta = gen5_frame_pair(12)
-        fast = ransac_estimate(observed, theta, gen5_cfg(12), "gen5")
+        # from the observations on every call and triangulates with a 3x3
+        # solve, picks the same consensus as the closed-form scorer.
+        observed, theta = gen5_frame_pair(seed)
+        fast = ransac_estimate(observed, theta, gen5_cfg(seed), "gen5")
         monkeypatch.setattr(
             robust,
             "ray_point_errors",
@@ -123,7 +125,7 @@ class TestRansacEstimate:
                 [loop_ray_point_errors(SimpleNamespace(R=R, t=t), observed) for R, t in zip(Rs, ts)]
             ),
         )
-        slow = ransac_estimate(observed, theta, gen5_cfg(12), "gen5")
+        slow = ransac_estimate(observed, theta, gen5_cfg(seed), "gen5")
         assert_same_result(fast, slow)
 
     def test_tiny_inlier_ratio_runs_to_the_iteration_cap(self, monkeypatch):
