@@ -4,8 +4,17 @@ The pipeline is generic over the generators: multiply them by a fixed set of
 monomials, reduce every product modulo the sphere constraint, stack the
 remainder-block coefficients into a template matrix, row-reduce it, read the
 quotient-ring basis off the non-pivot columns, build the multiplication
-matrix for gamma, recover candidate roots from its eigenvectors, and polish
-every root with Gauss-Newton steps on the generators.
+matrix for gamma, take its eigenvalues, recover candidate roots from the
+eigenvectors of the near-real ones, and polish every root with Gauss-Newton
+steps on the generators.
+
+Eigenvalues come from ``np.linalg.eigvals`` (``eigensolve_real``).  The
+eigenvectors are rebuilt from the gamma chains of the quotient basis
+(``_gamma_chains``) by one batched solve over every real eigenvalue of a
+partition attempt (``extract_roots``), so their cost is traced in the
+``gbsolver.extract`` layer, not in ``gbsolver.eig``.  The chains make the
+gamma entry and every product with a gamma factor hold by construction; the
+alpha^2, alpha beta and beta^2 products carry the consistency test.
 
 Each minimal problem is one ``TemplateProblem``.  It carries a short
 chain of committed pivot partitions, so there is one elimination
@@ -79,12 +88,6 @@ class TemplateProblem:
     template_shape: tuple[int, int]
     basis_size: int
     partitions: tuple[tuple[int, ...], ...]
-
-    def prepare(self, pairs: list, theta: float, anchor: int) -> tuple[list, RotationConstraint]:
-        """Check the sample size, relabel the pairs cyclically so that
-        ``pairs[anchor]`` comes first, and fix the sphere constraint."""
-        ordered, _, c = self.sample_stack(pairs, theta, anchor, None)
-        return ordered, c
 
     def sample_stack(
         self, pairs: list, theta: float, anchor: int, samples
@@ -408,25 +411,65 @@ def _action_plan(degree: int, pivots: tuple[int, ...], qb: QuotientBasis):
     return np.flatnonzero(is_unit), unit[is_unit], np.flatnonzero(~is_unit), rows[~is_unit]
 
 
-def eigensolve_real(M: np.ndarray) -> list[tuple[float, np.ndarray]]:
-    """Eigenpairs of a real square matrix whose eigenvalue is (near-)real.
+def eigensolve_real(M: np.ndarray) -> np.ndarray:
+    """The real parts of the (near-)real eigenvalues of a real square matrix.
 
-    Eigenvectors are returned as real unit vectors; the complex phase is fixed
-    by the largest-magnitude entry before the real part is taken.
+    Only eigenvalues are computed; ``extract_roots`` rebuilds the
+    eigenvectors of the ones it needs from the gamma chains.
     """
     M = np.asarray(M, dtype=float)
     try:
-        w, V = np.linalg.eig(M)
+        w = np.linalg.eigvals(M)
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(str(exc)) from exc
     # A negated ">" keeps NaN eigenvalues, as the scalar test always has.
-    keep = np.flatnonzero(~(np.abs(w.imag) > IMAG_TOL * (1.0 + np.abs(w.real))))
-    V = V[:, keep]
-    V = V / V[np.argmax(np.abs(V), axis=0), np.arange(keep.size)]
-    # Contiguous rows make each stacked dot round as ``np.linalg.norm`` does.
-    vr = np.ascontiguousarray(V.real.T)
-    vr /= np.sqrt(stacked_dot(vr, vr))[:, None]
-    return list(zip(w.real[keep].tolist(), vr))
+    return w.real[~(np.abs(w.imag) > IMAG_TOL * (1.0 + np.abs(w.real)))]
+
+
+@lru_cache(maxsize=None)
+def _gamma_chains(qb: QuotientBasis):
+    """The gamma chains of the quotient basis, and how ``extract_roots``
+    builds its chain systems from them.
+
+    A unit row ``i -> j`` of the action matrix (gamma times monomial ``i`` is
+    monomial ``j``) means ``v[j] = lambda * v[i]`` for every eigenvector, so
+    the basis splits into chains ``m, gamma m, gamma^2 m, ...``, each ending
+    at a non-unit row, its tail, and an eigenvector is fixed by its entries
+    ``h`` at the chain heads.  The tail rows then read ``A(lambda) h = 0``
+    with ``A(lambda) = sum_d lambda^d C_d``: ``C_d`` holds each tail row's
+    entries at depth ``d`` of every chain, less 1 on the diagonal of each
+    chain of length ``d``.  Each system is bordered by a fixed column and
+    the row ``h[1] = 1`` in ``C_0``, the monomial 1 being a head.
+
+    Returns the chain and depth (power of gamma) of every basis index, and a
+    gather that builds every ``C_d`` of an action matrix at once from its
+    flattened entries followed by ``constants``.
+    """
+    n = qb.size
+    successor = [qb.index.get((a, b, c + 1), -1) for a, b, c in qb.monomials]
+    chain, depth = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    tails = []
+    for c, head in enumerate(sorted(set(range(n)).difference(successor))):
+        k, d = head, 0
+        while k >= 0:
+            chain[k], depth[k] = c, d
+            tail, k, d = k, successor[k], d + 1
+        tails.append(tail)
+    n_heads, lengths, diagonal = len(tails), np.bincount(chain), np.arange(len(tails))
+    cols = np.full((lengths.max() + 1, n_heads), -1)
+    cols[depth, chain] = np.arange(n)
+    # Past the end of the matrix: 0, -1, 1, then the border, a fixed column
+    # without structure.
+    constants = np.concatenate([[0.0, -1.0, 1.0], np.cos(math.e * np.arange(1, n_heads + 1))])
+    zero, minus_one, one, border = n * n, n * n + 1, n * n + 2, n * n + 3
+    gather = np.full((len(cols), n_heads + 1, n_heads + 1), zero)
+    gather[:, :n_heads, :n_heads] = np.where(
+        cols[:, None, :] >= 0, np.array(tails)[:, None] * n + cols[:, None, :], zero
+    )
+    gather[lengths, diagonal, diagonal] = minus_one
+    gather[0, :n_heads, n_heads] = border + diagonal
+    gather[0, n_heads, chain[qb.pos_one]] = one
+    return chain, depth, gather, constants
 
 
 @dataclass(frozen=True, eq=False)
@@ -472,34 +515,109 @@ def _product_checks(qb: QuotientBasis) -> np.ndarray:
     return np.array(checks, dtype=np.int64).reshape(-1, 3).T
 
 
-def extract_roots(
-    pairs: list[tuple[float, np.ndarray]], qb: QuotientBasis, sizes=None
-) -> ExtractedRoots:
-    """Read candidate (alpha, beta, gamma) rows off near-real eigenvectors.
+def extract_roots(eigenvalues, action: np.ndarray, qb: QuotientBasis) -> ExtractedRoots:
+    """Candidate (alpha, beta, gamma) rows of the near-real eigenvalues of a
+    stack of action matrices.
 
-    ``pairs`` are the eigenpairs of a stack of samples, sample after sample,
-    ``sizes[b]`` of them for sample ``b``; by default they are one sample's.
-    Candidates whose eigenvector cannot be normalized at the monomial 1, whose
-    gamma entry disagrees with the eigenvalue, or whose degree-two entries are
-    not products of the degree-one entries are dropped.
+    ``eigenvalues[b]`` are eigenvalues of ``action[b]``, one array per matrix
+    of the ``(B, n, n)`` stack; for one ``(n, n)`` matrix they are one array.
+    Each eigenvector is rebuilt from the gamma chains (see
+    ``_gamma_chains``): one bordered chain system per root, all of them
+    solved at once.  Its solution is the inverse-iteration vector ``A^-1 b``
+    of the fixed column ``b``, normalized at 1, and it stays defined where
+    ``A`` is exactly singular.  A root whose bordered system is singular has
+    no eigenvector, unique up to scale, that is non-zero at 1; it is dropped
+    as at infinity, alone.
+
+    Candidates whose eigenvector cannot be normalized at the monomial 1,
+    whose gamma entry disagrees with the eigenvalue, or whose degree-two
+    entries are not products of the degree-one entries are dropped.  The
+    chains make the gamma entry and every product with a gamma factor hold,
+    so the alpha^2, alpha beta and beta^2 entries carry the test.
     """
-    sizes = [len(pairs)] if sizes is None else sizes
+    if action.ndim == 2:
+        eigenvalues, action = [eigenvalues], action[None]
+    sizes = [len(w) for w in eigenvalues]
+    sample = np.repeat(np.arange(len(action)), sizes)
+    V, inconsistent = _chain_eigenvectors(np.concatenate(eigenvalues), sizes, action, qb)
+    # Normalized at 1, an eigenvector whose entry there is at most 1e-10 of
+    # its largest one is at infinity, and so is a NaN one.
+    at_infinity = ~(np.max(np.abs(V), axis=1) < 1e10)
+    inconsistent &= ~at_infinity
+    keep = ~(at_infinity | inconsistent)
+    return ExtractedRoots(
+        roots=V[keep][:, [qb.pos_alpha, qb.pos_beta, qb.pos_gamma]],
+        sample=sample[keep],
+        at_infinity=np.bincount(sample[at_infinity], minlength=len(sizes)),
+        inconsistent=np.bincount(sample[inconsistent], minlength=len(sizes)),
+    )
+
+
+def _inconsistent(lam: np.ndarray, V: np.ndarray, qb: QuotientBasis) -> np.ndarray:
+    """Which eigenvectors, normalized at the monomial 1, disagree with their
+    eigenvalue at gamma or with their degree-one entries at degree two."""
     m, x, y = _product_checks(qb)
-    lam = np.array([w for w, _ in pairs])
-    V = np.array([v for _, v in pairs]).reshape(-1, qb.size)
-    sample = np.repeat(np.arange(len(sizes)), sizes)
-    at_infinity = np.abs(V[:, qb.pos_one]) <= 1e-10 * np.max(np.abs(V), axis=1)
-    lam, V, finite = lam[~at_infinity], V[~at_infinity], sample[~at_infinity]
-    V = V / V[:, qb.pos_one, None]
-    inconsistent = (np.abs(lam - V[:, qb.pos_gamma]) > ROOT_TOL) | np.any(
+    return (np.abs(lam - V[:, qb.pos_gamma]) > ROOT_TOL) | np.any(
         np.abs(V[:, m] - V[:, x] * V[:, y]) > ROOT_TOL, axis=1
     )
-    return ExtractedRoots(
-        roots=V[~inconsistent][:, [qb.pos_alpha, qb.pos_beta, qb.pos_gamma]],
-        sample=finite[~inconsistent],
-        at_infinity=np.bincount(sample[at_infinity], minlength=len(sizes)),
-        inconsistent=np.bincount(finite[inconsistent], minlength=len(sizes)),
+
+
+def _chain_eigenvectors(lam: np.ndarray, sizes: list[int], action: np.ndarray, qb: QuotientBasis):
+    """The ``(K, n)`` eigenvectors of the eigenvalues ``lam``, ``sizes[b]``
+    of them for ``action[b]`` in turn, rebuilt from the gamma chains and
+    normalized at the monomial 1, and which ones are inconsistent.  A row is
+    NaN where its bordered chain system is exactly singular.
+
+    Near a cluster of eigenvalues one step of inverse iteration leaves some
+    of the neighbours' eigenvectors in a root's.  A vector that comes out
+    inconsistent therefore gets a second step, bordered by its own head
+    entries instead of the fixed column.
+    """
+    chain, depth, gather, constants = _gamma_chains(qb)
+    n_samples, n_powers, size = len(action), len(gather), len(gather[0])
+    table = np.concatenate(
+        [action.reshape(n_samples, -1), np.broadcast_to(constants, (n_samples, len(constants)))],
+        axis=1,
     )
+    C = table[:, gather.reshape(n_powers, -1)]
+    sample = np.repeat(np.arange(n_samples), sizes)
+    powers = np.vander(lam, n_powers, increasing=True)
+    # Every root's system from one matmul per sample, its roots padded to
+    # the largest count.
+    slot = np.arange(len(lam)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    padded = np.zeros((n_samples, max(sizes), n_powers))
+    padded[sample, slot] = powers
+    K = (padded @ C)[sample, slot].reshape(-1, size, size)
+    h = _bordered_solve(K)
+    V = h[:, chain] * powers[:, depth]
+    V /= V[:, qb.pos_one, None]
+    inconsistent = _inconsistent(lam, V, qb)
+    retry = np.flatnonzero(inconsistent)
+    if retry.size:
+        K = K[retry]
+        K[:, :-1, -1] = h[retry]
+        again = _bordered_solve(K)[:, chain] * powers[retry][:, depth]
+        V[retry] = again / again[:, qb.pos_one, None]
+        inconsistent[retry] = _inconsistent(lam[retry], V[retry], qb)
+    return V, inconsistent
+
+
+def _bordered_solve(K: np.ndarray) -> np.ndarray:
+    """The head entries solving each bordered chain system of the stack,
+    NaN where it is exactly singular."""
+    rhs = np.zeros(K.shape[-1])
+    rhs[-1] = 1.0
+    try:
+        return np.linalg.solve(K, rhs)[:, :-1]
+    except np.linalg.LinAlgError:
+        pass
+    out = np.full(K.shape[:-1], math.nan)
+    for k in range(len(K)):
+        try:
+            out[k] = np.linalg.solve(K[k], rhs)
+        except np.linalg.LinAlgError:
+            continue
+    return out[:, :-1]
 
 
 # Most Gauss-Newton steps of ``polish_roots``.  A root stops once its
@@ -718,25 +836,24 @@ def _attempt(layers, problem: TemplateProblem, template, pivots, pending: np.nda
         check_shape("action matrix", action.shape, (solved.size, n, n))
     except RelposeError as exc:
         return {}, dict.fromkeys(pending.tolist(), exc)
-    eigenpairs, found = [], []
-    for p, M in zip(solved.tolist(), action):
+    values, found = [], []
+    for j, (p, M) in enumerate(zip(solved.tolist(), action)):
         try:
-            eigenpairs.append(layers.eigensolve_real(M))
+            values.append(layers.eigensolve_real(M))
         except RelposeError as exc:
             failed[p] = exc
             continue
-        found.append(p)
+        found.append(j)
     if not found:
         return {}, failed
+    found_ids = solved[found].tolist()
     try:
-        extracted = layers.extract_roots(
-            [pair for pairs in eigenpairs for pair in pairs], qb, [len(e) for e in eigenpairs]
-        )
+        extracted = layers.extract_roots(values, action[found], qb)
     except RelposeError as exc:
-        return {}, {**failed, **dict.fromkeys(found, exc)}
+        return {}, {**failed, **dict.fromkeys(found_ids, exc)}
     return {
         p: (int(extracted.inconsistent[j]), extracted.roots[extracted.sample == j])
-        for j, p in enumerate(found)
+        for j, p in enumerate(found_ids)
     }, failed
 
 

@@ -128,7 +128,11 @@ class PluckerPair:
         object.__setattr__(self, "m1", _as_vec3(self.m1, "m1"))
         object.__setattr__(self, "m2", _as_vec3(self.m2, "m2"))
         for q, m, name in ((self.q1, self.m1, "m1"), (self.q2, self.m2, "m2")):
-            # The rounding of q.m grows with |m|; an infinite moment fails too.
+            # Checked before q.m, which would warn on a non-finite moment.
+            if not np.isfinite(m).all():
+                raise ValueError(f"{name} violates line incidence: {m!r} is not finite")
+            # The rounding of q.m grows with |m|; a moment whose norm
+            # overflows fails too.
             if not abs(float(q @ m)) <= 1e-12 * max(1.0, float(np.linalg.norm(m))) < math.inf:
                 raise ValueError(f"{name} violates line incidence: q.m = {float(q @ m)!r}")
 

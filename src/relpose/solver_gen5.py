@@ -71,16 +71,6 @@ def _roots(rays: list[np.ndarray], ids: np.ndarray, c, errors: dict):
     return rotation_roots(_LAYERS, GENERAL, build, ids, c, errors)
 
 
-def _rotation_candidates(pairs: list[PluckerPair], c) -> np.ndarray:
-    """Polished candidate roots of one sample of five pairs, as the solver
-    finds them; raises the template failure where it finds none."""
-    errors = {}
-    roots, _ = _roots(_ray_rows(pairs, 1), np.arange(1), c, errors)
-    if errors:
-        raise errors[0]
-    return roots
-
-
 def _depth_rows(q1, q2, m1, m2, Rs: np.ndarray) -> np.ndarray:
     """Constraint rows on (lambda, mu, 1) for anchor 0, one (4, 3) block per
     rotation of the ``(K, 3, 3)`` stack ``Rs``, from the ``(K, 5, 3)``

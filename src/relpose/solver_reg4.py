@@ -58,16 +58,6 @@ def _roots(q1: np.ndarray, q2: np.ndarray, c, errors: dict) -> tuple[np.ndarray,
     return rotation_roots(_LAYERS, REGULAR, build, np.arange(len(q1)), c, errors)
 
 
-def _rotation_candidates(pairs: list[BearingPair], c) -> np.ndarray:
-    """Polished candidate roots of one sample of four pairs, as the solver
-    finds them; raises the template failure where it finds none."""
-    errors = {}
-    roots, _ = _roots(*(r[None] for r in _ray_stack(pairs, "q1", "q2")), c, errors)
-    if errors:
-        raise errors[0]
-    return roots
-
-
 def _solve_stack(q1: np.ndarray, q2: np.ndarray, c) -> list[list[RelativePose] | RelposeError]:
     """The poses of every sample of the ``(B, 4, 3)`` bearing rows, or the
     error that sample raises, solved as one stack."""

@@ -98,7 +98,7 @@ def eliminate(problem, pivots, tpl):
         reduced = rref_conditioned(tpl.matrix, pivots)
         qb = quotient_basis_from_pivots(tpl.basis, pivots, problem.basis_size)
         action = build_action_matrix(reduced, pivots, tpl.basis, qb)
-        return extract_roots(eigensolve_real(action), qb)
+        return extract_roots(eigensolve_real(action), action, qb)
     except RelposeError:
         return None
 

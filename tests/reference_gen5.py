@@ -13,8 +13,10 @@ from reference_templates import (
     ZERO_ANGLE_ROOTS,
     NearZeroVector,
     degenerate_configuration,
+    prepare,
     rectified_quaternions,
     rectify_quaternion,
+    rotation_candidates,
 )
 from relpose import solver_gen5
 from relpose.exceptions import DegenerateConfiguration, ScaleUnobservable
@@ -135,14 +137,14 @@ def passes_residual_gate(pose: RelativePose, pairs: list[PluckerPair]) -> bool:
 def loop_solve_gen5pt_angle(pairs: list[PluckerPair], theta: float, anchor: int = 0):
     """``solve_gen5pt_angle`` with one ``np.linalg.norm`` per moment and the
     depths, translation and pose of each observable root built in a loop."""
-    ordered, c = GENERAL.prepare(pairs, theta, anchor)
+    ordered, c = prepare(GENERAL, pairs, theta, anchor)
     if max(float(np.linalg.norm(m)) for p in ordered for m in (p.m1, p.m2)) < CENTRAL_MOMENT_EPS:
         raise ScaleUnobservable(
             "all ray moments vanish: a central configuration carries no translation scale"
         )
     with degenerate_configuration():
         if c.tau != 0.0:
-            roots = solver_gen5._rotation_candidates(ordered, c)
+            roots = rotation_candidates(solver_gen5, ordered, c)
         else:
             roots = ZERO_ANGLE_ROOTS
     root_count = len(roots)

@@ -7,7 +7,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from reference_templates import ZERO_ANGLE_ROOTS, degenerate_configuration, rectified_quaternions
+from reference_templates import (
+    ZERO_ANGLE_ROOTS,
+    degenerate_configuration,
+    prepare,
+    rectified_quaternions,
+    rotation_candidates,
+)
+from relpose import solver_reg4
 from relpose.exceptions import DegenerateConfiguration, NoCheiralSolution
 from relpose.gbsolver import POSE_RESIDUAL_TOL, REGULAR
 from relpose.geom import (
@@ -17,7 +24,7 @@ from relpose.geom import (
     essential_residual,
     quat_to_rotation,
 )
-from relpose.solver_reg4 import LOW_PARALLAX_RATIO, _rotation_candidates
+from relpose.solver_reg4 import LOW_PARALLAX_RATIO
 
 
 def triangulate_midpoint(
@@ -65,9 +72,9 @@ def loop_solve_4pt_angle(
 ) -> list[RelativePose]:
     """``solve_4pt_angle`` with one translation stack, one SVD and two
     cheirality counts per rotation root."""
-    ordered, c = REGULAR.prepare(pairs, theta, anchor)
+    ordered, c = prepare(REGULAR, pairs, theta, anchor)
     with degenerate_configuration():
-        roots = _rotation_candidates(ordered, c) if c.tau != 0.0 else ZERO_ANGLE_ROOTS
+        roots = rotation_candidates(solver_reg4, ordered, c) if c.tau != 0.0 else ZERO_ANGLE_ROOTS
     root_count = len(roots)
 
     poses: list[RelativePose] = []

@@ -11,14 +11,20 @@ generators as per-matrix determinants, and the template as one reduced row
 per multiplier-generator product.  The batched path must reproduce these bit
 for bit.  ``rref_conditioned`` is complete pivoting, which the package no
 longer has: it is the oracle of the solvers' fallback and the candidate
-generator of ``derive_partitions.py``.  ``eigensolve_real`` tests and
-normalizes every eigenvalue in the loop, ``quotient_basis_from_pivots`` sorts
-the standard monomials by key, ``build_action_matrix`` looks every row up in
-dictionaries, ``extract_roots`` filters one eigenpair at a time against
-the checks ``product_checks`` finds by walking the basis, and
+generator of ``derive_partitions.py``.  ``real_eigenvalues`` tests every
+eigenvalue of ``np.linalg.eigvals`` in the loop.  ``eigensolve_real`` tests
+and normalizes every eigenpair of ``np.linalg.eig`` in the loop; the
+package's eigenvectors, rebuilt from the gamma chains, are checked against
+it to a tolerance, and ``hand_built_action`` builds an action matrix with
+known eigenvectors.  ``quotient_basis_from_pivots``
+sorts the standard monomials by key, ``build_action_matrix`` looks every
+row up in dictionaries, ``extract_roots`` filters one eigenpair at a time
+against the checks ``product_checks`` finds by walking the basis, and
 ``rectified_quaternions`` rescales the roots one ``rectify_quaternion`` at a
 time, with the zero angle's one root in ``ZERO_ANGLE_ROOTS``; the package's
-versions must reproduce them bit for bit too.  The left-to-right Gauss-Jordan reduction ``rref``, the
+versions must reproduce them bit for bit too.  ``prepare`` and
+``rotation_candidates`` give one sample's pairs and polished roots as the
+solvers find them.  The left-to-right Gauss-Jordan reduction ``rref``, the
 ``grevlex_compare`` order predicate and the Schur-complement cross-check of
 the template also live here; the package uses none of them.
 """
@@ -41,7 +47,7 @@ from relpose.exceptions import (
     RelposeError,
     UnreachableMonomial,
 )
-from relpose import gbsolver
+from relpose import gbsolver, solver_reg4
 from relpose.gbsolver import (
     IMAG_TOL,
     REGULAR,
@@ -54,7 +60,14 @@ from relpose.gbsolver import (
     rescaled_roots,
 )
 from relpose.geom import UnitQuaternion, _as_vec3, rotation_stack, unit_quaternions
-from relpose.poly import COINCIDENT_RAY_EPS, GrevlexBasis, _mul_table, grevlex_basis, grevlex_key
+from relpose.poly import (
+    COINCIDENT_RAY_EPS,
+    GrevlexBasis,
+    _mul_table,
+    _ray_stack,
+    grevlex_basis,
+    grevlex_key,
+)
 
 # A pivot is accepted only above this fraction of its row's incoming scale.
 PIVOT_TOL = 1e-10
@@ -70,6 +83,28 @@ def degenerate_configuration():
         if as_degenerate(exc) is exc:
             raise
         raise as_degenerate(exc) from exc
+
+
+def prepare(problem, pairs: list, theta: float, anchor: int):
+    """The pairs of one sample of ``problem``, checked for size and relabelled
+    cyclically so that ``pairs[anchor]`` comes first, and the sphere
+    constraint."""
+    ordered, _, c = problem.sample_stack(pairs, theta, anchor, None)
+    return ordered, c
+
+
+def rotation_candidates(module, pairs: list, c) -> np.ndarray:
+    """Polished candidate roots of one sample, as the solver of ``module``
+    (``solver_reg4`` or ``solver_gen5``) finds them; raises the template
+    failure where it finds none."""
+    errors: dict = {}
+    if module is solver_reg4:
+        roots, _ = module._roots(*(r[None] for r in _ray_stack(pairs, "q1", "q2")), c, errors)
+    else:
+        roots, _ = module._roots(module._ray_rows(pairs, 1), np.arange(1), c, errors)
+    if errors:
+        raise errors[0]
+    return roots
 
 
 def candidate_rotations(roots: np.ndarray, c) -> tuple[list[UnitQuaternion], np.ndarray]:
@@ -391,6 +426,49 @@ def eigensolve_real(M: np.ndarray) -> list[tuple[float, np.ndarray]]:
         vr = np.real(v)
         out.append((float(w[k].real), vr / np.linalg.norm(vr)))
     return out
+
+
+def real_eigenvalues(M: np.ndarray) -> np.ndarray:
+    """Near-real eigenvalues of ``M`` from ``np.linalg.eigvals``, testing
+    each eigenvalue in the loop."""
+    M = np.asarray(M, dtype=float)
+    try:
+        w = np.linalg.eigvals(M)
+    except np.linalg.LinAlgError as exc:
+        raise EigenFailure(str(exc)) from exc
+    kept = [float(x.real) for x in w if not abs(x.imag) > IMAG_TOL * (1.0 + abs(x.real))]
+    return np.array(kept, dtype=float)
+
+
+def hand_built_action(qb):
+    """A matrix with the unit rows of an action matrix on ``qb`` and known
+    eigenvectors: ``size - 3`` roots at random points, then an eigenvector
+    that is zero at the monomial 1 (eigenvalue 0.7), a wrong null vector with
+    random entries at the chain heads (-0.6), and a column that is zero
+    (0.0), at a head other than 1, so that the bordered chain system of the
+    eigenvalue 0 has a zero column.  Returns the matrix, its eigenvalues and
+    the points."""
+    chain, depth, _, _ = gbsolver._gamma_chains(qb)
+    rng = np.random.default_rng(3)
+    exponents = np.array(qb.monomials)
+    points = rng.uniform(-0.5, 0.5, size=(qb.size - 3, 3))
+    vectors = [np.prod(u**exponents, axis=1) for u in points]
+    heads = rng.normal(size=chain.max() + 1)
+    heads[chain[qb.pos_one]] = 0.0
+    vectors.append(heads[chain] * 0.7**depth)
+    heads[chain[qb.pos_one]] = 1.0
+    vectors.append(heads[chain] * (-0.6) ** depth)
+    free = next(i for i, m in enumerate(qb.monomials) if m[2] == 0 and sum(m) > 1)
+    vectors.append(np.eye(qb.size)[free])
+    values = [*points[:, 2].tolist(), 0.7, -0.6, 0.0]
+    V = np.array(vectors).T
+    M = V @ np.diag(values) @ np.linalg.inv(V)
+    for i, (a, b, c) in enumerate(qb.monomials):
+        if (a, b, c + 1) in qb.index:
+            M[i] = 0.0
+            M[i, qb.index[(a, b, c + 1)]] = 1.0
+    M[:, free] = 0.0
+    return M, values, points
 
 
 def quotient_basis_from_pivots(basis: GrevlexBasis, pivots: list[int], expected_size: int):

@@ -115,7 +115,7 @@ def _regular_pipeline_stats(seed):
     red, piv = rref_conditioned(tpl.matrix, protected_cols=keep, eliminate_first=top)
     qb = quotient_basis_from_pivots(tpl.basis, piv, expected_size=tpl.matrix.shape[1] - len(piv))
     M = build_action_matrix(red, piv, tpl.basis, qb)
-    ext = extract_roots(eigensolve_real(M), qb)
+    ext = extract_roots(eigensolve_real(M), M, qb)
     return qb.size, len(ext.roots)
 
 
@@ -131,7 +131,7 @@ def _general_pipeline_stats(seed):
     red, piv = rref_conditioned(tpl.matrix, protected_cols=keep, eliminate_first=top)
     qb = quotient_basis_from_pivots(tpl.basis, piv, expected_size=tpl.matrix.shape[1] - len(piv))
     M = build_action_matrix(red, piv, tpl.basis, qb)
-    ext = extract_roots(eigensolve_real(M), qb)
+    ext = extract_roots(eigensolve_real(M), M, qb)
     return qb.size, len(ext.roots)
 
 

@@ -1,7 +1,9 @@
 """The batched generator and template kernels, and the back end of every
-elimination (quotient basis, action matrix, eigenpair filter, roots) on the
-committed partitions and on complete pivoting, against the scalar oracles in
-``reference_templates``: every coefficient must match bit for bit."""
+elimination (quotient basis, action matrix, eigenvalue filter, eigenvectors,
+roots) on the committed partitions and on complete pivoting, against the
+scalar oracles in ``reference_templates``: every coefficient must match bit
+for bit, except the eigenvectors, which the package rebuilds from the gamma
+chains and which match the ``np.linalg.eig`` oracle to a tolerance."""
 
 import math
 from dataclasses import fields, replace
@@ -14,7 +16,7 @@ import reference_templates as ref
 from reference_templates import candidate_rotations
 from reference_gen5 import loop_solve_gen5pt_angle
 from reference_reg4 import loop_solve_4pt_angle
-from relpose import solver_gen5, solver_reg4
+from relpose import gbsolver, solver_gen5, solver_reg4
 from relpose.exceptions import (
     DegenerateConfiguration,
     DegenerateInput,
@@ -27,6 +29,7 @@ from relpose.exceptions import (
 from relpose.gbsolver import (
     GENERAL,
     REGULAR,
+    ROOT_TOL,
     U_DIRECTION_EPS,
     assemble_reduced_template,
     build_action_matrix,
@@ -189,14 +192,53 @@ class TestScalarWrappers:
             assert_bits(reduced[:, 0], ref.reduce_mod_h(p, c).coeffs)
 
 
-def assert_same_eigenpairs(M: np.ndarray) -> None:
-    pairs = eigensolve_real(M)
-    ref_pairs = ref.eigensolve_real(M)
-    assert len(pairs) == len(ref_pairs)
-    for (lam, v), (ref_lam, ref_v) in zip(pairs, ref_pairs):
-        assert type(lam) is float
-        assert lam == ref_lam and math.copysign(1.0, lam) == math.copysign(1.0, ref_lam)
-        assert_bits(v, ref_v)
+def assert_same_eigenvalues(M: np.ndarray) -> None:
+    """The near-real eigenvalues against the per-eigenvalue loop, bit for bit."""
+    values = eigensolve_real(M)
+    assert type(values) is np.ndarray and values.dtype == np.float64
+    assert_bits(values, ref.real_eigenvalues(M))
+
+
+def chain_eigenvectors(M: np.ndarray, qb) -> tuple[np.ndarray, np.ndarray]:
+    """The near-real eigenvalues of ``M`` and their eigenvectors rebuilt from
+    the gamma chains, normalized at the monomial 1, one per row."""
+    values = eigensolve_real(M)
+    V, _ = gbsolver._chain_eigenvectors(values, [len(values)], M[None], qb)
+    assert not np.isnan(V).any()
+    return values, V
+
+
+# A chain eigenvector's backward error, max |M v - lambda v| over
+# |M|_inf max |v|, is at most 6e-14 on these templates, as is that of the
+# np.linalg.eig oracle's eigenvectors (9e-14).
+EIGENVECTOR_RESIDUAL = 1e-12
+# Normalized at the monomial 1, a chain eigenvector and the oracle's differ
+# by at most 1.4e-12 |M|_inf / gap (relative to the largest entry, or
+# absolutely below 1), where gap is the distance from the eigenvalue to the
+# nearest other one, complex ones included.  Within a degree of a half turn
+# the action matrices are nearly defective and both eigenvectors are off by
+# up to 30 there: only the residual is checked, and the poses are checked
+# against the loop solvers and, in test_angle_domain.py, against the truth.
+EIGENVECTOR_GAP = 1e-10
+
+
+def assert_chain_eigenvectors(M: np.ndarray, qb, near_half_turn: bool) -> None:
+    values, V = chain_eigenvectors(M, qb)
+    scale = np.linalg.norm(M, np.inf)
+    residual = np.max(np.abs(V @ M.T - values[:, None] * V), axis=1)
+    assert np.all(residual <= EIGENVECTOR_RESIDUAL * scale * np.max(np.abs(V), axis=1))
+    oracle = ref.eigensolve_real(M)
+    assert len(oracle) == len(values)
+    every = np.linalg.eigvals(M)
+    for lam, v in oracle:
+        k = int(np.argmin(np.abs(values - lam)))
+        assert abs(values[k] - lam) <= 1e-14 * scale
+        if near_half_turn or abs(v[qb.pos_one]) <= 1e-10 * np.max(np.abs(v)):
+            continue
+        gap = np.sort(np.abs(every - lam))[1]
+        want, got = v / v[qb.pos_one], V[k]
+        tol = EIGENVECTOR_GAP * scale / gap * max(1.0, np.max(np.abs(want)))
+        assert np.max(np.abs(got - want)) <= tol
 
 
 ELIMINATION_THETAS = [1e-3, *np.random.default_rng(2024).uniform(0.0, math.pi, 3), math.pi - 1e-3]
@@ -213,19 +255,22 @@ class TestEliminationMatchesOracle:
     @pytest.mark.parametrize("solver", ["reg4", "gen5"])
     @pytest.mark.parametrize("motion", ["forward", "sideways"])
     @pytest.mark.parametrize("theta", ELIMINATION_THETAS)
-    def test_bit_identical(self, solver, motion, theta):
-        # The eigenpairs of the action matrix of every committed partition
-        # and of complete pivoting with the hints.
+    def test_matches_the_oracle(self, solver, motion, theta):
+        # The eigenvalues of the action matrix of every committed partition
+        # and of complete pivoting with the hints, bit for bit, and their
+        # chain eigenvectors to the tolerances above.
         tp = REGULAR if solver == "reg4" else GENERAL
         rays = "central" if solver == "reg4" else "generalized"
         for seed in range(2):
             pairs = problem(solver, rays, motion, theta, seed)
             for anchor in range(tp.sample_size):
-                ordered, c = tp.prepare(pairs, theta, anchor)
+                ordered, c = ref.prepare(tp, pairs, theta, anchor)
                 _, tpl = generators_and_template(BATCHED, solver, ordered, c)
                 for red, piv in reductions(tp, tpl)[:-1]:
                     qb = quotient_basis_from_pivots(tpl.basis, piv, expected_size=tp.basis_size)
-                    assert_same_eigenpairs(build_action_matrix(red, piv, tpl.basis, qb))
+                    M = build_action_matrix(red, piv, tpl.basis, qb)
+                    assert_same_eigenvalues(M)
+                    assert_chain_eigenvectors(M, qb, near_half_turn=theta > math.pi - 0.01)
 
     def test_ties_go_to_the_first_maximum_in_row_major_order(self):
         # Complete pivoting, the oracle of the fallback, must be deterministic.
@@ -270,7 +315,9 @@ class TestEliminationMatchesOracle:
             M = np.zeros((5, 5))
             M[:2, :2] = [[1.0, -b], [b, 1.0]]
             M[2:, 2:] = [[-2.0, 1.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, -0.0]]
-            assert_same_eigenpairs(M)
+            assert_same_eigenvalues(M)
+            # What the tracer counts as complex eigenvalues.
+            assert len(M) - len(eigensolve_real(M)) == (2 if b > 2.0e-6 else 0)
 
 
 def outcome(fn, *args, **kwargs):
@@ -293,15 +340,17 @@ def assert_same_basis(qb, ref_qb) -> None:
     )
 
 
-def assert_same_roots(pairs, qb) -> None:
-    ext, ref_ext = extract_roots(pairs, qb), ref.extract_roots(pairs, qb)
+def assert_same_roots(M: np.ndarray, qb) -> None:
+    """``extract_roots`` against the per-eigenpair filter on the chain
+    eigenpairs: the same drops, and the same roots bit for bit."""
+    values, V = chain_eigenvectors(M, qb)
+    ext = extract_roots(values, M, qb)
+    ref_ext = ref.extract_roots(list(zip(values.tolist(), V)), qb)
     assert ext.n_dropped_at_infinity == ref_ext.n_dropped_at_infinity
     assert ext.n_dropped_inconsistent == ref_ext.n_dropped_inconsistent
     assert ext.roots.shape == (len(ref_ext.roots), 3)
     for root, ref_root in zip(ext.roots, ref_ext.roots):
-        # A NaN entry at the monomial 1 passes every filter in both.
-        assert np.array_equal(root, ref_root, equal_nan=True)
-        assert np.array_equal(np.signbit(root), np.signbit(ref_root))
+        assert_bits(root, ref_root)
 
 
 def assert_same_poses(poses, ref_poses) -> None:
@@ -329,8 +378,9 @@ LOOP_SOLVERS = {
 
 
 class TestBackEndMatchesOracle:
-    """Quotient basis, action matrix, roots and poses against the loops of
-    ``reference_templates``, ``reference_reg4`` and ``reference_gen5``."""
+    """Quotient basis, action matrix, eigenvalues, root filter and poses
+    against the loops of ``reference_templates``, ``reference_reg4`` and
+    ``reference_gen5``."""
 
     @pytest.mark.parametrize("solver", ["reg4", "gen5"])
     @pytest.mark.parametrize("motion", ["forward", "sideways"])
@@ -342,7 +392,7 @@ class TestBackEndMatchesOracle:
         for seed in range(2):
             pairs = problem(solver, rays, motion, theta, seed)
             for anchor in range(tp.sample_size):
-                ordered, c = tp.prepare(pairs, theta, anchor)
+                ordered, c = ref.prepare(tp, pairs, theta, anchor)
                 _, tpl = generators_and_template(BATCHED, solver, ordered, c)
                 for red, piv in reductions(tp, tpl):
                     # Without hints a top-degree column stays standard on these
@@ -358,8 +408,8 @@ class TestBackEndMatchesOracle:
                         assert M == ref_M
                         continue
                     assert_bits(M, ref_M)
-                    assert_same_eigenpairs(M)
-                    assert_same_roots(eigensolve_real(M), qb)
+                    assert_same_eigenvalues(M)
+                    assert_same_roots(M, qb)
                 assert_same_poses(
                     outcome(solve, pairs, theta, anchor=anchor),
                     outcome(loop_solve, pairs, theta, anchor=anchor),
@@ -399,7 +449,7 @@ class TestCandidateRotationsMatchOracle:
         module, rays = (solver_reg4, "central") if solver == "reg4" else (solver_gen5, "generalized")
         c = sigma_from_angle(theta)
         for seed in range(3):
-            roots = module._rotation_candidates(problem(solver, rays, "forward", theta, seed), c)
+            roots = ref.rotation_candidates(module, problem(solver, rays, "forward", theta, seed), c)
             assert len(roots) > 1
             assert_same_rotations(roots, c)
             # The zero angle pins any roots to the identity.
@@ -435,7 +485,7 @@ class TestCandidateRotationsMatchOracle:
 
 def regular_basis(seed: int = 0):
     pairs = problem("reg4", "central", "forward", 0.8, seed)
-    ordered, c = REGULAR.prepare(pairs, 0.8, 0)
+    ordered, c = ref.prepare(REGULAR, pairs, 0.8, 0)
     _, tpl = generators_and_template(BATCHED, "reg4", ordered, c)
     piv = REGULAR.partitions[0]
     red = rref_conditioned(tpl.matrix, piv)
@@ -443,38 +493,53 @@ def regular_basis(seed: int = 0):
 
 
 class TestHandBuiltEigenpairs:
-    """Each drop rule of ``extract_roots`` on eigenvectors built by hand."""
+    """Each drop rule of ``extract_roots`` on an action matrix built by hand
+    with known eigenvectors."""
 
     def test_every_drop_rule(self):
         _, _, _, qb = regular_basis()
-        u = np.array([0.1, -0.2, 0.3])
-        root = 2.5 * np.array([np.prod(u ** np.array(m)) for m in qb.monomials])
-        at_infinity = root.copy()
-        at_infinity[qb.pos_one] = 0.0
-        # The entry at 1 sits exactly on the at-infinity bound.
-        near_infinity = at_infinity.copy()
-        near_infinity[qb.pos_one] = 1e-10 * np.max(np.abs(at_infinity))
-        bad_product = root.copy()
-        bad_product[next(i for i, m in enumerate(qb.monomials) if sum(m) == 2)] += 1e-5
-        nan_one, nan_gamma = root.copy(), root.copy()
-        nan_one[qb.pos_one] = math.nan
-        nan_gamma[qb.pos_gamma] = math.nan
-        pairs = [
-            (u[2], root),
-            (0.0, at_infinity),
-            (u[2], near_infinity),
-            (u[2] + 2e-6, root),
-            (u[2], bad_product),
-            (u[2], nan_one),
-            (u[2], nan_gamma),
-            (math.nan, root),
-            (u[2], -root),
-        ]
-        for case in [[p] for p in pairs] + [pairs, pairs[::-1], []]:
-            assert_same_roots(case, qb)
-        ext = extract_roots(pairs, qb)
-        assert ext.n_dropped_at_infinity == 2 and ext.n_dropped_inconsistent == 2
-        assert len(ext.roots) == 5
+        M, values, points = ref.hand_built_action(qb)
+        assert np.allclose(np.sort(eigensolve_real(M)), np.sort(values), atol=1e-9)
+        ext = extract_roots(np.array(values), M, qb)
+        assert ext.n_dropped_at_infinity == 2 and ext.n_dropped_inconsistent == 1
+        assert np.max(np.abs(ext.roots - points)) < 1e-9
+        for case, dropped in (([0.7], (1, 0)), ([-0.6], (0, 1)), ([0.0], (1, 0)), ([], (0, 0))):
+            got = extract_roots(np.array(case), M, qb)
+            assert (got.n_dropped_at_infinity, got.n_dropped_inconsistent) == dropped
+            assert got.roots.shape == (0, 3)
+
+    def test_a_singular_chain_system_fails_alone(self):
+        _, _, _, qb = regular_basis()
+        M, values, _ = ref.hand_built_action(qb)
+        V, _ = gbsolver._chain_eigenvectors(np.array(values), [len(values)], M[None], qb)
+        assert np.isnan(V).any(axis=1).tolist() == [False] * (len(values) - 1) + [True]
+        # Beside the same matrix without the eigenvalue 0, in one stack, the
+        # other roots come out as without it, and as alone.
+        alone = extract_roots(np.array(values[:-1]), M, qb)
+        both = extract_roots([np.array(values), np.array(values[:-1])], np.stack([M, M]), qb)
+        assert both.at_infinity.tolist() == [2, 1] and both.inconsistent.tolist() == [1, 1]
+        assert_bits(both.roots[both.sample == 0], both.roots[both.sample == 1])
+        assert_bits(both.roots[both.sample == 1], alone.roots)
+
+    def test_alpha_beta_products_drop_a_wrong_null_vector(self):
+        # The chains hold the gamma entry and every product with a gamma
+        # factor whatever the heads; a wrong null vector fails on alpha^2,
+        # alpha beta or beta^2 only.
+        _, _, _, qb = regular_basis()
+        M, values, _ = ref.hand_built_action(qb)
+        V, inconsistent = gbsolver._chain_eigenvectors(np.array([-0.6]), [1], M[None], qb)
+        v = V[0]
+        assert inconsistent.tolist() == [True]
+        assert abs(v[qb.pos_gamma] + 0.6) <= 1e-12
+        failed = set()
+        for m, x, y in ref.product_checks(qb):
+            if qb.pos_gamma in (x, y):
+                assert abs(v[m] - v[x] * v[y]) <= 1e-12
+            elif abs(v[m] - v[x] * v[y]) > ROOT_TOL:
+                failed.add(qb.monomials[m])
+        assert failed and failed <= {(2, 0, 0), (1, 1, 0), (0, 2, 0)}
+        ext = extract_roots(np.array([-0.6]), M, qb)
+        assert ext.n_dropped_inconsistent == 1 and ext.n_dropped_at_infinity == 0
 
 
 def leave_top_degree_standard(piv: tuple[int, ...], n_cols: int) -> tuple[int, ...]:

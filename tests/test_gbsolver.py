@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from relpose import gbsolver
+from relpose import gbsolver, solver_reg4
 from relpose.exceptions import BasisAnomaly, DegenerateConfiguration, RankDeficient
 from relpose.gbsolver import (
     GENERAL,
@@ -302,21 +302,60 @@ class TestActionMatrix:
 
 class TestEigensolve:
     def test_diagonal(self):
-        pairs = eigensolve_real(np.diag([1.0, 2.0, 3.0]))
-        assert sorted(w for w, _ in pairs) == [1.0, 2.0, 3.0]
-        for _, v in pairs:
-            assert np.linalg.norm(v) == pytest.approx(1.0)
+        values = eigensolve_real(np.diag([1.0, 2.0, 3.0]))
+        assert sorted(values.tolist()) == [1.0, 2.0, 3.0]
 
-    def test_pure_rotation_has_no_real_pairs(self):
-        assert eigensolve_real(np.array([[0.0, -1.0], [1.0, 0.0]])) == []
+    def test_pure_rotation_has_no_real_eigenvalues(self):
+        assert len(eigensolve_real(np.array([[0.0, -1.0], [1.0, 0.0]]))) == 0
+
+    def test_matrix_size_less_output_counts_complex_eigenvalues(self):
+        # perfbench's tracer counts complex eigenvalues as len(M) - len(out)
+        # of each call: two complex pairs, one near-real pair kept, and
+        # three real eigenvalues.
+        M = np.zeros((9, 9))
+        for k, (a, b) in enumerate(((1.0, 2.0), (-0.5, 1e-3), (0.3, 1e-8))):
+            M[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = [[a, -b], [b, a]]
+        M[6:, 6:] = [[2.0, 1.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 0.0]]
+        values = eigensolve_real(M)
+        assert len(M) - len(values) == 4
+        assert sorted(values.tolist()) == pytest.approx([-1.0, 0.0, 0.3, 0.3, 2.0])
 
     def test_ground_truth_gamma_among_eigenvalues(self):
         tpl, c, u = regular_template(7)
         red, piv = rref(tpl.matrix)
         qb = quotient_basis_from_pivots(tpl.basis, piv, expected_size=20)
         M = build_action_matrix(red, piv, tpl.basis, qb)
-        values = [w for w, _ in eigensolve_real(M)]
-        assert min(abs(w - u[2]) for w in values) < 1e-9
+        assert np.min(np.abs(eigensolve_real(M) - u[2])) < 1e-9
+
+
+class TestGammaChains:
+    @pytest.mark.parametrize(
+        "problem, n_heads", [(REGULAR, 11), (GENERAL, 22)], ids=["regular", "general"]
+    )
+    def test_every_index_lies_in_one_chain(self, problem, n_heads):
+        basis = grevlex_basis(problem.target_degree)
+        for k, pivots in enumerate(problem.partitions):
+            qb = quotient_basis_from_pivots(basis, pivots, problem.basis_size)
+            chain, depth, _, _ = gbsolver._gamma_chains(qb)
+            members = {}
+            for i, (cn, d) in enumerate(zip(chain.tolist(), depth.tolist())):
+                assert (cn, d) not in members
+                members[(cn, d)] = qb.monomials[i]
+            heads = [members[(cn, 0)] for cn in range(chain.max() + 1)]
+            for (cn, d), (a, b, g) in members.items():
+                # gamma times a member is the next member, or leaves the basis
+                # at the tail; a head has no gamma quotient in the basis.
+                following = members.get((cn, d + 1))
+                if following is None:
+                    assert (a, b, g + 1) not in qb.index
+                else:
+                    assert following == (a, b, g + 1)
+            for a, b, g in heads:
+                assert g == 0 or (a, b, g - 1) not in qb.index
+            _, _, pivot_rows, _ = gbsolver._action_plan(basis.max_degree, pivots, qb)
+            assert len(heads) == len(pivot_rows)
+            if k == 0:
+                assert len(heads) == n_heads
 
 
 class TestExtractRoots:
@@ -325,47 +364,40 @@ class TestExtractRoots:
         red, piv = rref(tpl.matrix)
         qb = quotient_basis_from_pivots(tpl.basis, piv, expected_size=20)
         M = build_action_matrix(red, piv, tpl.basis, qb)
-        return qb, eigensolve_real(M), u
+        return qb, M, u
 
     def test_recovers_ground_truth(self):
-        qb, eig, u = self.full_pipeline(11)
-        ext = extract_roots(eig, qb)
+        qb, M, u = self.full_pipeline(11)
+        ext = extract_roots(eigensolve_real(M), M, qb)
         assert min(np.linalg.norm(r - u) for r in ext.roots) < 1e-9
 
     def test_at_most_matrix_size_roots(self):
-        qb, eig, _ = self.full_pipeline(16)
-        ext = extract_roots(eig, qb)
+        qb, M, _ = self.full_pipeline(16)
+        ext = extract_roots(eigensolve_real(M), M, qb)
         assert len(ext.roots) <= 20
 
     def test_drops_solutions_at_infinity(self):
-        qb, eig, _ = self.full_pipeline(17)
-        v = np.zeros(20)
-        v[qb.pos_gamma] = 1.0
-        ext = extract_roots([(0.5, v)], qb)
+        qb, _, _ = self.full_pipeline(17)
+        M, _, _ = ref.hand_built_action(qb)
+        ext = extract_roots(np.array([0.7]), M, qb)
         assert ext.roots.shape == (0, 3) and ext.n_dropped_at_infinity == 1
 
     def test_drops_inconsistent_products(self):
-        qb, eig, _ = self.full_pipeline(18)
-        v = np.zeros(20)
-        v[qb.pos_one] = 1.0
-        v[qb.pos_alpha] = 0.1
-        v[qb.pos_beta] = 0.2
-        v[qb.pos_gamma] = 0.3
-        # degree-two entries left at zero contradict the degree-one entries
-        ext = extract_roots([(0.3, v)], qb)
+        qb, _, _ = self.full_pipeline(18)
+        M, _, _ = ref.hand_built_action(qb)
+        # random degree-two entries contradict the degree-one entries
+        ext = extract_roots(np.array([-0.6]), M, qb)
         assert ext.roots.shape == (0, 3) and ext.n_dropped_inconsistent == 1
 
 
 class TestRootResiduals:
     @pytest.mark.parametrize("seed", range(4))
     def test_regular_roots_satisfy_system(self, seed):
-        from relpose.solver_reg4 import _rotation_candidates
-
         truth, pairs = generate_scene(SceneConfig(seed=seed), 4)
         theta = rotation_angle(truth.R)
         c = sigma_from_angle(theta)
         fs = as_polynomials(build_f_polynomials(*_ray_stack(pairs, "q1", "q2"), c))
-        roots = _rotation_candidates(pairs, c)
+        roots = ref.rotation_candidates(solver_reg4, pairs, c)
         scale = max(f.max_abs() for f in fs)
         quats, _ = candidate_rotations(roots, c)
         for q in quats:

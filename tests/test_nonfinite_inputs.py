@@ -1,5 +1,7 @@
 """NaN and infinity fail every input check: each check is written so that a
-comparison with NaN rejects the value instead of letting it through."""
+comparison with NaN rejects the value instead of letting it through, and
+before any arithmetic on it, so that no check warns.  Every test here runs
+as under ``-W error::RuntimeWarning``."""
 
 import math
 
@@ -12,6 +14,8 @@ from relpose.geom import BearingPair, PluckerPair, RelativePose, UnitQuaternion,
 from relpose.imu import GyroSample, integrate_gyro
 from relpose.robust import RansacConfig
 from relpose.synth import SceneConfig
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 BAD = [math.nan, math.inf, -math.inf]
 Z = np.array([0.0, 0.0, 1.0])

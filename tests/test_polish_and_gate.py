@@ -69,7 +69,7 @@ class TestPolishRoots:
     def test_perturbed_roots_return_to_the_variety(self, solver):
         module, _, pairs, theta = instance(solver, seed=1)
         gens, c = generators(module, pairs, theta)
-        roots = module._rotation_candidates(pairs, c)
+        roots = ref.rotation_candidates(module, pairs, c)
         rng = np.random.default_rng(0)
         moved = roots + 1e-5 * rng.normal(size=roots.shape)
         assert np.max(np.abs(polish_roots(gens, moved, c) - roots)) < 1e-10
@@ -78,7 +78,7 @@ class TestPolishRoots:
     def test_a_root_is_never_moved_to_a_larger_residual(self, solver):
         module, _, pairs, theta = instance(solver, seed=2)
         gens, c = generators(module, pairs, theta)
-        roots = module._rotation_candidates(pairs, c)
+        roots = ref.rotation_candidates(module, pairs, c)
         # A polished root is at rounding level and stays where it is.
         assert np.array_equal(polish_roots(gens, roots, c), roots)
         assert polish_roots(gens, roots[:0], c).shape == (0, 3)
@@ -90,7 +90,7 @@ class TestPolishRoots:
         # that ends its own polishing, not the second sample's.
         module, _, pairs, theta = instance(solver, seed=1)
         gens, c = generators(module, pairs, theta)
-        roots = module._rotation_candidates(pairs, c)
+        roots = ref.rotation_candidates(module, pairs, c)
         moved = roots + 1e-5 * np.random.default_rng(0).normal(size=roots.shape)
         squares = np.zeros_like(gens)
         squares[:, 0] = 1.0
@@ -250,8 +250,8 @@ class TestFallback:
         original = module.extract_roots
         extracted = []
 
-        def extract(eigenpairs, qb, sizes):
-            out = original(eigenpairs, qb, sizes)
+        def extract(eigenvalues, action, qb):
+            out = original(eigenvalues, action, qb)
             extracted.append(out)
             if len(extracted) == 1:
                 return replace(
@@ -262,7 +262,7 @@ class TestFallback:
             return replace(out, inconsistent=np.array([dropped]))
 
         monkeypatch.setattr(module, "extract_roots", extract)
-        roots = module._rotation_candidates(pairs, sigma_from_angle(theta))
+        roots = ref.rotation_candidates(module, pairs, sigma_from_angle(theta))
         assert len(extracted) == 2 and len(extracted[1].roots) > 1
         assert len(roots) == (1 if kept_first else len(extracted[1].roots))
 

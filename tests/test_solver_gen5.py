@@ -21,6 +21,7 @@ from relpose.solver_reg4 import solve_4pt_angle
 from relpose.geom import BearingPair
 from relpose.synth import SceneConfig, generate_scene, rotation_error, translation_errors
 from reference_gen5 import loop_depth_poses, loop_ray_point_errors
+from reference_templates import rotation_candidates
 
 
 def random_rotation(rng):
@@ -307,7 +308,7 @@ class TestDepthRecovery:
         truth, pairs = generate_scene(SceneConfig(seed=seed, generalized=True), 5)
         theta = rotation_angle(truth.R)
         c = sigma_from_angle(theta)
-        roots = solver_gen5._rotation_candidates(pairs, c)
+        roots = rotation_candidates(solver_gen5, pairs, c)
         expected = loop_depth_poses(pairs, roots, c)
         poses = solve_gen5pt_angle(pairs, theta)
         assert len(poses) == len(expected)
@@ -319,7 +320,7 @@ class TestDepthRecovery:
     @pytest.mark.parametrize("solver", ["reg4", "gen5"])
     def test_no_rectifiable_root_is_degenerate(self, monkeypatch, solver):
         # Both roots lie below U_DIRECTION_EPS, so neither carries an axis.
-        def tiny_roots(pairs, qb, sizes):
+        def tiny_roots(eigenvalues, action, qb):
             none = np.zeros(1, dtype=int)
             return ExtractedRoots(np.full((2, 3), 1e-12), np.zeros(2, dtype=int), none, none)
 
