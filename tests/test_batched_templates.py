@@ -526,7 +526,7 @@ class TestHandBuiltEigenpairs:
         # factor whatever the heads; a wrong null vector fails on alpha^2,
         # alpha beta or beta^2 only.
         _, _, _, qb = regular_basis()
-        M, values, _ = ref.hand_built_action(qb)
+        M, _, _ = ref.hand_built_action(qb)
         V, inconsistent = gbsolver._chain_eigenvectors(np.array([-0.6]), [1], M[None], qb)
         v = V[0]
         assert inconsistent.tolist() == [True]
