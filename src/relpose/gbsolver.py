@@ -10,11 +10,12 @@ steps on the generators.
 
 Eigenvalues come from ``np.linalg.eigvals`` (``eigensolve_real``).  The
 eigenvectors are rebuilt from the gamma chains of the quotient basis
-(``_gamma_chains``) by one batched solve over every real eigenvalue of a
-partition attempt (``extract_roots``), so their cost is traced in the
-``gbsolver.extract`` layer, not in ``gbsolver.eig``.  The chains make the
-gamma entry and every product with a gamma factor hold by construction; the
-alpha^2, alpha beta and beta^2 products carry the consistency test.
+(``_gamma_chains``) by two batched steps of inverse iteration over every real
+eigenvalue of a partition attempt (``extract_roots``), so their cost is
+traced in the ``gbsolver.extract`` layer, not in ``gbsolver.eig``.  The
+chains make the gamma entry and every product with a gamma factor hold by
+construction; the alpha^2, alpha beta and beta^2 products carry the
+consistency test.
 
 Each minimal problem is one ``TemplateProblem``.  It carries a short
 chain of committed pivot partitions, so there is one elimination
@@ -307,11 +308,16 @@ def rref_conditioned(B: np.ndarray, pivots: tuple[int, ...]) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class QuotientBasis:
-    """Standard monomials of the quotient ring, ascending grevlex."""
+    """Standard monomials of the quotient ring, ascending grevlex.
+
+    ``successor[i]`` is the index of gamma times monomial ``i``, or -1 where
+    that product is not standard: the unit rows of the action matrix.
+    """
 
     monomials: tuple[Monomial, ...]
     template_cols: np.ndarray
     index: dict[Monomial, int]
+    successor: np.ndarray
     pos_one: int
     pos_alpha: int
     pos_beta: int
@@ -342,6 +348,12 @@ def _quotient_basis(degree: int, pivots: tuple[int, ...], expected_size: int) ->
     cols.setflags(write=False)
     monomials = tuple(remainder[j] for j in cols.tolist())
     index = {m: i for i, m in enumerate(monomials)}
+    # Standard position of every remainder column.  The extra last slot
+    # stays -1, so a product outside the template (column -1) finds none.
+    position = np.full(len(remainder) + 1, -1)
+    position[cols] = np.arange(len(cols))
+    successor = position[_gamma_shift(degree)[cols]]
+    successor.setflags(write=False)
     if len(monomials) != expected_size:
         raise BasisAnomaly(f"quotient basis has size {len(monomials)}, expected {expected_size}")
     for needed in ROOT_MONOMIALS:
@@ -351,6 +363,7 @@ def _quotient_basis(degree: int, pivots: tuple[int, ...], expected_size: int) ->
         monomials=monomials,
         template_cols=cols,
         index=index,
+        successor=successor,
         pos_one=index[(0, 0, 0)],
         pos_alpha=index[(1, 0, 0)],
         pos_beta=index[(0, 1, 0)],
@@ -392,17 +405,12 @@ def _action_plan(degree: int, pivots: tuple[int, ...], qb: QuotientBasis):
     """Where ``build_action_matrix`` puts its unit entries, ``(rows,
     columns)``, and which rows are negated pivot polynomials, ``(rows,
     polynomials)``."""
-    # Standard position and pivot row of every remainder column.  The extra
-    # last slot stays -1, so a product outside the template (column -1)
-    # finds neither.
+    # Pivot row of every remainder column.  The extra last slot stays -1, so
+    # a product outside the template (column -1) finds none.
     basis = grevlex_basis(degree)
-    n_cols = basis.size - basis.alpha2_size
-    position = np.full(n_cols + 1, -1)
-    position[qb.template_cols] = np.arange(qb.size)
-    pivot_row = np.full(n_cols + 1, -1)
+    pivot_row = np.full(basis.size - basis.alpha2_size + 1, -1)
     pivot_row[list(pivots)] = np.arange(len(pivots))
-    shifted = _gamma_shift(degree)[qb.template_cols]
-    unit, rows = position[shifted], pivot_row[shifted]
+    unit, rows = qb.successor, pivot_row[_gamma_shift(degree)[qb.template_cols]]
     bad = np.flatnonzero((unit < 0) & (rows < 0))
     if bad.size:
         a, b, c = m = qb.monomials[int(bad[0])]
@@ -446,7 +454,7 @@ def _gamma_chains(qb: QuotientBasis):
     flattened entries followed by ``constants``.
     """
     n = qb.size
-    successor = [qb.index.get((a, b, c + 1), -1) for a, b, c in qb.monomials]
+    successor = qb.successor.tolist()
     chain, depth = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
     tails = []
     for c, head in enumerate(sorted(set(range(n)).difference(successor))):
@@ -491,15 +499,13 @@ class ExtractedRoots:
         return int(self.inconsistent.sum())
 
 
-_ALPHA, _BETA, _GAMMA = ROOT_MONOMIALS[1:]
+_ALPHA, _BETA = ROOT_MONOMIALS[1:3]
 
-# Every degree-two monomial m with degree-one factors x, y (x the first
-# variable of m): a true root's eigenvector entry at m is the product of its
-# entries at x and y.  The list holds for quotient bases of every degree.
+# The degree-two monomials m without gamma and their degree-one factors x, y:
+# a true root's eigenvector entry at m is the product of its entries at x and
+# y.  The chains make every product with a gamma factor hold by
+# construction, so only these can fail.
 _DEGREE_TWO_PRODUCTS = (
-    ((0, 0, 2), _GAMMA, _GAMMA),
-    ((0, 1, 1), _BETA, _GAMMA),
-    ((1, 0, 1), _ALPHA, _GAMMA),
     ((0, 2, 0), _BETA, _BETA),
     ((1, 1, 0), _ALPHA, _BETA),
     ((2, 0, 0), _ALPHA, _ALPHA),
@@ -508,8 +514,8 @@ _DEGREE_TWO_PRODUCTS = (
 
 @lru_cache(maxsize=None)
 def _product_checks(qb: QuotientBasis) -> np.ndarray:
-    """Positions ``(m, x, y)`` in ``qb`` of the degree-two monomials it holds
-    and of their degree-one factors."""
+    """Positions ``(m, x, y)`` in ``qb`` of the degree-two monomials of
+    ``_DEGREE_TWO_PRODUCTS`` it holds and of their degree-one factors."""
     ix = qb.index
     checks = [(ix[m], ix[x], ix[y]) for m, x, y in _DEGREE_TWO_PRODUCTS if m in ix]
     return np.array(checks, dtype=np.int64).reshape(-1, 3).T
@@ -522,28 +528,26 @@ def extract_roots(eigenvalues, action: np.ndarray, qb: QuotientBasis) -> Extract
     ``eigenvalues[b]`` are eigenvalues of ``action[b]``, one array per matrix
     of the ``(B, n, n)`` stack; for one ``(n, n)`` matrix they are one array.
     Each eigenvector is rebuilt from the gamma chains (see
-    ``_gamma_chains``): one bordered chain system per root, all of them
-    solved at once.  Its solution is the inverse-iteration vector ``A^-1 b``
-    of the fixed column ``b``, normalized at 1, and it stays defined where
-    ``A`` is exactly singular.  A root whose bordered system is singular has
-    no eigenvector, unique up to scale, that is non-zero at 1; it is dropped
-    as at infinity, alone.
+    ``_gamma_chains``): two bordered chain systems per root, each stack
+    solved at once.  A root whose bordered system is singular has no
+    eigenvector, unique up to scale, that is non-zero at 1; it is dropped as
+    at infinity, alone.
 
-    Candidates whose eigenvector cannot be normalized at the monomial 1,
-    whose gamma entry disagrees with the eigenvalue, or whose degree-two
-    entries are not products of the degree-one entries are dropped.  The
-    chains make the gamma entry and every product with a gamma factor hold,
-    so the alpha^2, alpha beta and beta^2 entries carry the test.
+    Candidates whose eigenvector cannot be normalized at the monomial 1, or
+    whose alpha^2, alpha beta or beta^2 entries are not products of the
+    degree-one entries, are dropped.  The chains make the gamma entry and
+    every product with a gamma factor hold, so those are not tested.
     """
     if action.ndim == 2:
         eigenvalues, action = [eigenvalues], action[None]
     sizes = [len(w) for w in eigenvalues]
     sample = np.repeat(np.arange(len(action)), sizes)
-    V, inconsistent = _chain_eigenvectors(np.concatenate(eigenvalues), sizes, action, qb)
+    V = _chain_eigenvectors(np.concatenate(eigenvalues), sizes, action, qb)
     # Normalized at 1, an eigenvector whose entry there is at most 1e-10 of
     # its largest one is at infinity, and so is a NaN one.
     at_infinity = ~(np.max(np.abs(V), axis=1) < 1e10)
-    inconsistent &= ~at_infinity
+    m, x, y = _product_checks(qb)
+    inconsistent = np.any(np.abs(V[:, m] - V[:, x] * V[:, y]) > ROOT_TOL, axis=1) & ~at_infinity
     keep = ~(at_infinity | inconsistent)
     return ExtractedRoots(
         roots=V[keep][:, [qb.pos_alpha, qb.pos_beta, qb.pos_gamma]],
@@ -553,25 +557,16 @@ def extract_roots(eigenvalues, action: np.ndarray, qb: QuotientBasis) -> Extract
     )
 
 
-def _inconsistent(lam: np.ndarray, V: np.ndarray, qb: QuotientBasis) -> np.ndarray:
-    """Which eigenvectors, normalized at the monomial 1, disagree with their
-    eigenvalue at gamma or with their degree-one entries at degree two."""
-    m, x, y = _product_checks(qb)
-    return (np.abs(lam - V[:, qb.pos_gamma]) > ROOT_TOL) | np.any(
-        np.abs(V[:, m] - V[:, x] * V[:, y]) > ROOT_TOL, axis=1
-    )
-
-
 def _chain_eigenvectors(lam: np.ndarray, sizes: list[int], action: np.ndarray, qb: QuotientBasis):
     """The ``(K, n)`` eigenvectors of the eigenvalues ``lam``, ``sizes[b]``
     of them for ``action[b]`` in turn, rebuilt from the gamma chains and
-    normalized at the monomial 1, and which ones are inconsistent.  A row is
-    NaN where its bordered chain system is exactly singular.
+    normalized at the monomial 1.  A row is NaN where a bordered chain
+    system is exactly singular.
 
-    Near a cluster of eigenvalues one step of inverse iteration leaves some
-    of the neighbours' eigenvectors in a root's.  A vector that comes out
-    inconsistent therefore gets a second step, bordered by its own head
-    entries instead of the fixed column.
+    Each root takes two steps of inverse iteration: the first bordered by
+    the fixed column, the second by the first's head entries.  Near a
+    cluster of eigenvalues one step leaves some of the neighbours'
+    eigenvectors in a root's; the second squares their share.
     """
     chain, depth, gather, constants = _gamma_chains(qb)
     n_samples, n_powers, size = len(action), len(gather), len(gather[0])
@@ -588,33 +583,27 @@ def _chain_eigenvectors(lam: np.ndarray, sizes: list[int], action: np.ndarray, q
     padded = np.zeros((n_samples, max(sizes), n_powers))
     padded[sample, slot] = powers
     K = (padded @ C)[sample, slot].reshape(-1, size, size)
-    h = _bordered_solve(K)
-    V = h[:, chain] * powers[:, depth]
+    K[:, :-1, -1] = _bordered_solve(K)
+    V = _bordered_solve(K)[:, chain] * powers[:, depth]
     V /= V[:, qb.pos_one, None]
-    inconsistent = _inconsistent(lam, V, qb)
-    retry = np.flatnonzero(inconsistent)
-    if retry.size:
-        K = K[retry]
-        K[:, :-1, -1] = h[retry]
-        again = _bordered_solve(K)[:, chain] * powers[retry][:, depth]
-        V[retry] = again / again[:, qb.pos_one, None]
-        inconsistent[retry] = _inconsistent(lam[retry], V[retry], qb)
-    return V, inconsistent
+    return V
 
 
 def _bordered_solve(K: np.ndarray) -> np.ndarray:
     """The head entries solving each bordered chain system of the stack,
     NaN where it is exactly singular."""
-    rhs = np.zeros(K.shape[-1])
+    # A column right-hand side of the stack's rank reads alike in every
+    # numpy: a 1-D one is one vector per matrix only from numpy 2.0 on.
+    rhs = np.zeros((K.shape[-1], 1))
     rhs[-1] = 1.0
     try:
-        return np.linalg.solve(K, rhs)[:, :-1]
+        return np.linalg.solve(K, np.broadcast_to(rhs, (len(K), *rhs.shape)))[:, :-1, 0]
     except np.linalg.LinAlgError:
         pass
     out = np.full(K.shape[:-1], math.nan)
     for k in range(len(K)):
         try:
-            out[k] = np.linalg.solve(K[k], rhs)
+            out[k] = np.linalg.solve(K[k], rhs)[:, 0]
         except np.linalg.LinAlgError:
             continue
     return out[:, :-1]

@@ -488,6 +488,7 @@ def quotient_basis_from_pivots(basis: GrevlexBasis, pivots: list[int], expected_
         monomials=monomials,
         template_cols=np.array([col for _, col in standard], dtype=np.int64),
         index=index,
+        successor=np.array([index.get((a, b, c + 1), -1) for a, b, c in monomials], dtype=np.int64),
         pos_one=index[(0, 0, 0)],
         pos_alpha=index[(1, 0, 0)],
         pos_beta=index[(0, 1, 0)],

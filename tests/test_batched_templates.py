@@ -203,7 +203,7 @@ def chain_eigenvectors(M: np.ndarray, qb) -> tuple[np.ndarray, np.ndarray]:
     """The near-real eigenvalues of ``M`` and their eigenvectors rebuilt from
     the gamma chains, normalized at the monomial 1, one per row."""
     values = eigensolve_real(M)
-    V, _ = gbsolver._chain_eigenvectors(values, [len(values)], M[None], qb)
+    V = gbsolver._chain_eigenvectors(values, [len(values)], M[None], qb)
     assert not np.isnan(V).any()
     return values, V
 
@@ -335,6 +335,7 @@ def assert_same_basis(qb, ref_qb) -> None:
     assert qb.monomials == ref_qb.monomials and qb.index == ref_qb.index
     assert np.array_equal(qb.template_cols, ref_qb.template_cols)
     assert qb.template_cols.dtype == ref_qb.template_cols.dtype
+    assert np.array_equal(qb.successor, ref_qb.successor)
     assert (qb.pos_one, qb.pos_alpha, qb.pos_beta, qb.pos_gamma) == (
         ref_qb.pos_one, ref_qb.pos_alpha, ref_qb.pos_beta, ref_qb.pos_gamma
     )
@@ -508,10 +509,48 @@ class TestHandBuiltEigenpairs:
             assert (got.n_dropped_at_infinity, got.n_dropped_inconsistent) == dropped
             assert got.roots.shape == (0, 3)
 
+    def test_filters_on_given_vectors(self, monkeypatch):
+        # The filters on eigenvectors as the chains return them, normalized
+        # at the monomial 1, against the per-eigenpair oracle: one at a
+        # time, all together and reversed.  Eigenvalue k stands for vector k.
+        _, _, _, qb = regular_basis()
+        u = np.array([0.1, -0.2, 0.3])
+        root = np.array([np.prod(u ** np.array(m)) for m in qb.monomials])
+        cubic = next(i for i, m in enumerate(qb.monomials) if sum(m) == 3)
+        square = next(i for i, m in enumerate(qb.monomials) if m in ((2, 0, 0), (1, 1, 0)))
+        # The largest entry exactly on the at-infinity bound, 1e10 times the
+        # entry at 1, is dropped; one step below it is kept.
+        on_bound, below_bound, bad_product = root.copy(), root.copy(), root.copy()
+        on_bound[cubic], below_bound[cubic] = 1e10, math.nextafter(1e10, 0.0)
+        bad_product[square] += 1e-5
+        bad_on_bound = on_bound.copy()
+        bad_on_bound[square] += 1e-5
+        vectors = np.array([root, on_bound, below_bound, bad_product, bad_on_bound])
+        monkeypatch.setattr(
+            gbsolver, "_chain_eigenvectors", lambda lam, sizes, action, qb: vectors[lam.astype(int)]
+        )
+        M = np.zeros((qb.size, qb.size))
+        n = len(vectors)
+        for order in [[k] for k in range(n)] + [list(range(n)), list(range(n))[::-1], []]:
+            ext = extract_roots(np.array(order, dtype=float), M, qb)
+            ref_ext = ref.extract_roots([(v[qb.pos_gamma], v) for v in vectors[order]], qb)
+            assert ext.n_dropped_at_infinity == ref_ext.n_dropped_at_infinity
+            assert ext.n_dropped_inconsistent == ref_ext.n_dropped_inconsistent
+            assert ext.roots.shape == (len(ref_ext.roots), 3)
+            for got, want in zip(ext.roots, ref_ext.roots):
+                assert_bits(got, want)
+        ext = extract_roots(np.arange(float(n)), M, qb)
+        assert (ext.n_dropped_at_infinity, ext.n_dropped_inconsistent) == (2, 1)
+        assert_bits(ext.roots, np.array([u, u]))
+        # A NaN row, the mark of a singular chain system, is at infinity.
+        vectors = np.full((1, qb.size), math.nan)
+        ext = extract_roots(np.zeros(1), M, qb)
+        assert (ext.n_dropped_at_infinity, ext.n_dropped_inconsistent) == (1, 0)
+
     def test_a_singular_chain_system_fails_alone(self):
         _, _, _, qb = regular_basis()
         M, values, _ = ref.hand_built_action(qb)
-        V, _ = gbsolver._chain_eigenvectors(np.array(values), [len(values)], M[None], qb)
+        V = gbsolver._chain_eigenvectors(np.array(values), [len(values)], M[None], qb)
         assert np.isnan(V).any(axis=1).tolist() == [False] * (len(values) - 1) + [True]
         # Beside the same matrix without the eigenvalue 0, in one stack, the
         # other roots come out as without it, and as alone.
@@ -521,15 +560,30 @@ class TestHandBuiltEigenpairs:
         assert_bits(both.roots[both.sample == 0], both.roots[both.sample == 1])
         assert_bits(both.roots[both.sample == 1], alone.roots)
 
+    def test_solves_pass_a_right_hand_side_of_the_matrix_rank(self, monkeypatch):
+        # numpy 1.x reads a 1-D right-hand side beside a stack of matrices
+        # as too few dimensions and raises ValueError; a right-hand side of
+        # the matrix's own rank reads alike in every numpy.  The eigenvalue 0
+        # also takes the per-root solves.
+        _, _, _, qb = regular_basis()
+        M, values, _ = ref.hand_built_action(qb)
+        solve = np.linalg.solve
+
+        def same_rank_solve(a, b):
+            assert np.ndim(b) == np.ndim(a)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", same_rank_solve)
+        ext = extract_roots(np.array(values), M, qb)
+        assert ext.n_dropped_at_infinity == 2 and ext.n_dropped_inconsistent == 1
+
     def test_alpha_beta_products_drop_a_wrong_null_vector(self):
         # The chains hold the gamma entry and every product with a gamma
         # factor whatever the heads; a wrong null vector fails on alpha^2,
         # alpha beta or beta^2 only.
         _, _, _, qb = regular_basis()
         M, _, _ = ref.hand_built_action(qb)
-        V, inconsistent = gbsolver._chain_eigenvectors(np.array([-0.6]), [1], M[None], qb)
-        v = V[0]
-        assert inconsistent.tolist() == [True]
+        v = gbsolver._chain_eigenvectors(np.array([-0.6]), [1], M[None], qb)[0]
         assert abs(v[qb.pos_gamma] + 0.6) <= 1e-12
         failed = set()
         for m, x, y in ref.product_checks(qb):
