@@ -159,7 +159,6 @@ def emit_pose_document(poses: list[RelativePose], kind: str) -> str:
         if p.cheiral_count is not None:
             lines.append(f"cheiral_count {p.cheiral_count}")
             lines.append(f"cheirality_tie {int(p.cheirality_tie)}")
-        lines.append(f"low_parallax {int(p.low_parallax)}")
         if p.root_count is not None:
             lines.append(f"root_count {p.root_count}")
     return "\n".join(lines) + "\n"

@@ -51,7 +51,14 @@ from .exceptions import (
     RelposeError,
     UnreachableMonomial,
 )
-from .geom import RotationConstraint, sigma_from_angle, stacked_dot
+from .geom import (
+    PoseStack,
+    RotationConstraint,
+    check_unit_quaternions,
+    rotation_stack,
+    sigma_from_angle,
+    stacked_dot,
+)
 from .poly import GrevlexBasis, Monomial, grevlex_basis, reduce_columns_mod_h
 
 IMAG_TOL = 1e-6
@@ -186,12 +193,6 @@ def rescaled_roots(roots: np.ndarray, c: RotationConstraint) -> tuple[np.ndarray
     return keep, (math.sqrt(1.0 - c.sigma * c.sigma) / n[keep])[:, None] * roots[keep]
 
 
-def residual_gate(residuals: np.ndarray) -> np.ndarray:
-    """Which poses have ``(K, N)`` scaled residuals on their own sample that
-    are all at most ``POSE_RESIDUAL_TOL``.  A NaN residual fails."""
-    return np.max(np.abs(residuals), axis=1) <= POSE_RESIDUAL_TOL
-
-
 def unsolved(n: int, sample: np.ndarray, errors: dict) -> list[int]:
     """The samples of ``range(n)`` with no error yet and no candidate row
     left in ``sample``."""
@@ -205,6 +206,32 @@ def recorded(errors: dict, samples: list[int]):
         yield
     except RelposeError as exc:
         errors.update(dict.fromkeys(samples, exc))
+
+
+def usable_rotations(roots: np.ndarray, sample: np.ndarray, n: int, c, errors: dict):
+    """The root count of each of the ``n`` samples, and the sample, vector
+    part and rotation of each of the ``(K, 3)`` roots that carries a usable
+    axis (``rescaled_roots``).  A sample left without one has its error
+    recorded in ``errors``."""
+    root_count = np.bincount(sample, minlength=n)
+    keep, u = rescaled_roots(roots, c)
+    sample = sample[keep]
+    if lost := unsolved(n, sample, errors):
+        with recorded(errors, lost):
+            raise DegenerateConfiguration("no usable rotation candidates survived filtering")
+    check_unit_quaternions(c.sigma, u)
+    return root_count, sample, u, rotation_stack(c.sigma, u)
+
+
+def residual_gate(residuals: np.ndarray, sample: np.ndarray, n: int, errors: dict) -> np.ndarray:
+    """The poses, of the ``sample`` each, whose ``(K, N)`` scaled residuals
+    on their own sample are all at most ``POSE_RESIDUAL_TOL`` (a NaN fails).
+    A sample left without one has its error recorded in ``errors``."""
+    keep = np.flatnonzero(np.max(np.abs(residuals), axis=1) <= POSE_RESIDUAL_TOL)
+    if lost := unsolved(n, sample[keep], errors):
+        with recorded(errors, lost):
+            raise DegenerateConfiguration("no candidate pose satisfies its own sample")
+    return keep
 
 
 @dataclass(frozen=True, eq=False)
@@ -846,23 +873,28 @@ def _attempt(layers, problem: TemplateProblem, template, pivots, pending: np.nda
     }, failed
 
 
-def by_sample(poses: list, sample: np.ndarray, n: int, errors: dict) -> list:
-    """One pose list per sample of ``range(n)``, or for a sample in
-    ``errors`` the error the solver raises for it."""
-    out: list = [[] for _ in range(n)]
-    for pose, s in zip(poses, sample.tolist()):
-        out[s].append(pose)
-    for s, exc in errors.items():
-        out[s] = as_degenerate(exc)
-    return out
+@dataclass(frozen=True, eq=False)
+class SamplePoses:
+    """The answer of a solve with ``samples``: the poses of all samples as
+    one ``stack``, sample after sample, the rows ``bounds[s]:bounds[s + 1]``
+    of sample ``s``, none if it failed; as a sequence, one stack per sample."""
+
+    stack: PoseStack
+    bounds: list[int]
+
+    def __len__(self) -> int:
+        return len(self.bounds) - 1
+
+    def __getitem__(self, s: int) -> PoseStack:
+        return self.stack.rows(self.bounds[s], self.bounds[s + 1])
 
 
-def unstack(results: list, samples) -> list:
-    """A solver's answer from ``by_sample``: with ``samples``, every
-    sample's poses, empty where it failed; without, the one sample's poses,
-    or its error raised."""
+def answer(stack: PoseStack, sample: np.ndarray, errors: dict, n: int, samples):
+    """A solver's answer from the poses of ``n`` samples, the ascending
+    sample of each, and the errors of the failed samples: with ``samples``,
+    the ``SamplePoses``; without, the one sample's poses, or its error."""
     if samples is not None:
-        return [[] if isinstance(r, RelposeError) else r for r in results]
-    if isinstance(results[0], RelposeError):
-        raise results[0]
-    return results[0]
+        return SamplePoses(stack, np.searchsorted(sample, np.arange(n + 1)).tolist())
+    if errors:
+        raise as_degenerate(errors[0])
+    return stack.poses()

@@ -15,7 +15,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,11 +70,7 @@ class UnitQuaternion:
     def __post_init__(self):
         object.__setattr__(self, "sigma", float(self.sigma))
         object.__setattr__(self, "u", _as_vec3(self.u, "u"))
-        if not self.sigma >= 0.0:
-            raise ValueError("quaternion scalar part must be non-negative")
-        n2 = self.sigma * self.sigma + float(self.u @ self.u)
-        if not abs(n2 - 1.0) <= 2e-12:
-            raise ValueError(f"quaternion is not unit: sigma^2 + |u|^2 = {n2!r}")
+        check_unit_quaternions(self.sigma, self.u[None])
 
 
 @dataclass(frozen=True)
@@ -137,6 +133,34 @@ class PluckerPair:
                 raise ValueError(f"{name} violates line incidence: q.m = {float(q @ m)!r}")
 
 
+# Column pairs of a rotation and their products under the identity; the
+# minors of the second and third rows along the first.
+_LEFT_COLUMN, _RIGHT_COLUMN = np.array([0, 1, 2, 0, 0, 1]), np.array([0, 1, 2, 1, 2, 2])
+_IDENTITY_PRODUCTS = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+_MINOR_A, _MINOR_B = np.array([1, 0, 0]), np.array([2, 2, 1])
+
+
+def check_poses(Rs: np.ndarray, ts: np.ndarray) -> None:
+    """Raise the ``ValueError`` of the first of the ``(P, 3, 3)`` rotations
+    and ``(P, 3)`` translations that is not a rotation, with ``R^T R - I``
+    and ``det R - 1`` (expanded along the first row) within 1e-9, or not
+    finite.  A NaN fails every test."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        products = Rs[..., _LEFT_COLUMN] * Rs[..., _RIGHT_COLUMN]
+        r1, r2 = Rs[:, 1], Rs[:, 2]
+        terms = Rs[:, 0] * (r1[:, _MINOR_A] * r2[:, _MINOR_B] - r1[:, _MINOR_B] * r2[:, _MINOR_A])
+        rotation = np.all(
+            np.abs(products[:, 0] + products[:, 1] + products[:, 2] - _IDENTITY_PRODUCTS) <= 1e-9,
+            axis=1,
+        ) & (np.abs(terms[:, 0] - terms[:, 1] + terms[:, 2] - 1.0) <= 1e-9)
+    valid = rotation & np.isfinite(ts).all(axis=1)
+    if not valid.all():
+        first = np.argmin(valid)
+        if not rotation[first]:
+            raise ValueError("R is not a rotation matrix")
+        raise ValueError(f"t must be finite, got {ts[first]!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class RelativePose:
     """Relative pose ``X2 = R @ X1 + t`` with solver diagnostics.
@@ -152,29 +176,14 @@ class RelativePose:
     depths: tuple[float, float] | None = None
     cheiral_count: int | None = None
     cheirality_tie: bool = False
-    low_parallax: bool = False
     root_count: int | None = None
 
     def __post_init__(self):
         R = np.asarray(self.R, dtype=float)
         if R.shape != (3, 3):
             raise ValueError("R must be a 3x3 matrix")
-        # R^T R - I and det R - 1 in Python floats; a NaN fails every test.
-        (a, b, c), (d, e, f), (g, h, i) = R.tolist()
-        residuals = (
-            a * a + d * d + g * g - 1.0,
-            b * b + e * e + h * h - 1.0,
-            c * c + f * f + i * i - 1.0,
-            a * b + d * e + g * h,
-            a * c + d * f + g * i,
-            b * c + e * f + h * i,
-            a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) - 1.0,
-        )
-        if not all(abs(r) <= 1e-9 for r in residuals):
-            raise ValueError("R is not a rotation matrix")
         t = _as_vec3(self.t, "t")
-        if not all(map(math.isfinite, t.tolist())):
-            raise ValueError(f"t must be finite, got {t!r}")
+        check_poses(R[None], t[None])
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "t", t)
 
@@ -182,16 +191,15 @@ class RelativePose:
 def _frozen(cls, fields):
     """An instance of the frozen dataclass ``cls`` with the ``(name, value)``
     ``fields`` set and the others at their defaults, the constructor's
-    checks skipped: the bulk builders below ran them already."""
+    checks skipped: ``PoseStack`` ran them on the whole stack already."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
 
 
-def unit_quaternions(sigma: float, u: np.ndarray) -> list[UnitQuaternion]:
-    """``UnitQuaternion`` objects of the ``(K, 3)`` vector parts ``u`` sharing
-    the scalar part ``sigma``, checked as one array with the constructor's
-    tolerance; the first quaternion that fails raises its ``ValueError``."""
+def check_unit_quaternions(sigma: float, u: np.ndarray) -> None:
+    """Raise the ``ValueError`` of the first of the ``(K, 3)`` vector parts
+    ``u`` that with ``sigma >= 0`` is not a unit quaternion within 2e-12."""
     sigma = float(sigma)
     if len(u) and not sigma >= 0.0:
         raise ValueError("quaternion scalar part must be non-negative")
@@ -200,47 +208,50 @@ def unit_quaternions(sigma: float, u: np.ndarray) -> list[UnitQuaternion]:
     if not unit.all():
         n2 = float(n2[np.argmin(unit)])
         raise ValueError(f"quaternion is not unit: sigma^2 + |u|^2 = {n2!r}")
-    return [_frozen(UnitQuaternion, {"sigma": sigma, "u": v}) for v in u]
 
 
-# Column pairs of a rotation and their products under the identity; the
-# minors of the second and third rows along the first.
-_LEFT_COLUMN, _RIGHT_COLUMN = np.array([0, 1, 2, 0, 0, 1]), np.array([0, 1, 2, 1, 2, 2])
-_IDENTITY_PRODUCTS = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
-_MINOR_A, _MINOR_B = np.array([1, 0, 0]), np.array([2, 2, 1])
+@dataclass(frozen=True, eq=False)
+class PoseStack:
+    """Relative poses as rows of arrays: ``(P, 3, 3)`` rotations ``R``,
+    ``(P, 3)`` translations ``t``, ``(P, 3)`` quaternion vector parts ``u``
+    that passed ``check_unit_quaternions`` with the scalar part ``sigma``,
+    and a row per pose of each ``RelativePose`` diagnostic in ``columns``.
 
-
-def relative_poses(
-    Rs: np.ndarray, ts: np.ndarray, quats: list[UnitQuaternion], **columns: list
-) -> list[RelativePose]:
-    """``RelativePose`` objects of the ``(P, 3, 3)`` rotations, ``(P, 3)``
-    translations and quaternions, with one value per pose of each
-    diagnostic in ``columns``.
-
-    The constructor's rotation and finite-translation checks run once on
-    the whole stack, with its tolerance; the first pose that fails raises
-    its ``ValueError``.
+    The constructor runs ``check_poses`` once on the whole stack, as
+    ``RelativePose`` does on one pose.  ``poses`` builds the objects.
     """
-    # The constructor's residuals, in its order of operations: the products
-    # of the columns less the identity, and the determinant less one,
-    # expanded along the first row.
-    products = Rs[..., _LEFT_COLUMN] * Rs[..., _RIGHT_COLUMN]
-    r1, r2 = Rs[:, 1], Rs[:, 2]
-    terms = Rs[:, 0] * (r1[:, _MINOR_A] * r2[:, _MINOR_B] - r1[:, _MINOR_B] * r2[:, _MINOR_A])
-    rotation = np.all(
-        np.abs(products[:, 0] + products[:, 1] + products[:, 2] - _IDENTITY_PRODUCTS) <= 1e-9,
-        axis=1,
-    ) & (np.abs(terms[:, 0] - terms[:, 1] + terms[:, 2] - 1.0) <= 1e-9)
-    valid = rotation & np.isfinite(ts).all(axis=1)
-    if not valid.all():
-        first = np.argmin(valid)
-        if not rotation[first]:
-            raise ValueError("R is not a rotation matrix")
-        raise ValueError(f"t must be finite, got {ts[first]!r}")
-    names = ("R", "t", "quat", *columns)
-    return [
-        _frozen(RelativePose, zip(names, row)) for row in zip(Rs, ts, quats, *columns.values())
-    ]
+
+    R: np.ndarray
+    t: np.ndarray
+    sigma: float
+    u: np.ndarray
+    columns: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        check_poses(self.R, self.t)
+
+    def __len__(self) -> int:
+        return len(self.R)
+
+    def rows(self, start: int, stop: int) -> PoseStack:
+        """The poses ``start:stop``, as views, unchecked again."""
+        cut = slice(start, stop)
+        return _frozen(PoseStack, {
+            "R": self.R[cut], "t": self.t[cut], "sigma": self.sigma, "u": self.u[cut],
+            "columns": {name: col[cut] for name, col in self.columns.items()},
+        })
+
+    def poses(self) -> list[RelativePose]:
+        """One ``RelativePose`` per row, diagnostics as Python values."""
+        names = ("R", "t", "quat", *self.columns)
+        quats = [_frozen(UnitQuaternion, {"sigma": self.sigma, "u": v}) for v in self.u]
+        values = [
+            list(map(tuple, col.tolist())) if col.ndim > 1 else col.tolist()
+            for col in self.columns.values()
+        ]
+        return [
+            _frozen(RelativePose, zip(names, row)) for row in zip(self.R, self.t, quats, *values)
+        ]
 
 
 def rotation_stack(sigma: float, u: np.ndarray) -> np.ndarray:

@@ -57,9 +57,10 @@ class RansacResult:
         return int(np.count_nonzero(self.inlier_mask))
 
 
-# Most minimal samples one round of ``ransac_estimate`` solves as a stack.
-# The stopping bound sizes each round, but an early weak consensus asks for
-# far more samples than the stop that a better one soon brings.
+# Most minimal samples the first round of ``ransac_estimate`` solves as one
+# stack; the cap doubles after every round.  An early weak consensus asks for
+# far more samples than the stop that a better one soon brings, but a solver
+# call costs as much as several more samples in its stack.
 BATCH_LIMIT = 8
 
 _PAIR_TYPES = {"reg4": BearingPair, "gen5": PluckerPair}
@@ -77,11 +78,14 @@ def ransac_estimate(
     inliers.  Iterations stop early once the standard confidence bound on the
     best inlier ratio is met.
 
-    The samples are drawn and solved in rounds of at most ``BATCH_LIMIT``,
-    sized by the stopping bound, and every pose of a round is scored in one
+    The samples are drawn and solved in rounds, ``BATCH_LIMIT`` at most in
+    the first and twice the last round's cap in each next one, all capped
+    by the stopping bound and ``max_iterations``.  A round's solve returns
+    its poses as arrays (``SamplePoses``), all of which are scored in one
     call.  Hypotheses are then weighed and the stopping rule applied sample
-    by sample, and the samples of a round past the stop are discarded, so
-    the result is that of solving one sample at a time.
+    by sample, also after a sample that yields no pose, and the samples of
+    a round past the stop are discarded, so the result is that of solving
+    one sample at a time.  Only the winner becomes a ``RelativePose``.
     """
     if kind not in _PAIR_TYPES:
         raise ValueError(f"unknown solver kind {kind!r}")
@@ -105,55 +109,49 @@ def ransac_estimate(
         solve, score = solve_gen5pt_angle, ray_point_errors
     rng = np.random.default_rng(cfg.seed)
 
-    best_pose = None
-    best_mask = None
-    best_count = -1
-    best_score = math.inf
+    best = best_mask = None
+    best_count, best_score = -1, math.inf
     n_hypotheses = 0
     trace: list[int] = []
     iterations = 0
     needed = math.inf
-    stop = False
-    while not stop and iterations < cfg.max_iterations:
-        size = min(BATCH_LIMIT, cfg.max_iterations - iterations)
+    cap = BATCH_LIMIT
+    while iterations < cfg.max_iterations and iterations < needed:
+        size = min(cap, cfg.max_iterations - iterations)
         if needed < math.inf:
-            size = max(1, min(size, math.ceil(needed) - iterations))
+            # The bound is checked after every sample, so it is not met yet.
+            size = min(size, math.ceil(needed) - iterations)
+        cap *= 2
         samples = np.array([rng.choice(n, size=sample_size, replace=False) for _ in range(size)])
-        per_sample = solve(observations, theta, samples=samples)
-        hypotheses = [pose for poses in per_sample for pose in poses]
-        if hypotheses:
-            errors = score(
-                np.array([p.R for p in hypotheses]), np.array([p.t for p in hypotheses]), *rays
-            )
+        answer = solve(observations, theta, samples=samples)
+        stack, bounds = answer.stack, answer.bounds
+        if len(stack):
+            errors = score(stack.R, stack.t, *rays)
             masks = errors < cfg.inlier_threshold
             counts = np.count_nonzero(masks, axis=1).tolist()
-        h = 0
-        for poses in per_sample:
+        for s in range(size):
             iterations += 1
-            if not poses:
-                continue
-            for pose in poses:
+            for h in range(bounds[s], bounds[s + 1]):
                 n_hypotheses += 1
                 count = counts[h]
                 if count >= best_count:
                     mask = masks[h]
                     total = float(np.sum(errors[h][mask])) if count else math.inf
                     if count > best_count or total < best_score:
-                        best_pose, best_mask, best_count, best_score = pose, mask, count, total
+                        best, best_mask = stack.rows(h, h + 1), mask
+                        best_count, best_score = count, total
                 if cfg.keep_trace:
                     trace.append(best_count)
-                h += 1
             if best_count > 0:
                 p_good = (best_count / n) ** sample_size
-                if p_good < 1.0:
-                    needed = math.log(1.0 - cfg.confidence) / math.log1p(-p_good)
-                if p_good >= 1.0 or iterations >= needed:
-                    stop = True
+                needed = (math.log(1.0 - cfg.confidence) / math.log1p(-p_good)
+                          if p_good < 1.0 else 0.0)
+                if iterations >= needed:
                     break
-    if best_pose is None:
+    if best is None:
         raise NoHypothesis("every sampled minimal subset failed to produce a pose")
     return RansacResult(
-        pose=best_pose,
+        pose=best.poses()[0],
         inlier_mask=best_mask,
         iterations=iterations,
         n_hypotheses=n_hypotheses,

@@ -8,32 +8,30 @@ import sys
 
 import numpy as np
 
-from .exceptions import DegenerateConfiguration, RelposeError, ScaleUnobservable, SkewDegenerate
+from .exceptions import RelposeError, ScaleUnobservable, SkewDegenerate
 from .gbsolver import (
     GENERAL,
+    SamplePoses,
+    answer,
     assemble_reduced_template,
     build_action_matrix,
-    by_sample,
     eigensolve_real,
     extract_roots,
     polish_roots,
     quotient_basis_from_pivots,
     recorded,
-    rescaled_roots,
     residual_gate,
     rotation_roots,
     rref_conditioned,
     unsolved,
-    unstack,
+    usable_rotations,
 )
 from .geom import (
     PluckerPair,
+    PoseStack,
     RelativePose,
-    relative_poses,
-    rotation_stack,
     stacked_cross,
     stacked_dot,
-    unit_quaternions,
 )
 from .poly import _ray_stack, build_g_polynomials
 
@@ -102,9 +100,9 @@ def _sample_residuals(q1, q2, m1, m2, Rs: np.ndarray, T: np.ndarray) -> np.ndarr
     return r / (np.sqrt(stacked_dot(T, T))[:, None] + n1 + n2)
 
 
-def _solve_stack(rays: list[np.ndarray], c) -> list[list[RelativePose] | RelposeError]:
-    """The poses of every sample of the ``(B, 5, 3)`` Pluecker rows, or the
-    error that sample raises, solved as one stack."""
+def _solve_stack(rays: list[np.ndarray], c) -> tuple[PoseStack, np.ndarray, dict]:
+    """The poses of the ``(B, 5, 3)`` Pluecker rows, solved as one stack, the
+    sample of each, and the error of every sample left without one."""
     n = len(rays[0])
     errors: dict[int, RelposeError] = {}
     flat = central(rays[2], rays[3])
@@ -118,14 +116,7 @@ def _solve_stack(rays: list[np.ndarray], c) -> list[list[RelativePose] | Relpose
         roots, sample = _roots(rays, ids, c, errors)
     else:
         roots, sample = np.zeros((ids.size, 3)), ids
-    root_count = np.bincount(sample, minlength=n)
-    keep, u = rescaled_roots(roots, c)
-    sample = sample[keep]
-    if lost := unsolved(n, sample, errors):
-        with recorded(errors, lost):
-            raise DegenerateConfiguration("no usable rotation candidates survived filtering")
-    quats = unit_quaternions(c.sigma, u)
-    Rs = rotation_stack(c.sigma, u)
+    root_count, sample, u, Rs = usable_rotations(roots, sample, n, c, errors)
     own = [r[sample] for r in rays]
     _, s, vt = np.linalg.svd(_depth_rows(*own, Rs))
     v = vt[:, -1]
@@ -136,37 +127,28 @@ def _solve_stack(rays: list[np.ndarray], c) -> list[list[RelativePose] | Relpose
             raise ScaleUnobservable(
                 "translation scale is unobservable for every rotation candidate"
             )
-    v, Rs, own = v[observable], Rs[observable], [r[observable] for r in own]
-    lam = v[:, 0] / v[:, 2]
-    mu = v[:, 1] / v[:, 2]
+    v, Rs, u, own = v[observable], Rs[observable], u[observable], [r[observable] for r in own]
+    depths = v[:, :2] / v[:, 2:]
     q1, q2, m1, m2 = (r[:, 0] for r in own)
-    t1 = stacked_cross(m1, q1) + lam[:, None] * q1
-    t2 = stacked_cross(m2, q2) + mu[:, None] * q2
+    t1 = stacked_cross(m1, q1) + depths[:, :1] * q1
+    t2 = stacked_cross(m2, q2) + depths[:, 1:] * q2
     # The stacked matmul rounds as the per-root R @ t1 does.
     T = t2 - (Rs @ t1[:, :, None])[..., 0]
     if c.tau != 0.0:
         # A zero angle fixes the rotation, so there the sample
         # over-determines the pose.
-        passed = residual_gate(_sample_residuals(*own, Rs, T))
-        if not passed.all():
-            keep = np.flatnonzero(passed)
-            observable, Rs, T, lam, mu = observable[keep], Rs[keep], T[keep], lam[keep], mu[keep]
-            if lost := unsolved(n, sample[observable], errors):
-                with recorded(errors, lost):
-                    raise DegenerateConfiguration("no candidate pose satisfies its own sample")
-    poses = relative_poses(
-        Rs,
-        T,
-        [quats[k] for k in observable.tolist()],
-        depths=list(zip(lam.tolist(), mu.tolist())),
-        root_count=root_count[sample[observable]].tolist(),
-    )
-    return by_sample(poses, sample[observable], n, errors)
+        keep = residual_gate(_sample_residuals(*own, Rs, T), sample[observable], n, errors)
+        observable, Rs, T, u, depths = (x[keep] for x in (observable, Rs, T, u, depths))
+    stack = PoseStack(Rs, T, c.sigma, u, {
+        "depths": depths,
+        "root_count": root_count[sample[observable]],
+    })
+    return stack, sample[observable], errors
 
 
 def solve_gen5pt_angle(
     pairs: list[PluckerPair], theta: float, *, anchor: int = 0, samples=None
-) -> list[RelativePose] | list[list[RelativePose]]:
+) -> list[RelativePose] | SamplePoses:
     """All relative poses consistent with five Pluecker pairs and the rotation angle.
 
     Returns up to 44 poses with metric translation.  For each rotation
@@ -175,11 +157,12 @@ def solve_gen5pt_angle(
     component is one; candidates whose scale is unobservable are dropped.
 
     With ``samples``, a ``(B, 5)`` index array into ``pairs``, the samples
-    are solved as one stack and the result is one pose list per sample,
-    empty where that sample raises a ``RelposeError``.
+    are solved as one stack and the result is their ``SamplePoses``: one
+    ``PoseStack`` per sample, empty where that sample raises a
+    ``RelposeError``.
     """
     picked, n, c = GENERAL.sample_stack(pairs, theta, anchor, samples)
-    return unstack(_solve_stack(_ray_rows(picked, n), c), samples)
+    return answer(*_solve_stack(_ray_rows(picked, n), c), n, samples)
 
 
 def ray_arrays(pairs: list[PluckerPair]) -> tuple[np.ndarray, ...]:

@@ -8,42 +8,33 @@ import sys
 
 import numpy as np
 
-from .exceptions import DegenerateConfiguration, NoCheiralSolution, RelposeError
+from .exceptions import NoCheiralSolution, RelposeError
 from .gbsolver import (
     REGULAR,
+    SamplePoses,
+    answer,
     assemble_reduced_template,
     build_action_matrix,
-    by_sample,
     eigensolve_real,
     extract_roots,
     polish_roots,
     quotient_basis_from_pivots,
     recorded,
-    rescaled_roots,
     residual_gate,
     rotation_roots,
     rref_conditioned,
     unsolved,
-    unstack,
+    usable_rotations,
 )
 from .geom import (
     BearingPair,
+    PoseStack,
     RelativePose,
     cheiral_counts,
-    relative_poses,
-    rotation_stack,
     skew,
     stacked_cross,
-    unit_quaternions,
 )
 from .poly import _ray_stack, build_f_polynomials
-
-# The translation null direction is considered poorly separated when the
-# smallest singular value exceeds this fraction of the second smallest.
-LOW_PARALLAX_RATIO = 0.5
-
-# The translation of a cheirality winner, and of the loser.
-_SIGNS = np.array([1.0, -1.0])
 
 # The layers are called through this module's attributes.
 _LAYERS = sys.modules[__name__]
@@ -58,67 +49,44 @@ def _roots(q1: np.ndarray, q2: np.ndarray, c, errors: dict) -> tuple[np.ndarray,
     return rotation_roots(_LAYERS, REGULAR, build, np.arange(len(q1)), c, errors)
 
 
-def _solve_stack(q1: np.ndarray, q2: np.ndarray, c) -> list[list[RelativePose] | RelposeError]:
-    """The poses of every sample of the ``(B, 4, 3)`` bearing rows, or the
-    error that sample raises, solved as one stack."""
+def _solve_stack(q1: np.ndarray, q2: np.ndarray, c) -> tuple[PoseStack, np.ndarray, dict]:
+    """The poses of the ``(B, 4, 3)`` bearing rows, solved as one stack, the
+    sample of each, and the error of every sample left without one."""
     n = len(q1)
     errors: dict[int, RelposeError] = {}
     if c.tau != 0.0:
         roots, sample = _roots(q1, q2, c, errors)
     else:
         roots, sample = np.zeros((n, 3)), np.arange(n)
-    root_count = np.bincount(sample, minlength=n)
-    keep, u = rescaled_roots(roots, c)
-    sample = sample[keep]
-    if lost := unsolved(n, sample, errors):
-        with recorded(errors, lost):
-            raise DegenerateConfiguration("no usable rotation candidates survived filtering")
-    quats = unit_quaternions(c.sigma, u)
-    Rs = rotation_stack(c.sigma, u)
+    root_count, sample, u, Rs = usable_rotations(roots, sample, n, c, errors)
     Q1, Q2 = q1[sample], q2[sample]
     # Rows cross(R q1_i, q2_i) for every root at once; the stacked matmul
     # rounds as the per-root R @ q1_i does.
     rows = stacked_cross((Rs[:, None] @ Q1[..., None])[..., 0], Q2)
-    _, s, vt = np.linalg.svd(rows)
-    T = vt[:, -1]
+    T = np.linalg.svd(rows)[2][:, -1]
     if c.tau != 0.0:
         # Each row dotted with the unit translation is the scaled epipolar
         # residual q2^T [t]x R q1 of its pair.  A zero angle fixes the
         # rotation, so there the sample over-determines the pose.
-        passed = residual_gate((rows @ T[:, :, None])[..., 0])
-        if not passed.all():
-            keep = np.flatnonzero(passed)
-            sample, Rs, T, s, Q1, Q2 = sample[keep], Rs[keep], T[keep], s[keep], Q1[keep], Q2[keep]
-            quats = [quats[k] for k in keep.tolist()]
-            if lost := unsolved(n, sample, errors):
-                with recorded(errors, lost):
-                    raise DegenerateConfiguration("no candidate pose satisfies its own sample")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        low_parallax = (s[:, 1] == 0.0) | (s[:, 2] / s[:, 1] > LOW_PARALLAX_RATIO)
+        keep = residual_gate((rows @ T[:, :, None])[..., 0], sample, n, errors)
+        sample, Rs, T, u, Q1, Q2 = sample[keep], Rs[keep], T[keep], u[keep], Q1[keep], Q2[keep]
     pos, neg = cheiral_counts(Rs, T, Q1, Q2)
     # Keep each sign that wins the cheirality vote, both on a tie, none at 0-0.
-    wins = np.empty((len(pos), 2), dtype=bool)
-    wins[:, 0] = (pos > 0) & (pos >= neg)
-    wins[:, 1] = (neg > 0) & (neg >= pos)
-    k, flip = np.nonzero(wins)
+    k, flip = np.nonzero(np.stack([(pos > 0) & (pos >= neg), (neg > 0) & (neg >= pos)], axis=1))
     if lost := unsolved(n, sample[k], errors):
         with recorded(errors, lost):
             raise NoCheiralSolution("no candidate places any point in front of both cameras")
-    poses = relative_poses(
-        Rs[k],
-        T[k] * _SIGNS[flip, None],
-        [quats[j] for j in k.tolist()],
-        cheiral_count=np.where(flip == 1, neg[k], pos[k]).tolist(),
-        cheirality_tie=(pos == neg)[k].tolist(),
-        low_parallax=low_parallax[k].tolist(),
-        root_count=root_count[sample[k]].tolist(),
-    )
-    return by_sample(poses, sample[k], n, errors)
+    stack = PoseStack(Rs[k], np.where(flip[:, None] == 1, -T[k], T[k]), c.sigma, u[k], {
+        "cheiral_count": np.where(flip == 1, neg[k], pos[k]),
+        "cheirality_tie": (pos == neg)[k],
+        "root_count": root_count[sample[k]],
+    })
+    return stack, sample[k], errors
 
 
 def solve_4pt_angle(
     pairs: list[BearingPair], theta: float, *, anchor: int = 0, samples=None
-) -> list[RelativePose] | list[list[RelativePose]]:
+) -> list[RelativePose] | SamplePoses:
     """All relative poses consistent with four bearing pairs and the rotation angle.
 
     Returns up to 20 poses with the first camera at ``[I | 0]`` and unit-norm
@@ -127,12 +95,13 @@ def solve_4pt_angle(
     choice yields the same solution set.
 
     With ``samples``, a ``(B, 4)`` index array into ``pairs``, the samples
-    are solved as one stack and the result is one pose list per sample,
-    empty where that sample raises a ``RelposeError``.
+    are solved as one stack and the result is their ``SamplePoses``: one
+    ``PoseStack`` per sample, empty where that sample raises a
+    ``RelposeError``.
     """
     picked, n, c = REGULAR.sample_stack(pairs, theta, anchor, samples)
     q1, q2 = (r.reshape(n, 4, 3) for r in _ray_stack(picked, "q1", "q2"))
-    return unstack(_solve_stack(q1, q2, c), samples)
+    return answer(*_solve_stack(q1, q2, c), n, samples)
 
 
 def sampson_errors(R: np.ndarray, t: np.ndarray, q1s: np.ndarray, q2s: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ from .geom import (
     UnitQuaternion,
     quat_to_rotation,
     rotation_angle,
+    stacked_cross,
 )
 from .solver_gen5 import solve_gen5pt_angle
 from .solver_reg4 import solve_4pt_angle
@@ -130,16 +131,21 @@ def generate_scene(
         c2 = np.array([cfg.baseline, 0.0, 0.0])
     center = np.array([0.0, 0.0, cfg.distance_to_scene])
 
-    quat = None
+    sigma = math.cos(theta / 2.0)
+    v = (center - c2).tolist()
     for _ in range(_AXIS_RETRIES):
-        axis = _random_unit(rng)
-        candidate = UnitQuaternion(math.cos(theta / 2.0), math.sin(theta / 2.0) * axis)
-        R = quat_to_rotation(candidate)
-        if _in_frustum(R @ (center - c2), cfg, margin=VISIBILITY_MARGIN):
-            quat = candidate
+        u = math.sin(theta / 2.0) * _random_unit(rng)
+        # R v = (2 sigma^2 - 1) v + 2 (u (u.v) - sigma u x v), in floats.
+        (a, b, c), (x, y, z) = u.tolist(), v
+        uv, w = a * x + b * y + c * z, 2.0 * sigma * sigma - 1.0
+        Rv = (w * x + 2.0 * (a * uv - sigma * (b * z - c * y)),
+              w * y + 2.0 * (b * uv - sigma * (c * x - a * z)),
+              w * z + 2.0 * (c * uv - sigma * (a * y - b * x)))
+        if _in_frustum(Rv, cfg, margin=VISIBILITY_MARGIN):
             break
-    if quat is None:
+    else:
         raise RetryExhausted("no rotation axis keeps the scene visible in the second view")
+    quat = UnitQuaternion(sigma, u)
     R = quat_to_rotation(quat)
     t = -R @ c2
     truth = RelativePose(R=R, t=t, quat=quat)
@@ -164,7 +170,9 @@ def generate_scene(
                 o2 = _random_in_ball(rng, cfg.multi_center_radius)
                 d1 = _unit(X - o1)
                 d2 = _unit(X2 - o2)
-                pairs.append(PluckerPair(q1=d1, q2=d2, m1=np.cross(d1, o1), m2=np.cross(d2, o2)))
+                pairs.append(
+                    PluckerPair(q1=d1, q2=d2, m1=stacked_cross(d1, o1), m2=stacked_cross(d2, o2))
+                )
             else:
                 pairs.append(BearingPair(q1=_unit(X), q2=_unit(X2)))
             break

@@ -5,9 +5,11 @@
 Builds each workload's fixed panel with ``perfbench/run.py``'s
 ``make_panel``, runs every operation once and prints one digest per
 workload and solver: over every returned R and t for ``minimal`` and
-``wide-angle``, and over the inlier mask, iterations, hypotheses, R and t
-for ``ransac``.  An input that raises contributes its exception's class
-name.  Run it on two checkouts and compare the lines to show that a change
+``wide-angle``, and two for ``ransac``, a winner digest over the inlier
+mask, R and t, and a work digest over the iterations and hypotheses, so
+that a change of scheduling or stopping can show the same winners while
+the counts move.  An input that raises contributes its exception's class
+name to every digest.  Run it on two checkouts and compare the lines to show that a change
 leaves every panel result bit for bit as it was.  Bit identity also rests on
 how the BLAS library rounds small products, so compare runs on one machine.
 """
@@ -34,16 +36,18 @@ def load_run():
     return run
 
 
-def result_bytes(rp, op) -> list[bytes]:
-    """The bytes one operation's result contributes to its digest."""
+def result_bytes(rp, op) -> dict[str, list[bytes]]:
+    """The bytes one operation's result contributes to each of its digests."""
+    parts = ("poses",) if op.root == "solver" else ("winner", "work")
     try:
         result = op.fn(*op.args)
     except rp.RelposeError as exc:
-        return [type(exc).__name__.encode()]
+        return dict.fromkeys(parts, [type(exc).__name__.encode()])
     if op.root == "solver":
-        return [a.tobytes() for p in result for a in (p.R, p.t)]
+        return {"poses": [a.tobytes() for p in result for a in (p.R, p.t)]}
     counts = np.array([result.iterations, result.n_hypotheses], dtype=np.int64)
-    return [a.tobytes() for a in (result.inlier_mask, counts, result.pose.R, result.pose.t)]
+    winner = (result.inlier_mask, result.pose.R, result.pose.t)
+    return {"winner": [a.tobytes() for a in winner], "work": [counts.tobytes()]}
 
 
 def main(argv=None) -> int:
@@ -54,11 +58,14 @@ def main(argv=None) -> int:
     rp = run.load_relpose()
     for workload in args.workload:
         for solver, ops in run.make_panel(rp, workload).items():
-            digest = hashlib.sha256()
+            digests: dict = {}
             for op in ops:
-                for chunk in result_bytes(rp, op):
-                    digest.update(chunk)
-            print(f"{workload:10s} {solver:4s} {len(ops):4d} {digest.hexdigest()}")
+                for part, chunks in result_bytes(rp, op).items():
+                    digest = digests.setdefault(part, hashlib.sha256())
+                    for chunk in chunks:
+                        digest.update(chunk)
+            for part, digest in digests.items():
+                print(f"{workload:10s} {solver:4s} {len(ops):4d} {part:6s} {digest.hexdigest()}")
     return 0
 
 

@@ -24,7 +24,6 @@ from relpose.geom import (
     essential_residual,
     quat_to_rotation,
 )
-from relpose.solver_reg4 import LOW_PARALLAX_RATIO
 
 
 def triangulate_midpoint(
@@ -82,14 +81,13 @@ def loop_solve_4pt_angle(
     for quat in rectified_quaternions(roots, c):
         R = quat_to_rotation(quat)
         stack = np.array([np.cross(R @ p.q1, p.q2) for p in ordered])
-        _, s, vt = np.linalg.svd(stack)
+        vt = np.linalg.svd(stack)[2]
         t = vt[-1]
         if c.tau != 0.0 and any(
             not abs(essential_residual(R, t, p.q1, p.q2)) <= POSE_RESIDUAL_TOL for p in ordered
         ):
             continue
         n_gated += 1
-        low_parallax = s[1] == 0.0 or s[2] / s[1] > LOW_PARALLAX_RATIO
         n_pos, _ = triangulate_and_count_cheiral(R, t, ordered)
         n_neg, _ = triangulate_and_count_cheiral(R, -t, ordered)
         if n_pos == 0 and n_neg == 0:
@@ -106,7 +104,6 @@ def loop_solve_4pt_angle(
                     quat=quat,
                     cheiral_count=nw,
                     cheirality_tie=tie,
-                    low_parallax=low_parallax,
                     root_count=root_count,
                 )
             )

@@ -59,7 +59,8 @@ def loop_ransac_estimate(
         try:
             poses = solve(subset, theta)
         except RelposeError:
-            continue
+            # The stopping bound is checked after a failed sample too.
+            poses = []
         for pose in poses:
             n_hypotheses += 1
             errors = _score(kind, pose, rays)

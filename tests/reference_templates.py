@@ -59,7 +59,7 @@ from relpose.gbsolver import (
     as_degenerate,
     rescaled_roots,
 )
-from relpose.geom import UnitQuaternion, _as_vec3, rotation_stack, unit_quaternions
+from relpose.geom import UnitQuaternion, _as_vec3, rotation_stack
 from relpose.poly import (
     COINCIDENT_RAY_EPS,
     GrevlexBasis,
@@ -114,7 +114,7 @@ def candidate_rotations(roots: np.ndarray, c) -> tuple[list[UnitQuaternion], np.
     _, u = rescaled_roots(roots, c)
     if not len(u):
         raise DegenerateConfiguration("no usable rotation candidates survived filtering")
-    return unit_quaternions(c.sigma, u), rotation_stack(c.sigma, u)
+    return [UnitQuaternion(c.sigma, v) for v in u], rotation_stack(c.sigma, u)
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,20 +7,20 @@ from hypothesis import given, strategies as st
 from relpose.geom import (
     BearingPair,
     PluckerPair,
+    PoseStack,
     RelativePose,
     UnitQuaternion,
+    check_unit_quaternions,
     epipolar_residual,
     essential_residual,
     generalized_epipolar_residual,
     generalized_residual,
     quat_from_rotation,
     quat_to_rotation,
-    relative_poses,
     rotation_angle,
     rotation_stack,
     sigma_from_angle,
     skew,
-    unit_quaternions,
 )
 from relpose.synth import SceneConfig, generate_scene
 from reference_gen5 import inverse_pose
@@ -246,60 +246,72 @@ def message(fn, *args, **kwargs):
 
 
 class TestBulkConstruction:
-    """``unit_quaternions`` and ``relative_poses`` check whole stacks as
+    """``check_unit_quaternions`` and ``PoseStack`` check whole stacks as
     arrays; one bad entry raises the error the constructor raises for it."""
 
     def stack(self, n=5, seed=3):
         rng = np.random.default_rng(seed)
-        quats = [random_quat(rng) for _ in range(n)]
-        Rs = np.array([quat_to_rotation(q) for q in quats])
-        ts = rng.normal(size=(n, 3))
-        return quats, Rs, ts
+        c = sigma_from_angle(rng.uniform(0.05, 3.0))
+        u = rng.normal(size=(n, 3))
+        u *= math.sqrt(1.0 - c.sigma**2) / np.linalg.norm(u, axis=1, keepdims=True)
+        return c.sigma, u, rotation_stack(c.sigma, u), rng.normal(size=(n, 3))
 
     def test_good_stack_matches_the_constructor(self):
-        quats, Rs, ts = self.stack()
-        poses = relative_poses(Rs, ts, quats, cheiral_count=[1, 2, 3, 4, 5], root_count=[7] * 5)
+        sigma, u, Rs, ts = self.stack()
+        columns = {"cheiral_count": np.arange(1, 6), "root_count": np.full(5, 7),
+                   "depths": np.arange(10.0).reshape(5, 2)}
+        stack = PoseStack(Rs, ts, sigma, u, columns)
+        poses = stack.poses()
+        assert len(stack) == len(poses) == 5
         for k, pose in enumerate(poses):
-            want = RelativePose(R=Rs[k], t=ts[k], quat=quats[k], cheiral_count=k + 1, root_count=7)
+            quat = UnitQuaternion(sigma, u[k])
+            want = RelativePose(R=Rs[k], t=ts[k], quat=quat, depths=(2.0 * k, 2.0 * k + 1),
+                                cheiral_count=k + 1, root_count=7)
             assert np.array_equal(pose.R, want.R) and np.array_equal(pose.t, want.t)
-            assert pose.quat is quats[k]
+            assert pose.quat.sigma == sigma and np.array_equal(pose.quat.u, quat.u)
             assert (pose.cheiral_count, pose.root_count) == (want.cheiral_count, want.root_count)
-            assert (pose.depths, pose.cheirality_tie, pose.low_parallax) == (None, False, False)
+            assert type(pose.cheiral_count) is int
+            assert pose.depths == want.depths and type(pose.depths) is tuple
+            assert pose.cheirality_tie is False
+            assert np.array_equal(stack.rows(k, k + 1).poses()[0].R, Rs[k])
+
+    def test_rows_are_views(self):
+        sigma, u, Rs, ts = self.stack()
+        rows = PoseStack(Rs, ts, sigma, u, {"root_count": np.arange(5)}).rows(1, 3)
+        assert len(rows) == 2 and np.shares_memory(rows.R, Rs)
+        assert [p.root_count for p in rows.poses()] == [1, 2]
 
     @pytest.mark.parametrize(
         "bad", [np.diag([1.0, 1.0, -1.0]), 1.001 * np.eye(3), np.full((3, 3), np.nan)]
     )
     def test_one_bad_rotation(self, bad):
-        quats, Rs, ts = self.stack()
+        sigma, u, Rs, ts = self.stack()
         Rs[3] = bad
-        want = message(RelativePose, R=bad, t=ts[3], quat=quats[3])
-        assert message(relative_poses, Rs, ts, quats) == want == "R is not a rotation matrix"
+        want = message(RelativePose, R=bad, t=ts[3], quat=UnitQuaternion(sigma, u[3]))
+        assert message(PoseStack, Rs, ts, sigma, u) == want == "R is not a rotation matrix"
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_one_bad_translation(self, bad):
-        quats, Rs, ts = self.stack()
+        sigma, u, Rs, ts = self.stack()
         ts[2, 1] = bad
-        want = message(RelativePose, R=Rs[2], t=ts[2], quat=quats[2])
-        assert message(relative_poses, Rs, ts, quats) == want
+        want = message(RelativePose, R=Rs[2], t=ts[2], quat=UnitQuaternion(sigma, u[2]))
+        assert message(PoseStack, Rs, ts, sigma, u) == want
 
     def test_the_first_bad_pose_is_reported(self):
-        quats, Rs, ts = self.stack()
+        sigma, u, Rs, ts = self.stack()
         ts[1, 0] = np.nan
         Rs[3] = 2.0 * np.eye(3)
-        assert message(relative_poses, Rs, ts, quats) == message(
-            RelativePose, R=Rs[1], t=ts[1], quat=quats[1]
+        assert message(PoseStack, Rs, ts, sigma, u) == message(
+            RelativePose, R=Rs[1], t=ts[1], quat=UnitQuaternion(sigma, u[1])
         )
 
     @pytest.mark.parametrize("scale", [1.0 + 1e-9, np.nan])
     def test_one_bad_quaternion(self, scale):
-        c = sigma_from_angle(0.7)
-        rng = np.random.default_rng(4)
-        u = rng.normal(size=(4, 3))
-        u *= math.sqrt(1.0 - c.sigma**2) / np.linalg.norm(u, axis=1, keepdims=True)
-        assert [q.u.tolist() for q in unit_quaternions(c.sigma, u)] == u.tolist()
+        sigma, u, _, _ = self.stack(n=4, seed=4)
+        check_unit_quaternions(sigma, u)
         u[2] *= scale
-        assert message(unit_quaternions, c.sigma, u) == message(UnitQuaternion, c.sigma, u[2])
+        assert message(check_unit_quaternions, sigma, u) == message(UnitQuaternion, sigma, u[2])
 
     def test_negative_scalar_part(self):
         u = np.zeros((2, 3))
-        assert message(unit_quaternions, -1.0, u) == message(UnitQuaternion, -1.0, u[0])
+        assert message(check_unit_quaternions, -1.0, u) == message(UnitQuaternion, -1.0, u[0])

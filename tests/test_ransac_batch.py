@@ -1,17 +1,19 @@
 """RANSAC solves the samples of a round as one stack and scores all their
-poses in one call.  Against the one-sample-at-a-time loop of
+poses in one call; the round cap starts at ``BATCH_LIMIT`` and doubles
+after every round.  Against the one-sample-at-a-time loop of
 ``reference_robust`` it must return the same inlier mask, trace, iteration
 and hypothesis counts, and the same pose to ``POSE_TOL``."""
 
 import numpy as np
 import pytest
 
+import reference_robust
 import relpose.robust as robust
 from reference_robust import loop_ransac_estimate
 from relpose import solver_gen5, solver_reg4
-from relpose.exceptions import NoHypothesis, ScaleUnobservable
-from relpose.gbsolver import GENERAL
-from relpose.geom import BearingPair, PluckerPair, rotation_angle
+from relpose.exceptions import DegenerateConfiguration, NoHypothesis, ScaleUnobservable
+from relpose.gbsolver import GENERAL, SamplePoses
+from relpose.geom import BearingPair, PluckerPair, PoseStack, rotation_angle
 from relpose.robust import (
     BATCH_LIMIT,
     DEFAULT_POINT_RAY_THRESHOLD,
@@ -54,7 +56,7 @@ def assert_same(result, oracle):
 
 
 def spy_on_rounds(monkeypatch, kind):
-    """Record the samples and the pose lists of every stacked solve."""
+    """Record the samples and the ``SamplePoses`` of every stacked solve."""
     name = "solve_4pt_angle" if kind == "reg4" else "solve_gen5pt_angle"
     original = getattr(robust, name)
     rounds = []
@@ -88,12 +90,64 @@ def test_stop_in_the_middle_of_a_round(monkeypatch, kind):
         with monkeypatch.context() as m:
             rounds = spy_on_rounds(m, kind)
             result = ransac_estimate(observed, theta, cfg, kind)
-        assert all(len(samples) <= BATCH_LIMIT for samples, _ in rounds)
+        assert all(len(samples) <= BATCH_LIMIT << r for r, (samples, _) in enumerate(rounds))
         drawn = sum(len(samples) for samples, _ in rounds)
         assert drawn - len(rounds[-1][0]) < result.iterations <= drawn
         cut += result.iterations < drawn
         assert_same(result, loop_ransac_estimate(observed, theta, cfg, kind))
     assert cut > 0
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_the_round_cap_doubles(monkeypatch, kind):
+    # At this threshold at most a sample's own rays count as inliers, so the
+    # stopping bound asks for millions of samples and only the cap and
+    # max_iterations size the rounds.
+    observed, theta = frame_pair(kind, 5)
+    cfg = RansacConfig(inlier_threshold=1e-300, seed=5, max_iterations=60, keep_trace=True)
+    rounds = spy_on_rounds(monkeypatch, kind)
+    result = ransac_estimate(observed, theta, cfg, kind)
+    assert [len(samples) for samples, _ in rounds] == [BATCH_LIMIT, 16, 32, 60 - 56]
+    assert result.iterations == 60 and result.inlier_count <= 5
+    monkeypatch.undo()
+    assert_same(result, loop_ransac_estimate(observed, theta, cfg, kind))
+
+
+def test_the_bound_is_checked_after_a_failed_sample(monkeypatch):
+    # With 80 of 100 inliers the bound asks for 8.7 samples.  The ninth
+    # sample, where it is met, fails; the run still stops there.
+    truth, pairs = generate_scene(SceneConfig(seed=7), 4)
+    errors = np.r_[np.zeros(80), np.ones(20)]
+    failing = 8
+    drawn = []
+
+    def solve(pairs, theta, *, samples=None):
+        if samples is None:
+            drawn.append(1)
+            if len(drawn) == failing + 1:
+                raise DegenerateConfiguration("stub")
+            return [truth]
+        first = len(drawn)
+        drawn.extend([1] * len(samples))
+        k = np.array([first + s != failing for s in range(len(samples))])
+        bounds = np.r_[0, np.cumsum(k)].tolist()
+        stack = PoseStack(np.repeat(truth.R[None], bounds[-1], 0),
+                          np.repeat(truth.t[None], bounds[-1], 0), truth.quat.sigma,
+                          np.repeat(truth.quat.u[None], bounds[-1], 0))
+        return SamplePoses(stack, bounds)
+
+    def score(R, t, q1, q2):
+        return errors if R.ndim == 2 else np.tile(errors, (len(R), 1))
+
+    for module in (robust, reference_robust):
+        monkeypatch.setattr(module, "solve_4pt_angle", solve)
+        monkeypatch.setattr(module, "sampson_errors", score)
+    cfg = RansacConfig(inlier_threshold=0.5, seed=0, keep_trace=True)
+    result = ransac_estimate(pairs[:1] * 100, 0.5, cfg, "reg4")
+    assert len(drawn) == result.iterations == failing + 1
+    assert result.n_hypotheses == failing
+    drawn.clear()
+    assert_same(result, reference_robust.loop_ransac_estimate(pairs[:1] * 100, 0.5, cfg, "reg4"))
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -145,10 +199,10 @@ def test_a_degenerate_sample_fails_alone(monkeypatch, kind):
         try:
             alone = solve([observed[i] for i in row], theta)
         except robust.RelposeError:
-            assert poses == []
+            assert len(poses) == 0
             continue
         assert len(poses) == len(alone)
-        for got, want in zip(poses, alone):
+        for got, want in zip(poses.poses(), alone):
             assert np.max(np.abs(got.R - want.R)) <= POSE_TOL
             assert np.max(np.abs(got.t - want.t)) <= POSE_TOL
 

@@ -5,7 +5,8 @@ import pytest
 
 import relpose.robust as robust
 from relpose.exceptions import NoHypothesis
-from relpose.geom import rotation_angle
+from relpose.gbsolver import SamplePoses
+from relpose.geom import PoseStack, rotation_angle
 from relpose.robust import (
     DEFAULT_POINT_RAY_THRESHOLD,
     RansacConfig,
@@ -18,6 +19,14 @@ from relpose.robust import (
 from relpose.solver_reg4 import sampson_errors
 from relpose.synth import SceneConfig, add_image_noise, generate_scene, rotation_error
 from reference_gen5 import loop_ray_point_errors
+
+
+def one_pose_each(pose, samples):
+    """A stacked solve's answer with the one ``pose`` for every sample."""
+    k = len(samples)
+    stack = PoseStack(np.repeat(pose.R[None], k, 0), np.repeat(pose.t[None], k, 0),
+                      pose.quat.sigma, np.repeat(pose.quat.u[None], k, 0))
+    return SamplePoses(stack, list(range(k + 1)))
 
 
 def gen5_frame_pair(seed, n_obs=100):
@@ -136,7 +145,7 @@ class TestRansacEstimate:
         errors = np.ones(n)
         errors[17] = 0.0
         monkeypatch.setattr(
-            robust, "solve_4pt_angle", lambda pairs, theta, samples: [[truth]] * len(samples)
+            robust, "solve_4pt_angle", lambda pairs, theta, samples: one_pose_each(truth, samples)
         )
         monkeypatch.setattr(
             robust, "sampson_errors", lambda Rs, ts, q1, q2: np.tile(errors, (len(Rs), 1))
