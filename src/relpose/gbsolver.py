@@ -210,9 +210,8 @@ def recorded(errors: dict, samples: list[int]):
 
 def usable_rotations(roots: np.ndarray, sample: np.ndarray, n: int, c, errors: dict):
     """The root count of each of the ``n`` samples, and the sample, vector
-    part and rotation of each of the ``(K, 3)`` roots that carries a usable
-    axis (``rescaled_roots``).  A sample left without one has its error
-    recorded in ``errors``."""
+    part and rotation of each root with a usable axis (``rescaled_roots``);
+    a sample left without one has its error recorded in ``errors``."""
     root_count = np.bincount(sample, minlength=n)
     keep, u = rescaled_roots(roots, c)
     sample = sample[keep]
@@ -223,11 +222,15 @@ def usable_rotations(roots: np.ndarray, sample: np.ndarray, n: int, c, errors: d
     return root_count, sample, u, rotation_stack(c.sigma, u)
 
 
-def residual_gate(residuals: np.ndarray, sample: np.ndarray, n: int, errors: dict) -> np.ndarray:
-    """The poses, of the ``sample`` each, whose ``(K, N)`` scaled residuals
-    on their own sample are all at most ``POSE_RESIDUAL_TOL`` (a NaN fails).
-    A sample left without one has its error recorded in ``errors``."""
-    keep = np.flatnonzero(np.max(np.abs(residuals), axis=1) <= POSE_RESIDUAL_TOL)
+def residual_gate(residuals: np.ndarray, sample: np.ndarray, n: int, errors: dict):
+    """The poses whose ``(K, N)`` scaled residuals on their own ``sample``
+    are all at most ``POSE_RESIDUAL_TOL`` (a NaN fails), as indices or, if
+    all pass, a whole slice; a sample left without one has its error
+    recorded in ``errors``."""
+    passed = np.max(np.abs(residuals), axis=1) <= POSE_RESIDUAL_TOL
+    if passed.all():
+        return slice(None)
+    keep = np.flatnonzero(passed)
     if lost := unsolved(n, sample[keep], errors):
         with recorded(errors, lost):
             raise DegenerateConfiguration("no candidate pose satisfies its own sample")

@@ -145,14 +145,13 @@ def check_poses(Rs: np.ndarray, ts: np.ndarray) -> None:
     and ``(P, 3)`` translations that is not a rotation, with ``R^T R - I``
     and ``det R - 1`` (expanded along the first row) within 1e-9, or not
     finite.  A NaN fails every test."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        products = Rs[..., _LEFT_COLUMN] * Rs[..., _RIGHT_COLUMN]
-        r1, r2 = Rs[:, 1], Rs[:, 2]
-        terms = Rs[:, 0] * (r1[:, _MINOR_A] * r2[:, _MINOR_B] - r1[:, _MINOR_B] * r2[:, _MINOR_A])
-        rotation = np.all(
-            np.abs(products[:, 0] + products[:, 1] + products[:, 2] - _IDENTITY_PRODUCTS) <= 1e-9,
-            axis=1,
-        ) & (np.abs(terms[:, 0] - terms[:, 1] + terms[:, 2] - 1.0) <= 1e-9)
+    products = Rs[..., _LEFT_COLUMN] * Rs[..., _RIGHT_COLUMN]
+    r1, r2 = Rs[:, 1], Rs[:, 2]
+    terms = Rs[:, 0] * (r1[:, _MINOR_A] * r2[:, _MINOR_B] - r1[:, _MINOR_B] * r2[:, _MINOR_A])
+    rotation = np.all(
+        np.abs(products[:, 0] + products[:, 1] + products[:, 2] - _IDENTITY_PRODUCTS) <= 1e-9,
+        axis=1,
+    ) & (np.abs(terms[:, 0] - terms[:, 1] + terms[:, 2] - 1.0) <= 1e-9)
     valid = rotation & np.isfinite(ts).all(axis=1)
     if not valid.all():
         first = np.argmin(valid)
@@ -183,7 +182,8 @@ class RelativePose:
         if R.shape != (3, 3):
             raise ValueError("R must be a 3x3 matrix")
         t = _as_vec3(self.t, "t")
-        check_poses(R[None], t[None])
+        with np.errstate(invalid="ignore", over="ignore"):
+            check_poses(R[None], t[None])
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "t", t)
 

@@ -58,10 +58,13 @@ class RansacResult:
 
 
 # Most minimal samples the first round of ``ransac_estimate`` solves as one
-# stack; the cap doubles after every round.  An early weak consensus asks for
-# far more samples than the stop that a better one soon brings, but a solver
-# call costs as much as several more samples in its stack.
+# stack; the cap doubles after every round, up to ROUND_LIMIT.  An early weak
+# consensus asks for far more samples than the stop that a better one soon
+# brings, but a solver call costs as much as several more samples in its
+# stack.  Past ROUND_LIMIT a stack saves little call cost and its memory
+# keeps growing, by about 0.2 MB per gen5 sample.
 BATCH_LIMIT = 8
+ROUND_LIMIT = 64
 
 _PAIR_TYPES = {"reg4": BearingPair, "gen5": PluckerPair}
 
@@ -78,14 +81,14 @@ def ransac_estimate(
     inliers.  Iterations stop early once the standard confidence bound on the
     best inlier ratio is met.
 
-    The samples are drawn and solved in rounds, ``BATCH_LIMIT`` at most in
-    the first and twice the last round's cap in each next one, all capped
-    by the stopping bound and ``max_iterations``.  A round's solve returns
-    its poses as arrays (``SamplePoses``), all of which are scored in one
-    call.  Hypotheses are then weighed and the stopping rule applied sample
-    by sample, also after a sample that yields no pose, and the samples of
-    a round past the stop are discarded, so the result is that of solving
-    one sample at a time.  Only the winner becomes a ``RelativePose``.
+    The samples are drawn and solved in rounds of at most ``BATCH_LIMIT``
+    at first, the cap doubling after each round up to ``ROUND_LIMIT``, and
+    the stopping bound and ``max_iterations`` cap every round too.  A
+    round's poses come back as arrays (``SamplePoses``) and are scored in
+    one call; only the winner becomes a ``RelativePose``.  Hypotheses are
+    weighed and the stopping rule applied sample by sample, also after a
+    sample that yields no pose, and the samples of a round past the stop
+    are discarded, so the result is that of solving one sample at a time.
     """
     if kind not in _PAIR_TYPES:
         raise ValueError(f"unknown solver kind {kind!r}")
@@ -111,9 +114,8 @@ def ransac_estimate(
 
     best = best_mask = None
     best_count, best_score = -1, math.inf
-    n_hypotheses = 0
     trace: list[int] = []
-    iterations = 0
+    n_hypotheses = iterations = 0
     needed = math.inf
     cap = BATCH_LIMIT
     while iterations < cfg.max_iterations and iterations < needed:
@@ -121,7 +123,7 @@ def ransac_estimate(
         if needed < math.inf:
             # The bound is checked after every sample, so it is not met yet.
             size = min(size, math.ceil(needed) - iterations)
-        cap *= 2
+        cap = min(2 * cap, ROUND_LIMIT)
         samples = np.array([rng.choice(n, size=sample_size, replace=False) for _ in range(size)])
         answer = solve(observations, theta, samples=samples)
         stack, bounds = answer.stack, answer.bounds

@@ -139,11 +139,8 @@ def _solve_stack(rays: list[np.ndarray], c) -> tuple[PoseStack, np.ndarray, dict
         # over-determines the pose.
         keep = residual_gate(_sample_residuals(*own, Rs, T), sample[observable], n, errors)
         observable, Rs, T, u, depths = (x[keep] for x in (observable, Rs, T, u, depths))
-    stack = PoseStack(Rs, T, c.sigma, u, {
-        "depths": depths,
-        "root_count": root_count[sample[observable]],
-    })
-    return stack, sample[observable], errors
+    columns = {"depths": depths, "root_count": root_count[sample[observable]]}
+    return PoseStack(Rs, T, c.sigma, u, columns), sample[observable], errors
 
 
 def solve_gen5pt_angle(
@@ -157,9 +154,8 @@ def solve_gen5pt_angle(
     component is one; candidates whose scale is unobservable are dropped.
 
     With ``samples``, a ``(B, 5)`` index array into ``pairs``, the samples
-    are solved as one stack and the result is their ``SamplePoses``: one
-    ``PoseStack`` per sample, empty where that sample raises a
-    ``RelposeError``.
+    are solved as one stack and the result is their ``SamplePoses``, one
+    ``PoseStack`` per sample, empty where it raises a ``RelposeError``.
     """
     picked, n, c = GENERAL.sample_stack(pairs, theta, anchor, samples)
     return answer(*_solve_stack(_ray_rows(picked, n), c), n, samples)

@@ -72,7 +72,7 @@ def _solve_stack(q1: np.ndarray, q2: np.ndarray, c) -> tuple[PoseStack, np.ndarr
         sample, Rs, T, u, Q1, Q2 = sample[keep], Rs[keep], T[keep], u[keep], Q1[keep], Q2[keep]
     pos, neg = cheiral_counts(Rs, T, Q1, Q2)
     # Keep each sign that wins the cheirality vote, both on a tie, none at 0-0.
-    k, flip = np.nonzero(np.stack([(pos > 0) & (pos >= neg), (neg > 0) & (neg >= pos)], axis=1))
+    k, flip = np.nonzero(np.array([(pos > 0) & (pos >= neg), (neg > 0) & (neg >= pos)]).T)
     if lost := unsolved(n, sample[k], errors):
         with recorded(errors, lost):
             raise NoCheiralSolution("no candidate places any point in front of both cameras")
@@ -95,9 +95,8 @@ def solve_4pt_angle(
     choice yields the same solution set.
 
     With ``samples``, a ``(B, 4)`` index array into ``pairs``, the samples
-    are solved as one stack and the result is their ``SamplePoses``: one
-    ``PoseStack`` per sample, empty where that sample raises a
-    ``RelposeError``.
+    are solved as one stack and the result is their ``SamplePoses``, one
+    ``PoseStack`` per sample, empty where it raises a ``RelposeError``.
     """
     picked, n, c = REGULAR.sample_stack(pairs, theta, anchor, samples)
     q1, q2 = (r.reshape(n, 4, 3) for r in _ray_stack(picked, "q1", "q2"))

@@ -1,6 +1,6 @@
 """RANSAC solves the samples of a round as one stack and scores all their
 poses in one call; the round cap starts at ``BATCH_LIMIT`` and doubles
-after every round.  Against the one-sample-at-a-time loop of
+after every round, up to ``ROUND_LIMIT``.  Against the one-sample-at-a-time loop of
 ``reference_robust`` it must return the same inlier mask, trace, iteration
 and hypothesis counts, and the same pose to ``POSE_TOL``."""
 
@@ -17,6 +17,7 @@ from relpose.geom import BearingPair, PluckerPair, PoseStack, rotation_angle
 from relpose.robust import (
     BATCH_LIMIT,
     DEFAULT_POINT_RAY_THRESHOLD,
+    ROUND_LIMIT,
     RansacConfig,
     _corrupt,
     ransac_estimate,
@@ -90,7 +91,8 @@ def test_stop_in_the_middle_of_a_round(monkeypatch, kind):
         with monkeypatch.context() as m:
             rounds = spy_on_rounds(m, kind)
             result = ransac_estimate(observed, theta, cfg, kind)
-        assert all(len(samples) <= BATCH_LIMIT << r for r, (samples, _) in enumerate(rounds))
+        caps = [min(BATCH_LIMIT << r, ROUND_LIMIT) for r in range(len(rounds))]
+        assert all(len(samples) <= cap for (samples, _), cap in zip(rounds, caps))
         drawn = sum(len(samples) for samples, _ in rounds)
         assert drawn - len(rounds[-1][0]) < result.iterations <= drawn
         cut += result.iterations < drawn
@@ -104,11 +106,12 @@ def test_the_round_cap_doubles(monkeypatch, kind):
     # stopping bound asks for millions of samples and only the cap and
     # max_iterations size the rounds.
     observed, theta = frame_pair(kind, 5)
-    cfg = RansacConfig(inlier_threshold=1e-300, seed=5, max_iterations=60, keep_trace=True)
+    cfg = RansacConfig(inlier_threshold=1e-300, seed=5, max_iterations=200, keep_trace=True)
     rounds = spy_on_rounds(monkeypatch, kind)
     result = ransac_estimate(observed, theta, cfg, kind)
-    assert [len(samples) for samples, _ in rounds] == [BATCH_LIMIT, 16, 32, 60 - 56]
-    assert result.iterations == 60 and result.inlier_count <= 5
+    assert (BATCH_LIMIT, ROUND_LIMIT) == (8, 64)
+    assert [len(samples) for samples, _ in rounds] == [8, 16, 32, 64, 64, 16]
+    assert result.iterations == 200 and result.inlier_count <= 5
     monkeypatch.undo()
     assert_same(result, loop_ransac_estimate(observed, theta, cfg, kind))
 
