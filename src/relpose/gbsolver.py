@@ -880,7 +880,7 @@ def _attempt(layers, problem: TemplateProblem, template, pivots, pending: np.nda
 class SamplePoses:
     """The answer of a solve with ``samples``: the poses of all samples as
     one ``stack``, sample after sample, the rows ``bounds[s]:bounds[s + 1]``
-    of sample ``s``, none if it failed; as a sequence, one stack per sample."""
+    of sample ``s``, none if it failed.  Iterated, one stack per sample."""
 
     stack: PoseStack
     bounds: list[int]
@@ -888,8 +888,8 @@ class SamplePoses:
     def __len__(self) -> int:
         return len(self.bounds) - 1
 
-    def __getitem__(self, s: int) -> PoseStack:
-        return self.stack.rows(self.bounds[s], self.bounds[s + 1])
+    def __iter__(self):
+        return (self.stack.rows(a, b) for a, b in zip(self.bounds, self.bounds[1:]))
 
 
 def answer(stack: PoseStack, sample: np.ndarray, errors: dict, n: int, samples):

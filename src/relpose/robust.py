@@ -125,8 +125,8 @@ def ransac_estimate(
             size = min(size, math.ceil(needed) - iterations)
         cap = min(2 * cap, ROUND_LIMIT)
         samples = np.array([rng.choice(n, size=sample_size, replace=False) for _ in range(size)])
-        answer = solve(observations, theta, samples=samples)
-        stack, bounds = answer.stack, answer.bounds
+        solved = solve(observations, theta, samples=samples)
+        stack, bounds = solved.stack, solved.bounds
         if len(stack):
             errors = score(stack.R, stack.t, *rays)
             masks = errors < cfg.inlier_threshold

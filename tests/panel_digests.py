@@ -9,8 +9,8 @@ workload and solver: over every returned R and t for ``minimal`` and
 mask, R and t, and a work digest over the iterations and hypotheses, so
 that a change of scheduling or stopping can show the same winners while
 the counts move.  An input that raises contributes its exception's class
-name to every digest.  Run it on two checkouts and compare the lines to show that a change
-leaves every panel result bit for bit as it was.  Bit identity also rests on
+name to every digest.  Run it on two checkouts and compare the lines to
+show that a change leaves every panel result bit for bit as it was.  Bit identity also rests on
 how the BLAS library rounds small products, so compare runs on one machine.
 """
 

@@ -1,8 +1,8 @@
 """RANSAC solves the samples of a round as one stack and scores all their
 poses in one call; the round cap starts at ``BATCH_LIMIT`` and doubles
-after every round, up to ``ROUND_LIMIT``.  Against the one-sample-at-a-time loop of
-``reference_robust`` it must return the same inlier mask, trace, iteration
-and hypothesis counts, and the same pose to ``POSE_TOL``."""
+after every round, up to ``ROUND_LIMIT``.  Against the one-sample-at-a-time
+loop of ``reference_robust`` it must return the same inlier mask, trace,
+iteration and hypothesis counts, and the same pose to ``POSE_TOL``."""
 
 import numpy as np
 import pytest
