@@ -2,11 +2,12 @@
 
 The pipeline is generic over the generators: multiply them by a fixed set of
 monomials, reduce every product modulo the sphere constraint, stack the
-remainder-block coefficients into a template matrix, row-reduce it, read the
-quotient-ring basis off the non-pivot columns, build the multiplication
-matrix for gamma, take its eigenvalues, recover candidate roots from the
-eigenvectors of the near-real ones, and polish every root with Gauss-Newton
-steps on the generators.
+remainder-block coefficients into a template matrix, and row-reduce it on a
+pivot partition and on the non-pivot (standard) columns only: these are the
+quotient-ring basis, and each pivot row is a row of the multiplication
+matrix for gamma as it is.  Take its eigenvalues, recover candidate roots
+from the eigenvectors of the near-real ones, and polish every root with
+Gauss-Newton steps on the generators.
 
 Eigenvalues come from ``np.linalg.eigvals`` (``eigensolve_real``).  The
 eigenvectors are rebuilt from the gamma chains of the quotient basis
@@ -189,7 +190,7 @@ def rescaled_roots(roots: np.ndarray, c: RotationConstraint) -> tuple[np.ndarray
     # norm passes the drop test, so a NaN root fails the unit-quaternion
     # check instead of vanishing.
     n = np.sqrt(stacked_dot(roots, roots))
-    keep = np.flatnonzero(~(n <= U_DIRECTION_EPS))
+    keep = (~(n <= U_DIRECTION_EPS)).nonzero()[0]
     return keep, (math.sqrt(1.0 - c.sigma * c.sigma) / n[keep])[:, None] * roots[keep]
 
 
@@ -227,10 +228,10 @@ def residual_gate(residuals: np.ndarray, sample: np.ndarray, n: int, errors: dic
     are all at most ``POSE_RESIDUAL_TOL`` (a NaN fails), as indices or, if
     all pass, a whole slice; a sample left without one has its error
     recorded in ``errors``."""
-    passed = np.max(np.abs(residuals), axis=1) <= POSE_RESIDUAL_TOL
+    passed = np.abs(residuals).max(axis=1) <= POSE_RESIDUAL_TOL
     if passed.all():
         return slice(None)
-    keep = np.flatnonzero(passed)
+    keep = passed.nonzero()[0]
     if lost := unsolved(n, sample[keep], errors):
         with recorded(errors, lost):
             raise DegenerateConfiguration("no candidate pose satisfies its own sample")
@@ -320,18 +321,24 @@ def rref_conditioned(B: np.ndarray, pivots: tuple[int, ...]) -> np.ndarray:
     """Gauss-Jordan reduction of a stack of templates on a committed partition.
 
     ``pivots`` holds one template column per row; the reduction is one LU
-    solve with that pivot block, so row ``i`` of each result has a 1 in
-    column ``pivots[i]`` and 0 in the other pivot columns.  A singular or
-    non-finite solve anywhere in the stack raises ``RankDeficient``; a
-    poorly conditioned one goes unnoticed here, and the solvers catch it
-    downstream.  The name is what ``perfbench/spans.py`` traces as the
-    ``gbsolver.rref`` layer.
+    solve of that pivot block against the standard (non-pivot) columns, in
+    the order of ``QuotientBasis.template_cols``: row ``i`` of each result
+    is the pivot polynomial led by column ``pivots[i]``, less its pivot
+    columns (1 at its own, 0 at the others).  A singular or non-finite solve
+    anywhere in the stack raises ``RankDeficient``; a poorly conditioned one
+    goes unnoticed here, and the solvers catch it downstream.  The name is
+    what ``perfbench/spans.py`` traces as the ``gbsolver.rref`` layer.
     """
+    # A remainder block of degree d has (d + 1)^2 columns.
+    qb = _quotient_basis(math.isqrt(B.shape[-1]) - 1, tuple(pivots), B.shape[-1] - len(pivots))
+    block = B[..., list(pivots)]
     try:
-        A = np.linalg.solve(B[..., list(pivots)], B)
+        A = np.linalg.solve(block, B[..., qb.template_cols])
     except np.linalg.LinAlgError as exc:
         raise RankDeficient(f"the fixed pivot block is singular: {exc}") from exc
-    if not np.isfinite(A).all():
+    # A non-finite block reduces to non-finite pivot columns, which are not
+    # computed, even where the standard ones come out finite.
+    if not (np.isfinite(A).all() and np.isfinite(block).all()):
         raise RankDeficient("the fixed pivot block reduced to non-finite rows")
     return A
 
@@ -418,15 +425,15 @@ def build_action_matrix(
     leading index of the ``reduced`` stack.
 
     Each row is either a unit row (gamma times the monomial stays standard) or
-    the negated coefficient row of the pivot polynomial whose leading monomial
-    it hits.
+    the negated row, as ``rref_conditioned`` returns it on the standard
+    columns, of the pivot polynomial whose leading monomial it hits.
     """
     n = qb.size
     plan = _action_plan(basis.max_degree, tuple(pivots), qb)
     unit_rows, unit_cols, pivot_rows, pivot_polys = plan
     M = np.zeros(reduced.shape[:-2] + (n, n))
     M[..., unit_rows, unit_cols] = 1.0
-    M[..., pivot_rows, :] = -reduced[..., pivot_polys, :][..., qb.template_cols]
+    M[..., pivot_rows, :] = -reduced[..., pivot_polys, :]
     return M
 
 
@@ -543,12 +550,14 @@ _DEGREE_TWO_PRODUCTS = (
 
 
 @lru_cache(maxsize=None)
-def _product_checks(qb: QuotientBasis) -> np.ndarray:
+def _root_tables(qb: QuotientBasis) -> tuple[np.ndarray, ...]:
     """Positions ``(m, x, y)`` in ``qb`` of the degree-two monomials of
-    ``_DEGREE_TWO_PRODUCTS`` it holds and of their degree-one factors."""
+    ``_DEGREE_TWO_PRODUCTS`` it holds and of their degree-one factors, and
+    the positions of alpha, beta and gamma."""
     ix = qb.index
     checks = [(ix[m], ix[x], ix[y]) for m, x, y in _DEGREE_TWO_PRODUCTS if m in ix]
-    return np.array(checks, dtype=np.int64).reshape(-1, 3).T
+    m, x, y = np.array(checks, dtype=np.int64).reshape(-1, 3).T
+    return m, x, y, np.array([qb.pos_alpha, qb.pos_beta, qb.pos_gamma])
 
 
 def extract_roots(eigenvalues, action: np.ndarray, qb: QuotientBasis) -> ExtractedRoots:
@@ -571,16 +580,15 @@ def extract_roots(eigenvalues, action: np.ndarray, qb: QuotientBasis) -> Extract
     if action.ndim == 2:
         eigenvalues, action = [eigenvalues], action[None]
     sizes = [len(w) for w in eigenvalues]
-    sample = np.repeat(np.arange(len(action)), sizes)
-    V = _chain_eigenvectors(np.concatenate(eigenvalues), sizes, action, qb)
+    V, sample = _chain_eigenvectors(np.concatenate(eigenvalues), sizes, action, qb)
     # Normalized at 1, an eigenvector whose entry there is at most 1e-10 of
     # its largest one is at infinity, and so is a NaN one.
-    at_infinity = ~(np.max(np.abs(V), axis=1) < 1e10)
-    m, x, y = _product_checks(qb)
-    inconsistent = np.any(np.abs(V[:, m] - V[:, x] * V[:, y]) > ROOT_TOL, axis=1) & ~at_infinity
+    at_infinity = ~(np.abs(V).max(axis=1) < 1e10)
+    m, x, y, root_cols = _root_tables(qb)
+    inconsistent = (np.abs(V[:, m] - V[:, x] * V[:, y]) > ROOT_TOL).any(axis=1) & ~at_infinity
     keep = ~(at_infinity | inconsistent)
     return ExtractedRoots(
-        roots=V[keep][:, [qb.pos_alpha, qb.pos_beta, qb.pos_gamma]],
+        roots=V[keep][:, root_cols],
         sample=sample[keep],
         at_infinity=np.bincount(sample[at_infinity], minlength=len(sizes)),
         inconsistent=np.bincount(sample[inconsistent], minlength=len(sizes)),
@@ -590,8 +598,8 @@ def extract_roots(eigenvalues, action: np.ndarray, qb: QuotientBasis) -> Extract
 def _chain_eigenvectors(lam: np.ndarray, sizes: list[int], action: np.ndarray, qb: QuotientBasis):
     """The ``(K, n)`` eigenvectors of the eigenvalues ``lam``, ``sizes[b]``
     of them for ``action[b]`` in turn, rebuilt from the gamma chains and
-    normalized at the monomial 1.  A row is NaN where a bordered chain
-    system is exactly singular.
+    normalized at the monomial 1, and the matrix of each.  A row is NaN
+    where a bordered chain system is exactly singular.
 
     Each root takes two steps of inverse iteration: the first bordered by
     the fixed column, the second by the first's head entries.  Near a
@@ -600,40 +608,41 @@ def _chain_eigenvectors(lam: np.ndarray, sizes: list[int], action: np.ndarray, q
     """
     chain, depth, gather, constants = _gamma_chains(qb)
     n_samples, n_powers, size = len(action), len(gather), len(gather[0])
-    table = np.concatenate(
-        [action.reshape(n_samples, -1), np.broadcast_to(constants, (n_samples, len(constants)))],
-        axis=1,
-    )
+    table = np.concatenate([action.reshape(n_samples, -1), constants[None].repeat(n_samples, 0)], 1)
     C = table[:, gather.reshape(n_powers, -1)]
-    sample = np.repeat(np.arange(n_samples), sizes)
-    powers = np.vander(lam, n_powers, increasing=True)
+    # The powers 1, lambda, lambda^2, ... of each root, as np.vander forms them.
+    powers = lam[:, None].repeat(n_powers, 1)
+    powers[:, 0] = 1.0
+    np.multiply.accumulate(powers, axis=1, out=powers)
     # Every root's system from one matmul per sample, its roots padded to
-    # the largest count.
-    slot = np.arange(len(lam)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    padded = np.zeros((n_samples, max(sizes), n_powers))
-    padded[sample, slot] = powers
-    K = (padded @ C)[sample, slot].reshape(-1, size, size)
-    K[:, :-1, -1] = _bordered_solve(K)
-    V = _bordered_solve(K)[:, chain] * powers[:, depth]
-    V /= V[:, qb.pos_one, None]
-    return V
-
-
-def _bordered_solve(K: np.ndarray) -> np.ndarray:
-    """The head entries solving each bordered chain system of the stack,
-    NaN where it is exactly singular."""
+    # the largest count: root k is row ``rows[k]`` of the padded powers.
+    counts, width = np.array(sizes), max(sizes)
+    sample = np.arange(n_samples).repeat(counts)
+    rows = np.arange(len(lam)) + (width * np.arange(n_samples) - counts.cumsum() + counts)[sample]
+    padded = np.zeros((n_samples * width, n_powers))
+    padded[rows] = powers
+    K = (padded.reshape(n_samples, width, n_powers) @ C).reshape(-1, size, size)[rows]
     # A column right-hand side of the stack's rank reads alike in every
     # numpy: a 1-D one is one vector per matrix only from numpy 2.0 on.
-    rhs = np.zeros((K.shape[-1], 1))
-    rhs[-1] = 1.0
+    rhs = np.zeros((len(lam), size, 1))
+    rhs[:, -1] = 1.0
+    K[:, :-1, -1] = _bordered_solve(K, rhs)
+    V = _bordered_solve(K, rhs)[:, chain] * powers[:, depth]
+    V /= V[:, qb.pos_one, None]
+    return V, sample
+
+
+def _bordered_solve(K: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The head entries solving each bordered chain system of the stack
+    for its right-hand side, NaN where it is exactly singular."""
     try:
-        return np.linalg.solve(K, np.broadcast_to(rhs, (len(K), *rhs.shape)))[:, :-1, 0]
+        return np.linalg.solve(K, rhs)[:, :-1, 0]
     except np.linalg.LinAlgError:
         pass
     out = np.full(K.shape[:-1], math.nan)
     for k in range(len(K)):
         try:
-            out[k] = np.linalg.solve(K[k], rhs)[:, 0]
+            out[k] = np.linalg.solve(K[k], rhs[k])[:, 0]
         except np.linalg.LinAlgError:
             continue
     return out[:, :-1]
@@ -646,8 +655,8 @@ POLISH_ROUNDING = 1e-28
 
 
 @lru_cache(maxsize=None)
-def _polish_tables(width: int) -> tuple[int, np.ndarray, ...]:
-    """Degree, power gather and differentiation tables of the basis with
+def _polish_tables(width: int) -> tuple[np.ndarray, ...]:
+    """Exponents, power gather and differentiation tables of the basis with
     ``width`` monomials.
 
     Row ``v`` of ``powers`` picks the power of variable ``v`` of every
@@ -671,7 +680,7 @@ def _polish_tables(width: int) -> tuple[int, np.ndarray, ...]:
     sphere, one = np.zeros(width), np.zeros(width)
     sphere[[basis.index[m] for m in ((2, 0, 0), (0, 2, 0), (0, 0, 2))]] = 1.0
     one[basis.index[(0, 0, 0)]] = 1.0
-    return degree, powers, source, factor, sphere, one
+    return np.arange(degree + 1), powers, source, factor, sphere, one
 
 
 def polish_roots(
@@ -695,17 +704,16 @@ def polish_roots(
     if sample is None:
         generators, sample = generators[None], np.zeros(len(roots), dtype=np.int64)
     n_samples, n_gen, width = generators.shape
-    degree, powers, source, factor, sphere, one = _polish_tables(width)
+    exponents, powers, source, factor, sphere, one = _polish_tables(width)
     n_eq = n_gen + 1
     # The equations, then their derivatives by each variable.
     coeffs = np.empty((n_samples, 4 * n_eq, width))
     eqs = coeffs[:, :n_eq]
-    eqs[:, :n_gen] = generators / np.max(np.abs(generators), axis=-1, keepdims=True)
+    eqs[:, :n_gen] = generators / np.abs(generators).max(axis=-1, keepdims=True)
     eqs[:, n_gen] = sphere + c.tau * one
     padded = np.concatenate([eqs, np.zeros((n_samples, n_eq, 1))], axis=-1)
     coeffs[:, n_eq:] = (padded[..., source] * factor).reshape(n_samples, 3 * n_eq, width)
     coeffs = coeffs.transpose(0, 2, 1)
-    exponents = np.arange(degree + 1)
 
     def evaluate(x, owner):
         table = (x[:, :, None] ** exponents).reshape(len(x), -1)[:, powers]
@@ -716,7 +724,7 @@ def polish_roots(
         if n_samples == 1:
             out = monomials @ coeffs[0]
         else:
-            ends = np.cumsum(np.bincount(owner, minlength=n_samples)).tolist()
+            ends = np.bincount(owner, minlength=n_samples).cumsum().tolist()
             out = np.concatenate([
                 monomials[start:end] @ coeffs[s]
                 for s, (start, end) in enumerate(zip([0, *ends], ends)) if end > start
@@ -727,7 +735,7 @@ def polish_roots(
     x = roots.copy()
     f, jac, cost = evaluate(x, sample)
     # Roots still moving: not yet at rounding level, and their last step helped.
-    live = np.flatnonzero(cost > POLISH_ROUNDING)
+    live = (cost > POLISH_ROUNDING).nonzero()[0]
     f, jac, cost = f[live], jac[live], cost[live]
     for _ in range(POLISH_STEPS):
         if not live.size:
@@ -759,60 +767,54 @@ def polish_roots(
 
 
 def each_sample(stage, ids: np.ndarray, errors: dict):
-    """``stage(ids)`` for the samples ``ids`` at once, or, where that raises,
-    for one sample at a time.
-
-    Returns the stacked outputs and the samples that passed, and records in
-    ``errors`` the error of every other sample.
-    """
-    if not ids.size:
-        return None, ids
+    """``stage(rows)`` for the samples ``ids[rows]``, all at once (``rows``
+    the whole slice) or, where that raises, one at a time: the stacked
+    outputs and the samples that passed.  Records in ``errors`` the error of
+    every other sample."""
     try:
-        return stage(ids), ids
+        return stage(slice(None)), ids
     except RelposeError as exc:
         if len(ids) == 1:
             errors[int(ids[0])] = exc
             return None, ids[:0]
     outs, passed = [], []
-    for i in ids.tolist():
+    for k, i in enumerate(ids.tolist()):
         try:
-            outs.append(stage(np.array([i])))
+            outs.append(stage(slice(k, k + 1)))
         except RelposeError as exc:
             errors[i] = exc
             continue
-        passed.append(i)
-    return (np.concatenate(outs) if outs else None), np.array(passed, dtype=np.int64)
+        passed.append(k)
+    return (np.concatenate(outs) if outs else None), ids[passed]
 
 
-def rotation_roots(layers, problem: TemplateProblem, build, ids: np.ndarray, c, errors: dict):
-    """Polished rotation roots of the samples ``ids``, solved as one stack.
-
-    ``build(ids)`` returns the generators of those samples, and ``layers`` is
-    the solver module through whose attributes every layer is called.  A
-    sample left without roots has its error recorded in ``errors``.  Returns
-    the ``(K, 3)`` roots, grouped by sample in ascending order, and the
-    sample of each.
-    """
-    gens, ok = each_sample(build, ids, errors)
-    lost: dict[int, RelposeError] = {}
-    kept = _eliminate(layers, problem, gens, c, lost) if ok.size else {}
-    errors.update((int(ok[p]), exc) for p, exc in lost.items())
-    done = sorted(kept)
-    if not done:
-        return np.empty((0, 3)), ok[:0]
-    counts = [len(kept[p]) for p in done]
-    roots = np.concatenate([kept[p] for p in done])
-    return layers.polish_roots(gens, roots, c, np.repeat(done, counts)), np.repeat(ok[done], counts)
+# What a partition attempt that solves no sample returns.
+_NOTHING = (np.empty(0, dtype=np.int64),) * 2 + (np.empty((0, 3)), np.empty(0, dtype=np.int64))
 
 
-def _eliminate(layers, problem: TemplateProblem, generators: np.ndarray, c, lost: dict) -> dict:
-    """Unpolished roots of each sample of the generator stack, by position.
+def rotation_roots(layers, problem: TemplateProblem, generators, rays, ids, c, errors: dict):
+    """Polished rotation roots of the samples ``ids`` of the ray rows
+    ``rays``, solved as one stack with ``generators(*rays, c)`` and the
+    layers of the solver module ``layers``; a zero angle pins one root of
+    each sample to the identity.  A sample left without roots has its error
+    recorded in ``errors``.  Returns the ``(K, 3)`` roots, grouped by sample
+    in ascending order, and the sample of each."""
+    if c.tau == 0.0 or not ids.size:
+        return np.zeros((len(ids), 3)), ids
+    gens, ok = each_sample(lambda rows: generators(*(r[ids[rows]] for r in rays), c), ids, errors)
+    if not ok.size:
+        return _NOTHING[2], ok
+    roots, owner = _eliminate(layers, problem, gens, ok, c, errors)
+    return layers.polish_roots(gens, roots, c, owner), ok[owner]
 
-    Each sample reduces its template on the committed partitions in turn
-    until one neither raises nor drops a root as inconsistent, and keeps the
-    roots of the attempt that dropped the fewest.  A sample that no
-    partition solves has its last error recorded in ``lost``.
-    """
+
+def _eliminate(layers, problem: TemplateProblem, generators: np.ndarray, ids, c, errors: dict):
+    """Unpolished roots of the samples ``ids`` of the generator stack,
+    grouped by sample in ascending order, and each one's position in the
+    stack.  Each sample reduces its template on the committed partitions in
+    turn until one neither raises nor drops a root as inconsistent, and
+    keeps the roots of the attempt that dropped the fewest; a sample that no
+    partition solves has its last error recorded in ``errors``."""
     n_samples = len(generators)
     try:
         template = layers.assemble_reduced_template(
@@ -820,60 +822,70 @@ def _eliminate(layers, problem: TemplateProblem, generators: np.ndarray, c, lost
         )
         check_shape("template", template.matrix.shape, (n_samples, *problem.template_shape))
     except RelposeError as exc:
-        lost.update(dict.fromkeys(range(n_samples), exc))
-        return {}
-    kept: dict[int, tuple[int, np.ndarray]] = {}
+        errors.update(dict.fromkeys(ids.tolist(), exc))
+        return _NOTHING[2:]
     last_error: dict[int, RelposeError] = {}
-    pending = np.arange(n_samples)
-    for pivots in problem.partitions:
+    # Per sample, the fewest roots an attempt dropped (more than any can
+    # until one solves it) and that attempt.
+    dropped, kept = np.full(n_samples, problem.basis_size + 1), np.full(n_samples, -1)
+    found, pending, matrix = [], np.arange(n_samples), template.matrix
+    for attempt, pivots in enumerate(problem.partitions):
+        solved, now, roots, owner = _attempt(
+            layers, problem, template.basis, matrix, pivots, pending, last_error
+        )
+        fewer = now < dropped[solved]
+        dropped[solved[fewer]], kept[solved[fewer]] = now[fewer], attempt
+        found.append((roots, owner))
+        pending = dropped.nonzero()[0]
         if not pending.size:
             break
-        extracted, failed = _attempt(layers, problem, template, pivots, pending)
-        last_error.update(failed)
-        for p, (dropped, roots) in extracted.items():
-            if p not in kept or dropped < kept[p][0]:
-                kept[p] = dropped, roots
-        pending = np.array([p for p in pending.tolist() if kept.get(p, (1,))[0]], dtype=np.int64)
-    lost.update((p, exc) for p, exc in last_error.items() if p not in kept)
-    return {p: roots for p, (_, roots) in kept.items()}
+        matrix = template.matrix[pending]
+    errors.update((int(ids[p]), exc) for p, exc in last_error.items() if kept[p] < 0)
+    if len(found) == 1:
+        return found[0]
+    # Each sample's roots from the attempt it keeps, in ascending order.
+    mine = [kept[owner] == attempt for attempt, (_, owner) in enumerate(found)]
+    owner = np.concatenate([o[m] for (_, o), m in zip(found, mine)])
+    order = owner.argsort(kind="stable")
+    return np.concatenate([r[m] for (r, _), m in zip(found, mine)])[order], owner[order]
 
 
-def _attempt(layers, problem: TemplateProblem, template, pivots, pending: np.ndarray):
-    """The samples ``pending`` of the template stack reduced on one
-    partition: for each sample that it solves, the count of roots dropped as
-    inconsistent and the roots; for each other sample, the error."""
+def _attempt(layers, problem, basis, matrix: np.ndarray, pivots, pending: np.ndarray, errors):
+    """The templates ``matrix`` of the samples ``pending`` reduced on one
+    partition: the samples it solves, the count of roots each dropped as
+    inconsistent, their roots, grouped by sample in ascending order, and
+    the sample of each root.  Records the error of every other sample in
+    ``errors``."""
     n = problem.basis_size
-    failed: dict[int, RelposeError] = {}
     try:
         reduced, solved = each_sample(
-            lambda p: layers.rref_conditioned(template.matrix[p], pivots), pending, failed
+            lambda rows: layers.rref_conditioned(matrix[rows], pivots), pending, errors
         )
         if not solved.size:
-            return {}, failed
-        qb = layers.quotient_basis_from_pivots(template.basis, pivots, n)
-        action = layers.build_action_matrix(reduced, pivots, template.basis, qb)
+            return _NOTHING
+        qb = layers.quotient_basis_from_pivots(basis, pivots, n)
+        action = layers.build_action_matrix(reduced, pivots, basis, qb)
         check_shape("action matrix", action.shape, (solved.size, n, n))
     except RelposeError as exc:
-        return {}, dict.fromkeys(pending.tolist(), exc)
+        errors.update(dict.fromkeys(pending.tolist(), exc))
+        return _NOTHING
     values, found = [], []
-    for j, (p, M) in enumerate(zip(solved.tolist(), action)):
+    for j, M in enumerate(action):
         try:
             values.append(layers.eigensolve_real(M))
         except RelposeError as exc:
-            failed[p] = exc
+            errors[int(solved[j])] = exc
             continue
         found.append(j)
     if not found:
-        return {}, failed
-    found_ids = solved[found].tolist()
+        return _NOTHING
+    solved = solved[found]
     try:
         extracted = layers.extract_roots(values, action[found], qb)
     except RelposeError as exc:
-        return {}, {**failed, **dict.fromkeys(found_ids, exc)}
-    return {
-        p: (int(extracted.inconsistent[j]), extracted.roots[extracted.sample == j])
-        for j, p in enumerate(found_ids)
-    }, failed
+        errors.update(dict.fromkeys(solved.tolist(), exc))
+        return _NOTHING
+    return solved, extracted.inconsistent, extracted.roots, solved[extracted.sample]
 
 
 @dataclass(frozen=True, eq=False)

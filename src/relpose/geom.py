@@ -23,13 +23,17 @@ import numpy as np
 PARALLEL_RAY_EPS = 1e-12
 
 
+# Entries of ``[v]x``, row after row, in ``(x, y, z, -x, -y, -z, 0)``.
+_SKEW = np.array([6, 5, 1, 2, 6, 3, 4, 0, 6])
+_IDENTITY = np.eye(3)
+
+
 def skew(v: np.ndarray) -> np.ndarray:
     """Matrix ``[v]x`` with ``[v]x @ w == np.cross(v, w)``, or the ``(..., 3, 3)``
     stack of them for stacked vectors."""
     v = np.asarray(v, dtype=float)
-    x, y, z = v[..., 0], v[..., 1], v[..., 2]
-    zero = np.zeros_like(x)
-    return np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=-1).reshape(v.shape + (3,))
+    signed = np.concatenate([v, -v, np.zeros(v.shape[:-1] + (1,))], -1)
+    return signed.take(_SKEW, -1).reshape(v.shape + (3,))
 
 
 def stacked_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -148,10 +152,9 @@ def check_poses(Rs: np.ndarray, ts: np.ndarray) -> None:
     products = Rs[..., _LEFT_COLUMN] * Rs[..., _RIGHT_COLUMN]
     r1, r2 = Rs[:, 1], Rs[:, 2]
     terms = Rs[:, 0] * (r1[:, _MINOR_A] * r2[:, _MINOR_B] - r1[:, _MINOR_B] * r2[:, _MINOR_A])
-    rotation = np.all(
-        np.abs(products[:, 0] + products[:, 1] + products[:, 2] - _IDENTITY_PRODUCTS) <= 1e-9,
-        axis=1,
-    ) & (np.abs(terms[:, 0] - terms[:, 1] + terms[:, 2] - 1.0) <= 1e-9)
+    rotation = (
+        np.abs(products[:, 0] + products[:, 1] + products[:, 2] - _IDENTITY_PRODUCTS) <= 1e-9
+    ).all(axis=1) & (np.abs(terms[:, 0] - terms[:, 1] + terms[:, 2] - 1.0) <= 1e-9)
     valid = rotation & np.isfinite(ts).all(axis=1)
     if not valid.all():
         first = np.argmin(valid)
@@ -258,7 +261,7 @@ def rotation_stack(sigma: float, u: np.ndarray) -> np.ndarray:
     """Rotations ``(2 sigma^2 - 1) I + 2 (u u^T - sigma [u]x)`` of a ``(K, 3)``
     stack of vector parts sharing the scalar part ``sigma``, as ``(K, 3, 3)``."""
     outer = u[:, :, None] * u[:, None, :]
-    return (2.0 * sigma * sigma - 1.0) * np.eye(3) + 2.0 * (outer - sigma * skew(u))
+    return (2.0 * sigma * sigma - 1.0) * _IDENTITY + 2.0 * (outer - sigma * skew(u))
 
 
 def quat_to_rotation(q: UnitQuaternion) -> np.ndarray:

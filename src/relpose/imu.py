@@ -61,7 +61,7 @@ def integrate_gyro(
     """Rotation accumulated between two instants covered by the log.
 
     Boundary sampling intervals are clipped proportionally.  ``bias`` is an
-    optional constant rate subtracted from every reading.
+    optional constant rate, a finite 3-vector, subtracted from every reading.
     """
     _validate_log(samples)
     t_start_ns, t_end_ns = int(t_start_ns), int(t_end_ns)
@@ -73,6 +73,8 @@ def integrate_gyro(
             f"requested [{t_start_ns}, {t_end_ns}] ns"
         )
     b = np.zeros(3) if bias is None else np.asarray(bias, dtype=float)
+    if b.shape != (3,):
+        raise ValueError(f"bias must be a 3-vector, got shape {b.shape}")
     if not np.isfinite(b).all():
         raise ValueError(f"bias must be finite, got {b.tolist()}")
     R = np.eye(3)

@@ -117,7 +117,7 @@ def _mul_stack(p: np.ndarray, q: np.ndarray, d1: int, d2: int, dout: int) -> np.
     :func:`_mul_table`; it adds in order, exactly as a sequential scatter."""
     n_out = grevlex_basis(dout).size
     lead = p.shape[:-1]
-    k = int(np.prod(lead))
+    k = p.size // p.shape[-1]
     weights = (p.reshape(k, -1, 1) * q.reshape(k, 1, -1)).ravel()
     return np.bincount(
         _mul_index(d1, d2, dout, k), weights=weights, minlength=k * n_out
@@ -145,6 +145,13 @@ _PICK, _OTHER = np.array([7, 2, 3, 1, 2, 5]), np.array([5, 6, 1, 3, 6, 7])
 # From the blocks (a^2, b^2, c^2), (ab, ac, bc), (a, b, c), (1) to the
 # degree-2 basis order a^2, ab, b^2, ac, bc, c^2, a, b, c, 1.
 _BILINEAR_ORDER = np.array([0, 3, 1, 4, 5, 2, 6, 7, 8, 9])
+# Index arrays of ``_f_rows``, ``_g_rows``, ``_f_dets`` and ``_g_dets``: the
+# rays paired in bilinear forms, and the entries multiplied in determinants.
+_F_LEFT, _F_RIGHT, _G_VIEWS = np.array([0, 2]), np.array([3, 1]), np.array([0, 1, 0, 1])
+_G_LEFT, _G_RIGHT = np.array([0, 4, 2, 4, 6, 4]), np.array([5, 1, 5, 3, 5, 7])
+_DET2_LEFT = (..., np.array([0, 0]), np.array([0, 1]), slice(None))
+_DET2_RIGHT = (..., np.array([1, 1]), np.array([1, 0]), slice(None))
+_MINOR_SECOND, _MINOR_THIRD = np.array([1, 2, 0, 2, 0, 1]), np.array([2, 1, 2, 0, 1, 0])
 
 
 def _bilinear_coeffs(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
@@ -175,17 +182,17 @@ def _f_rows(q1: np.ndarray, q2: np.ndarray, i, j, sigma: float) -> np.ndarray:
     """Depth-elimination rows ``(..., 2, 10)`` of the ``(..., N, 3)`` bearing
     rows ``q1``, ``q2`` for anchors ``i`` and correspondences ``j`` (index
     arrays of one shape)."""
-    q = np.stack([q1, q2])
+    q = np.array([q1, q2])
     qj = q[..., j, :]
     # [q1_i x q1_j, q2_i x q2_j, q1_j, q2_j]
     rays = np.concatenate([_cross(q[..., i, :], qj), qj])
-    entries = _bilinear_coeffs(rays[[0, 2]], rays[[3, 1]], sigma)
+    entries = _bilinear_coeffs(rays[_F_LEFT], rays[_F_RIGHT], sigma)
     return entries.transpose(*range(1, entries.ndim - 1), 0, -1)
 
 
 def _f_dets(entries: np.ndarray) -> np.ndarray:
     """Quartic determinants of stacked ``(..., 2, 2, 10)`` quadratic matrices."""
-    prods = _mul_stack(entries[..., [0, 0], [0, 1], :], entries[..., [1, 1], [1, 0], :], 2, 2, 4)
+    prods = _mul_stack(entries[_DET2_LEFT], entries[_DET2_RIGHT], 2, 2, 4)
     return prods[..., 0, :] - prods[..., 1, :]
 
 
@@ -193,6 +200,9 @@ def _f_dets(entries: np.ndarray) -> np.ndarray:
 # make each generator set symmetric under relabelling of the correspondences.
 _F_TRIPLES = np.array([(1, 2, 3), (2, 3, 0), (3, 0, 1), (0, 1, 2)])
 _G_QUADRUPLES = np.array([(1, 2, 3, 4), (2, 3, 4, 0), (3, 4, 0, 1), (4, 0, 1, 2), (0, 1, 2, 3)])
+# The anchor and free correspondences of every entry of each generator's matrix.
+_F_ANCHORS, _F_FREE = np.repeat(_F_TRIPLES[:, :1], 2, axis=1), _F_TRIPLES[:, 1:]
+_G_ANCHORS, _G_FREE = np.repeat(_G_QUADRUPLES[:, :1], 3, axis=1), _G_QUADRUPLES[:, 1:]
 # Every pair of the four bearing correspondences, for the coincident-ray test.
 _F_RAY_PAIRS = np.triu_indices(4, 1)
 
@@ -214,40 +224,38 @@ def build_f_polynomials(q1: np.ndarray, q2: np.ndarray, c: RotationConstraint) -
     """
     _check_rays(q1, 4, "bearing pairs")
     first, second = _F_RAY_PAIRS
-    crosses = _cross(
-        np.stack([q1[..., first, :], q2[..., first, :]], -2),
-        np.stack([q1[..., second, :], q2[..., second, :]], -2),
-    )
-    coincident = np.argwhere(np.sqrt(_dot(crosses, crosses)) < COINCIDENT_RAY_EPS)
-    if coincident.size:
-        pair, view = coincident[0, -2:].tolist()
+    views = np.concatenate([q1[..., None, :], q2[..., None, :]], -2)
+    crosses = _cross(views[..., first, :, :], views[..., second, :, :])
+    coincident = np.sqrt(_dot(crosses, crosses)) < COINCIDENT_RAY_EPS
+    if coincident.any():
+        pair, view = np.argwhere(coincident)[0, -2:].tolist()
         raise DegenerateInput(
             f"rays {first[pair]} and {second[pair]} coincide in view {view + 1}; "
             "correspondences must be distinct"
         )
-    anchors = np.repeat(_F_TRIPLES[:, :1], 2, axis=1)
-    return _f_dets(_f_rows(q1, q2, anchors, _F_TRIPLES[:, 1:], c.sigma))
+    return _f_dets(_f_rows(q1, q2, _F_ANCHORS, _F_FREE, c.sigma))
 
 
 def _g_rows(q1, q2, m1, m2, i, j, sigma: float) -> np.ndarray:
     """Generalized constraint rows ``(..., 3, 10)``, the quadratics ``(a, b, w)``
     acting on (lambda, mu, 1), of the ``(..., N, 3)`` Pluecker rows for
     anchors ``i`` and correspondences ``j``."""
-    r = np.stack([q1, q2, m1, m2])
+    r = np.array([q1, q2, m1, m2])
     ri, rj = r[..., i, :], r[..., j, :]
     # The points m x q nearest the origin on the anchor lines, then
     # [q1_i x q1_j, q2_i x q2_j, e1 x q1_j, e2 x q2_j, q1_j, q2_j, m1_j, m2_j].
     e = _cross(ri[2:], ri[:2])
-    rays = np.concatenate([_cross(np.concatenate([ri[:2], e]), rj[[0, 1, 0, 1]]), rj])
-    f = _bilinear_coeffs(rays[[0, 4, 2, 4, 6, 4]], rays[[5, 1, 5, 3, 5, 7]], sigma)
-    w = f[2] + f[3] + f[4] + f[5]
-    return np.stack([f[0], f[1], w], axis=-2)
+    rays = np.concatenate([_cross(np.concatenate([ri[:2], e]), rj[_G_VIEWS]), rj])
+    f = _bilinear_coeffs(rays[_G_LEFT], rays[_G_RIGHT], sigma)
+    rows = np.empty(f.shape[1:-1] + (3, f.shape[-1]))
+    rows[..., 0, :], rows[..., 1, :], rows[..., 2, :] = f[0], f[1], f[2] + f[3] + f[4] + f[5]
+    return rows
 
 
 def _g_dets(rows: np.ndarray) -> np.ndarray:
     """Sextic determinants of stacked ``(..., 3, 3, 10)`` quadratic matrices,
     expanded along the first row."""
-    second, third = rows[..., 1, [1, 2, 0, 2, 0, 1], :], rows[..., 2, [2, 1, 2, 0, 1, 0], :]
+    second, third = rows[..., 1, _MINOR_SECOND, :], rows[..., 2, _MINOR_THIRD, :]
     minors = _mul_stack(second, third, 2, 2, 4)
     cofactors = minors[..., 0::2, :] - minors[..., 1::2, :]
     terms = _mul_stack(rows[..., 0, :, :], cofactors, 2, 4, 6)
@@ -263,9 +271,8 @@ def build_g_polynomials(
     per leading index.  A collapsed determinant in any sample raises
     ``DegenerateInput`` for the stack."""
     _check_rays(q1, 5, "Pluecker pairs")
-    anchors = np.repeat(_G_QUADRUPLES[:, :1], 3, axis=1)
-    dets = _g_dets(_g_rows(q1, q2, m1, m2, anchors, _G_QUADRUPLES[:, 1:], c.sigma))
-    if np.any(np.max(np.abs(dets), axis=-1) < 1e-12):
+    dets = _g_dets(_g_rows(q1, q2, m1, m2, _G_ANCHORS, _G_FREE, c.sigma))
+    if (np.abs(dets).max(axis=-1) < 1e-12).any():
         raise DegenerateInput(
             "a determinant constraint collapsed to zero; the ray configuration is degenerate"
         )

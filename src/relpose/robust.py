@@ -12,7 +12,8 @@ import numpy as np
 
 from .exceptions import NoHypothesis, RelposeError, ScaleUnobservable
 from .geom import BearingPair, PluckerPair, RelativePose, rotation_angle
-from .solver_gen5 import central, ray_arrays, ray_point_errors, solve_gen5pt_angle
+from .poly import _ray_stack
+from .solver_gen5 import central, point_rays, ray_point_errors, solve_gen5pt_angle
 from .solver_reg4 import sampson_errors, solve_4pt_angle
 from .synth import SceneConfig, _random_in_ball, _unit, generate_scene
 
@@ -101,14 +102,15 @@ def ransac_estimate(
         raise ValueError(f"at least {sample_size} observations required, got {n}")
     # Stacked once per call; each hypothesis only moves them by its pose.
     if kind == "reg4":
-        rays = (np.array([o.q1 for o in observations]), np.array([o.q2 for o in observations]))
+        rays = _ray_stack(observations, "q1", "q2")
         solve, score = solve_4pt_angle, sampson_errors
     else:
-        rays = ray_arrays(observations)
-        if central(*(np.array([getattr(o, m) for o in observations]) for m in ("m1", "m2"))):
+        q1, q2, m1, m2 = _ray_stack(observations, "q1", "q2", "m1", "m2")
+        if central(m1, m2):
             raise ScaleUnobservable(
                 "all ray moments vanish: a central configuration carries no translation scale"
             )
+        rays = point_rays(q1, q2, m1, m2)
         solve, score = solve_gen5pt_angle, ray_point_errors
     rng = np.random.default_rng(cfg.seed)
 
@@ -138,7 +140,7 @@ def ransac_estimate(
                 count = counts[h]
                 if count >= best_count:
                     mask = masks[h]
-                    total = float(np.sum(errors[h][mask])) if count else math.inf
+                    total = float(errors[h][mask].sum()) if count else math.inf
                     if count > best_count or total < best_score:
                         best, best_mask = stack.rows(h, h + 1), mask
                         best_count, best_score = count, total

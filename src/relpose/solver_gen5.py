@@ -48,25 +48,11 @@ SCALE_COMPONENT_EPS = 1e-10
 _LAYERS = sys.modules[__name__]
 
 
-def _ray_rows(pairs: list[PluckerPair], n: int) -> list[np.ndarray]:
-    """The ``(n, 5, 3)`` direction and moment rows of ``n`` samples of five pairs."""
-    return [r.reshape(n, 5, 3) for r in _ray_stack(pairs, "q1", "q2", "m1", "m2")]
-
-
 def central(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
     """Which of the stacked ``(..., N, 3)`` moment rows all vanish: a central
     configuration, which carries no translation scale."""
     norms = np.sqrt(stacked_dot(m1, m1)), np.sqrt(stacked_dot(m2, m2))
-    return np.maximum(*(np.max(x, axis=-1) for x in norms)) < CENTRAL_MOMENT_EPS
-
-
-def _roots(rays: list[np.ndarray], ids: np.ndarray, c, errors: dict):
-    """Polished rotation roots of the samples ``ids`` of the ``(B, 5, 3)``
-    Pluecker rows, and the sample of each (see ``rotation_roots``)."""
-    def build(idx):
-        return build_g_polynomials(*(r[idx] for r in rays), c)
-
-    return rotation_roots(_LAYERS, GENERAL, build, ids, c, errors)
+    return np.maximum(*(x.max(axis=-1) for x in norms)) < CENTRAL_MOMENT_EPS
 
 
 def _depth_rows(q1, q2, m1, m2, Rs: np.ndarray) -> np.ndarray:
@@ -78,14 +64,13 @@ def _depth_rows(q1, q2, m1, m2, Rs: np.ndarray) -> np.ndarray:
     e1 = stacked_cross(m1[:, :1], a1)
     e2 = stacked_cross(m2[:, :1], a2)
     q1, q2, m1, m2 = q1[:, 1:], q2[:, 1:], m1[:, 1:], m2[:, 1:]
-
-    def bilinear(x, y):
-        return np.einsum("kja,kab,kjb->kj", x, Rs, y)
-
-    a = bilinear(q2, stacked_cross(a1, q1))
-    b = bilinear(stacked_cross(a2, q2), q1)
-    w = bilinear(q2, stacked_cross(e1, q1) + m1) + bilinear(stacked_cross(e2, q2) + m2, q1)
-    return np.stack([a, b, w], axis=-1)
+    # The forms of a, of b and of the two terms of w, at once.
+    left = np.array([q2, stacked_cross(a2, q2), q2, stacked_cross(e2, q2) + m2])
+    right = np.array([stacked_cross(a1, q1), q1, stacked_cross(e1, q1) + m1, q1])
+    forms = np.einsum("ikja,kab,ikjb->kji", left, Rs, right)
+    rows = forms[..., :3].copy()
+    rows[..., 2] += forms[..., 3]
+    return rows
 
 
 def _sample_residuals(q1, q2, m1, m2, Rs: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -107,21 +92,18 @@ def _solve_stack(rays: list[np.ndarray], c) -> tuple[PoseStack, np.ndarray, dict
     errors: dict[int, RelposeError] = {}
     flat = central(rays[2], rays[3])
     if flat.any():
-        with recorded(errors, np.flatnonzero(flat).tolist()):
+        with recorded(errors, flat.nonzero()[0].tolist()):
             raise ScaleUnobservable(
                 "all ray moments vanish: a central configuration carries no translation scale"
             )
-    ids = np.flatnonzero(~flat)
-    if c.tau != 0.0:
-        roots, sample = _roots(rays, ids, c, errors)
-    else:
-        roots, sample = np.zeros((ids.size, 3)), ids
+    ids = (~flat).nonzero()[0]
+    roots, sample = rotation_roots(_LAYERS, GENERAL, build_g_polynomials, rays, ids, c, errors)
     root_count, sample, u, Rs = usable_rotations(roots, sample, n, c, errors)
     own = [r[sample] for r in rays]
     _, s, vt = np.linalg.svd(_depth_rows(*own, Rs))
     v = vt[:, -1]
     unobservable = (s[:, 1] <= SCALE_RANK_EPS * s[:, 0]) | (np.abs(v[:, 2]) < SCALE_COMPONENT_EPS)
-    observable = np.flatnonzero(~unobservable)
+    observable = (~unobservable).nonzero()[0]
     if lost := unsolved(n, sample[observable], errors):
         with recorded(errors, lost):
             raise ScaleUnobservable(
@@ -158,17 +140,19 @@ def solve_gen5pt_angle(
     ``PoseStack`` per sample, empty where it raises a ``RelposeError``.
     """
     picked, n, c = GENERAL.sample_stack(pairs, theta, anchor, samples)
-    return answer(*_solve_stack(_ray_rows(picked, n), c), n, samples)
+    rays = [r.reshape(n, 5, 3) for r in _ray_stack(picked, "q1", "q2", "m1", "m2")]
+    return answer(*_solve_stack(rays, c), n, samples)
 
 
 def ray_arrays(pairs: list[PluckerPair]) -> tuple[np.ndarray, ...]:
-    """Stacked rays ``(d1, o1, q2, c2)`` of the pairs, as ``ray_point_errors``
-    takes them: first-view directions and origins ``m1 x q1``, second-view
-    directions and origins ``m2 x q2`` in the second camera's frame."""
-    q1 = np.array([p.q1 for p in pairs])
-    q2 = np.array([p.q2 for p in pairs])
-    m1 = np.array([p.m1 for p in pairs])
-    m2 = np.array([p.m2 for p in pairs])
+    """The rays of the pairs as ``point_rays`` gives them."""
+    return point_rays(*_ray_stack(pairs, "q1", "q2", "m1", "m2"))
+
+
+def point_rays(q1, q2, m1, m2) -> tuple[np.ndarray, ...]:
+    """The rays ``(d1, o1, q2, c2)`` of ``(N, 3)`` Pluecker rows: first-view
+    directions and origins ``m1 x q1``, second-view directions and origins
+    ``m2 x q2`` in the second camera's frame."""
     return q1, stacked_cross(m1, q1), q2, stacked_cross(m2, q2)
 
 

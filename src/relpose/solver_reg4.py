@@ -40,24 +40,14 @@ from .poly import _ray_stack, build_f_polynomials
 _LAYERS = sys.modules[__name__]
 
 
-def _roots(q1: np.ndarray, q2: np.ndarray, c, errors: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Polished rotation roots of every sample of the ``(B, 4, 3)`` bearing
-    rows, and the sample of each (see ``rotation_roots``)."""
-    def build(ids):
-        return build_f_polynomials(q1[ids], q2[ids], c)
-
-    return rotation_roots(_LAYERS, REGULAR, build, np.arange(len(q1)), c, errors)
-
-
 def _solve_stack(q1: np.ndarray, q2: np.ndarray, c) -> tuple[PoseStack, np.ndarray, dict]:
     """The poses of the ``(B, 4, 3)`` bearing rows, solved as one stack, the
     sample of each, and the error of every sample left without one."""
     n = len(q1)
     errors: dict[int, RelposeError] = {}
-    if c.tau != 0.0:
-        roots, sample = _roots(q1, q2, c, errors)
-    else:
-        roots, sample = np.zeros((n, 3)), np.arange(n)
+    roots, sample = rotation_roots(
+        _LAYERS, REGULAR, build_f_polynomials, [q1, q2], np.arange(n), c, errors
+    )
     root_count, sample, u, Rs = usable_rotations(roots, sample, n, c, errors)
     Q1, Q2 = q1[sample], q2[sample]
     # Rows cross(R q1_i, q2_i) for every root at once; the stacked matmul
@@ -72,7 +62,7 @@ def _solve_stack(q1: np.ndarray, q2: np.ndarray, c) -> tuple[PoseStack, np.ndarr
         sample, Rs, T, u, Q1, Q2 = sample[keep], Rs[keep], T[keep], u[keep], Q1[keep], Q2[keep]
     pos, neg = cheiral_counts(Rs, T, Q1, Q2)
     # Keep each sign that wins the cheirality vote, both on a tie, none at 0-0.
-    k, flip = np.nonzero(np.array([(pos > 0) & (pos >= neg), (neg > 0) & (neg >= pos)]).T)
+    k, flip = np.array([(pos > 0) & (pos >= neg), (neg > 0) & (neg >= pos)]).T.nonzero()
     if lost := unsolved(n, sample[k], errors):
         with recorded(errors, lost):
             raise NoCheiralSolution("no candidate places any point in front of both cameras")

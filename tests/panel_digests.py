@@ -1,6 +1,6 @@
 """SHA-256 digests of what the solvers return on the benchmark panels.
 
-    python3 tests/panel_digests.py [--workload minimal ransac wide-angle]
+    python3 tests/panel_digests.py [--workload minimal ransac wide-angle] [--expect FILE]
 
 Builds each workload's fixed panel with ``perfbench/run.py``'s
 ``make_panel``, runs every operation once and prints one digest per
@@ -9,9 +9,11 @@ workload and solver: over every returned R and t for ``minimal`` and
 mask, R and t, and a work digest over the iterations and hypotheses, so
 that a change of scheduling or stopping can show the same winners while
 the counts move.  An input that raises contributes its exception's class
-name to every digest.  Run it on two checkouts and compare the lines to
-show that a change leaves every panel result bit for bit as it was.  Bit identity also rests on
-how the BLAS library rounds small products, so compare runs on one machine.
+name to every digest.  Save the lines of one checkout and run another with
+``--expect`` that file to show that a change leaves every panel result bit
+for bit as it was: it prints the lines that differ, the saved line first,
+and exits 1 if any does.  Bit identity also rests on how the BLAS library
+rounds small products, so compare runs on one machine.
 """
 
 from __future__ import annotations
@@ -54,8 +56,10 @@ def main(argv=None) -> int:
     run = load_run()
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", nargs="+", choices=run.WORKLOADS, default=run.WORKLOADS)
+    ap.add_argument("--expect", type=Path, help="digest lines saved from another checkout")
     args = ap.parse_args(argv)
     rp = run.load_relpose()
+    lines = []
     for workload in args.workload:
         for solver, ops in run.make_panel(rp, workload).items():
             digests: dict = {}
@@ -65,8 +69,19 @@ def main(argv=None) -> int:
                     for chunk in chunks:
                         digest.update(chunk)
             for part, digest in digests.items():
-                print(f"{workload:10s} {solver:4s} {len(ops):4d} {part:6s} {digest.hexdigest()}")
-    return 0
+                lines.append(f"{workload:10s} {solver:4s} {len(ops):4d} {part:6s} {digest.hexdigest()}")
+                print(lines[-1])
+    if args.expect is None:
+        return 0
+    # Lines are matched by what precedes the digest: workload, solver,
+    # panel size and digest name.
+    saved = {line.rsplit(" ", 1)[0]: line for line in args.expect.read_text().splitlines()}
+    differ = [(saved.get(line.rsplit(" ", 1)[0], "(none saved)"), line) for line in lines]
+    differ = [pair for pair in differ if pair[0] != pair[1]]
+    for want, got in differ:
+        print(f"expected {want}\n     got {got}")
+    print(f"{len(lines) - len(differ)} of {len(lines)} digests as expected")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

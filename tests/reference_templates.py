@@ -18,7 +18,8 @@ package's eigenvectors, rebuilt from the gamma chains, are checked against
 it to a tolerance, and ``hand_built_action`` builds an action matrix with
 known eigenvectors.  ``quotient_basis_from_pivots``
 sorts the standard monomials by key, ``build_action_matrix`` looks every
-row up in dictionaries, ``extract_roots`` filters one eigenpair at a time
+row up in dictionaries on the standard columns of a reduction, which
+``standard_block`` cuts out of a full-width one, ``extract_roots`` filters one eigenpair at a time
 against the checks ``product_checks`` finds by walking the basis, and
 ``rectified_quaternions`` rescales the roots one ``rectify_quaternion`` at a
 time, with the zero angle's one root in ``ZERO_ANGLE_ROOTS``; the package's
@@ -49,6 +50,7 @@ from relpose.exceptions import (
 )
 from relpose import gbsolver, solver_reg4
 from relpose.gbsolver import (
+    GENERAL,
     IMAG_TOL,
     REGULAR,
     ROOT_MONOMIALS,
@@ -58,6 +60,7 @@ from relpose.gbsolver import (
     QuotientBasis,
     as_degenerate,
     rescaled_roots,
+    rotation_roots,
 )
 from relpose.geom import UnitQuaternion, _as_vec3, rotation_stack
 from relpose.poly import (
@@ -99,9 +102,11 @@ def rotation_candidates(module, pairs: list, c) -> np.ndarray:
     failure where it finds none."""
     errors: dict = {}
     if module is solver_reg4:
-        roots, _ = module._roots(*(r[None] for r in _ray_stack(pairs, "q1", "q2")), c, errors)
+        problem, generators, names = REGULAR, module.build_f_polynomials, ("q1", "q2")
     else:
-        roots, _ = module._roots(module._ray_rows(pairs, 1), np.arange(1), c, errors)
+        problem, generators, names = GENERAL, module.build_g_polynomials, ("q1", "q2", "m1", "m2")
+    rays = [r[None] for r in _ray_stack(pairs, *names)]
+    roots, _ = rotation_roots(module, problem, generators, rays, np.arange(1), c, errors)
     if errors:
         raise errors[0]
     return roots
@@ -496,8 +501,19 @@ def quotient_basis_from_pivots(basis: GrevlexBasis, pivots: list[int], expected_
     )
 
 
+def standard_block(reduced: np.ndarray, pivots, basis) -> np.ndarray:
+    """The standard (non-pivot) columns of a full-width reduction, sorted by
+    key as ``quotient_basis_from_pivots`` sorts them: the reduction as the
+    package's ``rref_conditioned`` returns it."""
+    remainder = basis.remainder_monomials
+    pivot_set = set(pivots)
+    standard = sorted((grevlex_key(m), j) for j, m in enumerate(remainder) if j not in pivot_set)
+    return reduced[..., [j for _, j in standard]]
+
+
 def build_action_matrix(reduced, pivots, basis, qb) -> np.ndarray:
-    """Multiplication-by-gamma matrix, one dictionary lookup per row."""
+    """Multiplication-by-gamma matrix, one dictionary lookup per row, from
+    a reduction on the standard columns (``standard_block``)."""
     remainder = basis.remainder_monomials
     pivot_row = {remainder[col]: r for r, col in enumerate(pivots)}
     n = qb.size
@@ -507,7 +523,7 @@ def build_action_matrix(reduced, pivots, basis, qb) -> np.ndarray:
         if m in qb.index:
             M[i, qb.index[m]] = 1.0
         elif m in pivot_row:
-            M[i, :] = -reduced[pivot_row[m], qb.template_cols]
+            M[i, :] = -reduced[pivot_row[m]]
         else:
             raise UnreachableMonomial(f"gamma * {qb.monomials[i]} = {m} is outside the template")
     return M

@@ -114,7 +114,7 @@ def _regular_pipeline_stats(seed):
                      if m in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
     red, piv = rref_conditioned(tpl.matrix, protected_cols=keep, eliminate_first=top)
     qb = quotient_basis_from_pivots(tpl.basis, piv, expected_size=tpl.matrix.shape[1] - len(piv))
-    M = build_action_matrix(red, piv, tpl.basis, qb)
+    M = build_action_matrix(red[:, qb.template_cols], piv, tpl.basis, qb)
     ext = extract_roots(eigensolve_real(M), M, qb)
     return qb.size, len(ext.roots)
 
@@ -130,7 +130,7 @@ def _general_pipeline_stats(seed):
                      if m in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
     red, piv = rref_conditioned(tpl.matrix, protected_cols=keep, eliminate_first=top)
     qb = quotient_basis_from_pivots(tpl.basis, piv, expected_size=tpl.matrix.shape[1] - len(piv))
-    M = build_action_matrix(red, piv, tpl.basis, qb)
+    M = build_action_matrix(red[:, qb.template_cols], piv, tpl.basis, qb)
     ext = extract_roots(eigensolve_real(M), M, qb)
     return qb.size, len(ext.roots)
 

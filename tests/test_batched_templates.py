@@ -203,8 +203,8 @@ def chain_eigenvectors(M: np.ndarray, qb) -> tuple[np.ndarray, np.ndarray]:
     """The near-real eigenvalues of ``M`` and their eigenvectors rebuilt from
     the gamma chains, normalized at the monomial 1, one per row."""
     values = eigensolve_real(M)
-    V = gbsolver._chain_eigenvectors(values, [len(values)], M[None], qb)
-    assert not np.isnan(V).any()
+    V, sample = gbsolver._chain_eigenvectors(values, [len(values)], M[None], qb)
+    assert not np.isnan(V).any() and not sample.any()
     return values, V
 
 
@@ -246,9 +246,13 @@ ELIMINATION_THETAS = [1e-3, *np.random.default_rng(2024).uniform(0.0, math.pi, 3
 
 def reductions(tp, tpl):
     """``(reduced, pivots)`` of the template on every committed partition,
-    then by complete pivoting with and without the pivot hints."""
+    then by complete pivoting with and without the pivot hints, each on
+    its standard columns."""
     out = [(rref_conditioned(tpl.matrix, pivots), pivots) for pivots in tp.partitions]
-    return out + [ref.rref_conditioned(tpl.matrix, **hints) for hints in (ref.pivot_hints(tp), {})]
+    for hints in (ref.pivot_hints(tp), {}):
+        red, piv = ref.rref_conditioned(tpl.matrix, **hints)
+        out.append((ref.standard_block(red, piv, tpl.basis), piv))
+    return out
 
 
 class TestEliminationMatchesOracle:
@@ -527,7 +531,8 @@ class TestHandBuiltEigenpairs:
         bad_on_bound[square] += 1e-5
         vectors = np.array([root, on_bound, below_bound, bad_product, bad_on_bound])
         monkeypatch.setattr(
-            gbsolver, "_chain_eigenvectors", lambda lam, sizes, action, qb: vectors[lam.astype(int)]
+            gbsolver, "_chain_eigenvectors",
+            lambda lam, sizes, action, qb: (vectors[lam.astype(int)], np.zeros(len(lam), dtype=int)),
         )
         M = np.zeros((qb.size, qb.size))
         n = len(vectors)
@@ -550,7 +555,7 @@ class TestHandBuiltEigenpairs:
     def test_a_singular_chain_system_fails_alone(self):
         _, _, _, qb = regular_basis()
         M, values, _ = ref.hand_built_action(qb)
-        V = gbsolver._chain_eigenvectors(np.array(values), [len(values)], M[None], qb)
+        V, _ = gbsolver._chain_eigenvectors(np.array(values), [len(values)], M[None], qb)
         assert np.isnan(V).any(axis=1).tolist() == [False] * (len(values) - 1) + [True]
         # Beside the same matrix without the eigenvalue 0, in one stack, the
         # other roots come out as without it, and as alone.
@@ -583,7 +588,7 @@ class TestHandBuiltEigenpairs:
         # alpha beta or beta^2 only.
         _, _, _, qb = regular_basis()
         M, _, _ = ref.hand_built_action(qb)
-        v = gbsolver._chain_eigenvectors(np.array([-0.6]), [1], M[None], qb)[0]
+        v = gbsolver._chain_eigenvectors(np.array([-0.6]), [1], M[None], qb)[0][0]
         assert abs(v[qb.pos_gamma] + 0.6) <= 1e-12
         failed = set()
         for m, x, y in ref.product_checks(qb):

@@ -175,9 +175,14 @@ class TestRrefConditioned:
         tpl, _, _ = template(1)
         for pivots in problem.partitions:
             red = rref_conditioned(tpl.matrix, pivots)
-            assert np.allclose(red[:, pivots], np.eye(len(pivots)), atol=1e-9)
-            # the reduced rows reproduce the template through the pivot block
-            assert np.max(np.abs(tpl.matrix[:, pivots] @ red - tpl.matrix)) < 1e-8
+            cols = quotient_basis_from_pivots(tpl.basis, pivots, problem.basis_size).template_cols
+            assert red.shape == (len(pivots), len(cols))
+            # the reduced rows reproduce the template's standard columns
+            # through the pivot block
+            assert np.max(np.abs(tpl.matrix[:, pivots] @ red - tpl.matrix[:, cols])) < 1e-8
+            # and are, bit for bit, those columns of the full-width solve
+            full = np.linalg.solve(tpl.matrix[:, pivots], tpl.matrix)
+            assert np.array_equal(red, full[:, cols])
 
     def test_singular_or_non_finite_block_raises(self):
         tpl, _, _ = regular_template(4)
@@ -266,7 +271,8 @@ class TestActionMatrix:
         tpl, c, u = regular_template(seed)
         red, piv = rref(tpl.matrix)
         qb = quotient_basis_from_pivots(tpl.basis, piv, expected_size=20)
-        return tpl, red, piv, qb, build_action_matrix(red, piv, tpl.basis, qb), u
+        M = build_action_matrix(red[:, qb.template_cols], piv, tpl.basis, qb)
+        return tpl, red, piv, qb, M, u
 
     def test_shape(self):
         *_, M, _ = self.build(11)
@@ -324,7 +330,7 @@ class TestEigensolve:
         tpl, c, u = regular_template(7)
         red, piv = rref(tpl.matrix)
         qb = quotient_basis_from_pivots(tpl.basis, piv, expected_size=20)
-        M = build_action_matrix(red, piv, tpl.basis, qb)
+        M = build_action_matrix(red[:, qb.template_cols], piv, tpl.basis, qb)
         assert np.min(np.abs(eigensolve_real(M) - u[2])) < 1e-9
 
 
@@ -363,7 +369,7 @@ class TestExtractRoots:
         tpl, c, u = regular_template(seed)
         red, piv = rref(tpl.matrix)
         qb = quotient_basis_from_pivots(tpl.basis, piv, expected_size=20)
-        M = build_action_matrix(red, piv, tpl.basis, qb)
+        M = build_action_matrix(red[:, qb.template_cols], piv, tpl.basis, qb)
         return qb, M, u
 
     def test_recovers_ground_truth(self):

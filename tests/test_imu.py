@@ -97,6 +97,19 @@ class TestIntegrateGyro:
         R = integrate_gyro(log, 0, 1_000_000_000, bias=bias)
         assert np.max(np.abs(R - np.eye(3))) < 1e-15
 
+    @pytest.mark.parametrize(
+        "bias", [0.05, [0.05], [0.05, 0.0], [0.0] * 4, np.zeros((3, 3)), np.zeros((1, 3))],
+        ids=["scalar", "one", "two", "four", "3x3", "1x3"],
+    )
+    def test_bias_must_be_a_3_vector(self, bias):
+        # Broadcasting would subtract a scalar from every axis, or return a
+        # stack of rotations.
+        log = constant_rate_log([0.1, 0.0, 0.0])
+        with pytest.raises(ValueError, match="bias must be a 3-vector"):
+            integrate_gyro(log, 0, 1_000_000_000, bias=bias)
+        with pytest.raises(ValueError, match="bias must be a 3-vector"):
+            angle_between_frames(log, 0, 1_000_000_000, bias=bias)
+
 
 class TestAngleBetweenFrames:
     def test_zero_rates(self):

@@ -163,7 +163,9 @@ def complete_pivoting_poses(monkeypatch, module, solve, pairs, theta):
         m.setattr(module, name, replace(problem, partitions=(tuple(pivots),)))
         m.setattr(
             module, "rref_conditioned",
-            lambda B, _: np.stack([ref.rref_conditioned(b, **hints)[0] for b in B]),
+            lambda B, _: np.stack([
+                ref.standard_block(*ref.rref_conditioned(b, **hints), tpl.basis) for b in B
+            ]),
         )
         return solve(pairs, theta)
 

@@ -12,7 +12,7 @@ import relpose.robust as robust
 from reference_robust import loop_ransac_estimate
 from relpose import solver_gen5, solver_reg4
 from relpose.exceptions import DegenerateConfiguration, NoHypothesis, ScaleUnobservable
-from relpose.gbsolver import GENERAL, SamplePoses
+from relpose.gbsolver import GENERAL, REGULAR, SamplePoses
 from relpose.geom import BearingPair, PluckerPair, PoseStack, rotation_angle
 from relpose.robust import (
     BATCH_LIMIT,
@@ -196,18 +196,75 @@ def test_a_degenerate_sample_fails_alone(monkeypatch, kind):
     )
     assert_same(result, loop_ransac_estimate(observed, theta, cfg, kind))
     # Each sample of a stack gets the poses it gets alone.
-    solve = solver_reg4.solve_4pt_angle if kind == "reg4" else solver_gen5.solve_gen5pt_angle
     samples, out = rounds[0]
     for row, poses in zip(samples, out):
-        try:
-            alone = solve([observed[i] for i in row], theta)
-        except robust.RelposeError:
-            assert len(poses) == 0
-            continue
-        assert len(poses) == len(alone)
-        for got, want in zip(poses.poses(), alone):
-            assert np.max(np.abs(got.R - want.R)) <= POSE_TOL
-            assert np.max(np.abs(got.t - want.t)) <= POSE_TOL
+        assert_solved_as_alone(kind, observed, theta, row, poses)
+
+
+SOLVES = {"reg4": solver_reg4.solve_4pt_angle, "gen5": solver_gen5.solve_gen5pt_angle}
+
+
+def assert_bits(got, want):
+    """Equal arrays of one shape and type, the signs of zeros included."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    if got.dtype.kind == "f":
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def assert_solved_as_alone(kind, observed, theta, row, block: PoseStack):
+    """The poses of one sample's row block of a stacked solve are, bit for
+    bit, those of the single solve of that sample, or the block is empty
+    and the single solve raises."""
+    try:
+        alone = SOLVES[kind]([observed[i] for i in row], theta)
+    except robust.RelposeError:
+        assert len(block) == 0
+        return
+    assert_bits(block.R, np.array([p.R for p in alone]))
+    assert_bits(block.t, np.array([p.t for p in alone]))
+    assert_bits(block.u, np.array([p.quat.u for p in alone]))
+    for name, column in block.columns.items():
+        assert_bits(column, np.array([getattr(p, name) for p in alone]))
+
+
+# Frame pairs and the sample, among 300 drawn as below, that falls back to
+# the second partition.
+FALLBACK_SAMPLES = {"reg4": (4, 220), "gen5": (0, 22)}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_stack_solves_each_sample_bit_for_bit_as_alone(monkeypatch, kind):
+    # A window of samples around one that falls back to the second
+    # partition, and one that raises: a repeated correspondence.
+    seed, fallback = FALLBACK_SAMPLES[kind]
+    observed, theta = frame_pair(kind, seed)
+    rng = np.random.default_rng(seed)
+    size = 4 if kind == "reg4" else 5
+    drawn = np.array([rng.choice(len(observed), size, replace=False) for _ in range(300)])
+    repeated = drawn[fallback - 1].copy()
+    repeated[1] = repeated[0]
+    samples = np.vstack([drawn[fallback - 8 : fallback], [repeated], drawn[fallback : fallback + 8]])
+    module = solver_reg4 if kind == "reg4" else solver_gen5
+    second = (REGULAR if kind == "reg4" else GENERAL).partitions[1]
+    original = module.rref_conditioned
+    calls = []
+
+    def spy(B, pivots):
+        calls.append((len(B), pivots == second))
+        return original(B, pivots)
+
+    with monkeypatch.context() as m:
+        m.setattr(module, "rref_conditioned", spy)
+        out = SOLVES[kind](observed, theta, samples=samples)
+        assert (1, True) in calls
+        calls.clear()
+        SOLVES[kind]([observed[i] for i in drawn[fallback]], theta)
+        assert (1, True) in calls
+    assert len(out) == len(samples) and len(list(out)[8]) == 0
+    for row, block in zip(samples, out):
+        assert_solved_as_alone(kind, observed, theta, row, block)
 
 
 def test_a_gen5_sample_falls_back_to_the_second_partition(monkeypatch):
