@@ -598,8 +598,8 @@ def extract_roots(eigenvalues, action: np.ndarray, qb: QuotientBasis) -> Extract
 def _chain_eigenvectors(lam: np.ndarray, sizes: list[int], action: np.ndarray, qb: QuotientBasis):
     """The ``(K, n)`` eigenvectors of the eigenvalues ``lam``, ``sizes[b]``
     of them for ``action[b]`` in turn, rebuilt from the gamma chains and
-    normalized at the monomial 1, and the matrix of each.  A row is NaN
-    where a bordered chain system is exactly singular.
+    normalized at the monomial 1, and each one's matrix in ``action``.  A row
+    is NaN where a bordered chain system is exactly singular.
 
     Each root takes two steps of inverse iteration: the first bordered by
     the fixed column, the second by the first's head entries.  Near a

@@ -69,8 +69,9 @@ def main(argv=None) -> int:
                     for chunk in chunks:
                         digest.update(chunk)
             for part, digest in digests.items():
-                lines.append(f"{workload:10s} {solver:4s} {len(ops):4d} {part:6s} {digest.hexdigest()}")
-                print(lines[-1])
+                line = f"{workload:10s} {solver:4s} {len(ops):4d} {part:6s} {digest.hexdigest()}"
+                print(line)
+                lines.append(line)
     if args.expect is None:
         return 0
     # Lines are matched by what precedes the digest: workload, solver,

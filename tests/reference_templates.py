@@ -16,11 +16,12 @@ eigenvalue of ``np.linalg.eigvals`` in the loop.  ``eigensolve_real`` tests
 and normalizes every eigenpair of ``np.linalg.eig`` in the loop; the
 package's eigenvectors, rebuilt from the gamma chains, are checked against
 it to a tolerance, and ``hand_built_action`` builds an action matrix with
-known eigenvectors.  ``quotient_basis_from_pivots``
-sorts the standard monomials by key, ``build_action_matrix`` looks every
-row up in dictionaries on the standard columns of a reduction, which
-``standard_block`` cuts out of a full-width one, ``extract_roots`` filters one eigenpair at a time
-against the checks ``product_checks`` finds by walking the basis, and
+known eigenvectors.  ``quotient_basis_from_pivots`` sorts the standard
+monomials by key, ``build_action_matrix`` looks every row up in
+dictionaries on the standard columns of a reduction, which
+``standard_block`` cuts out of a full-width one, ``extract_roots`` filters
+one eigenpair at a time against the checks ``product_checks`` finds by
+walking the basis, and
 ``rectified_quaternions`` rescales the roots one ``rectify_quaternion`` at a
 time, with the zero angle's one root in ``ZERO_ANGLE_ROOTS``; the package's
 versions must reproduce them bit for bit too.  ``prepare`` and

@@ -245,7 +245,8 @@ def test_a_stack_solves_each_sample_bit_for_bit_as_alone(monkeypatch, kind):
     drawn = np.array([rng.choice(len(observed), size, replace=False) for _ in range(300)])
     repeated = drawn[fallback - 1].copy()
     repeated[1] = repeated[0]
-    samples = np.vstack([drawn[fallback - 8 : fallback], [repeated], drawn[fallback : fallback + 8]])
+    before, after = drawn[fallback - 8 : fallback], drawn[fallback : fallback + 8]
+    samples = np.vstack([before, [repeated], after])
     module = solver_reg4 if kind == "reg4" else solver_gen5
     second = (REGULAR if kind == "reg4" else GENERAL).partitions[1]
     original = module.rref_conditioned
