@@ -331,9 +331,9 @@ def rref_conditioned(B: np.ndarray, pivots: tuple[int, ...]) -> np.ndarray:
     """
     # A remainder block of degree d has (d + 1)^2 columns.
     qb = _quotient_basis(math.isqrt(B.shape[-1]) - 1, tuple(pivots), B.shape[-1] - len(pivots))
-    block = B[..., list(pivots)]
+    block = B.take(pivots, -1)
     try:
-        A = np.linalg.solve(block, B[..., qb.template_cols])
+        A = np.linalg.solve(block, B.take(qb.template_cols, -1))
     except np.linalg.LinAlgError as exc:
         raise RankDeficient(f"the fixed pivot block is singular: {exc}") from exc
     # A non-finite block reduces to non-finite pivot columns, which are not
@@ -433,7 +433,7 @@ def build_action_matrix(
     unit_rows, unit_cols, pivot_rows, pivot_polys = plan
     M = np.zeros(reduced.shape[:-2] + (n, n))
     M[..., unit_rows, unit_cols] = 1.0
-    M[..., pivot_rows, :] = -reduced[..., pivot_polys, :]
+    M[..., pivot_rows, :] = -reduced.take(pivot_polys, -2)
     return M
 
 
