@@ -3,34 +3,27 @@
 The pipeline is generic over the generators: multiply them by a fixed set of
 monomials, reduce every product modulo the sphere constraint, stack the
 remainder-block coefficients into a template matrix, and row-reduce it on a
-pivot partition and on the non-pivot (standard) columns only: these are the
-quotient-ring basis, and each pivot row is a row of the multiplication
-matrix for gamma as it is.  Take its eigenvalues, recover candidate roots
-from the eigenvectors of the near-real ones, and polish every root with
-Gauss-Newton steps on the generators.
+pivot partition against the non-pivot (standard) columns only: these are
+the quotient-ring basis, and each pivot row is a row of the multiplication
+matrix for gamma as it is.  Its near-real eigenvalues come from
+``np.linalg.eigvals`` (``eigensolve_real``); ``extract_roots`` rebuilds
+their eigenvectors from the gamma chains of the quotient basis by two
+batched inverse-iteration steps, so that cost is traced in the
+``gbsolver.extract`` layer.  Every root is then polished by Gauss-Newton
+steps on the generators.
 
-Eigenvalues come from ``np.linalg.eigvals`` (``eigensolve_real``).  The
-eigenvectors are rebuilt from the gamma chains of the quotient basis
-(``_gamma_chains``) by two batched steps of inverse iteration over every real
-eigenvalue of a partition attempt (``extract_roots``), so their cost is
-traced in the ``gbsolver.extract`` layer, not in ``gbsolver.eig``.  The
-chains make the gamma entry and every product with a gamma factor hold by
-construction; the alpha^2, alpha beta and beta^2 products carry the
-consistency test.
-
-Each minimal problem is one ``TemplateProblem``.  It carries a short
-chain of committed pivot partitions, so there is one elimination
-algorithm, an LU solve on fixed data: a solver tries the next partition
-only where one raises or drops a root as inconsistent, and keeps the roots
-of the attempt that dropped the fewest.  Polishing supplies the accuracy
-that per-instance pivoting used to buy, and ``residual_gate`` keeps only
-poses that satisfy their own sample.
+Each minimal problem is one ``TemplateProblem`` with a short chain of
+committed pivot partitions, so there is one elimination algorithm, an LU
+solve on fixed data: a sample tries the next partition only where one
+raises or drops a root as inconsistent, and keeps the roots of the attempt
+that dropped the fewest.  Polishing supplies the accuracy that per-instance
+pivoting used to buy, and ``residual_gate`` keeps only poses that satisfy
+their own sample.
 
 Every layer takes a stack of samples, one per leading index, so that RANSAC
-solves the samples of a round at once; a single solve is the stack of one.
-A sample that fails fails alone: ``rotation_roots`` records its error and
-solves the rest.  The solvers call every layer through their own module
-attributes, where ``perfbench/spans.py`` traces them.
+solves the samples of a round at once; a single solve is the stack of one,
+and a sample that fails fails alone.  The solvers call every layer through
+their own module attributes, where ``perfbench/spans.py`` traces them.
 """
 
 from __future__ import annotations
@@ -60,7 +53,7 @@ from .geom import (
     sigma_from_angle,
     stacked_dot,
 )
-from .poly import GrevlexBasis, Monomial, grevlex_basis, reduce_columns_mod_h
+from .poly import GrevlexBasis, Monomial, _ray_stack, grevlex_basis, reduce_columns_mod_h
 
 IMAG_TOL = 1e-6
 ROOT_TOL = 1e-6
@@ -87,10 +80,12 @@ class TemplateProblem:
     reduced over the remainder block of degree ``target_degree``.
     ``partitions`` are the committed pivot partitions, each one template
     column per row, in the order the solvers try them; they are derived
-    offline by ``tests/derive_partitions.py``.
+    offline by ``tests/derive_partitions.py``.  A sample's rays are the
+    pair attributes ``ray_names``.
     """
 
     sample_size: int
+    ray_names: tuple[str, ...]
     multipliers: tuple[Monomial, ...]
     extra_rows: tuple[tuple[Monomial, int], ...]
     target_degree: int
@@ -98,34 +93,45 @@ class TemplateProblem:
     basis_size: int
     partitions: tuple[tuple[int, ...], ...]
 
-    def sample_stack(
-        self, pairs: list, theta: float, anchor: int, samples
-    ) -> tuple[list, int, RotationConstraint]:
-        """The pairs of every sample, sample after sample, the number of
-        samples, and the sphere constraint.
-
-        Without ``samples`` the pairs are one sample and must number exactly
-        ``sample_size``; otherwise ``samples`` is a ``(B, sample_size)``
-        index array into them.  Each sample is relabelled cyclically so that
-        its ``anchor``-th pair comes first.
-        """
+    def sample_stack(self, pairs, theta: float, anchor: int, samples):
+        """The ``(len(ray_names), B, sample_size, 3)`` ray rows of the B
+        samples of ``pairs`` (a list, or its ``RayTable``), B and the sphere
+        constraint.  Without ``samples`` the pairs are one sample of exactly
+        ``sample_size``; otherwise ``samples`` indexes them, ``(B,
+        sample_size)``.  Each sample is relabelled cyclically so that its
+        ``anchor``-th pair comes first."""
         n = self.sample_size
-        if samples is None:
-            if len(pairs) != n:
-                raise ValueError(f"exactly {n} correspondences required, got {len(pairs)}")
-            c = sigma_from_angle(theta)
-            return list(pairs[anchor % n :]) + list(pairs[: anchor % n]), 1, c
-        samples = np.asarray(samples)
-        if samples.ndim != 2 or samples.shape[1] != n:
-            raise ValueError(f"samples must be a (B, {n}) index array, got shape {samples.shape}")
-        c = sigma_from_angle(theta)
+        table = pairs if isinstance(pairs, RayTable) else RayTable(pairs, self.ray_names)
+        if table.names != self.ray_names:
+            raise ValueError(f"a table of {table.names} rays, not {self.ray_names}")
         order = (np.arange(n) + anchor) % n
-        return [pairs[i] for i in samples[:, order].ravel().tolist()], len(samples), c
+        if samples is None:
+            if table.rays.shape[1] != n:
+                raise ValueError(f"exactly {n} correspondences required, got {table.rays.shape[1]}")
+            samples = order[None]
+        else:
+            samples = np.asarray(samples)
+            if samples.ndim != 2 or samples.shape[1] != n:
+                shape = samples.shape
+                raise ValueError(f"samples must be a (B, {n}) index array, got shape {shape}")
+            samples = samples[:, order]
+        c = sigma_from_angle(theta)
+        return table.rays.take(samples, 1), len(samples), c
+
+
+class RayTable:
+    """The attributes ``names`` of a list of pairs as one ``(len(names), N,
+    3)`` array ``rays``, which a solve indexes with its samples; built only
+    from the pairs, it holds what their constructors checked."""
+
+    def __init__(self, pairs, names: tuple[str, ...]):
+        self.names, self.rays = names, _ray_stack(pairs, *names)
 
 
 # Central cameras, four bearing pairs: 20 solutions.
 REGULAR = TemplateProblem(
     sample_size=4,
+    ray_names=("q1", "q2"),
     multipliers=((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)),
     extra_rows=(),
     target_degree=5,
@@ -140,6 +146,7 @@ REGULAR = TemplateProblem(
 # Generalized cameras, five Pluecker pairs: 44 solutions.
 GENERAL = TemplateProblem(
     sample_size=5,
+    ray_names=("q1", "q2", "m1", "m2"),
     multipliers=((0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2), (1, 0, 0), (0, 1, 0), (0, 0, 1)),
     extra_rows=(((0, 0, 0), 0), ((0, 0, 0), 1)),
     target_degree=8,
@@ -191,7 +198,7 @@ def rescaled_roots(roots: np.ndarray, c: RotationConstraint) -> tuple[np.ndarray
     # check instead of vanishing.
     n = np.sqrt(stacked_dot(roots, roots))
     keep = (~(n <= U_DIRECTION_EPS)).nonzero()[0]
-    return keep, (math.sqrt(1.0 - c.sigma * c.sigma) / n[keep])[:, None] * roots[keep]
+    return keep, (math.sqrt(1.0 - c.sigma * c.sigma) / n.take(keep))[:, None] * roots.take(keep, 0)
 
 
 def unsolved(n: int, sample: np.ndarray, errors: dict) -> list[int]:
@@ -215,7 +222,7 @@ def usable_rotations(roots: np.ndarray, sample: np.ndarray, n: int, c, errors: d
     a sample left without one has its error recorded in ``errors``."""
     root_count = np.bincount(sample, minlength=n)
     keep, u = rescaled_roots(roots, c)
-    sample = sample[keep]
+    sample = sample.take(keep)
     if lost := unsolved(n, sample, errors):
         with recorded(errors, lost):
             raise DegenerateConfiguration("no usable rotation candidates survived filtering")
@@ -295,11 +302,9 @@ def assemble_reduced_template(
     """Stack reduced multiplier-times-generator rows over the remainder block.
 
     ``generators`` is an ``(..., n_gen, n_coeffs)`` coefficient array, one
-    set per leading index; its width fixes the generator degree.  Every
-    product is gathered into a column of one monomial-major stack by a
-    cached index plan, the samples side by side, and the whole stack is
-    reduced modulo the sphere constraint at once.  The matrix has the
-    leading shape of ``generators``.
+    set per leading index, of the degree its width fixes.  Every product is
+    gathered by a cached plan into a column of one monomial-major stack, and
+    the whole stack is reduced modulo the sphere constraint at once.
     """
     basis = grevlex_basis(target_degree)
     *lead, n_generators, width = generators.shape
@@ -309,7 +314,7 @@ def assemble_reduced_template(
     )
     n_samples = math.prod(lead)
     stack = np.zeros((basis.size * len(labels), n_samples))
-    stack[dest] = generators.reshape(n_samples, -1)[:, src].T
+    stack[dest] = generators.reshape(n_samples, -1).take(src, 1).T
     stack = stack.reshape(basis.size, len(labels) * n_samples)
     reduce_columns_mod_h(stack, basis, c.tau)
     remainder = stack[basis.alpha2_size :].reshape(-1, len(labels), n_samples)
@@ -324,10 +329,8 @@ def rref_conditioned(B: np.ndarray, pivots: tuple[int, ...]) -> np.ndarray:
     solve of that pivot block against the standard (non-pivot) columns, in
     the order of ``QuotientBasis.template_cols``: row ``i`` of each result
     is the pivot polynomial led by column ``pivots[i]``, less its pivot
-    columns (1 at its own, 0 at the others).  A singular or non-finite solve
-    anywhere in the stack raises ``RankDeficient``; a poorly conditioned one
-    goes unnoticed here, and the solvers catch it downstream.  The name is
-    what ``perfbench/spans.py`` traces as the ``gbsolver.rref`` layer.
+    columns.  A singular or non-finite solve anywhere in the stack raises
+    ``RankDeficient``; a poorly conditioned one is caught downstream.
     """
     # A remainder block of degree d has (d + 1)^2 columns.
     qb = _quotient_basis(math.isqrt(B.shape[-1]) - 1, tuple(pivots), B.shape[-1] - len(pivots))
@@ -476,20 +479,18 @@ def _gamma_chains(qb: QuotientBasis):
     """The gamma chains of the quotient basis, and how ``extract_roots``
     builds its chain systems from them.
 
-    A unit row ``i -> j`` of the action matrix (gamma times monomial ``i`` is
-    monomial ``j``) means ``v[j] = lambda * v[i]`` for every eigenvector, so
-    the basis splits into chains ``m, gamma m, gamma^2 m, ...``, each ending
-    at a non-unit row, its tail, and an eigenvector is fixed by its entries
-    ``h`` at the chain heads.  The tail rows then read ``A(lambda) h = 0``
-    with ``A(lambda) = sum_d lambda^d C_d``: ``C_d`` holds each tail row's
-    entries at depth ``d`` of every chain, less 1 on the diagonal of each
-    chain of length ``d``.  Each system is bordered by a fixed column and
-    the row ``h[1] = 1`` in ``C_0``, the monomial 1 being a head.
-
+    A unit row ``i -> j`` of the action matrix (gamma times monomial ``i``
+    is monomial ``j``) means ``v[j] = lambda * v[i]`` for every eigenvector,
+    so the basis splits into chains ``m, gamma m, gamma^2 m, ...``, each
+    ending at a non-unit row, its tail, and an eigenvector is fixed by its
+    entries ``h`` at the chain heads.  The tail rows then read ``A(lambda) h
+    = 0`` with ``A(lambda) = sum_d lambda^d C_d``: ``C_d`` holds each tail
+    row's entries at depth ``d`` of every chain, less 1 on the diagonal of
+    each chain of length ``d``.  Each system is bordered by a fixed column
+    and the row ``h[1] = 1`` in ``C_0``, the monomial 1 being a head.
     Returns the chain and depth (power of gamma) of every basis index, and a
     gather that builds every ``C_d`` of an action matrix at once from its
-    flattened entries followed by ``constants``.
-    """
+    flattened entries followed by ``constants``."""
     n = qb.size
     successor = qb.successor.tolist()
     chain, depth = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
@@ -551,13 +552,13 @@ _DEGREE_TWO_PRODUCTS = (
 
 @lru_cache(maxsize=None)
 def _root_tables(qb: QuotientBasis) -> tuple[np.ndarray, ...]:
-    """Positions ``(m, x, y)`` in ``qb`` of the degree-two monomials of
-    ``_DEGREE_TWO_PRODUCTS`` it holds and of their degree-one factors, and
-    the positions of alpha, beta and gamma."""
+    """Positions in ``qb`` of the degree-two monomials of
+    ``_DEGREE_TWO_PRODUCTS`` it holds and of their degree-one factors, as
+    rows ``(m, x, y)``, and the positions of alpha, beta and gamma."""
     ix = qb.index
     checks = [(ix[m], ix[x], ix[y]) for m, x, y in _DEGREE_TWO_PRODUCTS if m in ix]
-    m, x, y = np.array(checks, dtype=np.int64).reshape(-1, 3).T
-    return m, x, y, np.array([qb.pos_alpha, qb.pos_beta, qb.pos_gamma])
+    factors = np.array([qb.pos_alpha, qb.pos_beta, qb.pos_gamma])
+    return np.array(checks, dtype=np.int64).reshape(-1, 3).T.copy(), factors
 
 
 def extract_roots(eigenvalues, action: np.ndarray, qb: QuotientBasis) -> ExtractedRoots:
@@ -566,16 +567,12 @@ def extract_roots(eigenvalues, action: np.ndarray, qb: QuotientBasis) -> Extract
 
     ``eigenvalues[b]`` are eigenvalues of ``action[b]``, one array per matrix
     of the ``(B, n, n)`` stack; for one ``(n, n)`` matrix they are one array.
-    Each eigenvector is rebuilt from the gamma chains (see
-    ``_gamma_chains``): two bordered chain systems per root, each stack
-    solved at once.  A root whose bordered system is singular has no
-    eigenvector, unique up to scale, that is non-zero at 1; it is dropped as
-    at infinity, alone.
-
-    Candidates whose eigenvector cannot be normalized at the monomial 1, or
+    Each eigenvector is rebuilt from the gamma chains (``_chain_eigenvectors``).
+    A root whose eigenvector cannot be normalized at the monomial 1 (NaN where
+    its bordered system is singular) is dropped as at infinity, alone; one
     whose alpha^2, alpha beta or beta^2 entries are not products of the
-    degree-one entries, are dropped.  The chains make the gamma entry and
-    every product with a gamma factor hold, so those are not tested.
+    degree-one entries, as inconsistent.  The chains make every product with
+    a gamma factor hold, so those are not tested.
     """
     if action.ndim == 2:
         eigenvalues, action = [eigenvalues], action[None]
@@ -584,11 +581,13 @@ def extract_roots(eigenvalues, action: np.ndarray, qb: QuotientBasis) -> Extract
     # Normalized at 1, an eigenvector whose entry there is at most 1e-10 of
     # its largest one is at infinity, and so is a NaN one.
     at_infinity = ~(np.abs(V).max(axis=1) < 1e10)
-    m, x, y, root_cols = _root_tables(qb)
-    inconsistent = (np.abs(V[:, m] - V[:, x] * V[:, y]) > ROOT_TOL).any(axis=1) & ~at_infinity
+    products, root_cols = _root_tables(qb)
+    m, x, y = V.T.take(products, 0)
+    inconsistent = (np.abs(m - x * y) > ROOT_TOL).any(axis=0)
     keep = ~(at_infinity | inconsistent)
+    inconsistent &= ~at_infinity
     return ExtractedRoots(
-        roots=V[keep][:, root_cols],
+        roots=V.take(root_cols, 1)[keep],
         sample=sample[keep],
         at_infinity=np.bincount(sample[at_infinity], minlength=len(sizes)),
         inconsistent=np.bincount(sample[inconsistent], minlength=len(sizes)),
@@ -598,36 +597,33 @@ def extract_roots(eigenvalues, action: np.ndarray, qb: QuotientBasis) -> Extract
 def _chain_eigenvectors(lam: np.ndarray, sizes: list[int], action: np.ndarray, qb: QuotientBasis):
     """The ``(K, n)`` eigenvectors of the eigenvalues ``lam``, ``sizes[b]``
     of them for ``action[b]`` in turn, rebuilt from the gamma chains and
-    normalized at the monomial 1, and each one's matrix in ``action``.  A row
-    is NaN where a bordered chain system is exactly singular.
-
-    Each root takes two steps of inverse iteration: the first bordered by
-    the fixed column, the second by the first's head entries.  Near a
-    cluster of eigenvalues one step leaves some of the neighbours'
-    eigenvectors in a root's; the second squares their share.
+    normalized at the monomial 1 (NaN where a bordered chain system is
+    exactly singular), and each one's matrix in ``action``.  Each root takes
+    two steps of inverse iteration, bordered first by the fixed column, then
+    by the first's head entries: near a cluster of eigenvalues the second
+    squares the share of the neighbours' eigenvectors.
     """
     chain, depth, gather, constants = _gamma_chains(qb)
     n_samples, n_powers, size = len(action), len(gather), len(gather[0])
     table = np.concatenate([action.reshape(n_samples, -1), constants[None].repeat(n_samples, 0)], 1)
-    C = table[:, gather.reshape(n_powers, -1)]
+    C = table.take(gather.reshape(n_powers, -1), 1)
     # The powers 1, lambda, lambda^2, ... of each root, as np.vander forms them.
     powers = lam[:, None].repeat(n_powers, 1)
     powers[:, 0] = 1.0
     np.multiply.accumulate(powers, axis=1, out=powers)
     # Every root's system from one matmul per sample, its roots padded to
-    # the largest count: root k is row ``rows[k]`` of the padded powers.
-    counts, width = np.array(sizes), max(sizes)
-    sample = np.arange(n_samples).repeat(counts)
-    rows = np.arange(len(lam)) + (width * np.arange(n_samples) - counts.cumsum() + counts)[sample]
-    padded = np.zeros((n_samples * width, n_powers))
-    padded[rows] = powers
-    K = (padded.reshape(n_samples, width, n_powers) @ C).reshape(-1, size, size)[rows]
+    # the largest count: the roots fill the rows ``mask`` of the padding.
+    mask = np.arange(max(sizes)) < np.array(sizes)[:, None]
+    sample = mask.nonzero()[0]
+    padded = np.zeros(mask.shape + (n_powers,))
+    padded[mask] = powers
+    K = (padded @ C).reshape(-1, size, size)[mask.ravel()]
     # A column right-hand side of the stack's rank reads alike in every
     # numpy: a 1-D one is one vector per matrix only from numpy 2.0 on.
     rhs = np.zeros((len(lam), size, 1))
     rhs[:, -1] = 1.0
     K[:, :-1, -1] = _bordered_solve(K, rhs)
-    V = _bordered_solve(K, rhs)[:, chain] * powers[:, depth]
+    V = _bordered_solve(K, rhs).take(chain, 1) * powers.take(depth, 1)
     V /= V[:, qb.pos_one, None]
     return V, sample
 
@@ -655,17 +651,18 @@ POLISH_ROUNDING = 1e-28
 
 
 @lru_cache(maxsize=None)
-def _polish_tables(width: int) -> tuple[np.ndarray, ...]:
-    """Exponents, power gather and differentiation tables of the basis with
-    ``width`` monomials.
+def _polish_tables(n_gen: int, width: int) -> tuple[np.ndarray, ...]:
+    """Exponents and power gather of the basis with ``width`` monomials, and
+    the table plan of ``polish_roots`` for ``n_gen`` generators on it.
 
     Row ``v`` of ``powers`` picks the power of variable ``v`` of every
-    monomial out of a flat ``(3, degree + 1)`` table of powers.  The
-    coefficient at monomial ``m`` of the derivative by variable ``v`` is
-    ``factor[v, m]`` times the coefficient at ``source[v, m]``, which is ``m``
-    times that variable, or the zero column ``width`` beyond the basis.
-    ``sphere`` and ``one`` are the coefficient rows of ``alpha^2 + beta^2 +
-    gamma^2`` and of the monomial 1.
+    monomial out of a flat ``(3, degree + 1)`` table of powers.  Table row
+    ``r`` is ``scale[r]`` times the entries ``gather[r]`` of the ``(n_gen +
+    1, width + 1)`` equations: the equations, then the derivative of each by
+    each variable, whose coefficient at ``m`` is the coefficient at ``m``
+    times that variable, times its power there, or the zero last column.
+    ``blank`` is the equations without the generators and without ``tau``
+    at the monomial 1, column ``one``.
     """
     basis = _basis_of_width(width)
     degree = basis.max_degree
@@ -677,10 +674,12 @@ def _polish_tables(width: int) -> tuple[np.ndarray, ...]:
             up = m[:v] + (m[v] + 1,) + m[v + 1 :]
             if up in basis.index:
                 source[v, j], factor[v, j] = basis.index[up], up[v]
-    sphere, one = np.zeros(width), np.zeros(width)
-    sphere[[basis.index[m] for m in ((2, 0, 0), (0, 2, 0), (0, 0, 2))]] = 1.0
-    one[basis.index[(0, 0, 0)]] = 1.0
-    return np.arange(degree + 1), powers, source, factor, sphere, one
+    rows = np.arange(n_gen + 1)[:, None] * (width + 1)
+    gather = np.concatenate([rows + np.arange(width), (rows[:, None] + source).reshape(-1, width)])
+    scale = np.concatenate([np.ones((n_gen + 1, width)), np.tile(factor, (n_gen + 1, 1))])
+    blank = np.zeros((n_gen + 1, width + 1))
+    blank[n_gen, [basis.index[m] for m in ((2, 0, 0), (0, 2, 0), (0, 0, 2))]] = 1.0
+    return np.arange(degree + 1.0), powers, gather, scale, blank, basis.index[(0, 0, 0)]
 
 
 def polish_roots(
@@ -692,32 +691,28 @@ def polish_roots(
     ``(n_samples, n_gen, n_coeffs)`` stack, or, without ``sample``, the one
     ``(n_gen, n_coeffs)`` set; the roots of a sample must be consecutive.
     The equations are the generators, each row scaled by its largest
-    coefficient, plus the sphere constraint ``|u|^2 + tau = 0``.  One
-    coefficient matrix per sample holds them and their partial derivatives,
-    so each step is one power table, one matmul per sample for values and
-    Jacobians and one batched 3 x 3 solve of the normal equations.  A root
-    takes a step only where its squared residual falls, so polishing never
-    moves a root away from the variety.
+    coefficient, and the sphere constraint ``|u|^2 + tau = 0``; with their
+    derivatives they form one table per sample, so each step is one power
+    table, one matmul per sample and one batched 3 x 3 solve of the normal
+    equations.  A root takes a step only where its squared residual falls.
     """
     if not len(roots):
         return roots
     if sample is None:
         generators, sample = generators[None], np.zeros(len(roots), dtype=np.int64)
     n_samples, n_gen, width = generators.shape
-    exponents, powers, source, factor, sphere, one = _polish_tables(width)
+    exponents, powers, gather, scale, blank, one = _polish_tables(n_gen, width)
     n_eq = n_gen + 1
     # The equations, then their derivatives by each variable.
-    coeffs = np.empty((n_samples, 4 * n_eq, width))
-    eqs = coeffs[:, :n_eq]
-    eqs[:, :n_gen] = generators / np.abs(generators).max(axis=-1, keepdims=True)
-    eqs[:, n_gen] = sphere + c.tau * one
-    padded = np.concatenate([eqs, np.zeros((n_samples, n_eq, 1))], axis=-1)
-    coeffs[:, n_eq:] = (padded[..., source] * factor).reshape(n_samples, 3 * n_eq, width)
-    coeffs = coeffs.transpose(0, 2, 1)
+    eqs = blank[None].repeat(n_samples, 0)
+    np.divide(generators, np.abs(generators).max(-1, keepdims=True), out=eqs[:, :n_gen, :width])
+    eqs[:, n_gen, one] = c.tau
+    coeffs = (eqs.reshape(n_samples, -1).take(gather, 1) * scale).transpose(0, 2, 1)
 
     def evaluate(x, owner):
-        table = (x[:, :, None] ** exponents).reshape(len(x), -1)[:, powers]
-        monomials = table[:, 0] * table[:, 1] * table[:, 2]
+        table = (x[:, :, None] ** exponents).reshape(len(x), -1).take(powers, 1)
+        # In Fortran order, which the matmul kernels below round by.
+        monomials = np.multiply(table[:, 0] * table[:, 1], table[:, 2], order="F")
         # One matmul per sample on its own rows, so that a sample's values
         # round as in a solve of that sample alone: the small-matrix BLAS
         # kernels round by the shape of their operands.
@@ -736,7 +731,7 @@ def polish_roots(
     f, jac, cost = evaluate(x, sample)
     # Roots still moving: not yet at rounding level, and their last step helped.
     live = (cost > POLISH_ROUNDING).nonzero()[0]
-    f, jac, cost = f[live], jac[live], cost[live]
+    f, jac, cost = f.take(live, 0), jac.take(live, 0), cost.take(live)
     for _ in range(POLISH_STEPS):
         if not live.size:
             break
@@ -757,11 +752,13 @@ def polish_roots(
             if not live.size:
                 break
             step = np.linalg.solve(normal[go], rhs[go])[:, :, 0]
-        x_new = x[live] - step
+        x_new = x.take(live, 0) - step
         f_new, jac_new, cost_new = evaluate(x_new, sample[live])
         better = cost_new < cost
         x[live[better]] = x_new[better]
         go = better & (cost_new > POLISH_ROUNDING)
+        if not go.any():
+            break
         live, f, jac, cost = live[go], f_new[go], jac_new[go], cost_new[go]
     return x
 
@@ -793,28 +790,34 @@ _NOTHING = (np.empty(0, dtype=np.int64),) * 2 + (np.empty((0, 3)), np.empty(0, d
 
 
 def rotation_roots(layers, problem: TemplateProblem, generators, rays, ids, c, errors: dict):
-    """Polished rotation roots of the samples ``ids`` of the ray rows
-    ``rays``, solved as one stack with ``generators(*rays, c)`` and the
-    layers of the solver module ``layers``; a zero angle pins one root of
-    each sample to the identity.  A sample left without roots has its error
+    """Polished rotation roots of the samples ``ids`` of the ``(k, B, n, 3)``
+    ray rows ``rays``, solved as one stack with ``generators(*rays[:, ids],
+    c, errors)`` and the layers of the solver module ``layers``; a zero
+    angle pins one root of each sample to the identity.  A sample that the
+    generators find degenerate or that is left without roots has its error
     recorded in ``errors``.  Returns the ``(K, 3)`` roots, grouped by sample
     in ascending order, and the sample of each."""
     if c.tau == 0.0 or not ids.size:
         return np.zeros((len(ids), 3)), ids
-    gens, ok = each_sample(lambda rows: generators(*(r[ids[rows]] for r in rays), c), ids, errors)
-    if not ok.size:
-        return _NOTHING[2], ok
-    roots, owner = _eliminate(layers, problem, gens, ok, c, errors)
-    return layers.polish_roots(gens, roots, c, owner), ok[owner]
+    degenerate: dict[int, RelposeError] = {}
+    gens = generators(*rays.take(ids, 1), c, degenerate)
+    if degenerate:
+        errors.update((int(ids[k]), exc) for k, exc in degenerate.items())
+        keep = np.delete(np.arange(len(ids)), list(degenerate))
+        gens, ids = gens[keep], ids[keep]
+        if not ids.size:
+            return _NOTHING[2], ids
+    roots, owner = _eliminate(layers, problem, gens, ids, c, errors)
+    return layers.polish_roots(gens, roots, c, owner), ids[owner]
 
 
 def _eliminate(layers, problem: TemplateProblem, generators: np.ndarray, ids, c, errors: dict):
     """Unpolished roots of the samples ``ids`` of the generator stack,
     grouped by sample in ascending order, and each one's position in the
-    stack.  Each sample reduces its template on the committed partitions in
-    turn until one neither raises nor drops a root as inconsistent, and
-    keeps the roots of the attempt that dropped the fewest; a sample that no
-    partition solves has its last error recorded in ``errors``."""
+    stack.  Each sample tries the committed partitions in turn until one
+    neither raises nor drops a root as inconsistent, and keeps the roots of
+    the attempt that dropped the fewest; a sample that no partition solves
+    has its last error recorded in ``errors``."""
     n_samples = len(generators)
     try:
         template = layers.assemble_reduced_template(
@@ -834,7 +837,8 @@ def _eliminate(layers, problem: TemplateProblem, generators: np.ndarray, ids, c,
             layers, problem, template.basis, matrix, pivots, pending, last_error
         )
         fewer = now < dropped[solved]
-        dropped[solved[fewer]], kept[solved[fewer]] = now[fewer], attempt
+        won = solved[fewer]
+        dropped[won], kept[won] = now[fewer], attempt
         found.append((roots, owner))
         pending = dropped.nonzero()[0]
         if not pending.size:
@@ -852,10 +856,9 @@ def _eliminate(layers, problem: TemplateProblem, generators: np.ndarray, ids, c,
 
 def _attempt(layers, problem, basis, matrix: np.ndarray, pivots, pending: np.ndarray, errors):
     """The templates ``matrix`` of the samples ``pending`` reduced on one
-    partition: the samples it solves, the count of roots each dropped as
-    inconsistent, their roots, grouped by sample in ascending order, and
-    the sample of each root.  Records the error of every other sample in
-    ``errors``."""
+    partition: the samples it solves, the roots each dropped as inconsistent,
+    their roots, grouped by sample in ascending order, and the sample of
+    each root.  Records the error of every other sample in ``errors``."""
     n = problem.basis_size
     try:
         reduced, solved = each_sample(
@@ -879,9 +882,10 @@ def _attempt(layers, problem, basis, matrix: np.ndarray, pivots, pending: np.nda
         found.append(j)
     if not found:
         return _NOTHING
-    solved = solved[found]
+    if len(found) < len(solved):
+        solved, action = solved[found], action[found]
     try:
-        extracted = layers.extract_roots(values, action[found], qb)
+        extracted = layers.extract_roots(values, action, qb)
     except RelposeError as exc:
         errors.update(dict.fromkeys(solved.tolist(), exc))
         return _NOTHING

@@ -137,24 +137,14 @@ class PluckerPair:
                 raise ValueError(f"{name} violates line incidence: q.m = {float(q @ m)!r}")
 
 
-# Column pairs of a rotation and their products under the identity; the
-# minors of the second and third rows along the first.
-_LEFT_COLUMN, _RIGHT_COLUMN = np.array([0, 1, 2, 0, 0, 1]), np.array([0, 1, 2, 1, 2, 2])
-_IDENTITY_PRODUCTS = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
-_MINOR_A, _MINOR_B = np.array([1, 0, 0]), np.array([2, 2, 1])
-
-
 def check_poses(Rs: np.ndarray, ts: np.ndarray) -> None:
     """Raise the ``ValueError`` of the first of the ``(P, 3, 3)`` rotations
     and ``(P, 3)`` translations that is not a rotation, with ``R^T R - I``
-    and ``det R - 1`` (expanded along the first row) within 1e-9, or not
-    finite.  A NaN fails every test."""
-    products = Rs[..., _LEFT_COLUMN] * Rs[..., _RIGHT_COLUMN]
-    r1, r2 = Rs[:, 1], Rs[:, 2]
-    terms = Rs[:, 0] * (r1[:, _MINOR_A] * r2[:, _MINOR_B] - r1[:, _MINOR_B] * r2[:, _MINOR_A])
-    rotation = (
-        np.abs(products[:, 0] + products[:, 1] + products[:, 2] - _IDENTITY_PRODUCTS) <= 1e-9
-    ).all(axis=1) & (np.abs(terms[:, 0] - terms[:, 1] + terms[:, 2] - 1.0) <= 1e-9)
+    and ``det R - 1 = r0 . (r1 x r2) - 1`` within 1e-9, or not finite."""
+    det = stacked_dot(Rs[:, 0], stacked_cross(Rs[:, 1], Rs[:, 2]))
+    rotation = (np.abs(Rs.transpose(0, 2, 1) @ Rs - _IDENTITY) <= 1e-9).all(axis=(1, 2)) & (
+        np.abs(det - 1.0) <= 1e-9
+    )
     valid = rotation & np.isfinite(ts).all(axis=1)
     if not valid.all():
         first = np.argmin(valid)
@@ -335,23 +325,21 @@ def generalized_epipolar_residual(pose: RelativePose, pair: PluckerPair) -> floa
     return generalized_residual(pose.R, np.zeros(3), pose.t, pair.q1, pair.m1, pair.q2, pair.m2)
 
 
-def cheiral_counts(
-    Rs: np.ndarray, T: np.ndarray, q1: np.ndarray, q2: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def cheiral_counts(Rs: np.ndarray, T: np.ndarray, q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
     """Midpoint-triangulate the bearing rows ``q1``, ``q2`` (``(N, 3)``, or
     ``(K, N, 3)`` with rows of their own for each pose) under cameras
-    ``[I|0]``, ``[Rs[k]|T[k]]`` and count, for ``+T[k]`` and for ``-T[k]``,
-    the points with positive depth in both views.  Parallel-ray pairs are
-    not counted.  Every product is a matmul, so it rounds as the per-vector
-    ``R @ v`` and ``v @ w`` do."""
+    ``[I|0]``, ``[Rs[k]|T[k]]`` and count, for ``+T[k]`` (row 0) and for
+    ``-T[k]`` (row 1), the points with positive depth in both views.
+    Parallel-ray pairs are not counted.  Every product is a matmul, so it
+    rounds as the per-vector ``R @ v`` and ``v @ w`` do."""
     Rt = Rs.transpose(0, 2, 1)
     d2 = (Rt[:, None] @ q2[..., None])[..., 0]
     origin2 = (-Rt @ T[:, :, None])[:, None, :, 0]
+    # The products with d2 and with origin2, once per ray.
+    right = np.array([d2, origin2.repeat(d2.shape[1], 1)])
     a = stacked_dot(q1, q1)
-    b = stacked_dot(q1, d2)
-    d = stacked_dot(d2, d2)
-    e1 = stacked_dot(q1, origin2)
-    e2 = stacked_dot(d2, origin2)
+    b, e1 = stacked_dot(q1, right)
+    d, e2 = stacked_dot(d2, right)
     det = b * b - a * d
     solvable = ~(np.abs(det) <= PARALLEL_RAY_EPS * a * d)
     # Closest approach of rays s q1 and origin2 + r d2:
@@ -360,6 +348,4 @@ def cheiral_counts(
     with np.errstate(divide="ignore", invalid="ignore"):
         s = (-d * e1 + b * e2) / det
         r = (-b * e1 + a * e2) / det
-    n_pos = (solvable & (s > 0.0) & (r > 0.0)).sum(axis=1)
-    n_neg = (solvable & (s < 0.0) & (r < 0.0)).sum(axis=1)
-    return n_pos, n_neg
+    return (solvable & np.array([(s > 0.0) & (r > 0.0), (s < 0.0) & (r < 0.0)])).sum(axis=2)

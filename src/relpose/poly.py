@@ -119,9 +119,8 @@ def _mul_stack(p: np.ndarray, q: np.ndarray, d1: int, d2: int, dout: int) -> np.
     lead = p.shape[:-1]
     k = p.size // p.shape[-1]
     weights = (p.reshape(k, -1, 1) * q.reshape(k, 1, -1)).ravel()
-    return np.bincount(
-        _mul_index(d1, d2, dout, k), weights=weights, minlength=k * n_out
-    ).reshape(*lead, n_out)
+    out = np.bincount(_mul_index(d1, d2, dout, k), weights=weights, minlength=k * n_out)
+    return out.reshape(*lead, n_out)
 
 
 def reduce_columns_mod_h(stack: np.ndarray, basis: GrevlexBasis, tau: float) -> None:
@@ -132,7 +131,7 @@ def reduce_columns_mod_h(stack: np.ndarray, basis: GrevlexBasis, tau: float) -> 
     ``_reduction_steps``, in the same order (see ``GrevlexBasis``).
     """
     for sources, ib, ic, it in basis._reduction_rounds:
-        v = stack[sources]
+        v = stack.take(sources, 0)
         stack[it] -= tau * v
         stack[ic] -= v
         stack[ib] -= v
@@ -140,17 +139,16 @@ def reduce_columns_mod_h(stack: np.ndarray, basis: GrevlexBasis, tau: float) -> 
 
 
 # Flat indices into the outer product ``b_k a_l`` (at ``3 k + l``): the
-# minuends and subtrahends of ``a x b``, then the pairs summed into ab, ac, bc.
-_PICK, _OTHER = np.array([7, 2, 3, 1, 2, 5]), np.array([5, 6, 1, 3, 6, 7])
+# minuends of ``a x b`` and the first terms of ab, ac, bc, then the
+# subtrahends and the second terms.
+_PAIRED = np.array([7, 2, 3, 1, 2, 5, 5, 6, 1, 3, 6, 7])
 # From the blocks (a^2, b^2, c^2), (ab, ac, bc), (a, b, c), (1) to the
 # degree-2 basis order a^2, ab, b^2, ac, bc, c^2, a, b, c, 1.
 _BILINEAR_ORDER = np.array([0, 3, 1, 4, 5, 2, 6, 7, 8, 9])
-# Index arrays of ``_f_rows``, ``_g_rows``, ``_f_dets`` and ``_g_dets``: the
-# rays paired in bilinear forms, and the entries multiplied in determinants.
+# Index arrays of ``_f_rows``, ``_g_rows`` and ``_g_dets``: the rays paired
+# in bilinear forms, and the entries multiplied in determinants.
 _F_LEFT, _F_RIGHT, _G_VIEWS = np.array([0, 2]), np.array([3, 1]), np.array([0, 1, 0, 1])
 _G_LEFT, _G_RIGHT = np.array([0, 4, 2, 4, 6, 4]), np.array([5, 1, 5, 3, 5, 7])
-_DET2_LEFT = (..., np.array([0, 0]), np.array([0, 1]), slice(None))
-_DET2_RIGHT = (..., np.array([1, 1]), np.array([1, 0]), slice(None))
 _MINOR_SECOND, _MINOR_THIRD = np.array([1, 2, 0, 2, 0, 1]), np.array([2, 1, 2, 0, 1, 0])
 
 
@@ -161,7 +159,8 @@ def _bilinear_coeffs(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
     from ``a @ b``, the linear terms from ``np.cross(a, b)``.
     """
     outer = (b[..., :, None] * a[..., None, :]).reshape(a.shape[:-1] + (9,))
-    pick, other = outer[..., _PICK], outer[..., _OTHER]
+    paired = outer.take(_PAIRED, -1)
+    pick, other = paired[..., :6], paired[..., 6:]
     const = (2.0 * sigma * sigma - 1.0) * _dot(a, b)
     parts = (
         2.0 * b * a,
@@ -169,31 +168,33 @@ def _bilinear_coeffs(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
         -2.0 * sigma * (pick[..., :3] - other[..., :3]),
         const[..., None],
     )
-    return np.concatenate(parts, axis=-1)[..., _BILINEAR_ORDER]
+    return np.concatenate(parts, axis=-1).take(_BILINEAR_ORDER, -1)
 
 
-def _ray_stack(pairs, *names: str) -> list[np.ndarray]:
-    """``(N, 3)`` arrays of the named ray attributes of ``pairs``, as the
-    generator builders take them."""
-    return [np.array([getattr(p, name) for p in pairs], dtype=float) for name in names]
+def _ray_stack(pairs, *names: str) -> np.ndarray:
+    """The named ray attributes of ``pairs``, one ``(N, 3)`` row each, as
+    the generator builders take them."""
+    return np.array([[getattr(p, name) for p in pairs] for name in names], dtype=float)
 
 
-def _f_rows(q1: np.ndarray, q2: np.ndarray, i, j, sigma: float) -> np.ndarray:
-    """Depth-elimination rows ``(..., 2, 10)`` of the ``(..., N, 3)`` bearing
-    rows ``q1``, ``q2`` for anchors ``i`` and correspondences ``j`` (index
-    arrays of one shape)."""
+def _f_rays(q1: np.ndarray, q2: np.ndarray, i, j) -> np.ndarray:
+    """``[q1_i x q1_j, q2_i x q2_j, q1_j, q2_j]`` of the ``(..., N, 3)``
+    bearing rows for anchors ``i`` and correspondences ``j`` of one shape."""
     q = np.array([q1, q2])
-    qj = q[..., j, :]
-    # [q1_i x q1_j, q2_i x q2_j, q1_j, q2_j]
-    rays = np.concatenate([_cross(q[..., i, :], qj), qj])
-    entries = _bilinear_coeffs(rays[_F_LEFT], rays[_F_RIGHT], sigma)
-    return entries.transpose(*range(1, entries.ndim - 1), 0, -1)
+    qj = q.take(j, -2)
+    return np.concatenate([_cross(q.take(i, -2), qj), qj])
+
+
+def _f_rows(rays: np.ndarray, sigma: float) -> np.ndarray:
+    """Depth-elimination rows of the ``_f_rays``: entry ``(j, i)`` of each 2 x 2
+    quadratic matrix at ``[i, ..., j, :]``, ``(2, ..., 2, 10)``."""
+    return _bilinear_coeffs(rays.take(_F_LEFT, 0), rays.take(_F_RIGHT, 0), sigma)
 
 
 def _f_dets(entries: np.ndarray) -> np.ndarray:
-    """Quartic determinants of stacked ``(..., 2, 2, 10)`` quadratic matrices."""
-    prods = _mul_stack(entries[_DET2_LEFT], entries[_DET2_RIGHT], 2, 2, 4)
-    return prods[..., 0, :] - prods[..., 1, :]
+    """Quartic determinants of the quadratic matrices of ``_f_rows``."""
+    prods = _mul_stack(entries[:, ..., 0, :], entries[::-1, ..., 1, :], 2, 2, 4)
+    return prods[0] - prods[1]
 
 
 # Anchor and free correspondences of each generator: cyclic patterns that
@@ -203,8 +204,10 @@ _G_QUADRUPLES = np.array([(1, 2, 3, 4), (2, 3, 4, 0), (3, 4, 0, 1), (4, 0, 1, 2)
 # The anchor and free correspondences of every entry of each generator's matrix.
 _F_ANCHORS, _F_FREE = np.repeat(_F_TRIPLES[:, :1], 2, axis=1), _F_TRIPLES[:, 1:]
 _G_ANCHORS, _G_FREE = np.repeat(_G_QUADRUPLES[:, :1], 3, axis=1), _G_QUADRUPLES[:, 1:]
-# Every pair of the four bearing correspondences, for the coincident-ray test.
+# Every pair of the four bearing correspondences, for the coincident-ray test,
+# and the _F_ANCHORS x _F_FREE cross that holds it up to an exact sign.
 _F_RAY_PAIRS = np.triu_indices(4, 1)
+_F_PAIR_CROSSES = np.array([6, 7, 4, 0, 1, 2])
 
 
 def _check_rays(rays: np.ndarray, n: int, what: str) -> None:
@@ -212,28 +215,39 @@ def _check_rays(rays: np.ndarray, n: int, what: str) -> None:
         raise ValueError(f"exactly {n} {what} required")
 
 
-def build_f_polynomials(q1: np.ndarray, q2: np.ndarray, c: RotationConstraint) -> np.ndarray:
+def _degenerate(messages: dict, errors: dict | None) -> None:
+    """Record a ``DegenerateInput`` per sample of ``messages`` in ``errors``, or raise the first."""
+    if errors is None:
+        raise DegenerateInput(messages[min(messages)])
+    errors.update((sample, DegenerateInput(message)) for sample, message in messages.items())
+
+
+def build_f_polynomials(
+    q1: np.ndarray, q2: np.ndarray, c: RotationConstraint, errors: dict | None = None
+) -> np.ndarray:
     """The four quartic determinant constraints of the 4-point problem, as a
     ``(..., 4, 35)`` coefficient array on the degree-4 basis.
 
     ``q1`` and ``q2`` are the ``(..., 4, 3)`` bearing rows of one sample per
-    leading index.  The cyclic anchor pattern (2,3,4), (3,4,1), (4,1,2),
-    (1,2,3) makes each set symmetric under relabelling of the four
-    correspondences.  All determinants are formed in one batch; coincident
-    rays in any sample raise ``DegenerateInput`` for the stack.
+    leading index; the cyclic anchor pattern makes each set symmetric under
+    relabelling.  A sample with coincident rays gets a ``DegenerateInput``
+    naming its first such pair, in ``errors`` under its flat leading index
+    (its rows are left as they come out); without ``errors`` the first one
+    is raised.
     """
     _check_rays(q1, 4, "bearing pairs")
-    first, second = _F_RAY_PAIRS
-    views = np.concatenate([q1[..., None, :], q2[..., None, :]], -2)
-    crosses = _cross(views[..., first, :, :], views[..., second, :, :])
-    coincident = np.sqrt(_dot(crosses, crosses)) < COINCIDENT_RAY_EPS
+    rays = _f_rays(q1, q2, _F_ANCHORS, _F_FREE)
+    coincident = np.sqrt(_dot(rays[:2], rays[:2])) < COINCIDENT_RAY_EPS
     if coincident.any():
-        pair, view = np.argwhere(coincident)[0, -2:].tolist()
-        raise DegenerateInput(
-            f"rays {first[pair]} and {second[pair]} coincide in view {view + 1}; "
+        # Per sample, the first coincident pair, view 1 before view 2.
+        found = coincident.reshape(2, -1, 8).take(_F_PAIR_CROSSES, -1).transpose(1, 2, 0)
+        first, second = _F_RAY_PAIRS
+        _degenerate({
+            s: f"rays {first[k // 2]} and {second[k // 2]} coincide in view {k % 2 + 1}; "
             "correspondences must be distinct"
-        )
-    return _f_dets(_f_rows(q1, q2, _F_ANCHORS, _F_FREE, c.sigma))
+            for s, k in enumerate(found.reshape(-1, 12).argmax(-1).tolist()) if found[s].any()
+        }, errors)
+    return _f_dets(_f_rows(rays, c.sigma))
 
 
 def _g_rows(q1, q2, m1, m2, i, j, sigma: float) -> np.ndarray:
@@ -241,21 +255,25 @@ def _g_rows(q1, q2, m1, m2, i, j, sigma: float) -> np.ndarray:
     acting on (lambda, mu, 1), of the ``(..., N, 3)`` Pluecker rows for
     anchors ``i`` and correspondences ``j``."""
     r = np.array([q1, q2, m1, m2])
-    ri, rj = r[..., i, :], r[..., j, :]
+    ri, rj = r.take(i, -2), r.take(j, -2)
     # The points m x q nearest the origin on the anchor lines, then
     # [q1_i x q1_j, q2_i x q2_j, e1 x q1_j, e2 x q2_j, q1_j, q2_j, m1_j, m2_j].
     e = _cross(ri[2:], ri[:2])
-    rays = np.concatenate([_cross(np.concatenate([ri[:2], e]), rj[_G_VIEWS]), rj])
-    f = _bilinear_coeffs(rays[_G_LEFT], rays[_G_RIGHT], sigma)
-    rows = np.empty(f.shape[1:-1] + (3, f.shape[-1]))
-    rows[..., 0, :], rows[..., 1, :], rows[..., 2, :] = f[0], f[1], f[2] + f[3] + f[4] + f[5]
-    return rows
+    rays = np.concatenate([_cross(np.concatenate([ri[:2], e]), rj.take(_G_VIEWS, 0)), rj])
+    f = _bilinear_coeffs(rays.take(_G_LEFT, 0), rays.take(_G_RIGHT, 0), sigma)
+    # w sums the last four forms in order, in place.
+    w = f[2]
+    w += f[3]
+    w += f[4]
+    w += f[5]
+    return f[:3].transpose(*range(1, f.ndim - 1), 0, -1)
 
 
 def _g_dets(rows: np.ndarray) -> np.ndarray:
     """Sextic determinants of stacked ``(..., 3, 3, 10)`` quadratic matrices,
     expanded along the first row."""
-    second, third = rows[..., 1, _MINOR_SECOND, :], rows[..., 2, _MINOR_THIRD, :]
+    second = rows[..., 1, :, :].take(_MINOR_SECOND, -2)
+    third = rows[..., 2, :, :].take(_MINOR_THIRD, -2)
     minors = _mul_stack(second, third, 2, 2, 4)
     cofactors = minors[..., 0::2, :] - minors[..., 1::2, :]
     terms = _mul_stack(rows[..., 0, :, :], cofactors, 2, 4, 6)
@@ -263,17 +281,19 @@ def _g_dets(rows: np.ndarray) -> np.ndarray:
 
 
 def build_g_polynomials(
-    q1: np.ndarray, q2: np.ndarray, m1: np.ndarray, m2: np.ndarray, c: RotationConstraint
+    q1: np.ndarray, q2: np.ndarray, m1: np.ndarray, m2: np.ndarray, c: RotationConstraint,
+    errors: dict | None = None,
 ) -> np.ndarray:
     """The five sextic determinant constraints of the generalized 5-point
     problem, formed in one batch, as a ``(..., 5, 84)`` coefficient array on
     the degree-6 basis, from the ``(..., 5, 3)`` Pluecker rows of one sample
-    per leading index.  A collapsed determinant in any sample raises
-    ``DegenerateInput`` for the stack."""
+    per leading index.  A sample with a collapsed determinant gets a
+    ``DegenerateInput``, as ``build_f_polynomials`` reports it."""
     _check_rays(q1, 5, "Pluecker pairs")
     dets = _g_dets(_g_rows(q1, q2, m1, m2, _G_ANCHORS, _G_FREE, c.sigma))
-    if (np.abs(dets).max(axis=-1) < 1e-12).any():
-        raise DegenerateInput(
-            "a determinant constraint collapsed to zero; the ray configuration is degenerate"
-        )
+    collapsed = np.abs(dets).max(axis=-1) < 1e-12
+    if collapsed.any():
+        message = "a determinant constraint collapsed to zero; the ray configuration is degenerate"
+        samples = collapsed.reshape(-1, 5).any(-1).nonzero()[0].tolist()
+        _degenerate(dict.fromkeys(samples, message), errors)
     return dets

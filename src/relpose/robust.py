@@ -12,7 +12,7 @@ import numpy as np
 
 from .exceptions import NoHypothesis, RelposeError, ScaleUnobservable
 from .geom import BearingPair, PluckerPair, RelativePose, rotation_angle
-from .poly import _ray_stack
+from .gbsolver import GENERAL, REGULAR, RayTable
 from .solver_gen5 import central, point_rays, ray_point_errors, solve_gen5pt_angle
 from .solver_reg4 import sampson_errors, solve_4pt_angle
 from .synth import SceneConfig, _random_in_ball, _unit, generate_scene
@@ -67,7 +67,7 @@ class RansacResult:
 BATCH_LIMIT = 8
 ROUND_LIMIT = 64
 
-_PAIR_TYPES = {"reg4": BearingPair, "gen5": PluckerPair}
+_KINDS = {"reg4": (BearingPair, REGULAR), "gen5": (PluckerPair, GENERAL)}
 
 
 def ransac_estimate(
@@ -84,33 +84,33 @@ def ransac_estimate(
 
     The samples are drawn and solved in rounds of at most ``BATCH_LIMIT``
     at first, the cap doubling after each round up to ``ROUND_LIMIT``, and
-    the stopping bound and ``max_iterations`` cap every round too.  A
-    round's poses come back as arrays (``SamplePoses``) and are scored in
-    one call; only the winner becomes a ``RelativePose``.  Hypotheses are
-    weighed and the stopping rule applied sample by sample, also after a
-    sample that yields no pose, and the samples of a round past the stop
-    are discarded, so the result is that of solving one sample at a time.
+    the stopping bound and ``max_iterations`` cap every round too.  Each
+    round is one solve on the observations' ``RayTable``, and its poses are
+    scored in one call; only the winner becomes a ``RelativePose``.  The
+    stopping rule is applied sample by sample, also after one without a
+    pose, so the result is that of solving one sample at a time.
     """
-    if kind not in _PAIR_TYPES:
+    if kind not in _KINDS:
         raise ValueError(f"unknown solver kind {kind!r}")
-    pair_type = _PAIR_TYPES[kind]
+    pair_type, problem = _KINDS[kind]
     if not all(isinstance(o, pair_type) for o in observations):
         raise ValueError(f"{kind} RANSAC takes {pair_type.__name__} observations")
-    sample_size = 4 if kind == "reg4" else 5
+    sample_size = problem.sample_size
     n = len(observations)
     if n < sample_size:
         raise ValueError(f"at least {sample_size} observations required, got {n}")
-    # Stacked once per call; each hypothesis only moves them by its pose.
+    # Stacked once per call: every round's solve indexes the table, and each
+    # hypothesis only moves the rays by its pose.
+    table = RayTable(observations, problem.ray_names)
     if kind == "reg4":
-        rays = _ray_stack(observations, "q1", "q2")
+        rays = table.rays
         solve, score = solve_4pt_angle, sampson_errors
     else:
-        q1, q2, m1, m2 = _ray_stack(observations, "q1", "q2", "m1", "m2")
-        if central(m1, m2):
+        if central(table.rays[2:]):
             raise ScaleUnobservable(
                 "all ray moments vanish: a central configuration carries no translation scale"
             )
-        rays = point_rays(q1, q2, m1, m2)
+        rays = point_rays(*table.rays)
         solve, score = solve_gen5pt_angle, ray_point_errors
     rng = np.random.default_rng(cfg.seed)
 
@@ -127,7 +127,7 @@ def ransac_estimate(
             size = min(size, math.ceil(needed) - iterations)
         cap = min(2 * cap, ROUND_LIMIT)
         samples = np.array([rng.choice(n, size=sample_size, replace=False) for _ in range(size)])
-        solved = solve(observations, theta, samples=samples)
+        solved = solve(table, theta, samples=samples)
         stack, bounds = solved.stack, solved.bounds
         if len(stack):
             errors = score(stack.R, stack.t, *rays)

@@ -26,13 +26,7 @@ from .gbsolver import (
     unsolved,
     usable_rotations,
 )
-from .geom import (
-    PluckerPair,
-    PoseStack,
-    RelativePose,
-    stacked_cross,
-    stacked_dot,
-)
+from .geom import PluckerPair, PoseStack, RelativePose, stacked_cross, stacked_dot
 from .poly import _ray_stack, build_g_polynomials
 
 # All moments below this norm mean a purely central configuration.
@@ -47,50 +41,53 @@ SCALE_COMPONENT_EPS = 1e-10
 # The layers are called through this module's attributes.
 _LAYERS = sys.modules[__name__]
 
-
-def central(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    """Which of the stacked ``(..., N, 3)`` moment rows all vanish: a central
-    configuration, which carries no translation scale."""
-    norms = np.sqrt(stacked_dot(m1, m1)), np.sqrt(stacked_dot(m2, m2))
-    return np.maximum(*(x.max(axis=-1) for x in norms)) < CENTRAL_MOMENT_EPS
+# The view of each of ``_depth_rows``' crosses, and the factors of its forms.
+_VIEWS, _LEFT, _RIGHT = np.array([0, 1, 0, 1]), np.array([1, 3, 1, 5]), np.array([2, 0, 4, 0])
 
 
-def _depth_rows(q1, q2, m1, m2, Rs: np.ndarray) -> np.ndarray:
+def central(moments: np.ndarray) -> np.ndarray:
+    """Which of the ``(2, ..., N, 3)`` moment rows ``m1``, ``m2`` all vanish:
+    a central configuration, which carries no translation scale."""
+    return np.sqrt(stacked_dot(moments, moments)).max(axis=(0, -1)) < CENTRAL_MOMENT_EPS
+
+
+def _depth_rows(own: np.ndarray, Rs: np.ndarray) -> np.ndarray:
     """Constraint rows on (lambda, mu, 1) for anchor 0, one (4, 3) block per
-    rotation of the ``(K, 3, 3)`` stack ``Rs``, from the ``(K, 5, 3)``
-    Pluecker rows of its sample; every entry is a bilinear form
+    rotation of the ``(K, 3, 3)`` stack ``Rs``, from the ``(4, K, 5, 3)``
+    Pluecker rows ``own`` of its sample; every entry is a bilinear form
     ``x @ R @ y`` in the non-anchor rays."""
-    a1, a2 = q1[:, :1], q2[:, :1]
-    e1 = stacked_cross(m1[:, :1], a1)
-    e2 = stacked_cross(m2[:, :1], a2)
-    q1, q2, m1, m2 = q1[:, 1:], q2[:, 1:], m1[:, 1:], m2[:, 1:]
+    anchors, rays = own[:, :, :1], own[:, :, 1:]
+    # The points m x q nearest the origin on the anchor lines, then
+    # [q1, q2, a1 x q1, a2 x q2, e1 x q1 + m1, e2 x q2 + m2] of the others.
+    e = stacked_cross(anchors[2:], anchors[:2])
+    crosses = stacked_cross(np.concatenate([anchors[:2], e]), rays.take(_VIEWS, 0))
+    crosses[2:] += rays[2:]
+    factors = np.concatenate([rays[:2], crosses])
     # The forms of a, of b and of the two terms of w, at once.
-    left = np.array([q2, stacked_cross(a2, q2), q2, stacked_cross(e2, q2) + m2])
-    right = np.array([stacked_cross(a1, q1), q1, stacked_cross(e1, q1) + m1, q1])
+    left, right = factors.take(_LEFT, 0), factors.take(_RIGHT, 0)
     forms = np.einsum("ikja,kab,ikjb->kji", left, Rs, right)
     rows = forms[..., :3].copy()
     rows[..., 2] += forms[..., 3]
     return rows
 
 
-def _sample_residuals(q1, q2, m1, m2, Rs: np.ndarray, T: np.ndarray) -> np.ndarray:
+def _sample_residuals(own: np.ndarray, Rs: np.ndarray, T: np.ndarray) -> np.ndarray:
     """Generalized epipolar residuals ``-q2^T [t]x R q1 + q2^T R m1 + m2^T R
-    q1`` of each pose of the stack ``(Rs, T)`` on the ``(K, N, 3)`` Pluecker
-    rows of its sample, ``(K, N)``, each over ``|t| + |m1| + |m2|`` so that
-    it does not depend on the scale of the rig."""
-    Rq1 = (Rs[:, None] @ q1[..., None])[..., 0]
-    Rm1 = (Rs[:, None] @ m1[..., None])[..., 0]
-    r = stacked_dot(q2, Rm1 - stacked_cross(T[:, None], Rq1)) + stacked_dot(m2, Rq1)
-    n1, n2 = (np.sqrt(stacked_dot(m, m)) for m in (m1, m2))
+    q1`` of each pose of the stack ``(Rs, T)`` on the ``(4, K, N, 3)``
+    Pluecker rows ``own`` of its sample, ``(K, N)``, each over ``|t| + |m1|
+    + |m2|`` so that it does not depend on the scale of the rig."""
+    Rq1, Rm1 = (Rs[:, None] @ own[::2, ..., None])[..., 0]
+    r = stacked_dot(own[1], Rm1 - stacked_cross(T[:, None], Rq1)) + stacked_dot(own[3], Rq1)
+    n1, n2 = np.sqrt(stacked_dot(own[2:], own[2:]))
     return r / (np.sqrt(stacked_dot(T, T))[:, None] + n1 + n2)
 
 
-def _solve_stack(rays: list[np.ndarray], c) -> tuple[PoseStack, np.ndarray, dict]:
-    """The poses of the ``(B, 5, 3)`` Pluecker rows, solved as one stack, the
-    sample of each, and the error of every sample left without one."""
-    n = len(rays[0])
+def _solve_stack(rays: np.ndarray, c) -> tuple[PoseStack, np.ndarray, dict]:
+    """The poses of the ``(4, B, 5, 3)`` Pluecker rows, solved as one stack,
+    the sample of each, and the error of every sample left without one."""
+    n = rays.shape[1]
     errors: dict[int, RelposeError] = {}
-    flat = central(rays[2], rays[3])
+    flat = central(rays[2:])
     if flat.any():
         with recorded(errors, flat.nonzero()[0].tolist()):
             raise ScaleUnobservable(
@@ -99,8 +96,8 @@ def _solve_stack(rays: list[np.ndarray], c) -> tuple[PoseStack, np.ndarray, dict
     ids = (~flat).nonzero()[0]
     roots, sample = rotation_roots(_LAYERS, GENERAL, build_g_polynomials, rays, ids, c, errors)
     root_count, sample, u, Rs = usable_rotations(roots, sample, n, c, errors)
-    own = [r[sample] for r in rays]
-    _, s, vt = np.linalg.svd(_depth_rows(*own, Rs))
+    own = rays.take(sample, 1)
+    _, s, vt = np.linalg.svd(_depth_rows(own, Rs))
     v = vt[:, -1]
     unobservable = (s[:, 1] <= SCALE_RANK_EPS * s[:, 0]) | (np.abs(v[:, 2]) < SCALE_COMPONENT_EPS)
     observable = (~unobservable).nonzero()[0]
@@ -109,17 +106,17 @@ def _solve_stack(rays: list[np.ndarray], c) -> tuple[PoseStack, np.ndarray, dict
             raise ScaleUnobservable(
                 "translation scale is unobservable for every rotation candidate"
             )
-    v, Rs, u, own = v[observable], Rs[observable], u[observable], [r[observable] for r in own]
+    v, Rs, u = v.take(observable, 0), Rs.take(observable, 0), u.take(observable, 0)
+    own = own.take(observable, 1)
     depths = v[:, :2] / v[:, 2:]
-    q1, q2, m1, m2 = (r[:, 0] for r in own)
-    t1 = stacked_cross(m1, q1) + depths[:, :1] * q1
-    t2 = stacked_cross(m2, q2) + depths[:, 1:] * q2
+    anchors = own[:, :, 0]
+    t1, t2 = stacked_cross(anchors[2:], anchors[:2]) + depths.T[:, :, None] * anchors[:2]
     # The stacked matmul rounds as the per-root R @ t1 does.
     T = t2 - (Rs @ t1[:, :, None])[..., 0]
     if c.tau != 0.0:
         # A zero angle fixes the rotation, so there the sample
         # over-determines the pose.
-        keep = residual_gate(_sample_residuals(*own, Rs, T), sample[observable], n, errors)
+        keep = residual_gate(_sample_residuals(own, Rs, T), sample[observable], n, errors)
         observable, Rs, T, u, depths = (x[keep] for x in (observable, Rs, T, u, depths))
     columns = {"depths": depths, "root_count": root_count[sample[observable]]}
     return PoseStack(Rs, T, c.sigma, u, columns), sample[observable], errors
@@ -135,12 +132,12 @@ def solve_gen5pt_angle(
     null vector of the stacked constraint rows, scaled so its inhomogeneous
     component is one; candidates whose scale is unobservable are dropped.
 
-    With ``samples``, a ``(B, 5)`` index array into ``pairs``, the samples
-    are solved as one stack and the result is their ``SamplePoses``, one
-    ``PoseStack`` per sample, empty where it raises a ``RelposeError``.
+    With ``samples``, a ``(B, 5)`` index array into ``pairs`` (or their
+    ``gbsolver.RayTable``), the samples are solved as one stack and the
+    result is their ``SamplePoses``, one ``PoseStack`` per sample, empty
+    where it raises a ``RelposeError``.
     """
-    picked, n, c = GENERAL.sample_stack(pairs, theta, anchor, samples)
-    rays = [r.reshape(n, 5, 3) for r in _ray_stack(picked, "q1", "q2", "m1", "m2")]
+    rays, n, c = GENERAL.sample_stack(pairs, theta, anchor, samples)
     return answer(*_solve_stack(rays, c), n, samples)
 
 

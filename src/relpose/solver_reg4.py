@@ -26,30 +26,26 @@ from .gbsolver import (
     unsolved,
     usable_rotations,
 )
-from .geom import (
-    BearingPair,
-    PoseStack,
-    RelativePose,
-    cheiral_counts,
-    skew,
-    stacked_cross,
-)
-from .poly import _ray_stack, build_f_polynomials
+from .geom import BearingPair, PoseStack, RelativePose, cheiral_counts, skew, stacked_cross
+from .poly import build_f_polynomials
 
 # The layers are called through this module's attributes.
 _LAYERS = sys.modules[__name__]
 
+# The translation factor of each cheirality sign: -1 negates exactly.
+_SIGNS = np.array([1.0, -1.0])
 
-def _solve_stack(q1: np.ndarray, q2: np.ndarray, c) -> tuple[PoseStack, np.ndarray, dict]:
-    """The poses of the ``(B, 4, 3)`` bearing rows, solved as one stack, the
-    sample of each, and the error of every sample left without one."""
-    n = len(q1)
+
+def _solve_stack(rays: np.ndarray, c) -> tuple[PoseStack, np.ndarray, dict]:
+    """The poses of the ``(2, B, 4, 3)`` bearing rows, solved as one stack,
+    the sample of each, and the error of every sample left without one."""
+    n = rays.shape[1]
     errors: dict[int, RelposeError] = {}
     roots, sample = rotation_roots(
-        _LAYERS, REGULAR, build_f_polynomials, [q1, q2], np.arange(n), c, errors
+        _LAYERS, REGULAR, build_f_polynomials, rays, np.arange(n), c, errors
     )
     root_count, sample, u, Rs = usable_rotations(roots, sample, n, c, errors)
-    Q1, Q2 = q1[sample], q2[sample]
+    Q1, Q2 = rays.take(sample, 1)
     # Rows cross(R q1_i, q2_i) for every root at once; the stacked matmul
     # rounds as the per-root R @ q1_i does.
     rows = stacked_cross((Rs[:, None] @ Q1[..., None])[..., 0], Q2)
@@ -60,18 +56,20 @@ def _solve_stack(q1: np.ndarray, q2: np.ndarray, c) -> tuple[PoseStack, np.ndarr
         # rotation, so there the sample over-determines the pose.
         keep = residual_gate((rows @ T[:, :, None])[..., 0], sample, n, errors)
         sample, Rs, T, u, Q1, Q2 = sample[keep], Rs[keep], T[keep], u[keep], Q1[keep], Q2[keep]
-    pos, neg = cheiral_counts(Rs, T, Q1, Q2)
+    votes = np.asarray(cheiral_counts(Rs, T, Q1, Q2))
     # Keep each sign that wins the cheirality vote, both on a tie, none at 0-0.
-    k, flip = np.array([(pos > 0) & (pos >= neg), (neg > 0) & (neg >= pos)]).T.nonzero()
-    if lost := unsolved(n, sample[k], errors):
+    k, flip = ((votes > 0) & (votes >= votes[::-1])).T.nonzero()
+    sample = sample.take(k)
+    if lost := unsolved(n, sample, errors):
         with recorded(errors, lost):
             raise NoCheiralSolution("no candidate places any point in front of both cameras")
-    stack = PoseStack(Rs[k], np.where(flip[:, None] == 1, -T[k], T[k]), c.sigma, u[k], {
-        "cheiral_count": np.where(flip == 1, neg[k], pos[k]),
-        "cheirality_tie": (pos == neg)[k],
-        "root_count": root_count[sample[k]],
+    T = T.take(k, 0) * _SIGNS.take(flip)[:, None]
+    stack = PoseStack(Rs.take(k, 0), T, c.sigma, u.take(k, 0), {
+        "cheiral_count": votes[flip, k],
+        "cheirality_tie": (votes[0] == votes[1]).take(k),
+        "root_count": root_count.take(sample),
     })
-    return stack, sample[k], errors
+    return stack, sample, errors
 
 
 def solve_4pt_angle(
@@ -84,13 +82,13 @@ def solve_4pt_angle(
     relabels the correspondences before the constraint system is built; any
     choice yields the same solution set.
 
-    With ``samples``, a ``(B, 4)`` index array into ``pairs``, the samples
-    are solved as one stack and the result is their ``SamplePoses``, one
-    ``PoseStack`` per sample, empty where it raises a ``RelposeError``.
+    With ``samples``, a ``(B, 4)`` index array into ``pairs`` (or their
+    ``gbsolver.RayTable``), the samples are solved as one stack and the
+    result is their ``SamplePoses``, one ``PoseStack`` per sample, empty
+    where it raises a ``RelposeError``.
     """
-    picked, n, c = REGULAR.sample_stack(pairs, theta, anchor, samples)
-    q1, q2 = (r.reshape(n, 4, 3) for r in _ray_stack(picked, "q1", "q2"))
-    return answer(*_solve_stack(q1, q2, c), n, samples)
+    rays, n, c = REGULAR.sample_stack(pairs, theta, anchor, samples)
+    return answer(*_solve_stack(rays, c), n, samples)
 
 
 def sampson_errors(R: np.ndarray, t: np.ndarray, q1s: np.ndarray, q2s: np.ndarray) -> np.ndarray:

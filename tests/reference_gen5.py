@@ -152,8 +152,8 @@ def loop_solve_gen5pt_angle(pairs: list[PluckerPair], theta: float, anchor: int 
     quats = rectified_quaternions(roots, c)
     Rs = rotation_stack(c.sigma, np.array([q.u for q in quats]))
     rays = (np.array([getattr(p, a) for p in ordered]) for a in ("q1", "q2", "m1", "m2"))
-    own = (np.repeat(r[None], len(Rs), axis=0) for r in rays)
-    _, s, vt = np.linalg.svd(solver_gen5._depth_rows(*own, Rs))
+    own = np.array([np.repeat(r[None], len(Rs), axis=0) for r in rays])
+    _, s, vt = np.linalg.svd(solver_gen5._depth_rows(own, Rs))
     v = vt[:, -1]
     unobservable = (s[:, 1] <= SCALE_RANK_EPS * s[:, 0]) | (np.abs(v[:, 2]) < SCALE_COMPONENT_EPS)
 

@@ -63,7 +63,7 @@ from relpose.gbsolver import (
     rescaled_roots,
     rotation_roots,
 )
-from relpose.geom import UnitQuaternion, _as_vec3, rotation_stack
+from relpose.geom import UnitQuaternion, _as_vec3, rotation_stack, sigma_from_angle
 from relpose.poly import (
     COINCIDENT_RAY_EPS,
     GrevlexBasis,
@@ -93,8 +93,11 @@ def prepare(problem, pairs: list, theta: float, anchor: int):
     """The pairs of one sample of ``problem``, checked for size and relabelled
     cyclically so that ``pairs[anchor]`` comes first, and the sphere
     constraint."""
-    ordered, _, c = problem.sample_stack(pairs, theta, anchor, None)
-    return ordered, c
+    n = problem.sample_size
+    if len(pairs) != n:
+        raise ValueError(f"exactly {n} correspondences required, got {len(pairs)}")
+    c = sigma_from_angle(theta)
+    return list(pairs[anchor % n :]) + list(pairs[: anchor % n]), c
 
 
 def rotation_candidates(module, pairs: list, c) -> np.ndarray:
@@ -106,7 +109,7 @@ def rotation_candidates(module, pairs: list, c) -> np.ndarray:
         problem, generators, names = REGULAR, module.build_f_polynomials, ("q1", "q2")
     else:
         problem, generators, names = GENERAL, module.build_g_polynomials, ("q1", "q2", "m1", "m2")
-    rays = [r[None] for r in _ray_stack(pairs, *names)]
+    rays = np.array(_ray_stack(pairs, *names))[:, None]
     roots, _ = rotation_roots(module, problem, generators, rays, np.arange(1), c, errors)
     if errors:
         raise errors[0]

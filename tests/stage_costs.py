@@ -1,0 +1,142 @@
+"""Fixed and per-sample cost of every stage of a stacked solver call.
+
+    python3 tests/stage_costs.py [--pairs 15] [--repeats 15]
+
+Takes the first ``--pairs`` frame pairs of the ``ransac`` panel of
+``perfbench/run.py`` and, on each, the samples the first round of its
+RANSAC run draws.  Solves the first sample alone and the first eight as one
+stack (``samples=``), on the pairs as ``ransac_estimate`` hands them over
+(their ``gbsolver.RayTable`` where the package has one), with a spy on
+every stage: the module attributes that
+``perfbench/spans.py`` traces, plus ``polish_roots``, ``rotation_roots``,
+``usable_rotations``, ``residual_gate``, ``PoseStack``, ``answer``, the
+pose helpers of each solver and ``gbsolver._eliminate`` / ``_attempt``.  A
+stage's time is its own, less that of the spied stages it calls; ``solve``
+is what no spy holds (checking arguments and gathering the rays).  From the
+times ``t1`` and ``t8`` summed over the frame pairs it prints, per stage
+and per call, the per-sample cost ``(t8 - t1) / 7`` and the fixed cost
+``t1`` less one sample, in microseconds: medians over ``--repeats`` passes,
+after one untimed pass.  Times are not scaled to the machine's speed, so
+compare runs made one after another on one machine.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import statistics
+import sys
+import time
+from collections import Counter
+
+import numpy as np
+
+from panel_digests import PERFBENCH, load_run
+
+# The stages spied in each solver module besides the traced layers.
+COMMON = (
+    "polish_roots", "rotation_roots", "usable_rotations", "residual_gate", "PoseStack", "answer",
+    "_solve_stack",
+)
+HELPERS = {"reg4": ("cheiral_counts",), "gen5": ("central", "_depth_rows", "_sample_residuals")}
+GBSOLVER = ("_eliminate", "_attempt")
+SIZES = (1, 8)
+
+
+class Spies:
+    """Own time of every spied call, less that of the spied calls inside it."""
+
+    def __init__(self):
+        self.own: Counter = Counter()
+        self._inner: list[float] = []
+
+    def wrap(self, name: str, fn):
+        def spy(*args, **kwargs):
+            self._inner.append(0.0)
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                took = time.perf_counter() - start
+                self.own[name] += took - self._inner.pop()
+                if self._inner:
+                    self._inner[-1] += took
+
+        return spy
+
+
+def stage_names(rp, solver: str) -> list[tuple[object, str]]:
+    """``(module, attribute)`` of every spied stage of ``solver``."""
+    module = getattr(rp, f"solver_{solver}")
+    spans = load_spans()
+    traced = [attr for mod, attr, _ in spans.LAYERS if mod == module.__name__.split(".")[-1]]
+    names = [(module, attr) for attr in (*traced, *COMMON, *HELPERS[solver])]
+    return names + [(rp.gbsolver, attr) for attr in GBSOLVER]
+
+
+def load_spans():
+    """``perfbench/spans.py`` as a module, read only."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
+def one_pass(rp, names, calls) -> dict[int, Counter]:
+    """Own time of every stage, summed over ``calls``, per stack size."""
+    out = {}
+    for size in SIZES:
+        spies = Spies()
+        originals = [(mod, attr, getattr(mod, attr)) for mod, attr in names]
+        for mod, attr, fn in originals:
+            setattr(mod, attr, spies.wrap(attr, fn))
+        try:
+            for fn, pairs, theta, samples in calls:
+                spies.wrap("solve", fn)(pairs, theta, samples=samples[:size])
+        finally:
+            for mod, attr, fn in originals:
+                setattr(mod, attr, fn)
+        out[size] = spies.own
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--pairs", type=int, default=15)
+    ap.add_argument("--repeats", type=int, default=15)
+    args = ap.parse_args(argv)
+    run = load_run()
+    rp = run.load_relpose()
+    panel = run.make_panel(rp, "ransac")
+    for solver, ops in panel.items():
+        size = 4 if solver == "reg4" else 5
+        calls = []
+        for op in ops[: args.pairs]:
+            pairs, theta, cfg, _ = op.args
+            rng = np.random.default_rng(cfg.seed)
+            samples = np.array([rng.choice(len(pairs), size, replace=False) for _ in range(8)])
+            if hasattr(rp.gbsolver, "RayTable"):
+                # As ransac_estimate hands the pairs over.
+                problem = rp.gbsolver.REGULAR if solver == "reg4" else rp.gbsolver.GENERAL
+                pairs = rp.gbsolver.RayTable(pairs, problem.ray_names)
+            calls.append((getattr(rp, f"solve_{'4pt' if solver == 'reg4' else 'gen5pt'}_angle"),
+                          pairs, theta, samples))
+        names = stage_names(rp, solver)
+        one_pass(rp, names, calls)
+        passes = [one_pass(rp, names, calls) for _ in range(args.repeats)]
+        stages = ["solve", *(attr for _, attr in names)]
+        print(f"{solver}: us per call, {len(calls)} frame pairs, median of {args.repeats}")
+        print(f"  {'stage':28s} {'fixed':>9s} {'per sample':>11s}")
+        totals = [0.0, 0.0]
+        for stage in stages:
+            per = [1e6 * (p[8][stage] - p[1][stage]) / 7 / len(calls) for p in passes]
+            fixed = [1e6 * p[1][stage] / len(calls) - s for p, s in zip(passes, per)]
+            row = [statistics.median(fixed), statistics.median(per)]
+            totals = [a + b for a, b in zip(totals, row)]
+            print(f"  {stage:28s} {row[0]:9.1f} {row[1]:11.1f}")
+        print(f"  {'total':28s} {totals[0]:9.1f} {totals[1]:11.1f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -42,6 +42,7 @@ from relpose.geom import BearingPair, PluckerPair, RelativePose, quat_to_rotatio
 from relpose.poly import (
     _bilinear_coeffs,
     _f_dets,
+    _f_rays,
     _f_rows,
     _g_dets,
     _g_rows,
@@ -135,7 +136,8 @@ class TestGeneratorsMatchSpecs:
         c = sigma_from_angle(theta)
         q1, q2 = _ray_stack(pairs, "q1", "q2")
         for f, (i, j, k) in zip(build_f_polynomials(q1, q2, c), F_TRIPLES, strict=True):
-            assert_bits(f, _f_dets(_f_rows(q1, q2, np.array([i, i]), np.array([j, k]), c.sigma)))
+            rays = _f_rays(q1, q2, np.array([i, i]), np.array([j, k]))
+            assert_bits(f, _f_dets(_f_rows(rays, c.sigma)))
             assert_bits(f, ref.f_determinant(pairs, i, j, k, c).coeffs)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -634,21 +636,26 @@ class TestUnreachableMonomial:
 
 
 class TestDegenerateInputs:
-    def test_coincident_rays_raise_the_same_message(self):
+    @pytest.mark.parametrize("view", [1, 2])
+    @pytest.mark.parametrize("first,second", list(zip(*np.triu_indices(4, 1))))
+    def test_coincident_rays_raise_the_same_message(self, first, second, view):
+        # Ray ``second`` is ray ``first`` in one view only, so that pair is
+        # the first and only coincident one.
         pairs = problem("reg4", "central", "forward", 0.5, 1)
         c = sigma_from_angle(0.5)
-        for bad, view in (
-            ([pairs[0], pairs[1], pairs[1], pairs[3]], "view 1"),
-            ([pairs[0], pairs[1], BearingPair(q1=pairs[2].q1, q2=pairs[0].q2), pairs[3]], "view 2"),
-        ):
-            with pytest.raises(DegenerateInput) as batched:
-                build_f_polynomials(*_ray_stack(bad, "q1", "q2"), c)
-            with pytest.raises(DegenerateInput) as scalar:
-                ref.build_f_polynomials(bad, c)
-            assert str(batched.value) == str(scalar.value)
-            assert view in str(batched.value)
-            with pytest.raises(DegenerateConfiguration):
-                solve_4pt_angle(bad, 0.5)
+        name = f"q{view}"
+        bad = list(pairs)
+        bad[second] = replace(pairs[second], **{name: getattr(pairs[first], name)})
+        with pytest.raises(DegenerateInput) as batched:
+            build_f_polynomials(*_ray_stack(bad, "q1", "q2"), c)
+        with pytest.raises(DegenerateInput) as scalar:
+            ref.build_f_polynomials(bad, c)
+        assert str(batched.value) == str(scalar.value)
+        assert str(batched.value).startswith(f"rays {first} and {second} coincide in view {view};")
+        with pytest.raises(DegenerateConfiguration) as solved:
+            solve_4pt_angle(bad, 0.5)
+        assert isinstance(solved.value.__cause__, DegenerateInput)
+        assert str(solved.value.__cause__) == str(scalar.value)
 
     def test_collapsed_determinant(self):
         pairs = problem("gen5", "generalized", "forward", 0.5, 2)

@@ -11,9 +11,15 @@ import reference_robust
 import relpose.robust as robust
 from reference_robust import loop_ransac_estimate
 from relpose import solver_gen5, solver_reg4
-from relpose.exceptions import DegenerateConfiguration, NoHypothesis, ScaleUnobservable
+from relpose.exceptions import (
+    DegenerateConfiguration,
+    DegenerateInput,
+    NoHypothesis,
+    ScaleUnobservable,
+)
 from relpose.gbsolver import GENERAL, REGULAR, SamplePoses
-from relpose.geom import BearingPair, PluckerPair, PoseStack, rotation_angle
+from relpose.geom import BearingPair, PluckerPair, PoseStack, rotation_angle, sigma_from_angle
+from relpose.poly import _ray_stack
 from relpose.robust import (
     BATCH_LIMIT,
     DEFAULT_POINT_RAY_THRESHOLD,
@@ -266,6 +272,61 @@ def test_a_stack_solves_each_sample_bit_for_bit_as_alone(monkeypatch, kind):
     assert len(out) == len(samples) and len(list(out)[8]) == 0
     for row, block in zip(samples, out):
         assert_solved_as_alone(kind, observed, theta, row, block)
+
+
+GENERATORS = {"reg4": (solver_reg4, "build_f_polynomials"), "gen5": (solver_gen5, "build_g_polynomials")}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_degenerate_sample_costs_one_generator_call(monkeypatch, kind):
+    # One repeated correspondence in a stack of 32: the generators name that
+    # sample, and the stack is solved in one call, every other sample as
+    # it is solved alone.
+    observed, theta = frame_pair(kind, 4)
+    rng = np.random.default_rng(4)
+    size = 4 if kind == "reg4" else 5
+    samples = np.array([rng.choice(len(observed), size, replace=False) for _ in range(32)])
+    samples[13, 2] = samples[13, 0]
+    module, name = GENERATORS[kind]
+    original, calls = getattr(module, name), []
+
+    def spy(*args):
+        calls.append(len(args[0]))
+        return original(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(module, name, spy)
+        out = SOLVES[kind](observed, theta, samples=samples)
+    assert calls == [32]
+    assert len(out) == 32 and len(list(out)[13]) == 0
+    for row, block in zip(samples, out):
+        assert_solved_as_alone(kind, observed, theta, row, block)
+    # Alone, the sample raises DegenerateConfiguration, caused by the
+    # DegenerateInput that a direct call of the generators raises.
+    pairs = [observed[i] for i in samples[13]]
+    with pytest.raises(DegenerateConfiguration) as alone:
+        SOLVES[kind](pairs, theta)
+    names = (REGULAR if kind == "reg4" else GENERAL).ray_names
+    with pytest.raises(DegenerateInput) as direct:
+        original(*_ray_stack(pairs, *names), sigma_from_angle(theta))
+    assert isinstance(alone.value.__cause__, DegenerateInput)
+    assert str(alone.value.__cause__) == str(direct.value)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_duplicated_observation_matches_the_loop(monkeypatch, kind):
+    # The last observation repeats the first; some samples hold both.
+    twins = 0
+    for seed in range(12):
+        observed, theta = frame_pair(kind, seed, n_obs=12)
+        observed = observed + observed[:1]
+        cfg = config(kind, seed, keep_trace=True, max_iterations=60)
+        with monkeypatch.context() as m:
+            rounds = spy_on_rounds(m, kind)
+            result = ransac_estimate(observed, theta, cfg, kind)
+        twins += sum(np.isin([0, 12], row).all() for samples, _ in rounds for row in samples)
+        assert_same(result, loop_ransac_estimate(observed, theta, cfg, kind))
+    assert twins > 0
 
 
 def test_a_gen5_sample_falls_back_to_the_second_partition(monkeypatch):
