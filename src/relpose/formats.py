@@ -148,10 +148,14 @@ def emit_pose_document(poses: list[RelativePose], kind: str) -> str:
         lines.append(f"solution {i}")
         lines.append("R " + " ".join(format_float(v) for v in p.R.ravel()))
         lines.append("t " + " ".join(format_float(v) for v in p.t))
-        lines.append("quat " + " ".join(format_float(v) for v in (p.quat.sigma, *p.quat.u)))
+        lines.append(
+            "quat " + " ".join(format_float(v) for v in (p.quat.sigma, *p.quat.u))
+        )
         lines.append(f"rotation_angle_rad {format_float(rotation_angle(p.R))}")
         if kind == "generalized" and p.depths is not None:
-            lines.append("depths " + " ".join(format_float(v) for v in p.depths))
+            lines.append(
+                "depths " + " ".join(format_float(v) for v in p.depths)
+            )
         if p.cheiral_count is not None:
             lines.append(f"cheiral_count {p.cheiral_count}")
             lines.append(f"cheirality_tie {int(p.cheirality_tie)}")
@@ -194,7 +198,9 @@ def parse_gyro_csv(text: str) -> list[GyroSample]:
 def emit_gyro_csv(samples: list[GyroSample]) -> str:
     lines = [GYRO_HEADER]
     for s in samples:
-        lines.append(",".join([str(s.timestamp_ns), *(format_float(v) for v in s.w)]))
+        lines.append(
+            ",".join([str(s.timestamp_ns), *(format_float(v) for v in s.w)])
+        )
     return "\n".join(lines) + "\n"
 
 

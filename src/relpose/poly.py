@@ -145,7 +145,7 @@ _PAIRED = np.array([7, 2, 3, 1, 2, 5, 5, 6, 1, 3, 6, 7])
 # From the blocks (a^2, b^2, c^2), (ab, ac, bc), (a, b, c), (1) to the
 # degree-2 basis order a^2, ab, b^2, ac, bc, c^2, a, b, c, 1.
 _BILINEAR_ORDER = np.array([0, 3, 1, 4, 5, 2, 6, 7, 8, 9])
-# Index arrays of ``_f_rows``, ``_g_rows`` and ``_g_dets``: the rays paired
+# Index arrays of ``_f_dets``, ``_g_rows`` and ``_g_dets``: the rays paired
 # in bilinear forms, and the entries multiplied in determinants.
 _F_LEFT, _F_RIGHT, _G_VIEWS = np.array([0, 2]), np.array([3, 1]), np.array([0, 1, 0, 1])
 _G_LEFT, _G_RIGHT = np.array([0, 4, 2, 4, 6, 4]), np.array([5, 1, 5, 3, 5, 7])
@@ -185,14 +185,10 @@ def _f_rays(q1: np.ndarray, q2: np.ndarray, i, j) -> np.ndarray:
     return np.concatenate([_cross(q.take(i, -2), qj), qj])
 
 
-def _f_rows(rays: np.ndarray, sigma: float) -> np.ndarray:
-    """Depth-elimination rows of the ``_f_rays``: entry ``(j, i)`` of each 2 x 2
-    quadratic matrix at ``[i, ..., j, :]``, ``(2, ..., 2, 10)``."""
-    return _bilinear_coeffs(rays.take(_F_LEFT, 0), rays.take(_F_RIGHT, 0), sigma)
-
-
-def _f_dets(entries: np.ndarray) -> np.ndarray:
-    """Quartic determinants of the quadratic matrices of ``_f_rows``."""
+def _f_dets(rays: np.ndarray, sigma: float) -> np.ndarray:
+    """Quartic determinants of the 2 x 2 depth-elimination matrices of the
+    ``_f_rays``, whose entry ``(j, i)`` is ``entries[i, ..., j, :]``."""
+    entries = _bilinear_coeffs(rays.take(_F_LEFT, 0), rays.take(_F_RIGHT, 0), sigma)
     prods = _mul_stack(entries[:, ..., 0, :], entries[::-1, ..., 1, :], 2, 2, 4)
     return prods[0] - prods[1]
 
@@ -208,11 +204,6 @@ _G_ANCHORS, _G_FREE = np.repeat(_G_QUADRUPLES[:, :1], 3, axis=1), _G_QUADRUPLES[
 # and the _F_ANCHORS x _F_FREE cross that holds it up to an exact sign.
 _F_RAY_PAIRS = np.triu_indices(4, 1)
 _F_PAIR_CROSSES = np.array([6, 7, 4, 0, 1, 2])
-
-
-def _check_rays(rays: np.ndarray, n: int, what: str) -> None:
-    if rays.shape[-2:] != (n, 3):
-        raise ValueError(f"exactly {n} {what} required")
 
 
 def _degenerate(messages: dict, errors: dict | None) -> None:
@@ -235,7 +226,8 @@ def build_f_polynomials(
     (its rows are left as they come out); without ``errors`` the first one
     is raised.
     """
-    _check_rays(q1, 4, "bearing pairs")
+    if q1.shape[-2:] != (4, 3):
+        raise ValueError("exactly 4 bearing pairs required")
     rays = _f_rays(q1, q2, _F_ANCHORS, _F_FREE)
     coincident = np.sqrt(_dot(rays[:2], rays[:2])) < COINCIDENT_RAY_EPS
     if coincident.any():
@@ -247,7 +239,7 @@ def build_f_polynomials(
             "correspondences must be distinct"
             for s, k in enumerate(found.reshape(-1, 12).argmax(-1).tolist()) if found[s].any()
         }, errors)
-    return _f_dets(_f_rows(rays, c.sigma))
+    return _f_dets(rays, c.sigma)
 
 
 def _g_rows(q1, q2, m1, m2, i, j, sigma: float) -> np.ndarray:
@@ -289,7 +281,8 @@ def build_g_polynomials(
     the degree-6 basis, from the ``(..., 5, 3)`` Pluecker rows of one sample
     per leading index.  A sample with a collapsed determinant gets a
     ``DegenerateInput``, as ``build_f_polynomials`` reports it."""
-    _check_rays(q1, 5, "Pluecker pairs")
+    if q1.shape[-2:] != (5, 3):
+        raise ValueError("exactly 5 Pluecker pairs required")
     dets = _g_dets(_g_rows(q1, q2, m1, m2, _G_ANCHORS, _G_FREE, c.sigma))
     collapsed = np.abs(dets).max(axis=-1) < 1e-12
     if collapsed.any():
