@@ -335,11 +335,11 @@ def cheiral_counts(Rs: np.ndarray, T: np.ndarray, q1: np.ndarray, q2: np.ndarray
     Rt = Rs.transpose(0, 2, 1)
     d2 = (Rt[:, None] @ q2[..., None])[..., 0]
     origin2 = (-Rt @ T[:, :, None])[:, None, :, 0]
-    # The products with d2 and with origin2, once per ray.
-    right = np.array([d2, origin2.repeat(d2.shape[1], 1)])
     a = stacked_dot(q1, q1)
-    b, e1 = stacked_dot(q1, right)
-    d, e2 = stacked_dot(d2, right)
+    b = stacked_dot(q1, d2)
+    d = stacked_dot(d2, d2)
+    e1 = stacked_dot(q1, origin2)
+    e2 = stacked_dot(d2, origin2)
     det = b * b - a * d
     solvable = ~(np.abs(det) <= PARALLEL_RAY_EPS * a * d)
     # Closest approach of rays s q1 and origin2 + r d2:
