@@ -104,19 +104,15 @@ class TemplateProblem:
         table = pairs if isinstance(pairs, RayTable) else RayTable(pairs, self.ray_names)
         if table.names != self.ray_names:
             raise ValueError(f"a table of {table.names} rays, not {self.ray_names}")
-        order = (np.arange(n) + anchor) % n
         if samples is None:
             if table.rays.shape[1] != n:
                 raise ValueError(f"exactly {n} correspondences required, got {table.rays.shape[1]}")
-            samples = order[None]
-        else:
-            samples = np.asarray(samples)
-            if samples.ndim != 2 or samples.shape[1] != n:
-                shape = samples.shape
-                raise ValueError(f"samples must be a (B, {n}) index array, got shape {shape}")
-            samples = samples[:, order]
+            samples = np.arange(n)[None]
+        samples = np.asarray(samples)
+        if samples.ndim != 2 or samples.shape[1] != n:
+            raise ValueError(f"samples must be a (B, {n}) index array, got shape {samples.shape}")
         c = sigma_from_angle(theta)
-        return table.rays.take(samples, 1), len(samples), c
+        return table.rays.take(samples[:, (np.arange(n) + anchor) % n], 1), len(samples), c
 
 
 class RayTable:
@@ -314,7 +310,7 @@ def assemble_reduced_template(
     )
     n_samples = math.prod(lead)
     stack = np.zeros((basis.size * len(labels), n_samples))
-    stack[dest] = generators.reshape(n_samples, -1).take(src, 1).T
+    stack[dest] = generators.reshape(n_samples, -1)[:, src].T
     stack = stack.reshape(basis.size, len(labels) * n_samples)
     reduce_columns_mod_h(stack, basis, c.tau)
     remainder = stack[basis.alpha2_size :].reshape(-1, len(labels), n_samples)
@@ -657,12 +653,10 @@ def _polish_tables(n_gen: int, width: int) -> tuple[np.ndarray, ...]:
 
     Row ``v`` of ``powers`` picks the power of variable ``v`` of every
     monomial out of a flat ``(3, degree + 1)`` table of powers.  Table row
-    ``r`` is ``scale[r]`` times the entries ``gather[r]`` of the ``(n_gen +
-    1, width + 1)`` equations: the equations, then the derivative of each by
-    each variable, whose coefficient at ``m`` is the coefficient at ``m``
-    times that variable, times its power there, or the zero last column.
-    ``blank`` is the equations without the generators and without ``tau``
-    at the monomial 1, column ``one``.
+    ``r`` is ``scale[r]`` times the entries ``gather[r]`` of the zero-padded
+    ``(n_gen + 1, width + 1)`` equations: the equations, then the derivative
+    of each by each variable.  ``blank`` holds the sphere row without its
+    constant, which goes to column ``one``.
     """
     basis = _basis_of_width(width)
     degree = basis.max_degree
@@ -679,7 +673,7 @@ def _polish_tables(n_gen: int, width: int) -> tuple[np.ndarray, ...]:
     scale = np.concatenate([np.ones((n_gen + 1, width)), np.tile(factor, (n_gen + 1, 1))])
     blank = np.zeros((n_gen + 1, width + 1))
     blank[n_gen, [basis.index[m] for m in ((2, 0, 0), (0, 2, 0), (0, 0, 2))]] = 1.0
-    return np.arange(degree + 1.0), powers, gather, scale, blank, basis.index[(0, 0, 0)]
+    return np.arange(degree + 1), powers, gather, scale, blank, basis.index[(0, 0, 0)]
 
 
 def polish_roots(
@@ -710,9 +704,8 @@ def polish_roots(
     coeffs = (eqs.reshape(n_samples, -1).take(gather, 1) * scale).transpose(0, 2, 1)
 
     def evaluate(x, owner):
-        table = (x[:, :, None] ** exponents).reshape(len(x), -1).take(powers, 1)
-        # In Fortran order, which the matmul kernels below round by.
-        monomials = np.multiply(table[:, 0] * table[:, 1], table[:, 2], order="F")
+        table = (x[:, :, None] ** exponents).reshape(len(x), -1)[:, powers]
+        monomials = table[:, 0] * table[:, 1] * table[:, 2]
         # One matmul per sample on its own rows, so that a sample's values
         # round as in a solve of that sample alone: the small-matrix BLAS
         # kernels round by the shape of their operands.

@@ -137,14 +137,24 @@ class PluckerPair:
                 raise ValueError(f"{name} violates line incidence: q.m = {float(q @ m)!r}")
 
 
+# Column pairs of a rotation and their products under the identity; the
+# minors of the second and third rows along the first.
+_LEFT_COLUMN, _RIGHT_COLUMN = np.array([0, 1, 2, 0, 0, 1]), np.array([0, 1, 2, 1, 2, 2])
+_IDENTITY_PRODUCTS = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+_MINOR_A, _MINOR_B = np.array([1, 0, 0]), np.array([2, 2, 1])
+
+
 def check_poses(Rs: np.ndarray, ts: np.ndarray) -> None:
     """Raise the ``ValueError`` of the first of the ``(P, 3, 3)`` rotations
     and ``(P, 3)`` translations that is not a rotation, with ``R^T R - I``
-    and ``det R - 1 = r0 . (r1 x r2) - 1`` within 1e-9, or not finite."""
-    det = stacked_dot(Rs[:, 0], stacked_cross(Rs[:, 1], Rs[:, 2]))
-    rotation = (np.abs(Rs.transpose(0, 2, 1) @ Rs - _IDENTITY) <= 1e-9).all(axis=(1, 2)) & (
-        np.abs(det - 1.0) <= 1e-9
-    )
+    and ``det R - 1`` (expanded along the first row) within 1e-9, or not
+    finite.  A NaN fails every test."""
+    products = Rs[..., _LEFT_COLUMN] * Rs[..., _RIGHT_COLUMN]
+    r1, r2 = Rs[:, 1], Rs[:, 2]
+    terms = Rs[:, 0] * (r1[:, _MINOR_A] * r2[:, _MINOR_B] - r1[:, _MINOR_B] * r2[:, _MINOR_A])
+    rotation = (
+        np.abs(products[:, 0] + products[:, 1] + products[:, 2] - _IDENTITY_PRODUCTS) <= 1e-9
+    ).all(axis=1) & (np.abs(terms[:, 0] - terms[:, 1] + terms[:, 2] - 1.0) <= 1e-9)
     valid = rotation & np.isfinite(ts).all(axis=1)
     if not valid.all():
         first = np.argmin(valid)

@@ -64,8 +64,7 @@ def _depth_rows(own: np.ndarray, Rs: np.ndarray) -> np.ndarray:
     crosses[2:] += rays[2:]
     factors = np.concatenate([rays[:2], crosses])
     # The forms of a, of b and of the two terms of w, at once.
-    left, right = factors.take(_LEFT, 0), factors.take(_RIGHT, 0)
-    forms = np.einsum("ikja,kab,ikjb->kji", left, Rs, right)
+    forms = np.einsum("ikja,kab,ikjb->kji", factors.take(_LEFT, 0), Rs, factors.take(_RIGHT, 0))
     rows = forms[..., :3].copy()
     rows[..., 2] += forms[..., 3]
     return rows

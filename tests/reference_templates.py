@@ -109,7 +109,7 @@ def rotation_candidates(module, pairs: list, c) -> np.ndarray:
         problem, generators, names = REGULAR, module.build_f_polynomials, ("q1", "q2")
     else:
         problem, generators, names = GENERAL, module.build_g_polynomials, ("q1", "q2", "m1", "m2")
-    rays = np.array(_ray_stack(pairs, *names))[:, None]
+    rays = _ray_stack(pairs, *names)[:, None]
     roots, _ = rotation_roots(module, problem, generators, rays, np.arange(1), c, errors)
     if errors:
         raise errors[0]

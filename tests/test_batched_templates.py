@@ -636,7 +636,7 @@ class TestUnreachableMonomial:
 
 class TestDegenerateInputs:
     @pytest.mark.parametrize("view", [1, 2])
-    @pytest.mark.parametrize("first,second", list(zip(*np.triu_indices(4, 1))))
+    @pytest.mark.parametrize("first,second", [(i, j) for i in range(4) for j in range(i + 1, 4)])
     def test_coincident_rays_raise_the_same_message(self, first, second, view):
         # Ray ``second`` is ray ``first`` in one view only, so that pair is
         # the first and only coincident one.
