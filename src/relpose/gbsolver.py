@@ -3,27 +3,34 @@
 The pipeline is generic over the generators: multiply them by a fixed set of
 monomials, reduce every product modulo the sphere constraint, stack the
 remainder-block coefficients into a template matrix, and row-reduce it on a
-pivot partition against the non-pivot (standard) columns only: these are
-the quotient-ring basis, and each pivot row is a row of the multiplication
-matrix for gamma as it is.  Its near-real eigenvalues come from
-``np.linalg.eigvals`` (``eigensolve_real``); ``extract_roots`` rebuilds
-their eigenvectors from the gamma chains of the quotient basis by two
-batched inverse-iteration steps, so that cost is traced in the
-``gbsolver.extract`` layer.  Every root is then polished by Gauss-Newton
-steps on the generators.
+pivot partition and on the non-pivot (standard) columns only: these are the
+quotient-ring basis, and each pivot row is a row of the multiplication
+matrix for gamma as it is.  Take its eigenvalues, recover candidate roots
+from the eigenvectors of the near-real ones, and polish every root with
+Gauss-Newton steps on the generators.
 
-Each minimal problem is one ``TemplateProblem`` with a short chain of
-committed pivot partitions, so there is one elimination algorithm, an LU
-solve on fixed data: a sample tries the next partition only where one
-raises or drops a root as inconsistent, and keeps the roots of the attempt
-that dropped the fewest.  Polishing supplies the accuracy that per-instance
-pivoting used to buy, and ``residual_gate`` keeps only poses that satisfy
-their own sample.
+Eigenvalues come from ``np.linalg.eigvals`` (``eigensolve_real``).  The
+eigenvectors are rebuilt from the gamma chains of the quotient basis
+(``_gamma_chains``) by two batched steps of inverse iteration over every real
+eigenvalue of a partition attempt (``extract_roots``), so their cost is
+traced in the ``gbsolver.extract`` layer, not in ``gbsolver.eig``.  The
+chains make the gamma entry and every product with a gamma factor hold by
+construction; the alpha^2, alpha beta and beta^2 products carry the
+consistency test.
+
+Each minimal problem is one ``TemplateProblem``.  It carries a short
+chain of committed pivot partitions, so there is one elimination
+algorithm, an LU solve on fixed data: a solver tries the next partition
+only where one raises or drops a root as inconsistent, and keeps the roots
+of the attempt that dropped the fewest.  Polishing supplies the accuracy
+that per-instance pivoting used to buy, and ``residual_gate`` keeps only
+poses that satisfy their own sample.
 
 Every layer takes a stack of samples, one per leading index, so that RANSAC
-solves the samples of a round at once; a single solve is the stack of one,
-and a sample that fails fails alone.  The solvers call every layer through
-their own module attributes, where ``perfbench/spans.py`` traces them.
+solves the samples of a round at once; a single solve is the stack of one.
+A sample that fails fails alone: ``rotation_roots`` records its error and
+solves the rest.  The solvers call every layer through their own module
+attributes, where ``perfbench/spans.py`` traces them.
 """
 
 from __future__ import annotations
@@ -298,9 +305,11 @@ def assemble_reduced_template(
     """Stack reduced multiplier-times-generator rows over the remainder block.
 
     ``generators`` is an ``(..., n_gen, n_coeffs)`` coefficient array, one
-    set per leading index, of the degree its width fixes.  Every product is
-    gathered by a cached plan into a column of one monomial-major stack, and
-    the whole stack is reduced modulo the sphere constraint at once.
+    set per leading index; its width fixes the generator degree.  Every
+    product is gathered into a column of one monomial-major stack by a
+    cached index plan, the samples side by side, and the whole stack is
+    reduced modulo the sphere constraint at once.  The matrix has the
+    leading shape of ``generators``.
     """
     basis = grevlex_basis(target_degree)
     *lead, n_generators, width = generators.shape
@@ -325,8 +334,10 @@ def rref_conditioned(B: np.ndarray, pivots: tuple[int, ...]) -> np.ndarray:
     solve of that pivot block against the standard (non-pivot) columns, in
     the order of ``QuotientBasis.template_cols``: row ``i`` of each result
     is the pivot polynomial led by column ``pivots[i]``, less its pivot
-    columns.  A singular or non-finite solve anywhere in the stack raises
-    ``RankDeficient``; a poorly conditioned one is caught downstream.
+    columns (1 at its own, 0 at the others).  A singular or non-finite solve
+    anywhere in the stack raises ``RankDeficient``; a poorly conditioned one
+    goes unnoticed here, and the solvers catch it downstream.  The name is
+    what ``perfbench/spans.py`` traces as the ``gbsolver.rref`` layer.
     """
     # A remainder block of degree d has (d + 1)^2 columns.
     qb = _quotient_basis(math.isqrt(B.shape[-1]) - 1, tuple(pivots), B.shape[-1] - len(pivots))
@@ -475,18 +486,20 @@ def _gamma_chains(qb: QuotientBasis):
     """The gamma chains of the quotient basis, and how ``extract_roots``
     builds its chain systems from them.
 
-    A unit row ``i -> j`` of the action matrix (gamma times monomial ``i``
-    is monomial ``j``) means ``v[j] = lambda * v[i]`` for every eigenvector,
-    so the basis splits into chains ``m, gamma m, gamma^2 m, ...``, each
-    ending at a non-unit row, its tail, and an eigenvector is fixed by its
-    entries ``h`` at the chain heads.  The tail rows then read ``A(lambda) h
-    = 0`` with ``A(lambda) = sum_d lambda^d C_d``: ``C_d`` holds each tail
-    row's entries at depth ``d`` of every chain, less 1 on the diagonal of
-    each chain of length ``d``.  Each system is bordered by a fixed column
-    and the row ``h[1] = 1`` in ``C_0``, the monomial 1 being a head.
+    A unit row ``i -> j`` of the action matrix (gamma times monomial ``i`` is
+    monomial ``j``) means ``v[j] = lambda * v[i]`` for every eigenvector, so
+    the basis splits into chains ``m, gamma m, gamma^2 m, ...``, each ending
+    at a non-unit row, its tail, and an eigenvector is fixed by its entries
+    ``h`` at the chain heads.  The tail rows then read ``A(lambda) h = 0``
+    with ``A(lambda) = sum_d lambda^d C_d``: ``C_d`` holds each tail row's
+    entries at depth ``d`` of every chain, less 1 on the diagonal of each
+    chain of length ``d``.  Each system is bordered by a fixed column and
+    the row ``h[1] = 1`` in ``C_0``, the monomial 1 being a head.
+
     Returns the chain and depth (power of gamma) of every basis index, and a
     gather that builds every ``C_d`` of an action matrix at once from its
-    flattened entries followed by ``constants``."""
+    flattened entries followed by ``constants``.
+    """
     n = qb.size
     successor = qb.successor.tolist()
     chain, depth = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
@@ -548,9 +561,9 @@ _DEGREE_TWO_PRODUCTS = (
 
 @lru_cache(maxsize=None)
 def _root_tables(qb: QuotientBasis) -> tuple[np.ndarray, ...]:
-    """Positions in ``qb`` of the degree-two monomials of
-    ``_DEGREE_TWO_PRODUCTS`` it holds and of their degree-one factors, as
-    rows ``(m, x, y)``, and the positions of alpha, beta and gamma."""
+    """Positions ``(m, x, y)`` in ``qb`` of the degree-two monomials of
+    ``_DEGREE_TWO_PRODUCTS`` it holds and of their degree-one factors, and
+    the positions of alpha, beta and gamma."""
     ix = qb.index
     checks = [(ix[m], ix[x], ix[y]) for m, x, y in _DEGREE_TWO_PRODUCTS if m in ix]
     factors = np.array([qb.pos_alpha, qb.pos_beta, qb.pos_gamma])
@@ -563,12 +576,16 @@ def extract_roots(eigenvalues, action: np.ndarray, qb: QuotientBasis) -> Extract
 
     ``eigenvalues[b]`` are eigenvalues of ``action[b]``, one array per matrix
     of the ``(B, n, n)`` stack; for one ``(n, n)`` matrix they are one array.
-    Each eigenvector is rebuilt from the gamma chains (``_chain_eigenvectors``).
-    A root whose eigenvector cannot be normalized at the monomial 1 (NaN where
-    its bordered system is singular) is dropped as at infinity, alone; one
+    Each eigenvector is rebuilt from the gamma chains (see
+    ``_gamma_chains``): two bordered chain systems per root, each stack
+    solved at once.  A root whose bordered system is singular has no
+    eigenvector, unique up to scale, that is non-zero at 1; it is dropped as
+    at infinity, alone.
+
+    Candidates whose eigenvector cannot be normalized at the monomial 1, or
     whose alpha^2, alpha beta or beta^2 entries are not products of the
-    degree-one entries, as inconsistent.  The chains make every product with
-    a gamma factor hold, so those are not tested.
+    degree-one entries, are dropped.  The chains make the gamma entry and
+    every product with a gamma factor hold, so those are not tested.
     """
     if action.ndim == 2:
         eigenvalues, action = [eigenvalues], action[None]
@@ -593,11 +610,13 @@ def extract_roots(eigenvalues, action: np.ndarray, qb: QuotientBasis) -> Extract
 def _chain_eigenvectors(lam: np.ndarray, sizes: list[int], action: np.ndarray, qb: QuotientBasis):
     """The ``(K, n)`` eigenvectors of the eigenvalues ``lam``, ``sizes[b]``
     of them for ``action[b]`` in turn, rebuilt from the gamma chains and
-    normalized at the monomial 1 (NaN where a bordered chain system is
-    exactly singular), and each one's matrix in ``action``.  Each root takes
-    two steps of inverse iteration, bordered first by the fixed column, then
-    by the first's head entries: near a cluster of eigenvalues the second
-    squares the share of the neighbours' eigenvectors.
+    normalized at the monomial 1, and each one's matrix in ``action``.  A row
+    is NaN where a bordered chain system is exactly singular.
+
+    Each root takes two steps of inverse iteration: the first bordered by
+    the fixed column, the second by the first's head entries.  Near a
+    cluster of eigenvalues one step leaves some of the neighbours'
+    eigenvectors in a root's; the second squares their share.
     """
     chain, depth, gather, constants = _gamma_chains(qb)
     n_samples, n_powers, size = len(action), len(gather), len(gather[0])
@@ -685,10 +704,12 @@ def polish_roots(
     ``(n_samples, n_gen, n_coeffs)`` stack, or, without ``sample``, the one
     ``(n_gen, n_coeffs)`` set; the roots of a sample must be consecutive.
     The equations are the generators, each row scaled by its largest
-    coefficient, and the sphere constraint ``|u|^2 + tau = 0``; with their
-    derivatives they form one table per sample, so each step is one power
-    table, one matmul per sample and one batched 3 x 3 solve of the normal
-    equations.  A root takes a step only where its squared residual falls.
+    coefficient, plus the sphere constraint ``|u|^2 + tau = 0``.  One
+    coefficient matrix per sample holds them and their partial derivatives,
+    so each step is one power table, one matmul per sample for values and
+    Jacobians and one batched 3 x 3 solve of the normal equations.  A root
+    takes a step only where its squared residual falls, so polishing never
+    moves a root away from the variety.
     """
     if not len(roots):
         return roots
@@ -807,10 +828,10 @@ def rotation_roots(layers, problem: TemplateProblem, generators, rays, ids, c, e
 def _eliminate(layers, problem: TemplateProblem, generators: np.ndarray, ids, c, errors: dict):
     """Unpolished roots of the samples ``ids`` of the generator stack,
     grouped by sample in ascending order, and each one's position in the
-    stack.  Each sample tries the committed partitions in turn until one
-    neither raises nor drops a root as inconsistent, and keeps the roots of
-    the attempt that dropped the fewest; a sample that no partition solves
-    has its last error recorded in ``errors``."""
+    stack.  Each sample reduces its template on the committed partitions in
+    turn until one neither raises nor drops a root as inconsistent, and
+    keeps the roots of the attempt that dropped the fewest; a sample that no
+    partition solves has its last error recorded in ``errors``."""
     n_samples = len(generators)
     try:
         template = layers.assemble_reduced_template(
@@ -849,9 +870,10 @@ def _eliminate(layers, problem: TemplateProblem, generators: np.ndarray, ids, c,
 
 def _attempt(layers, problem, basis, matrix: np.ndarray, pivots, pending: np.ndarray, errors):
     """The templates ``matrix`` of the samples ``pending`` reduced on one
-    partition: the samples it solves, the roots each dropped as inconsistent,
-    their roots, grouped by sample in ascending order, and the sample of
-    each root.  Records the error of every other sample in ``errors``."""
+    partition: the samples it solves, the count of roots each dropped as
+    inconsistent, their roots, grouped by sample in ascending order, and
+    the sample of each root.  Records the error of every other sample in
+    ``errors``."""
     n = problem.basis_size
     try:
         reduced, solved = each_sample(

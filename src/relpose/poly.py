@@ -119,8 +119,9 @@ def _mul_stack(p: np.ndarray, q: np.ndarray, d1: int, d2: int, dout: int) -> np.
     lead = p.shape[:-1]
     k = p.size // p.shape[-1]
     weights = (p.reshape(k, -1, 1) * q.reshape(k, 1, -1)).ravel()
-    out = np.bincount(_mul_index(d1, d2, dout, k), weights=weights, minlength=k * n_out)
-    return out.reshape(*lead, n_out)
+    return np.bincount(
+        _mul_index(d1, d2, dout, k), weights=weights, minlength=k * n_out
+    ).reshape(*lead, n_out)
 
 
 def reduce_columns_mod_h(stack: np.ndarray, basis: GrevlexBasis, tau: float) -> None:
@@ -220,11 +221,14 @@ def build_f_polynomials(
     ``(..., 4, 35)`` coefficient array on the degree-4 basis.
 
     ``q1`` and ``q2`` are the ``(..., 4, 3)`` bearing rows of one sample per
-    leading index; the cyclic anchor pattern makes each set symmetric under
-    relabelling.  A sample with coincident rays gets a ``DegenerateInput``
-    naming its first such pair, in ``errors`` under its flat leading index
-    (its rows are left as they come out); without ``errors`` the first one
-    is raised.
+    leading index.  The cyclic anchor pattern (2,3,4), (3,4,1), (4,1,2),
+    (1,2,3) makes each set symmetric under relabelling of the four
+    correspondences.  All determinants are formed in one batch.  A sample
+    with coincident rays gets a ``DegenerateInput`` naming its first such
+    pair, view 1 before view 2, in ``errors`` under its flat leading index
+    (its rows are left as they come out), so that a solver drops it alone.
+    Without ``errors`` the first one is raised: that is the public contract
+    of a direct call, which the solvers alone do not use.
     """
     if q1.shape[-2:] != (4, 3):
         raise ValueError("exactly 4 bearing pairs required")

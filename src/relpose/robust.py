@@ -84,11 +84,13 @@ def ransac_estimate(
 
     The samples are drawn and solved in rounds of at most ``BATCH_LIMIT``
     at first, the cap doubling after each round up to ``ROUND_LIMIT``, and
-    the stopping bound and ``max_iterations`` cap every round too.  Each
-    round is one solve on the observations' ``RayTable``, and its poses are
-    scored in one call; only the winner becomes a ``RelativePose``.  The
-    stopping rule is applied sample by sample, also after one without a
-    pose, so the result is that of solving one sample at a time.
+    the stopping bound and ``max_iterations`` cap every round too.  A
+    round is one solve on the observations' ``RayTable``; its poses come
+    back as arrays (``SamplePoses``) and are scored in one call; only the
+    winner becomes a ``RelativePose``.  Hypotheses are weighed and the
+    stopping rule applied sample by sample, also after a sample that yields
+    no pose, and the samples of a round past the stop are discarded, so the
+    result is that of solving one sample at a time.
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown solver kind {kind!r}")

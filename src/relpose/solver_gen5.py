@@ -26,7 +26,13 @@ from .gbsolver import (
     unsolved,
     usable_rotations,
 )
-from .geom import PluckerPair, PoseStack, RelativePose, stacked_cross, stacked_dot
+from .geom import (
+    PluckerPair,
+    PoseStack,
+    RelativePose,
+    stacked_cross,
+    stacked_dot,
+)
 from .poly import _ray_stack, build_g_polynomials
 
 # All moments below this norm mean a purely central configuration.

@@ -26,7 +26,14 @@ from .gbsolver import (
     unsolved,
     usable_rotations,
 )
-from .geom import BearingPair, PoseStack, RelativePose, cheiral_counts, skew, stacked_cross
+from .geom import (
+    BearingPair,
+    PoseStack,
+    RelativePose,
+    cheiral_counts,
+    skew,
+    stacked_cross,
+)
 from .poly import build_f_polynomials
 
 # The layers are called through this module's attributes.
@@ -56,7 +63,7 @@ def _solve_stack(rays: np.ndarray, c) -> tuple[PoseStack, np.ndarray, dict]:
         # rotation, so there the sample over-determines the pose.
         keep = residual_gate((rows @ T[:, :, None])[..., 0], sample, n, errors)
         sample, Rs, T, u, Q1, Q2 = sample[keep], Rs[keep], T[keep], u[keep], Q1[keep], Q2[keep]
-    votes = np.asarray(cheiral_counts(Rs, T, Q1, Q2))
+    votes = cheiral_counts(Rs, T, Q1, Q2)
     # Keep each sign that wins the cheirality vote, both on a tie, none at 0-0.
     k, flip = ((votes > 0) & (votes >= votes[::-1])).T.nonzero()
     sample = sample.take(k)

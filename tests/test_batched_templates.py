@@ -635,22 +635,23 @@ class TestUnreachableMonomial:
 
 
 class TestDegenerateInputs:
-    @pytest.mark.parametrize("view", [1, 2])
+    @pytest.mark.parametrize("views", ["1", "2", "12"])
     @pytest.mark.parametrize("first,second", [(i, j) for i in range(4) for j in range(i + 1, 4)])
-    def test_coincident_rays_raise_the_same_message(self, first, second, view):
-        # Ray ``second`` is ray ``first`` in one view only, so that pair is
-        # the first and only coincident one.
+    def test_coincident_rays_raise_the_same_message(self, first, second, views):
+        # Ray ``second`` is ray ``first`` in ``views`` only, so that pair is
+        # the first and only coincident one; in both views, view 1 is named.
         pairs = problem("reg4", "central", "forward", 0.5, 1)
         c = sigma_from_angle(0.5)
-        name = f"q{view}"
         bad = list(pairs)
-        bad[second] = replace(pairs[second], **{name: getattr(pairs[first], name)})
+        names = [f"q{v}" for v in views]
+        bad[second] = replace(pairs[second], **{name: getattr(pairs[first], name) for name in names})
         with pytest.raises(DegenerateInput) as batched:
             build_f_polynomials(*_ray_stack(bad, "q1", "q2"), c)
         with pytest.raises(DegenerateInput) as scalar:
             ref.build_f_polynomials(bad, c)
         assert str(batched.value) == str(scalar.value)
-        assert str(batched.value).startswith(f"rays {first} and {second} coincide in view {view};")
+        named = f"rays {first} and {second} coincide in view {views[0]};"
+        assert str(batched.value).startswith(named)
         with pytest.raises(DegenerateConfiguration) as solved:
             solve_4pt_angle(bad, 0.5)
         assert isinstance(solved.value.__cause__, DegenerateInput)

@@ -311,6 +311,9 @@ def test_a_degenerate_sample_costs_one_generator_call(monkeypatch, kind):
         original(*_ray_stack(pairs, *names), sigma_from_angle(theta))
     assert isinstance(alone.value.__cause__, DegenerateInput)
     assert str(alone.value.__cause__) == str(direct.value)
+    if kind == "reg4":
+        # Rays 0 and 2 are one correspondence: view 1 is named first.
+        assert str(direct.value).startswith("rays 0 and 2 coincide in view 1;")
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -118,9 +118,7 @@ class TestSolve4ptAngle:
 
         truth, pairs = generate_scene(SceneConfig(seed=20), 4)
         theta = rotation_angle(truth.R)
-        monkeypatch.setattr(
-            mod, "cheiral_counts", lambda Rs, T, q1, q2: (np.full(len(Rs), 2), np.full(len(Rs), 2))
-        )
+        monkeypatch.setattr(mod, "cheiral_counts", lambda Rs, T, q1, q2: np.full((2, len(Rs)), 2))
         poses = solve_4pt_angle(pairs, theta)
         assert all(p.cheirality_tie for p in poses)
         assert len(poses) % 2 == 0
