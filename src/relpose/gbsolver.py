@@ -28,19 +28,24 @@ poses that satisfy their own sample.
 
 Every layer takes a stack of samples, one per leading index, so that RANSAC
 solves the samples of a round at once; a single solve is the stack of one.
-A sample that fails fails alone: ``rotation_roots`` records its error and
-solves the rest.  The solvers call every layer through their own module
-attributes, where ``perfbench/spans.py`` traces them.
+Both solvers run one sequence, ``solve``, and supply only their generators,
+screen and pose rule; every layer is called through the solver's module
+attributes, where ``perfbench/spans.py`` traces it.  A sample that fails
+fails alone, by one of four idioms: the generator builders name it in their
+error dict, ``each_sample`` redoes a row reduction that raises for a stack
+one sample at a time, a batched solve returns NaN for an exactly singular
+system (``_solve_or_nan``), which drops or stops only its own root, and
+``record_lost`` records the error of a sample a stage leaves without a row.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .exceptions import (
     BasisAnomaly,
@@ -204,19 +209,10 @@ def rescaled_roots(roots: np.ndarray, c: RotationConstraint) -> tuple[np.ndarray
     return keep, (math.sqrt(1.0 - c.sigma * c.sigma) / n.take(keep))[:, None] * roots.take(keep, 0)
 
 
-def unsolved(n: int, sample: np.ndarray, errors: dict) -> list[int]:
-    """The samples of ``range(n)`` with no error yet and no candidate row
-    left in ``sample``."""
-    return sorted(set(range(n)).difference(sample.tolist(), errors))
-
-
-@contextmanager
-def recorded(errors: dict, samples: list[int]):
-    """Record the error raised in the block as the error of each of ``samples``."""
-    try:
-        yield
-    except RelposeError as exc:
-        errors.update(dict.fromkeys(samples, exc))
+def record_lost(errors: dict, n: int, sample: np.ndarray, error: RelposeError) -> None:
+    """Record ``error`` as the error of each of the ``n`` samples with no
+    error yet and no candidate row left in ``sample``."""
+    errors.update(dict.fromkeys(set(range(n)).difference(sample.tolist(), errors), error))
 
 
 def usable_rotations(roots: np.ndarray, sample: np.ndarray, n: int, c, errors: dict):
@@ -226,25 +222,26 @@ def usable_rotations(roots: np.ndarray, sample: np.ndarray, n: int, c, errors: d
     root_count = np.bincount(sample, minlength=n)
     keep, u = rescaled_roots(roots, c)
     sample = sample.take(keep)
-    if lost := unsolved(n, sample, errors):
-        with recorded(errors, lost):
-            raise DegenerateConfiguration("no usable rotation candidates survived filtering")
+    record_lost(
+        errors, n, sample, DegenerateConfiguration("no usable rotation candidates survived filtering")
+    )
     check_unit_quaternions(c.sigma, u)
     return root_count, sample, u, rotation_stack(c.sigma, u)
 
 
-def residual_gate(residuals: np.ndarray, sample: np.ndarray, n: int, errors: dict):
+def residual_gate(residuals: np.ndarray, sample: np.ndarray, n: int, c, errors: dict):
     """The poses whose ``(K, N)`` scaled residuals on their own ``sample``
     are all at most ``POSE_RESIDUAL_TOL`` (a NaN fails), as indices or, if
     all pass, a whole slice; a sample left without one has its error
-    recorded in ``errors``."""
+    recorded in ``errors``.  A zero angle fixes the rotation, so there the
+    sample over-determines the pose and every pose passes."""
     passed = np.abs(residuals).max(axis=1) <= POSE_RESIDUAL_TOL
-    if passed.all():
+    if c.tau == 0.0 or passed.all():
         return slice(None)
     keep = passed.nonzero()[0]
-    if lost := unsolved(n, sample[keep], errors):
-        with recorded(errors, lost):
-            raise DegenerateConfiguration("no candidate pose satisfies its own sample")
+    record_lost(
+        errors, n, sample[keep], DegenerateConfiguration("no candidate pose satisfies its own sample")
+    )
     return keep
 
 
@@ -637,26 +634,19 @@ def _chain_eigenvectors(lam: np.ndarray, sizes: list[int], action: np.ndarray, q
     # numpy: a 1-D one is one vector per matrix only from numpy 2.0 on.
     rhs = np.zeros((len(lam), size, 1))
     rhs[:, -1] = 1.0
-    K[:, :-1, -1] = _bordered_solve(K, rhs)
-    V = _bordered_solve(K, rhs).take(chain, 1) * powers.take(depth, 1)
+    K[:, :-1, -1] = _solve_or_nan(K, rhs)[:, :-1, 0]
+    V = _solve_or_nan(K, rhs)[:, :-1, 0].take(chain, 1) * powers.take(depth, 1)
     V /= V[:, qb.pos_one, None]
     return V, sample
 
 
-def _bordered_solve(K: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """The head entries solving each bordered chain system of the stack
-    for its right-hand side, NaN where it is exactly singular."""
-    try:
-        return np.linalg.solve(K, rhs)[:, :-1, 0]
-    except np.linalg.LinAlgError:
-        pass
-    out = np.full(K.shape[:-1], math.nan)
-    for k in range(len(K)):
-        try:
-            out[k] = np.linalg.solve(K[k], rhs[k])[:, 0]
-        except np.linalg.LinAlgError:
-            continue
-    return out[:, :-1]
+def _solve_or_nan(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve`` of each system of the stack ``A x = b``, ``b`` a
+    stack of columns, NaN where a system is exactly singular: the gufunc
+    behind ``np.linalg.solve``, which marks such a system NaN and raises
+    only through the error state that ``np.linalg.solve`` sets."""
+    with np.errstate(all="ignore"):
+        return _umath_linalg.solve(A, b, signature="dd->d")
 
 
 # Most Gauss-Newton steps of ``polish_roots``.  A root stops once its
@@ -709,7 +699,8 @@ def polish_roots(
     so each step is one power table, one matmul per sample for values and
     Jacobians and one batched 3 x 3 solve of the normal equations.  A root
     takes a step only where its squared residual falls, so polishing never
-    moves a root away from the variety.
+    moves a root away from the variety, and a root whose normal equations
+    are exactly singular stays where it is, alone.
     """
     if not len(roots):
         return roots
@@ -751,21 +742,7 @@ def polish_roots(
             break
         jt = jac.transpose(0, 2, 1)
         normal, rhs = jt @ jac, jt @ f[:, :, None]
-        try:
-            step = np.linalg.solve(normal, rhs)[:, :, 0]
-        except np.linalg.LinAlgError:
-            # A singular system ends the polishing of its own sample only.
-            go = np.ones(live.size, dtype=bool)
-            for s in np.unique(sample[live]).tolist():
-                mine = sample[live] == s
-                try:
-                    np.linalg.solve(normal[mine], rhs[mine])
-                except np.linalg.LinAlgError:
-                    go &= ~mine
-            live, f, jac, cost = live[go], f[go], jac[go], cost[go]
-            if not live.size:
-                break
-            step = np.linalg.solve(normal[go], rhs[go])[:, :, 0]
+        step = _solve_or_nan(normal, rhs)[:, :, 0]
         x_new = x.take(live, 0) - step
         f_new, jac_new, cost_new = evaluate(x_new, sample[live])
         better = cost_new < cost
@@ -932,3 +909,23 @@ def answer(stack: PoseStack, sample: np.ndarray, errors: dict, n: int, samples):
     if errors:
         raise as_degenerate(errors[0])
     return stack.poses()
+
+
+def solve(layers, problem: TemplateProblem, generators, screen, pose, pairs, theta, anchor, samples):
+    """A solver's answer for the samples of ``pairs`` (``sample_stack``),
+    solved as one stack with the layers of the solver module ``layers``.
+
+    ``screen(rays, errors)``, if given, returns the samples worth solving
+    before any root is computed.  The rotations of the rest go to the pose
+    rule ``pose(rays, sample, u, Rs, c, errors)``, which returns the
+    rotations, translations, vector parts, samples and diagnostic columns
+    of its poses.  Both record the error of each sample they leave out.
+    """
+    rays, n, c = problem.sample_stack(pairs, theta, anchor, samples)
+    errors: dict[int, RelposeError] = {}
+    ids = np.arange(n) if screen is None else screen(rays, errors)
+    roots, sample = rotation_roots(layers, problem, generators, rays, ids, c, errors)
+    root_count, sample, u, Rs = usable_rotations(roots, sample, n, c, errors)
+    Rs, T, u, sample, columns = pose(rays, sample, u, Rs, c, errors)
+    columns["root_count"] = root_count.take(sample)
+    return answer(PoseStack(Rs, T, c.sigma, u, columns), sample, errors, n, samples)

@@ -13,7 +13,7 @@ import numpy as np
 from .exceptions import NoHypothesis, RelposeError, ScaleUnobservable
 from .geom import BearingPair, PluckerPair, RelativePose, rotation_angle
 from .gbsolver import GENERAL, REGULAR, RayTable
-from .solver_gen5 import central, point_rays, ray_point_errors, solve_gen5pt_angle
+from .solver_gen5 import _CENTRAL, central, point_rays, ray_point_errors, solve_gen5pt_angle
 from .solver_reg4 import sampson_errors, solve_4pt_angle
 from .synth import SceneConfig, _random_in_ball, _unit, generate_scene
 
@@ -109,9 +109,7 @@ def ransac_estimate(
         solve, score = solve_4pt_angle, sampson_errors
     else:
         if central(table.rays[2:]):
-            raise ScaleUnobservable(
-                "all ray moments vanish: a central configuration carries no translation scale"
-            )
+            raise ScaleUnobservable(_CENTRAL)
         rays = point_rays(*table.rays)
         solve, score = solve_gen5pt_angle, ray_point_errors
     rng = np.random.default_rng(cfg.seed)

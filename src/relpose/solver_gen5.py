@@ -8,35 +8,33 @@ import sys
 
 import numpy as np
 
-from .exceptions import RelposeError, ScaleUnobservable, SkewDegenerate
+from .exceptions import ScaleUnobservable, SkewDegenerate
 from .gbsolver import (
     GENERAL,
     SamplePoses,
-    answer,
     assemble_reduced_template,
     build_action_matrix,
     eigensolve_real,
     extract_roots,
     polish_roots,
     quotient_basis_from_pivots,
-    recorded,
+    record_lost,
     residual_gate,
-    rotation_roots,
     rref_conditioned,
-    unsolved,
-    usable_rotations,
+    solve,
 )
 from .geom import (
     PluckerPair,
-    PoseStack,
     RelativePose,
     stacked_cross,
     stacked_dot,
 )
 from .poly import _ray_stack, build_g_polynomials
 
-# All moments below this norm mean a purely central configuration.
+# All moments below this norm mean a purely central configuration, which
+# the screen of a solve and RANSAC both reject with ``_CENTRAL``.
 CENTRAL_MOMENT_EPS = 1e-12
+_CENTRAL = "all ray moments vanish: a central configuration carries no translation scale"
 
 # Depth-system singular values: scale is unobservable when the second singular
 # value collapses relative to the first, or when the null vector has no
@@ -55,6 +53,14 @@ def central(moments: np.ndarray) -> np.ndarray:
     """Which of the ``(2, ..., N, 3)`` moment rows ``m1``, ``m2`` all vanish:
     a central configuration, which carries no translation scale."""
     return np.sqrt(stacked_dot(moments, moments)).max(axis=(0, -1)) < CENTRAL_MOMENT_EPS
+
+
+def _screen(rays: np.ndarray, errors: dict) -> np.ndarray:
+    """The samples of the ``(4, B, 5, 3)`` Pluecker rows that are not
+    ``central``; the error of every other is recorded in ``errors``."""
+    ids = (~central(rays[2:])).nonzero()[0]
+    record_lost(errors, rays.shape[1], ids, ScaleUnobservable(_CENTRAL))
+    return ids
 
 
 def _depth_rows(own: np.ndarray, Rs: np.ndarray) -> np.ndarray:
@@ -87,30 +93,21 @@ def _sample_residuals(own: np.ndarray, Rs: np.ndarray, T: np.ndarray) -> np.ndar
     return r / (np.sqrt(stacked_dot(T, T))[:, None] + n1 + n2)
 
 
-def _solve_stack(rays: np.ndarray, c) -> tuple[PoseStack, np.ndarray, dict]:
-    """The poses of the ``(4, B, 5, 3)`` Pluecker rows, solved as one stack,
-    the sample of each, and the error of every sample left without one."""
+def _poses(rays: np.ndarray, sample: np.ndarray, u: np.ndarray, Rs: np.ndarray, c, errors: dict):
+    """The pose rule of ``gbsolver.solve`` for the ``(4, B, 5, 3)`` Pluecker
+    rows: each rotation's metric translation from the anchor depths that its
+    sample's depth rows determine, where they do, gated."""
     n = rays.shape[1]
-    errors: dict[int, RelposeError] = {}
-    flat = central(rays[2:])
-    if flat.any():
-        with recorded(errors, flat.nonzero()[0].tolist()):
-            raise ScaleUnobservable(
-                "all ray moments vanish: a central configuration carries no translation scale"
-            )
-    ids = (~flat).nonzero()[0]
-    roots, sample = rotation_roots(_LAYERS, GENERAL, build_g_polynomials, rays, ids, c, errors)
-    root_count, sample, u, Rs = usable_rotations(roots, sample, n, c, errors)
     own = rays.take(sample, 1)
     _, s, vt = np.linalg.svd(_depth_rows(own, Rs))
     v = vt[:, -1]
     unobservable = (s[:, 1] <= SCALE_RANK_EPS * s[:, 0]) | (np.abs(v[:, 2]) < SCALE_COMPONENT_EPS)
     observable = (~unobservable).nonzero()[0]
-    if lost := unsolved(n, sample[observable], errors):
-        with recorded(errors, lost):
-            raise ScaleUnobservable(
-                "translation scale is unobservable for every rotation candidate"
-            )
+    sample = sample.take(observable)
+    record_lost(
+        errors, n, sample,
+        ScaleUnobservable("translation scale is unobservable for every rotation candidate"),
+    )
     v, Rs, u = v.take(observable, 0), Rs.take(observable, 0), u.take(observable, 0)
     own = own.take(observable, 1)
     depths = v[:, :2] / v[:, 2:]
@@ -118,13 +115,8 @@ def _solve_stack(rays: np.ndarray, c) -> tuple[PoseStack, np.ndarray, dict]:
     t1, t2 = stacked_cross(anchors[2:], anchors[:2]) + depths.T[:, :, None] * anchors[:2]
     # The stacked matmul rounds as the per-root R @ t1 does.
     T = t2 - (Rs @ t1[:, :, None])[..., 0]
-    if c.tau != 0.0:
-        # A zero angle fixes the rotation, so there the sample
-        # over-determines the pose.
-        keep = residual_gate(_sample_residuals(own, Rs, T), sample[observable], n, errors)
-        observable, Rs, T, u, depths = (x[keep] for x in (observable, Rs, T, u, depths))
-    columns = {"depths": depths, "root_count": root_count[sample[observable]]}
-    return PoseStack(Rs, T, c.sigma, u, columns), sample[observable], errors
+    keep = residual_gate(_sample_residuals(own, Rs, T), sample, n, c, errors)
+    return Rs[keep], T[keep], u[keep], sample[keep], {"depths": depths[keep]}
 
 
 def solve_gen5pt_angle(
@@ -142,8 +134,9 @@ def solve_gen5pt_angle(
     result is their ``SamplePoses``, one ``PoseStack`` per sample, empty
     where it raises a ``RelposeError``.
     """
-    rays, n, c = GENERAL.sample_stack(pairs, theta, anchor, samples)
-    return answer(*_solve_stack(rays, c), n, samples)
+    return solve(
+        _LAYERS, GENERAL, build_g_polynomials, _screen, _poses, pairs, theta, anchor, samples
+    )
 
 
 def ray_arrays(pairs: list[PluckerPair]) -> tuple[np.ndarray, ...]:

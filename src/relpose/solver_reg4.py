@@ -8,27 +8,23 @@ import sys
 
 import numpy as np
 
-from .exceptions import NoCheiralSolution, RelposeError
+from .exceptions import NoCheiralSolution
 from .gbsolver import (
     REGULAR,
     SamplePoses,
-    answer,
     assemble_reduced_template,
     build_action_matrix,
     eigensolve_real,
     extract_roots,
     polish_roots,
     quotient_basis_from_pivots,
-    recorded,
+    record_lost,
     residual_gate,
-    rotation_roots,
     rref_conditioned,
-    unsolved,
-    usable_rotations,
+    solve,
 )
 from .geom import (
     BearingPair,
-    PoseStack,
     RelativePose,
     cheiral_counts,
     skew,
@@ -43,40 +39,31 @@ _LAYERS = sys.modules[__name__]
 _SIGNS = np.array([1.0, -1.0])
 
 
-def _solve_stack(rays: np.ndarray, c) -> tuple[PoseStack, np.ndarray, dict]:
-    """The poses of the ``(2, B, 4, 3)`` bearing rows, solved as one stack,
-    the sample of each, and the error of every sample left without one."""
+def _poses(rays: np.ndarray, sample: np.ndarray, u: np.ndarray, Rs: np.ndarray, c, errors: dict):
+    """The pose rule of ``gbsolver.solve`` for the ``(2, B, 4, 3)`` bearing
+    rows: each rotation's unit translation from its sample's epipolar rows,
+    gated, with the sign or signs that win the cheirality vote."""
     n = rays.shape[1]
-    errors: dict[int, RelposeError] = {}
-    roots, sample = rotation_roots(
-        _LAYERS, REGULAR, build_f_polynomials, rays, np.arange(n), c, errors
-    )
-    root_count, sample, u, Rs = usable_rotations(roots, sample, n, c, errors)
     Q1, Q2 = rays.take(sample, 1)
     # Rows cross(R q1_i, q2_i) for every root at once; the stacked matmul
     # rounds as the per-root R @ q1_i does.
     rows = stacked_cross((Rs[:, None] @ Q1[..., None])[..., 0], Q2)
     T = np.linalg.svd(rows)[2][:, -1]
-    if c.tau != 0.0:
-        # Each row dotted with the unit translation is the scaled epipolar
-        # residual q2^T [t]x R q1 of its pair.  A zero angle fixes the
-        # rotation, so there the sample over-determines the pose.
-        keep = residual_gate((rows @ T[:, :, None])[..., 0], sample, n, errors)
-        sample, Rs, T, u, Q1, Q2 = sample[keep], Rs[keep], T[keep], u[keep], Q1[keep], Q2[keep]
+    # Each row dotted with the unit translation is the scaled epipolar
+    # residual q2^T [t]x R q1 of its pair.
+    keep = residual_gate((rows @ T[:, :, None])[..., 0], sample, n, c, errors)
+    sample, Rs, T, u, Q1, Q2 = sample[keep], Rs[keep], T[keep], u[keep], Q1[keep], Q2[keep]
     votes = cheiral_counts(Rs, T, Q1, Q2)
     # Keep each sign that wins the cheirality vote, both on a tie, none at 0-0.
     k, flip = ((votes > 0) & (votes >= votes[::-1])).T.nonzero()
     sample = sample.take(k)
-    if lost := unsolved(n, sample, errors):
-        with recorded(errors, lost):
-            raise NoCheiralSolution("no candidate places any point in front of both cameras")
+    record_lost(
+        errors, n, sample,
+        NoCheiralSolution("no candidate places any point in front of both cameras"),
+    )
     T = T.take(k, 0) * _SIGNS.take(flip)[:, None]
-    stack = PoseStack(Rs.take(k, 0), T, c.sigma, u.take(k, 0), {
-        "cheiral_count": votes[flip, k],
-        "cheirality_tie": (votes[0] == votes[1]).take(k),
-        "root_count": root_count.take(sample),
-    })
-    return stack, sample, errors
+    columns = {"cheiral_count": votes[flip, k], "cheirality_tie": (votes[0] == votes[1]).take(k)}
+    return Rs.take(k, 0), T, u.take(k, 0), sample, columns
 
 
 def solve_4pt_angle(
@@ -94,8 +81,7 @@ def solve_4pt_angle(
     result is their ``SamplePoses``, one ``PoseStack`` per sample, empty
     where it raises a ``RelposeError``.
     """
-    rays, n, c = REGULAR.sample_stack(pairs, theta, anchor, samples)
-    return answer(*_solve_stack(rays, c), n, samples)
+    return solve(_LAYERS, REGULAR, build_f_polynomials, None, _poses, pairs, theta, anchor, samples)
 
 
 def sampson_errors(R: np.ndarray, t: np.ndarray, q1s: np.ndarray, q2s: np.ndarray) -> np.ndarray:

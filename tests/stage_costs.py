@@ -7,12 +7,14 @@ Takes the first ``--pairs`` frame pairs of the ``ransac`` panel of
 RANSAC run draws.  Solves the first sample alone and the first eight as one
 stack (``samples=``), on the pairs as ``ransac_estimate`` hands them over
 (their ``gbsolver.RayTable`` where the package has one), with a spy on
-every stage: the module attributes that
-``perfbench/spans.py`` traces, plus ``polish_roots``, ``rotation_roots``,
-``usable_rotations``, ``residual_gate``, ``PoseStack``, ``answer``, the
-pose helpers of each solver and ``gbsolver._eliminate`` / ``_attempt``.  A
-stage's time is its own, less that of the spied stages it calls; ``solve``
-is what no spy holds (checking arguments and gathering the rays).  From the
+every stage where the one solve path of ``gbsolver.solve`` calls it: in
+the solver module, the attributes that ``perfbench/spans.py`` traces, plus
+``polish_roots``, ``residual_gate``, the pose rule ``_poses`` and its rows
+and, for gen5, the central screen; in ``gbsolver``, the shared steps
+``rotation_roots``, ``_eliminate``, ``_attempt``, ``usable_rotations``,
+``PoseStack`` and ``answer``.  A stage's time is its own, less that of the
+spied stages it calls; ``solve`` is what no spy holds (checking arguments,
+gathering the rays and the rest of ``gbsolver.solve``).  From the
 times ``t1`` and ``t8`` summed over the frame pairs it prints, per stage
 and per call, the per-sample cost ``(t8 - t1) / 7`` and the fixed cost
 ``t1`` less one sample, in microseconds: medians over ``--repeats`` passes,
@@ -34,12 +36,13 @@ import numpy as np
 from panel_digests import PERFBENCH, load_run
 
 # The stages spied in each solver module besides the traced layers.
-COMMON = (
-    "polish_roots", "rotation_roots", "usable_rotations", "residual_gate", "PoseStack", "answer",
-    "_solve_stack",
-)
-HELPERS = {"reg4": ("cheiral_counts",), "gen5": ("central", "_depth_rows", "_sample_residuals")}
-GBSOLVER = ("_eliminate", "_attempt")
+COMMON = ("polish_roots", "residual_gate", "_poses")
+HELPERS = {
+    "reg4": ("cheiral_counts",),
+    "gen5": ("_screen", "central", "_depth_rows", "_sample_residuals"),
+}
+# The shared pipeline steps, spied in ``gbsolver``.
+GBSOLVER = ("rotation_roots", "_eliminate", "_attempt", "usable_rotations", "PoseStack", "answer")
 SIZES = (1, 8)
 
 

@@ -90,7 +90,7 @@ def test_near_a_half_turn(solver, theta_deg):
 
 def test_central_rays_raise_for_gen5():
     rng = np.random.default_rng(7)
-    for theta_deg in (30.0, 120.0):
+    for theta_deg in (30.0, 120.0, 0.0):
         _, pairs = scene(rng, math.radians(theta_deg), True, 5, generalized=False)
         pairs = [PluckerPair(q1=p.q1, q2=p.q2, m1=np.zeros(3), m2=np.zeros(3)) for p in pairs]
         with pytest.raises(ScaleUnobservable):

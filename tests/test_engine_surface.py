@@ -1,8 +1,9 @@
 """Every public top-level name of the template engine, the geometry, the two
 solvers, the harnesses and the gyro integration must be used by the package
 itself or exported in ``relpose.__all__``, and every toolkit exception must be
-raised or caught by the package: surface that only tests use belongs in
-``tests/``."""
+raised or caught by the package, or constructed as the error that the
+package's recording call keeps for the samples a stacked stage loses:
+surface that only tests use belongs in ``tests/``."""
 
 import ast
 from pathlib import Path
@@ -65,25 +66,33 @@ def test_public_name_is_used_by_the_package(module, name, definition):
     )
 
 
+# The call that records an error for every sample a stacked stage leaves
+# without a candidate; a single solve raises that error in the end.
+RECORDING_CALL = "record_lost"
+
+
 def handled_names(tree: ast.Module):
-    """Bare names in the ``raise`` statements and ``except`` clauses of ``tree``."""
+    """Bare names in the ``raise`` statements and ``except`` clauses of
+    ``tree``, and the classes constructed as arguments of a
+    ``RECORDING_CALL``."""
     for n in ast.walk(tree):
         if isinstance(n, ast.Raise):
-            expr = n.exc
+            exprs = [n.exc]
         elif isinstance(n, ast.ExceptHandler):
-            expr = n.type
+            exprs = [n.type]
+        elif isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == RECORDING_CALL:
+            exprs = [a.func for a in n.args if isinstance(a, ast.Call)]
         else:
             continue
-        if expr is not None:
-            yield from (x.id for x in ast.walk(expr) if isinstance(x, ast.Name))
+        yield from (x.id for e in exprs if e is not None for x in ast.walk(e) if isinstance(x, ast.Name))
 
 
-def raised_or_caught(name: str) -> bool:
-    """Whether a package module imports the exception ``name`` and raises or
-    catches it."""
+def raised_or_caught(name: str, trees=TREES) -> bool:
+    """Whether a package module of ``trees`` imports the exception ``name``
+    and raises, catches or records it."""
     return any(
         name in handled_names(tree)
-        for fname, tree in TREES.items()
+        for fname, tree in trees.items()
         if fname not in ("__init__.py", "exceptions.py") and sees(tree, name, "exceptions.py")
     )
 
@@ -96,4 +105,31 @@ EXCEPTIONS = [
 
 @pytest.mark.parametrize("name", EXCEPTIONS)
 def test_exception_is_raised_or_caught_by_the_package(name):
-    assert raised_or_caught(name), f"exceptions.py defines {name}, which no package code raises or catches"
+    assert raised_or_caught(name), (
+        f"exceptions.py defines {name}, which no package code raises, catches or records"
+    )
+
+
+SYNTHETIC = """
+from .exceptions import Assigned, Caught, Passed, Raised, Recorded
+
+def stage(errors, n, sample, report):
+    try:
+        raise Raised("raised")
+    except Caught:
+        pass
+    record_lost(errors, n, sample, Recorded("recorded"))
+    error = Assigned("assigned")
+    record_lost(errors, n, sample, error)
+    report(Passed("passed"))
+"""
+
+
+@pytest.mark.parametrize(
+    "name,used",
+    [("Raised", True), ("Caught", True), ("Recorded", True), ("Assigned", False), ("Passed", False)],
+)
+def test_only_raising_catching_or_recording_uses_an_exception(name, used):
+    # A class only constructed, assigned or handed to another call, never
+    # raised or recorded, must still fail the rule.
+    assert raised_or_caught(name, {"synthetic.py": ast.parse(SYNTHETIC)}) is used

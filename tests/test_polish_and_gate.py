@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import reference_templates as ref
+import relpose.gbsolver as gbsolver
 import relpose.solver_gen5 as solver_gen5
 import relpose.solver_reg4 as solver_reg4
 from relpose.exceptions import DegenerateConfiguration, EigenFailure
@@ -23,7 +24,7 @@ from relpose.geom import (
     rotation_angle,
     sigma_from_angle,
 )
-from relpose.poly import _ray_stack
+from relpose.poly import _ray_stack, grevlex_basis
 from relpose.synth import SceneConfig, generate_scene
 
 SOLVERS = pytest.mark.parametrize("solver", ["reg4", "gen5"])
@@ -100,20 +101,38 @@ class TestPolishRoots:
         assert np.array_equal(both[0], np.zeros(3))
         assert np.array_equal(both[1:], polish_roots(gens, moved, c))
 
+    def test_a_singular_system_ends_only_its_own_roots_polishing(self):
+        # Quadratic forms without constant or linear terms, like the sphere
+        # constraint, have a vanishing Jacobian at the origin, so there the
+        # normal equations are exactly singular; on the sphere at the
+        # diagonal they are regular.
+        basis = grevlex_basis(2)
+        gens = np.zeros((2, basis.size))
+        gens[0, [basis.index[(2, 0, 0)], basis.index[(0, 2, 0)]]] = 1.0, -1.0
+        gens[1, [basis.index[(0, 2, 0)], basis.index[(0, 0, 2)]]] = 1.0, -1.0
+        c = sigma_from_angle(1.0)
+        root = np.sqrt(-c.tau / 3.0) * np.ones(3)
+        moved = root + 1e-4 * np.random.default_rng(0).normal(size=3)
+        alone = polish_roots(gens, moved[None], c)
+        assert np.max(np.abs(alone - root)) < 1e-14
+        both = polish_roots(gens, np.vstack([np.zeros(3), moved]), c)
+        assert np.array_equal(both[0], np.zeros(3))
+        assert np.array_equal(both[1:], alone)
+
 
 class TestResidualGate:
     @SOLVERS
     def test_a_root_off_the_variety_is_never_returned(self, monkeypatch, solver):
         module, solve, pairs, theta = instance(solver, seed=3)
         honest = solve(pairs, theta)
-        original = module.rotation_roots
+        original = gbsolver.rotation_roots
 
         def with_a_stray_root(*args):
             polished, sample = original(*args)
             stray = polished[:1] + np.array([1e-3, -2e-3, 1e-3])
             return np.vstack([polished, stray]), np.append(sample, sample[:1])
 
-        monkeypatch.setattr(module, "rotation_roots", with_a_stray_root)
+        monkeypatch.setattr(gbsolver, "rotation_roots", with_a_stray_root)
         poses = solve(pairs, theta)
         assert all(scaled_residual(p, q) <= POSE_RESIDUAL_TOL for p in poses for q in pairs)
         assert len(poses) == len(honest)

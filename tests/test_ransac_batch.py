@@ -14,6 +14,7 @@ from relpose import solver_gen5, solver_reg4
 from relpose.exceptions import (
     DegenerateConfiguration,
     DegenerateInput,
+    NoCheiralSolution,
     NoHypothesis,
     ScaleUnobservable,
 )
@@ -270,6 +271,47 @@ def test_a_stack_solves_each_sample_bit_for_bit_as_alone(monkeypatch, kind):
         SOLVES[kind]([observed[i] for i in drawn[fallback]], theta)
         assert (1, True) in calls
     assert len(out) == len(samples) and len(list(out)[8]) == 0
+    for row, block in zip(samples, out):
+        assert_solved_as_alone(kind, observed, theta, row, block)
+
+
+def force_loss(monkeypatch, kind, target):
+    """Stub the stage that decides the loss reason no panel reaches so that
+    it loses every candidate of the sample whose anchor ray ``q1`` is
+    ``target``: reg4 counts no point in front of both cameras, gen5 gets
+    zero depth rows.  Returns the error class and message of that loss."""
+    if kind == "reg4":
+        counts = solver_reg4.cheiral_counts
+
+        def no_votes(Rs, T, q1, q2):
+            votes = counts(Rs, T, q1, q2)
+            votes[:, (q1[:, 0] == target).all(-1)] = 0
+            return votes
+
+        monkeypatch.setattr(solver_reg4, "cheiral_counts", no_votes)
+        return NoCheiralSolution, "no candidate places any point in front of both cameras"
+    depth_rows = solver_gen5._depth_rows
+
+    def zero_rows(own, Rs):
+        rows = depth_rows(own, Rs)
+        rows[(own[0, :, 0] == target).all(-1)] = 0.0
+        return rows
+
+    monkeypatch.setattr(solver_gen5, "_depth_rows", zero_rows)
+    return ScaleUnobservable, "translation scale is unobservable for every rotation candidate"
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_lost_sample_raises_its_reason_and_fails_alone(monkeypatch, kind):
+    size = 4 if kind == "reg4" else 5
+    truth, observed = generate_scene(SceneConfig(seed=6, generalized=kind == "gen5"), 3 * size)
+    theta = rotation_angle(truth.R)
+    samples = np.arange(3 * size).reshape(3, size)
+    error, message = force_loss(monkeypatch, kind, observed[size].q1)
+    with pytest.raises(error, match=message):
+        SOLVES[kind](observed[size : 2 * size], theta)
+    out = SOLVES[kind](observed, theta, samples=samples)
+    assert [len(block) > 0 for block in out] == [True, False, True]
     for row, block in zip(samples, out):
         assert_solved_as_alone(kind, observed, theta, row, block)
 
