@@ -31,11 +31,12 @@ solves the samples of a round at once; a single solve is the stack of one.
 Both solvers run one sequence, ``solve``, and supply only their generators,
 screen and pose rule; every layer is called through the solver's module
 attributes, where ``perfbench/spans.py`` traces it.  A sample that fails
-fails alone, by one of four idioms: the generator builders name it in their
-error dict, ``each_sample`` redoes a row reduction that raises for a stack
-one sample at a time, a batched solve returns NaN for an exactly singular
-system (``_solve_or_nan``), which drops or stops only its own root, and
-``record_lost`` records the error of a sample a stage leaves without a row.
+fails alone, by one idiom: every stage records its loss in the solve's
+``Losses`` by one call, ``Losses.lose``, the first loss of a sample wins,
+later stages pass lost samples by, and only ``answer`` raises a loss, that
+of a single solve.  A batched solve gives NaN for an exactly singular
+system (``_solve_or_nan``), so a stage reads such a sample, or root, off
+its output.
 """
 
 from __future__ import annotations
@@ -209,38 +210,54 @@ def rescaled_roots(roots: np.ndarray, c: RotationConstraint) -> tuple[np.ndarray
     return keep, (math.sqrt(1.0 - c.sigma * c.sigma) / n.take(keep))[:, None] * roots.take(keep, 0)
 
 
-def record_lost(errors: dict, n: int, sample: np.ndarray, error: RelposeError) -> None:
-    """Record ``error`` as the error of each of the ``n`` samples with no
-    error yet and no candidate row left in ``sample``."""
-    errors.update(dict.fromkeys(set(range(n)).difference(sample.tolist(), errors), error))
+class Losses:
+    """Which samples of a stack a solve has lost, and why: ``status[s]`` is 0
+    while sample ``s`` is alive and ``k`` once ``errors[k - 1]`` lost it.
+    Every stage records a loss by the one call ``lose``; the first loss of a
+    sample wins."""
+
+    def __init__(self, n: int):
+        self.status = np.zeros(n, dtype=np.int64)
+        self.errors: list[RelposeError] = []
+
+    def lose(self, where, error: RelposeError) -> None:
+        """Lose for ``error`` each live sample that the mask, indices or slice ``where`` picks."""
+        hit = np.zeros(len(self.status), dtype=bool)
+        hit[where] = True
+        hit &= self.status == 0
+        if np.count_nonzero(hit):
+            self.errors.append(error)
+            self.status[hit] = len(self.errors)
 
 
-def usable_rotations(roots: np.ndarray, sample: np.ndarray, n: int, c, errors: dict):
-    """The root count of each of the ``n`` samples, and the sample, vector
-    part and rotation of each root with a usable axis (``rescaled_roots``);
-    a sample left without one has its error recorded in ``errors``."""
-    root_count = np.bincount(sample, minlength=n)
+def usable_rotations(roots: np.ndarray, sample: np.ndarray, c, losses: Losses):
+    """The root count of each sample, and the sample, vector part and
+    rotation of each root with a usable axis (``rescaled_roots``); a sample
+    left without one is lost."""
+    root_count = np.bincount(sample, minlength=len(losses.status))
     keep, u = rescaled_roots(roots, c)
     sample = sample.take(keep)
-    record_lost(
-        errors, n, sample, DegenerateConfiguration("no usable rotation candidates survived filtering")
+    losses.lose(
+        np.bincount(sample, minlength=len(root_count)) == 0,
+        DegenerateConfiguration("no usable rotation candidates survived filtering"),
     )
     check_unit_quaternions(c.sigma, u)
     return root_count, sample, u, rotation_stack(c.sigma, u)
 
 
-def residual_gate(residuals: np.ndarray, sample: np.ndarray, n: int, c, errors: dict):
+def residual_gate(residuals: np.ndarray, sample: np.ndarray, c, losses: Losses):
     """The poses whose ``(K, N)`` scaled residuals on their own ``sample``
     are all at most ``POSE_RESIDUAL_TOL`` (a NaN fails), as indices or, if
-    all pass, a whole slice; a sample left without one has its error
-    recorded in ``errors``.  A zero angle fixes the rotation, so there the
-    sample over-determines the pose and every pose passes."""
+    all pass, a whole slice; a sample left without one is lost.  A zero
+    angle fixes the rotation, so there the sample over-determines the pose
+    and every pose passes."""
     passed = np.abs(residuals).max(axis=1) <= POSE_RESIDUAL_TOL
     if c.tau == 0.0 or passed.all():
         return slice(None)
     keep = passed.nonzero()[0]
-    record_lost(
-        errors, n, sample[keep], DegenerateConfiguration("no candidate pose satisfies its own sample")
+    losses.lose(
+        np.bincount(sample[keep], minlength=len(losses.status)) == 0,
+        DegenerateConfiguration("no candidate pose satisfies its own sample"),
     )
     return keep
 
@@ -331,22 +348,20 @@ def rref_conditioned(B: np.ndarray, pivots: tuple[int, ...]) -> np.ndarray:
     solve of that pivot block against the standard (non-pivot) columns, in
     the order of ``QuotientBasis.template_cols``: row ``i`` of each result
     is the pivot polynomial led by column ``pivots[i]``, less its pivot
-    columns (1 at its own, 0 at the others).  A singular or non-finite solve
-    anywhere in the stack raises ``RankDeficient``; a poorly conditioned one
-    goes unnoticed here, and the solvers catch it downstream.  The name is
-    what ``perfbench/spans.py`` traces as the ``gbsolver.rref`` layer.
+    columns (1 at its own, 0 at the others).  A template whose pivot block
+    is exactly singular or not finite, or whose rows come out non-finite,
+    gets NaN rows, alone; a poorly conditioned one goes unnoticed here, and
+    the solvers catch it downstream.  The name is what ``perfbench/spans.py``
+    traces as the ``gbsolver.rref`` layer.
     """
     # A remainder block of degree d has (d + 1)^2 columns.
     qb = _quotient_basis(math.isqrt(B.shape[-1]) - 1, tuple(pivots), B.shape[-1] - len(pivots))
     block = B.take(pivots, -1)
-    try:
-        A = np.linalg.solve(block, B.take(qb.template_cols, -1))
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficient(f"the fixed pivot block is singular: {exc}") from exc
+    A = _solve_or_nan(block, B.take(qb.template_cols, -1))
     # A non-finite block reduces to non-finite pivot columns, which are not
     # computed, even where the standard ones come out finite.
     if not (np.isfinite(A).all() and np.isfinite(block).all()):
-        raise RankDeficient("the fixed pivot block reduced to non-finite rows")
+        A[~(np.isfinite(A).all((-2, -1)) & np.isfinite(block).all((-2, -1)))] = np.nan
     return A
 
 
@@ -711,7 +726,9 @@ def polish_roots(
     n_eq = n_gen + 1
     # The equations, then their derivatives by each variable.
     eqs = blank[None].repeat(n_samples, 0)
-    np.divide(generators, np.abs(generators).max(-1, keepdims=True), out=eqs[:, :n_gen, :width])
+    # The generators of a lost sample may vanish; it owns no root to polish.
+    with np.errstate(invalid="ignore"):
+        np.divide(generators, np.abs(generators).max(-1, keepdims=True), out=eqs[:, :n_gen, :width])
     eqs[:, n_gen, one] = c.tau
     coeffs = (eqs.reshape(n_samples, -1).take(gather, 1) * scale).transpose(0, 2, 1)
 
@@ -754,79 +771,52 @@ def polish_roots(
     return x
 
 
-def each_sample(stage, ids: np.ndarray, errors: dict):
-    """``stage(rows)`` for the samples ``ids[rows]``, all at once (``rows``
-    the whole slice) or, where that raises, one at a time: the stacked
-    outputs and the samples that passed.  Records in ``errors`` the error of
-    every other sample."""
-    try:
-        return stage(slice(None)), ids
-    except RelposeError as exc:
-        if len(ids) == 1:
-            errors[int(ids[0])] = exc
-            return None, ids[:0]
-    outs, passed = [], []
-    for k, i in enumerate(ids.tolist()):
-        try:
-            outs.append(stage(slice(k, k + 1)))
-        except RelposeError as exc:
-            errors[i] = exc
-            continue
-        passed.append(k)
-    return (np.concatenate(outs) if outs else None), ids[passed]
-
-
 # What a partition attempt that solves no sample returns.
 _NOTHING = (np.empty(0, dtype=np.int64),) * 2 + (np.empty((0, 3)), np.empty(0, dtype=np.int64))
 
 
-def rotation_roots(layers, problem: TemplateProblem, generators, rays, ids, c, errors: dict):
-    """Polished rotation roots of the samples ``ids`` of the ``(k, B, n, 3)``
-    ray rows ``rays``, solved as one stack with ``generators(*rays[:, ids],
-    c, errors)`` and the layers of the solver module ``layers``; a zero
-    angle pins one root of each sample to the identity.  A sample that the
-    generators find degenerate or that is left without roots has its error
-    recorded in ``errors``.  Returns the ``(K, 3)`` roots, grouped by sample
-    in ascending order, and the sample of each."""
-    if c.tau == 0.0 or not ids.size:
-        return np.zeros((len(ids), 3)), ids
-    degenerate: dict[int, RelposeError] = {}
-    gens = generators(*rays.take(ids, 1), c, degenerate)
-    if degenerate:
-        errors.update((int(ids[k]), exc) for k, exc in degenerate.items())
-        keep = np.delete(np.arange(len(ids)), list(degenerate))
-        gens, ids = gens[keep], ids[keep]
-        if not ids.size:
-            return _NOTHING[2], ids
-    roots, owner = _eliminate(layers, problem, gens, ids, c, errors)
-    return layers.polish_roots(gens, roots, c, owner), ids[owner]
+def rotation_roots(layers, problem: TemplateProblem, generators, rays, c, losses: Losses):
+    """Polished rotation roots of the live samples of the ``(k, B, n, 3)``
+    ray rows ``rays``, solved as one stack with ``generators(*rays, c,
+    losses)`` and the layers of the solver module ``layers``; a zero angle
+    pins one root of each to the identity.  A sample that the generators
+    find degenerate or that is left without roots is lost.  Returns the
+    ``(K, 3)`` roots, grouped by sample in ascending order, and the sample
+    of each."""
+    live = (losses.status == 0).nonzero()[0]
+    if c.tau == 0.0 or not live.size:
+        return np.zeros((len(live), 3)), live
+    gens = generators(*rays, c, losses)
+    roots, sample = _eliminate(layers, problem, gens, c, losses)
+    return layers.polish_roots(gens, roots, c, sample), sample
 
 
-def _eliminate(layers, problem: TemplateProblem, generators: np.ndarray, ids, c, errors: dict):
-    """Unpolished roots of the samples ``ids`` of the generator stack,
-    grouped by sample in ascending order, and each one's position in the
-    stack.  Each sample reduces its template on the committed partitions in
-    turn until one neither raises nor drops a root as inconsistent, and
-    keeps the roots of the attempt that dropped the fewest; a sample that no
-    partition solves has its last error recorded in ``errors``."""
+def _eliminate(layers, problem: TemplateProblem, generators: np.ndarray, c, losses: Losses):
+    """Unpolished roots of the live samples of the generator stack, grouped
+    by sample in ascending order, and the sample of each.  Each sample
+    reduces its template on the committed partitions in turn until one
+    neither loses it nor drops a root as inconsistent, and keeps the roots
+    of the attempt that dropped the fewest; a sample that no partition
+    solves is lost for what lost it on the last."""
     n_samples = len(generators)
+    # Per sample, the fewest roots an attempt dropped (more than any can for
+    # a live sample until one solves it, none for a lost one) and that attempt.
+    dropped = np.where(losses.status == 0, problem.basis_size + 1, 0)
+    kept, pending = np.full(n_samples, -1), dropped.nonzero()[0]
+    if not pending.size:
+        return _NOTHING[2:]
     try:
         template = layers.assemble_reduced_template(
             generators, problem.multipliers, problem.target_degree, c, extra_rows=problem.extra_rows
         )
         check_shape("template", template.matrix.shape, (n_samples, *problem.template_shape))
     except RelposeError as exc:
-        errors.update(dict.fromkeys(ids.tolist(), exc))
+        losses.lose(slice(None), exc)
         return _NOTHING[2:]
-    last_error: dict[int, RelposeError] = {}
-    # Per sample, the fewest roots an attempt dropped (more than any can
-    # until one solves it) and that attempt.
-    dropped, kept = np.full(n_samples, problem.basis_size + 1), np.full(n_samples, -1)
-    found, pending, matrix = [], np.arange(n_samples), template.matrix
+    found = []
     for attempt, pivots in enumerate(problem.partitions):
-        solved, now, roots, owner = _attempt(
-            layers, problem, template.basis, matrix, pivots, pending, last_error
-        )
+        tried = Losses(n_samples)
+        solved, now, roots, owner = _attempt(layers, problem, template, pivots, pending, tried)
         fewer = now < dropped[solved]
         won = solved[fewer]
         dropped[won], kept[won] = now[fewer], attempt
@@ -834,8 +824,8 @@ def _eliminate(layers, problem: TemplateProblem, generators: np.ndarray, ids, c,
         pending = dropped.nonzero()[0]
         if not pending.size:
             break
-        matrix = template.matrix[pending]
-    errors.update((int(ids[p]), exc) for p, exc in last_error.items() if kept[p] < 0)
+    for k, exc in enumerate(tried.errors, 1):
+        losses.lose((tried.status == k) & (kept < 0), exc)
     if len(found) == 1:
         return found[0]
     # Each sample's roots from the attempt it keeps, in ascending order.
@@ -845,43 +835,49 @@ def _eliminate(layers, problem: TemplateProblem, generators: np.ndarray, ids, c,
     return np.concatenate([r[m] for (r, _), m in zip(found, mine)])[order], owner[order]
 
 
-def _attempt(layers, problem, basis, matrix: np.ndarray, pivots, pending: np.ndarray, errors):
-    """The templates ``matrix`` of the samples ``pending`` reduced on one
-    partition: the samples it solves, the count of roots each dropped as
-    inconsistent, their roots, grouped by sample in ascending order, and
-    the sample of each root.  Records the error of every other sample in
-    ``errors``."""
-    n = problem.basis_size
+def _attempt(layers, problem, template, pivots, pending: np.ndarray, tried: Losses):
+    """The templates of the samples ``pending`` reduced on one partition:
+    the samples it solves, the count of roots each dropped as inconsistent,
+    their roots, grouped by sample in ascending order, and the sample of
+    each root.  Every other sample is lost in ``tried``."""
+    n, basis, matrix = problem.basis_size, template.basis, template.matrix
+    if len(pending) < len(matrix):
+        matrix = matrix[pending]
     try:
-        reduced, solved = each_sample(
-            lambda rows: layers.rref_conditioned(matrix[rows], pivots), pending, errors
-        )
-        if not solved.size:
-            return _NOTHING
+        reduced = layers.rref_conditioned(matrix, pivots)
+        lost = np.isnan(reduced[:, 0, 0])
+        if lost.any():
+            # A lost template whose entries are all finite was singular.
+            singular = lost & np.isfinite(matrix).all((1, 2))
+            for where, what in (
+                (singular, "is singular: Singular matrix"), (lost, "reduced to non-finite rows")
+            ):
+                tried.lose(pending[where], RankDeficient(f"the fixed pivot block {what}"))
         qb = layers.quotient_basis_from_pivots(basis, pivots, n)
         action = layers.build_action_matrix(reduced, pivots, basis, qb)
-        check_shape("action matrix", action.shape, (solved.size, n, n))
+        check_shape("action matrix", action.shape, (pending.size, n, n))
     except RelposeError as exc:
-        errors.update(dict.fromkeys(pending.tolist(), exc))
+        tried.lose(pending, exc)
         return _NOTHING
-    values, found = [], []
+    # The action matrix of a sample lost above has NaN rows, which
+    # ``eigensolve_real`` rejects; the sample keeps its first loss.
+    values = []
     for j, M in enumerate(action):
         try:
             values.append(layers.eigensolve_real(M))
         except RelposeError as exc:
-            errors[int(solved[j])] = exc
-            continue
-        found.append(j)
-    if not found:
-        return _NOTHING
-    if len(found) < len(solved):
-        solved, action = solved[found], action[found]
+            tried.lose(pending[j], exc)
+    if tried.errors:
+        alive = tried.status[pending] == 0
+        pending, action = pending[alive], action[alive]
+        if not pending.size:
+            return _NOTHING
     try:
         extracted = layers.extract_roots(values, action, qb)
     except RelposeError as exc:
-        errors.update(dict.fromkeys(solved.tolist(), exc))
+        tried.lose(pending, exc)
         return _NOTHING
-    return solved, extracted.inconsistent, extracted.roots, solved[extracted.sample]
+    return pending, extracted.inconsistent, extracted.roots, pending[extracted.sample]
 
 
 @dataclass(frozen=True, eq=False)
@@ -900,14 +896,16 @@ class SamplePoses:
         return (self.stack.rows(a, b) for a, b in zip(self.bounds, self.bounds[1:]))
 
 
-def answer(stack: PoseStack, sample: np.ndarray, errors: dict, n: int, samples):
-    """A solver's answer from the poses of ``n`` samples, the ascending
-    sample of each, and the errors of the failed samples: with ``samples``,
-    the ``SamplePoses``; without, the one sample's poses, or its error."""
+def answer(stack: PoseStack, sample: np.ndarray, losses: Losses, samples):
+    """A solver's answer from the poses of the samples, the ascending
+    sample of each, and the record of the lost samples: with ``samples``,
+    the ``SamplePoses``; without, the one sample's poses, or the error that
+    lost it."""
     if samples is not None:
-        return SamplePoses(stack, np.searchsorted(sample, np.arange(n + 1)).tolist())
-    if errors:
-        raise as_degenerate(errors[0])
+        bounds = np.searchsorted(sample, np.arange(len(losses.status) + 1))
+        return SamplePoses(stack, bounds.tolist())
+    if losses.status[0]:
+        raise as_degenerate(losses.errors[losses.status[0] - 1])
     return stack.poses()
 
 
@@ -915,17 +913,18 @@ def solve(layers, problem: TemplateProblem, generators, screen, pose, pairs, the
     """A solver's answer for the samples of ``pairs`` (``sample_stack``),
     solved as one stack with the layers of the solver module ``layers``.
 
-    ``screen(rays, errors)``, if given, returns the samples worth solving
+    ``screen(rays, losses)``, if given, loses the samples not worth solving
     before any root is computed.  The rotations of the rest go to the pose
-    rule ``pose(rays, sample, u, Rs, c, errors)``, which returns the
+    rule ``pose(rays, sample, u, Rs, c, losses)``, which returns the
     rotations, translations, vector parts, samples and diagnostic columns
-    of its poses.  Both record the error of each sample they leave out.
+    of its poses.  Both lose each sample they leave out in ``losses``.
     """
     rays, n, c = problem.sample_stack(pairs, theta, anchor, samples)
-    errors: dict[int, RelposeError] = {}
-    ids = np.arange(n) if screen is None else screen(rays, errors)
-    roots, sample = rotation_roots(layers, problem, generators, rays, ids, c, errors)
-    root_count, sample, u, Rs = usable_rotations(roots, sample, n, c, errors)
-    Rs, T, u, sample, columns = pose(rays, sample, u, Rs, c, errors)
+    losses = Losses(n)
+    if screen is not None:
+        screen(rays, losses)
+    roots, sample = rotation_roots(layers, problem, generators, rays, c, losses)
+    root_count, sample, u, Rs = usable_rotations(roots, sample, c, losses)
+    Rs, T, u, sample, columns = pose(rays, sample, u, Rs, c, losses)
     columns["root_count"] = root_count.take(sample)
-    return answer(PoseStack(Rs, T, c.sigma, u, columns), sample, errors, n, samples)
+    return answer(PoseStack(Rs, T, c.sigma, u, columns), sample, losses, samples)

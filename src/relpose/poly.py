@@ -207,15 +207,15 @@ _F_RAY_PAIRS = np.triu_indices(4, 1)
 _F_PAIR_CROSSES = np.array([6, 7, 4, 0, 1, 2])
 
 
-def _degenerate(messages: dict, errors: dict | None) -> None:
-    """Record a ``DegenerateInput`` per sample of ``messages`` in ``errors``, or raise the first."""
-    if errors is None:
-        raise DegenerateInput(messages[min(messages)])
-    errors.update((sample, DegenerateInput(message)) for sample, message in messages.items())
+def _degenerate(where, message: str, losses) -> None:
+    """Lose the samples ``where`` for a ``DegenerateInput`` in ``losses``, or raise it."""
+    if losses is None:
+        raise DegenerateInput(message)
+    losses.lose(where, DegenerateInput(message))
 
 
 def build_f_polynomials(
-    q1: np.ndarray, q2: np.ndarray, c: RotationConstraint, errors: dict | None = None
+    q1: np.ndarray, q2: np.ndarray, c: RotationConstraint, losses=None
 ) -> np.ndarray:
     """The four quartic determinant constraints of the 4-point problem, as a
     ``(..., 4, 35)`` coefficient array on the degree-4 basis.
@@ -224,11 +224,11 @@ def build_f_polynomials(
     leading index.  The cyclic anchor pattern (2,3,4), (3,4,1), (4,1,2),
     (1,2,3) makes each set symmetric under relabelling of the four
     correspondences.  All determinants are formed in one batch.  A sample
-    with coincident rays gets a ``DegenerateInput`` naming its first such
-    pair, view 1 before view 2, in ``errors`` under its flat leading index
-    (its rows are left as they come out), so that a solver drops it alone.
-    Without ``errors`` the first one is raised: that is the public contract
-    of a direct call, which the solvers alone do not use.
+    with coincident rays is lost in ``losses``, the solve's ``gbsolver.Losses``
+    over the flat leading index, for a ``DegenerateInput`` naming its first
+    such pair, view 1 before view 2 (its rows are left as they come out), so
+    that a solver drops it alone.  Without ``losses`` the first is raised:
+    the public contract of a direct call, which the solvers do not use.
     """
     if q1.shape[-2:] != (4, 3):
         raise ValueError("exactly 4 bearing pairs required")
@@ -238,11 +238,10 @@ def build_f_polynomials(
         # Per sample, the first coincident pair, view 1 before view 2.
         found = coincident.reshape(2, -1, 8).take(_F_PAIR_CROSSES, -1).transpose(1, 2, 0)
         first, second = _F_RAY_PAIRS
-        _degenerate({
-            s: f"rays {first[k // 2]} and {second[k // 2]} coincide in view {k % 2 + 1}; "
-            "correspondences must be distinct"
-            for s, k in enumerate(found.reshape(-1, 12).argmax(-1).tolist()) if found[s].any()
-        }, errors)
+        for s in found.reshape(-1, 12).any(-1).nonzero()[0].tolist():
+            k = int(found[s].argmax())
+            message = f"rays {first[k // 2]} and {second[k // 2]} coincide in view {k % 2 + 1}; "
+            _degenerate(s, message + "correspondences must be distinct", losses)
     return _f_dets(rays, c.sigma)
 
 
@@ -278,12 +277,12 @@ def _g_dets(rows: np.ndarray) -> np.ndarray:
 
 def build_g_polynomials(
     q1: np.ndarray, q2: np.ndarray, m1: np.ndarray, m2: np.ndarray, c: RotationConstraint,
-    errors: dict | None = None,
+    losses=None,
 ) -> np.ndarray:
     """The five sextic determinant constraints of the generalized 5-point
     problem, formed in one batch, as a ``(..., 5, 84)`` coefficient array on
     the degree-6 basis, from the ``(..., 5, 3)`` Pluecker rows of one sample
-    per leading index.  A sample with a collapsed determinant gets a
+    per leading index.  A sample with a collapsed determinant is lost for a
     ``DegenerateInput``, as ``build_f_polynomials`` reports it."""
     if q1.shape[-2:] != (5, 3):
         raise ValueError("exactly 5 Pluecker pairs required")
@@ -291,6 +290,5 @@ def build_g_polynomials(
     collapsed = np.abs(dets).max(axis=-1) < 1e-12
     if collapsed.any():
         message = "a determinant constraint collapsed to zero; the ray configuration is degenerate"
-        samples = collapsed.reshape(-1, 5).any(-1).nonzero()[0].tolist()
-        _degenerate(dict.fromkeys(samples, message), errors)
+        _degenerate(collapsed.reshape(-1, 5).any(-1), message, losses)
     return dets

@@ -18,7 +18,6 @@ from .gbsolver import (
     extract_roots,
     polish_roots,
     quotient_basis_from_pivots,
-    record_lost,
     residual_gate,
     rref_conditioned,
     solve,
@@ -55,12 +54,10 @@ def central(moments: np.ndarray) -> np.ndarray:
     return np.sqrt(stacked_dot(moments, moments)).max(axis=(0, -1)) < CENTRAL_MOMENT_EPS
 
 
-def _screen(rays: np.ndarray, errors: dict) -> np.ndarray:
-    """The samples of the ``(4, B, 5, 3)`` Pluecker rows that are not
-    ``central``; the error of every other is recorded in ``errors``."""
-    ids = (~central(rays[2:])).nonzero()[0]
-    record_lost(errors, rays.shape[1], ids, ScaleUnobservable(_CENTRAL))
-    return ids
+def _screen(rays: np.ndarray, losses) -> None:
+    """Lose the samples of the ``(4, B, 5, 3)`` Pluecker rows that are
+    ``central``."""
+    losses.lose(central(rays[2:]), ScaleUnobservable(_CENTRAL))
 
 
 def _depth_rows(own: np.ndarray, Rs: np.ndarray) -> np.ndarray:
@@ -93,19 +90,18 @@ def _sample_residuals(own: np.ndarray, Rs: np.ndarray, T: np.ndarray) -> np.ndar
     return r / (np.sqrt(stacked_dot(T, T))[:, None] + n1 + n2)
 
 
-def _poses(rays: np.ndarray, sample: np.ndarray, u: np.ndarray, Rs: np.ndarray, c, errors: dict):
+def _poses(rays: np.ndarray, sample: np.ndarray, u: np.ndarray, Rs: np.ndarray, c, losses):
     """The pose rule of ``gbsolver.solve`` for the ``(4, B, 5, 3)`` Pluecker
     rows: each rotation's metric translation from the anchor depths that its
     sample's depth rows determine, where they do, gated."""
-    n = rays.shape[1]
     own = rays.take(sample, 1)
     _, s, vt = np.linalg.svd(_depth_rows(own, Rs))
     v = vt[:, -1]
     unobservable = (s[:, 1] <= SCALE_RANK_EPS * s[:, 0]) | (np.abs(v[:, 2]) < SCALE_COMPONENT_EPS)
     observable = (~unobservable).nonzero()[0]
     sample = sample.take(observable)
-    record_lost(
-        errors, n, sample,
+    losses.lose(
+        np.bincount(sample, minlength=rays.shape[1]) == 0,
         ScaleUnobservable("translation scale is unobservable for every rotation candidate"),
     )
     v, Rs, u = v.take(observable, 0), Rs.take(observable, 0), u.take(observable, 0)
@@ -115,7 +111,7 @@ def _poses(rays: np.ndarray, sample: np.ndarray, u: np.ndarray, Rs: np.ndarray, 
     t1, t2 = stacked_cross(anchors[2:], anchors[:2]) + depths.T[:, :, None] * anchors[:2]
     # The stacked matmul rounds as the per-root R @ t1 does.
     T = t2 - (Rs @ t1[:, :, None])[..., 0]
-    keep = residual_gate(_sample_residuals(own, Rs, T), sample, n, c, errors)
+    keep = residual_gate(_sample_residuals(own, Rs, T), sample, c, losses)
     return Rs[keep], T[keep], u[keep], sample[keep], {"depths": depths[keep]}
 
 

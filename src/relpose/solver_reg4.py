@@ -18,7 +18,6 @@ from .gbsolver import (
     extract_roots,
     polish_roots,
     quotient_basis_from_pivots,
-    record_lost,
     residual_gate,
     rref_conditioned,
     solve,
@@ -39,11 +38,10 @@ _LAYERS = sys.modules[__name__]
 _SIGNS = np.array([1.0, -1.0])
 
 
-def _poses(rays: np.ndarray, sample: np.ndarray, u: np.ndarray, Rs: np.ndarray, c, errors: dict):
+def _poses(rays: np.ndarray, sample: np.ndarray, u: np.ndarray, Rs: np.ndarray, c, losses):
     """The pose rule of ``gbsolver.solve`` for the ``(2, B, 4, 3)`` bearing
     rows: each rotation's unit translation from its sample's epipolar rows,
     gated, with the sign or signs that win the cheirality vote."""
-    n = rays.shape[1]
     Q1, Q2 = rays.take(sample, 1)
     # Rows cross(R q1_i, q2_i) for every root at once; the stacked matmul
     # rounds as the per-root R @ q1_i does.
@@ -51,14 +49,14 @@ def _poses(rays: np.ndarray, sample: np.ndarray, u: np.ndarray, Rs: np.ndarray, 
     T = np.linalg.svd(rows)[2][:, -1]
     # Each row dotted with the unit translation is the scaled epipolar
     # residual q2^T [t]x R q1 of its pair.
-    keep = residual_gate((rows @ T[:, :, None])[..., 0], sample, n, c, errors)
+    keep = residual_gate((rows @ T[:, :, None])[..., 0], sample, c, losses)
     sample, Rs, T, u, Q1, Q2 = sample[keep], Rs[keep], T[keep], u[keep], Q1[keep], Q2[keep]
     votes = cheiral_counts(Rs, T, Q1, Q2)
     # Keep each sign that wins the cheirality vote, both on a tie, none at 0-0.
     k, flip = ((votes > 0) & (votes >= votes[::-1])).T.nonzero()
     sample = sample.take(k)
-    record_lost(
-        errors, n, sample,
+    losses.lose(
+        np.bincount(sample, minlength=rays.shape[1]) == 0,
         NoCheiralSolution("no candidate places any point in front of both cameras"),
     )
     T = T.take(k, 0) * _SIGNS.take(flip)[:, None]

@@ -58,6 +58,7 @@ from relpose.gbsolver import (
     ROOT_TOL,
     U_DIRECTION_EPS,
     EliminationTemplate,
+    Losses,
     QuotientBasis,
     as_degenerate,
     rescaled_roots,
@@ -104,15 +105,15 @@ def rotation_candidates(module, pairs: list, c) -> np.ndarray:
     """Polished candidate roots of one sample, as the solver of ``module``
     (``solver_reg4`` or ``solver_gen5``) finds them; raises the template
     failure where it finds none."""
-    errors: dict = {}
+    losses = Losses(1)
     if module is solver_reg4:
         problem, generators, names = REGULAR, module.build_f_polynomials, ("q1", "q2")
     else:
         problem, generators, names = GENERAL, module.build_g_polynomials, ("q1", "q2", "m1", "m2")
     rays = _ray_stack(pairs, *names)[:, None]
-    roots, _ = rotation_roots(module, problem, generators, rays, np.arange(1), c, errors)
-    if errors:
-        raise errors[0]
+    roots, _ = rotation_roots(module, problem, generators, rays, c, losses)
+    if losses.status[0]:
+        raise losses.errors[losses.status[0] - 1]
     return roots
 
 
@@ -124,6 +125,16 @@ def candidate_rotations(roots: np.ndarray, c) -> tuple[list[UnitQuaternion], np.
     if not len(u):
         raise DegenerateConfiguration("no usable rotation candidates survived filtering")
     return [UnitQuaternion(c.sigma, v) for v in u], rotation_stack(c.sigma, u)
+
+
+def spoil_template(matrix: np.ndarray, pivots, how: str) -> None:
+    """Make the pivot block of the ``(rows, columns)`` template ``matrix``
+    on ``pivots`` exactly singular, by zeroing a row, or non-finite, in
+    place."""
+    if how == "singular":
+        matrix[7] = 0.0
+    else:
+        matrix[2, pivots[5]] = math.inf
 
 
 @dataclass(frozen=True, eq=False)

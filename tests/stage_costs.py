@@ -12,14 +12,16 @@ the solver module, the attributes that ``perfbench/spans.py`` traces, plus
 ``polish_roots``, ``residual_gate``, the pose rule ``_poses`` and its rows
 and, for gen5, the central screen; in ``gbsolver``, the shared steps
 ``rotation_roots``, ``_eliminate``, ``_attempt``, ``usable_rotations``,
-``PoseStack`` and ``answer``.  A stage's time is its own, less that of the
-spied stages it calls; ``solve`` is what no spy holds (checking arguments,
-gathering the rays and the rest of ``gbsolver.solve``).  From the
-times ``t1`` and ``t8`` summed over the frame pairs it prints, per stage
-and per call, the per-sample cost ``(t8 - t1) / 7`` and the fixed cost
-``t1`` less one sample, in microseconds: medians over ``--repeats`` passes,
-after one untimed pass.  Times are not scaled to the machine's speed, so
-compare runs made one after another on one machine.
+``PoseStack`` and ``answer``, and the recording call ``Losses.lose``.  A
+stage's time is its own, less that of the spied stages it calls; ``solve``
+is what no spy holds (checking arguments, gathering the rays and the rest
+of ``gbsolver.solve``).  From the times ``t1`` and ``t8`` summed over the
+frame pairs it prints, per stage and per call, the per-sample cost ``(t8 -
+t1) / 7`` and the fixed cost ``t1`` less one sample, in microseconds:
+medians over ``--repeats`` passes, after one untimed pass.  Each pass is
+followed by runs of the reference kernel of ``perfbench/run.py`` and its
+times are scaled as that benchmark scales an operation's, to the speed of
+the machine at rest, so that runs made at different host loads compare.
 """
 
 from __future__ import annotations
@@ -74,7 +76,11 @@ def stage_names(rp, solver: str) -> list[tuple[object, str]]:
     spans = load_spans()
     traced = [attr for mod, attr, _ in spans.LAYERS if mod == module.__name__.split(".")[-1]]
     names = [(module, attr) for attr in (*traced, *COMMON, *HELPERS[solver])]
-    return names + [(rp.gbsolver, attr) for attr in GBSOLVER]
+    names += [(rp.gbsolver, attr) for attr in GBSOLVER]
+    if hasattr(rp.gbsolver, "Losses"):
+        # The recording call, where the package has one.
+        names.append((rp.gbsolver.Losses, "lose"))
+    return names
 
 
 def load_spans():
@@ -110,6 +116,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     run = load_run()
     rp = run.load_relpose()
+    reference = run.Reference()
     panel = run.make_panel(rp, "ransac")
     for solver, ops in panel.items():
         size = 4 if solver == "reg4" else 5
@@ -126,14 +133,22 @@ def main(argv=None) -> int:
                           pairs, theta, samples))
         names = stage_names(rp, solver)
         one_pass(rp, names, calls)
-        passes = [one_pass(rp, names, calls) for _ in range(args.repeats)]
+        passes, ref_ms = [], []
+        for _ in range(args.repeats):
+            start = time.perf_counter()
+            passes.append(one_pass(rp, names, calls))
+            ref_ms.append(reference.after(1e3 * (time.perf_counter() - start)))
+        # Per pass, the factor from its summed seconds to microseconds per
+        # call at the reference speed.
+        scales = run.scale_to_reference(np.full(len(passes), 1e6 / len(calls)), ref_ms)
         stages = ["solve", *(attr for _, attr in names)]
-        print(f"{solver}: us per call, {len(calls)} frame pairs, median of {args.repeats}")
+        print(f"{solver}: us per call, {len(calls)} frame pairs, median of {args.repeats}, "
+              "scaled to the reference kernel")
         print(f"  {'stage':28s} {'fixed':>9s} {'per sample':>11s}")
         totals = [0.0, 0.0]
         for stage in stages:
-            per = [1e6 * (p[8][stage] - p[1][stage]) / 7 / len(calls) for p in passes]
-            fixed = [1e6 * p[1][stage] / len(calls) - s for p, s in zip(passes, per)]
+            per = [f * (p[8][stage] - p[1][stage]) / 7 for p, f in zip(passes, scales)]
+            fixed = [f * p[1][stage] - s for p, f, s in zip(passes, scales, per)]
             row = [statistics.median(fixed), statistics.median(per)]
             totals = [a + b for a, b in zip(totals, row)]
             print(f"  {stage:28s} {row[0]:9.1f} {row[1]:11.1f}")

@@ -66,21 +66,25 @@ def test_public_name_is_used_by_the_package(module, name, definition):
     )
 
 
-# The call that records an error for every sample a stacked stage leaves
-# without a candidate; a single solve raises that error in the end.
-RECORDING_CALL = "record_lost"
+# The method of ``gbsolver.Losses`` through which every stage records the
+# error that loses a sample of a stack; a single solve raises that error in
+# the end.
+RECORDING_CALL = "lose"
 
 
 def handled_names(tree: ast.Module):
     """Bare names in the ``raise`` statements and ``except`` clauses of
     ``tree``, and the classes constructed as arguments of a
-    ``RECORDING_CALL``."""
+    ``RECORDING_CALL`` method call."""
     for n in ast.walk(tree):
         if isinstance(n, ast.Raise):
             exprs = [n.exc]
         elif isinstance(n, ast.ExceptHandler):
             exprs = [n.type]
-        elif isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == RECORDING_CALL:
+        elif (
+            isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+            and n.func.attr == RECORDING_CALL
+        ):
             exprs = [a.func for a in n.args if isinstance(a, ast.Call)]
         else:
             continue
@@ -111,25 +115,29 @@ def test_exception_is_raised_or_caught_by_the_package(name):
 
 
 SYNTHETIC = """
-from .exceptions import Assigned, Caught, Passed, Raised, Recorded
+from .exceptions import Assigned, Caught, Passed, Raised, Recorded, Sent
 
-def stage(errors, n, sample, report):
+def stage(losses, lost, report):
     try:
         raise Raised("raised")
     except Caught:
         pass
-    record_lost(errors, n, sample, Recorded("recorded"))
+    losses.lose(lost, Recorded("recorded"))
     error = Assigned("assigned")
-    record_lost(errors, n, sample, error)
+    losses.lose(lost, error)
     report(Passed("passed"))
+    report.send(lost, Sent("sent"))
 """
 
 
 @pytest.mark.parametrize(
     "name,used",
-    [("Raised", True), ("Caught", True), ("Recorded", True), ("Assigned", False), ("Passed", False)],
+    [
+        ("Raised", True), ("Caught", True), ("Recorded", True), ("Assigned", False),
+        ("Passed", False), ("Sent", False),
+    ],
 )
 def test_only_raising_catching_or_recording_uses_an_exception(name, used):
-    # A class only constructed, assigned or handed to another call, never
-    # raised or recorded, must still fail the rule.
+    # A class only constructed, assigned or handed to another call or
+    # method, never raised or recorded, must still fail the rule.
     assert raised_or_caught(name, {"synthetic.py": ast.parse(SYNTHETIC)}) is used

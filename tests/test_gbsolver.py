@@ -32,6 +32,7 @@ from reference_templates import (
     reduce_mod_h,
     rref,
     schur_equivalence_check,
+    spoil_template,
 )
 
 # Leading exponents of the ten reduced generating polynomials of the regular
@@ -184,17 +185,22 @@ class TestRrefConditioned:
             full = np.linalg.solve(tpl.matrix[:, pivots], tpl.matrix)
             assert np.array_equal(red, full[:, cols])
 
-    def test_singular_or_non_finite_block_raises(self):
-        tpl, _, _ = regular_template(4)
-        pivots = REGULAR.partitions[0]
-        bad = tpl.matrix.copy()
-        bad[7] = bad[3]
-        with pytest.raises(RankDeficient, match="singular"):
-            rref_conditioned(bad, pivots)
-        bad = tpl.matrix.copy()
-        bad[2, pivots[5]] = math.inf
-        with pytest.raises(RankDeficient, match="non-finite"):
-            rref_conditioned(bad, pivots)
+    @pytest.mark.parametrize("problem", [REGULAR, GENERAL], ids=["regular", "general"])
+    def test_a_singular_or_non_finite_template_reduces_to_nan_rows_alone(self, problem):
+        template = regular_template if problem is REGULAR else general_template
+        stack = np.array([template(seed)[0].matrix for seed in range(4, 9)])
+        pivots = problem.partitions[0]
+        spoil_template(stack[1], pivots, "singular")
+        spoil_template(stack[3], pivots, "non-finite")
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(stack[1][:, pivots], stack[1])
+        red = rref_conditioned(stack, pivots)
+        assert np.isnan(red[[1, 3]]).all()
+        cols = quotient_basis_from_pivots(
+            grevlex_basis(problem.target_degree), pivots, problem.basis_size
+        ).template_cols
+        for k in (0, 2, 4):
+            assert np.array_equal(red[k], np.linalg.solve(stack[k][:, pivots], stack[k][:, cols]))
 
     def test_row_space_preserved(self):
         # Complete pivoting, the oracle of the solvers' fallback.

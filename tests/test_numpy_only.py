@@ -1,10 +1,16 @@
 """numpy is the package's only runtime dependency: every module imports, and
-both solvers run, in an interpreter where scipy cannot be imported."""
+both solvers run, in an interpreter where scipy cannot be imported.  The
+one private part of numpy the package uses, the gufunc behind
+``np.linalg.solve``, keeps the contract the package relies on."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from relpose.gbsolver import _solve_or_nan
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -34,3 +40,17 @@ def test_every_module_imports_and_both_solvers_run_without_scipy():
     )
     assert done.returncode == 0, done.stderr
     assert "solver_gen5" in done.stdout and "solver_reg4" in done.stdout
+
+
+def test_the_private_solve_gufunc_is_numpys_solve_with_nan_for_a_singular_system():
+    # rref_conditioned, the chain systems and polishing solve through
+    # numpy.linalg._umath_linalg.solve: bit for bit np.linalg.solve, and NaN
+    # for an exactly singular system of the stack, alone, without a raise.
+    rng = np.random.default_rng(0)
+    A, b = rng.normal(size=(5, 7, 7)), rng.normal(size=(5, 7, 3))
+    assert np.array_equal(_solve_or_nan(A, b), np.linalg.solve(A, b))
+    A[2, 4] = 0.0
+    out = _solve_or_nan(A, b)
+    assert np.isnan(out[2]).all()
+    rest = [0, 1, 3, 4]
+    assert np.array_equal(out[rest], np.linalg.solve(A[rest], b[rest]))

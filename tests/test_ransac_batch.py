@@ -10,12 +10,14 @@ import pytest
 import reference_robust
 import relpose.robust as robust
 from reference_robust import loop_ransac_estimate
+from reference_templates import spoil_template
 from relpose import solver_gen5, solver_reg4
 from relpose.exceptions import (
     DegenerateConfiguration,
     DegenerateInput,
     NoCheiralSolution,
     NoHypothesis,
+    RankDeficient,
     ScaleUnobservable,
 )
 from relpose.gbsolver import GENERAL, REGULAR, SamplePoses
@@ -356,6 +358,47 @@ def test_a_degenerate_sample_costs_one_generator_call(monkeypatch, kind):
     if kind == "reg4":
         # Rays 0 and 2 are one correspondence: view 1 is named first.
         assert str(direct.value).startswith("rays 0 and 2 coincide in view 1;")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_template_no_partition_reduces_fails_alone(monkeypatch, kind):
+    # Two samples of a stack get templates that no partition can reduce:
+    # one with an exactly singular pivot block, one with a non-finite entry.
+    observed, theta = frame_pair(kind, 5)
+    rng = np.random.default_rng(5)
+    size = 4 if kind == "reg4" else 5
+    samples = np.array([rng.choice(len(observed), size, replace=False) for _ in range(6)])
+    module, name = GENERATORS[kind]
+    problem = REGULAR if kind == "reg4" else GENERAL
+    generators, c = getattr(module, name), sigma_from_angle(theta)
+    # The generators of a sample, as bytes, name it in the template stack.
+    spoiled = {}
+    for k, how in ((1, "singular"), (4, "non-finite")):
+        rays = _ray_stack([observed[i] for i in samples[k]], *problem.ray_names)
+        spoiled[generators(*rays, c).tobytes()] = how
+    assemble = module.assemble_reduced_template
+
+    def spoiling(gens, *args, **kwargs):
+        template = assemble(gens, *args, **kwargs)
+        for s, sample_gens in enumerate(gens):
+            how = spoiled.get(sample_gens.tobytes())
+            if how:
+                spoil_template(template.matrix[s], problem.partitions[0], how)
+        return template
+
+    monkeypatch.setattr(module, "assemble_reduced_template", spoiling)
+    out = SOLVES[kind](observed, theta, samples=samples)
+    assert [len(block) > 0 for block in out] == [True, False, True, True, False, True]
+    for row, block in zip(samples, out):
+        assert_solved_as_alone(kind, observed, theta, row, block)
+    for k, message in (
+        (1, "the fixed pivot block is singular: Singular matrix"),
+        (4, "the fixed pivot block reduced to non-finite rows"),
+    ):
+        with pytest.raises(DegenerateConfiguration) as alone:
+            SOLVES[kind]([observed[i] for i in samples[k]], theta)
+        assert isinstance(alone.value.__cause__, RankDeficient)
+        assert str(alone.value) == str(alone.value.__cause__) == message
 
 
 @pytest.mark.parametrize("kind", KINDS)
