@@ -9,14 +9,16 @@ matrix for gamma as it is.  Take its eigenvalues, recover candidate roots
 from the eigenvectors of the near-real ones, and polish every root with
 Gauss-Newton steps on the generators.
 
-Eigenvalues come from ``np.linalg.eigvals`` (``eigensolve_real``).  The
-eigenvectors are rebuilt from the gamma chains of the quotient basis
-(``_gamma_chains``) by two batched steps of inverse iteration over every real
-eigenvalue of a partition attempt (``extract_roots``), so their cost is
-traced in the ``gbsolver.extract`` layer, not in ``gbsolver.eig``.  The
-chains make the gamma entry and every product with a gamma factor hold by
-construction; the alpha^2, alpha beta and beta^2 products carry the
-consistency test.
+Eigenvalues (``eigensolve_real``), SVDs (``_svd_or_nan``) and solves
+(``_solve_or_nan``) call the LAPACK gufuncs behind ``np.linalg.eigvals``,
+``svd`` and ``solve``: bit for bit those functions, at a fraction of the
+overhead, and NaN for a matrix they cannot solve.  The eigenvectors are
+rebuilt from the gamma chains of the quotient basis (``_gamma_chains``) by
+two batched steps of inverse iteration over every real eigenvalue of a
+partition attempt (``extract_roots``), so their cost is traced in the
+``gbsolver.extract`` layer, not in ``gbsolver.eig``.  The chains make the
+gamma entry and every product with a gamma factor hold by construction; the
+alpha^2, alpha beta and beta^2 products carry the consistency test.
 
 Each minimal problem is one ``TemplateProblem``.  It carries a short
 chain of committed pivot partitions, so there is one elimination
@@ -33,10 +35,9 @@ screen and pose rule; every layer is called through the solver's module
 attributes, where ``perfbench/spans.py`` traces it.  A sample that fails
 fails alone, by one idiom: every stage records its loss in the solve's
 ``Losses`` by one call, ``Losses.lose``, the first loss of a sample wins,
-later stages pass lost samples by, and only ``answer`` raises a loss, that
-of a single solve.  A batched solve gives NaN for an exactly singular
-system (``_solve_or_nan``), so a stage reads such a sample, or root, off
-its output.
+later stages pass lost samples by, and only the end of ``solve`` raises a
+loss, that of a single solve.  A stage reads a sample, or root, that a kernel
+cannot solve off its NaN output.
 """
 
 from __future__ import annotations
@@ -71,6 +72,9 @@ from .poly import GrevlexBasis, Monomial, _ray_stack, grevlex_basis, reduce_colu
 IMAG_TOL = 1e-6
 ROOT_TOL = 1e-6
 
+# numpy 1 names the gufunc by shape: ``svd_n_f`` for the pose rules' tall matrices.
+_SVD_F = getattr(_umath_linalg, "svd_f", None) or _umath_linalg.svd_n_f
+
 # A pose is returned only if every scaled residual it leaves on its own
 # sample (see ``residual_gate``) is at most this.  A rotation off by d
 # radians leaves residuals of about d, and a polished root about 1e-15.
@@ -78,6 +82,7 @@ POSE_RESIDUAL_TOL = 1e-6
 
 # Below this norm a root carries no usable rotation axis.
 U_DIRECTION_EPS = 1e-10
+_NO_AXIS = "no usable rotation candidates survived filtering"
 
 # Roots are read off the eigenvector entries at 1, alpha, beta and gamma, so
 # these monomials must stay in the quotient basis.
@@ -195,21 +200,6 @@ def as_degenerate(exc: RelposeError) -> RelposeError:
     return out
 
 
-def rescaled_roots(roots: np.ndarray, c: RotationConstraint) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the ``(K, 3)`` roots that carry a usable rotation axis, and
-    their quaternion vector parts: each such root rescaled onto the sphere
-    ``|u| = sqrt(1 - sigma^2)``.  A zero angle pins every root to the
-    identity."""
-    if c.tau == 0.0:
-        return np.arange(len(roots)), np.zeros_like(roots)
-    # The stacked dot rounds as ``np.linalg.norm`` of each row does.  A NaN
-    # norm passes the drop test, so a NaN root fails the unit-quaternion
-    # check instead of vanishing.
-    n = np.sqrt(stacked_dot(roots, roots))
-    keep = (~(n <= U_DIRECTION_EPS)).nonzero()[0]
-    return keep, (math.sqrt(1.0 - c.sigma * c.sigma) / n.take(keep))[:, None] * roots.take(keep, 0)
-
-
 class Losses:
     """Which samples of a stack a solve has lost, and why: ``status[s]`` is 0
     while sample ``s`` is alive and ``k`` once ``errors[k - 1]`` lost it.
@@ -221,26 +211,40 @@ class Losses:
         self.errors: list[RelposeError] = []
 
     def lose(self, where, error: RelposeError) -> None:
-        """Lose for ``error`` each live sample that the mask, indices or slice ``where`` picks."""
+        """Lose for ``error`` each live sample that the mask, indices or slice
+        ``where`` picks, if any; ``None`` picks none."""
+        if where is None or not np.count_nonzero(self.status[where] == 0):
+            return
         hit = np.zeros(len(self.status), dtype=bool)
         hit[where] = True
         hit &= self.status == 0
-        if np.count_nonzero(hit):
-            self.errors.append(error)
-            self.status[hit] = len(self.errors)
+        self.errors.append(error)
+        self.status[hit] = len(self.errors)
+
+    def unowned(self, sample: np.ndarray):
+        """``where`` for ``lose`` of the live samples owning none of the rows ``sample``."""
+        if len(self.status) == 1:
+            return None if len(sample) else slice(None)
+        return np.bincount(sample, minlength=len(self.status)) == 0
 
 
 def usable_rotations(roots: np.ndarray, sample: np.ndarray, c, losses: Losses):
     """The root count of each sample, and the sample, vector part and
-    rotation of each root with a usable axis (``rescaled_roots``); a sample
-    left without one is lost."""
+    rotation of each of the ``(K, 3)`` roots that carries a usable rotation
+    axis, rescaled onto the sphere ``|u| = sqrt(1 - sigma^2)``; a zero angle
+    pins every root to the identity.  A sample left without one is lost."""
     root_count = np.bincount(sample, minlength=len(losses.status))
-    keep, u = rescaled_roots(roots, c)
-    sample = sample.take(keep)
-    losses.lose(
-        np.bincount(sample, minlength=len(root_count)) == 0,
-        DegenerateConfiguration("no usable rotation candidates survived filtering"),
-    )
+    if c.tau == 0.0:
+        u = np.zeros_like(roots)
+    else:
+        # The stacked dot rounds as ``np.linalg.norm`` of each row does.  A
+        # NaN norm passes the drop test, so a NaN root fails the
+        # unit-quaternion check instead of vanishing.
+        n = np.sqrt(stacked_dot(roots, roots))
+        keep = (~(n <= U_DIRECTION_EPS)).nonzero()[0]
+        sample = sample.take(keep)
+        u = (math.sqrt(1.0 - c.sigma * c.sigma) / n.take(keep))[:, None] * roots.take(keep, 0)
+    losses.lose(losses.unowned(sample), DegenerateConfiguration(_NO_AXIS))
     check_unit_quaternions(c.sigma, u)
     return root_count, sample, u, rotation_stack(c.sigma, u)
 
@@ -481,16 +485,20 @@ def _action_plan(degree: int, pivots: tuple[int, ...], qb: QuotientBasis):
 def eigensolve_real(M: np.ndarray) -> np.ndarray:
     """The real parts of the (near-)real eigenvalues of a real square matrix.
 
-    Only eigenvalues are computed; ``extract_roots`` rebuilds the
+    Only eigenvalues are computed, bit for bit ``np.linalg.eigvals`` through
+    its gufunc; a non-finite matrix, or one whose eigenvalues do not converge,
+    raises ``EigenFailure`` with its message.  ``extract_roots`` rebuilds the
     eigenvectors of the ones it needs from the gamma chains.
     """
-    M = np.asarray(M, dtype=float)
-    try:
-        w = np.linalg.eigvals(M)
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailure(str(exc)) from exc
-    # A negated ">" keeps NaN eigenvalues, as the scalar test always has.
-    return w.real[~(np.abs(w.imag) > IMAG_TOL * (1.0 + np.abs(w.real)))]
+    finite = np.isfinite(M).all()
+    if finite:
+        with np.errstate(all="ignore"):
+            w = _umath_linalg.eigvals(M, signature="d->D")
+        if w[0] == w[0]:
+            # A negated ">" keeps NaN eigenvalues, as the scalar test always has.
+            return w.real[~(np.abs(w.imag) > IMAG_TOL * (1.0 + np.abs(w.real)))]
+    message = "Eigenvalues did not converge" if finite else "Array must not contain infs or NaNs"
+    raise EigenFailure(message) from np.linalg.LinAlgError(message)
 
 
 @lru_cache(maxsize=None)
@@ -664,6 +672,12 @@ def _solve_or_nan(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         return _umath_linalg.solve(A, b, signature="dd->d")
 
 
+def _svd_or_nan(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.linalg.svd`` of each matrix of the stack ``A`` by its gufunc, NaN where one fails."""
+    with np.errstate(all="ignore"):
+        return _SVD_F(A, signature="d->ddd")
+
+
 # Most Gauss-Newton steps of ``polish_roots``.  A root stops once its
 # squared residual is at rounding level or a step fails to lower it.
 POLISH_STEPS = 8
@@ -765,7 +779,7 @@ def polish_roots(
         better = cost_new < cost
         x[live[better]] = x_new[better]
         go = better & (cost_new > POLISH_ROUNDING)
-        if not go.any():
+        if not np.count_nonzero(go):
             break
         live, f, jac, cost = live[go], f_new[go], jac_new[go], cost_new[go]
     return x
@@ -817,6 +831,9 @@ def _eliminate(layers, problem: TemplateProblem, generators: np.ndarray, c, loss
     for attempt, pivots in enumerate(problem.partitions):
         tried = Losses(n_samples)
         solved, now, roots, owner = _attempt(layers, problem, template, pivots, pending, tried)
+        if not attempt and len(solved) == len(pending) and not np.count_nonzero(now):
+            # The first partition solves every sample and drops no root.
+            return roots, owner
         fewer = now < dropped[solved]
         won = solved[fewer]
         dropped[won], kept[won] = now[fewer], attempt
@@ -826,8 +843,6 @@ def _eliminate(layers, problem: TemplateProblem, generators: np.ndarray, c, loss
             break
     for k, exc in enumerate(tried.errors, 1):
         losses.lose((tried.status == k) & (kept < 0), exc)
-    if len(found) == 1:
-        return found[0]
     # Each sample's roots from the attempt it keeps, in ascending order.
     mine = [kept[owner] == attempt for attempt, (_, owner) in enumerate(found)]
     owner = np.concatenate([o[m] for (_, o), m in zip(found, mine)])
@@ -846,7 +861,7 @@ def _attempt(layers, problem, template, pivots, pending: np.ndarray, tried: Loss
     try:
         reduced = layers.rref_conditioned(matrix, pivots)
         lost = np.isnan(reduced[:, 0, 0])
-        if lost.any():
+        if np.count_nonzero(lost):
             # A lost template whose entries are all finite was singular.
             singular = lost & np.isfinite(matrix).all((1, 2))
             for where, what in (
@@ -896,22 +911,11 @@ class SamplePoses:
         return (self.stack.rows(a, b) for a, b in zip(self.bounds, self.bounds[1:]))
 
 
-def answer(stack: PoseStack, sample: np.ndarray, losses: Losses, samples):
-    """A solver's answer from the poses of the samples, the ascending
-    sample of each, and the record of the lost samples: with ``samples``,
-    the ``SamplePoses``; without, the one sample's poses, or the error that
-    lost it."""
-    if samples is not None:
-        bounds = np.searchsorted(sample, np.arange(len(losses.status) + 1))
-        return SamplePoses(stack, bounds.tolist())
-    if losses.status[0]:
-        raise as_degenerate(losses.errors[losses.status[0] - 1])
-    return stack.poses()
-
-
 def solve(layers, problem: TemplateProblem, generators, screen, pose, pairs, theta, anchor, samples):
     """A solver's answer for the samples of ``pairs`` (``sample_stack``),
-    solved as one stack with the layers of the solver module ``layers``.
+    solved as one stack with the layers of the solver module ``layers``:
+    with ``samples``, their ``SamplePoses``; without, the one sample's
+    poses, or the error that lost it.
 
     ``screen(rays, losses)``, if given, loses the samples not worth solving
     before any root is computed.  The rotations of the rest go to the pose
@@ -927,4 +931,9 @@ def solve(layers, problem: TemplateProblem, generators, screen, pose, pairs, the
     root_count, sample, u, Rs = usable_rotations(roots, sample, c, losses)
     Rs, T, u, sample, columns = pose(rays, sample, u, Rs, c, losses)
     columns["root_count"] = root_count.take(sample)
-    return answer(PoseStack(Rs, T, c.sigma, u, columns), sample, losses, samples)
+    stack = PoseStack(Rs, T, c.sigma, u, columns)
+    if samples is not None:
+        return SamplePoses(stack, np.searchsorted(sample, np.arange(n + 1)).tolist())
+    if losses.status[0]:
+        raise as_degenerate(losses.errors[losses.status[0] - 1])
+    return stack.poses()

@@ -137,27 +137,23 @@ class PluckerPair:
                 raise ValueError(f"{name} violates line incidence: q.m = {float(q @ m)!r}")
 
 
-# Column pairs of a rotation and their products under the identity; the
-# minors of the second and third rows along the first.
-_LEFT_COLUMN, _RIGHT_COLUMN = np.array([0, 1, 2, 0, 0, 1]), np.array([0, 1, 2, 1, 2, 2])
-_IDENTITY_PRODUCTS = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
-_MINOR_A, _MINOR_B = np.array([1, 0, 0]), np.array([2, 2, 1])
+# The flat entries of the factors of each term of a 3 x 3 determinant, and its sign.
+_LEIBNIZ = np.array([[0, 0, 1, 1, 2, 2], [4, 5, 3, 5, 3, 4], [8, 7, 8, 6, 7, 6]])
+_LEIBNIZ_SIGNS = np.array([1.0, -1.0, -1.0, 1.0, 1.0, -1.0])
 
 
 def check_poses(Rs: np.ndarray, ts: np.ndarray) -> None:
     """Raise the ``ValueError`` of the first of the ``(P, 3, 3)`` rotations
     and ``(P, 3)`` translations that is not a rotation, with ``R^T R - I``
-    and ``det R - 1`` (expanded along the first row) within 1e-9, or not
-    finite.  A NaN fails every test."""
-    products = Rs[..., _LEFT_COLUMN] * Rs[..., _RIGHT_COLUMN]
-    r1, r2 = Rs[:, 1], Rs[:, 2]
-    terms = Rs[:, 0] * (r1[:, _MINOR_A] * r2[:, _MINOR_B] - r1[:, _MINOR_B] * r2[:, _MINOR_A])
-    rotation = (
-        np.abs(products[:, 0] + products[:, 1] + products[:, 2] - _IDENTITY_PRODUCTS) <= 1e-9
-    ).all(axis=1) & (np.abs(terms[:, 0] - terms[:, 1] + terms[:, 2] - 1.0) <= 1e-9)
-    valid = rotation & np.isfinite(ts).all(axis=1)
-    if not valid.all():
-        first = np.argmin(valid)
+    and ``det R - 1`` (the Leibniz sum) within 1e-9, or not finite.  A NaN
+    fails every test."""
+    factors = Rs.reshape(-1, 9).take(_LEIBNIZ, 1)
+    det = np.abs((factors[:, 0] * factors[:, 1] * factors[:, 2]) @ _LEIBNIZ_SIGNS - 1.0) <= 1e-9
+    gram = np.abs(Rs.transpose(0, 2, 1) @ Rs - _IDENTITY) <= 1e-9
+    finite = np.isfinite(ts)
+    if np.count_nonzero(det) + np.count_nonzero(gram) + np.count_nonzero(finite) < 13 * len(Rs):
+        rotation = det & gram.all(axis=(1, 2))
+        first = np.argmin(rotation & finite.all(axis=1))
         if not rotation[first]:
             raise ValueError("R is not a rotation matrix")
         raise ValueError(f"t must be finite, got {ts[first]!r}")
@@ -261,7 +257,8 @@ def rotation_stack(sigma: float, u: np.ndarray) -> np.ndarray:
     """Rotations ``(2 sigma^2 - 1) I + 2 (u u^T - sigma [u]x)`` of a ``(K, 3)``
     stack of vector parts sharing the scalar part ``sigma``, as ``(K, 3, 3)``."""
     outer = u[:, :, None] * u[:, None, :]
-    return (2.0 * sigma * sigma - 1.0) * _IDENTITY + 2.0 * (outer - sigma * skew(u))
+    # [sigma u]x is sigma [u]x bit for bit, and a stack of vectors is smaller.
+    return (2.0 * sigma * sigma - 1.0) * _IDENTITY + 2.0 * (outer - skew(sigma * u))
 
 
 def quat_to_rotation(q: UnitQuaternion) -> np.ndarray:
@@ -345,11 +342,7 @@ def cheiral_counts(Rs: np.ndarray, T: np.ndarray, q1: np.ndarray, q2: np.ndarray
     Rt = Rs.transpose(0, 2, 1)
     d2 = (Rt[:, None] @ q2[..., None])[..., 0]
     origin2 = (-Rt @ T[:, :, None])[:, None, :, 0]
-    a = stacked_dot(q1, q1)
-    b = stacked_dot(q1, d2)
-    d = stacked_dot(d2, d2)
-    e1 = stacked_dot(q1, origin2)
-    e2 = stacked_dot(d2, origin2)
+    a, b, d, e1, e2 = map(stacked_dot, (q1, q1, d2, q1, d2), (q1, d2, d2, origin2, origin2))
     det = b * b - a * d
     solvable = ~(np.abs(det) <= PARALLEL_RAY_EPS * a * d)
     # Closest approach of rays s q1 and origin2 + r d2:

@@ -12,6 +12,7 @@ from .exceptions import ScaleUnobservable, SkewDegenerate
 from .gbsolver import (
     GENERAL,
     SamplePoses,
+    _svd_or_nan,
     assemble_reduced_template,
     build_action_matrix,
     eigensolve_real,
@@ -40,6 +41,7 @@ _CENTRAL = "all ray moments vanish: a central configuration carries no translati
 # inhomogeneous component.
 SCALE_RANK_EPS = 1e-10
 SCALE_COMPONENT_EPS = 1e-10
+_NO_SCALE = "translation scale is unobservable for every rotation candidate"
 
 # The layers are called through this module's attributes.
 _LAYERS = sys.modules[__name__]
@@ -95,15 +97,13 @@ def _poses(rays: np.ndarray, sample: np.ndarray, u: np.ndarray, Rs: np.ndarray, 
     rows: each rotation's metric translation from the anchor depths that its
     sample's depth rows determine, where they do, gated."""
     own = rays.take(sample, 1)
-    _, s, vt = np.linalg.svd(_depth_rows(own, Rs))
+    _, s, vt = _svd_or_nan(_depth_rows(own, Rs))
     v = vt[:, -1]
-    unobservable = (s[:, 1] <= SCALE_RANK_EPS * s[:, 0]) | (np.abs(v[:, 2]) < SCALE_COMPONENT_EPS)
-    observable = (~unobservable).nonzero()[0]
+    # Negated, so that a NaN from a decomposition that did not converge fails.
+    observable = (s[:, 1] > SCALE_RANK_EPS * s[:, 0]) & (np.abs(v[:, 2]) >= SCALE_COMPONENT_EPS)
+    observable = observable.nonzero()[0]
     sample = sample.take(observable)
-    losses.lose(
-        np.bincount(sample, minlength=rays.shape[1]) == 0,
-        ScaleUnobservable("translation scale is unobservable for every rotation candidate"),
-    )
+    losses.lose(losses.unowned(sample), ScaleUnobservable(_NO_SCALE))
     v, Rs, u = v.take(observable, 0), Rs.take(observable, 0), u.take(observable, 0)
     own = own.take(observable, 1)
     depths = v[:, :2] / v[:, 2:]
@@ -166,7 +166,7 @@ def ray_point_errors(
     d2 = q2 @ R
     gram = np.einsum("...ij,...ij->...i", d1, d2)
     parallel = 1.0 - gram**2 <= 1e-12
-    n = np.cross(d1, d2)
+    n = stacked_cross(d1, d2)
     # |n| times the distance between the lines.
     scaled_gap = np.abs(np.einsum("...ij,...ij->...i", o2 - o1, n))
     norm = np.sqrt(np.einsum("...ij,...ij->...i", n, n))

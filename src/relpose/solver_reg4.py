@@ -12,6 +12,7 @@ from .exceptions import NoCheiralSolution
 from .gbsolver import (
     REGULAR,
     SamplePoses,
+    _svd_or_nan,
     assemble_reduced_template,
     build_action_matrix,
     eigensolve_real,
@@ -34,8 +35,7 @@ from .poly import build_f_polynomials
 # The layers are called through this module's attributes.
 _LAYERS = sys.modules[__name__]
 
-# The translation factor of each cheirality sign: -1 negates exactly.
-_SIGNS = np.array([1.0, -1.0])
+_NOT_CHEIRAL = "no candidate places any point in front of both cameras"
 
 
 def _poses(rays: np.ndarray, sample: np.ndarray, u: np.ndarray, Rs: np.ndarray, c, losses):
@@ -46,7 +46,7 @@ def _poses(rays: np.ndarray, sample: np.ndarray, u: np.ndarray, Rs: np.ndarray, 
     # Rows cross(R q1_i, q2_i) for every root at once; the stacked matmul
     # rounds as the per-root R @ q1_i does.
     rows = stacked_cross((Rs[:, None] @ Q1[..., None])[..., 0], Q2)
-    T = np.linalg.svd(rows)[2][:, -1]
+    T = _svd_or_nan(rows)[2][:, -1]
     # Each row dotted with the unit translation is the scaled epipolar
     # residual q2^T [t]x R q1 of its pair.
     keep = residual_gate((rows @ T[:, :, None])[..., 0], sample, c, losses)
@@ -55,11 +55,9 @@ def _poses(rays: np.ndarray, sample: np.ndarray, u: np.ndarray, Rs: np.ndarray, 
     # Keep each sign that wins the cheirality vote, both on a tie, none at 0-0.
     k, flip = ((votes > 0) & (votes >= votes[::-1])).T.nonzero()
     sample = sample.take(k)
-    losses.lose(
-        np.bincount(sample, minlength=rays.shape[1]) == 0,
-        NoCheiralSolution("no candidate places any point in front of both cameras"),
-    )
-    T = T.take(k, 0) * _SIGNS.take(flip)[:, None]
+    losses.lose(losses.unowned(sample), NoCheiralSolution(_NOT_CHEIRAL))
+    T = T.take(k, 0)
+    T[flip == 1] *= -1.0
     columns = {"cheiral_count": votes[flip, k], "cheirality_tie": (votes[0] == votes[1]).take(k)}
     return Rs.take(k, 0), T, u.take(k, 0), sample, columns
 

@@ -61,10 +61,10 @@ from relpose.gbsolver import (
     Losses,
     QuotientBasis,
     as_degenerate,
-    rescaled_roots,
     rotation_roots,
+    usable_rotations,
 )
-from relpose.geom import UnitQuaternion, _as_vec3, rotation_stack, sigma_from_angle
+from relpose.geom import UnitQuaternion, _as_vec3, sigma_from_angle
 from relpose.poly import (
     COINCIDENT_RAY_EPS,
     GrevlexBasis,
@@ -121,10 +121,11 @@ def candidate_rotations(roots: np.ndarray, c) -> tuple[list[UnitQuaternion], np.
     """Quaternions and ``(K, 3, 3)`` rotation stack of the ``(K, 3)`` roots
     that carry a usable rotation axis, from the kernels the solvers run;
     raises ``DegenerateConfiguration`` when none does."""
-    _, u = rescaled_roots(roots, c)
-    if not len(u):
-        raise DegenerateConfiguration("no usable rotation candidates survived filtering")
-    return [UnitQuaternion(c.sigma, v) for v in u], rotation_stack(c.sigma, u)
+    losses = Losses(1)
+    _, _, u, Rs = usable_rotations(roots, np.zeros(len(roots), dtype=np.int64), c, losses)
+    if losses.status[0]:
+        raise losses.errors[0]
+    return [UnitQuaternion(c.sigma, v) for v in u], Rs
 
 
 def spoil_template(matrix: np.ndarray, pivots, how: str) -> None:

@@ -3,22 +3,24 @@
     python3 tests/stage_costs.py [--pairs 15] [--repeats 15]
 
 Takes the first ``--pairs`` frame pairs of the ``ransac`` panel of
-``perfbench/run.py`` and, on each, the samples the first round of its
-RANSAC run draws.  Solves the first sample alone and the first eight as one
-stack (``samples=``), on the pairs as ``ransac_estimate`` hands them over
-(their ``gbsolver.RayTable`` where the package has one), with a spy on
+``perfbench/run.py`` and, on each, the first 32 samples its RANSAC run
+draws.  Solves the first sample alone and the first 8 and the first 32 as
+one stack (``samples=``), on the pairs as ``ransac_estimate`` hands them
+over (their ``gbsolver.RayTable`` where the package has one), with a spy on
 every stage where the one solve path of ``gbsolver.solve`` calls it: in
 the solver module, the attributes that ``perfbench/spans.py`` traces, plus
 ``polish_roots``, ``residual_gate``, the pose rule ``_poses`` and its rows
 and, for gen5, the central screen; in ``gbsolver``, the shared steps
-``rotation_roots``, ``_eliminate``, ``_attempt``, ``usable_rotations``,
-``PoseStack`` and ``answer``, and the recording call ``Losses.lose``.  A
-stage's time is its own, less that of the spied stages it calls; ``solve``
-is what no spy holds (checking arguments, gathering the rays and the rest
-of ``gbsolver.solve``).  From the times ``t1`` and ``t8`` summed over the
-frame pairs it prints, per stage and per call, the per-sample cost ``(t8 -
-t1) / 7`` and the fixed cost ``t1`` less one sample, in microseconds:
-medians over ``--repeats`` passes, after one untimed pass.  Each pass is
+``rotation_roots``, ``_eliminate``, ``_attempt``, ``usable_rotations`` and
+``PoseStack``, and the recording call ``Losses.lose``.  A stage's time is
+its own, less that of the spied stages it calls; ``solve`` is what no spy
+holds (checking arguments, gathering the rays and the rest of
+``gbsolver.solve``).  From the times ``t1``, ``t8`` and ``t32`` summed over
+the frame pairs it prints, per stage and per call, the per-sample cost at
+8, ``(t8 - t1) / 7``, and at 32, ``(t32 - t1) / 31``, and the fixed cost
+``t1`` less one sample at 8, in microseconds: medians over ``--repeats``
+passes, after one untimed pass.  A cut in the fixed cost that costs more
+per sample shows in the column at 32, the size of late RANSAC rounds.  Each pass is
 followed by runs of the reference kernel of ``perfbench/run.py`` and its
 times are scaled as that benchmark scales an operation's, to the speed of
 the machine at rest, so that runs made at different host loads compare.
@@ -44,8 +46,8 @@ HELPERS = {
     "gen5": ("_screen", "central", "_depth_rows", "_sample_residuals"),
 }
 # The shared pipeline steps, spied in ``gbsolver``.
-GBSOLVER = ("rotation_roots", "_eliminate", "_attempt", "usable_rotations", "PoseStack", "answer")
-SIZES = (1, 8)
+GBSOLVER = ("rotation_roots", "_eliminate", "_attempt", "usable_rotations", "PoseStack")
+SIZES = (1, 8, 32)
 
 
 class Spies:
@@ -124,7 +126,7 @@ def main(argv=None) -> int:
         for op in ops[: args.pairs]:
             pairs, theta, cfg, _ = op.args
             rng = np.random.default_rng(cfg.seed)
-            samples = np.array([rng.choice(len(pairs), size, replace=False) for _ in range(8)])
+            samples = np.array([rng.choice(len(pairs), size, replace=False) for _ in range(32)])
             if hasattr(rp.gbsolver, "RayTable"):
                 # As ransac_estimate hands the pairs over.
                 problem = rp.gbsolver.REGULAR if solver == "reg4" else rp.gbsolver.GENERAL
@@ -144,15 +146,18 @@ def main(argv=None) -> int:
         stages = ["solve", *(attr for _, attr in names)]
         print(f"{solver}: us per call, {len(calls)} frame pairs, median of {args.repeats}, "
               "scaled to the reference kernel")
-        print(f"  {'stage':28s} {'fixed':>9s} {'per sample':>11s}")
-        totals = [0.0, 0.0]
+        print(f"  {'stage':28s} {'fixed':>9s} {'per sample at 8':>16s} {'at 32':>8s}")
+        totals = [0.0, 0.0, 0.0]
         for stage in stages:
-            per = [f * (p[8][stage] - p[1][stage]) / 7 for p, f in zip(passes, scales)]
-            fixed = [f * p[1][stage] - s for p, f, s in zip(passes, scales, per)]
-            row = [statistics.median(fixed), statistics.median(per)]
+            per = {
+                size: [f * (p[size][stage] - p[1][stage]) / (size - 1) for p, f in zip(passes, scales)]
+                for size in SIZES[1:]
+            }
+            fixed = [f * p[1][stage] - s for p, f, s in zip(passes, scales, per[8])]
+            row = [statistics.median(fixed), statistics.median(per[8]), statistics.median(per[32])]
             totals = [a + b for a, b in zip(totals, row)]
-            print(f"  {stage:28s} {row[0]:9.1f} {row[1]:11.1f}")
-        print(f"  {'total':28s} {totals[0]:9.1f} {totals[1]:11.1f}")
+            print(f"  {stage:28s} {row[0]:9.1f} {row[1]:16.1f} {row[2]:8.1f}")
+        print(f"  {'total':28s} {totals[0]:9.1f} {totals[1]:16.1f} {totals[2]:8.1f}")
     return 0
 
 

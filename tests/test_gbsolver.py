@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from relpose import gbsolver, solver_reg4
-from relpose.exceptions import BasisAnomaly, DegenerateConfiguration, RankDeficient
+from relpose.exceptions import BasisAnomaly, DegenerateConfiguration, EigenFailure, RankDeficient
 from relpose.gbsolver import (
     GENERAL,
     REGULAR,
+    Losses,
     assemble_reduced_template,
     build_action_matrix,
     eigensolve_real,
@@ -338,6 +339,85 @@ class TestEigensolve:
         qb = quotient_basis_from_pivots(tpl.basis, piv, expected_size=20)
         M = build_action_matrix(red[:, qb.template_cols], piv, tpl.basis, qb)
         assert np.min(np.abs(eigensolve_real(M) - u[2])) < 1e-9
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_matrix_raises_eigen_failure_with_numpys_message(self, bad):
+        M = np.diag([1.0, 2.0, 3.0])
+        M[1, 2] = bad
+        with pytest.raises(np.linalg.LinAlgError) as numpy_info:
+            np.linalg.eigvals(M)
+        with pytest.raises(EigenFailure) as info:
+            eigensolve_real(M)
+        assert str(info.value) == str(numpy_info.value) == "Array must not contain infs or NaNs"
+        assert type(info.value.__cause__) is np.linalg.LinAlgError
+        assert str(info.value.__cause__) == str(info.value)
+
+    def test_a_matrix_that_does_not_converge_raises_eigen_failure(self, monkeypatch):
+        # LAPACK's eigenvalue gufunc marks a matrix whose eigenvalues do not
+        # converge NaN, where np.linalg.eigvals raises with this message.
+        monkeypatch.setattr(
+            gbsolver._umath_linalg, "eigvals", lambda M, signature: np.full(len(M), np.nan + 0j)
+        )
+        with pytest.raises(EigenFailure, match="^Eigenvalues did not converge$") as info:
+            eigensolve_real(np.diag([1.0, 2.0, 3.0]))
+        assert type(info.value.__cause__) is np.linalg.LinAlgError
+        # A single solve reports it as the configuration it could not solve.
+        truth, pairs = generate_scene(SceneConfig(seed=3), 4)
+        with pytest.raises(DegenerateConfiguration, match="^Eigenvalues did not converge$") as info:
+            solver_reg4.solve_4pt_angle(pairs, rotation_angle(truth.R))
+        assert type(info.value.__cause__) is EigenFailure
+
+
+class TestLosses:
+    """``Losses.lose`` is the one call through which a stage loses samples."""
+
+    @pytest.mark.parametrize(
+        "where",
+        [np.array([False, True, False, True]), np.array([1, 3]), slice(1, None, 2)],
+        ids=["mask", "indices", "slice"],
+    )
+    def test_where_may_be_a_mask_indices_or_a_slice(self, where):
+        losses, error = Losses(4), RankDeficient("lost")
+        losses.lose(where, error)
+        assert losses.status.tolist() == [0, 1, 0, 1] and losses.errors == [error]
+
+    def test_a_single_index_loses_one_sample(self):
+        losses, error = Losses(3), RankDeficient("lost")
+        losses.lose(np.arange(3)[2], error)
+        assert losses.status.tolist() == [0, 0, 1] and losses.errors == [error]
+
+    def test_the_first_loss_of_a_sample_wins(self):
+        losses = Losses(3)
+        first, second = DegenerateConfiguration("first"), RankDeficient("second")
+        losses.lose(np.array([0, 1]), first)
+        losses.lose(slice(None), second)
+        assert losses.status.tolist() == [1, 1, 2] and losses.errors == [first, second]
+
+    @pytest.mark.parametrize(
+        "where",
+        [np.array([0]), np.zeros(3, dtype=bool), slice(0, 1), np.array([], dtype=np.int64)],
+        ids=["lost-index", "empty-mask", "lost-slice", "no-index"],
+    )
+    def test_a_call_that_hits_no_live_sample_appends_no_error(self, where):
+        losses, first = Losses(3), DegenerateConfiguration("first")
+        losses.lose(np.array([True, False, False]), first)
+        losses.lose(where, RankDeficient("again"))
+        assert losses.status.tolist() == [1, 0, 0] and losses.errors == [first]
+
+    def test_none_picks_no_sample(self):
+        losses = Losses(2)
+        losses.lose(None, RankDeficient("none"))
+        assert losses.status.tolist() == [0, 0] and losses.errors == []
+
+    def test_unowned_picks_the_live_samples_without_rows(self):
+        losses = Losses(4)
+        losses.lose(np.array([2]), DegenerateConfiguration("lost"))
+        losses.lose(losses.unowned(np.array([0, 0, 3])), RankDeficient("rowless"))
+        assert losses.status.tolist() == [0, 2, 1, 0]
+        single = Losses(1)
+        assert single.unowned(np.array([0, 0])) is None
+        single.lose(single.unowned(np.array([], dtype=np.int64)), RankDeficient("rowless"))
+        assert single.status.tolist() == [1]
 
 
 class TestGammaChains:

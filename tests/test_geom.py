@@ -21,6 +21,7 @@ from relpose.geom import (
     rotation_stack,
     sigma_from_angle,
     skew,
+    stacked_cross,
 )
 from relpose.synth import SceneConfig, generate_scene
 from reference_gen5 import inverse_pose
@@ -32,6 +33,29 @@ def random_quat(rng):
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)
     return UnitQuaternion(math.cos(theta / 2), math.sin(theta / 2) * axis)
+
+
+class TestStackedCross:
+    """``stacked_cross`` is ``np.cross`` of stacked 3-vectors, bit for bit."""
+
+    @pytest.mark.parametrize("shapes", [((7, 3), (7, 3)), ((7, 3), (5, 7, 3)), ((5, 7, 3),) * 2])
+    def test_bit_for_bit_np_cross(self, shapes):
+        rng = np.random.default_rng(len(shapes[1]))
+        a, b = (rng.normal(size=s) * rng.uniform(1e-3, 1e3, size=s[:-1] + (1,)) for s in shapes)
+        got, want = stacked_cross(a, b), np.cross(a, b)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_non_finite_entries_land_where_np_cross_puts_them(self):
+        rng = np.random.default_rng(1)
+        a, b = rng.normal(size=(6, 3)), rng.normal(size=(4, 6, 3))
+        a[1, 0], a[2, 2], b[0, 3, 1], b[3, 5, 0] = np.nan, np.inf, -np.inf, np.nan
+        b[2, 4] = 0.0
+        a[4] = [np.inf, 0.0, 0.0]
+        with np.errstate(invalid="ignore"):
+            got, want = stacked_cross(a, b), np.cross(a, b)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 class TestQuatToRotation:

@@ -1,7 +1,10 @@
 """numpy is the package's only runtime dependency: every module imports, and
 both solvers run, in an interpreter where scipy cannot be imported.  The
-one private part of numpy the package uses, the gufunc behind
-``np.linalg.solve``, keeps the contract the package relies on."""
+private parts of numpy the package uses, the LAPACK gufuncs of
+``numpy.linalg._umath_linalg`` behind ``np.linalg.solve`` (``solve``),
+``np.linalg.eigvals`` (``eigvals``) and ``np.linalg.svd`` (``svd_f``, under
+numpy 1 ``svd_n_f`` for a matrix taller than wide), keep the contract the
+package relies on: bit for bit the public function, NaN where it raises."""
 
 import os
 import subprocess
@@ -9,8 +12,10 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
+from numpy.linalg import _umath_linalg
 
-from relpose.gbsolver import _solve_or_nan
+from relpose.gbsolver import _solve_or_nan, _svd_or_nan, eigensolve_real
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -54,3 +59,28 @@ def test_the_private_solve_gufunc_is_numpys_solve_with_nan_for_a_singular_system
     assert np.isnan(out[2]).all()
     rest = [0, 1, 3, 4]
     assert np.array_equal(out[rest], np.linalg.solve(A[rest], b[rest]))
+
+
+def test_the_private_eigvals_gufunc_is_numpys_eigvals():
+    # eigensolve_real takes its eigenvalues from the gufunc: complex, where
+    # np.linalg.eigvals returns the real parts of an all-real spectrum.
+    rng = np.random.default_rng(1)
+    A = rng.normal(size=(20, 20))
+    symmetric = A + A.T
+    for M in (A, rng.normal(size=(44, 44)), symmetric):
+        w = _umath_linalg.eigvals(M, signature="d->D")
+        want = np.linalg.eigvals(M)
+        if want.dtype.kind == "c":
+            assert w.tobytes() == want.tobytes()
+        else:
+            assert w.real.tobytes() == want.tobytes() and not w.imag.any()
+    assert np.linalg.eigvals(symmetric).dtype.kind == "f"
+    assert eigensolve_real(symmetric).tobytes() == np.linalg.eigvals(symmetric).tobytes()
+
+
+@pytest.mark.parametrize("stack", [1, 8])
+def test_the_private_svd_gufunc_is_numpys_svd(stack):
+    # Both pose rules decompose (K, 4, 3) stacks through _svd_or_nan.
+    A = np.random.default_rng(stack).normal(size=(stack, 4, 3))
+    for got, want in zip(_svd_or_nan(A), np.linalg.svd(A)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()

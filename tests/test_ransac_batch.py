@@ -318,6 +318,50 @@ def test_a_lost_sample_raises_its_reason_and_fails_alone(monkeypatch, kind):
         assert_solved_as_alone(kind, observed, theta, row, block)
 
 
+# What a sample whose every translation (reg4) or depth (gen5) SVD does not
+# converge is lost for: the residual gate, and the scale test.
+SVD_LOSS = {
+    "reg4": (DegenerateConfiguration, "no candidate pose satisfies its own sample"),
+    "gen5": (ScaleUnobservable, "translation scale is unobservable for every rotation candidate"),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_svd_that_does_not_converge_loses_only_its_own_sample(monkeypatch, kind):
+    # LAPACK's SVD gufunc marks a matrix that does not converge NaN, where
+    # np.linalg.svd raises an untyped LinAlgError; stub that for every
+    # matrix of the sample ``lost`` as the pose rule sees it.
+    size = 4 if kind == "reg4" else 5
+    truth, observed = generate_scene(SceneConfig(seed=6, generalized=kind == "gen5"), 3 * size)
+    theta = rotation_angle(truth.R)
+    samples = np.arange(3 * size).reshape(3, size)
+    module = solver_reg4 if kind == "reg4" else solver_gen5
+    poses, svd, seen = module._poses, module._svd_or_nan, {}
+
+    def spy(rays, sample, *rest):
+        seen["sample"] = sample
+        return poses(rays, sample, *rest)
+
+    def no_convergence(A):
+        out = svd(A)
+        for part in out:
+            part[seen["sample"] == seen["lost"]] = np.nan
+        return out
+
+    monkeypatch.setattr(module, "_poses", spy)
+    monkeypatch.setattr(module, "_svd_or_nan", no_convergence)
+    error, message = SVD_LOSS[kind]
+    seen["lost"] = 0
+    with pytest.raises(error, match=message):
+        SOLVES[kind](observed[size : 2 * size], theta)
+    seen["lost"] = 1
+    out = SOLVES[kind](observed, theta, samples=samples)
+    assert [len(block) > 0 for block in out] == [True, False, True]
+    seen["lost"] = -1
+    for row, block in zip(samples[::2], list(out)[::2]):
+        assert_solved_as_alone(kind, observed, theta, row, block)
+
+
 GENERATORS = {"reg4": (solver_reg4, "build_f_polynomials"), "gen5": (solver_gen5, "build_g_polynomials")}
 
 
