@@ -60,8 +60,10 @@ from .exceptions import (
     UnreachableMonomial,
 )
 from .geom import (
-    PoseStack,
+    RelativePose,
     RotationConstraint,
+    UnitQuaternion,
+    check_poses,
     check_unit_quaternions,
     rotation_stack,
     sigma_from_angle,
@@ -115,20 +117,30 @@ class TemplateProblem:
         """The ``(len(ray_names), B, sample_size, 3)`` ray rows of the B
         samples of ``pairs`` (a list, or its ``RayTable``), B and the sphere
         constraint.  Without ``samples`` the pairs are one sample of exactly
-        ``sample_size``; otherwise ``samples`` indexes them, ``(B,
-        sample_size)``.  Each sample is relabelled cyclically so that its
-        ``anchor``-th pair comes first."""
+        ``sample_size``; otherwise ``samples`` indexes the N pairs, ``(B,
+        sample_size)`` integers in ``[0, N)``.  Each sample is relabelled
+        cyclically so that its ``anchor``-th pair comes first."""
         n = self.sample_size
         table = pairs if isinstance(pairs, RayTable) else RayTable(pairs, self.ray_names)
         if table.names != self.ray_names:
             raise ValueError(f"a table of {table.names} rays, not {self.ray_names}")
+        n_pairs = table.rays.shape[1]
         if samples is None:
-            if table.rays.shape[1] != n:
-                raise ValueError(f"exactly {n} correspondences required, got {table.rays.shape[1]}")
+            if n_pairs != n:
+                raise ValueError(f"exactly {n} correspondences required, got {n_pairs}")
             samples = np.arange(n)[None]
-        samples = np.asarray(samples)
-        if samples.ndim != 2 or samples.shape[1] != n:
-            raise ValueError(f"samples must be a (B, {n}) index array, got shape {samples.shape}")
+        else:
+            samples = np.asarray(samples)
+            if samples.ndim != 2 or samples.shape[1] != n:
+                raise ValueError(
+                    f"samples must be a (B, {n}) index array, got shape {samples.shape}"
+                )
+            if samples.dtype.kind not in "iu":
+                raise ValueError(f"samples must hold integer indices, got dtype {samples.dtype}")
+            # A negative index would wrap around to a pair from the end.
+            if samples.size and not 0 <= samples.min() <= samples.max() < n_pairs:
+                lo, hi = samples.min(), samples.max()
+                raise ValueError(f"sample indices must lie in [0, {n_pairs}), got {lo} to {hi}")
         c = sigma_from_angle(theta)
         return table.rays.take(samples[:, (np.arange(n) + anchor) % n], 1), len(samples), c
 
@@ -260,7 +272,7 @@ def residual_gate(residuals: np.ndarray, sample: np.ndarray, c, losses: Losses):
         return slice(None)
     keep = passed.nonzero()[0]
     losses.lose(
-        np.bincount(sample[keep], minlength=len(losses.status)) == 0,
+        losses.unowned(sample[keep]),
         DegenerateConfiguration("no candidate pose satisfies its own sample"),
     )
     return keep
@@ -895,20 +907,53 @@ def _attempt(layers, problem, template, pivots, pending: np.ndarray, tried: Loss
     return pending, extracted.inconsistent, extracted.roots, pending[extracted.sample]
 
 
+def _frozen(cls, fields):
+    """An instance of the frozen dataclass ``cls`` with the ``(name, value)``
+    ``fields`` set and the others at their defaults, the constructor's
+    checks skipped: ``SamplePoses`` ran them on the whole stack already."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass(frozen=True, eq=False)
 class SamplePoses:
-    """The answer of a solve with ``samples``: the poses of all samples as
-    one ``stack``, sample after sample, the rows ``bounds[s]:bounds[s + 1]``
-    of sample ``s``, none if it failed.  Iterated, one stack per sample."""
+    """The poses of a solve as rows of arrays, sample after sample:
+    ``(P, 3, 3)`` rotations ``R``, ``(P, 3)`` translations ``t``, ``(P, 3)``
+    quaternion vector parts ``u`` that passed ``check_unit_quaternions``
+    with the scalar part ``sigma``, the rows ``bounds[s]:bounds[s + 1]`` of
+    sample ``s`` (none if it was lost) and a row per pose of each
+    ``RelativePose`` diagnostic in ``columns``.  Its length is the number
+    of samples.
 
-    stack: PoseStack
+    The constructor runs ``check_poses`` once on the whole stack, as
+    ``RelativePose`` does on one pose.  ``poses`` builds the objects.
+    """
+
+    R: np.ndarray
+    t: np.ndarray
+    sigma: float
+    u: np.ndarray
     bounds: list[int]
+    columns: dict
+
+    def __post_init__(self):
+        check_poses(self.R, self.t)
 
     def __len__(self) -> int:
         return len(self.bounds) - 1
 
-    def __iter__(self):
-        return (self.stack.rows(a, b) for a, b in zip(self.bounds, self.bounds[1:]))
+    def poses(self, start: int = 0, stop: int | None = None) -> list[RelativePose]:
+        """One ``RelativePose`` per row ``start:stop``, diagnostics as Python values."""
+        cut = slice(start, stop)
+        names = ("R", "t", "quat", *self.columns)
+        quats = [_frozen(UnitQuaternion, {"sigma": self.sigma, "u": v}) for v in self.u[cut]]
+        values = [
+            list(map(tuple, col[cut].tolist())) if col.ndim > 1 else col[cut].tolist()
+            for col in self.columns.values()
+        ]
+        rows = zip(self.R[cut], self.t[cut], quats, *values)
+        return [_frozen(RelativePose, zip(names, row)) for row in rows]
 
 
 def solve(layers, problem: TemplateProblem, generators, screen, pose, pairs, theta, anchor, samples):
@@ -931,9 +976,11 @@ def solve(layers, problem: TemplateProblem, generators, screen, pose, pairs, the
     root_count, sample, u, Rs = usable_rotations(roots, sample, c, losses)
     Rs, T, u, sample, columns = pose(rays, sample, u, Rs, c, losses)
     columns["root_count"] = root_count.take(sample)
-    stack = PoseStack(Rs, T, c.sigma, u, columns)
+    # The rows are grouped by sample, in ascending order.
+    bounds = [0, len(sample)] if n == 1 else np.searchsorted(sample, np.arange(n + 1)).tolist()
+    answer = SamplePoses(Rs, T, c.sigma, u, bounds, columns)
     if samples is not None:
-        return SamplePoses(stack, np.searchsorted(sample, np.arange(n + 1)).tolist())
+        return answer
     if losses.status[0]:
         raise as_degenerate(losses.errors[losses.status[0] - 1])
-    return stack.poses()
+    return answer.poses()

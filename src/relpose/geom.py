@@ -15,7 +15,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -187,15 +187,6 @@ class RelativePose:
         object.__setattr__(self, "t", t)
 
 
-def _frozen(cls, fields):
-    """An instance of the frozen dataclass ``cls`` with the ``(name, value)``
-    ``fields`` set and the others at their defaults, the constructor's
-    checks skipped: ``PoseStack`` ran them on the whole stack already."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
-
-
 def check_unit_quaternions(sigma: float, u: np.ndarray) -> None:
     """Raise the ``ValueError`` of the first of the ``(K, 3)`` vector parts
     ``u`` that with ``sigma >= 0`` is not a unit quaternion within 2e-12."""
@@ -207,50 +198,6 @@ def check_unit_quaternions(sigma: float, u: np.ndarray) -> None:
     if not unit.all():
         n2 = float(n2[np.argmin(unit)])
         raise ValueError(f"quaternion is not unit: sigma^2 + |u|^2 = {n2!r}")
-
-
-@dataclass(frozen=True, eq=False)
-class PoseStack:
-    """Relative poses as rows of arrays: ``(P, 3, 3)`` rotations ``R``,
-    ``(P, 3)`` translations ``t``, ``(P, 3)`` quaternion vector parts ``u``
-    that passed ``check_unit_quaternions`` with the scalar part ``sigma``,
-    and a row per pose of each ``RelativePose`` diagnostic in ``columns``.
-
-    The constructor runs ``check_poses`` once on the whole stack, as
-    ``RelativePose`` does on one pose.  ``poses`` builds the objects.
-    """
-
-    R: np.ndarray
-    t: np.ndarray
-    sigma: float
-    u: np.ndarray
-    columns: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        check_poses(self.R, self.t)
-
-    def __len__(self) -> int:
-        return len(self.R)
-
-    def rows(self, start: int, stop: int) -> PoseStack:
-        """The poses ``start:stop``, as views, unchecked again."""
-        cut = slice(start, stop)
-        return _frozen(PoseStack, {
-            "R": self.R[cut], "t": self.t[cut], "sigma": self.sigma, "u": self.u[cut],
-            "columns": {name: col[cut] for name, col in self.columns.items()},
-        })
-
-    def poses(self) -> list[RelativePose]:
-        """One ``RelativePose`` per row, diagnostics as Python values."""
-        names = ("R", "t", "quat", *self.columns)
-        quats = [_frozen(UnitQuaternion, {"sigma": self.sigma, "u": v}) for v in self.u]
-        values = [
-            list(map(tuple, col.tolist())) if col.ndim > 1 else col.tolist()
-            for col in self.columns.values()
-        ]
-        return [
-            _frozen(RelativePose, zip(names, row)) for row in zip(self.R, self.t, quats, *values)
-        ]
 
 
 def rotation_stack(sigma: float, u: np.ndarray) -> np.ndarray:

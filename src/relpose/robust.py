@@ -5,17 +5,16 @@ from __future__ import annotations
 
 import math
 import numbers
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exceptions import NoHypothesis, RelposeError, ScaleUnobservable
-from .geom import BearingPair, PluckerPair, RelativePose, rotation_angle
+from .exceptions import NoHypothesis, ScaleUnobservable
+from .geom import BearingPair, PluckerPair, RelativePose
 from .gbsolver import GENERAL, REGULAR, RayTable
 from .solver_gen5 import _CENTRAL, central, point_rays, ray_point_errors, solve_gen5pt_angle
 from .solver_reg4 import sampson_errors, solve_4pt_angle
-from .synth import SceneConfig, _random_in_ball, _unit, generate_scene
+from .synth import SceneConfig, rotation_error, timed, trial_inputs, translation_errors
 
 # Default inlier thresholds: squared pixels for the Sampson score of central
 # cameras, scene units of point-to-ray RMS distance for generalized cameras.
@@ -127,10 +126,10 @@ def ransac_estimate(
             size = min(size, math.ceil(needed) - iterations)
         cap = min(2 * cap, ROUND_LIMIT)
         samples = np.array([rng.choice(n, size=sample_size, replace=False) for _ in range(size)])
-        solved = solve(table, theta, samples=samples)
-        stack, bounds = solved.stack, solved.bounds
-        if len(stack):
-            errors = score(stack.R, stack.t, *rays)
+        answer = solve(table, theta, samples=samples)
+        bounds = answer.bounds
+        if bounds[-1]:
+            errors = score(answer.R, answer.t, *rays)
             masks = errors < cfg.inlier_threshold
             counts = np.count_nonzero(masks, axis=1).tolist()
         for s in range(size):
@@ -142,7 +141,7 @@ def ransac_estimate(
                     mask = masks[h]
                     total = float(errors[h][mask].sum()) if count else math.inf
                     if count > best_count or total < best_score:
-                        best, best_mask = stack.rows(h, h + 1), mask
+                        best, best_mask = (answer, h), mask
                         best_count, best_score = count, total
                 if cfg.keep_trace:
                     trace.append(best_count)
@@ -154,8 +153,9 @@ def ransac_estimate(
                     break
     if best is None:
         raise NoHypothesis("every sampled minimal subset failed to produce a pose")
+    answer, row = best
     return RansacResult(
-        pose=best.poses()[0],
+        pose=answer.poses(row, row + 1)[0],
         inlier_mask=best_mask,
         iterations=iterations,
         n_hypotheses=n_hypotheses,
@@ -186,32 +186,6 @@ def inlier_precision_recall(returned: np.ndarray, true: np.ndarray) -> tuple[flo
     return hits / max(1, np.count_nonzero(returned)), hits / max(1, np.count_nonzero(true))
 
 
-def _corrupt(observations, truth, cfg: SceneConfig, outlier_frac: float, rng):
-    """Replace a fraction of correspondences with mismatched second-view rays."""
-    n = len(observations)
-    n_out = int(round(outlier_frac * n))
-    out = list(observations)
-    chosen = rng.choice(n, size=n_out, replace=False) if n_out else np.array([], dtype=int)
-    half_w = cfg.image_width / (2.0 * cfg.focal_px)
-    half_h = cfg.image_height / (2.0 * cfg.focal_px)
-    z_lo = cfg.distance_to_scene - cfg.scene_depth / 2.0
-    z_hi = cfg.distance_to_scene + cfg.scene_depth / 2.0
-    for i in chosen:
-        # A geometrically valid but unrelated ray in the second view.
-        z = rng.uniform(z_lo, z_hi)
-        wrong = np.array([z * rng.uniform(-half_w, half_w), z * rng.uniform(-half_h, half_h), z])
-        pair = out[i]
-        if isinstance(pair, PluckerPair):
-            o2 = _random_in_ball(rng, cfg.multi_center_radius)
-            d2 = _unit(wrong - o2)
-            out[i] = PluckerPair(q1=pair.q1, q2=d2, m1=pair.m1, m2=np.cross(d2, o2))
-        else:
-            out[i] = BearingPair(q1=pair.q1, q2=_unit(wrong))
-    inlier_mask = np.ones(n, dtype=bool)
-    inlier_mask[chosen] = False
-    return out, inlier_mask
-
-
 def run_ransac_trials(
     solver: str,
     cfg: SceneConfig,
@@ -223,52 +197,23 @@ def run_ransac_trials(
     angle_noise_sigma: float = 0.0,
 ) -> list[RansacTrialRecord]:
     """Robust-estimation benchmark on scenes contaminated with outliers."""
-    from .synth import add_angle_noise, add_image_noise, rotation_error, translation_errors
-
-    if solver not in ("reg4", "gen5"):
-        raise ValueError(f"unknown solver {solver!r}")
-    if not n_trials >= 1:
-        raise ValueError(f"n_trials must be at least 1, got {n_trials!r}")
-    if not 0.0 <= outlier_frac < 1.0:
-        raise ValueError(f"outlier_frac must lie in [0, 1), got {outlier_frac!r}")
-    generalized = solver == "gen5"
-    base = replace(cfg, generalized=generalized)
+    inputs = trial_inputs(solver, cfg, n_trials, n_obs, noise_px, angle_noise_sigma, outlier_frac)
     records = []
-    children = np.random.SeedSequence(cfg.seed).spawn(n_trials)
-    for idx, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        truth, pairs = generate_scene(base, n_obs, rng=rng)
-        noisy = add_image_noise(pairs, noise_px, base, rng)
-        observed, true_inliers = _corrupt(noisy, truth, base, outlier_frac, rng)
-        theta_in = add_angle_noise(rotation_angle(truth.R), angle_noise_sigma, rng)
+    for idx, (rng, truth, observed, true_inliers, theta_in) in enumerate(inputs):
         trial_cfg = replace(ransac_cfg, seed=int(rng.integers(0, 2**63 - 1)))
-        start = time.perf_counter()
-        try:
-            result = ransac_estimate(observed, theta_in, trial_cfg, solver)
-        except (NoHypothesis, RelposeError):
-            records.append(
-                RansacTrialRecord(idx, math.inf, math.inf, math.inf, 0, 0.0, 0.0, 0, True,
-                                  (time.perf_counter() - start) * 1e3)
-            )
+        result, elapsed_ms = timed(ransac_estimate, observed, theta_in, trial_cfg, solver)
+        if result is None:
+            records.append(RansacTrialRecord(idx, math.inf, math.inf, math.inf, 0, 0.0, 0.0, 0,
+                                             True, elapsed_ms))
             continue
-        elapsed_ms = (time.perf_counter() - start) * 1e3
         rot = rotation_error([result.pose], truth.R)
-        ang, scale = translation_errors([result.pose], truth.t, with_scale=generalized)
+        ang, scale = translation_errors([result.pose], truth.t, with_scale=solver == "gen5")
         precision, recall = inlier_precision_recall(result.inlier_mask, true_inliers)
-        records.append(
-            RansacTrialRecord(
-                trial=idx,
-                rot_err=rot,
-                t_ang_err_deg=ang,
-                scale_rel_err=scale,
-                inlier_count=result.inlier_count,
-                recall=recall,
-                precision=precision,
-                iterations=result.iterations,
-                no_hypothesis=False,
-                solve_ms=elapsed_ms,
-            )
-        )
+        records.append(RansacTrialRecord(
+            trial=idx, rot_err=rot, t_ang_err_deg=ang, scale_rel_err=scale,
+            inlier_count=result.inlier_count, recall=recall, precision=precision,
+            iterations=result.iterations, no_hypothesis=False, solve_ms=elapsed_ms,
+        ))
     return records
 
 

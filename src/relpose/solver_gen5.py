@@ -125,10 +125,12 @@ def solve_gen5pt_angle(
     null vector of the stacked constraint rows, scaled so its inhomogeneous
     component is one; candidates whose scale is unobservable are dropped.
 
-    With ``samples``, a ``(B, 5)`` index array into ``pairs`` (or their
-    ``gbsolver.RayTable``), the samples are solved as one stack and the
-    result is their ``SamplePoses``, one ``PoseStack`` per sample, empty
-    where it raises a ``RelposeError``.
+    With ``samples``, a ``(B, 5)`` array of integer indices into ``pairs``
+    (or their ``gbsolver.RayTable``), the samples are solved as one stack
+    and the result is their ``SamplePoses``: the poses of every sample as
+    rows of arrays, with no rows for a sample where a single solve raises a
+    ``RelposeError``.  An index that is negative, not below ``len(pairs)``
+    or not an integer raises ``ValueError``.
     """
     return solve(
         _LAYERS, GENERAL, build_g_polynomials, _screen, _poses, pairs, theta, anchor, samples

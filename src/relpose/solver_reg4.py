@@ -72,10 +72,12 @@ def solve_4pt_angle(
     relabels the correspondences before the constraint system is built; any
     choice yields the same solution set.
 
-    With ``samples``, a ``(B, 4)`` index array into ``pairs`` (or their
-    ``gbsolver.RayTable``), the samples are solved as one stack and the
-    result is their ``SamplePoses``, one ``PoseStack`` per sample, empty
-    where it raises a ``RelposeError``.
+    With ``samples``, a ``(B, 4)`` array of integer indices into ``pairs``
+    (or their ``gbsolver.RayTable``), the samples are solved as one stack
+    and the result is their ``SamplePoses``: the poses of every sample as
+    rows of arrays, with no rows for a sample where a single solve raises a
+    ``RelposeError``.  An index that is negative, not below ``len(pairs)``
+    or not an integer raises ``ValueError``.
     """
     return solve(_LAYERS, REGULAR, build_f_polynomials, None, _poses, pairs, theta, anchor, samples)
 

@@ -1,5 +1,6 @@
-"""Synthetic scene, motion and noise generation, error metrics, and the
-benchmark harness that drives either minimal solver over many trials."""
+"""Synthetic scene, motion, noise and outlier generation, error metrics, the
+trial loop of the benchmark harnesses, and the harness that drives either
+minimal solver over many trials."""
 
 from __future__ import annotations
 
@@ -106,6 +107,15 @@ def _in_frustum(v: np.ndarray, cfg: SceneConfig, margin: float = 1.0) -> bool:
     return abs(v[0] / v[2]) <= half_w and abs(v[1] / v[2]) <= half_h
 
 
+def _slab(cfg: SceneConfig) -> tuple[float, float, float, float]:
+    """The first view's frustum slab where scene points lie: the half width
+    and half height of the image at unit depth, and the nearest and
+    farthest depth."""
+    half_depth = cfg.scene_depth / 2.0
+    return (cfg.image_width / (2.0 * cfg.focal_px), cfg.image_height / (2.0 * cfg.focal_px),
+            cfg.distance_to_scene - half_depth, cfg.distance_to_scene + half_depth)
+
+
 def generate_scene(
     cfg: SceneConfig, n_points: int, rng: np.random.Generator | None = None
 ) -> tuple[RelativePose, list[BearingPair] | list[PluckerPair]]:
@@ -150,10 +160,7 @@ def generate_scene(
     t = -R @ c2
     truth = RelativePose(R=R, t=t, quat=quat)
 
-    z_lo = cfg.distance_to_scene - cfg.scene_depth / 2.0
-    z_hi = cfg.distance_to_scene + cfg.scene_depth / 2.0
-    half_w = cfg.image_width / (2.0 * cfg.focal_px)
-    half_h = cfg.image_height / (2.0 * cfg.focal_px)
+    half_w, half_h, z_lo, z_hi = _slab(cfg)
 
     pairs: list = []
     for _ in range(n_points):
@@ -250,6 +257,67 @@ def translation_errors(
     return best_ang, (best_scale if with_scale else math.nan)
 
 
+def _corrupt(observations, cfg: SceneConfig, outlier_frac: float, rng):
+    """Replace a fraction of correspondences with mismatched second-view
+    rays, and the mask of the ones kept.  A fraction that rounds to no
+    outlier draws nothing from ``rng``."""
+    n = len(observations)
+    n_out = int(round(outlier_frac * n))
+    out = list(observations)
+    chosen = rng.choice(n, size=n_out, replace=False) if n_out else np.array([], dtype=int)
+    half_w, half_h, z_lo, z_hi = _slab(cfg)
+    for i in chosen:
+        # A geometrically valid but unrelated ray in the second view.
+        z = rng.uniform(z_lo, z_hi)
+        wrong = np.array([z * rng.uniform(-half_w, half_w), z * rng.uniform(-half_h, half_h), z])
+        pair = out[i]
+        if isinstance(pair, PluckerPair):
+            o2 = _random_in_ball(rng, cfg.multi_center_radius)
+            d2 = _unit(wrong - o2)
+            out[i] = PluckerPair(q1=pair.q1, q2=d2, m1=pair.m1, m2=np.cross(d2, o2))
+        else:
+            out[i] = BearingPair(q1=pair.q1, q2=_unit(wrong))
+    inlier_mask = np.ones(n, dtype=bool)
+    inlier_mask[chosen] = False
+    return out, inlier_mask
+
+
+def trial_inputs(
+    solver: str, cfg: SceneConfig, n_trials: int, n_obs: int, noise_px: float,
+    angle_noise_sigma: float, outlier_frac: float = 0.0,
+):
+    """The inputs of ``n_trials`` benchmark trials of ``solver``, one tuple
+    per trial: its generator, seeded from ``cfg.seed`` per trial, the true
+    pose, the ``n_obs`` observations, the mask of their inliers and the
+    input angle.  Each trial draws its scene, image noise, outliers and
+    angle noise in this order; later draws of the caller follow them."""
+    if solver not in ("reg4", "gen5"):
+        raise ValueError(f"unknown solver {solver!r}")
+    if not n_trials >= 1:
+        raise ValueError(f"n_trials must be at least 1, got {n_trials!r}")
+    if not 0.0 <= outlier_frac < 1.0:
+        raise ValueError(f"outlier_frac must lie in [0, 1), got {outlier_frac!r}")
+    base = replace(cfg, generalized=solver == "gen5")
+    for child in np.random.SeedSequence(cfg.seed).spawn(n_trials):
+        rng = np.random.default_rng(child)
+        truth, pairs = generate_scene(base, n_obs, rng=rng)
+        noisy = add_image_noise(pairs, noise_px, base, rng)
+        observed, inliers = _corrupt(noisy, base, outlier_frac, rng)
+        theta_in = add_angle_noise(rotation_angle(truth.R), angle_noise_sigma, rng)
+        yield rng, truth, observed, inliers, theta_in
+
+
+def timed(call, *args):
+    """``call(*args)``, or ``None`` where it raises a ``RelposeError``, and
+    the milliseconds it took."""
+    start = time.perf_counter()
+    try:
+        out = call(*args)
+    except RelposeError:
+        out = None
+    return out, (time.perf_counter() - start) * 1e3
+
+
 def run_trials(
     solver: str,
     cfg: SceneConfig,
@@ -258,49 +326,25 @@ def run_trials(
     angle_noise_sigma: float = 0.0,
 ) -> list[TrialRecord]:
     """Run independent minimal-solver trials with per-trial derived seeds."""
-    if solver not in ("reg4", "gen5"):
-        raise ValueError(f"unknown solver {solver!r}")
-    if not n_trials >= 1:
-        raise ValueError(f"n_trials must be at least 1, got {n_trials!r}")
     generalized = solver == "gen5"
-    n_points = 5 if generalized else 4
-    base = replace(cfg, generalized=generalized)
+    solve = solve_gen5pt_angle if generalized else solve_4pt_angle
+    inputs = trial_inputs(solver, cfg, n_trials, 5 if generalized else 4, noise_px,
+                          angle_noise_sigma)
     records = []
-    children = np.random.SeedSequence(cfg.seed).spawn(n_trials)
-    for idx, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        truth, pairs = generate_scene(base, n_points, rng=rng)
-        observed = add_image_noise(pairs, noise_px, base, rng)
+    for idx, (_, truth, observed, _, theta_in) in enumerate(inputs):
         theta_true = rotation_angle(truth.R)
-        theta_in = add_angle_noise(theta_true, angle_noise_sigma, rng)
-        start = time.perf_counter()
-        try:
-            if generalized:
-                poses = solve_gen5pt_angle(observed, theta_in)
-            else:
-                poses = solve_4pt_angle(observed, theta_in)
-        except RelposeError:
-            records.append(
-                TrialRecord(idx, theta_true, math.inf, math.inf, math.inf, 0, 0, True,
-                            (time.perf_counter() - start) * 1e3)
-            )
+        poses, elapsed_ms = timed(solve, observed, theta_in)
+        if poses is None:
+            records.append(TrialRecord(idx, theta_true, math.inf, math.inf, math.inf, 0, 0, True,
+                                       elapsed_ms))
             continue
-        elapsed_ms = (time.perf_counter() - start) * 1e3
         rot = rotation_error(poses, truth.R)
         ang, scale = translation_errors(poses, truth.t, with_scale=generalized)
-        records.append(
-            TrialRecord(
-                trial=idx,
-                theta_rad=theta_true,
-                rot_err=rot,
-                t_ang_err_deg=ang,
-                scale_rel_err=scale,
-                root_count=poses[0].root_count or 0,
-                n_poses=len(poses),
-                degenerate=False,
-                solve_ms=elapsed_ms,
-            )
-        )
+        records.append(TrialRecord(
+            trial=idx, theta_rad=theta_true, rot_err=rot, t_ang_err_deg=ang, scale_rel_err=scale,
+            root_count=poses[0].root_count or 0, n_poses=len(poses), degenerate=False,
+            solve_ms=elapsed_ms,
+        ))
     return records
 
 

@@ -12,7 +12,7 @@ the solver module, the attributes that ``perfbench/spans.py`` traces, plus
 ``polish_roots``, ``residual_gate``, the pose rule ``_poses`` and its rows
 and, for gen5, the central screen; in ``gbsolver``, the shared steps
 ``rotation_roots``, ``_eliminate``, ``_attempt``, ``usable_rotations`` and
-``PoseStack``, and the recording call ``Losses.lose``.  A stage's time is
+the answer ``SamplePoses``, and the recording call ``Losses.lose``.  A stage's time is
 its own, less that of the spied stages it calls; ``solve`` is what no spy
 holds (checking arguments, gathering the rays and the rest of
 ``gbsolver.solve``).  From the times ``t1``, ``t8`` and ``t32`` summed over
@@ -46,7 +46,7 @@ HELPERS = {
     "gen5": ("_screen", "central", "_depth_rows", "_sample_residuals"),
 }
 # The shared pipeline steps, spied in ``gbsolver``.
-GBSOLVER = ("rotation_roots", "_eliminate", "_attempt", "usable_rotations", "PoseStack")
+GBSOLVER = ("rotation_roots", "_eliminate", "_attempt", "usable_rotations", "SamplePoses")
 SIZES = (1, 8, 32)
 
 

@@ -318,13 +318,13 @@ def test_criterion_08_ransac():
 
     rng = np.random.default_rng(888)
     single_errors = []
-    from relpose.robust import _corrupt
+    from relpose.synth import _corrupt
 
     for seed in range(100):
         trial_rng = np.random.default_rng(np.random.SeedSequence([8080, seed]))
         truth, pairs = generate_scene(scene, 100, rng=trial_rng)
         noisy = add_image_noise(pairs, 1.0, scene, trial_rng)
-        observed, _ = _corrupt(noisy, truth, scene, 0.3, trial_rng)
+        observed, _ = _corrupt(noisy, scene, 0.3, trial_rng)
         theta_in = add_angle_noise(rotation_angle(truth.R), 0.0, trial_rng)
         idx = rng.choice(100, size=4, replace=False)
         try:

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from relpose.geom import (
     BearingPair,
     PluckerPair,
-    PoseStack,
     RelativePose,
     UnitQuaternion,
     check_unit_quaternions,
@@ -23,6 +22,7 @@ from relpose.geom import (
     skew,
     stacked_cross,
 )
+from relpose.gbsolver import SamplePoses
 from relpose.synth import SceneConfig, generate_scene
 from reference_gen5 import inverse_pose
 from reference_reg4 import triangulate_and_count_cheiral
@@ -270,7 +270,7 @@ def message(fn, *args, **kwargs):
 
 
 class TestBulkConstruction:
-    """``check_unit_quaternions`` and ``PoseStack`` check whole stacks as
+    """``check_unit_quaternions`` and ``SamplePoses`` check whole stacks as
     arrays; one bad entry raises the error the constructor raises for it."""
 
     def stack(self, n=5, seed=3):
@@ -284,9 +284,9 @@ class TestBulkConstruction:
         sigma, u, Rs, ts = self.stack()
         columns = {"cheiral_count": np.arange(1, 6), "root_count": np.full(5, 7),
                    "depths": np.arange(10.0).reshape(5, 2)}
-        stack = PoseStack(Rs, ts, sigma, u, columns)
-        poses = stack.poses()
-        assert len(stack) == len(poses) == 5
+        answer = SamplePoses(Rs, ts, sigma, u, [0, 2, 2, 5], columns)
+        poses = answer.poses()
+        assert len(answer) == 3 and len(poses) == 5
         for k, pose in enumerate(poses):
             quat = UnitQuaternion(sigma, u[k])
             want = RelativePose(R=Rs[k], t=ts[k], quat=quat, depths=(2.0 * k, 2.0 * k + 1),
@@ -297,13 +297,18 @@ class TestBulkConstruction:
             assert type(pose.cheiral_count) is int
             assert pose.depths == want.depths and type(pose.depths) is tuple
             assert pose.cheirality_tie is False
-            assert np.array_equal(stack.rows(k, k + 1).poses()[0].R, Rs[k])
+            assert np.array_equal(answer.poses(k, k + 1)[0].R, Rs[k])
 
-    def test_rows_are_views(self):
+    def test_a_row_range_is_those_rows_bit_for_bit(self):
         sigma, u, Rs, ts = self.stack()
-        rows = PoseStack(Rs, ts, sigma, u, {"root_count": np.arange(5)}).rows(1, 3)
-        assert len(rows) == 2 and np.shares_memory(rows.R, Rs)
-        assert [p.root_count for p in rows.poses()] == [1, 2]
+        answer = SamplePoses(Rs, ts, sigma, u, [0, 5], {"root_count": np.arange(5)})
+        rows = answer.poses(1, 3)
+        assert [p.root_count for p in rows] == [1, 2]
+        assert all(type(p.root_count) is int for p in rows)
+        for k, pose in enumerate(rows, 1):
+            assert np.array_equal(pose.R, Rs[k]) and np.shares_memory(pose.R, Rs)
+            assert np.array_equal(pose.t, ts[k]) and np.array_equal(pose.quat.u, u[k])
+        assert answer.poses(5) == [] and len(answer.poses(3)) == 2
 
     @pytest.mark.parametrize(
         "bad", [np.diag([1.0, 1.0, -1.0]), 1.001 * np.eye(3), np.full((3, 3), np.nan)]
@@ -312,20 +317,21 @@ class TestBulkConstruction:
         sigma, u, Rs, ts = self.stack()
         Rs[3] = bad
         want = message(RelativePose, R=bad, t=ts[3], quat=UnitQuaternion(sigma, u[3]))
-        assert message(PoseStack, Rs, ts, sigma, u) == want == "R is not a rotation matrix"
+        got = message(SamplePoses, Rs, ts, sigma, u, [0, 5], {})
+        assert got == want == "R is not a rotation matrix"
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_one_bad_translation(self, bad):
         sigma, u, Rs, ts = self.stack()
         ts[2, 1] = bad
         want = message(RelativePose, R=Rs[2], t=ts[2], quat=UnitQuaternion(sigma, u[2]))
-        assert message(PoseStack, Rs, ts, sigma, u) == want
+        assert message(SamplePoses, Rs, ts, sigma, u, [0, 5], {}) == want
 
     def test_the_first_bad_pose_is_reported(self):
         sigma, u, Rs, ts = self.stack()
         ts[1, 0] = np.nan
         Rs[3] = 2.0 * np.eye(3)
-        assert message(PoseStack, Rs, ts, sigma, u) == message(
+        assert message(SamplePoses, Rs, ts, sigma, u, [0, 5], {}) == message(
             RelativePose, R=Rs[1], t=ts[1], quat=UnitQuaternion(sigma, u[1])
         )
 

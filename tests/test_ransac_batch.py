@@ -18,21 +18,21 @@ from relpose.exceptions import (
     NoCheiralSolution,
     NoHypothesis,
     RankDeficient,
+    RelposeError,
     ScaleUnobservable,
 )
-from relpose.gbsolver import GENERAL, REGULAR, SamplePoses
-from relpose.geom import BearingPair, PluckerPair, PoseStack, rotation_angle, sigma_from_angle
+from relpose.gbsolver import GENERAL, REGULAR, RayTable, SamplePoses
+from relpose.geom import BearingPair, PluckerPair, rotation_angle, sigma_from_angle
 from relpose.poly import _ray_stack
 from relpose.robust import (
     BATCH_LIMIT,
     DEFAULT_POINT_RAY_THRESHOLD,
     ROUND_LIMIT,
     RansacConfig,
-    _corrupt,
     ransac_estimate,
     sampson_threshold_from_pixels,
 )
-from relpose.synth import SceneConfig, add_image_noise, generate_scene
+from relpose.synth import SceneConfig, _corrupt, add_image_noise, generate_scene
 
 KINDS = ["reg4", "gen5"]
 SEEDS = range(20)
@@ -44,7 +44,7 @@ def frame_pair(kind, seed, n_obs=100):
     cfg = SceneConfig(seed=seed, generalized=kind == "gen5")
     rng = np.random.default_rng(seed)
     truth, pairs = generate_scene(cfg, n_obs, rng=rng)
-    observed, _ = _corrupt(add_image_noise(pairs, 0.5, cfg, rng), truth, cfg, 0.3, rng)
+    observed, _ = _corrupt(add_image_noise(pairs, 0.5, cfg, rng), cfg, 0.3, rng)
     return observed, rotation_angle(truth.R)
 
 
@@ -143,10 +143,9 @@ def test_the_bound_is_checked_after_a_failed_sample(monkeypatch):
         drawn.extend([1] * len(samples))
         k = np.array([first + s != failing for s in range(len(samples))])
         bounds = np.r_[0, np.cumsum(k)].tolist()
-        stack = PoseStack(np.repeat(truth.R[None], bounds[-1], 0),
-                          np.repeat(truth.t[None], bounds[-1], 0), truth.quat.sigma,
-                          np.repeat(truth.quat.u[None], bounds[-1], 0))
-        return SamplePoses(stack, bounds)
+        return SamplePoses(np.repeat(truth.R[None], bounds[-1], 0),
+                           np.repeat(truth.t[None], bounds[-1], 0), truth.quat.sigma,
+                           np.repeat(truth.quat.u[None], bounds[-1], 0), bounds, {})
 
     def score(R, t, q1, q2):
         return errors if R.ndim == 2 else np.tile(errors, (len(R), 1))
@@ -200,14 +199,11 @@ def test_a_degenerate_sample_fails_alone(monkeypatch, kind):
     with monkeypatch.context() as m:
         rounds = spy_on_rounds(m, kind)
         result = ransac_estimate(observed, theta, cfg, kind)
-    assert any(
-        any(not poses for poses in out) and any(poses for poses in out) for _, out in rounds
-    )
+    assert any(not all(solved(out)) and any(solved(out)) for _, out in rounds)
     assert_same(result, loop_ransac_estimate(observed, theta, cfg, kind))
     # Each sample of a stack gets the poses it gets alone.
     samples, out = rounds[0]
-    for row, poses in zip(samples, out):
-        assert_solved_as_alone(kind, observed, theta, row, poses)
+    assert_each_solved_as_alone(kind, observed, theta, samples, out)
 
 
 SOLVES = {"reg4": solver_reg4.solve_4pt_angle, "gen5": solver_gen5.solve_gen5pt_angle}
@@ -222,20 +218,27 @@ def assert_bits(got, want):
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-def assert_solved_as_alone(kind, observed, theta, row, block: PoseStack):
-    """The poses of one sample's row block of a stacked solve are, bit for
-    bit, those of the single solve of that sample, or the block is empty
-    and the single solve raises."""
-    try:
-        alone = SOLVES[kind]([observed[i] for i in row], theta)
-    except robust.RelposeError:
-        assert len(block) == 0
-        return
-    assert_bits(block.R, np.array([p.R for p in alone]))
-    assert_bits(block.t, np.array([p.t for p in alone]))
-    assert_bits(block.u, np.array([p.quat.u for p in alone]))
-    for name, column in block.columns.items():
-        assert_bits(column, np.array([getattr(p, name) for p in alone]))
+def solved(out: SamplePoses) -> list[bool]:
+    """Whether each sample of a stacked solve's answer has poses."""
+    return [a < b for a, b in zip(out.bounds, out.bounds[1:])]
+
+
+def assert_each_solved_as_alone(kind, observed, theta, samples, out: SamplePoses, which=None):
+    """The poses of each sample ``which`` (all by default) of a stacked
+    solve, its rows of ``out``, are, bit for bit, those of the single solve
+    of that sample, or it has none and the single solve raises."""
+    for s in range(len(samples)) if which is None else which:
+        rows = slice(out.bounds[s], out.bounds[s + 1])
+        try:
+            alone = SOLVES[kind]([observed[i] for i in samples[s]], theta)
+        except RelposeError:
+            assert rows.start == rows.stop
+            continue
+        assert_bits(out.R[rows], np.array([p.R for p in alone]))
+        assert_bits(out.t[rows], np.array([p.t for p in alone]))
+        assert_bits(out.u[rows], np.array([p.quat.u for p in alone]))
+        for name, column in out.columns.items():
+            assert_bits(column[rows], np.array([getattr(p, name) for p in alone]))
 
 
 # Frame pairs and the sample, among 300 drawn as below, that falls back to
@@ -272,9 +275,8 @@ def test_a_stack_solves_each_sample_bit_for_bit_as_alone(monkeypatch, kind):
         calls.clear()
         SOLVES[kind]([observed[i] for i in drawn[fallback]], theta)
         assert (1, True) in calls
-    assert len(out) == len(samples) and len(list(out)[8]) == 0
-    for row, block in zip(samples, out):
-        assert_solved_as_alone(kind, observed, theta, row, block)
+    assert len(out) == len(samples) and not solved(out)[8]
+    assert_each_solved_as_alone(kind, observed, theta, samples, out)
 
 
 def force_loss(monkeypatch, kind, target):
@@ -313,9 +315,54 @@ def test_a_lost_sample_raises_its_reason_and_fails_alone(monkeypatch, kind):
     with pytest.raises(error, match=message):
         SOLVES[kind](observed[size : 2 * size], theta)
     out = SOLVES[kind](observed, theta, samples=samples)
-    assert [len(block) > 0 for block in out] == [True, False, True]
-    for row, block in zip(samples, out):
-        assert_solved_as_alone(kind, observed, theta, row, block)
+    assert solved(out) == [True, False, True]
+    assert_each_solved_as_alone(kind, observed, theta, samples, out)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_an_answer_with_a_lost_sample_counts_samples_and_partitions_its_rows(monkeypatch, kind):
+    # Its length is the sample count, which the benchmark's tracer reads,
+    # and its bounds cut its rows into one block per sample, the lost
+    # sample's empty.
+    size = 4 if kind == "reg4" else 5
+    truth, observed = generate_scene(SceneConfig(seed=6, generalized=kind == "gen5"), 3 * size)
+    samples = np.arange(3 * size).reshape(3, size)
+    force_loss(monkeypatch, kind, observed[size].q1)
+    out = SOLVES[kind](observed, rotation_angle(truth.R), samples=samples)
+    bounds = out.bounds
+    assert len(out) == len(samples) == len(bounds) - 1
+    assert bounds[0] == 0 and bounds[1] == bounds[2] and bounds == sorted(bounds)
+    assert bounds[-1] == len(out.R) == len(out.t) == len(out.u) > bounds[2] > 0
+    assert all(len(column) == bounds[-1] for column in out.columns.values())
+    whole = out.poses()
+    blocks = [out.poses(a, b) for a, b in zip(bounds, bounds[1:])]
+    assert [len(block) for block in blocks] == np.diff(bounds).tolist()
+    for pose, part in zip(whole, [pose for block in blocks for pose in block]):
+        assert np.array_equal(pose.R, part.R) and np.array_equal(pose.t, part.t)
+        assert pose.root_count == part.root_count
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize(
+    "first, message",
+    [
+        (-1, "sample indices must lie in [0, 12), got -1 to {last}"),
+        (12, "sample indices must lie in [0, 12), got 1 to 12"),
+        (0.0, "samples must hold integer indices, got dtype float64"),
+    ],
+    ids=["negative", "past-the-end", "float"],
+)
+def test_a_bad_sample_index_raises_value_error(kind, first, message):
+    # A negative index used to wrap around to a pair from the end, one past
+    # the end raised a bare IndexError and a float one a TypeError.
+    size = 4 if kind == "reg4" else 5
+    truth, observed = generate_scene(SceneConfig(seed=6, generalized=kind == "gen5"), 12)
+    samples = np.array([[first, *range(1, size)]])
+    table = RayTable(observed, (REGULAR if kind == "reg4" else GENERAL).ray_names)
+    for pairs in (observed, table):
+        with pytest.raises(ValueError) as info:
+            SOLVES[kind](pairs, rotation_angle(truth.R), samples=samples)
+        assert str(info.value) == message.format(last=size - 1)
 
 
 # What a sample whose every translation (reg4) or depth (gen5) SVD does not
@@ -356,10 +403,9 @@ def test_a_svd_that_does_not_converge_loses_only_its_own_sample(monkeypatch, kin
         SOLVES[kind](observed[size : 2 * size], theta)
     seen["lost"] = 1
     out = SOLVES[kind](observed, theta, samples=samples)
-    assert [len(block) > 0 for block in out] == [True, False, True]
+    assert solved(out) == [True, False, True]
     seen["lost"] = -1
-    for row, block in zip(samples[::2], list(out)[::2]):
-        assert_solved_as_alone(kind, observed, theta, row, block)
+    assert_each_solved_as_alone(kind, observed, theta, samples, out, which=(0, 2))
 
 
 GENERATORS = {"reg4": (solver_reg4, "build_f_polynomials"), "gen5": (solver_gen5, "build_g_polynomials")}
@@ -386,9 +432,8 @@ def test_a_degenerate_sample_costs_one_generator_call(monkeypatch, kind):
         m.setattr(module, name, spy)
         out = SOLVES[kind](observed, theta, samples=samples)
     assert calls == [32]
-    assert len(out) == 32 and len(list(out)[13]) == 0
-    for row, block in zip(samples, out):
-        assert_solved_as_alone(kind, observed, theta, row, block)
+    assert len(out) == 32 and not solved(out)[13]
+    assert_each_solved_as_alone(kind, observed, theta, samples, out)
     # Alone, the sample raises DegenerateConfiguration, caused by the
     # DegenerateInput that a direct call of the generators raises.
     pairs = [observed[i] for i in samples[13]]
@@ -432,9 +477,8 @@ def test_a_template_no_partition_reduces_fails_alone(monkeypatch, kind):
 
     monkeypatch.setattr(module, "assemble_reduced_template", spoiling)
     out = SOLVES[kind](observed, theta, samples=samples)
-    assert [len(block) > 0 for block in out] == [True, False, True, True, False, True]
-    for row, block in zip(samples, out):
-        assert_solved_as_alone(kind, observed, theta, row, block)
+    assert solved(out) == [True, False, True, True, False, True]
+    assert_each_solved_as_alone(kind, observed, theta, samples, out)
     for k, message in (
         (1, "the fixed pivot block is singular: Singular matrix"),
         (4, "the fixed pivot block reduced to non-finite rows"),

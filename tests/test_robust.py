@@ -6,27 +6,26 @@ import pytest
 import relpose.robust as robust
 from relpose.exceptions import NoHypothesis
 from relpose.gbsolver import SamplePoses
-from relpose.geom import PoseStack, rotation_angle
+from relpose.geom import rotation_angle
 from relpose.robust import (
     DEFAULT_POINT_RAY_THRESHOLD,
     RansacConfig,
-    _corrupt,
     ransac_estimate,
     run_ransac_trials,
     sampson_threshold_from_pixels,
     summarize_ransac,
 )
 from relpose.solver_reg4 import sampson_errors
-from relpose.synth import SceneConfig, add_image_noise, generate_scene, rotation_error
+from relpose.synth import SceneConfig, _corrupt, add_image_noise, generate_scene, rotation_error
 from reference_gen5 import loop_ray_point_errors
 
 
 def one_pose_each(pose, samples):
     """A stacked solve's answer with the one ``pose`` for every sample."""
     k = len(samples)
-    stack = PoseStack(np.repeat(pose.R[None], k, 0), np.repeat(pose.t[None], k, 0),
-                      pose.quat.sigma, np.repeat(pose.quat.u[None], k, 0))
-    return SamplePoses(stack, list(range(k + 1)))
+    return SamplePoses(np.repeat(pose.R[None], k, 0), np.repeat(pose.t[None], k, 0),
+                       pose.quat.sigma, np.repeat(pose.quat.u[None], k, 0),
+                       list(range(k + 1)), {})
 
 
 def gen5_frame_pair(seed, n_obs=100):
@@ -34,7 +33,7 @@ def gen5_frame_pair(seed, n_obs=100):
     cfg = SceneConfig(seed=seed, generalized=True)
     rng = np.random.default_rng(seed)
     truth, pairs = generate_scene(cfg, n_obs, rng=rng)
-    observed, _ = _corrupt(add_image_noise(pairs, 0.5, cfg, rng), truth, cfg, 0.3, rng)
+    observed, _ = _corrupt(add_image_noise(pairs, 0.5, cfg, rng), cfg, 0.3, rng)
     return observed, rotation_angle(truth.R)
 
 

@@ -15,11 +15,10 @@ from relpose.geom import (
     rotation_angle,
     sigma_from_angle,
 )
-from relpose.robust import _corrupt
 from relpose.solver_gen5 import ray_arrays, ray_point_error, ray_point_errors, solve_gen5pt_angle
 from relpose.solver_reg4 import solve_4pt_angle
 from relpose.geom import BearingPair
-from relpose.synth import SceneConfig, generate_scene, rotation_error, translation_errors
+from relpose.synth import SceneConfig, _corrupt, generate_scene, rotation_error, translation_errors
 from reference_gen5 import loop_depth_poses, loop_ray_point_errors
 from reference_templates import rotation_candidates
 
@@ -244,7 +243,7 @@ class TestRayPointError:
         cfg = SceneConfig(seed=21, generalized=True)
         rng = np.random.default_rng(21)
         truth, pairs = generate_scene(cfg, 100, rng=rng)
-        observed, _ = _corrupt(pairs, truth, cfg, 0.3, rng)
+        observed, _ = _corrupt(pairs, cfg, 0.3, rng)
         d = np.array([0.0, 0.0, 1.0])
         observed[7] = PluckerPair(
             q1=d, q2=truth.R @ d, m1=np.cross(d, np.array([0.1, 0.0, 0.0])), m2=np.zeros(3)
@@ -291,7 +290,7 @@ class TestRayPointError:
         cfg = SceneConfig(seed=22, generalized=True)
         rng = np.random.default_rng(22)
         truth, pairs = generate_scene(cfg, 100, rng=rng)
-        observed, _ = _corrupt(pairs, truth, cfg, 0.3, rng)
+        observed, _ = _corrupt(pairs, cfg, 0.3, rng)
         rays = ray_arrays(observed)
         Rs = np.array([random_rotation(rng) for _ in range(40)])
         Rs[::2] = truth.R

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,10 +14,12 @@ from relpose.geom import (
     generalized_epipolar_residual,
     quat_from_rotation,
     quat_to_rotation,
+    rotation_angle,
 )
 from relpose.synth import (
     SceneConfig,
     TrialRecord,
+    _corrupt,
     add_angle_noise,
     add_image_noise,
     generate_scene,
@@ -24,6 +27,7 @@ from relpose.synth import (
     run_trials,
     summarize,
     translation_errors,
+    trial_inputs,
 )
 
 
@@ -199,6 +203,73 @@ class TestErrorMetrics:
             rotation_error([], np.eye(3))
         with pytest.raises(EmptyCandidates):
             translation_errors([], np.array([0.0, 0, 1]))
+
+
+class TestCorrupt:
+    @pytest.mark.parametrize("generalized", [False, True])
+    @pytest.mark.parametrize("fraction", [0.0, 0.01])
+    def test_no_outlier_draws_nothing(self, generalized, fraction):
+        # 1% of 30 rounds to no outlier.  The benchmark harnesses share one
+        # trial loop, which contaminates at fraction 0 for minimal trials.
+        cfg = SceneConfig(seed=2, generalized=generalized)
+        _, pairs = generate_scene(cfg, 30)
+        rng = np.random.default_rng(9)
+        state = rng.bit_generator.state
+        out, inliers = _corrupt(pairs, cfg, fraction, rng)
+        assert out is not pairs and len(out) == 30
+        assert all(a is b for a, b in zip(out, pairs))
+        assert inliers.dtype == bool and inliers.shape == (30,) and inliers.all()
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("generalized", [False, True])
+    def test_outliers_replace_only_second_view_rays(self, generalized):
+        cfg = SceneConfig(seed=3, generalized=generalized)
+        _, pairs = generate_scene(cfg, 40)
+        out, inliers = _corrupt(pairs, cfg, 0.3, np.random.default_rng(3))
+        assert np.count_nonzero(~inliers) == 12
+        for a, b, kept in zip(pairs, out, inliers):
+            assert (a is b) == kept and np.array_equal(a.q1, b.q1)
+            if generalized:
+                assert np.array_equal(a.m1, b.m1)
+            assert kept or not np.array_equal(a.q2, b.q2)
+
+
+class TestTrialInputs:
+    @pytest.mark.parametrize("solver", ["reg4", "gen5"])
+    def test_draw_order(self, solver):
+        # Per trial: scene, image noise, outliers, angle noise, then the
+        # caller's own draws.
+        cfg = SceneConfig(seed=4)
+        got = list(trial_inputs(solver, cfg, 3, 30, 0.5, 0.01, 0.3))
+        base = replace(cfg, generalized=solver == "gen5")
+        assert len(got) == 3
+        for child, (rng, truth, observed, inliers, theta_in) in zip(
+            np.random.SeedSequence(4).spawn(3), got
+        ):
+            mine = np.random.default_rng(child)
+            want, pairs = generate_scene(base, 30, rng=mine)
+            noisy = add_image_noise(pairs, 0.5, base, mine)
+            want_observed, want_inliers = _corrupt(noisy, base, 0.3, mine)
+            assert np.array_equal(truth.R, want.R) and np.array_equal(truth.t, want.t)
+            assert all(np.array_equal(a.q2, b.q2) for a, b in zip(observed, want_observed))
+            assert np.array_equal(inliers, want_inliers)
+            assert theta_in == add_angle_noise(rotation_angle(want.R), 0.01, mine)
+            assert rng.integers(0, 2**63 - 1) == mine.integers(0, 2**63 - 1)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("sfm", 3, 0.0), "unknown solver 'sfm'"),
+            (("reg4", 0, 0.0), "n_trials must be at least 1, got 0"),
+            (("reg4", 3, 1.0), "outlier_frac must lie in [0, 1), got 1.0"),
+        ],
+        ids=["solver", "n_trials", "outlier_frac"],
+    )
+    def test_rejects_bad_arguments(self, args, message):
+        solver, n_trials, outlier_frac = args
+        with pytest.raises(ValueError) as info:
+            next(trial_inputs(solver, SceneConfig(), n_trials, 30, 0.0, 0.0, outlier_frac))
+        assert str(info.value) == message
 
 
 class TestHarness:

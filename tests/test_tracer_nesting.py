@@ -14,11 +14,10 @@ from relpose.geom import rotation_angle
 from relpose.robust import (
     DEFAULT_POINT_RAY_THRESHOLD,
     RansacConfig,
-    _corrupt,
     ransac_estimate,
     sampson_threshold_from_pixels,
 )
-from relpose.synth import SceneConfig, add_image_noise, generate_scene
+from relpose.synth import SceneConfig, _corrupt, add_image_noise, generate_scene
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -35,7 +34,7 @@ def traced_ransac(kind):
     cfg = SceneConfig(seed=5, generalized=kind == "gen5")
     rng = np.random.default_rng(5)
     truth, pairs = generate_scene(cfg, 40, rng=rng)
-    observed, _ = _corrupt(add_image_noise(pairs, 0.5, cfg, rng), truth, cfg, 0.3, rng)
+    observed, _ = _corrupt(add_image_noise(pairs, 0.5, cfg, rng), cfg, 0.3, rng)
     if kind == "reg4":
         threshold = sampson_threshold_from_pixels(1.5, cfg.focal_px)
     else:
