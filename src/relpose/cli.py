@@ -16,7 +16,7 @@ import numpy as np
 
 from . import formats
 from .exceptions import DocumentError, RelposeError
-from .imu import angle_between_frames, integrate_gyro
+from .imu import frame_angle, integrate_gyro
 from .robust import (
     DEFAULT_POINT_RAY_THRESHOLD,
     DEFAULT_SAMPSON_PX2,
@@ -108,7 +108,7 @@ def cmd_imu_angle(args) -> int:
         except ValueError:
             raise DocumentError("--bias-correct rates must be numbers") from None
     R = integrate_gyro(samples, args.from_ns, args.to_ns, bias=bias)
-    angle = angle_between_frames(samples, args.from_ns, args.to_ns, bias=bias)
+    angle = frame_angle(R)
     lines = [
         f"angle_rad {formats.format_float(angle)}",
         f"angle_deg {formats.format_float(math.degrees(angle))}",

@@ -43,6 +43,7 @@ cannot solve off its NaN output.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -119,8 +120,11 @@ class TemplateProblem:
         constraint.  Without ``samples`` the pairs are one sample of exactly
         ``sample_size``; otherwise ``samples`` indexes the N pairs, ``(B,
         sample_size)`` integers in ``[0, N)``.  Each sample is relabelled
-        cyclically so that its ``anchor``-th pair comes first."""
+        cyclically so that its ``anchor``-th pair comes first, for any
+        integer ``anchor``."""
         n = self.sample_size
+        if not isinstance(anchor, numbers.Integral):
+            raise ValueError(f"anchor must be an integer, got {anchor!r}")
         table = pairs if isinstance(pairs, RayTable) else RayTable(pairs, self.ray_names)
         if table.names != self.ray_names:
             raise ValueError(f"a table of {table.names} rays, not {self.ray_names}")
@@ -142,7 +146,7 @@ class TemplateProblem:
                 lo, hi = samples.min(), samples.max()
                 raise ValueError(f"sample indices must lie in [0, {n_pairs}), got {lo} to {hi}")
         c = sigma_from_angle(theta)
-        return table.rays.take(samples[:, (np.arange(n) + anchor) % n], 1), len(samples), c
+        return table.rays.take(samples[:, (np.arange(n) + int(anchor)) % n], 1), len(samples), c
 
 
 class RayTable:
@@ -278,15 +282,6 @@ def residual_gate(residuals: np.ndarray, sample: np.ndarray, c, losses: Losses):
     return keep
 
 
-@dataclass(frozen=True, eq=False)
-class EliminationTemplate:
-    """Reduced coefficient matrix over the remainder-block monomials."""
-
-    basis: GrevlexBasis
-    matrix: np.ndarray
-    row_labels: tuple[tuple[Monomial, int], ...]
-
-
 @lru_cache(maxsize=None)
 def _basis_of_width(width: int) -> GrevlexBasis:
     """The monomial basis with ``width`` monomials: the basis of the
@@ -322,17 +317,13 @@ def _assembly_plan(multipliers, extra_rows, n_generators: int, degree: int, targ
     rows = np.arange(len(labels))[:, None]
     dest = position[tuple(np.moveaxis(products, -1, 0))] * len(labels) + rows
     src = np.array([gi for _, gi in labels])[:, None] * len(exponents) + np.arange(len(exponents))
-    return labels, dest.ravel(), src.ravel()
+    return len(labels), dest.ravel(), src.ravel()
 
 
-def assemble_reduced_template(
-    generators: np.ndarray,
-    multipliers: tuple[Monomial, ...],
-    target_degree: int,
-    c: RotationConstraint,
-    extra_rows: tuple[tuple[Monomial, int], ...] = (),
-) -> EliminationTemplate:
-    """Stack reduced multiplier-times-generator rows over the remainder block.
+def assemble_reduced_template(generators: np.ndarray, problem: TemplateProblem, c) -> np.ndarray:
+    """The template matrices of ``problem``: its reduced multiplier-times-
+    generator rows over the remainder block, in the order of its
+    ``multipliers`` and then its ``extra_rows``.
 
     ``generators`` is an ``(..., n_gen, n_coeffs)`` coefficient array, one
     set per leading index; its width fixes the generator degree.  Every
@@ -341,38 +332,35 @@ def assemble_reduced_template(
     reduced modulo the sphere constraint at once.  The matrix has the
     leading shape of ``generators``.
     """
-    basis = grevlex_basis(target_degree)
+    basis = grevlex_basis(problem.target_degree)
     *lead, n_generators, width = generators.shape
-    labels, dest, src = _assembly_plan(
-        tuple(multipliers), tuple(extra_rows), n_generators, _basis_of_width(width).max_degree,
-        target_degree,
+    n_rows, dest, src = _assembly_plan(
+        problem.multipliers, problem.extra_rows, n_generators, _basis_of_width(width).max_degree,
+        problem.target_degree,
     )
     n_samples = math.prod(lead)
-    stack = np.zeros((basis.size * len(labels), n_samples))
+    stack = np.zeros((basis.size * n_rows, n_samples))
     stack[dest] = generators.reshape(n_samples, -1)[:, src].T
-    stack = stack.reshape(basis.size, len(labels) * n_samples)
+    stack = stack.reshape(basis.size, n_rows * n_samples)
     reduce_columns_mod_h(stack, basis, c.tau)
-    remainder = stack[basis.alpha2_size :].reshape(-1, len(labels), n_samples)
-    matrix = np.ascontiguousarray(remainder.transpose(2, 1, 0)).reshape(*lead, len(labels), -1)
-    return EliminationTemplate(basis=basis, matrix=matrix, row_labels=labels)
+    remainder = stack[basis.alpha2_size :].reshape(-1, n_rows, n_samples)
+    return np.ascontiguousarray(remainder.transpose(2, 1, 0)).reshape(*lead, n_rows, -1)
 
 
-def rref_conditioned(B: np.ndarray, pivots: tuple[int, ...]) -> np.ndarray:
-    """Gauss-Jordan reduction of a stack of templates on a committed partition.
+def rref_conditioned(B: np.ndarray, qb: QuotientBasis) -> np.ndarray:
+    """Gauss-Jordan reduction of a stack of templates on the partition of ``qb``.
 
-    ``pivots`` holds one template column per row; the reduction is one LU
+    ``qb.pivots`` holds one template column per row; the reduction is one LU
     solve of that pivot block against the standard (non-pivot) columns, in
-    the order of ``QuotientBasis.template_cols``: row ``i`` of each result
-    is the pivot polynomial led by column ``pivots[i]``, less its pivot
-    columns (1 at its own, 0 at the others).  A template whose pivot block
-    is exactly singular or not finite, or whose rows come out non-finite,
-    gets NaN rows, alone; a poorly conditioned one goes unnoticed here, and
-    the solvers catch it downstream.  The name is what ``perfbench/spans.py``
+    the order of ``qb.template_cols``: row ``i`` of each result is the pivot
+    polynomial led by column ``qb.pivots[i]``, less its pivot columns (1 at
+    its own, 0 at the others).  A template whose pivot block is exactly
+    singular or not finite, or whose rows come out non-finite, gets NaN
+    rows, alone; a poorly conditioned one goes unnoticed here, and the
+    solvers catch it downstream.  The name is what ``perfbench/spans.py``
     traces as the ``gbsolver.rref`` layer.
     """
-    # A remainder block of degree d has (d + 1)^2 columns.
-    qb = _quotient_basis(math.isqrt(B.shape[-1]) - 1, tuple(pivots), B.shape[-1] - len(pivots))
-    block = B.take(pivots, -1)
+    block = B.take(qb.pivots, -1)
     A = _solve_or_nan(block, B.take(qb.template_cols, -1))
     # A non-finite block reduces to non-finite pivot columns, which are not
     # computed, even where the standard ones come out finite.
@@ -383,12 +371,15 @@ def rref_conditioned(B: np.ndarray, pivots: tuple[int, ...]) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class QuotientBasis:
-    """Standard monomials of the quotient ring, ascending grevlex.
+    """Standard monomials of the quotient ring, ascending grevlex: the
+    columns of the degree-``degree`` remainder block outside ``pivots``.
 
     ``successor[i]`` is the index of gamma times monomial ``i``, or -1 where
     that product is not standard: the unit rows of the action matrix.
     """
 
+    pivots: tuple[int, ...]
+    degree: int
     monomials: tuple[Monomial, ...]
     template_cols: np.ndarray
     index: dict[Monomial, int]
@@ -403,14 +394,15 @@ class QuotientBasis:
         return len(self.monomials)
 
 
-def quotient_basis_from_pivots(
-    basis: GrevlexBasis, pivots: tuple[int, ...], expected_size: int
-) -> QuotientBasis:
-    """Non-pivot template columns as standard monomials, ascending grevlex.
+def quotient_basis_from_pivots(problem: TemplateProblem, pivots: tuple[int, ...]) -> QuotientBasis:
+    """The quotient basis of ``problem`` on the partition ``pivots``: its
+    non-pivot template columns as standard monomials, ascending grevlex.
+    Raises ``BasisAnomaly`` unless it has ``problem.basis_size`` monomials
+    and holds those of ``ROOT_MONOMIALS``.
 
     Bases are cached by partition; the solvers pass only committed ones.
     """
-    return _quotient_basis(basis.max_degree, tuple(pivots), expected_size)
+    return _quotient_basis(problem.target_degree, tuple(pivots), problem.basis_size)
 
 
 @lru_cache(maxsize=None)
@@ -435,6 +427,8 @@ def _quotient_basis(degree: int, pivots: tuple[int, ...], expected_size: int) ->
         if needed not in index:
             raise BasisAnomaly(f"quotient basis is missing monomial {needed}")
     return QuotientBasis(
+        pivots=pivots,
+        degree=degree,
         monomials=monomials,
         template_cols=cols,
         index=index,
@@ -456,10 +450,8 @@ def _gamma_shift(degree: int) -> np.ndarray:
     return np.array([col.get((a, b, c + 1), -1) for a, b, c in remainder], dtype=np.int64)
 
 
-def build_action_matrix(
-    reduced: np.ndarray, pivots: tuple[int, ...], basis: GrevlexBasis, qb: QuotientBasis
-) -> np.ndarray:
-    """Multiplication-by-gamma matrices on the quotient-ring basis, one per
+def build_action_matrix(reduced: np.ndarray, qb: QuotientBasis) -> np.ndarray:
+    """Multiplication-by-gamma matrices on the quotient basis ``qb``, one per
     leading index of the ``reduced`` stack.
 
     Each row is either a unit row (gamma times the monomial stays standard) or
@@ -467,8 +459,7 @@ def build_action_matrix(
     columns, of the pivot polynomial whose leading monomial it hits.
     """
     n = qb.size
-    plan = _action_plan(basis.max_degree, tuple(pivots), qb)
-    unit_rows, unit_cols, pivot_rows, pivot_polys = plan
+    unit_rows, unit_cols, pivot_rows, pivot_polys = _action_plan(qb)
     M = np.zeros(reduced.shape[:-2] + (n, n))
     M[..., unit_rows, unit_cols] = 1.0
     M[..., pivot_rows, :] = -reduced.take(pivot_polys, -2)
@@ -476,16 +467,16 @@ def build_action_matrix(
 
 
 @lru_cache(maxsize=None)
-def _action_plan(degree: int, pivots: tuple[int, ...], qb: QuotientBasis):
+def _action_plan(qb: QuotientBasis):
     """Where ``build_action_matrix`` puts its unit entries, ``(rows,
     columns)``, and which rows are negated pivot polynomials, ``(rows,
     polynomials)``."""
     # Pivot row of every remainder column.  The extra last slot stays -1, so
     # a product outside the template (column -1) finds none.
-    basis = grevlex_basis(degree)
-    pivot_row = np.full(basis.size - basis.alpha2_size + 1, -1)
-    pivot_row[list(pivots)] = np.arange(len(pivots))
-    unit, rows = qb.successor, pivot_row[_gamma_shift(degree)[qb.template_cols]]
+    shift = _gamma_shift(qb.degree)
+    pivot_row = np.full(len(shift) + 1, -1)
+    pivot_row[list(qb.pivots)] = np.arange(len(qb.pivots))
+    unit, rows = qb.successor, pivot_row[shift[qb.template_cols]]
     bad = np.flatnonzero((unit < 0) & (rows < 0))
     if bad.size:
         a, b, c = m = qb.monomials[int(bad[0])]
@@ -832,10 +823,8 @@ def _eliminate(layers, problem: TemplateProblem, generators: np.ndarray, c, loss
     if not pending.size:
         return _NOTHING[2:]
     try:
-        template = layers.assemble_reduced_template(
-            generators, problem.multipliers, problem.target_degree, c, extra_rows=problem.extra_rows
-        )
-        check_shape("template", template.matrix.shape, (n_samples, *problem.template_shape))
+        template = layers.assemble_reduced_template(generators, problem, c)
+        check_shape("template", template.shape, (n_samples, *problem.template_shape))
     except RelposeError as exc:
         losses.lose(slice(None), exc)
         return _NOTHING[2:]
@@ -862,16 +851,17 @@ def _eliminate(layers, problem: TemplateProblem, generators: np.ndarray, c, loss
     return np.concatenate([r[m] for (r, _), m in zip(found, mine)])[order], owner[order]
 
 
-def _attempt(layers, problem, template, pivots, pending: np.ndarray, tried: Losses):
+def _attempt(layers, problem, matrix, pivots, pending: np.ndarray, tried: Losses):
     """The templates of the samples ``pending`` reduced on one partition:
     the samples it solves, the count of roots each dropped as inconsistent,
     their roots, grouped by sample in ascending order, and the sample of
     each root.  Every other sample is lost in ``tried``."""
-    n, basis, matrix = problem.basis_size, template.basis, template.matrix
+    n = problem.basis_size
     if len(pending) < len(matrix):
         matrix = matrix[pending]
     try:
-        reduced = layers.rref_conditioned(matrix, pivots)
+        qb = layers.quotient_basis_from_pivots(problem, pivots)
+        reduced = layers.rref_conditioned(matrix, qb)
         lost = np.isnan(reduced[:, 0, 0])
         if np.count_nonzero(lost):
             # A lost template whose entries are all finite was singular.
@@ -880,8 +870,7 @@ def _attempt(layers, problem, template, pivots, pending: np.ndarray, tried: Loss
                 (singular, "is singular: Singular matrix"), (lost, "reduced to non-finite rows")
             ):
                 tried.lose(pending[where], RankDeficient(f"the fixed pivot block {what}"))
-        qb = layers.quotient_basis_from_pivots(basis, pivots, n)
-        action = layers.build_action_matrix(reduced, pivots, basis, qb)
+        action = layers.build_action_matrix(reduced, qb)
         check_shape("action matrix", action.shape, (pending.size, n, n))
     except RelposeError as exc:
         tried.lose(pending, exc)

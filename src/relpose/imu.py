@@ -93,5 +93,10 @@ def angle_between_frames(
     bias: np.ndarray | None = None,
 ) -> float:
     """Relative rotation angle over the interval, in ``[0, pi)`` radians."""
-    angle = rotation_angle(integrate_gyro(samples, t_start_ns, t_end_ns, bias=bias))
-    return min(angle, math.nextafter(math.pi, 0.0))
+    return frame_angle(integrate_gyro(samples, t_start_ns, t_end_ns, bias=bias))
+
+
+def frame_angle(R: np.ndarray) -> float:
+    """The rotation angle of ``R`` in ``[0, pi)`` radians, the domain the
+    solvers accept: a half turn maps to the largest float below pi."""
+    return min(rotation_angle(R), math.nextafter(math.pi, 0.0))

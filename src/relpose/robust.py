@@ -32,8 +32,7 @@ class RansacConfig:
     max_iterations: int = 1000
     inlier_threshold: float = 0.0
     confidence: float = 0.99
-    seed: int = 0
-    keep_trace: bool = False
+    seed: int | None = 0
 
     def __post_init__(self):
         if not 0.0 < self.inlier_threshold < math.inf:
@@ -42,6 +41,8 @@ class RansacConfig:
             raise ValueError("confidence must lie in (0, 1)")
         if not isinstance(self.max_iterations, numbers.Integral) or self.max_iterations < 1:
             raise ValueError(f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")
+        if self.seed is not None and not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError(f"seed must be None or an integer >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,7 +51,8 @@ class RansacResult:
     inlier_mask: np.ndarray
     iterations: int
     n_hypotheses: int
-    trace: tuple[int, ...] | None = None
+    # The best inlier count after each hypothesis, in the order weighed.
+    trace: tuple[int, ...]
 
     @property
     def inlier_count(self) -> int:
@@ -143,8 +145,7 @@ def ransac_estimate(
                     if count > best_count or total < best_score:
                         best, best_mask = (answer, h), mask
                         best_count, best_score = count, total
-                if cfg.keep_trace:
-                    trace.append(best_count)
+                trace.append(best_count)
             if best_count > 0:
                 p_good = (best_count / n) ** sample_size
                 needed = (math.log(1.0 - cfg.confidence) / math.log1p(-p_good)
@@ -159,7 +160,7 @@ def ransac_estimate(
         inlier_mask=best_mask,
         iterations=iterations,
         n_hypotheses=n_hypotheses,
-        trace=tuple(trace) if cfg.keep_trace else None,
+        trace=tuple(trace),
     )
 
 

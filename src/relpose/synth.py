@@ -5,6 +5,7 @@ minimal solver over many trials."""
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, replace
 
@@ -50,7 +51,7 @@ class SceneConfig:
     multi_center_radius: float = 0.05
     generalized: bool = False
     theta_rad: float | None = None
-    seed: int = 0
+    seed: int | None = 0
 
     def __post_init__(self):
         for name in ("distance_to_scene", "scene_depth", "baseline", "image_width",
@@ -61,6 +62,8 @@ class SceneConfig:
             raise ValueError(f"theta_rad must lie in [0, pi), got {self.theta_rad!r}")
         if self.motion not in ("forward", "sideways"):
             raise ValueError(f"motion must be 'forward' or 'sideways', got {self.motion!r}")
+        if self.seed is not None and not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError(f"seed must be None or an integer >= 0, got {self.seed!r}")
 
     @property
     def focal_px(self) -> float:

@@ -86,8 +86,7 @@ def scenes(problem, seeds):
         truth, pairs = generate_scene(cfg, problem.sample_size)
         c = sigma_from_angle(theta)
         gens = build(*_ray_stack(pairs, *names), c)
-        tpl = assemble_reduced_template(gens, problem.multipliers, problem.target_degree, c,
-                                        extra_rows=problem.extra_rows)
+        tpl = assemble_reduced_template(gens, problem, c)
         out.append((c, truth.R, gens, tpl))
     return out
 
@@ -95,9 +94,8 @@ def scenes(problem, seeds):
 def eliminate(problem, pivots, tpl):
     """Roots extracted on ``pivots``, or None where the elimination raises."""
     try:
-        reduced = rref_conditioned(tpl.matrix, pivots)
-        qb = quotient_basis_from_pivots(tpl.basis, pivots, problem.basis_size)
-        action = build_action_matrix(reduced, pivots, tpl.basis, qb)
+        qb = quotient_basis_from_pivots(problem, pivots)
+        action = build_action_matrix(rref_conditioned(tpl, qb), qb)
         return extract_roots(eigensolve_real(action), action, qb)
     except RelposeError:
         return None
@@ -132,7 +130,7 @@ def complete_pivoting_partitions(problem, among) -> list[tuple[int, ...]]:
     found: list[tuple[int, ...]] = []
     for _, _, _, tpl in among:
         try:
-            pivots = tuple(sorted(complete_pivoting(tpl.matrix, **pivot_hints(problem))[1]))
+            pivots = tuple(sorted(complete_pivoting(tpl, **pivot_hints(problem))[1]))
         except RelposeError:
             continue
         if pivots not in found:

@@ -69,8 +69,7 @@ def loop_ransac_estimate(
             total = float(np.sum(errors[mask])) if count else math.inf
             if count > best_count or (count == best_count and total < best_score):
                 best_pose, best_mask, best_count, best_score = pose, mask, count, total
-            if cfg.keep_trace:
-                trace.append(best_count)
+            trace.append(best_count)
         if best_count > 0:
             w = best_count / n
             p_good = w**sample_size
@@ -86,5 +85,5 @@ def loop_ransac_estimate(
         inlier_mask=best_mask,
         iterations=iterations,
         n_hypotheses=n_hypotheses,
-        trace=tuple(trace) if cfg.keep_trace else None,
+        trace=tuple(trace),
     )

@@ -4,31 +4,32 @@ kernels in ``relpose.poly`` and ``relpose.gbsolver``.
 The package passes generators as ``(n_gen, n_coeffs)`` coefficient arrays
 and has no polynomial type; ``DensePolynomial``, one coefficient vector with
 its basis, lives here, and ``as_polynomials`` turns a generator array into a
-list of them.  Everything else here builds one ``DensePolynomial`` at a time:
-the bilinear rotation form of one vector pair, the ``np.add.at`` coefficient
-convolution, the row-by-row reduction modulo the sphere constraint, the
-generators as per-matrix determinants, and the template as one reduced row
-per multiplier-generator product.  The batched path must reproduce these bit
-for bit.  ``rref_conditioned`` is complete pivoting, which the package no
-longer has: it is the oracle of the solvers' fallback and the candidate
-generator of ``derive_partitions.py``.  ``real_eigenvalues`` tests every
-eigenvalue of ``np.linalg.eigvals`` in the loop.  ``eigensolve_real`` tests
-and normalizes every eigenpair of ``np.linalg.eig`` in the loop; the
-package's eigenvectors, rebuilt from the gamma chains, are checked against
-it to a tolerance, and ``hand_built_action`` builds an action matrix with
-known eigenvectors.  ``quotient_basis_from_pivots`` sorts the standard
-monomials by key, ``build_action_matrix`` looks every row up in
-dictionaries on the standard columns of a reduction, which
-``standard_block`` cuts out of a full-width one, ``extract_roots`` filters
-one eigenpair at a time against the checks ``product_checks`` finds by
-walking the basis, and
-``rectified_quaternions`` rescales the roots one ``rectify_quaternion`` at a
-time, with the zero angle's one root in ``ZERO_ANGLE_ROOTS``; the package's
-versions must reproduce them bit for bit too.  ``prepare`` and
-``rotation_candidates`` give one sample's pairs and polished roots as the
-solvers find them.  The left-to-right Gauss-Jordan reduction ``rref``, the
-``grevlex_compare`` order predicate and the Schur-complement cross-check of
-the template also live here; the package uses none of them.
+list of them.  Everything else here builds one ``DensePolynomial`` at a
+time: the bilinear rotation form of one vector pair, the ``np.add.at``
+coefficient convolution, the row-by-row reduction modulo the sphere
+constraint, the generators as per-matrix determinants, and the template as
+one reduced row per multiplier-generator product, a ``LabelledTemplate``
+that names each row's product, where the package returns the bare matrix.
+The batched path must reproduce these bit for bit.  ``rref_conditioned`` is
+complete pivoting, which the package no longer has: it is the oracle of the
+solvers' fallback and the candidate generator of ``derive_partitions.py``.
+``real_eigenvalues`` tests every eigenvalue of ``np.linalg.eigvals`` in the
+loop.  ``eigensolve_real`` tests and normalizes every eigenpair of
+``np.linalg.eig`` in the loop; the package's eigenvectors, rebuilt from the
+gamma chains, are checked against it to a tolerance, and
+``hand_built_action`` builds an action matrix with known eigenvectors.
+``quotient_basis_from_pivots`` sorts the standard monomials by key,
+``build_action_matrix`` looks every row up in dictionaries on the standard
+columns of a reduction, which ``standard_block`` cuts out of a full-width
+one, ``extract_roots`` filters one eigenpair at a time against the checks
+``product_checks`` finds by walking the basis, and ``rectified_quaternions``
+rescales the roots one ``rectify_quaternion`` at a time, with the zero
+angle's one root in ``ZERO_ANGLE_ROOTS``; the package's versions must
+reproduce them bit for bit too.  ``prepare`` and ``rotation_candidates``
+give one sample's pairs and polished roots as the solvers find them.  The
+left-to-right Gauss-Jordan reduction ``rref``, the ``grevlex_compare`` order
+predicate and the Schur-complement cross-check of the template also live
+here; the package uses none of them.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from relpose.gbsolver import (
     ROOT_MONOMIALS,
     ROOT_TOL,
     U_DIRECTION_EPS,
-    EliminationTemplate,
     Losses,
     QuotientBasis,
     as_degenerate,
@@ -145,6 +145,16 @@ class LoopRoots:
     roots: tuple
     n_dropped_at_infinity: int
     n_dropped_inconsistent: int
+
+
+@dataclass(frozen=True, eq=False)
+class LabelledTemplate:
+    """The oracle template: its matrix, the basis of the products it
+    reduces, and the (multiplier, generator index) label of each row."""
+
+    basis: GrevlexBasis
+    matrix: np.ndarray
+    row_labels: tuple[tuple[tuple[int, int, int], int], ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,7 +341,7 @@ def assemble_reduced_template(generators, multipliers, target_degree, c, extra_r
             )
         prod = poly_mul(monomial_poly(m), g, basis)
         rows.append(reduce_mod_h(prod, c).coeffs[basis.alpha2_size :])
-    return EliminationTemplate(basis=basis, matrix=np.array(rows), row_labels=tuple(plan))
+    return LabelledTemplate(basis=basis, matrix=np.array(rows), row_labels=tuple(plan))
 
 
 def rref(B: np.ndarray, pivot_tol: float = PIVOT_TOL) -> tuple[np.ndarray, list[int]]:
@@ -506,6 +516,8 @@ def quotient_basis_from_pivots(basis: GrevlexBasis, pivots: list[int], expected_
         if needed not in index:
             raise BasisAnomaly(f"quotient basis is missing monomial {needed}")
     return QuotientBasis(
+        pivots=tuple(pivots),
+        degree=basis.max_degree,
         monomials=monomials,
         template_cols=np.array([col for _, col in standard], dtype=np.int64),
         index=index,
@@ -666,7 +678,5 @@ def schur_equivalence_check(generators: np.ndarray, c) -> float:
     if np.max(np.abs(np.tril(U, -1))) != 0.0 or np.max(np.abs(np.diag(U) - 1.0)) != 0.0:
         raise AssertionError("constraint-multiple block is not unit upper triangular")
     b_schur = X - W @ np.linalg.solve(U, V)
-    b_mod = gbsolver.assemble_reduced_template(
-        generators, REGULAR.multipliers, REGULAR.target_degree, c
-    ).matrix
+    b_mod = gbsolver.assemble_reduced_template(generators, REGULAR, c)
     return float(np.max(np.abs(b_schur - b_mod)))

@@ -4,6 +4,7 @@ the measured values.  Run with ``pytest tests/test_acceptance.py -v -s``.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -107,14 +108,15 @@ def _regular_pipeline_stats(seed):
     truth, pairs = generate_scene(SceneConfig(seed=seed), 4)
     c = sigma_from_angle(rotation_angle(truth.R))
     fs = build_f_polynomials(*_ray_stack(pairs, "q1", "q2"), c)
-    tpl = assemble_reduced_template(fs, REGULAR.multipliers, 5, c)
-    rem = tpl.basis.remainder_monomials
+    tpl = assemble_reduced_template(fs, REGULAR, c)
+    rem = grevlex_basis(5).remainder_monomials
     top = tuple(j for j, m in enumerate(rem) if sum(m) == 5)
     keep = frozenset(j for j, m in enumerate(rem)
                      if m in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    red, piv = rref_conditioned(tpl.matrix, protected_cols=keep, eliminate_first=top)
-    qb = quotient_basis_from_pivots(tpl.basis, piv, expected_size=tpl.matrix.shape[1] - len(piv))
-    M = build_action_matrix(red[:, qb.template_cols], piv, tpl.basis, qb)
+    red, piv = rref_conditioned(tpl, protected_cols=keep, eliminate_first=top)
+    # Every size the pivots leave, so that the caller checks it.
+    qb = quotient_basis_from_pivots(replace(REGULAR, basis_size=tpl.shape[1] - len(piv)), piv)
+    M = build_action_matrix(red[:, qb.template_cols], qb)
     ext = extract_roots(eigensolve_real(M), M, qb)
     return qb.size, len(ext.roots)
 
@@ -123,14 +125,14 @@ def _general_pipeline_stats(seed):
     truth, pairs = generate_scene(SceneConfig(seed=seed, generalized=True), 5)
     c = sigma_from_angle(rotation_angle(truth.R))
     gs = build_g_polynomials(*_ray_stack(pairs, "q1", "q2", "m1", "m2"), c)
-    tpl = assemble_reduced_template(gs, GENERAL.multipliers, 8, c, extra_rows=GENERAL.extra_rows)
-    rem = tpl.basis.remainder_monomials
+    tpl = assemble_reduced_template(gs, GENERAL, c)
+    rem = grevlex_basis(8).remainder_monomials
     top = tuple(j for j, m in enumerate(rem) if sum(m) == 8)
     keep = frozenset(j for j, m in enumerate(rem)
                      if m in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    red, piv = rref_conditioned(tpl.matrix, protected_cols=keep, eliminate_first=top)
-    qb = quotient_basis_from_pivots(tpl.basis, piv, expected_size=tpl.matrix.shape[1] - len(piv))
-    M = build_action_matrix(red[:, qb.template_cols], piv, tpl.basis, qb)
+    red, piv = rref_conditioned(tpl, protected_cols=keep, eliminate_first=top)
+    qb = quotient_basis_from_pivots(replace(GENERAL, basis_size=tpl.shape[1] - len(piv)), piv)
+    M = build_action_matrix(red[:, qb.template_cols], qb)
     ext = extract_roots(eigensolve_real(M), M, qb)
     return qb.size, len(ext.roots)
 
@@ -170,15 +172,14 @@ def test_criterion_04_template_shapes():
         truth, pairs = generate_scene(SceneConfig(seed=seed), 4)
         c = sigma_from_angle(rotation_angle(truth.R))
         fs = build_f_polynomials(*_ray_stack(pairs, "q1", "q2"), c)
-        tpl = assemble_reduced_template(fs, REGULAR.multipliers, 5, c)
-        assert tpl.matrix.shape == (16, 36)
+        tpl = assemble_reduced_template(fs, REGULAR, c)
+        assert tpl.shape == (16, 36)
         truth, pairs = generate_scene(SceneConfig(seed=seed, generalized=True), 5)
         c = sigma_from_angle(rotation_angle(truth.R))
         tpl = assemble_reduced_template(
-            build_g_polynomials(*_ray_stack(pairs, "q1", "q2", "m1", "m2"), c), GENERAL.multipliers, 8, c,
-            extra_rows=GENERAL.extra_rows,
+            build_g_polynomials(*_ray_stack(pairs, "q1", "q2", "m1", "m2"), c), GENERAL, c
         )
-        assert tpl.matrix.shape == (37, 81)
+        assert tpl.shape == (37, 81)
     report(4, "template shapes", "16x36 and 37x81 on every instance")
 
 
@@ -210,17 +211,17 @@ def test_criterion_05_schur_equivalence():
         theta = rng.uniform(0.2, 2.8)
         c = sigma_from_angle(theta)
         fs = build_f_polynomials(*_ray_stack(_random_bearing_pairs(rng, 4), "q1", "q2"), c)
-        tpl = assemble_reduced_template(fs, REGULAR.multipliers, 5, c)
+        tpl = assemble_reduced_template(fs, REGULAR, c)
         A = np.zeros((4, 35))
         for r, f in enumerate(as_polynomials(fs)):
             for m, v in zip(f.basis.monomials, f.coeffs):
                 A[r, plain.index(m)] = v
-        rem = tpl.basis.remainder_monomials
+        rem = grevlex_basis(5).remainder_monomials
         for mi, mult in enumerate(REGULAR.multipliers):
             for gi in range(4):
                 col = rem.index((mult[0], mult[1], mult[2] + 2))
                 expected = 2 * c.tau * A[gi, 0] - c.tau * A[gi, 9] - A[gi, 25] + A[gi, 30]
-                worst_spot = max(worst_spot, abs(tpl.matrix[mi * 4 + gi, col] - expected))
+                worst_spot = max(worst_spot, abs(tpl[mi * 4 + gi, col] - expected))
     assert worst_spot < 1e-11
     report(5, "block-elimination equivalence",
            f"500 instances, max deviation {worst:.2e}, spot formula {worst_spot:.2e}")

@@ -82,14 +82,17 @@ def problem(solver: str, rays: str, motion: str, theta: float, seed: int):
 
 
 def generators_and_template(module, solver: str, pairs, c):
-    if solver == "reg4":
-        gens = module.build_f_polynomials(pairs, c)
-        tpl = module.assemble_reduced_template(gens, REGULAR.multipliers, REGULAR.target_degree, c)
-        return gens, tpl
-    gens = module.build_g_polynomials(pairs, c)
-    return gens, module.assemble_reduced_template(
-        gens, GENERAL.multipliers, GENERAL.target_degree, c, extra_rows=GENERAL.extra_rows
-    )
+    """The generators and template of one sample: the package's layers take
+    the problem and give the matrix, the oracle's take its row plan and give
+    a ``LabelledTemplate``."""
+    tp = REGULAR if solver == "reg4" else GENERAL
+    build = module.build_f_polynomials if solver == "reg4" else module.build_g_polynomials
+    gens = build(pairs, c)
+    if module is ref:
+        return gens, ref.assemble_reduced_template(
+            gens, tp.multipliers, tp.target_degree, c, extra_rows=tp.extra_rows
+        )
+    return gens, module.assemble_reduced_template(gens, tp, c)
 
 
 BATCHED = SimpleNamespace(
@@ -121,10 +124,13 @@ class TestTemplatesMatchOracle:
             for g, r in zip(ref.as_polynomials(gens), ref_gens, strict=True):
                 assert g.basis is r.basis
                 assert_bits(g.coeffs, r.coeffs)
-            assert tpl.basis is ref_tpl.basis
-            assert tpl.row_labels == ref_tpl.row_labels
-            assert_bits(tpl.matrix, ref_tpl.matrix)
-            assert tpl.matrix.flags.c_contiguous
+            # Row by row, the oracle's labelled rows in the oracle's order.
+            tp = REGULAR if solver == "reg4" else GENERAL
+            assert ref_tpl.basis is grevlex_basis(tp.target_degree)
+            assert len(tpl) == len(ref_tpl.row_labels) == tp.template_shape[0]
+            for row, ref_row in zip(tpl, ref_tpl.matrix, strict=True):
+                assert_bits(row, ref_row)
+            assert tpl.flags.c_contiguous
 
 
 class TestGeneratorsMatchSpecs:
@@ -249,10 +255,13 @@ def reductions(tp, tpl):
     """``(reduced, pivots)`` of the template on every committed partition,
     then by complete pivoting with and without the pivot hints, each on
     its standard columns."""
-    out = [(rref_conditioned(tpl.matrix, pivots), pivots) for pivots in tp.partitions]
+    out = [
+        (rref_conditioned(tpl, quotient_basis_from_pivots(tp, pivots)), pivots)
+        for pivots in tp.partitions
+    ]
     for hints in (ref.pivot_hints(tp), {}):
-        red, piv = ref.rref_conditioned(tpl.matrix, **hints)
-        out.append((ref.standard_block(red, piv, tpl.basis), piv))
+        red, piv = ref.rref_conditioned(tpl, **hints)
+        out.append((ref.standard_block(red, piv, grevlex_basis(tp.target_degree)), piv))
     return out
 
 
@@ -272,8 +281,8 @@ class TestEliminationMatchesOracle:
                 ordered, c = ref.prepare(tp, pairs, theta, anchor)
                 _, tpl = generators_and_template(BATCHED, solver, ordered, c)
                 for red, piv in reductions(tp, tpl)[:-1]:
-                    qb = quotient_basis_from_pivots(tpl.basis, piv, expected_size=tp.basis_size)
-                    M = build_action_matrix(red, piv, tpl.basis, qb)
+                    qb = quotient_basis_from_pivots(tp, piv)
+                    M = build_action_matrix(red, qb)
                     assert_same_eigenvalues(M)
                     assert_chain_eigenvectors(M, qb, near_half_turn=theta > math.pi - 0.01)
 
@@ -296,7 +305,7 @@ class TestEliminationMatchesOracle:
         pairs = problem("reg4", "central", "forward", 0.5, 1)
         c = sigma_from_angle(0.5)
         _, tpl = generators_and_template(BATCHED, "reg4", pairs, c)
-        bad = tpl.matrix.copy()
+        bad = tpl.copy()
         bad[5] = bad[2]
         for B, hints in (
             (bad, ref.pivot_hints(REGULAR)),
@@ -337,6 +346,7 @@ def assert_same_basis(qb, ref_qb) -> None:
     if isinstance(ref_qb, tuple):
         assert qb == ref_qb
         return
+    assert (qb.pivots, qb.degree) == (ref_qb.pivots, ref_qb.degree)
     assert qb.monomials == ref_qb.monomials and qb.index == ref_qb.index
     assert np.array_equal(qb.template_cols, ref_qb.template_cols)
     assert qb.template_cols.dtype == ref_qb.template_cols.dtype
@@ -395,6 +405,7 @@ class TestBackEndMatchesOracle:
         tp = REGULAR if solver == "reg4" else GENERAL
         rays = "central" if solver == "reg4" else "generalized"
         solve, loop_solve = LOOP_SOLVERS[solver]
+        basis = grevlex_basis(tp.target_degree)
         for seed in range(2):
             pairs = problem(solver, rays, motion, theta, seed)
             for anchor in range(tp.sample_size):
@@ -403,13 +414,13 @@ class TestBackEndMatchesOracle:
                 for red, piv in reductions(tp, tpl):
                     # Without hints a top-degree column stays standard on these
                     # templates, and both must raise UnreachableMonomial alike.
-                    qb = outcome(quotient_basis_from_pivots, tpl.basis, piv, tp.basis_size)
-                    ref_qb = outcome(ref.quotient_basis_from_pivots, tpl.basis, piv, tp.basis_size)
+                    qb = outcome(quotient_basis_from_pivots, tp, piv)
+                    ref_qb = outcome(ref.quotient_basis_from_pivots, basis, piv, tp.basis_size)
                     assert_same_basis(qb, ref_qb)
                     if isinstance(qb, tuple):
                         continue
-                    M = outcome(build_action_matrix, red, piv, tpl.basis, qb)
-                    ref_M = outcome(ref.build_action_matrix, red, piv, tpl.basis, qb)
+                    M = outcome(build_action_matrix, red, qb)
+                    ref_M = outcome(ref.build_action_matrix, red, piv, basis, qb)
                     if isinstance(ref_M, tuple):
                         assert M == ref_M
                         continue
@@ -494,8 +505,8 @@ def regular_basis(seed: int = 0):
     ordered, c = ref.prepare(REGULAR, pairs, 0.8, 0)
     _, tpl = generators_and_template(BATCHED, "reg4", ordered, c)
     piv = REGULAR.partitions[0]
-    red = rref_conditioned(tpl.matrix, piv)
-    return tpl, red, piv, quotient_basis_from_pivots(tpl.basis, piv, REGULAR.basis_size)
+    qb = quotient_basis_from_pivots(REGULAR, piv)
+    return tpl, rref_conditioned(tpl, qb), piv, qb
 
 
 class TestHandBuiltEigenpairs:
@@ -614,13 +625,14 @@ def leave_top_degree_standard(piv: tuple[int, ...], n_cols: int) -> tuple[int, .
 class TestUnreachableMonomial:
     def test_raises_the_oracle_message(self):
         tpl, red, piv, _ = regular_basis(1)
-        bad = leave_top_degree_standard(piv, tpl.matrix.shape[1])
-        qb = quotient_basis_from_pivots(tpl.basis, bad, REGULAR.basis_size)
-        assert_same_basis(qb, ref.quotient_basis_from_pivots(tpl.basis, bad, REGULAR.basis_size))
+        bad = leave_top_degree_standard(piv, tpl.shape[1])
+        basis = grevlex_basis(REGULAR.target_degree)
+        qb = quotient_basis_from_pivots(REGULAR, bad)
+        assert_same_basis(qb, ref.quotient_basis_from_pivots(basis, bad, REGULAR.basis_size))
         with pytest.raises(UnreachableMonomial) as new:
-            build_action_matrix(red, bad, tpl.basis, qb)
+            build_action_matrix(red, qb)
         with pytest.raises(UnreachableMonomial) as old:
-            ref.build_action_matrix(red, bad, tpl.basis, qb)
+            ref.build_action_matrix(red, bad, basis, qb)
         assert str(new.value) == str(old.value)
         assert str(new.value).startswith("gamma * ")
 
@@ -669,8 +681,8 @@ class TestDegenerateInputs:
         pairs = problem("reg4", "central", "forward", 0.5, 3)
         c = sigma_from_angle(0.5)
         fs = build_f_polynomials(*_ray_stack(pairs, "q1", "q2"), c)
-        with pytest.raises(DegreeOverflow):
-            assemble_reduced_template(fs, ((0, 0, 2),), REGULAR.target_degree, c)
-        with pytest.raises(DegreeOverflow):
-            assemble_reduced_template(fs, REGULAR.multipliers, REGULAR.target_degree, c,
-                                      extra_rows=(((1, 1, 0), 0),))
+        message = "^multiplier {} on a degree-4 generator exceeds degree 5$"
+        with pytest.raises(DegreeOverflow, match=message.format(r"\(0, 0, 2\)")):
+            assemble_reduced_template(fs, replace(REGULAR, multipliers=((0, 0, 2),)), c)
+        with pytest.raises(DegreeOverflow, match=message.format(r"\(1, 1, 0\)")):
+            assemble_reduced_template(fs, replace(REGULAR, extra_rows=(((1, 1, 0), 0),)), c)

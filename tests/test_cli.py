@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from relpose import formats
+from relpose import cli, formats, imu
 from relpose.cli import main
 from relpose.exceptions import DocumentError
 from relpose.geom import rotation_angle
@@ -314,6 +314,28 @@ class TestCmdImuAngle:
         path = tmp_path / "bad.csv"
         path.write_text("time,x,y,z\n0,0,0,0\n")
         assert main(["imu-angle", "--gyro", str(path), "--from", "0", "--to", "1"]) == 1
+
+    def test_integrates_the_log_once(self, tmp_path, capsys, monkeypatch):
+        # A half turn: the printed angle is the clamped one of
+        # angle_between_frames and R the one of integrate_gyro, from one pass.
+        path = self.write_log(tmp_path, w=(0.0, 0.0, math.pi))
+        samples = formats.parse_gyro_csv(path.read_text())
+        R = imu.integrate_gyro(samples, 0, 1_000_000_000)
+        angle = imu.angle_between_frames(samples, 0, 1_000_000_000)
+        assert angle == math.nextafter(math.pi, 0.0)
+        calls, original = [], imu.integrate_gyro
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(imu, "integrate_gyro", spy)
+        monkeypatch.setattr(cli, "integrate_gyro", spy)
+        assert main(["imu-angle", "--gyro", str(path), "--from", "0", "--to", "1000000000"]) == 0
+        assert len(calls) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"angle_rad {formats.format_float(angle)}"
+        assert lines[2] == "R " + " ".join(formats.format_float(v) for v in R.ravel())
 
     def test_gyro_csv_roundtrip(self, tmp_path):
         path = self.write_log(tmp_path, w=(0.123456789012345678, -0.5, 1e-17))

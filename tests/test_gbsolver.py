@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -62,40 +63,41 @@ def general_instance(seed):
 
 def regular_template(seed):
     fs, c, u = regular_instance(seed)
-    return assemble_reduced_template(fs, REGULAR.multipliers, 5, c), c, u
+    return assemble_reduced_template(fs, REGULAR, c), c, u
 
 
 def general_template(seed):
     gs, c, u = general_instance(seed)
-    tpl = assemble_reduced_template(gs, GENERAL.multipliers, 8, c, extra_rows=GENERAL.extra_rows)
-    return tpl, c, u
+    return assemble_reduced_template(gs, GENERAL, c), c, u
 
 
 class TestAssemble:
     def test_regular_shape(self):
         tpl, _, _ = regular_template(0)
-        assert tpl.matrix.shape == (16, 36)
+        assert tpl.shape == (16, 36)
 
     def test_general_shape(self):
         tpl, _, _ = general_template(0)
-        assert tpl.matrix.shape == (37, 81)
+        assert tpl.shape == (37, 81)
 
     def test_unit_multiplier_row_is_reduced_generator(self):
         fs, c, _ = regular_instance(1)
-        tpl = assemble_reduced_template(fs, REGULAR.multipliers, 5, c)
+        tpl = assemble_reduced_template(fs, REGULAR, c)
         b5 = grevlex_basis(5)
         embedded = np.zeros(b5.size)
         f0 = as_polynomials(fs)[0]
         for m, v in zip(f0.basis.monomials, f0.coeffs):
             embedded[b5.index[m]] = v
         reduced = reduce_mod_h(DensePolynomial(b5, embedded), c)
-        assert np.allclose(tpl.matrix[0], reduced.coeffs[b5.alpha2_size :], atol=1e-15)
-        assert tpl.row_labels[0] == ((0, 0, 0), 0)
+        assert np.allclose(tpl[0], reduced.coeffs[b5.alpha2_size :], atol=1e-15)
+        oracle = ref.assemble_reduced_template(as_polynomials(fs), REGULAR.multipliers, 5, c)
+        assert oracle.row_labels[0] == ((0, 0, 0), 0)
+        assert np.array_equal(tpl[0], oracle.matrix[0])
 
     def test_determinism(self):
         a, _, _ = regular_template(2)
         b, _, _ = regular_template(2)
-        assert np.array_equal(a.matrix, b.matrix)
+        assert np.array_equal(a, b)
 
 
 class TestSchurEquivalence:
@@ -115,7 +117,7 @@ class TestSchurEquivalence:
         # column is a fixed four-term combination of the generator's raw
         # coefficients: 2*tau*A[a^4] - tau*A[a^2 c^2] - A[a^2] + A[c^2].
         fs, c, _ = regular_instance(7)
-        tpl = assemble_reduced_template(fs, REGULAR.multipliers, 5, c)
+        tpl = assemble_reduced_template(fs, REGULAR, c)
         b4 = grevlex_basis(4)
         plain = sorted(b4.monomials, key=grevlex_key, reverse=True)
         A = np.zeros((4, 35))
@@ -128,7 +130,7 @@ class TestSchurEquivalence:
         assert plain[9] == (2, 0, 2)
         assert plain[25] == (2, 0, 0)
         assert plain[30] == (0, 0, 2)
-        rem = tpl.basis.remainder_monomials
+        rem = grevlex_basis(5).remainder_monomials
         for mi, mult in enumerate(REGULAR.multipliers):
             for gi in range(4):
                 row = mi * 4 + gi
@@ -136,10 +138,12 @@ class TestSchurEquivalence:
                 expected = (
                     2 * c.tau * A[gi, 0] - c.tau * A[gi, 9] - A[gi, 25] + A[gi, 30]
                 )
-                assert tpl.matrix[row, col] == pytest.approx(expected, abs=1e-11)
+                assert tpl[row, col] == pytest.approx(expected, abs=1e-11)
         # The template row for the third multiplier applied to the last
         # generator is row 16 in 1-based counting, as published.
-        assert tpl.row_labels[15] == ((0, 0, 1), 3)
+        oracle = ref.assemble_reduced_template(as_polynomials(fs), REGULAR.multipliers, 5, c)
+        assert oracle.row_labels[15] == ((0, 0, 1), 3)
+        assert np.array_equal(tpl[15], oracle.matrix[15])
 
 
 class TestRref:
@@ -149,21 +153,21 @@ class TestRref:
 
     def test_generic_regular_instance_pivots_lead(self):
         tpl, _, _ = regular_template(3)
-        red, piv = rref(tpl.matrix)
+        red, piv = rref(tpl)
         assert piv == list(range(16))
         assert np.allclose(red[:, :16], np.eye(16), atol=1e-9)
 
     def test_duplicated_row_is_rank_deficient(self):
         tpl, _, _ = regular_template(4)
-        bad = tpl.matrix.copy()
+        bad = tpl.copy()
         bad[7] = bad[3]
         with pytest.raises(RankDeficient):
             rref(bad)
 
     def test_determinism(self):
         tpl, _, _ = regular_template(5)
-        r1, p1 = rref(tpl.matrix)
-        r2, p2 = rref(tpl.matrix)
+        r1, p1 = rref(tpl)
+        r2, p2 = rref(tpl)
         assert np.array_equal(r1, r2) and p1 == p2
 
 
@@ -176,48 +180,46 @@ class TestRrefConditioned:
     def test_every_committed_partition_reduces_the_template(self, problem, template):
         tpl, _, _ = template(1)
         for pivots in problem.partitions:
-            red = rref_conditioned(tpl.matrix, pivots)
-            cols = quotient_basis_from_pivots(tpl.basis, pivots, problem.basis_size).template_cols
+            qb = quotient_basis_from_pivots(problem, pivots)
+            red, cols = rref_conditioned(tpl, qb), qb.template_cols
             assert red.shape == (len(pivots), len(cols))
             # the reduced rows reproduce the template's standard columns
             # through the pivot block
-            assert np.max(np.abs(tpl.matrix[:, pivots] @ red - tpl.matrix[:, cols])) < 1e-8
+            assert np.max(np.abs(tpl[:, pivots] @ red - tpl[:, cols])) < 1e-8
             # and are, bit for bit, those columns of the full-width solve
-            full = np.linalg.solve(tpl.matrix[:, pivots], tpl.matrix)
+            full = np.linalg.solve(tpl[:, pivots], tpl)
             assert np.array_equal(red, full[:, cols])
 
     @pytest.mark.parametrize("problem", [REGULAR, GENERAL], ids=["regular", "general"])
     def test_a_singular_or_non_finite_template_reduces_to_nan_rows_alone(self, problem):
         template = regular_template if problem is REGULAR else general_template
-        stack = np.array([template(seed)[0].matrix for seed in range(4, 9)])
+        stack = np.array([template(seed)[0] for seed in range(4, 9)])
         pivots = problem.partitions[0]
         spoil_template(stack[1], pivots, "singular")
         spoil_template(stack[3], pivots, "non-finite")
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(stack[1][:, pivots], stack[1])
-        red = rref_conditioned(stack, pivots)
+        qb = quotient_basis_from_pivots(problem, pivots)
+        red, cols = rref_conditioned(stack, qb), qb.template_cols
         assert np.isnan(red[[1, 3]]).all()
-        cols = quotient_basis_from_pivots(
-            grevlex_basis(problem.target_degree), pivots, problem.basis_size
-        ).template_cols
         for k in (0, 2, 4):
             assert np.array_equal(red[k], np.linalg.solve(stack[k][:, pivots], stack[k][:, cols]))
 
     def test_row_space_preserved(self):
         # Complete pivoting, the oracle of the solvers' fallback.
         tpl, _, _ = general_template(1)
-        rem = tpl.basis.remainder_monomials
+        rem = grevlex_basis(8).remainder_monomials
         top = tuple(j for j, m in enumerate(rem) if sum(m) == 8)
         keep = frozenset(
             j for j, m in enumerate(rem)
             if m in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
         )
-        red, piv = ref.rref_conditioned(tpl.matrix, protected_cols=keep, eliminate_first=top)
+        red, piv = ref.rref_conditioned(tpl, protected_cols=keep, eliminate_first=top)
         assert len(piv) == 37
         assert set(piv).isdisjoint(keep)
         assert set(top) <= set(piv)
         # the reduced rows reproduce the template through the pivot block
-        assert np.max(np.abs(tpl.matrix[:, piv] @ red - tpl.matrix)) < 1e-8
+        assert np.max(np.abs(tpl[:, piv] @ red - tpl)) < 1e-8
 
     @pytest.mark.parametrize(
         "problem, template",
@@ -226,19 +228,20 @@ class TestRrefConditioned:
     )
     def test_determinism(self, problem, template):
         tpl, _, _ = template(2)
-        r1 = rref_conditioned(tpl.matrix, problem.partitions[0])
-        r2 = rref_conditioned(tpl.matrix, problem.partitions[0])
+        qb = quotient_basis_from_pivots(problem, problem.partitions[0])
+        r1 = rref_conditioned(tpl, qb)
+        r2 = rref_conditioned(tpl, qb)
         assert np.array_equal(r1, r2)
-        r1, p1 = ref.rref_conditioned(tpl.matrix, **ref.pivot_hints(problem))
-        r2, p2 = ref.rref_conditioned(tpl.matrix, **ref.pivot_hints(problem))
+        r1, p1 = ref.rref_conditioned(tpl, **ref.pivot_hints(problem))
+        r2, p2 = ref.rref_conditioned(tpl, **ref.pivot_hints(problem))
         assert np.array_equal(r1, r2) and p1 == p2
 
 
 class TestQuotientBasis:
     def test_regular_monomials_match_leading_ideal(self):
         tpl, _, _ = regular_template(8)
-        _, piv = rref(tpl.matrix)
-        qb = quotient_basis_from_pivots(tpl.basis, piv, expected_size=20)
+        _, piv = rref(tpl)
+        qb = quotient_basis_from_pivots(REGULAR, piv)
         b5 = grevlex_basis(5)
         divisible = {
             m
@@ -251,8 +254,8 @@ class TestQuotientBasis:
 
     def test_ascending_order_and_positions(self):
         tpl, _, _ = regular_template(9)
-        _, piv = rref(tpl.matrix)
-        qb = quotient_basis_from_pivots(tpl.basis, piv, expected_size=REGULAR.basis_size)
+        _, piv = rref(tpl)
+        qb = quotient_basis_from_pivots(REGULAR, piv)
         keys = [grevlex_key(m) for m in qb.monomials]
         assert keys == sorted(keys)
         assert qb.monomials[qb.pos_one] == (0, 0, 0)
@@ -262,23 +265,24 @@ class TestQuotientBasis:
 
     def test_general_size_44(self):
         tpl, _, _ = general_template(3)
-        _, piv = rref(tpl.matrix)
-        qb = quotient_basis_from_pivots(tpl.basis, piv, expected_size=44)
+        _, piv = rref(tpl)
+        qb = quotient_basis_from_pivots(GENERAL, piv)
         assert qb.size == 44
+        assert qb.pivots == tuple(piv) and qb.degree == 8
 
     def test_unexpected_size_raises(self):
         tpl, _, _ = regular_template(10)
-        _, piv = rref(tpl.matrix)
-        with pytest.raises(BasisAnomaly):
-            quotient_basis_from_pivots(tpl.basis, piv, expected_size=44)
+        _, piv = rref(tpl)
+        with pytest.raises(BasisAnomaly, match="^quotient basis has size 20, expected 44$"):
+            quotient_basis_from_pivots(replace(REGULAR, basis_size=44), piv)
 
 
 class TestActionMatrix:
     def build(self, seed):
         tpl, c, u = regular_template(seed)
-        red, piv = rref(tpl.matrix)
-        qb = quotient_basis_from_pivots(tpl.basis, piv, expected_size=20)
-        M = build_action_matrix(red[:, qb.template_cols], piv, tpl.basis, qb)
+        red, piv = rref(tpl)
+        qb = quotient_basis_from_pivots(REGULAR, piv)
+        M = build_action_matrix(red[:, qb.template_cols], qb)
         return tpl, red, piv, qb, M, u
 
     def test_shape(self):
@@ -298,7 +302,7 @@ class TestActionMatrix:
 
     def test_rows_are_unit_or_copied(self):
         tpl, red, piv, qb, M, _ = self.build(13)
-        rem = tpl.basis.remainder_monomials
+        rem = grevlex_basis(5).remainder_monomials
         pivot_row = {rem[col]: r for r, col in enumerate(piv)}
         n_unit = 0
         for i, m in enumerate(qb.monomials):
@@ -335,9 +339,9 @@ class TestEigensolve:
 
     def test_ground_truth_gamma_among_eigenvalues(self):
         tpl, c, u = regular_template(7)
-        red, piv = rref(tpl.matrix)
-        qb = quotient_basis_from_pivots(tpl.basis, piv, expected_size=20)
-        M = build_action_matrix(red[:, qb.template_cols], piv, tpl.basis, qb)
+        red, piv = rref(tpl)
+        qb = quotient_basis_from_pivots(REGULAR, piv)
+        M = build_action_matrix(red[:, qb.template_cols], qb)
         assert np.min(np.abs(eigensolve_real(M) - u[2])) < 1e-9
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -425,9 +429,8 @@ class TestGammaChains:
         "problem, n_heads", [(REGULAR, 11), (GENERAL, 22)], ids=["regular", "general"]
     )
     def test_every_index_lies_in_one_chain(self, problem, n_heads):
-        basis = grevlex_basis(problem.target_degree)
         for k, pivots in enumerate(problem.partitions):
-            qb = quotient_basis_from_pivots(basis, pivots, problem.basis_size)
+            qb = quotient_basis_from_pivots(problem, pivots)
             chain, depth, _, _ = gbsolver._gamma_chains(qb)
             members = {}
             for i, (cn, d) in enumerate(zip(chain.tolist(), depth.tolist())):
@@ -444,7 +447,7 @@ class TestGammaChains:
                     assert following == (a, b, g + 1)
             for a, b, g in heads:
                 assert g == 0 or (a, b, g - 1) not in qb.index
-            _, _, pivot_rows, _ = gbsolver._action_plan(basis.max_degree, pivots, qb)
+            _, _, pivot_rows, _ = gbsolver._action_plan(qb)
             assert len(heads) == len(pivot_rows)
             if k == 0:
                 assert len(heads) == n_heads
@@ -453,9 +456,9 @@ class TestGammaChains:
 class TestExtractRoots:
     def full_pipeline(self, seed):
         tpl, c, u = regular_template(seed)
-        red, piv = rref(tpl.matrix)
-        qb = quotient_basis_from_pivots(tpl.basis, piv, expected_size=20)
-        M = build_action_matrix(red[:, qb.template_cols], piv, tpl.basis, qb)
+        red, piv = rref(tpl)
+        qb = quotient_basis_from_pivots(REGULAR, piv)
+        M = build_action_matrix(red[:, qb.template_cols], qb)
         return qb, M, u
 
     def test_recovers_ground_truth(self):

@@ -156,9 +156,9 @@ def spy_on_elimination(monkeypatch, module):
     calls = []
     original = module.rref_conditioned
 
-    def spy(B, pivots):
-        calls.append(pivots)
-        return original(B, pivots)
+    def spy(B, qb):
+        calls.append(qb.pivots)
+        return original(B, qb)
 
     monkeypatch.setattr(module, "rref_conditioned", spy)
     return calls
@@ -173,17 +173,16 @@ def complete_pivoting_poses(monkeypatch, module, solve, pairs, theta):
     pivoting, with the partition it picks on this input."""
     name, problem = template_problem(module)
     gens, c = generators(module, pairs, theta)
-    tpl = assemble_reduced_template(
-        gens, problem.multipliers, problem.target_degree, c, extra_rows=problem.extra_rows
-    )
+    tpl = assemble_reduced_template(gens, problem, c)
     hints = ref.pivot_hints(problem)
-    _, pivots = ref.rref_conditioned(tpl.matrix, **hints)
+    _, pivots = ref.rref_conditioned(tpl, **hints)
+    basis = grevlex_basis(problem.target_degree)
     with monkeypatch.context() as m:
         m.setattr(module, name, replace(problem, partitions=(tuple(pivots),)))
         m.setattr(
             module, "rref_conditioned",
             lambda B, _: np.stack([
-                ref.standard_block(*ref.rref_conditioned(b, **hints), tpl.basis) for b in B
+                ref.standard_block(*ref.rref_conditioned(b, **hints), basis) for b in B
             ]),
         )
         return solve(pairs, theta)

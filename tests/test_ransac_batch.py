@@ -4,6 +4,8 @@ after every round, up to ``ROUND_LIMIT``.  Against the one-sample-at-a-time
 loop of ``reference_robust`` it must return the same inlier mask, trace,
 iteration and hypothesis counts, and the same pose to ``POSE_TOL``."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -84,7 +86,7 @@ def spy_on_rounds(monkeypatch, kind):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_matches_the_sequential_loop(kind, seed):
     observed, theta = frame_pair(kind, seed)
-    cfg = config(kind, seed, keep_trace=True)
+    cfg = config(kind, seed)
     result = ransac_estimate(observed, theta, cfg, kind)
     assert_same(result, loop_ransac_estimate(observed, theta, cfg, kind))
     assert len(result.trace) == result.n_hypotheses
@@ -96,7 +98,7 @@ def test_stop_in_the_middle_of_a_round(monkeypatch, kind):
     cut = 0
     for seed in SEEDS:
         observed, theta = frame_pair(kind, seed)
-        cfg = config(kind, seed, keep_trace=True)
+        cfg = config(kind, seed)
         with monkeypatch.context() as m:
             rounds = spy_on_rounds(m, kind)
             result = ransac_estimate(observed, theta, cfg, kind)
@@ -115,7 +117,7 @@ def test_the_round_cap_doubles(monkeypatch, kind):
     # stopping bound asks for millions of samples and only the cap and
     # max_iterations size the rounds.
     observed, theta = frame_pair(kind, 5)
-    cfg = RansacConfig(inlier_threshold=1e-300, seed=5, max_iterations=200, keep_trace=True)
+    cfg = RansacConfig(inlier_threshold=1e-300, seed=5, max_iterations=200)
     rounds = spy_on_rounds(monkeypatch, kind)
     result = ransac_estimate(observed, theta, cfg, kind)
     assert (BATCH_LIMIT, ROUND_LIMIT) == (8, 64)
@@ -153,7 +155,7 @@ def test_the_bound_is_checked_after_a_failed_sample(monkeypatch):
     for module in (robust, reference_robust):
         monkeypatch.setattr(module, "solve_4pt_angle", solve)
         monkeypatch.setattr(module, "sampson_errors", score)
-    cfg = RansacConfig(inlier_threshold=0.5, seed=0, keep_trace=True)
+    cfg = RansacConfig(inlier_threshold=0.5, seed=0)
     result = ransac_estimate(pairs[:1] * 100, 0.5, cfg, "reg4")
     assert len(drawn) == result.iterations == failing + 1
     assert result.n_hypotheses == failing
@@ -166,7 +168,7 @@ def test_the_bound_is_checked_after_a_failed_sample(monkeypatch):
 def test_fewer_iterations_than_one_round(kind, max_iterations):
     for seed in range(5):
         observed, theta = frame_pair(kind, seed)
-        cfg = config(kind, seed, max_iterations=max_iterations, keep_trace=True)
+        cfg = config(kind, seed, max_iterations=max_iterations)
         try:
             oracle = loop_ransac_estimate(observed, theta, cfg, kind)
         except NoHypothesis:
@@ -183,7 +185,6 @@ def test_without_trace(kind):
     observed, theta = frame_pair(kind, 3)
     cfg = config(kind, 3)
     result = ransac_estimate(observed, theta, cfg, kind)
-    assert result.trace is None
     oracle = loop_ransac_estimate(observed, theta, cfg, kind)
     assert np.array_equal(result.inlier_mask, oracle.inlier_mask)
     assert (result.iterations, result.n_hypotheses) == (oracle.iterations, oracle.n_hypotheses)
@@ -195,7 +196,7 @@ def test_a_degenerate_sample_fails_alone(monkeypatch, kind):
     # rays and raise DegenerateInput inside a round of good samples.
     observed, theta = frame_pair(kind, 7, n_obs=20)
     observed = observed * 5
-    cfg = config(kind, 7, keep_trace=True, max_iterations=40)
+    cfg = config(kind, 7, max_iterations=40)
     with monkeypatch.context() as m:
         rounds = spy_on_rounds(m, kind)
         result = ransac_estimate(observed, theta, cfg, kind)
@@ -264,9 +265,9 @@ def test_a_stack_solves_each_sample_bit_for_bit_as_alone(monkeypatch, kind):
     original = module.rref_conditioned
     calls = []
 
-    def spy(B, pivots):
-        calls.append((len(B), pivots == second))
-        return original(B, pivots)
+    def spy(B, qb):
+        calls.append((len(B), qb.pivots == second))
+        return original(B, qb)
 
     with monkeypatch.context() as m:
         m.setattr(module, "rref_conditioned", spy)
@@ -363,6 +364,36 @@ def test_a_bad_sample_index_raises_value_error(kind, first, message):
         with pytest.raises(ValueError) as info:
             SOLVES[kind](pairs, rotation_angle(truth.R), samples=samples)
         assert str(info.value) == message.format(last=size - 1)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize(
+    "anchor", [1.5, "1", None, np.float64(1.0)], ids=["float", "str", "none", "numpy-float"]
+)
+def test_a_non_integer_anchor_raises_value_error(kind, anchor):
+    # These used to escape as an IndexError, a UFuncTypeError and a TypeError.
+    size = 4 if kind == "reg4" else 5
+    truth, observed = generate_scene(SceneConfig(seed=6, generalized=kind == "gen5"), 3 * size)
+    theta = rotation_angle(truth.R)
+    message = f"^anchor must be an integer, got {re.escape(repr(anchor))}$"
+    for kwargs in ({}, {"samples": np.arange(3 * size).reshape(3, size)}):
+        pairs = observed if kwargs else observed[:size]
+        with pytest.raises(ValueError, match=message):
+            SOLVES[kind](pairs, theta, anchor=anchor, **kwargs)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_an_integer_anchor_keeps_its_cyclic_meaning(kind):
+    # Negative, numpy and unsigned integers name the pair they name modulo
+    # the sample size, bit for bit.
+    size = 4 if kind == "reg4" else 5
+    truth, observed = generate_scene(SceneConfig(seed=6, generalized=kind == "gen5"), size)
+    theta = rotation_angle(truth.R)
+    for anchor, same in ((-1, size - 1), (np.int64(2), 2), (np.uint64(size + 1), 1)):
+        got, want = (SOLVES[kind](observed, theta, anchor=a) for a in (anchor, same))
+        assert len(got) == len(want) > 0
+        for p, q in zip(got, want):
+            assert np.array_equal(p.R, q.R) and np.array_equal(p.t, q.t)
 
 
 # What a sample whose every translation (reg4) or depth (gen5) SVD does not
@@ -472,7 +503,7 @@ def test_a_template_no_partition_reduces_fails_alone(monkeypatch, kind):
         for s, sample_gens in enumerate(gens):
             how = spoiled.get(sample_gens.tobytes())
             if how:
-                spoil_template(template.matrix[s], problem.partitions[0], how)
+                spoil_template(template[s], problem.partitions[0], how)
         return template
 
     monkeypatch.setattr(module, "assemble_reduced_template", spoiling)
@@ -496,7 +527,7 @@ def test_a_duplicated_observation_matches_the_loop(monkeypatch, kind):
     for seed in range(12):
         observed, theta = frame_pair(kind, seed, n_obs=12)
         observed = observed + observed[:1]
-        cfg = config(kind, seed, keep_trace=True, max_iterations=60)
+        cfg = config(kind, seed, max_iterations=60)
         with monkeypatch.context() as m:
             rounds = spy_on_rounds(m, kind)
             result = ransac_estimate(observed, theta, cfg, kind)
@@ -511,12 +542,12 @@ def test_a_gen5_sample_falls_back_to_the_second_partition(monkeypatch):
     fallbacks = 0
     for seed in SEEDS:
         observed, theta = frame_pair("gen5", seed)
-        cfg = config("gen5", seed, keep_trace=True)
+        cfg = config("gen5", seed)
         calls = []
 
-        def spy(B, pivots):
-            calls.append((len(B), pivots))
-            return original(B, pivots)
+        def spy(B, qb):
+            calls.append((len(B), qb.pivots))
+            return original(B, qb)
 
         with monkeypatch.context() as m:
             m.setattr(solver_gen5, "rref_conditioned", spy)

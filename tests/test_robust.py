@@ -1,3 +1,4 @@
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -73,6 +74,20 @@ class TestRansacConfig:
     @pytest.mark.parametrize("value", [1, 7, np.int32(7), np.int64(7)])
     def test_accepts_integer_iterations(self, value):
         assert RansacConfig(inlier_threshold=1.0, max_iterations=value).max_iterations == value
+
+    @pytest.mark.parametrize("value", [1.5, 2.0, -1, np.int64(-3), "1"])
+    def test_rejects_a_seed_that_numpy_refuses(self, value):
+        # These used to construct and then fail in the run, or in SeedSequence.
+        message = f"^seed must be None or an integer >= 0, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            RansacConfig(inlier_threshold=1.0, seed=value)
+
+    @pytest.mark.parametrize("value", [None, 0, 7, np.int32(7), np.uint64(2**63)])
+    def test_none_and_non_negative_integer_seeds_run(self, value):
+        truth, pairs = generate_scene(SceneConfig(seed=1), 30)
+        cfg = default_cfg(seed=value, max_iterations=3)
+        result = ransac_estimate(pairs, rotation_angle(truth.R), cfg, "reg4")
+        assert 1 <= result.iterations <= 3
 
     def test_numpy_integer_iterations_run(self):
         truth, pairs = generate_scene(SceneConfig(seed=1), 30)
@@ -157,7 +172,7 @@ class TestRansacEstimate:
     def test_trace_monotone(self):
         truth, pairs = generate_scene(SceneConfig(seed=5), 60)
         theta = rotation_angle(truth.R)
-        cfg = default_cfg(seed=5, keep_trace=True)
+        cfg = default_cfg(seed=5)
         result = ransac_estimate(pairs, theta, cfg, "reg4")
         trace = np.array(result.trace)
         assert np.all(np.diff(trace) >= 0)

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -42,6 +43,21 @@ class TestSceneConfig:
     def test_rejects_unknown_motion(self):
         with pytest.raises(ValueError):
             SceneConfig(motion="diagonal")
+
+    @pytest.mark.parametrize("value", [1.5, 2.0, -1, np.int64(-3), "1"])
+    def test_rejects_a_seed_that_numpy_refuses(self, value):
+        # These used to construct and then fail in generate_scene.
+        message = f"^seed must be None or an integer >= 0, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            SceneConfig(seed=value)
+
+    @pytest.mark.parametrize("value", [None, 0, 7, np.int32(7), np.uint64(2**63)])
+    def test_none_and_non_negative_integer_seeds_draw_a_scene(self, value):
+        truth, pairs = generate_scene(SceneConfig(seed=value), 5)
+        assert len(pairs) == 5
+        if value is not None:
+            again, _ = generate_scene(SceneConfig(seed=int(value)), 5)
+            assert np.array_equal(truth.R, again.R) and np.array_equal(truth.t, again.t)
 
 
 class TestGenerateScene:
