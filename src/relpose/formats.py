@@ -74,26 +74,27 @@ def parse_correspondence_document(text: str) -> CorrespondenceSet:
     direction and projected onto the incidence constraint.
     """
     ts = _TokenStream(text)
-    kind = None
-    theta = None
+    header = {}
     while True:
         nxt = ts.peek()
         if nxt is None or nxt[0] == "pair":
             break
         tok, line = ts.next("header field")
+        if tok in header:
+            raise DocumentError(f"line {line}: header field {tok!r} given twice")
         if tok == "type":
             val, vline = ts.next("type value")
             if val not in ("regular", "generalized"):
                 raise DocumentError(f"line {vline}: field 'type': must be 'regular' or 'generalized'")
-            kind = val
+            header[tok] = val
         elif tok == "theta_rad":
-            theta = float(ts.floats(1, "theta_rad")[0])
+            header[tok] = float(ts.floats(1, "theta_rad")[0])
         else:
             raise DocumentError(f"line {line}: unknown header field {tok!r}")
-    if kind is None:
-        raise DocumentError("missing header field 'type'")
-    if theta is None:
-        raise DocumentError("missing header field 'theta_rad'")
+    for field in ("type", "theta_rad"):
+        if field not in header:
+            raise DocumentError(f"missing header field {field!r}")
+    kind, theta = header["type"], header["theta_rad"]
 
     pairs = []
     while ts.peek() is not None:

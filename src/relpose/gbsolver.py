@@ -37,7 +37,9 @@ fails alone, by one idiom: every stage records its loss in the solve's
 ``Losses`` by one call, ``Losses.lose``, the first loss of a sample wins,
 later stages pass lost samples by, and only the end of ``solve`` raises a
 loss, that of a single solve.  A stage reads a sample, or root, that a kernel
-cannot solve off its NaN output.
+cannot solve off its NaN output.  A fault of the problem itself, which its
+cached plans meet alike for every sample (``DegreeOverflow``,
+``BasisAnomaly``, ``UnreachableMonomial``), is no sample's loss: it raises.
 """
 
 from __future__ import annotations
@@ -201,9 +203,9 @@ def check_shape(what: str, shape: tuple[int, ...], expected: tuple[int, ...]) ->
         raise BasisAnomaly(f"{what} has shape {shape}, expected {expected}")
 
 
-_TEMPLATE_FAILURES = (
-    DegenerateInput, RankDeficient, BasisAnomaly, UnreachableMonomial, EigenFailure
-)
+# The failures of a sample's data that a template meets; a fault of the
+# problem raises out of the solve as it is.
+_TEMPLATE_FAILURES = (DegenerateInput, RankDeficient, EigenFailure)
 
 
 def as_degenerate(exc: RelposeError) -> RelposeError:
@@ -598,10 +600,9 @@ def extract_roots(eigenvalues, action: np.ndarray, qb: QuotientBasis) -> Extract
     stack of action matrices.
 
     ``eigenvalues[b]`` are eigenvalues of ``action[b]``, one array per matrix
-    of the ``(B, n, n)`` stack; for one ``(n, n)`` matrix they are one array.
-    Each eigenvector is rebuilt from the gamma chains (see
-    ``_gamma_chains``): two bordered chain systems per root, each stack
-    solved at once.  A root whose bordered system is singular has no
+    of the ``(B, n, n)`` stack.  Each eigenvector is rebuilt from the gamma
+    chains (see ``_gamma_chains``): two bordered chain systems per root, each
+    stack solved at once.  A root whose bordered system is singular has no
     eigenvector, unique up to scale, that is non-zero at 1; it is dropped as
     at infinity, alone.
 
@@ -610,8 +611,6 @@ def extract_roots(eigenvalues, action: np.ndarray, qb: QuotientBasis) -> Extract
     degree-one entries, are dropped.  The chains make the gamma entry and
     every product with a gamma factor hold, so those are not tested.
     """
-    if action.ndim == 2:
-        eigenvalues, action = [eigenvalues], action[None]
     sizes = [len(w) for w in eigenvalues]
     V, sample = _chain_eigenvectors(np.concatenate(eigenvalues), sizes, action, qb)
     # Normalized at 1, an eigenvector whose entry there is at most 1e-10 of
@@ -718,15 +717,14 @@ def _polish_tables(n_gen: int, width: int) -> tuple[np.ndarray, ...]:
 
 
 def polish_roots(
-    generators: np.ndarray, roots: np.ndarray, c: RotationConstraint, sample=None
+    generators: np.ndarray, roots: np.ndarray, c: RotationConstraint, sample: np.ndarray
 ) -> np.ndarray:
     """Gauss-Newton refinement of the ``(K, 3)`` roots, batched over K.
 
     Root ``k`` solves the generators ``generators[sample[k]]`` of an
-    ``(n_samples, n_gen, n_coeffs)`` stack, or, without ``sample``, the one
-    ``(n_gen, n_coeffs)`` set; the roots of a sample must be consecutive.
-    The equations are the generators, each row scaled by its largest
-    coefficient, plus the sphere constraint ``|u|^2 + tau = 0``.  One
+    ``(n_samples, n_gen, n_coeffs)`` stack; the roots of a sample must be
+    consecutive.  The equations are the generators, each row scaled by its
+    largest coefficient, plus the sphere constraint ``|u|^2 + tau = 0``.  One
     coefficient matrix per sample holds them and their partial derivatives,
     so each step is one power table, one matmul per sample for values and
     Jacobians and one batched 3 x 3 solve of the normal equations.  A root
@@ -736,8 +734,6 @@ def polish_roots(
     """
     if not len(roots):
         return roots
-    if sample is None:
-        generators, sample = generators[None], np.zeros(len(roots), dtype=np.int64)
     n_samples, n_gen, width = generators.shape
     exponents, powers, gather, scale, blank, one = _polish_tables(n_gen, width)
     n_eq = n_gen + 1
@@ -822,12 +818,8 @@ def _eliminate(layers, problem: TemplateProblem, generators: np.ndarray, c, loss
     kept, pending = np.full(n_samples, -1), dropped.nonzero()[0]
     if not pending.size:
         return _NOTHING[2:]
-    try:
-        template = layers.assemble_reduced_template(generators, problem, c)
-        check_shape("template", template.shape, (n_samples, *problem.template_shape))
-    except RelposeError as exc:
-        losses.lose(slice(None), exc)
-        return _NOTHING[2:]
+    template = layers.assemble_reduced_template(generators, problem, c)
+    check_shape("template", template.shape, (n_samples, *problem.template_shape))
     found = []
     for attempt, pivots in enumerate(problem.partitions):
         tried = Losses(n_samples)
@@ -855,26 +847,22 @@ def _attempt(layers, problem, matrix, pivots, pending: np.ndarray, tried: Losses
     """The templates of the samples ``pending`` reduced on one partition:
     the samples it solves, the count of roots each dropped as inconsistent,
     their roots, grouped by sample in ascending order, and the sample of
-    each root.  Every other sample is lost in ``tried``."""
+    each root.  Every other sample is lost in ``tried``; a problem fault raises."""
     n = problem.basis_size
     if len(pending) < len(matrix):
         matrix = matrix[pending]
-    try:
-        qb = layers.quotient_basis_from_pivots(problem, pivots)
-        reduced = layers.rref_conditioned(matrix, qb)
-        lost = np.isnan(reduced[:, 0, 0])
-        if np.count_nonzero(lost):
-            # A lost template whose entries are all finite was singular.
-            singular = lost & np.isfinite(matrix).all((1, 2))
-            for where, what in (
-                (singular, "is singular: Singular matrix"), (lost, "reduced to non-finite rows")
-            ):
-                tried.lose(pending[where], RankDeficient(f"the fixed pivot block {what}"))
-        action = layers.build_action_matrix(reduced, qb)
-        check_shape("action matrix", action.shape, (pending.size, n, n))
-    except RelposeError as exc:
-        tried.lose(pending, exc)
-        return _NOTHING
+    qb = layers.quotient_basis_from_pivots(problem, pivots)
+    reduced = layers.rref_conditioned(matrix, qb)
+    lost = np.isnan(reduced[:, 0, 0])
+    if np.count_nonzero(lost):
+        # A lost template whose entries are all finite was singular.
+        singular = lost & np.isfinite(matrix).all((1, 2))
+        for where, what in (
+            (singular, "is singular: Singular matrix"), (lost, "reduced to non-finite rows")
+        ):
+            tried.lose(pending[where], RankDeficient(f"the fixed pivot block {what}"))
+    action = layers.build_action_matrix(reduced, qb)
+    check_shape("action matrix", action.shape, (pending.size, n, n))
     # The action matrix of a sample lost above has NaN rows, which
     # ``eigensolve_real`` rejects; the sample keeps its first loss.
     values = []
@@ -888,11 +876,7 @@ def _attempt(layers, problem, matrix, pivots, pending: np.ndarray, tried: Losses
         pending, action = pending[alive], action[alive]
         if not pending.size:
             return _NOTHING
-    try:
-        extracted = layers.extract_roots(values, action, qb)
-    except RelposeError as exc:
-        tried.lose(pending, exc)
-        return _NOTHING
+    extracted = layers.extract_roots(values, action, qb)
     return pending, extracted.inconsistent, extracted.roots, pending[extracted.sample]
 
 

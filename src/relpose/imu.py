@@ -9,6 +9,7 @@ accumulated rotation stays orthogonal to rounding.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,13 +26,20 @@ class GyroSample:
     w: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "timestamp_ns", int(self.timestamp_ns))
+        object.__setattr__(self, "timestamp_ns", _nanoseconds("timestamp_ns", self.timestamp_ns))
         w = np.asarray(self.w, dtype=float)
         if w.shape != (3,):
             raise ValueError("rate must be a 3-vector")
         if not np.isfinite(w).all():
             raise ValueError(f"rate must be finite, got {w.tolist()}")
         object.__setattr__(self, "w", w)
+
+
+def _nanoseconds(name: str, value) -> int:
+    """The timestamp ``value`` as an ``int``; one that is not an integer raises."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer of nanoseconds, got {value!r}")
+    return int(value)
 
 
 def rotation_from_rate(w: np.ndarray, dt: float) -> np.ndarray:
@@ -64,7 +72,8 @@ def integrate_gyro(
     optional constant rate, a finite 3-vector, subtracted from every reading.
     """
     _validate_log(samples)
-    t_start_ns, t_end_ns = int(t_start_ns), int(t_end_ns)
+    t_start_ns = _nanoseconds("t_start_ns", t_start_ns)
+    t_end_ns = _nanoseconds("t_end_ns", t_end_ns)
     if t_start_ns > t_end_ns:
         raise ValueError("t_start must not exceed t_end")
     if t_start_ns < samples[0].timestamp_ns or t_end_ns > samples[-1].timestamp_ns:

@@ -296,6 +296,8 @@ def trial_inputs(
     angle noise in this order; later draws of the caller follow them."""
     if solver not in ("reg4", "gen5"):
         raise ValueError(f"unknown solver {solver!r}")
+    if not isinstance(n_trials, numbers.Integral):
+        raise ValueError(f"n_trials must be an integer, got {n_trials!r}")
     if not n_trials >= 1:
         raise ValueError(f"n_trials must be at least 1, got {n_trials!r}")
     if not 0.0 <= outlier_frac < 1.0:

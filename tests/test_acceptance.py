@@ -117,7 +117,7 @@ def _regular_pipeline_stats(seed):
     # Every size the pivots leave, so that the caller checks it.
     qb = quotient_basis_from_pivots(replace(REGULAR, basis_size=tpl.shape[1] - len(piv)), piv)
     M = build_action_matrix(red[:, qb.template_cols], qb)
-    ext = extract_roots(eigensolve_real(M), M, qb)
+    ext = extract_roots([eigensolve_real(M)], M[None], qb)
     return qb.size, len(ext.roots)
 
 
@@ -133,7 +133,7 @@ def _general_pipeline_stats(seed):
     red, piv = rref_conditioned(tpl, protected_cols=keep, eliminate_first=top)
     qb = quotient_basis_from_pivots(replace(GENERAL, basis_size=tpl.shape[1] - len(piv)), piv)
     M = build_action_matrix(red[:, qb.template_cols], qb)
-    ext = extract_roots(eigensolve_real(M), M, qb)
+    ext = extract_roots([eigensolve_real(M)], M[None], qb)
     return qb.size, len(ext.roots)
 
 

@@ -18,6 +18,7 @@ from reference_gen5 import loop_solve_gen5pt_angle
 from reference_reg4 import loop_solve_4pt_angle
 from relpose import gbsolver, solver_gen5, solver_reg4
 from relpose.exceptions import (
+    BasisAnomaly,
     DegenerateConfiguration,
     DegenerateInput,
     DegreeOverflow,
@@ -52,6 +53,7 @@ from relpose.poly import (
     grevlex_basis,
     reduce_columns_mod_h,
 )
+from relpose.robust import RansacConfig, ransac_estimate
 from relpose.solver_gen5 import solve_gen5pt_angle
 from relpose.solver_reg4 import solve_4pt_angle
 from relpose.synth import SceneConfig, generate_scene
@@ -360,7 +362,7 @@ def assert_same_roots(M: np.ndarray, qb) -> None:
     """``extract_roots`` against the per-eigenpair filter on the chain
     eigenpairs: the same drops, and the same roots bit for bit."""
     values, V = chain_eigenvectors(M, qb)
-    ext = extract_roots(values, M, qb)
+    ext = extract_roots([values], M[None], qb)
     ref_ext = ref.extract_roots(list(zip(values.tolist(), V)), qb)
     assert ext.n_dropped_at_infinity == ref_ext.n_dropped_at_infinity
     assert ext.n_dropped_inconsistent == ref_ext.n_dropped_inconsistent
@@ -517,11 +519,11 @@ class TestHandBuiltEigenpairs:
         _, _, _, qb = regular_basis()
         M, values, points = ref.hand_built_action(qb)
         assert np.allclose(np.sort(eigensolve_real(M)), np.sort(values), atol=1e-9)
-        ext = extract_roots(np.array(values), M, qb)
+        ext = extract_roots([np.array(values)], M[None], qb)
         assert ext.n_dropped_at_infinity == 2 and ext.n_dropped_inconsistent == 1
         assert np.max(np.abs(ext.roots - points)) < 1e-9
         for case, dropped in (([0.7], (1, 0)), ([-0.6], (0, 1)), ([0.0], (1, 0)), ([], (0, 0))):
-            got = extract_roots(np.array(case), M, qb)
+            got = extract_roots([np.array(case)], M[None], qb)
             assert (got.n_dropped_at_infinity, got.n_dropped_inconsistent) == dropped
             assert got.roots.shape == (0, 3)
 
@@ -549,19 +551,19 @@ class TestHandBuiltEigenpairs:
         M = np.zeros((qb.size, qb.size))
         n = len(vectors)
         for order in [[k] for k in range(n)] + [list(range(n)), list(range(n))[::-1], []]:
-            ext = extract_roots(np.array(order, dtype=float), M, qb)
+            ext = extract_roots([np.array(order, dtype=float)], M[None], qb)
             ref_ext = ref.extract_roots([(v[qb.pos_gamma], v) for v in vectors[order]], qb)
             assert ext.n_dropped_at_infinity == ref_ext.n_dropped_at_infinity
             assert ext.n_dropped_inconsistent == ref_ext.n_dropped_inconsistent
             assert ext.roots.shape == (len(ref_ext.roots), 3)
             for got, want in zip(ext.roots, ref_ext.roots):
                 assert_bits(got, want)
-        ext = extract_roots(np.arange(float(n)), M, qb)
+        ext = extract_roots([np.arange(float(n))], M[None], qb)
         assert (ext.n_dropped_at_infinity, ext.n_dropped_inconsistent) == (2, 1)
         assert_bits(ext.roots, np.array([u, u]))
         # A NaN row, the mark of a singular chain system, is at infinity.
         vectors = np.full((1, qb.size), math.nan)
-        ext = extract_roots(np.zeros(1), M, qb)
+        ext = extract_roots([np.zeros(1)], M[None], qb)
         assert (ext.n_dropped_at_infinity, ext.n_dropped_inconsistent) == (1, 0)
 
     def test_a_singular_chain_system_fails_alone(self):
@@ -571,7 +573,7 @@ class TestHandBuiltEigenpairs:
         assert np.isnan(V).any(axis=1).tolist() == [False] * (len(values) - 1) + [True]
         # Beside the same matrix without the eigenvalue 0, in one stack, the
         # other roots come out as without it, and as alone.
-        alone = extract_roots(np.array(values[:-1]), M, qb)
+        alone = extract_roots([np.array(values[:-1])], M[None], qb)
         both = extract_roots([np.array(values), np.array(values[:-1])], np.stack([M, M]), qb)
         assert both.at_infinity.tolist() == [2, 1] and both.inconsistent.tolist() == [1, 1]
         assert_bits(both.roots[both.sample == 0], both.roots[both.sample == 1])
@@ -591,7 +593,7 @@ class TestHandBuiltEigenpairs:
             return solve(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", same_rank_solve)
-        ext = extract_roots(np.array(values), M, qb)
+        ext = extract_roots([np.array(values)], M[None], qb)
         assert ext.n_dropped_at_infinity == 2 and ext.n_dropped_inconsistent == 1
 
     def test_alpha_beta_products_drop_a_wrong_null_vector(self):
@@ -609,7 +611,7 @@ class TestHandBuiltEigenpairs:
             elif abs(v[m] - v[x] * v[y]) > ROOT_TOL:
                 failed.add(qb.monomials[m])
         assert failed and failed <= {(2, 0, 0), (1, 1, 0), (0, 2, 0)}
-        ext = extract_roots(np.array([-0.6]), M, qb)
+        ext = extract_roots([np.array([-0.6])], M[None], qb)
         assert ext.n_dropped_inconsistent == 1 and ext.n_dropped_at_infinity == 0
 
 
@@ -636,14 +638,47 @@ class TestUnreachableMonomial:
         assert str(new.value) == str(old.value)
         assert str(new.value).startswith("gamma * ")
 
-    def test_solver_wraps_it_as_degenerate(self, monkeypatch):
+    def test_solve_and_ransac_raise_it_unwrapped(self, monkeypatch):
+        # A leaky partition is a fault of the problem, not of a sample.
+        _, red, _, _ = regular_basis(1)
         n_cols = REGULAR.template_shape[1]
         leaky = tuple(leave_top_degree_standard(p, n_cols) for p in REGULAR.partitions)
-        pairs = problem("reg4", "central", "forward", 0.8, 1)
+        with pytest.raises(UnreachableMonomial) as direct:
+            build_action_matrix(red, quotient_basis_from_pivots(REGULAR, leaky[0]))
         monkeypatch.setattr(solver_reg4, "REGULAR", replace(REGULAR, partitions=leaky))
-        with pytest.raises(DegenerateConfiguration, match="is outside the template") as info:
-            solve_4pt_angle(pairs, 0.8)
-        assert isinstance(info.value.__cause__, UnreachableMonomial)
+        for solved in raised_by_solve_and_ransac(UnreachableMonomial):
+            assert str(solved.value) == str(direct.value)
+
+
+def raised_by_solve_and_ransac(error):
+    """The ``error`` that a single reg4 solve and a RANSAC run on the same
+    four pairs each raise, unwrapped."""
+    pairs = problem("reg4", "central", "forward", 0.8, 1)
+    with pytest.raises(error) as solved:
+        solve_4pt_angle(pairs, 0.8)
+    with pytest.raises(error) as robust:
+        ransac_estimate(pairs, 0.8, RansacConfig(inlier_threshold=1e-6), "reg4")
+    for info in (solved, robust):
+        assert type(info.value) is error and info.value.__cause__ is None
+    return solved, robust
+
+
+@pytest.mark.parametrize(
+    "change, error, message",
+    [
+        ({"basis_size": 21}, BasisAnomaly, "quotient basis has size 20, expected 21"),
+        (
+            {"multipliers": ((0, 0, 2),)}, DegreeOverflow,
+            "multiplier (0, 0, 2) on a degree-4 generator exceeds degree 5",
+        ),
+    ],
+    ids=["basis_size", "multipliers"],
+)
+def test_a_problem_fault_raises_at_once(monkeypatch, change, error, message):
+    # It hits every sample alike, so RANSAC does not draw on to NoHypothesis.
+    monkeypatch.setattr(solver_reg4, "REGULAR", replace(REGULAR, **change))
+    for info in raised_by_solve_and_ransac(error):
+        assert str(info.value) == message
 
 
 class TestDegenerateInputs:

@@ -67,6 +67,24 @@ class TestCorrespondenceDocuments:
         with pytest.raises(DocumentError, match="type"):
             formats.parse_correspondence_document("theta_rad 0.5\n")
 
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("type regular\ntype generalized\ntheta_rad 0.1", "line 2: header field 'type'"),
+            ("theta_rad 0.1 type regular\ntheta_rad 0.2", "line 2: header field 'theta_rad'"),
+        ],
+        ids=["type", "theta_rad"],
+    )
+    def test_header_field_given_twice(self, tmp_path, capsys, header, message):
+        # The last value used to win silently.
+        text = header + "\npair q1 0 0 1 q2 0 0 1\n"
+        with pytest.raises(DocumentError, match=f"^{message} given twice$"):
+            formats.parse_correspondence_document(text)
+        path = tmp_path / "twice.txt"
+        path.write_text(text)
+        assert main(["solve", str(path)]) == 1
+        assert message in capsys.readouterr().err
+
 
 class TestCmdSolve:
     def test_recovers_ground_truth(self, regular_doc, tmp_path, capsys):

@@ -463,25 +463,25 @@ class TestExtractRoots:
 
     def test_recovers_ground_truth(self):
         qb, M, u = self.full_pipeline(11)
-        ext = extract_roots(eigensolve_real(M), M, qb)
+        ext = extract_roots([eigensolve_real(M)], M[None], qb)
         assert min(np.linalg.norm(r - u) for r in ext.roots) < 1e-9
 
     def test_at_most_matrix_size_roots(self):
         qb, M, _ = self.full_pipeline(16)
-        ext = extract_roots(eigensolve_real(M), M, qb)
+        ext = extract_roots([eigensolve_real(M)], M[None], qb)
         assert len(ext.roots) <= 20
 
     def test_drops_solutions_at_infinity(self):
         qb, _, _ = self.full_pipeline(17)
         M, _, _ = ref.hand_built_action(qb)
-        ext = extract_roots(np.array([0.7]), M, qb)
+        ext = extract_roots([np.array([0.7])], M[None], qb)
         assert ext.roots.shape == (0, 3) and ext.n_dropped_at_infinity == 1
 
     def test_drops_inconsistent_products(self):
         qb, _, _ = self.full_pipeline(18)
         M, _, _ = ref.hand_built_action(qb)
         # random degree-two entries contradict the degree-one entries
-        ext = extract_roots(np.array([-0.6]), M, qb)
+        ext = extract_roots([np.array([-0.6])], M[None], qb)
         assert ext.roots.shape == (0, 3) and ext.n_dropped_inconsistent == 1
 
 

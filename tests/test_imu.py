@@ -97,6 +97,20 @@ class TestIntegrateGyro:
         R = integrate_gyro(log, 0, 1_000_000_000, bias=bias)
         assert np.max(np.abs(R - np.eye(3))) < 1e-15
 
+    @pytest.mark.parametrize("bad", [0.5e9 + 0.7, math.inf, math.nan, "0"])
+    def test_bounds_must_be_integers(self, bad):
+        # A float bound was truncated to whole nanoseconds, or overflowed.
+        log = constant_rate_log([0.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match="t_start_ns must be an integer"):
+            integrate_gyro(log, bad, 1_000_000_000)
+        with pytest.raises(ValueError, match="t_end_ns must be an integer"):
+            integrate_gyro(log, 0, bad)
+
+    def test_numpy_integer_bounds(self):
+        log = constant_rate_log([0.0, 0.0, 1.0])
+        R = integrate_gyro(log, np.int64(0), np.uint32(500_000_000))
+        assert np.array_equal(R, integrate_gyro(log, 0, 500_000_000))
+
     @pytest.mark.parametrize(
         "bias", [0.05, [0.05], [0.05, 0.0], [0.0] * 4, np.zeros((3, 3)), np.zeros((1, 3))],
         ids=["scalar", "one", "two", "four", "3x3", "1x3"],
@@ -136,3 +150,14 @@ class TestAngleBetweenFrames:
         a1 = angle_between_frames(log, 0, 1_000_000_000)
         a2 = angle_between_frames(rotated, 0, 1_000_000_000)
         assert abs(a1 - a2) < 1e-12
+
+
+class TestGyroSample:
+    @pytest.mark.parametrize("bad", [1.5, 2.0, math.inf, np.float64(3.0), "4"])
+    def test_timestamp_must_be_an_integer(self, bad):
+        with pytest.raises(ValueError, match="timestamp_ns must be an integer"):
+            GyroSample(timestamp_ns=bad, w=np.zeros(3))
+
+    def test_numpy_integer_timestamp_becomes_an_int(self):
+        sample = GyroSample(timestamp_ns=np.int64(7), w=np.zeros(3))
+        assert sample.timestamp_ns == 7 and type(sample.timestamp_ns) is int

@@ -65,6 +65,11 @@ def generators(module, pairs, theta):
     return module.build_f_polynomials(*_ray_stack(pairs, "q1", "q2"), c), c
 
 
+def polish_alone(gens, roots, c):
+    """``polish_roots`` of roots that all solve the one generator set ``gens``."""
+    return polish_roots(gens[None], roots, c, np.zeros(len(roots), dtype=np.int64))
+
+
 class TestPolishRoots:
     @SOLVERS
     def test_perturbed_roots_return_to_the_variety(self, solver):
@@ -73,7 +78,7 @@ class TestPolishRoots:
         roots = ref.rotation_candidates(module, pairs, c)
         rng = np.random.default_rng(0)
         moved = roots + 1e-5 * rng.normal(size=roots.shape)
-        assert np.max(np.abs(polish_roots(gens, moved, c) - roots)) < 1e-10
+        assert np.max(np.abs(polish_alone(gens, moved, c) - roots)) < 1e-10
 
     @SOLVERS
     def test_a_root_is_never_moved_to_a_larger_residual(self, solver):
@@ -81,8 +86,8 @@ class TestPolishRoots:
         gens, c = generators(module, pairs, theta)
         roots = ref.rotation_candidates(module, pairs, c)
         # A polished root is at rounding level and stays where it is.
-        assert np.array_equal(polish_roots(gens, roots, c), roots)
-        assert polish_roots(gens, roots[:0], c).shape == (0, 3)
+        assert np.array_equal(polish_alone(gens, roots, c), roots)
+        assert polish_alone(gens, roots[:0], c).shape == (0, 3)
 
     @SOLVERS
     def test_a_stack_polishes_each_sample_as_alone(self, solver):
@@ -99,7 +104,7 @@ class TestPolishRoots:
         owner = np.repeat([0, 1], [1, len(moved)])
         both = polish_roots(stack, np.vstack([np.zeros((1, 3)), moved]), c, owner)
         assert np.array_equal(both[0], np.zeros(3))
-        assert np.array_equal(both[1:], polish_roots(gens, moved, c))
+        assert np.array_equal(both[1:], polish_alone(gens, moved, c))
 
     def test_a_singular_system_ends_only_its_own_roots_polishing(self):
         # Quadratic forms without constant or linear terms, like the sphere
@@ -113,9 +118,9 @@ class TestPolishRoots:
         c = sigma_from_angle(1.0)
         root = np.sqrt(-c.tau / 3.0) * np.ones(3)
         moved = root + 1e-4 * np.random.default_rng(0).normal(size=3)
-        alone = polish_roots(gens, moved[None], c)
+        alone = polish_alone(gens, moved[None], c)
         assert np.max(np.abs(alone - root)) < 1e-14
-        both = polish_roots(gens, np.vstack([np.zeros(3), moved]), c)
+        both = polish_alone(gens, np.vstack([np.zeros(3), moved]), c)
         assert np.array_equal(both[0], np.zeros(3))
         assert np.array_equal(both[1:], alone)
 
@@ -188,14 +193,15 @@ def complete_pivoting_poses(monkeypatch, module, solve, pairs, theta):
         return solve(pairs, theta)
 
 
-def failing_eig(monkeypatch, module, n_failures):
-    """Make the first ``n_failures`` eigensolves of ``module`` raise."""
+def failing_eig(monkeypatch, module, n_failures, after=0):
+    """Make the ``n_failures`` eigensolves of ``module`` after the first
+    ``after`` raise."""
     calls = []
     original = module.eigensolve_real
 
     def eig(M):
         calls.append(1)
-        if len(calls) <= n_failures:
+        if after < len(calls) <= after + n_failures:
             raise EigenFailure("eigendecomposition did not converge")
         return original(M)
 
@@ -264,8 +270,9 @@ class TestFallback:
     )
     def test_keeps_the_attempt_that_dropped_fewer(self, monkeypatch, solver, dropped, kept_first):
         # The first partition keeps one root and drops one as inconsistent;
-        # the fallback keeps all its roots and drops ``dropped``, or raises.
-        # Its roots replace the first's only where it dropped fewer.
+        # the fallback keeps all its roots and drops ``dropped``, or its
+        # eigensolve raises.  Its roots replace the first's only where it
+        # dropped fewer.
         module, _, pairs, theta = instance(solver, seed=6)
         original = module.extract_roots
         extracted = []
@@ -277,14 +284,17 @@ class TestFallback:
                 return replace(
                     out, roots=out.roots[:1], sample=out.sample[:1], inconsistent=np.array([1])
                 )
-            if dropped == "raises":
-                raise EigenFailure("eigendecomposition did not converge")
             return replace(out, inconsistent=np.array([dropped]))
 
         monkeypatch.setattr(module, "extract_roots", extract)
+        if dropped == "raises":
+            calls = failing_eig(monkeypatch, module, n_failures=1, after=1)
         roots = ref.rotation_candidates(module, pairs, sigma_from_angle(theta))
-        assert len(extracted) == 2 and len(extracted[1].roots) > 1
-        assert len(roots) == (1 if kept_first else len(extracted[1].roots))
+        if dropped == "raises":
+            assert len(calls) == 2 and len(extracted) == 1 and len(roots) == 1
+        else:
+            assert len(extracted) == 2 and len(extracted[1].roots) > 1
+            assert len(roots) == (1 if kept_first else len(extracted[1].roots))
 
     @SOLVERS
     def test_eig_failure_on_every_partition_is_degenerate(self, monkeypatch, solver):

@@ -220,6 +220,16 @@ class TestContaminatedProtocol:
         assert ransac["mean_rot_err"] < 1e-6
         assert minimal["rot_err"]["median"] < 1e-6
 
+    @pytest.mark.parametrize("n_trials", [2.5, 3.0, "3"])
+    def test_trial_count_must_be_an_integer(self, n_trials):
+        from relpose.synth import run_trials
+
+        cfg = default_cfg(seed=11)
+        with pytest.raises(ValueError, match="n_trials must be an integer"):
+            run_trials("reg4", SceneConfig(), n_trials)
+        with pytest.raises(ValueError, match="n_trials must be an integer"):
+            run_ransac_trials("reg4", SceneConfig(), cfg, n_trials, 30, 0.3)
+
     def test_gen5_zero_noise(self):
         scene = SceneConfig(seed=9)
         cfg = RansacConfig(max_iterations=200, inlier_threshold=1e-4, seed=9)

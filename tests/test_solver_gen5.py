@@ -5,7 +5,12 @@ import pytest
 
 import relpose.solver_gen5 as solver_gen5
 import relpose.solver_reg4 as solver_reg4
-from relpose.exceptions import DegenerateConfiguration, ScaleUnobservable, SkewDegenerate
+from relpose.exceptions import (
+    BasisAnomaly,
+    DegenerateConfiguration,
+    ScaleUnobservable,
+    SkewDegenerate,
+)
 from relpose.gbsolver import ExtractedRoots
 from relpose.geom import (
     PluckerPair,
@@ -336,8 +341,9 @@ class TestDepthRecovery:
 
 
 @pytest.mark.parametrize("stage", ["assemble_reduced_template", "build_action_matrix"])
-def test_wrong_shape_is_degenerate(monkeypatch, stage):
-    # The shape checks raise instead of asserting, so they also run under -O.
+def test_wrong_shape_raises(monkeypatch, stage):
+    # The shape checks raise instead of asserting, so they also run under -O;
+    # a wrong shape is a fault of the engine, not of the sample.
     original = getattr(solver_gen5, stage)
 
     def truncated(*args, **kwargs):
@@ -346,5 +352,5 @@ def test_wrong_shape_is_degenerate(monkeypatch, stage):
 
     truth, pairs = generate_scene(SceneConfig(seed=4, generalized=True), 5)
     monkeypatch.setattr(solver_gen5, stage, truncated)
-    with pytest.raises(DegenerateConfiguration, match="shape"):
+    with pytest.raises(BasisAnomaly, match="shape"):
         solve_gen5pt_angle(pairs, rotation_angle(truth.R))

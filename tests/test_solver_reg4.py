@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import relpose.solver_reg4 as solver_reg4
-from relpose.exceptions import DegenerateConfiguration, RelposeError
+from relpose.exceptions import BasisAnomaly, DegenerateConfiguration, RelposeError
 from relpose.gbsolver import POSE_RESIDUAL_TOL
 from relpose.geom import (
     BearingPair,
@@ -313,8 +313,9 @@ class TestBatchedPoseRecovery:
 
 
 @pytest.mark.parametrize("stage", ["assemble_reduced_template", "build_action_matrix"])
-def test_wrong_shape_is_degenerate(monkeypatch, stage):
-    # The shape checks raise instead of asserting, so they also run under -O.
+def test_wrong_shape_raises(monkeypatch, stage):
+    # The shape checks raise instead of asserting, so they also run under -O;
+    # a wrong shape is a fault of the engine, not of the sample.
     original = getattr(solver_reg4, stage)
 
     def truncated(*args, **kwargs):
@@ -323,5 +324,5 @@ def test_wrong_shape_is_degenerate(monkeypatch, stage):
 
     truth, pairs = generate_scene(SceneConfig(seed=24), 4)
     monkeypatch.setattr(solver_reg4, stage, truncated)
-    with pytest.raises(DegenerateConfiguration, match="shape"):
+    with pytest.raises(BasisAnomaly, match="shape"):
         solve_4pt_angle(pairs, rotation_angle(truth.R))
