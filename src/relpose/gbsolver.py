@@ -5,9 +5,10 @@ monomials, reduce every product modulo the sphere constraint, stack the
 remainder-block coefficients into a template matrix, and row-reduce it on a
 pivot partition and on the non-pivot (standard) columns only: these are the
 quotient-ring basis, and each pivot row is a row of the multiplication
-matrix for gamma as it is.  Take its eigenvalues, recover candidate roots
-from the eigenvectors of the near-real ones, and polish every root with
-Gauss-Newton steps on the generators.
+matrix for gamma as it is.  Take its eigenvalues and recover candidate
+roots from the eigenvectors of the near-real ones.  Only a single solve
+polishes its roots, with Gauss-Newton steps on the generators; a stack of
+samples, RANSAC's hypotheses, returns them unpolished.
 
 Eigenvalues (``eigensolve_real``), SVDs (``_svd_or_nan``) and solves
 (``_solve_or_nan``) call the LAPACK gufuncs behind ``np.linalg.eigvals``,
@@ -24,12 +25,13 @@ Each minimal problem is one ``TemplateProblem``.  It carries a short
 chain of committed pivot partitions, so there is one elimination
 algorithm, an LU solve on fixed data: a solver tries the next partition
 only where one raises or drops a root as inconsistent, and keeps the roots
-of the attempt that dropped the fewest.  Polishing supplies the accuracy
-that per-instance pivoting used to buy, and ``residual_gate`` keeps only
-poses that satisfy their own sample.
+of the attempt that dropped the fewest.  In a single solve polishing
+supplies the accuracy that per-instance pivoting used to buy, and
+``residual_gate`` keeps only poses that satisfy their own sample.
 
-Every layer takes a stack of samples, one per leading index, so that RANSAC
-solves the samples of a round at once; a single solve is the stack of one.
+Every layer but ``polish_roots`` takes a stack of samples, one per leading
+index, so that RANSAC solves the samples of a round at once; a single solve
+is the stack of one.
 Both solvers run one sequence, ``solve``, and supply only their generators,
 screen and pose rule; every layer is called through the solver's module
 attributes, where ``perfbench/spans.py`` traces it.  A sample that fails
@@ -45,7 +47,6 @@ cached plans meet alike for every sample (``DegreeOverflow``,
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -68,6 +69,7 @@ from .geom import (
     UnitQuaternion,
     check_poses,
     check_unit_quaternions,
+    is_integer,
     rotation_stack,
     sigma_from_angle,
     stacked_dot,
@@ -125,7 +127,7 @@ class TemplateProblem:
         cyclically so that its ``anchor``-th pair comes first, for any
         integer ``anchor``."""
         n = self.sample_size
-        if not isinstance(anchor, numbers.Integral):
+        if not is_integer(anchor):
             raise ValueError(f"anchor must be an integer, got {anchor!r}")
         table = pairs if isinstance(pairs, RayTable) else RayTable(pairs, self.ray_names)
         if table.names != self.ray_names:
@@ -716,54 +718,40 @@ def _polish_tables(n_gen: int, width: int) -> tuple[np.ndarray, ...]:
     return np.arange(degree + 1), powers, gather, scale, blank, basis.index[(0, 0, 0)]
 
 
-def polish_roots(
-    generators: np.ndarray, roots: np.ndarray, c: RotationConstraint, sample: np.ndarray
-) -> np.ndarray:
-    """Gauss-Newton refinement of the ``(K, 3)`` roots, batched over K.
+def polish_roots(generators: np.ndarray, roots: np.ndarray, c: RotationConstraint) -> np.ndarray:
+    """Gauss-Newton refinement of the ``(K, 3)`` roots of the ``(n_gen,
+    n_coeffs)`` generators, batched over K.
 
-    Root ``k`` solves the generators ``generators[sample[k]]`` of an
-    ``(n_samples, n_gen, n_coeffs)`` stack; the roots of a sample must be
-    consecutive.  The equations are the generators, each row scaled by its
-    largest coefficient, plus the sphere constraint ``|u|^2 + tau = 0``.  One
-    coefficient matrix per sample holds them and their partial derivatives,
-    so each step is one power table, one matmul per sample for values and
-    Jacobians and one batched 3 x 3 solve of the normal equations.  A root
-    takes a step only where its squared residual falls, so polishing never
-    moves a root away from the variety, and a root whose normal equations
-    are exactly singular stays where it is, alone.
+    The equations are the generators, each row scaled by its largest
+    coefficient, plus the sphere constraint ``|u|^2 + tau = 0``.  One
+    coefficient matrix holds them and their partial derivatives, so each
+    step is one power table, one matmul for values and Jacobians and one
+    batched 3 x 3 solve of the normal equations.  A root takes a step only
+    where its squared residual falls, so polishing never moves a root away
+    from the variety, and a root whose normal equations are exactly singular
+    stays where it is, alone.
     """
     if not len(roots):
         return roots
-    n_samples, n_gen, width = generators.shape
+    n_gen, width = generators.shape
     exponents, powers, gather, scale, blank, one = _polish_tables(n_gen, width)
     n_eq = n_gen + 1
     # The equations, then their derivatives by each variable.
-    eqs = blank[None].repeat(n_samples, 0)
-    # The generators of a lost sample may vanish; it owns no root to polish.
-    with np.errstate(invalid="ignore"):
-        np.divide(generators, np.abs(generators).max(-1, keepdims=True), out=eqs[:, :n_gen, :width])
-    eqs[:, n_gen, one] = c.tau
-    coeffs = (eqs.reshape(n_samples, -1).take(gather, 1) * scale).transpose(0, 2, 1)
+    eqs = blank.copy()
+    np.divide(generators, np.abs(generators).max(-1, keepdims=True), out=eqs[:n_gen, :width])
+    eqs[n_gen, one] = c.tau
+    # Small BLAS matmuls round by the memory layout of their operands: the
+    # poses of a single solve rest on this (width, rows) transposed view.
+    coeffs = (eqs.ravel().take(gather) * scale).T
 
-    def evaluate(x, owner):
+    def evaluate(x):
         table = (x[:, :, None] ** exponents).reshape(len(x), -1)[:, powers]
-        monomials = table[:, 0] * table[:, 1] * table[:, 2]
-        # One matmul per sample on its own rows, so that a sample's values
-        # round as in a solve of that sample alone: the small-matrix BLAS
-        # kernels round by the shape of their operands.
-        if n_samples == 1:
-            out = monomials @ coeffs[0]
-        else:
-            ends = np.bincount(owner, minlength=n_samples).cumsum().tolist()
-            out = np.concatenate([
-                monomials[start:end] @ coeffs[s]
-                for s, (start, end) in enumerate(zip([0, *ends], ends)) if end > start
-            ])
+        out = (table[:, 0] * table[:, 1] * table[:, 2]) @ coeffs
         f = out[:, :n_eq]
         return f, out[:, n_eq:].reshape(-1, n_eq, 3), stacked_dot(f, f)
 
     x = roots.copy()
-    f, jac, cost = evaluate(x, sample)
+    f, jac, cost = evaluate(x)
     # Roots still moving: not yet at rounding level, and their last step helped.
     live = (cost > POLISH_ROUNDING).nonzero()[0]
     f, jac, cost = f.take(live, 0), jac.take(live, 0), cost.take(live)
@@ -774,7 +762,7 @@ def polish_roots(
         normal, rhs = jt @ jac, jt @ f[:, :, None]
         step = _solve_or_nan(normal, rhs)[:, :, 0]
         x_new = x.take(live, 0) - step
-        f_new, jac_new, cost_new = evaluate(x_new, sample[live])
+        f_new, jac_new, cost_new = evaluate(x_new)
         better = cost_new < cost
         x[live[better]] = x_new[better]
         go = better & (cost_new > POLISH_ROUNDING)
@@ -788,20 +776,24 @@ def polish_roots(
 _NOTHING = (np.empty(0, dtype=np.int64),) * 2 + (np.empty((0, 3)), np.empty(0, dtype=np.int64))
 
 
-def rotation_roots(layers, problem: TemplateProblem, generators, rays, c, losses: Losses):
-    """Polished rotation roots of the live samples of the ``(k, B, n, 3)``
-    ray rows ``rays``, solved as one stack with ``generators(*rays, c,
-    losses)`` and the layers of the solver module ``layers``; a zero angle
-    pins one root of each to the identity.  A sample that the generators
-    find degenerate or that is left without roots is lost.  Returns the
-    ``(K, 3)`` roots, grouped by sample in ascending order, and the sample
-    of each."""
+def rotation_roots(
+    layers, problem: TemplateProblem, generators, rays, c, losses: Losses, polish: bool
+):
+    """Rotation roots of the live samples of the ``(k, B, n, 3)`` ray rows
+    ``rays``, solved as one stack with ``generators(*rays, c, losses)`` and
+    the layers of the solver module ``layers``, and polished if ``polish``
+    (a single solve, B = 1); a zero angle pins one root of each to the
+    identity.  A sample that the generators find degenerate or that is left
+    without roots is lost.  Returns the ``(K, 3)`` roots, grouped by sample
+    in ascending order, and the sample of each."""
     live = (losses.status == 0).nonzero()[0]
     if c.tau == 0.0 or not live.size:
         return np.zeros((len(live), 3)), live
     gens = generators(*rays, c, losses)
     roots, sample = _eliminate(layers, problem, gens, c, losses)
-    return layers.polish_roots(gens, roots, c, sample), sample
+    if polish:
+        roots = layers.polish_roots(gens[0], roots, c)
+    return roots, sample
 
 
 def _eliminate(layers, problem: TemplateProblem, generators: np.ndarray, c, losses: Losses):
@@ -932,8 +924,8 @@ class SamplePoses:
 def solve(layers, problem: TemplateProblem, generators, screen, pose, pairs, theta, anchor, samples):
     """A solver's answer for the samples of ``pairs`` (``sample_stack``),
     solved as one stack with the layers of the solver module ``layers``:
-    with ``samples``, their ``SamplePoses``; without, the one sample's
-    poses, or the error that lost it.
+    with ``samples``, their ``SamplePoses`` from unpolished roots; without,
+    the one sample's poses from polished roots, or the error that lost it.
 
     ``screen(rays, losses)``, if given, loses the samples not worth solving
     before any root is computed.  The rotations of the rest go to the pose
@@ -945,7 +937,8 @@ def solve(layers, problem: TemplateProblem, generators, screen, pose, pairs, the
     losses = Losses(n)
     if screen is not None:
         screen(rays, losses)
-    roots, sample = rotation_roots(layers, problem, generators, rays, c, losses)
+    # Only a single solve polishes: a RANSAC hypothesis gains nothing from it.
+    roots, sample = rotation_roots(layers, problem, generators, rays, c, losses, samples is None)
     root_count, sample, u, Rs = usable_rotations(roots, sample, c, losses)
     Rs, T, u, sample, columns = pose(rays, sample, u, Rs, c, losses)
     columns["root_count"] = root_count.take(sample)

@@ -15,6 +15,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,11 @@ def stacked_cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``np.cross`` of stacked 3-vectors, rounded as ``np.cross`` rounds it,
     without its argument handling, which costs more than the arithmetic."""
     return a.take(_NEXT, -1) * b.take(_LAST, -1) - a.take(_LAST, -1) * b.take(_NEXT, -1)
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer, a numpy one included; a ``bool`` is not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _as_vec3(v, name: str) -> np.ndarray:

@@ -9,13 +9,12 @@ accumulated rotation stays orthogonal to rounding.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import CoverageGap
-from .geom import rotation_angle, skew
+from .geom import is_integer, rotation_angle, skew
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,7 +36,7 @@ class GyroSample:
 
 def _nanoseconds(name: str, value) -> int:
     """The timestamp ``value`` as an ``int``; one that is not an integer raises."""
-    if not isinstance(value, numbers.Integral):
+    if not is_integer(value):
         raise ValueError(f"{name} must be an integer of nanoseconds, got {value!r}")
     return int(value)
 

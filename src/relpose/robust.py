@@ -4,13 +4,12 @@ outlier-contaminated benchmark harness."""
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .exceptions import NoHypothesis, ScaleUnobservable
-from .geom import BearingPair, PluckerPair, RelativePose
+from .geom import BearingPair, PluckerPair, RelativePose, is_integer
 from .gbsolver import GENERAL, REGULAR, RayTable
 from .solver_gen5 import _CENTRAL, central, point_rays, ray_point_errors, solve_gen5pt_angle
 from .solver_reg4 import sampson_errors, solve_4pt_angle
@@ -39,9 +38,9 @@ class RansacConfig:
             raise ValueError("inlier_threshold must be positive and finite")
         if not 0.0 < self.confidence < 1.0:
             raise ValueError("confidence must lie in (0, 1)")
-        if not isinstance(self.max_iterations, numbers.Integral) or self.max_iterations < 1:
+        if not is_integer(self.max_iterations) or self.max_iterations < 1:
             raise ValueError(f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")
-        if self.seed is not None and not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+        if self.seed is not None and not (is_integer(self.seed) and self.seed >= 0):
             raise ValueError(f"seed must be None or an integer >= 0, got {self.seed!r}")
 
 

@@ -5,7 +5,6 @@ minimal solver over many trials."""
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, replace
 
@@ -17,6 +16,7 @@ from .geom import (
     PluckerPair,
     RelativePose,
     UnitQuaternion,
+    is_integer,
     quat_to_rotation,
     rotation_angle,
     stacked_cross,
@@ -62,7 +62,7 @@ class SceneConfig:
             raise ValueError(f"theta_rad must lie in [0, pi), got {self.theta_rad!r}")
         if self.motion not in ("forward", "sideways"):
             raise ValueError(f"motion must be 'forward' or 'sideways', got {self.motion!r}")
-        if self.seed is not None and not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+        if self.seed is not None and not (is_integer(self.seed) and self.seed >= 0):
             raise ValueError(f"seed must be None or an integer >= 0, got {self.seed!r}")
 
     @property
@@ -296,7 +296,7 @@ def trial_inputs(
     angle noise in this order; later draws of the caller follow them."""
     if solver not in ("reg4", "gen5"):
         raise ValueError(f"unknown solver {solver!r}")
-    if not isinstance(n_trials, numbers.Integral):
+    if not is_integer(n_trials):
         raise ValueError(f"n_trials must be an integer, got {n_trials!r}")
     if not n_trials >= 1:
         raise ValueError(f"n_trials must be at least 1, got {n_trials!r}")

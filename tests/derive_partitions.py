@@ -120,7 +120,7 @@ def finds_truth(scene, extracted) -> bool:
     c, R, gens, _ = scene
     if extracted is None or not len(extracted.roots):
         return False
-    roots = polish_roots(gens[None], extracted.roots, c, np.zeros(len(extracted.roots), int))
+    roots = polish_roots(gens, extracted.roots, c)
     u = roots * (math.sqrt(1.0 - c.sigma**2) / np.linalg.norm(roots, axis=1))[:, None]
     return bool(np.min(np.linalg.norm(rotation_stack(c.sigma, u) - R, axis=(1, 2))) <= TRUTH_TOL)
 

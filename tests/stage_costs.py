@@ -5,25 +5,26 @@
 Takes the first ``--pairs`` frame pairs of the ``ransac`` panel of
 ``perfbench/run.py`` and, on each, the first 32 samples its RANSAC run
 draws.  Solves the first sample alone and the first 8 and the first 32 as
-one stack (``samples=``), on the pairs as ``ransac_estimate`` hands them
-over (their ``gbsolver.RayTable`` where the package has one), with a spy on
-every stage where the one solve path of ``gbsolver.solve`` calls it: in
-the solver module, the attributes that ``perfbench/spans.py`` traces, plus
-``polish_roots``, ``residual_gate``, the pose rule ``_poses`` and its rows
-and, for gen5, the central screen; in ``gbsolver``, the shared steps
-``rotation_roots``, ``_eliminate``, ``_attempt``, ``usable_rotations`` and
-the answer ``SamplePoses``, and the recording call ``Losses.lose``.  A stage's time is
-its own, less that of the spied stages it calls; ``solve`` is what no spy
-holds (checking arguments, gathering the rays and the rest of
-``gbsolver.solve``).  From the times ``t1``, ``t8`` and ``t32`` summed over
-the frame pairs it prints, per stage and per call, the per-sample cost at
-8, ``(t8 - t1) / 7``, and at 32, ``(t32 - t1) / 31``, and the fixed cost
-``t1`` less one sample at 8, in microseconds: medians over ``--repeats``
-passes, after one untimed pass.  A cut in the fixed cost that costs more
-per sample shows in the column at 32, the size of late RANSAC rounds.  Each pass is
-followed by runs of the reference kernel of ``perfbench/run.py`` and its
-times are scaled as that benchmark scales an operation's, to the speed of
-the machine at rest, so that runs made at different host loads compare.
+one stack (``samples=``, so no root is polished), on the pairs as
+``ransac_estimate`` hands them over (their ``gbsolver.RayTable`` where the
+package has one), with a spy on every stage where the one solve path of
+``gbsolver.solve`` calls it: in the solver module, the attributes that
+``perfbench/spans.py`` traces, plus ``residual_gate``, the pose rule
+``_poses`` and its rows and, for gen5, the central screen; in
+``gbsolver``, the shared steps ``rotation_roots``, ``_eliminate``,
+``_attempt``, ``usable_rotations`` and the answer ``SamplePoses``, and the
+recording call ``Losses.lose``.  A stage's time is its own, less that of
+the spied stages it calls; ``solve`` is what no spy holds (checking
+arguments, gathering the rays and the rest of ``gbsolver.solve``).  From
+the times ``t1``, ``t8`` and ``t32`` summed over the frame pairs it prints,
+per stage and per call, the per-sample cost at 8, ``(t8 - t1) / 7``, and
+at 32, ``(t32 - t1) / 31``, and the fixed cost ``t1`` less one sample at
+8, in microseconds: medians over ``--repeats`` passes, after one untimed
+pass.  A cut in the fixed cost that costs more per sample shows in the
+column at 32, the size of late RANSAC rounds.  Each pass is followed by
+runs of the reference kernel of ``perfbench/run.py`` and its times are
+scaled as that benchmark scales an operation's, to the speed of the
+machine at rest, so that runs made at different host loads compare.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 from panel_digests import PERFBENCH, load_run
 
 # The stages spied in each solver module besides the traced layers.
-COMMON = ("polish_roots", "residual_gate", "_poses")
+COMMON = ("residual_gate", "_poses")
 HELPERS = {
     "reg4": ("cheiral_counts",),
     "gen5": ("_screen", "central", "_depth_rows", "_sample_residuals"),

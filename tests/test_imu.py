@@ -97,9 +97,10 @@ class TestIntegrateGyro:
         R = integrate_gyro(log, 0, 1_000_000_000, bias=bias)
         assert np.max(np.abs(R - np.eye(3))) < 1e-15
 
-    @pytest.mark.parametrize("bad", [0.5e9 + 0.7, math.inf, math.nan, "0"])
+    @pytest.mark.parametrize("bad", [0.5e9 + 0.7, math.inf, math.nan, "0", True])
     def test_bounds_must_be_integers(self, bad):
-        # A float bound was truncated to whole nanoseconds, or overflowed.
+        # A float bound was truncated to whole nanoseconds, or overflowed; a
+        # bool passed as 1 ns.
         log = constant_rate_log([0.0, 0.0, 1.0])
         with pytest.raises(ValueError, match="t_start_ns must be an integer"):
             integrate_gyro(log, bad, 1_000_000_000)
@@ -153,7 +154,7 @@ class TestAngleBetweenFrames:
 
 
 class TestGyroSample:
-    @pytest.mark.parametrize("bad", [1.5, 2.0, math.inf, np.float64(3.0), "4"])
+    @pytest.mark.parametrize("bad", [1.5, 2.0, math.inf, np.float64(3.0), "4", True])
     def test_timestamp_must_be_an_integer(self, bad):
         with pytest.raises(ValueError, match="timestamp_ns must be an integer"):
             GyroSample(timestamp_ns=bad, w=np.zeros(3))

@@ -1,6 +1,7 @@
 """Root polishing, the residual gate on returned poses, and the fallback
 from the first committed partition to the next, for both solvers."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ import reference_templates as ref
 import relpose.gbsolver as gbsolver
 import relpose.solver_gen5 as solver_gen5
 import relpose.solver_reg4 as solver_reg4
-from relpose.exceptions import DegenerateConfiguration, EigenFailure
+from relpose.exceptions import DegenerateConfiguration, EigenFailure, RelposeError
 from relpose.gbsolver import (
     GENERAL,
     POSE_RESIDUAL_TOL,
@@ -25,7 +26,7 @@ from relpose.geom import (
     sigma_from_angle,
 )
 from relpose.poly import _ray_stack, grevlex_basis
-from relpose.synth import SceneConfig, generate_scene
+from relpose.synth import SceneConfig, add_image_noise, generate_scene
 
 SOLVERS = pytest.mark.parametrize("solver", ["reg4", "gen5"])
 
@@ -65,11 +66,6 @@ def generators(module, pairs, theta):
     return module.build_f_polynomials(*_ray_stack(pairs, "q1", "q2"), c), c
 
 
-def polish_alone(gens, roots, c):
-    """``polish_roots`` of roots that all solve the one generator set ``gens``."""
-    return polish_roots(gens[None], roots, c, np.zeros(len(roots), dtype=np.int64))
-
-
 class TestPolishRoots:
     @SOLVERS
     def test_perturbed_roots_return_to_the_variety(self, solver):
@@ -78,7 +74,7 @@ class TestPolishRoots:
         roots = ref.rotation_candidates(module, pairs, c)
         rng = np.random.default_rng(0)
         moved = roots + 1e-5 * rng.normal(size=roots.shape)
-        assert np.max(np.abs(polish_alone(gens, moved, c) - roots)) < 1e-10
+        assert np.max(np.abs(polish_roots(gens, moved, c) - roots)) < 1e-10
 
     @SOLVERS
     def test_a_root_is_never_moved_to_a_larger_residual(self, solver):
@@ -86,25 +82,8 @@ class TestPolishRoots:
         gens, c = generators(module, pairs, theta)
         roots = ref.rotation_candidates(module, pairs, c)
         # A polished root is at rounding level and stays where it is.
-        assert np.array_equal(polish_alone(gens, roots, c), roots)
-        assert polish_alone(gens, roots[:0], c).shape == (0, 3)
-
-    @SOLVERS
-    def test_a_stack_polishes_each_sample_as_alone(self, solver):
-        # The first sample's generators are pure squares, so at the origin
-        # every derivative vanishes and its normal equations are singular:
-        # that ends its own polishing, not the second sample's.
-        module, _, pairs, theta = instance(solver, seed=1)
-        gens, c = generators(module, pairs, theta)
-        roots = ref.rotation_candidates(module, pairs, c)
-        moved = roots + 1e-5 * np.random.default_rng(0).normal(size=roots.shape)
-        squares = np.zeros_like(gens)
-        squares[:, 0] = 1.0
-        stack = np.stack([squares, gens])
-        owner = np.repeat([0, 1], [1, len(moved)])
-        both = polish_roots(stack, np.vstack([np.zeros((1, 3)), moved]), c, owner)
-        assert np.array_equal(both[0], np.zeros(3))
-        assert np.array_equal(both[1:], polish_alone(gens, moved, c))
+        assert np.array_equal(polish_roots(gens, roots, c), roots)
+        assert polish_roots(gens, roots[:0], c).shape == (0, 3)
 
     def test_a_singular_system_ends_only_its_own_roots_polishing(self):
         # Quadratic forms without constant or linear terms, like the sphere
@@ -118,11 +97,69 @@ class TestPolishRoots:
         c = sigma_from_angle(1.0)
         root = np.sqrt(-c.tau / 3.0) * np.ones(3)
         moved = root + 1e-4 * np.random.default_rng(0).normal(size=3)
-        alone = polish_alone(gens, moved[None], c)
+        alone = polish_roots(gens, moved[None], c)
         assert np.max(np.abs(alone - root)) < 1e-14
-        both = polish_alone(gens, np.vstack([np.zeros(3), moved]), c)
+        both = polish_roots(gens, np.vstack([np.zeros(3), moved]), c)
         assert np.array_equal(both[0], np.zeros(3))
         assert np.array_equal(both[1:], alone)
+
+
+# SHA-256 of every R and t that single solves return on the scenes of
+# ``single_solve_scenes``, as they have since before stacked solves stopped
+# polishing.  Bit identity rests on how the BLAS library rounds small
+# products, as for ``tests/panel_digests.py``.
+SINGLE_SOLVE_DIGESTS = {
+    "reg4": "3921850aafad76ccae92535c64b4bd0594fd534fd004fe7d39484869843f74a6",
+    "gen5": "b70c31ec50dd75b66b8428caddc9fcc189f9669fa53876e82954183cc22254b2",
+}
+
+
+def single_solve_scenes(solver):
+    """Pairs and angle of minimal samples: noise-free at 5-60 degrees and
+    at 2.5 rad, and with 0.5 px noise."""
+    generalized = solver == "gen5"
+    for seed in range(6):
+        for theta_rad, noise_px in ((None, 0.0), (2.5, 0.0), (None, 0.5)):
+            cfg = SceneConfig(seed=seed, generalized=generalized, theta_rad=theta_rad)
+            truth, pairs = generate_scene(cfg, 5 if generalized else 4)
+            if noise_px:
+                pairs = add_image_noise(pairs, noise_px, cfg, np.random.default_rng(seed))
+            yield pairs, rotation_angle(truth.R)
+
+
+class TestOnlyASingleSolvePolishes:
+    @SOLVERS
+    def test_a_stack_never_polishes_and_a_single_solve_once(self, monkeypatch, solver):
+        module, solve, pairs, theta = instance(solver, seed=5)
+        original, calls = module.polish_roots, []
+
+        def spy(gens, roots, c):
+            calls.append(len(roots))
+            return original(gens, roots, c)
+
+        monkeypatch.setattr(module, "polish_roots", spy)
+        assert solve(pairs, theta)
+        assert len(calls) == 1 and calls[0] > 0
+        calls.clear()
+        for n_samples in (1, 3):
+            out = solve(pairs, theta, samples=np.arange(len(pairs))[None].repeat(n_samples, 0))
+            assert len(out) == n_samples and out.bounds[-1] > 0
+        assert calls == []
+
+    @SOLVERS
+    def test_a_single_solve_returns_the_poses_it_always_has(self, solver):
+        _, solve, _, _ = instance(solver)
+        digest = hashlib.sha256()
+        for pairs, theta in single_solve_scenes(solver):
+            try:
+                poses = solve(pairs, theta)
+            except RelposeError as exc:
+                digest.update(type(exc).__name__.encode())
+                continue
+            for pose in poses:
+                digest.update(pose.R.tobytes())
+                digest.update(pose.t.tobytes())
+        assert digest.hexdigest() == SINGLE_SOLVE_DIGESTS[solver]
 
 
 class TestResidualGate:
@@ -150,7 +187,7 @@ class TestResidualGate:
         original = module.polish_roots
         monkeypatch.setattr(
             module, "polish_roots",
-            lambda gens, roots, c, sample: original(gens, roots, c, sample) + 1e-3,
+            lambda gens, roots, c: original(gens, roots, c) + 1e-3,
         )
         with pytest.raises(DegenerateConfiguration, match="satisfies its own sample"):
             solve(pairs, theta)

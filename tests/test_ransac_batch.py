@@ -1,17 +1,19 @@
 """RANSAC solves the samples of a round as one stack and scores all their
 poses in one call; the round cap starts at ``BATCH_LIMIT`` and doubles
-after every round, up to ``ROUND_LIMIT``.  Against the one-sample-at-a-time
-loop of ``reference_robust`` it must return the same inlier mask, trace,
-iteration and hypothesis counts, and the same pose to ``POSE_TOL``."""
+after every round, up to ``ROUND_LIMIT``.  A stack does not polish its
+roots, so against the one-sample-at-a-time loop of ``reference_robust``,
+its single solves unpolished (``unpolished``), it must return the same
+inlier mask, trace, iteration and hypothesis counts, and the same pose to
+``POSE_TOL``."""
 
 import re
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 import reference_robust
 import relpose.robust as robust
-from reference_robust import loop_ransac_estimate
 from reference_templates import spoil_template
 from relpose import solver_gen5, solver_reg4
 from relpose.exceptions import (
@@ -56,6 +58,22 @@ def config(kind, seed, **kw):
     else:
         threshold = DEFAULT_POINT_RAY_THRESHOLD
     return RansacConfig(inlier_threshold=threshold, seed=seed, **kw)
+
+
+@contextmanager
+def unpolished():
+    """Single solves as a stack solves each of its samples: without
+    polishing, the solver modules' ``polish_roots`` the identity meanwhile."""
+    with pytest.MonkeyPatch.context() as m:
+        for module in (solver_reg4, solver_gen5):
+            m.setattr(module, "polish_roots", lambda generators, roots, c: roots)
+        yield
+
+
+def loop_ransac_estimate(observations, theta, cfg, kind):
+    """The oracle, ``reference_robust.loop_ransac_estimate``, ``unpolished``."""
+    with unpolished():
+        return reference_robust.loop_ransac_estimate(observations, theta, cfg, kind)
 
 
 def assert_same(result, oracle):
@@ -226,12 +244,13 @@ def solved(out: SamplePoses) -> list[bool]:
 
 def assert_each_solved_as_alone(kind, observed, theta, samples, out: SamplePoses, which=None):
     """The poses of each sample ``which`` (all by default) of a stacked
-    solve, its rows of ``out``, are, bit for bit, those of the single solve
-    of that sample, or it has none and the single solve raises."""
+    solve, its rows of ``out``, are, bit for bit, those of the ``unpolished``
+    single solve of that sample, or it has none and that solve raises."""
     for s in range(len(samples)) if which is None else which:
         rows = slice(out.bounds[s], out.bounds[s + 1])
         try:
-            alone = SOLVES[kind]([observed[i] for i in samples[s]], theta)
+            with unpolished():
+                alone = SOLVES[kind]([observed[i] for i in samples[s]], theta)
         except RelposeError:
             assert rows.start == rows.stop
             continue
@@ -368,10 +387,12 @@ def test_a_bad_sample_index_raises_value_error(kind, first, message):
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize(
-    "anchor", [1.5, "1", None, np.float64(1.0)], ids=["float", "str", "none", "numpy-float"]
+    "anchor", [1.5, "1", None, np.float64(1.0), True],
+    ids=["float", "str", "none", "numpy-float", "bool"],
 )
 def test_a_non_integer_anchor_raises_value_error(kind, anchor):
-    # These used to escape as an IndexError, a UFuncTypeError and a TypeError.
+    # These used to escape as an IndexError, a UFuncTypeError and a
+    # TypeError; True chose anchor 1.
     size = 4 if kind == "reg4" else 5
     truth, observed = generate_scene(SceneConfig(seed=6, generalized=kind == "gen5"), 3 * size)
     theta = rotation_angle(truth.R)

@@ -66,7 +66,7 @@ class TestRansacConfig:
         with pytest.raises(ValueError):
             RansacConfig(inlier_threshold=1.0, max_iterations=0)
 
-    @pytest.mark.parametrize("value", [2.5, 3.0, np.float64(4.0), "5", None])
+    @pytest.mark.parametrize("value", [2.5, 3.0, np.float64(4.0), "5", None, True])
     def test_rejects_non_integer_iterations(self, value):
         with pytest.raises(ValueError, match="max_iterations"):
             RansacConfig(inlier_threshold=1.0, max_iterations=value)
@@ -75,9 +75,10 @@ class TestRansacConfig:
     def test_accepts_integer_iterations(self, value):
         assert RansacConfig(inlier_threshold=1.0, max_iterations=value).max_iterations == value
 
-    @pytest.mark.parametrize("value", [1.5, 2.0, -1, np.int64(-3), "1"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, -1, np.int64(-3), "1", True, False])
     def test_rejects_a_seed_that_numpy_refuses(self, value):
-        # These used to construct and then fail in the run, or in SeedSequence.
+        # These used to construct and then fail in the run, or in SeedSequence;
+        # a bool seeded the run as 0 or 1.
         message = f"^seed must be None or an integer >= 0, got {re.escape(repr(value))}$"
         with pytest.raises(ValueError, match=message):
             RansacConfig(inlier_threshold=1.0, seed=value)
@@ -220,7 +221,7 @@ class TestContaminatedProtocol:
         assert ransac["mean_rot_err"] < 1e-6
         assert minimal["rot_err"]["median"] < 1e-6
 
-    @pytest.mark.parametrize("n_trials", [2.5, 3.0, "3"])
+    @pytest.mark.parametrize("n_trials", [2.5, 3.0, "3", True])
     def test_trial_count_must_be_an_integer(self, n_trials):
         from relpose.synth import run_trials
 

@@ -335,7 +335,7 @@ class TestDepthRecovery:
         module = solver_gen5 if generalized else solver_reg4
         monkeypatch.setattr(module, "extract_roots", tiny_roots)
         # Polishing would carry the tiny roots onto the variety.
-        monkeypatch.setattr(module, "polish_roots", lambda generators, roots, c, sample: roots)
+        monkeypatch.setattr(module, "polish_roots", lambda generators, roots, c: roots)
         with pytest.raises(DegenerateConfiguration, match="no usable rotation candidates"):
             solve(pairs, rotation_angle(truth.R))
 

@@ -44,9 +44,10 @@ class TestSceneConfig:
         with pytest.raises(ValueError):
             SceneConfig(motion="diagonal")
 
-    @pytest.mark.parametrize("value", [1.5, 2.0, -1, np.int64(-3), "1"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, -1, np.int64(-3), "1", True, False])
     def test_rejects_a_seed_that_numpy_refuses(self, value):
-        # These used to construct and then fail in generate_scene.
+        # These used to construct and then fail in generate_scene; a bool
+        # seeded the scene as 0 or 1.
         message = f"^seed must be None or an integer >= 0, got {re.escape(repr(value))}$"
         with pytest.raises(ValueError, match=message):
             SceneConfig(seed=value)
