@@ -7,15 +7,19 @@ pivot partition and on the non-pivot (standard) columns only: these are the
 quotient-ring basis, and each pivot row is a row of the multiplication
 matrix for gamma as it is.  Take its eigenvalues and recover candidate
 roots from the eigenvectors of the near-real ones.  Only a single solve
-polishes its roots, with Gauss-Newton steps on the generators; a stack of
-samples, RANSAC's hypotheses, returns them unpolished.
+refines its roots to the last bit: a second inverse-iteration step per
+eigenvector, then Gauss-Newton steps on the generators (``polish_roots``);
+a stack of samples, RANSAC's hypotheses, takes one step and returns its
+roots unpolished, since a hypothesis is only scored.
 
 Eigenvalues (``eigensolve_real``), SVDs (``_svd_or_nan``) and solves
 (``_solve_or_nan``) call the LAPACK gufuncs behind ``np.linalg.eigvals``,
 ``svd`` and ``solve``: bit for bit those functions, at a fraction of the
-overhead, and NaN for a matrix they cannot solve.  The eigenvectors are
+overhead, and NaN for a matrix they cannot solve.  No kernel sets the
+error state: ``solve`` holds one ignoring state for all of them, so a
+kernel called alone warns where it marks NaN.  The eigenvectors are
 rebuilt from the gamma chains of the quotient basis (``_gamma_chains``) by
-two batched steps of inverse iteration over every real eigenvalue of a
+batched steps of inverse iteration over every real eigenvalue of a
 partition attempt (``extract_roots``), so their cost is traced in the
 ``gbsolver.extract`` layer, not in ``gbsolver.eig``.  The chains make the
 gamma entry and every product with a gamma factor hold by construction; the
@@ -494,13 +498,13 @@ def eigensolve_real(M: np.ndarray) -> np.ndarray:
 
     Only eigenvalues are computed, bit for bit ``np.linalg.eigvals`` through
     its gufunc; a non-finite matrix, or one whose eigenvalues do not converge,
-    raises ``EigenFailure`` with its message.  ``extract_roots`` rebuilds the
-    eigenvectors of the ones it needs from the gamma chains.
+    raises ``EigenFailure`` with its message (after a warning unless the
+    error state ignores it, as ``solve`` holds it).  ``extract_roots``
+    rebuilds the eigenvectors of the ones it needs from the gamma chains.
     """
     finite = np.isfinite(M).all()
     if finite:
-        with np.errstate(all="ignore"):
-            w = _umath_linalg.eigvals(M, signature="d->D")
+        w = _umath_linalg.eigvals(M, signature="d->D")
         if w[0] == w[0]:
             # A negated ">" keeps NaN eigenvalues, as the scalar test always has.
             return w.real[~(np.abs(w.imag) > IMAG_TOL * (1.0 + np.abs(w.real)))]
@@ -597,14 +601,16 @@ def _root_tables(qb: QuotientBasis) -> tuple[np.ndarray, ...]:
     return np.array(checks, dtype=np.int64).reshape(-1, 3).T.copy(), factors
 
 
-def extract_roots(eigenvalues, action: np.ndarray, qb: QuotientBasis) -> ExtractedRoots:
+def extract_roots(
+    eigenvalues, action: np.ndarray, qb: QuotientBasis, steps: int = 2
+) -> ExtractedRoots:
     """Candidate (alpha, beta, gamma) rows of the near-real eigenvalues of a
     stack of action matrices.
 
     ``eigenvalues[b]`` are eigenvalues of ``action[b]``, one array per matrix
     of the ``(B, n, n)`` stack.  Each eigenvector is rebuilt from the gamma
-    chains (see ``_gamma_chains``): two bordered chain systems per root, each
-    stack solved at once.  A root whose bordered system is singular has no
+    chains (see ``_gamma_chains``): ``steps`` bordered chain systems per root,
+    each stack solved at once.  A root whose bordered system is singular has no
     eigenvector, unique up to scale, that is non-zero at 1; it is dropped as
     at infinity, alone.
 
@@ -614,7 +620,7 @@ def extract_roots(eigenvalues, action: np.ndarray, qb: QuotientBasis) -> Extract
     every product with a gamma factor hold, so those are not tested.
     """
     sizes = [len(w) for w in eigenvalues]
-    V, sample = _chain_eigenvectors(np.concatenate(eigenvalues), sizes, action, qb)
+    V, sample = _chain_eigenvectors(np.concatenate(eigenvalues), sizes, action, qb, steps)
     # Normalized at 1, an eigenvector whose entry there is at most 1e-10 of
     # its largest one is at infinity, and so is a NaN one.
     at_infinity = ~(np.abs(V).max(axis=1) < 1e10)
@@ -631,16 +637,19 @@ def extract_roots(eigenvalues, action: np.ndarray, qb: QuotientBasis) -> Extract
     )
 
 
-def _chain_eigenvectors(lam: np.ndarray, sizes: list[int], action: np.ndarray, qb: QuotientBasis):
+def _chain_eigenvectors(
+    lam: np.ndarray, sizes: list[int], action: np.ndarray, qb: QuotientBasis, steps: int = 2
+):
     """The ``(K, n)`` eigenvectors of the eigenvalues ``lam``, ``sizes[b]``
     of them for ``action[b]`` in turn, rebuilt from the gamma chains and
     normalized at the monomial 1, and each one's matrix in ``action``.  A row
     is NaN where a bordered chain system is exactly singular.
 
-    Each root takes two steps of inverse iteration: the first bordered by
-    the fixed column, the second by the first's head entries.  Near a
-    cluster of eigenvalues one step leaves some of the neighbours'
-    eigenvectors in a root's; the second squares their share.
+    Each root takes ``steps`` steps of inverse iteration: the first bordered
+    by the fixed column, each later one by the head entries of the one
+    before.  Near a cluster of eigenvalues one step leaves some of the
+    neighbours' eigenvectors in a root's; a second squares their share.  A
+    single solve takes two; a RANSAC hypothesis, which is only scored, one.
     """
     chain, depth, gather, constants = _gamma_chains(qb)
     n_samples, n_powers, size = len(action), len(gather), len(gather[0])
@@ -661,8 +670,11 @@ def _chain_eigenvectors(lam: np.ndarray, sizes: list[int], action: np.ndarray, q
     # numpy: a 1-D one is one vector per matrix only from numpy 2.0 on.
     rhs = np.zeros((len(lam), size, 1))
     rhs[:, -1] = 1.0
-    K[:, :-1, -1] = _solve_or_nan(K, rhs)[:, :-1, 0]
-    V = _solve_or_nan(K, rhs)[:, :-1, 0].take(chain, 1) * powers.take(depth, 1)
+    x = _solve_or_nan(K, rhs)
+    for _ in range(steps - 1):
+        K[:, :-1, -1] = x[:, :-1, 0]
+        x = _solve_or_nan(K, rhs)
+    V = x[:, :-1, 0].take(chain, 1) * powers.take(depth, 1)
     V /= V[:, qb.pos_one, None]
     return V, sample
 
@@ -671,15 +683,14 @@ def _solve_or_nan(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``np.linalg.solve`` of each system of the stack ``A x = b``, ``b`` a
     stack of columns, NaN where a system is exactly singular: the gufunc
     behind ``np.linalg.solve``, which marks such a system NaN and raises
-    only through the error state that ``np.linalg.solve`` sets."""
-    with np.errstate(all="ignore"):
-        return _umath_linalg.solve(A, b, signature="dd->d")
+    only through the error state, which ``solve`` holds ignoring."""
+    return _umath_linalg.solve(A, b, signature="dd->d")
 
 
 def _svd_or_nan(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``np.linalg.svd`` of each matrix of the stack ``A`` by its gufunc, NaN where one fails."""
-    with np.errstate(all="ignore"):
-        return _SVD_F(A, signature="d->ddd")
+    """``np.linalg.svd`` of each matrix of the stack ``A`` by its gufunc,
+    NaN where one fails (a warning unless the error state ignores it)."""
+    return _SVD_F(A, signature="d->ddd")
 
 
 # Most Gauss-Newton steps of ``polish_roots``.  A root stops once its
@@ -777,29 +788,34 @@ _NOTHING = (np.empty(0, dtype=np.int64),) * 2 + (np.empty((0, 3)), np.empty(0, d
 
 
 def rotation_roots(
-    layers, problem: TemplateProblem, generators, rays, c, losses: Losses, polish: bool
+    layers, problem: TemplateProblem, generators, rays, c, losses: Losses, refine: bool
 ):
     """Rotation roots of the live samples of the ``(k, B, n, 3)`` ray rows
     ``rays``, solved as one stack with ``generators(*rays, c, losses)`` and
-    the layers of the solver module ``layers``, and polished if ``polish``
-    (a single solve, B = 1); a zero angle pins one root of each to the
-    identity.  A sample that the generators find degenerate or that is left
-    without roots is lost.  Returns the ``(K, 3)`` roots, grouped by sample
-    in ascending order, and the sample of each."""
+    the layers of the solver module ``layers``; a zero angle pins one root
+    of each to the identity.  If ``refine`` (a single solve, B = 1), each
+    eigenvector takes two steps of inverse iteration and each root is then
+    polished; otherwise each takes one step and stays unpolished.  A sample
+    that the generators find degenerate or that is left without roots is
+    lost.  Returns the ``(K, 3)`` roots, grouped by sample in ascending
+    order, and the sample of each."""
     live = (losses.status == 0).nonzero()[0]
     if c.tau == 0.0 or not live.size:
         return np.zeros((len(live), 3)), live
     gens = generators(*rays, c, losses)
-    roots, sample = _eliminate(layers, problem, gens, c, losses)
-    if polish:
+    roots, sample = _eliminate(layers, problem, gens, c, losses, 2 if refine else 1)
+    if refine:
         roots = layers.polish_roots(gens[0], roots, c)
     return roots, sample
 
 
-def _eliminate(layers, problem: TemplateProblem, generators: np.ndarray, c, losses: Losses):
+def _eliminate(
+    layers, problem: TemplateProblem, generators: np.ndarray, c, losses: Losses, steps: int
+):
     """Unpolished roots of the live samples of the generator stack, grouped
-    by sample in ascending order, and the sample of each.  Each sample
-    reduces its template on the committed partitions in turn until one
+    by sample in ascending order, and the sample of each, their eigenvectors
+    from ``steps`` steps of inverse iteration (``extract_roots``).  Each
+    sample reduces its template on the committed partitions in turn until one
     neither loses it nor drops a root as inconsistent, and keeps the roots
     of the attempt that dropped the fewest; a sample that no partition
     solves is lost for what lost it on the last."""
@@ -815,7 +831,9 @@ def _eliminate(layers, problem: TemplateProblem, generators: np.ndarray, c, loss
     found = []
     for attempt, pivots in enumerate(problem.partitions):
         tried = Losses(n_samples)
-        solved, now, roots, owner = _attempt(layers, problem, template, pivots, pending, tried)
+        solved, now, roots, owner = _attempt(
+            layers, problem, template, pivots, pending, tried, steps
+        )
         if not attempt and len(solved) == len(pending) and not np.count_nonzero(now):
             # The first partition solves every sample and drops no root.
             return roots, owner
@@ -835,7 +853,7 @@ def _eliminate(layers, problem: TemplateProblem, generators: np.ndarray, c, loss
     return np.concatenate([r[m] for (r, _), m in zip(found, mine)])[order], owner[order]
 
 
-def _attempt(layers, problem, matrix, pivots, pending: np.ndarray, tried: Losses):
+def _attempt(layers, problem, matrix, pivots, pending: np.ndarray, tried: Losses, steps: int):
     """The templates of the samples ``pending`` reduced on one partition:
     the samples it solves, the count of roots each dropped as inconsistent,
     their roots, grouped by sample in ascending order, and the sample of
@@ -868,7 +886,7 @@ def _attempt(layers, problem, matrix, pivots, pending: np.ndarray, tried: Losses
         pending, action = pending[alive], action[alive]
         if not pending.size:
             return _NOTHING
-    extracted = layers.extract_roots(values, action, qb)
+    extracted = layers.extract_roots(values, action, qb, steps)
     return pending, extracted.inconsistent, extracted.roots, pending[extracted.sample]
 
 
@@ -924,8 +942,9 @@ class SamplePoses:
 def solve(layers, problem: TemplateProblem, generators, screen, pose, pairs, theta, anchor, samples):
     """A solver's answer for the samples of ``pairs`` (``sample_stack``),
     solved as one stack with the layers of the solver module ``layers``:
-    with ``samples``, their ``SamplePoses`` from unpolished roots; without,
-    the one sample's poses from polished roots, or the error that lost it.
+    with ``samples``, their ``SamplePoses`` from roots of one
+    inverse-iteration step, unpolished; without, the one sample's poses from
+    refined roots (``rotation_roots``), or the error that lost it.
 
     ``screen(rays, losses)``, if given, loses the samples not worth solving
     before any root is computed.  The rotations of the rest go to the pose
@@ -933,18 +952,25 @@ def solve(layers, problem: TemplateProblem, generators, screen, pose, pairs, the
     rotations, translations, vector parts, samples and diagnostic columns
     of its poses.  Both lose each sample they leave out in ``losses``.
     """
-    rays, n, c = problem.sample_stack(pairs, theta, anchor, samples)
-    losses = Losses(n)
-    if screen is not None:
-        screen(rays, losses)
-    # Only a single solve polishes: a RANSAC hypothesis gains nothing from it.
-    roots, sample = rotation_roots(layers, problem, generators, rays, c, losses, samples is None)
-    root_count, sample, u, Rs = usable_rotations(roots, sample, c, losses)
-    Rs, T, u, sample, columns = pose(rays, sample, u, Rs, c, losses)
-    columns["root_count"] = root_count.take(sample)
-    # The rows are grouped by sample, in ascending order.
-    bounds = [0, len(sample)] if n == 1 else np.searchsorted(sample, np.arange(n + 1)).tolist()
-    answer = SamplePoses(Rs, T, c.sigma, u, bounds, columns)
+    # One error state for every kernel of the solve: each marks what it
+    # cannot solve NaN, which the stages read, and none warns.
+    with np.errstate(all="ignore"):
+        rays, n, c = problem.sample_stack(pairs, theta, anchor, samples)
+        losses = Losses(n)
+        if screen is not None:
+            screen(rays, losses)
+        # Only a single solve refines its roots: a RANSAC hypothesis gains
+        # nothing from a second inverse-iteration step or from polishing.
+        single = samples is None
+        roots, sample = rotation_roots(layers, problem, generators, rays, c, losses, single)
+        root_count, sample, u, Rs = usable_rotations(roots, sample, c, losses)
+        Rs, T, u, sample, columns = pose(rays, sample, u, Rs, c, losses)
+        columns["root_count"] = root_count.take(sample)
+        # The rows are grouped by sample, in ascending order.
+        bounds = (
+            [0, len(sample)] if n == 1 else np.searchsorted(sample, np.arange(n + 1)).tolist()
+        )
+        answer = SamplePoses(Rs, T, c.sigma, u, bounds, columns)
     if samples is not None:
         return answer
     if losses.status[0]:

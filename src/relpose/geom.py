@@ -297,11 +297,13 @@ def cheiral_counts(Rs: np.ndarray, T: np.ndarray, q1: np.ndarray, q2: np.ndarray
     origin2 = (-Rt @ T[:, :, None])[:, None, :, 0]
     a, b, d, e1, e2 = map(stacked_dot, (q1, q1, d2, q1, d2), (q1, d2, d2, origin2, origin2))
     det = b * b - a * d
-    solvable = ~(np.abs(det) <= PARALLEL_RAY_EPS * a * d)
+    parallel = np.abs(det) <= PARALLEL_RAY_EPS * a * d
+    # A parallel pair is not counted, so its determinant may as well be 1:
+    # then no division by zero needs an error state.
+    det[parallel] = 1.0
     # Closest approach of rays s q1 and origin2 + r d2:
     # [a -b; b -d] [s r]^T = [e1 e2]^T.  Negating the translation negates
     # origin2, e1, e2 and so s and r exactly: one solve serves both signs.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = (-d * e1 + b * e2) / det
-        r = (-b * e1 + a * e2) / det
-    return (solvable & np.array([(s > 0.0) & (r > 0.0), (s < 0.0) & (r < 0.0)])).sum(axis=2)
+    s = (-d * e1 + b * e2) / det
+    r = (-b * e1 + a * e2) / det
+    return (~parallel & np.array([(s > 0.0) & (r > 0.0), (s < 0.0) & (r < 0.0)])).sum(axis=2)

@@ -128,9 +128,11 @@ def solve_gen5pt_angle(
     With ``samples``, a ``(B, 5)`` array of integer indices into ``pairs``
     (or their ``gbsolver.RayTable``), the samples are solved as one stack
     and the result is their ``SamplePoses``: the poses of every sample as
-    rows of arrays.  The stack does not polish its roots, so a sample's rows
-    are bit for bit the poses of a single solve of it without polishing,
-    and it has none where such a solve raises a ``RelposeError``.  An index that is negative, not below ``len(pairs)``
+    rows of arrays.  The stack refines its roots less than a single solve:
+    one inverse-iteration step per eigenvector instead of two, and no
+    polishing.  So a sample's rows are bit for bit the poses of a single
+    solve of it refined alike, and it has none where such a solve raises a
+    ``RelposeError``.  An index that is negative, not below ``len(pairs)``
     or not an integer raises ``ValueError``.
     """
     return solve(

@@ -92,11 +92,13 @@ def scenes(problem, seeds):
 
 
 def eliminate(problem, pivots, tpl):
-    """Roots extracted on ``pivots``, or None where the elimination raises."""
+    """Roots extracted on ``pivots``, or None where the elimination raises;
+    the kernels run under the error state that a solve holds for them."""
     try:
-        qb = quotient_basis_from_pivots(problem, pivots)
-        action = build_action_matrix(rref_conditioned(tpl, qb), qb)
-        return extract_roots([eigensolve_real(action)], action[None], qb)
+        with np.errstate(all="ignore"):
+            qb = quotient_basis_from_pivots(problem, pivots)
+            action = build_action_matrix(rref_conditioned(tpl, qb), qb)
+            return extract_roots([eigensolve_real(action)], action[None], qb)
     except RelposeError:
         return None
 
@@ -120,7 +122,8 @@ def finds_truth(scene, extracted) -> bool:
     c, R, gens, _ = scene
     if extracted is None or not len(extracted.roots):
         return False
-    roots = polish_roots(gens, extracted.roots, c)
+    with np.errstate(all="ignore"):
+        roots = polish_roots(gens, extracted.roots, c)
     u = roots * (math.sqrt(1.0 - c.sigma**2) / np.linalg.norm(roots, axis=1))[:, None]
     return bool(np.min(np.linalg.norm(rotation_stack(c.sigma, u) - R, axis=(1, 2))) <= TRUTH_TOL)
 

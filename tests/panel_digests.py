@@ -5,13 +5,16 @@
 Builds each workload's fixed panel with ``perfbench/run.py``'s
 ``make_panel``, runs every operation once and prints one digest per
 workload and solver: over every returned R and t for ``minimal`` and
-``wide-angle``, and two for ``ransac``, a winner digest over the inlier
-mask, R and t, and a work digest over the iterations and hypotheses, so
-that a change of scheduling or stopping can show the same winners while
-the counts move.  An input that raises contributes its exception's class
-name to every digest.  Save the lines of one checkout and run another with
-``--expect`` that file to show that a change leaves every panel result bit
-for bit as it was: it prints the lines that differ, the saved line first,
+``wide-angle``, and three for ``ransac``: a winner digest over the inlier
+mask, R and t, a work digest over the iterations and hypotheses, so that a
+change of scheduling or stopping can show the same winners while the
+counts move, and a decision digest over the inlier mask and the
+iterations alone, so that a change of rounding can show the same
+decisions while the winning pose and the hypothesis count move.  An
+input that raises contributes its exception's class name to every digest.
+Save the lines of one checkout and run another with ``--expect`` that
+file to show that a change leaves every panel result bit for bit as it
+was: it prints the lines that differ, the saved line first,
 and exits 1 if any does.  Bit identity also rests on how the BLAS library
 rounds small products, so compare runs on one machine.
 """
@@ -40,7 +43,7 @@ def load_run():
 
 def result_bytes(rp, op) -> dict[str, list[bytes]]:
     """The bytes one operation's result contributes to each of its digests."""
-    parts = ("poses",) if op.root == "solver" else ("winner", "work")
+    parts = ("poses",) if op.root == "solver" else ("winner", "work", "decision")
     try:
         result = op.fn(*op.args)
     except rp.RelposeError as exc:
@@ -49,7 +52,11 @@ def result_bytes(rp, op) -> dict[str, list[bytes]]:
         return {"poses": [a.tobytes() for p in result for a in (p.R, p.t)]}
     counts = np.array([result.iterations, result.n_hypotheses], dtype=np.int64)
     winner = (result.inlier_mask, result.pose.R, result.pose.t)
-    return {"winner": [a.tobytes() for a in winner], "work": [counts.tobytes()]}
+    return {
+        "winner": [a.tobytes() for a in winner],
+        "work": [counts.tobytes()],
+        "decision": [result.inlier_mask.tobytes(), counts[:1].tobytes()],
+    }
 
 
 def main(argv=None) -> int:

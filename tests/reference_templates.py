@@ -111,7 +111,9 @@ def rotation_candidates(module, pairs: list, c) -> np.ndarray:
     else:
         problem, generators, names = GENERAL, module.build_g_polynomials, ("q1", "q2", "m1", "m2")
     rays = _ray_stack(pairs, *names)[:, None]
-    roots, _ = rotation_roots(module, problem, generators, rays, c, losses, True)
+    # Under the error state that ``gbsolver.solve`` holds for its kernels.
+    with np.errstate(all="ignore"):
+        roots, _ = rotation_roots(module, problem, generators, rays, c, losses, True)
     if losses.status[0]:
         raise losses.errors[losses.status[0] - 1]
     return roots

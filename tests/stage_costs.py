@@ -1,30 +1,35 @@
-"""Fixed and per-sample cost of every stage of a stacked solver call.
+"""Fixed and per-sample cost of every stage of a stacked solver call, and
+its cost in a single solve.
 
-    python3 tests/stage_costs.py [--pairs 15] [--repeats 15]
+    python3 tests/stage_costs.py [--pairs 15] [--problems 30] [--repeats 15]
 
 Takes the first ``--pairs`` frame pairs of the ``ransac`` panel of
 ``perfbench/run.py`` and, on each, the first 32 samples its RANSAC run
 draws.  Solves the first sample alone and the first 8 and the first 32 as
-one stack (``samples=``, so no root is polished), on the pairs as
-``ransac_estimate`` hands them over (their ``gbsolver.RayTable`` where the
-package has one), with a spy on every stage where the one solve path of
-``gbsolver.solve`` calls it: in the solver module, the attributes that
-``perfbench/spans.py`` traces, plus ``residual_gate``, the pose rule
-``_poses`` and its rows and, for gen5, the central screen; in
-``gbsolver``, the shared steps ``rotation_roots``, ``_eliminate``,
-``_attempt``, ``usable_rotations`` and the answer ``SamplePoses``, and the
-recording call ``Losses.lose``.  A stage's time is its own, less that of
-the spied stages it calls; ``solve`` is what no spy holds (checking
-arguments, gathering the rays and the rest of ``gbsolver.solve``).  From
-the times ``t1``, ``t8`` and ``t32`` summed over the frame pairs it prints,
-per stage and per call, the per-sample cost at 8, ``(t8 - t1) / 7``, and
-at 32, ``(t32 - t1) / 31``, and the fixed cost ``t1`` less one sample at
-8, in microseconds: medians over ``--repeats`` passes, after one untimed
-pass.  A cut in the fixed cost that costs more per sample shows in the
-column at 32, the size of late RANSAC rounds.  Each pass is followed by
-runs of the reference kernel of ``perfbench/run.py`` and its times are
-scaled as that benchmark scales an operation's, to the speed of the
-machine at rest, so that runs made at different host loads compare.
+one stack (``samples=``, so each root takes one inverse-iteration step and
+none is polished), on the pairs as ``ransac_estimate`` hands them over
+(their ``gbsolver.RayTable`` where the package has one), with a spy on
+every stage where the one solve path of ``gbsolver.solve`` calls it: in
+the solver module, the attributes that ``perfbench/spans.py`` traces, plus
+``residual_gate``, the pose rule ``_poses`` and its rows and, for gen5,
+the central screen; in ``gbsolver``, the shared steps ``rotation_roots``,
+``_eliminate``, ``_attempt``, ``usable_rotations`` and the answer
+``SamplePoses``, and the recording call ``Losses.lose``.  It also solves
+the first ``--problems`` problems of the ``minimal`` panel as single
+solves (no ``samples``: two steps per root, then ``polish_roots``, which
+is spied only there).  A stage's time is its own, less that of the spied
+stages it calls; ``solve`` is what no spy holds (checking arguments,
+gathering the rays and the rest of ``gbsolver.solve``).  From the times
+``t1``, ``t8`` and ``t32`` summed over the frame pairs it prints, per
+stage and per call, the per-sample cost at 8, ``(t8 - t1) / 7``, and at
+32, ``(t32 - t1) / 31``, and the fixed cost ``t1`` less one sample at 8,
+in microseconds: medians over ``--repeats`` passes, after one untimed
+pass, and the own time per single solve (``single``).  A cut in the fixed
+cost that costs more per sample shows in the column at 32, the size of
+late RANSAC rounds.  Each pass is followed by runs of the reference
+kernel of ``perfbench/run.py`` and its times are scaled as that benchmark
+scales an operation's, to the speed of the machine at rest, so that runs
+made at different host loads compare.
 """
 
 from __future__ import annotations
@@ -48,6 +53,8 @@ HELPERS = {
 }
 # The shared pipeline steps, spied in ``gbsolver``.
 GBSOLVER = ("rotation_roots", "_eliminate", "_attempt", "usable_rotations", "SamplePoses")
+# The stages that only a single solve calls, spied in the solver module.
+SINGLE = ("polish_roots",)
 SIZES = (1, 8, 32)
 
 
@@ -78,7 +85,7 @@ def stage_names(rp, solver: str) -> list[tuple[object, str]]:
     module = getattr(rp, f"solver_{solver}")
     spans = load_spans()
     traced = [attr for mod, attr, _ in spans.LAYERS if mod == module.__name__.split(".")[-1]]
-    names = [(module, attr) for attr in (*traced, *COMMON, *HELPERS[solver])]
+    names = [(module, attr) for attr in (*traced, *COMMON, *HELPERS[solver], *SINGLE)]
     names += [(rp.gbsolver, attr) for attr in GBSOLVER]
     if hasattr(rp.gbsolver, "Losses"):
         # The recording call, where the package has one.
@@ -94,33 +101,58 @@ def load_spans():
     return spans
 
 
+def spied(names, solves) -> Counter:
+    """Own time of every stage, summed over the calls ``solves`` makes with
+    a ``solve`` function that it wraps in a spy of its own."""
+    spies = Spies()
+    originals = [(mod, attr, getattr(mod, attr)) for mod, attr in names]
+    for mod, attr, fn in originals:
+        setattr(mod, attr, spies.wrap(attr, fn))
+    try:
+        solves(lambda fn: spies.wrap("solve", fn))
+    finally:
+        for mod, attr, fn in originals:
+            setattr(mod, attr, fn)
+    return spies.own
+
+
 def one_pass(rp, names, calls) -> dict[int, Counter]:
-    """Own time of every stage, summed over ``calls``, per stack size."""
+    """Own time of every stage, summed over the stacked ``calls``, per stack size."""
     out = {}
     for size in SIZES:
-        spies = Spies()
-        originals = [(mod, attr, getattr(mod, attr)) for mod, attr in names]
-        for mod, attr, fn in originals:
-            setattr(mod, attr, spies.wrap(attr, fn))
-        try:
+
+        def solves(spy):
             for fn, pairs, theta, samples in calls:
-                spies.wrap("solve", fn)(pairs, theta, samples=samples[:size])
-        finally:
-            for mod, attr, fn in originals:
-                setattr(mod, attr, fn)
-        out[size] = spies.own
+                spy(fn)(pairs, theta, samples=samples[:size])
+
+        out[size] = spied(names, solves)
     return out
+
+
+def single_pass(rp, names, problems) -> Counter:
+    """Own time of every stage, summed over the single solves of ``problems``,
+    ``(solve, pairs, theta)``; a solve that raises counts as it ran."""
+
+    def solves(spy):
+        for fn, pairs, theta in problems:
+            try:
+                spy(fn)(pairs, theta)
+            except rp.RelposeError:
+                pass
+
+    return spied(names, solves)
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--pairs", type=int, default=15)
+    ap.add_argument("--problems", type=int, default=30)
     ap.add_argument("--repeats", type=int, default=15)
     args = ap.parse_args(argv)
     run = load_run()
     rp = run.load_relpose()
     reference = run.Reference()
-    panel = run.make_panel(rp, "ransac")
+    panel, minimal = run.make_panel(rp, "ransac"), run.make_panel(rp, "minimal")
     for solver, ops in panel.items():
         size = 4 if solver == "reg4" else 5
         calls = []
@@ -134,31 +166,38 @@ def main(argv=None) -> int:
                 pairs = rp.gbsolver.RayTable(pairs, problem.ray_names)
             calls.append((getattr(rp, f"solve_{'4pt' if solver == 'reg4' else 'gen5pt'}_angle"),
                           pairs, theta, samples))
+        problems = [(op.fn, *op.args) for op in minimal[solver][: args.problems]]
         names = stage_names(rp, solver)
         one_pass(rp, names, calls)
-        passes, ref_ms = [], []
+        single_pass(rp, names, problems)
+        passes, singles, ref_ms = [], [], []
         for _ in range(args.repeats):
             start = time.perf_counter()
             passes.append(one_pass(rp, names, calls))
+            singles.append(single_pass(rp, names, problems))
             ref_ms.append(reference.after(1e3 * (time.perf_counter() - start)))
         # Per pass, the factor from its summed seconds to microseconds per
-        # call at the reference speed.
+        # call at the reference speed, and per single solve.
         scales = run.scale_to_reference(np.full(len(passes), 1e6 / len(calls)), ref_ms)
+        single_scales = scales * len(calls) / len(problems)
         stages = ["solve", *(attr for _, attr in names)]
-        print(f"{solver}: us per call, {len(calls)} frame pairs, median of {args.repeats}, "
-              "scaled to the reference kernel")
-        print(f"  {'stage':28s} {'fixed':>9s} {'per sample at 8':>16s} {'at 32':>8s}")
-        totals = [0.0, 0.0, 0.0]
+        print(f"{solver}: us per call, {len(calls)} frame pairs and {len(problems)} single "
+              f"solves, median of {args.repeats}, scaled to the reference kernel")
+        print(f"  {'stage':28s} {'fixed':>9s} {'per sample at 8':>16s} {'at 32':>8s} "
+              f"{'single':>8s}")
+        totals = [0.0, 0.0, 0.0, 0.0]
         for stage in stages:
             per = {
                 size: [f * (p[size][stage] - p[1][stage]) / (size - 1) for p, f in zip(passes, scales)]
                 for size in SIZES[1:]
             }
             fixed = [f * p[1][stage] - s for p, f, s in zip(passes, scales, per[8])]
-            row = [statistics.median(fixed), statistics.median(per[8]), statistics.median(per[32])]
+            single = [f * p[stage] for p, f in zip(singles, single_scales)]
+            row = [statistics.median(x) for x in (fixed, per[8], per[32], single)]
             totals = [a + b for a, b in zip(totals, row)]
-            print(f"  {stage:28s} {row[0]:9.1f} {row[1]:16.1f} {row[2]:8.1f}")
-        print(f"  {'total':28s} {totals[0]:9.1f} {totals[1]:16.1f} {totals[2]:8.1f}")
+            print(f"  {stage:28s} {row[0]:9.1f} {row[1]:16.1f} {row[2]:8.1f} {row[3]:8.1f}")
+        print(f"  {'total':28s} {totals[0]:9.1f} {totals[1]:16.1f} {totals[2]:8.1f} "
+              f"{totals[3]:8.1f}")
     return 0
 
 

@@ -200,7 +200,9 @@ class TestRrefConditioned:
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(stack[1][:, pivots], stack[1])
         qb = quotient_basis_from_pivots(problem, pivots)
-        red, cols = rref_conditioned(stack, qb), qb.template_cols
+        # Under the error state that a solve holds for its kernels.
+        with np.errstate(all="ignore"):
+            red, cols = rref_conditioned(stack, qb), qb.template_cols
         assert np.isnan(red[[1, 3]]).all()
         for k in (0, 2, 4):
             assert np.array_equal(red[k], np.linalg.solve(stack[k][:, pivots], stack[k][:, cols]))

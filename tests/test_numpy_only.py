@@ -4,17 +4,27 @@ private parts of numpy the package uses, the LAPACK gufuncs of
 ``numpy.linalg._umath_linalg`` behind ``np.linalg.solve`` (``solve``),
 ``np.linalg.eigvals`` (``eigvals``) and ``np.linalg.svd`` (``svd_f``, under
 numpy 1 ``svd_n_f`` for a matrix taller than wide), keep the contract the
-package relies on: bit for bit the public function, NaN where it raises."""
+package relies on: bit for bit the public function, NaN where it raises.
+They warn where they mark NaN unless the error state ignores it, so a
+solve holds one ignoring state for all its kernels."""
 
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.linalg import _umath_linalg
 
+from relpose import (
+    SceneConfig,
+    generate_scene,
+    rotation_angle,
+    solve_4pt_angle,
+    solve_gen5pt_angle,
+)
 from relpose.gbsolver import _solve_or_nan, _svd_or_nan, eigensolve_real
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -50,12 +60,14 @@ def test_every_module_imports_and_both_solvers_run_without_scipy():
 def test_the_private_solve_gufunc_is_numpys_solve_with_nan_for_a_singular_system():
     # rref_conditioned, the chain systems and polishing solve through
     # numpy.linalg._umath_linalg.solve: bit for bit np.linalg.solve, and NaN
-    # for an exactly singular system of the stack, alone, without a raise.
+    # for an exactly singular system of the stack, alone, without a raise
+    # under the ignoring error state that a solve holds.
     rng = np.random.default_rng(0)
     A, b = rng.normal(size=(5, 7, 7)), rng.normal(size=(5, 7, 3))
     assert np.array_equal(_solve_or_nan(A, b), np.linalg.solve(A, b))
     A[2, 4] = 0.0
-    out = _solve_or_nan(A, b)
+    with np.errstate(all="ignore"):
+        out = _solve_or_nan(A, b)
     assert np.isnan(out[2]).all()
     rest = [0, 1, 3, 4]
     assert np.array_equal(out[rest], np.linalg.solve(A[rest], b[rest]))
@@ -84,3 +96,28 @@ def test_the_private_svd_gufunc_is_numpys_svd(stack):
     A = np.random.default_rng(stack).normal(size=(stack, 4, 3))
     for got, want in zip(_svd_or_nan(A), np.linalg.svd(A)):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("generalized", [False, True], ids=["reg4", "gen5"])
+def test_a_solve_enters_one_error_state(monkeypatch, generalized):
+    # The kernels set no error state of their own: a solve, single or
+    # stacked, holds one ignoring state for all of them.
+    truth, pairs = generate_scene(SceneConfig(seed=8, generalized=generalized), 15)
+    solve = solve_gen5pt_angle if generalized else solve_4pt_angle
+    size = 5 if generalized else 4
+    errstate, entered = np.errstate, []
+
+    def counting(**kwargs):
+        entered.append(kwargs)
+        return errstate(**kwargs)
+
+    monkeypatch.setattr(np, "errstate", counting)
+    theta = rotation_angle(truth.R)
+    rng = np.random.default_rng(8)
+    samples = np.array([rng.choice(len(pairs), size, replace=False) for _ in range(16)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kwargs in ({}, {"samples": samples}):
+            entered.clear()
+            solve(pairs if kwargs else pairs[:size], theta, **kwargs)
+            assert entered == [{"all": "ignore"}]

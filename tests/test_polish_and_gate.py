@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 import reference_templates as ref
+import relpose
 import relpose.gbsolver as gbsolver
 import relpose.solver_gen5 as solver_gen5
 import relpose.solver_reg4 as solver_reg4
+from panel_digests import load_run
 from relpose.exceptions import DegenerateConfiguration, EigenFailure, RelposeError
 from relpose.gbsolver import (
     GENERAL,
@@ -99,7 +101,9 @@ class TestPolishRoots:
         moved = root + 1e-4 * np.random.default_rng(0).normal(size=3)
         alone = polish_roots(gens, moved[None], c)
         assert np.max(np.abs(alone - root)) < 1e-14
-        both = polish_roots(gens, np.vstack([np.zeros(3), moved]), c)
+        # Under the error state that a solve holds for its kernels.
+        with np.errstate(all="ignore"):
+            both = polish_roots(gens, np.vstack([np.zeros(3), moved]), c)
         assert np.array_equal(both[0], np.zeros(3))
         assert np.array_equal(both[1:], alone)
 
@@ -127,7 +131,58 @@ def single_solve_scenes(solver):
             yield pairs, rotation_angle(truth.R)
 
 
+def spy_on_extraction(monkeypatch, module):
+    """Per ``extract_roots`` call of the solver ``module``: its steps, its
+    eigenvalue count, the stack size of each solve it makes, its arguments
+    and its result."""
+    calls, kernel, extract = [], gbsolver._solve_or_nan, module.extract_roots
+    solves = None
+
+    def spy_kernel(A, b):
+        if solves is not None:
+            solves.append(len(A))
+        return kernel(A, b)
+
+    def spy(eigenvalues, action, qb, steps):
+        nonlocal solves
+        solves = []
+        out = extract(eigenvalues, action, qb, steps)
+        calls.append((steps, sum(map(len, eigenvalues)), solves, (eigenvalues, action, qb), out))
+        solves = None
+        return out
+
+    monkeypatch.setattr(gbsolver, "_solve_or_nan", spy_kernel)
+    monkeypatch.setattr(module, "extract_roots", spy)
+    return calls
+
+
 class TestOnlyASingleSolvePolishes:
+    @SOLVERS
+    def test_a_single_solve_takes_two_chain_steps_and_a_stack_one(self, monkeypatch, solver):
+        # On minimal panel problems each extraction of a single solve makes
+        # two chain solves over all its roots, and its roots are those of
+        # the two-step chains that direct callers get, bit for bit; the same
+        # samples as a stack make one.
+        module, solve, _, _ = instance(solver)
+        problems = [op.args for op in load_run().make_panel(relpose, "minimal")[solver][:20]]
+        calls = spy_on_extraction(monkeypatch, module)
+        for samples in (None, np.arange(len(problems[0][0]))[None]):
+            calls.clear()
+            for pairs, theta in problems:
+                try:
+                    solve(pairs, theta, samples=samples)
+                except RelposeError:
+                    pass
+            assert len(calls) >= len(problems)
+            for steps, n_roots, solves, args, out in calls:
+                if samples is not None:
+                    assert steps == 1 and solves == [n_roots]
+                    continue
+                assert steps == 2 and solves == [n_roots, n_roots]
+                two = gbsolver.extract_roots(*args)
+                assert np.array_equal(out.roots, two.roots)
+                assert np.array_equal(out.sample, two.sample)
+
     @SOLVERS
     def test_a_stack_never_polishes_and_a_single_solve_once(self, monkeypatch, solver):
         module, solve, pairs, theta = instance(solver, seed=5)
@@ -314,8 +369,8 @@ class TestFallback:
         original = module.extract_roots
         extracted = []
 
-        def extract(eigenvalues, action, qb):
-            out = original(eigenvalues, action, qb)
+        def extract(eigenvalues, action, qb, steps):
+            out = original(eigenvalues, action, qb, steps)
             extracted.append(out)
             if len(extracted) == 1:
                 return replace(

@@ -1,10 +1,10 @@
 """RANSAC solves the samples of a round as one stack and scores all their
 poses in one call; the round cap starts at ``BATCH_LIMIT`` and doubles
-after every round, up to ``ROUND_LIMIT``.  A stack does not polish its
-roots, so against the one-sample-at-a-time loop of ``reference_robust``,
-its single solves unpolished (``unpolished``), it must return the same
-inlier mask, trace, iteration and hypothesis counts, and the same pose to
-``POSE_TOL``."""
+after every round, up to ``ROUND_LIMIT``.  A stack takes one
+inverse-iteration step per root and does not polish, so against the
+one-sample-at-a-time loop of ``reference_robust``, its single solves
+refined alike (``unrefined``), it must return the same inlier mask, trace,
+iteration and hypothesis counts, and the same pose to ``POSE_TOL``."""
 
 import re
 from contextlib import contextmanager
@@ -15,7 +15,7 @@ import pytest
 import reference_robust
 import relpose.robust as robust
 from reference_templates import spoil_template
-from relpose import solver_gen5, solver_reg4
+from relpose import gbsolver, solver_gen5, solver_reg4
 from relpose.exceptions import (
     DegenerateConfiguration,
     DegenerateInput,
@@ -61,18 +61,33 @@ def config(kind, seed, **kw):
 
 
 @contextmanager
-def unpolished():
-    """Single solves as a stack solves each of its samples: without
-    polishing, the solver modules' ``polish_roots`` the identity meanwhile."""
+def chain_steps(n):
+    """Every solve's eigenvectors from ``n`` inverse-iteration steps per
+    root, the solver modules' ``extract_roots`` held to ``n`` meanwhile."""
+
+    def extract(eigenvalues, action, qb, steps):
+        return gbsolver.extract_roots(eigenvalues, action, qb, n)
+
     with pytest.MonkeyPatch.context() as m:
+        for module in (solver_reg4, solver_gen5):
+            m.setattr(module, "extract_roots", extract)
+        yield
+
+
+@contextmanager
+def unrefined():
+    """Single solves as a stack solves each of its samples: one
+    inverse-iteration step per root and no polishing, the solver modules'
+    ``polish_roots`` the identity meanwhile."""
+    with chain_steps(1), pytest.MonkeyPatch.context() as m:
         for module in (solver_reg4, solver_gen5):
             m.setattr(module, "polish_roots", lambda generators, roots, c: roots)
         yield
 
 
 def loop_ransac_estimate(observations, theta, cfg, kind):
-    """The oracle, ``reference_robust.loop_ransac_estimate``, ``unpolished``."""
-    with unpolished():
+    """The oracle, ``reference_robust.loop_ransac_estimate``, ``unrefined``."""
+    with unrefined():
         return reference_robust.loop_ransac_estimate(observations, theta, cfg, kind)
 
 
@@ -108,6 +123,21 @@ def test_matches_the_sequential_loop(kind, seed):
     result = ransac_estimate(observed, theta, cfg, kind)
     assert_same(result, loop_ransac_estimate(observed, theta, cfg, kind))
     assert len(result.trace) == result.n_hypotheses
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_one_chain_step_keeps_every_decision(kind):
+    # A hypothesis takes one inverse-iteration step per root where a single
+    # solve takes two; on 30 frame pairs the inlier mask and the iteration
+    # count equal those of a run whose hypotheses take two.
+    for seed in range(30):
+        observed, theta = frame_pair(kind, seed)
+        cfg = config(kind, seed)
+        result = ransac_estimate(observed, theta, cfg, kind)
+        with chain_steps(2):
+            two = ransac_estimate(observed, theta, cfg, kind)
+        assert np.array_equal(result.inlier_mask, two.inlier_mask)
+        assert result.iterations == two.iterations
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -244,12 +274,12 @@ def solved(out: SamplePoses) -> list[bool]:
 
 def assert_each_solved_as_alone(kind, observed, theta, samples, out: SamplePoses, which=None):
     """The poses of each sample ``which`` (all by default) of a stacked
-    solve, its rows of ``out``, are, bit for bit, those of the ``unpolished``
+    solve, its rows of ``out``, are, bit for bit, those of the ``unrefined``
     single solve of that sample, or it has none and that solve raises."""
     for s in range(len(samples)) if which is None else which:
         rows = slice(out.bounds[s], out.bounds[s + 1])
         try:
-            with unpolished():
+            with unrefined():
                 alone = SOLVES[kind]([observed[i] for i in samples[s]], theta)
         except RelposeError:
             assert rows.start == rows.stop

@@ -323,7 +323,7 @@ class TestDepthRecovery:
     @pytest.mark.parametrize("solver", ["reg4", "gen5"])
     def test_no_rectifiable_root_is_degenerate(self, monkeypatch, solver):
         # Both roots lie below U_DIRECTION_EPS, so neither carries an axis.
-        def tiny_roots(eigenvalues, action, qb):
+        def tiny_roots(eigenvalues, action, qb, steps):
             none = np.zeros(1, dtype=int)
             return ExtractedRoots(np.full((2, 3), 1e-12), np.zeros(2, dtype=int), none, none)
 

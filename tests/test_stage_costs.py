@@ -1,6 +1,7 @@
 """``tests/stage_costs.py`` runs outside the test suite, so a stage that
 moves would break it unseen: every stage it spies on must be a callable
-attribute where it spies, and a solve must call it there."""
+attribute where it spies, and a solve must call it there: a stacked solve
+every stage but those of ``SINGLE``, a single solve every one."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 import relpose
 from relpose.geom import rotation_angle
 from relpose.synth import SceneConfig, generate_scene
-from stage_costs import one_pass, stage_names
+from stage_costs import SINGLE, one_pass, single_pass, stage_names
 
 
 @pytest.mark.parametrize("solver", ["reg4", "gen5"])
@@ -19,6 +20,9 @@ def test_every_spied_stage_is_called_where_it_is_spied(solver):
     truth, pairs = generate_scene(SceneConfig(seed=3, generalized=solver == "gen5"), 2 * size)
     solve = relpose.solve_4pt_angle if solver == "reg4" else relpose.solve_gen5pt_angle
     samples = np.arange(2 * size).reshape(-1, size).repeat(4, 0)
-    own = one_pass(relpose, names, [(solve, pairs, rotation_angle(truth.R), samples)])
+    theta = rotation_angle(truth.R)
+    own = one_pass(relpose, names, [(solve, pairs, theta, samples)])
     for spied in own.values():
-        assert [attr for _, attr in names if attr not in spied] == []
+        assert [attr for _, attr in names if attr not in spied] == list(SINGLE)
+    single = single_pass(relpose, names, [(solve, pairs[:size], theta)])
+    assert [attr for _, attr in names if attr not in single] == []
