@@ -9,10 +9,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exceptions import NoHypothesis, ScaleUnobservable
-from .geom import BearingPair, PluckerPair, RelativePose, is_integer
+from .geom import BearingPair, PluckerPair, RelativePose, UnitQuaternion, is_integer
 from .gbsolver import GENERAL, REGULAR, RayTable
 from .solver_gen5 import _CENTRAL, central, point_rays, ray_point_errors, solve_gen5pt_angle
-from .solver_reg4 import sampson_errors, solve_4pt_angle
+from .solver_reg4 import epipolar_step, sampson_errors, solve_4pt_angle
 from .synth import SceneConfig, rotation_error, timed, trial_inputs, translation_errors
 
 # Default inlier thresholds: squared pixels for the Sampson score of central
@@ -89,8 +89,18 @@ def ransac_estimate(
     back as arrays (``SamplePoses``) and are scored in one call; only the
     winner becomes a ``RelativePose``.  Hypotheses are weighed and the
     stopping rule applied sample by sample, also after a sample that yields
-    no pose, and the samples of a round past the stop are discarded, so the
-    result is that of solving one sample at a time.
+    no pose, and the samples of a round past the stop are discarded.
+
+    A reg4 round whose hypotheses raised the best inlier count ends with a
+    local optimization of its best (Chum, Matas and Kittler, "Locally
+    optimized RANSAC", DAGM 2003): one ``epipolar_step`` on the inliers,
+    the angle held.  The stepped pose replaces the best if it scores more
+    inliers on all observations, or as many with a lower total, and then the
+    stopping bound is recomputed from its count before the next round is
+    sized.  A stepped winner keeps the diagnostics of its hypothesis.  gen5
+    takes no step: its score accepts outliers that a least-squares step
+    would fit.  So the result is that of solving one sample at a time, in
+    these rounds, with a step at each round's end.
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown solver kind {kind!r}")
@@ -113,7 +123,15 @@ def ransac_estimate(
         rays = point_rays(*table.rays)
         solve, score = solve_gen5pt_angle, ray_point_errors
     rng = np.random.default_rng(cfg.seed)
+    log_miss = math.log(1.0 - cfg.confidence)
 
+    def bound(count: int) -> float:
+        """Samples the confidence bound asks for at ``count`` inliers."""
+        p_good = (count / n) ** sample_size
+        return log_miss / math.log1p(-p_good) if p_good < 1.0 else 0.0
+
+    # The best hypothesis, as its answer and row, and its stepped pose
+    # ``(R, t, u)`` once a step has beaten it.
     best = best_mask = None
     best_count, best_score = -1, math.inf
     trace: list[int] = []
@@ -133,6 +151,7 @@ def ransac_estimate(
             errors = score(answer.R, answer.t, *rays)
             masks = errors < cfg.inlier_threshold
             counts = np.count_nonzero(masks, axis=1).tolist()
+        before = best_count
         for s in range(size):
             iterations += 1
             for h in range(bounds[s], bounds[s + 1]):
@@ -142,20 +161,38 @@ def ransac_estimate(
                     mask = masks[h]
                     total = float(errors[h][mask].sum()) if count else math.inf
                     if count > best_count or total < best_score:
-                        best, best_mask = (answer, h), mask
+                        best, best_mask = (answer, h, None), mask
                         best_count, best_score = count, total
                 trace.append(best_count)
             if best_count > 0:
-                p_good = (best_count / n) ** sample_size
-                needed = (math.log(1.0 - cfg.confidence) / math.log1p(-p_good)
-                          if p_good < 1.0 else 0.0)
+                needed = bound(best_count)
                 if iterations >= needed:
                     break
+        if kind == "reg4" and best_count > before:
+            # Local optimization of the round's best (LO-RANSAC): one step
+            # on its inliers, kept if it scores better on all observations.
+            owner, row, _ = best
+            stepped = epipolar_step(
+                owner.R[row], owner.t[row], owner.sigma, owner.u[row], *(r[best_mask] for r in rays)
+            )
+            if stepped is not None:
+                errors = score(stepped[0], stepped[1], *rays)
+                mask = errors < cfg.inlier_threshold
+                count = int(np.count_nonzero(mask))
+                total = float(errors[mask].sum())
+                if count > best_count or (count == best_count and total < best_score):
+                    best, best_mask = (owner, row, stepped), mask
+                    best_count, best_score = count, total
+                    needed = bound(count)
     if best is None:
         raise NoHypothesis("every sampled minimal subset failed to produce a pose")
-    answer, row = best
+    answer, row, stepped = best
+    pose = answer.poses(row, row + 1)[0]
+    if stepped is not None:
+        R, t, u = stepped
+        pose = replace(pose, R=R, t=t, quat=UnitQuaternion(answer.sigma, u))
     return RansacResult(
-        pose=answer.poses(row, row + 1)[0],
+        pose=pose,
         inlier_mask=best_mask,
         iterations=iterations,
         n_hypotheses=n_hypotheses,

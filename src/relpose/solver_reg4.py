@@ -1,9 +1,10 @@
 """Minimal 4-point solver for calibrated central cameras with a known
-relative rotation angle, plus the Sampson scoring function used by the
-robust estimator."""
+relative rotation angle, plus the Sampson scoring function and the
+Gauss-Newton step on a consensus used by the robust estimator."""
 
 from __future__ import annotations
 
+import math
 import sys
 
 import numpy as np
@@ -12,6 +13,7 @@ from .exceptions import NoCheiralSolution
 from .gbsolver import (
     REGULAR,
     SamplePoses,
+    _solve_or_nan,
     _svd_or_nan,
     assemble_reduced_template,
     build_action_matrix,
@@ -27,6 +29,7 @@ from .geom import (
     BearingPair,
     RelativePose,
     cheiral_counts,
+    rotation_stack,
     skew,
     stacked_cross,
 )
@@ -98,6 +101,58 @@ def sampson_errors(R: np.ndarray, t: np.ndarray, q1s: np.ndarray, q2s: np.ndarra
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), np.inf)
     return out
+
+
+def _tangents(v: np.ndarray) -> np.ndarray:
+    """Two orthonormal 3-vectors, as rows, perpendicular to ``v``: the basis
+    of Duff et al., "Building an orthonormal basis, revisited", JCGT 2017.
+    NaN for ``v = 0``."""
+    x, y, z = (v / np.sqrt(v @ v)).tolist()
+    s = math.copysign(1.0, z)
+    a = -1.0 / (s + z)
+    b = x * y * a
+    return np.array([[1.0 + s * x * x * a, s * b, -s * x], [b, s + y * y * a, -y]])
+
+
+def epipolar_step(
+    R: np.ndarray, t: np.ndarray, sigma: float, u: np.ndarray, q1s: np.ndarray, q2s: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """One Gauss-Newton step on the algebraic epipolar residuals
+    ``e_i = t . (R q1_i x q2_i)`` of the ``(N, 3)`` bearing rows, from the
+    pose ``(R, t)`` whose rotation has the quaternion ``(sigma, u)``.
+
+    The rotation angle stays fixed, and so do ``|u| = sqrt(1 - sigma^2)``
+    and ``|t| = 1``: each of ``u`` and ``t`` moves along two tangent
+    directions and is scaled back.  The Jacobian is analytic: with
+    ``w = q2 x t``, ``de/du = 2 (w (u.q1) + q1 (w.u) - sigma q1 x w)`` and
+    ``de/dt = R q1 x q2``.  A residual and its four derivatives are each a
+    bilinear form ``q2^T G q1``: ``G = [t]x R``, ``[t]x dR`` with ``dR``
+    the derivative of R along a tangent of ``u``, and ``[c]x R`` along a
+    tangent ``c`` of ``t``.  Returns the stepped ``(R, t, u)``, or None
+    where N is no more than the sample size or the normal system is
+    singular or not finite, as at ``u = 0``; it raises and warns for
+    neither.
+    """
+    if len(q1s) <= REGULAR.sample_size:
+        return None
+    with np.errstate(all="ignore"):
+        along_u, along_t = _tangents(u), _tangents(t)
+        S = skew(np.concatenate((t[None], along_u, along_t)))
+        # The derivative of R = (2 sigma^2 - 1) I + 2 (u u^T - sigma [u]x)
+        # along a tangent b of u: 2 (b u^T + u b^T - sigma [b]x).
+        dR = 2.0 * (along_u[:, :, None] * u + u[:, None] * along_u[:, None] - sigma * S[1:3])
+        forms = np.concatenate(((S[0] @ R)[None], S[0] @ dR, S[3:] @ R))
+        # Row i holds q2_i^T G q1_i for every form G: e_i, then the Jacobian.
+        rows = (q2s[:, :, None] * q1s[:, None]).reshape(-1, 9) @ forms.reshape(5, 9).T
+        normal = rows.T @ rows
+        step = _solve_or_nan(normal[1:, 1:], normal[1:, :1])[:, 0]
+        if not np.isfinite(step).all():
+            return None
+        u = u - step[:2] @ along_u
+        t = t - step[2:] @ along_t
+    u *= math.sqrt(1.0 - sigma * sigma) / math.sqrt(u @ u)
+    t /= math.sqrt(t @ t)
+    return rotation_stack(sigma, u[None])[0], t, u
 
 
 def sampson_error(R: np.ndarray, t: np.ndarray, pair: BearingPair) -> float:

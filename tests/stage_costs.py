@@ -30,6 +30,13 @@ late RANSAC rounds.  Each pass is followed by runs of the reference
 kernel of ``perfbench/run.py`` and its times are scaled as that benchmark
 scales an operation's, to the speed of the machine at rest, so that runs
 made at different host loads compare.
+
+For reg4, where the package has ``solver_reg4.epipolar_step``, each pass
+also times, per frame pair, the local optimization that ends a RANSAC
+round: the step on the first round's best hypothesis (the most inliers
+among the poses of its first ``robust.BATCH_LIMIT`` samples, ties to the
+lower total) and the ``sampson_errors`` call that re-scores the stepped
+pose on all observations.  Their rows give microseconds per call.
 """
 
 from __future__ import annotations
@@ -143,6 +150,39 @@ def single_pass(rp, names, problems) -> Counter:
     return spied(names, solves)
 
 
+def first_round_bests(rp, calls, threshold: float) -> list[tuple]:
+    """Per stacked call ``(solve, table, theta, samples)``, the arguments of
+    the step that its first RANSAC round ends with, and the rays it is
+    re-scored on: the round's best hypothesis at ``threshold`` and the rays
+    of its inliers."""
+    bests = []
+    for fn, table, theta, samples in calls:
+        answer = fn(table, theta, samples=samples[: rp.robust.BATCH_LIMIT])
+        q1, q2 = table.rays
+        errors = rp.solver_reg4.sampson_errors(answer.R, answer.t, q1, q2)
+        masks = errors < threshold
+        # The most inliers, then the lowest total, then the first weighed.
+        h = np.lexsort((np.where(masks, errors, 0.0).sum(1), -masks.sum(1)))[0]
+        mask = masks[h]
+        args = (answer.R[h], answer.t[h], answer.sigma, answer.u[h], q1[mask], q2[mask])
+        bests.append((args, (q1, q2)))
+    return bests
+
+
+def step_pass(rp, bests) -> Counter:
+    """Own time of the step and of its re-score, summed over ``bests``."""
+    own: Counter = Counter()
+    for args, rays in bests:
+        start = time.perf_counter()
+        stepped = rp.solver_reg4.epipolar_step(*args)
+        mid = time.perf_counter()
+        if stepped is not None:
+            rp.solver_reg4.sampson_errors(stepped[0], stepped[1], *rays)
+        own["epipolar_step"] += mid - start
+        own["re-score"] += time.perf_counter() - mid
+    return own
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--pairs", type=int, default=15)
@@ -168,13 +208,17 @@ def main(argv=None) -> int:
                           pairs, theta, samples))
         problems = [(op.fn, *op.args) for op in minimal[solver][: args.problems]]
         names = stage_names(rp, solver)
+        bests = []
+        if solver == "reg4" and hasattr(rp.solver_reg4, "epipolar_step"):
+            bests = first_round_bests(rp, calls, ops[0].args[2].inlier_threshold)
         one_pass(rp, names, calls)
         single_pass(rp, names, problems)
-        passes, singles, ref_ms = [], [], []
+        passes, singles, steps, ref_ms = [], [], [], []
         for _ in range(args.repeats):
             start = time.perf_counter()
             passes.append(one_pass(rp, names, calls))
             singles.append(single_pass(rp, names, problems))
+            steps.append(step_pass(rp, bests))
             ref_ms.append(reference.after(1e3 * (time.perf_counter() - start)))
         # Per pass, the factor from its summed seconds to microseconds per
         # call at the reference speed, and per single solve.
@@ -198,6 +242,12 @@ def main(argv=None) -> int:
             print(f"  {stage:28s} {row[0]:9.1f} {row[1]:16.1f} {row[2]:8.1f} {row[3]:8.1f}")
         print(f"  {'total':28s} {totals[0]:9.1f} {totals[1]:16.1f} {totals[2]:8.1f} "
               f"{totals[3]:8.1f}")
+        if bests:
+            print(f"  local optimization, per call on the first round's best of {len(bests)} "
+                  f"frame pairs:")
+            for stage in ("epipolar_step", "re-score"):
+                per_call = statistics.median(f * p[stage] for p, f in zip(steps, scales))
+                print(f"  {stage:28s} {per_call:9.1f}")
     return 0
 
 

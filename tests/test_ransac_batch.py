@@ -3,7 +3,8 @@ poses in one call; the round cap starts at ``BATCH_LIMIT`` and doubles
 after every round, up to ``ROUND_LIMIT``.  A stack takes one
 inverse-iteration step per root and does not polish, so against the
 one-sample-at-a-time loop of ``reference_robust``, its single solves
-refined alike (``unrefined``), it must return the same inlier mask, trace,
+refined alike (``unrefined``), in the same rounds and with the same reg4
+step at a round's end, it must return the same inlier mask, trace,
 iteration and hypothesis counts, and the same pose to ``POSE_TOL``."""
 
 import re

@@ -1,7 +1,8 @@
 """``tests/stage_costs.py`` runs outside the test suite, so a stage that
 moves would break it unseen: every stage it spies on must be a callable
 attribute where it spies, and a solve must call it there: a stacked solve
-every stage but those of ``SINGLE``, a single solve every one."""
+every stage but those of ``SINGLE``, a single solve every one; and the
+rows of the reg4 step must time a step and its re-score."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 import relpose
 from relpose.geom import rotation_angle
 from relpose.synth import SceneConfig, generate_scene
-from stage_costs import SINGLE, one_pass, single_pass, stage_names
+from stage_costs import SINGLE, first_round_bests, one_pass, single_pass, stage_names, step_pass
 
 
 @pytest.mark.parametrize("solver", ["reg4", "gen5"])
@@ -26,3 +27,19 @@ def test_every_spied_stage_is_called_where_it_is_spied(solver):
         assert [attr for _, attr in names if attr not in spied] == list(SINGLE)
     single = single_pass(relpose, names, [(solve, pairs[:size], theta)])
     assert [attr for _, attr in names if attr not in single] == []
+
+
+def test_the_step_rows_time_a_step_and_its_re_score():
+    # Frame pairs of 12 noise-free observations: every first-round best has
+    # more inliers than a sample, so each pair takes the step.
+    calls = []
+    for seed in range(3):
+        truth, pairs = generate_scene(SceneConfig(seed=seed), 12)
+        samples = np.arange(12).reshape(3, 4).repeat(3, 0)
+        table = relpose.gbsolver.RayTable(pairs, relpose.gbsolver.REGULAR.ray_names)
+        calls.append((relpose.solve_4pt_angle, table, rotation_angle(truth.R), samples))
+    bests = first_round_bests(relpose, calls, 1e-12)
+    assert [len(args[4]) for args, _ in bests] == [12, 12, 12]
+    assert all(relpose.solver_reg4.epipolar_step(*args) is not None for args, _ in bests)
+    own = step_pass(relpose, bests)
+    assert sorted(own) == ["epipolar_step", "re-score"] and min(own.values()) > 0
