@@ -41,17 +41,21 @@ from .imu import GyroSample, angle_between_frames, integrate_gyro
 from .robust import RansacConfig, RansacResult, ransac_estimate
 from .solver_gen5 import ray_point_error, solve_gen5pt_angle
 from .solver_reg4 import sampson_error, solve_4pt_angle
-from .synth import (
-    SceneConfig,
-    TrialRecord,
-    add_angle_noise,
-    add_image_noise,
-    generate_scene,
-    rotation_error,
-    run_trials,
-    summarize,
-    translation_errors,
-)
+
+# The benchmark harness loads on first use, so that the solvers and RANSAC
+# run without it.
+_SYNTH = {
+    "SceneConfig", "TrialRecord", "add_angle_noise", "add_image_noise", "generate_scene",
+    "rotation_error", "run_trials", "summarize", "translation_errors",
+}
+
+
+def __getattr__(name):
+    if name in _SYNTH:
+        from . import synth
+
+        return getattr(synth, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "BasisAnomaly",

@@ -21,13 +21,11 @@ from .robust import (
     DEFAULT_POINT_RAY_THRESHOLD,
     DEFAULT_SAMPSON_PX2,
     RansacConfig,
-    run_ransac_trials,
     sampson_threshold_from_pixels,
-    summarize_ransac,
 )
 from .solver_gen5 import solve_gen5pt_angle
 from .solver_reg4 import solve_4pt_angle
-from .synth import SceneConfig, run_trials, summarize
+from .synth import SceneConfig, run_ransac_trials, run_trials, summarize
 
 
 class _UsageError(Exception):
@@ -61,17 +59,21 @@ def _scene_config(args) -> SceneConfig:
     return SceneConfig(**kwargs)
 
 
+def _write_bench(records, out: str | None) -> int:
+    summary = summarize(records)
+    _write_output(formats.emit_trial_csv(records, summary), out)
+    # wall-clock timing is informational only and kept out of the CSV
+    print(f"mean solve time: {summary['solve_ms']['mean']:.3f} ms", file=sys.stderr)
+    return 0
+
+
 def cmd_synth_bench(args) -> int:
     cfg = _scene_config(args)
     records = run_trials(
         args.solver, cfg, args.trials, noise_px=args.noise_px,
         angle_noise_sigma=args.angle_noise_sigma,
     )
-    summary = summarize(records)
-    _write_output(formats.emit_trial_csv(records, summary), args.out)
-    # wall-clock timing is informational only and kept out of the CSV
-    print(f"mean solve time: {summary['solve_ms']['mean']:.3f} ms", file=sys.stderr)
-    return 0
+    return _write_bench(records, args.out)
 
 
 def cmd_ransac_bench(args) -> int:
@@ -90,10 +92,7 @@ def cmd_ransac_bench(args) -> int:
         args.solver, cfg, ransac_cfg, args.trials, args.n_obs, args.outlier_frac,
         noise_px=args.noise_px, angle_noise_sigma=args.angle_noise_sigma,
     )
-    summary = summarize_ransac(records)
-    _write_output(formats.emit_ransac_csv(records, summary), args.out)
-    print(f"mean solve time: {summary['mean_solve_ms']:.3f} ms", file=sys.stderr)
-    return 0
+    return _write_bench(records, args.out)
 
 
 def cmd_imu_angle(args) -> int:
@@ -121,7 +120,9 @@ def cmd_imu_angle(args) -> int:
 def _add_bench_flags(p) -> None:
     p.add_argument("--solver", choices=("reg4", "gen5"), required=True)
     p.add_argument("--noise-px", type=float, default=0.0)
-    p.add_argument("--angle-noise-sigma", type=float, default=0.0)
+    p.add_argument("--angle-noise-sigma", type=float, default=0.0,
+                   help="relative angle noise, not radians: the solver gets theta * (1 + s) "
+                        "with s drawn from N(0, sigma^2)")
     p.add_argument("--motion", choices=("forward", "sideways"), default="forward")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)

@@ -16,8 +16,7 @@ import numpy as np
 from .exceptions import DocumentError
 from .geom import BearingPair, PluckerPair, RelativePose, rotation_angle
 from .imu import GyroSample
-from .robust import RansacTrialRecord
-from .synth import TrialRecord
+from .synth import METRICS, TrialRecord
 
 
 def format_float(x: float) -> str:
@@ -208,39 +207,25 @@ def emit_gyro_csv(samples: list[GyroSample]) -> str:
 # Benchmark CSV columns in file order: the row kind, then record fields.
 # Timing is reported separately on stderr by the CLI: wall-clock values would
 # break the byte-for-byte determinism of the emitted CSV.
-_TRIAL_COLUMNS = ("record", "trial", "theta_rad", "rot_err", "t_ang_err_deg", "scale_rel_err",
-                  "root_count", "n_poses", "degenerate")
-_RANSAC_COLUMNS = ("record", "trial", "rot_err", "t_ang_err_deg", "scale_rel_err",
-                   "inlier_count", "recall", "iterations", "no_hypothesis", "precision")
+_TRIAL_COLUMNS = ("record", "trial", "theta_rad", *METRICS, "failure")
 
 
 def _cell(v) -> str:
-    if isinstance(v, bool):
-        return str(int(v))
     if isinstance(v, float):
         return "" if math.isnan(v) else format_float(v)
     return str(v)
 
 
-def _table(columns: tuple[str, ...], rows: list[dict]) -> str:
-    """CSV text with a header line and one line per row; a column that a row
-    does not hold is left empty."""
-    lines = [",".join(columns)]
-    lines += [",".join(_cell(row[c]) if c in row else "" for c in columns) for row in rows]
-    return "\n".join(lines) + "\n"
-
-
 def emit_trial_csv(records: list[TrialRecord], summary: dict) -> str:
+    """The CSV of either benchmark: one row per trial, then one per summary
+    statistic of every metric, then one per failure reason with its count
+    of trials in the ``trial`` column.  A row leaves empty the columns it
+    does not hold."""
     rows = [{"record": "trial", **vars(r)} for r in records]
-    rows += [
-        {"record": f"summary_{stat}", **{m: s[stat] for m, s in summary.items() if stat in s}}
-        for stat in ("lq", "median", "uq", "count")
-    ]
-    return _table(_TRIAL_COLUMNS, rows)
-
-
-def emit_ransac_csv(records: list[RansacTrialRecord], summary: dict[str, float]) -> str:
-    means = {m[len("mean_"):]: v for m, v in summary.items() if m.startswith("mean_")}
-    rows = [{"record": "trial", **vars(r)} for r in records]
-    rows.append({"record": "summary_mean", **means, "no_hypothesis": summary["no_hypothesis_rate"]})
-    return _table(_RANSAC_COLUMNS, rows)
+    rows += [{"record": f"summary_{stat}", **{m: summary[m][stat] for m in METRICS}}
+             for stat in ("lq", "median", "uq", "mean")]
+    rows += [{"record": "summary_failed", "trial": count, "failure": reason}
+             for reason, count in summary["failures"].items()]
+    lines = [",".join(_TRIAL_COLUMNS)]
+    lines += [",".join(_cell(row.get(c, math.nan)) for c in _TRIAL_COLUMNS) for row in rows]
+    return "\n".join(lines) + "\n"

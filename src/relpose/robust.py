@@ -1,5 +1,7 @@
-"""RANSAC hypothesize-and-test wrapper over either minimal solver, and the
-outlier-contaminated benchmark harness."""
+"""RANSAC hypothesize-and-test wrapper over either minimal solver: minimal
+samples solved as stacks in rounds, scored in one call, and, for reg4, a
+local optimization of each round's best.  The benchmark harness that runs
+it over outlier-contaminated scenes is ``synth.run_ransac_trials``."""
 
 from __future__ import annotations
 
@@ -13,7 +15,6 @@ from .geom import BearingPair, PluckerPair, RelativePose, UnitQuaternion, is_int
 from .gbsolver import GENERAL, REGULAR, RayTable
 from .solver_gen5 import _CENTRAL, central, point_rays, ray_point_errors, solve_gen5pt_angle
 from .solver_reg4 import epipolar_step, sampson_errors, solve_4pt_angle
-from .synth import SceneConfig, rotation_error, timed, trial_inputs, translation_errors
 
 # Default inlier thresholds: squared pixels for the Sampson score of central
 # cameras, scene units of point-to-ray RMS distance for generalized cameras.
@@ -198,69 +199,3 @@ def ransac_estimate(
         n_hypotheses=n_hypotheses,
         trace=tuple(trace),
     )
-
-
-@dataclass(frozen=True)
-class RansacTrialRecord:
-    """Per-trial outcome of a contaminated robust-estimation run."""
-
-    trial: int
-    rot_err: float
-    t_ang_err_deg: float
-    scale_rel_err: float
-    inlier_count: int
-    recall: float
-    precision: float
-    iterations: int
-    no_hypothesis: bool
-    solve_ms: float
-
-
-def inlier_precision_recall(returned: np.ndarray, true: np.ndarray) -> tuple[float, float]:
-    """Shares of the returned inliers that are true inliers (precision) and of
-    the true inliers that were returned (recall); 0 when the set is empty."""
-    hits = np.count_nonzero(returned & true)
-    return hits / max(1, np.count_nonzero(returned)), hits / max(1, np.count_nonzero(true))
-
-
-def run_ransac_trials(
-    solver: str,
-    cfg: SceneConfig,
-    ransac_cfg: RansacConfig,
-    n_trials: int,
-    n_obs: int,
-    outlier_frac: float,
-    noise_px: float = 0.0,
-    angle_noise_sigma: float = 0.0,
-) -> list[RansacTrialRecord]:
-    """Robust-estimation benchmark on scenes contaminated with outliers."""
-    inputs = trial_inputs(solver, cfg, n_trials, n_obs, noise_px, angle_noise_sigma, outlier_frac)
-    records = []
-    for idx, (rng, truth, observed, true_inliers, theta_in) in enumerate(inputs):
-        trial_cfg = replace(ransac_cfg, seed=int(rng.integers(0, 2**63 - 1)))
-        result, elapsed_ms = timed(ransac_estimate, observed, theta_in, trial_cfg, solver)
-        if result is None:
-            records.append(RansacTrialRecord(idx, math.inf, math.inf, math.inf, 0, 0.0, 0.0, 0,
-                                             True, elapsed_ms))
-            continue
-        rot = rotation_error([result.pose], truth.R)
-        ang, scale = translation_errors([result.pose], truth.t, with_scale=solver == "gen5")
-        precision, recall = inlier_precision_recall(result.inlier_mask, true_inliers)
-        records.append(RansacTrialRecord(
-            trial=idx, rot_err=rot, t_ang_err_deg=ang, scale_rel_err=scale,
-            inlier_count=result.inlier_count, recall=recall, precision=precision,
-            iterations=result.iterations, no_hypothesis=False, solve_ms=elapsed_ms,
-        ))
-    return records
-
-
-def summarize_ransac(records: list[RansacTrialRecord]) -> dict[str, float]:
-    """Mean of every metric over the successful trials, plus the failure rate."""
-    ok = [r for r in records if not r.no_hypothesis]
-    out = {"no_hypothesis_rate": (len(records) - len(ok)) / max(1, len(records))}
-    for metric in ("rot_err", "t_ang_err_deg", "scale_rel_err", "inlier_count", "recall",
-                   "precision", "iterations", "solve_ms"):
-        vals = [getattr(r, metric) for r in ok]
-        vals = [v for v in vals if not (isinstance(v, float) and math.isnan(v))]
-        out[f"mean_{metric}"] = float(np.mean(vals)) if vals else math.nan
-    return out

@@ -129,9 +129,10 @@ def epipolar_step(
     bilinear form ``q2^T G q1``: ``G = [t]x R``, ``[t]x dR`` with ``dR``
     the derivative of R along a tangent of ``u``, and ``[c]x R`` along a
     tangent ``c`` of ``t``.  Returns the stepped ``(R, t, u)``, or None
-    where N is no more than the sample size or the normal system is
-    singular or not finite, as at ``u = 0``; it raises and warns for
-    neither.
+    where N is no more than the sample size or the normal system is not
+    finite, as at ``u = 0``, or numerically singular: its smallest
+    eigenvalue no more than 1e-12 of its largest.  It raises and warns for
+    none of these.
     """
     if len(q1s) <= REGULAR.sample_size:
         return None
@@ -145,9 +146,16 @@ def epipolar_step(
         # Row i holds q2_i^T G q1_i for every form G: e_i, then the Jacobian.
         rows = (q2s[:, :, None] * q1s[:, None]).reshape(-1, 9) @ forms.reshape(5, 9).T
         normal = rows.T @ rows
-        step = _solve_or_nan(normal[1:, 1:], normal[1:, :1])[:, 0]
-        if not np.isfinite(step).all():
+        if not np.isfinite(normal).all():
             return None
+        # A consensus that leaves a direction free, as copies of one pair
+        # do, is singular only up to rounding, and its solve would be finite
+        # but arbitrary: no step unless the smallest eigenvalue of the
+        # system is above 1e-12 of its largest.
+        scale = np.linalg.eigvalsh(normal[1:, 1:])
+        if not scale[0] > 1e-12 * scale[-1]:
+            return None
+        step = _solve_or_nan(normal[1:, 1:], normal[1:, :1])[:, 0]
         u = u - step[:2] @ along_u
         t = t - step[2:] @ along_t
     u *= math.sqrt(1.0 - sigma * sigma) / math.sqrt(u @ u)

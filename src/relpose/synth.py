@@ -1,11 +1,13 @@
-"""Synthetic scene, motion, noise and outlier generation, error metrics, the
-trial loop of the benchmark harnesses, and the harness that drives either
-minimal solver over many trials."""
+"""Synthetic scene, motion, noise and outlier generation, error metrics, and
+the benchmark harness: one trial loop that drives either minimal solver
+(``run_trials``) or RANSAC over outlier-contaminated scenes
+(``run_ransac_trials``), one trial record for both, and one summary."""
 
 from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,6 +23,7 @@ from .geom import (
     rotation_angle,
     stacked_cross,
 )
+from .robust import RansacConfig, ransac_estimate
 from .solver_gen5 import solve_gen5pt_angle
 from .solver_reg4 import solve_4pt_angle
 
@@ -72,17 +75,31 @@ class SceneConfig:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """Per-trial benchmark outcome; errors are +inf when the solve failed."""
+    """One benchmark trial of either harness: the true angle, the errors of
+    the returned poses (+inf where the trial failed), the solve time, and
+    ``failure``, the class name of the ``RelposeError`` that the trial
+    raised, or empty.  A minimal-solver trial counts its roots and poses, a
+    RANSAC trial its inliers, their recall and precision, and its
+    iterations; a field that the trial does not measure is NaN."""
 
     trial: int
     theta_rad: float
     rot_err: float
     t_ang_err_deg: float
     scale_rel_err: float
-    root_count: int
-    n_poses: int
-    degenerate: bool
     solve_ms: float
+    failure: str = ""
+    root_count: float = math.nan
+    n_poses: float = math.nan
+    inlier_count: float = math.nan
+    recall: float = math.nan
+    precision: float = math.nan
+    iterations: float = math.nan
+
+
+# The fields that ``summarize`` reports, in record order.
+METRICS = ("rot_err", "t_ang_err_deg", "scale_rel_err", "root_count", "n_poses", "inlier_count",
+           "recall", "precision", "iterations")
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -313,14 +330,45 @@ def trial_inputs(
 
 
 def timed(call, *args):
-    """``call(*args)``, or ``None`` where it raises a ``RelposeError``, and
-    the milliseconds it took."""
+    """``call(*args)``, or the ``RelposeError`` it raises, and the
+    milliseconds it took."""
     start = time.perf_counter()
     try:
         out = call(*args)
-    except RelposeError:
-        out = None
+    except RelposeError as exc:
+        out = exc
     return out, (time.perf_counter() - start) * 1e3
+
+
+def inlier_precision_recall(returned: np.ndarray, true: np.ndarray) -> tuple[float, float]:
+    """Shares of the returned inliers that are true inliers (precision) and of
+    the true inliers that were returned (recall); 0 when the set is empty."""
+    hits = np.count_nonzero(returned & true)
+    return hits / max(1, np.count_nonzero(returned)), hits / max(1, np.count_nonzero(true))
+
+
+def _minimal_fields(poses: list[RelativePose], inliers: np.ndarray):
+    return poses, {"root_count": poses[0].root_count or 0, "n_poses": len(poses)}
+
+
+def _ransac_fields(result, inliers: np.ndarray):
+    precision, recall = inlier_precision_recall(result.inlier_mask, inliers)
+    return [result.pose], {"inlier_count": result.inlier_count, "recall": recall,
+                           "precision": precision, "iterations": result.iterations}
+
+
+def _record(trial, truth, inliers, out, solve_ms, generalized, fields) -> TrialRecord:
+    """The record of a trial whose call returned ``out``, or raised it, in
+    ``solve_ms``: ``fields(out, inliers)`` gives the poses to score against
+    ``truth`` and the fields that its harness measures."""
+    theta = rotation_angle(truth.R)
+    if isinstance(out, RelposeError):
+        return TrialRecord(trial, theta, math.inf, math.inf, math.inf, solve_ms,
+                           type(out).__name__)
+    poses, measured = fields(out, inliers)
+    ang, scale = translation_errors(poses, truth.t, with_scale=generalized)
+    return TrialRecord(trial, theta, rotation_error(poses, truth.R), ang, scale, solve_ms,
+                       **measured)
 
 
 def run_trials(
@@ -335,38 +383,50 @@ def run_trials(
     solve = solve_gen5pt_angle if generalized else solve_4pt_angle
     inputs = trial_inputs(solver, cfg, n_trials, 5 if generalized else 4, noise_px,
                           angle_noise_sigma)
+    return [
+        _record(idx, truth, inliers, *timed(solve, observed, theta_in), generalized,
+                _minimal_fields)
+        for idx, (_, truth, observed, inliers, theta_in) in enumerate(inputs)
+    ]
+
+
+def run_ransac_trials(
+    solver: str,
+    cfg: SceneConfig,
+    ransac_cfg: RansacConfig,
+    n_trials: int,
+    n_obs: int,
+    outlier_frac: float,
+    noise_px: float = 0.0,
+    angle_noise_sigma: float = 0.0,
+) -> list[TrialRecord]:
+    """Robust-estimation trials on scenes contaminated with outliers, each
+    RANSAC run seeded from its trial's generator."""
+    inputs = trial_inputs(solver, cfg, n_trials, n_obs, noise_px, angle_noise_sigma, outlier_frac)
     records = []
-    for idx, (_, truth, observed, _, theta_in) in enumerate(inputs):
-        theta_true = rotation_angle(truth.R)
-        poses, elapsed_ms = timed(solve, observed, theta_in)
-        if poses is None:
-            records.append(TrialRecord(idx, theta_true, math.inf, math.inf, math.inf, 0, 0, True,
-                                       elapsed_ms))
-            continue
-        rot = rotation_error(poses, truth.R)
-        ang, scale = translation_errors(poses, truth.t, with_scale=generalized)
-        records.append(TrialRecord(
-            trial=idx, theta_rad=theta_true, rot_err=rot, t_ang_err_deg=ang, scale_rel_err=scale,
-            root_count=poses[0].root_count or 0, n_poses=len(poses), degenerate=False,
-            solve_ms=elapsed_ms,
-        ))
+    for idx, (rng, truth, observed, inliers, theta_in) in enumerate(inputs):
+        trial_cfg = replace(ransac_cfg, seed=int(rng.integers(0, 2**63 - 1)))
+        out = timed(ransac_estimate, observed, theta_in, trial_cfg, solver)
+        records.append(_record(idx, truth, inliers, *out, solver == "gen5", _ransac_fields))
     return records
 
 
-def summarize(records: list[TrialRecord]) -> dict[str, dict[str, float]]:
-    """Lower quartile, median and upper quartile of every error metric over
-    its finite values, plus mean solve time and the degenerate-trial count.
-
-    Degenerate trials carry +inf errors; they are counted, not ranked."""
-    out: dict[str, dict[str, float]] = {}
-    for metric in ("rot_err", "t_ang_err_deg", "scale_rel_err"):
-        vals = np.array([getattr(r, metric) for r in records], dtype=float)
+def summarize(records: list[TrialRecord]) -> dict[str, dict]:
+    """Lower quartile, median, upper quartile and mean of every metric over
+    its finite values in the trials that did not fail (NaN where there are
+    none), the failed trials counted by reason, and the mean solve time of
+    all trials."""
+    kept = [r for r in records if not r.failure]
+    out: dict[str, dict] = {}
+    for metric in METRICS:
+        vals = np.array([getattr(r, metric) for r in kept], dtype=float)
         vals = vals[np.isfinite(vals)]
         if vals.size:
             lq, med, uq = np.percentile(vals, [25.0, 50.0, 75.0])
+            mean = vals.mean()
         else:
-            lq = med = uq = math.nan
-        out[metric] = {"lq": float(lq), "median": float(med), "uq": float(uq)}
+            lq = med = uq = mean = math.nan
+        out[metric] = {"lq": float(lq), "median": float(med), "uq": float(uq), "mean": float(mean)}
     out["solve_ms"] = {"mean": float(np.mean([r.solve_ms for r in records]))}
-    out["degenerate"] = {"count": float(sum(r.degenerate for r in records))}
+    out["failures"] = dict(sorted(Counter(r.failure for r in records if r.failure).items()))
     return out

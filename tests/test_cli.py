@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +10,6 @@ from relpose.cli import main
 from relpose.exceptions import DocumentError
 from relpose.geom import rotation_angle
 from relpose.imu import GyroSample
-from relpose.robust import RansacTrialRecord, summarize_ransac
 from relpose.synth import SceneConfig, TrialRecord, generate_scene, summarize
 
 
@@ -174,7 +174,7 @@ class TestCmdSynthBench:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("record,trial,")
         kinds = {l.split(",")[0] for l in lines[1:]}
-        assert {"trial", "summary_lq", "summary_median", "summary_uq", "summary_count"} <= kinds
+        assert {"trial", "summary_lq", "summary_median", "summary_uq", "summary_mean"} <= kinds
 
     def test_noise_free_medians_small(self, tmp_path):
         out = tmp_path / "bench.csv"
@@ -240,8 +240,9 @@ class TestCmdRansacBench:
             ]
         )
         assert code == 0
-        summary = [l for l in out.read_text().splitlines() if l.startswith("summary_mean")][0]
-        assert float(summary.split(",")[2]) < 1e-5
+        header, *rows = out.read_text().splitlines()
+        summary = [l for l in rows if l.startswith("summary_mean")][0]
+        assert float(summary.split(",")[header.split(",").index("rot_err")]) < 1e-5
 
     def test_stress_no_crash(self, tmp_path):
         out = tmp_path / "stress.csv"
@@ -253,45 +254,46 @@ class TestCmdRansacBench:
             ]
         )
         assert code == 0
-        summary = [l for l in out.read_text().splitlines() if l.startswith("summary_mean")][0]
-        assert summary.split(",")[8] != ""  # no_hypothesis rate reported
+        rows = [l.split(",") for l in out.read_text().splitlines()[1:]]
+        # Failed trials are counted by reason, the others summarized.
+        failed = Counter(r[-1] for r in rows if r[0] == "trial" and r[-1])
+        assert {r[-1]: int(r[1]) for r in rows if r[0] == "summary_failed"} == failed
+        assert [r[0] for r in rows].count("summary_mean") == 1
 
 
-class TestBenchCsvLayout:
-    """Both benchmark CSVs byte for byte: column order, cell formats (bools as
-    0/1, NaN empty, ±inf, 17 digits) and the cells each summary row fills."""
-
-    def test_trial_csv(self):
-        records = [
-            TrialRecord(0, 0.1, 1e-10, 0.25, math.nan, 8, 2, False, 1.0),
-            TrialRecord(1, 1.25, 3e-10, 0.75, 0.125, 10, 3, False, 2.0),
-            TrialRecord(2, 2.5, math.inf, math.inf, -math.inf, 0, 0, True, 0.5),
-        ]
-        assert formats.emit_trial_csv(records, summarize(records)) == (
-            "record,trial,theta_rad,rot_err,t_ang_err_deg,scale_rel_err,root_count,n_poses,degenerate\n"
-            "trial,0,0.10000000000000001,1e-10,0.25,,8,2,0\n"
-            "trial,1,1.25,3e-10,0.75,0.125,10,3,0\n"
-            "trial,2,2.5,inf,inf,-inf,0,0,1\n"
-            "summary_lq,,,1.5e-10,0.375,0.125,,,\n"
-            "summary_median,,,2.0000000000000001e-10,0.5,0.125,,,\n"
-            "summary_uq,,,2.5000000000000002e-10,0.625,0.125,,,\n"
-            "summary_count,,,,,,,,1\n"
-        )
-
-    def test_ransac_csv(self):
-        records = [
-            RansacTrialRecord(0, 0.5, 2.0, math.nan, 37, 0.75, 1.0, 12, False, 3.0),
-            RansacTrialRecord(1, 0.25, 1.0, 0.1, 40, 1.0, 0.5, 7, False, 4.0),
-            RansacTrialRecord(2, math.inf, math.inf, -math.inf, 0, 0.0, 0.0, 0, True, 1.0),
-        ]
-        assert formats.emit_ransac_csv(records, summarize_ransac(records)) == (
-            "record,trial,rot_err,t_ang_err_deg,scale_rel_err,inlier_count,recall,iterations,"
-            "no_hypothesis,precision\n"
-            "trial,0,0.5,2,,37,0.75,12,0,1\n"
-            "trial,1,0.25,1,0.10000000000000001,40,1,7,0,0.5\n"
-            "trial,2,inf,inf,-inf,0,0,0,1,0\n"
-            "summary_mean,,0.375,1.5,0.10000000000000001,38.5,0.875,9.5,0.33333333333333331,0.75\n"
-        )
+def test_bench_csv_layout():
+    """Both benchmarks' CSV byte for byte: one column order, cell formats (NaN
+    empty, ±inf, 17 digits), the cells each summary row fills, and one row per
+    failure reason with its count."""
+    records = [
+        TrialRecord(0, 0.1, 1e-10, 0.25, math.nan, 1.0, root_count=8, n_poses=2),
+        TrialRecord(1, 1.25, 3e-10, 0.75, 0.125, 2.0, root_count=10, n_poses=3),
+        TrialRecord(2, 2.5, math.inf, math.inf, math.inf, 0.5, "DegenerateConfiguration"),
+        TrialRecord(3, 0.5, 0.5, 2.0, -math.inf, 3.0, inlier_count=37, recall=0.75,
+                    precision=1.0, iterations=12),
+        TrialRecord(4, 0.75, 0.25, 1.0, 0.1, 4.0, inlier_count=40, recall=1.0, precision=0.5,
+                    iterations=7),
+        TrialRecord(5, 1.0, math.inf, math.inf, math.inf, 1.0, "NoHypothesis"),
+        TrialRecord(6, 1.5, math.inf, math.inf, math.inf, 1.0, "NoHypothesis"),
+    ]
+    assert formats.emit_trial_csv(records, summarize(records)) == (
+        "record,trial,theta_rad,rot_err,t_ang_err_deg,scale_rel_err,root_count,n_poses,"
+        "inlier_count,recall,precision,iterations,failure\n"
+        "trial,0,0.10000000000000001,1e-10,0.25,,8,2,,,,,\n"
+        "trial,1,1.25,3e-10,0.75,0.125,10,3,,,,,\n"
+        "trial,2,2.5,inf,inf,inf,,,,,,,DegenerateConfiguration\n"
+        "trial,3,0.5,0.5,2,-inf,,,37,0.75,1,12,\n"
+        "trial,4,0.75,0.25,1,0.10000000000000001,,,40,1,0.5,7,\n"
+        "trial,5,1,inf,inf,inf,,,,,,,NoHypothesis\n"
+        "trial,6,1.5,inf,inf,inf,,,,,,,NoHypothesis\n"
+        "summary_lq,,,2.5000000000000002e-10,0.625,0.10625000000000001,8.5,2.25,37.75,0.8125,"
+        "0.625,8.25,\n"
+        "summary_median,,,0.12500000015000001,0.875,0.1125,9,2.5,38.5,0.875,0.75,9.5,\n"
+        "summary_uq,,,0.3125,1.25,0.11874999999999999,9.5,2.75,39.25,0.9375,0.875,10.75,\n"
+        "summary_mean,,,0.18750000010000001,1,0.1125,9,2.5,38.5,0.875,0.75,9.5,\n"
+        "summary_failed,1,,,,,,,,,,,DegenerateConfiguration\n"
+        "summary_failed,2,,,,,,,,,,,NoHypothesis\n"
+    )
 
 
 class TestCmdImuAngle:

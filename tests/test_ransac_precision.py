@@ -6,14 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from relpose.formats import emit_ransac_csv
-from relpose.robust import RansacTrialRecord, inlier_precision_recall, summarize_ransac
+from relpose.formats import emit_trial_csv
+from relpose.synth import TrialRecord, inlier_precision_recall, summarize
 
 
-def record(trial, precision, recall, failed=False):
-    return RansacTrialRecord(
-        trial=trial, rot_err=0.0, t_ang_err_deg=0.0, scale_rel_err=math.nan, inlier_count=4,
-        recall=recall, precision=precision, iterations=3, no_hypothesis=failed, solve_ms=1.0,
+def record(trial, precision, recall, failure=""):
+    return TrialRecord(
+        trial=trial, theta_rad=0.5, rot_err=0.0, t_ang_err_deg=0.0, scale_rel_err=math.nan,
+        solve_ms=1.0, failure=failure, inlier_count=4, recall=recall, precision=precision,
+        iterations=3,
     )
 
 
@@ -32,10 +33,11 @@ def test_empty_sets_give_zero():
 
 
 def test_summary_and_csv_report_mean_precision():
-    records = [record(0, 1.0, 1.0), record(1, 0.5, 0.9), record(2, 0.0, 0.0, failed=True)]
-    summary = summarize_ransac(records)
-    assert summary["mean_precision"] == 0.75
-    lines = emit_ransac_csv(records, summary).splitlines()
-    assert lines[0].endswith(",no_hypothesis,precision")
-    assert lines[1].endswith(",1")
-    assert lines[-1].split(",")[-1] == "0.75"
+    records = [record(0, 1.0, 1.0), record(1, 0.5, 0.9), record(2, 0.0, 0.0, "NoHypothesis")]
+    summary = summarize(records)
+    assert summary["precision"]["mean"] == 0.75
+    header, *rows = emit_trial_csv(records, summary).splitlines()
+    column = header.split(",").index("precision")
+    assert rows[0].split(",")[column] == "1"
+    mean = [row for row in rows if row.startswith("summary_mean,")][0]
+    assert mean.split(",")[column] == "0.75"

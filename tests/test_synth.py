@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from relpose.exceptions import EmptyCandidates, RetryExhausted
+from relpose.exceptions import DegenerateConfiguration, EmptyCandidates, RetryExhausted
 from relpose.geom import (
     PluckerPair,
     RelativePose,
@@ -17,6 +17,7 @@ from relpose.geom import (
     quat_to_rotation,
     rotation_angle,
 )
+from relpose.solver_reg4 import solve_4pt_angle
 from relpose.synth import (
     SceneConfig,
     TrialRecord,
@@ -299,22 +300,42 @@ class TestHarness:
         assert summary["rot_err"]["lq"] <= summary["rot_err"]["median"] <= summary["rot_err"]["uq"]
 
     def test_summary_ranks_only_finite_errors(self):
-        # Failed trials carry +inf errors: they are counted as degenerate and
-        # kept out of the quartiles, which then raise no warning.
+        # Failed trials carry +inf errors: they are counted by reason and
+        # kept out of the quartiles and means, which then raise no warning.
         inf = math.inf
         recs = [
-            TrialRecord(0, 0.5, 1e-9, 0.1, math.nan, 4, 2, False, 1.0),
-            TrialRecord(1, 0.5, 3e-9, 0.3, math.nan, 4, 2, False, 1.0),
-            TrialRecord(2, 0.5, inf, inf, inf, 0, 0, True, 1.0),
-            TrialRecord(3, 0.5, inf, inf, inf, 0, 0, True, 1.0),
+            TrialRecord(0, 0.5, 1e-9, 0.1, math.nan, 1.0, root_count=4, n_poses=2),
+            TrialRecord(1, 0.5, 3e-9, 0.3, math.nan, 1.0, root_count=4, n_poses=2),
+            TrialRecord(2, 0.5, inf, inf, inf, 1.0, "DegenerateConfiguration"),
+            TrialRecord(3, 0.5, inf, inf, inf, 1.0, "DegenerateConfiguration"),
         ]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             summary = summarize(recs)
-        assert summary["rot_err"] == pytest.approx({"lq": 1.5e-9, "median": 2e-9, "uq": 2.5e-9})
+        assert summary["rot_err"] == pytest.approx(
+            {"lq": 1.5e-9, "median": 2e-9, "uq": 2.5e-9, "mean": 2e-9})
         assert summary["t_ang_err_deg"]["median"] == pytest.approx(0.2)
         assert all(math.isnan(v) for v in summary["scale_rel_err"].values())
-        assert summary["degenerate"]["count"] == 2
+        assert all(math.isnan(v) for v in summary["recall"].values())
+        assert summary["failures"] == {"DegenerateConfiguration": 2}
+
+    def test_a_failing_trial_records_its_class_name(self):
+        # Trials 6 and 9 of this seed raise DegenerateConfiguration.
+        cfg = SceneConfig(seed=5)
+        recs = run_trials("reg4", cfg, 10, noise_px=0.5)
+        assert [r.trial for r in recs if r.failure] == [6, 9]
+        inputs = list(trial_inputs("reg4", cfg, 10, 4, 0.5, 0.0))
+        for r in recs:
+            _, _, observed, _, theta_in = inputs[r.trial]
+            if r.failure:
+                with pytest.raises(DegenerateConfiguration):
+                    solve_4pt_angle(observed, theta_in)
+                assert r.failure == "DegenerateConfiguration"
+                assert r.rot_err == r.t_ang_err_deg == math.inf
+                assert math.isnan(r.root_count) and math.isnan(r.n_poses)
+            else:
+                assert r.n_poses == len(solve_4pt_angle(observed, theta_in)) >= 1
+        assert summarize(recs)["failures"] == {"DegenerateConfiguration": 2}
 
     def test_deterministic_given_seed(self):
         a = run_trials("reg4", SceneConfig(seed=21), 5)
