@@ -21,7 +21,6 @@ from .exceptions import (
     RelposeError,
     RetryExhausted,
     ScaleUnobservable,
-    SkewDegenerate,
     UnreachableMonomial,
 )
 from .geom import (
@@ -30,17 +29,14 @@ from .geom import (
     RelativePose,
     RotationConstraint,
     UnitQuaternion,
-    epipolar_residual,
-    generalized_epipolar_residual,
-    quat_from_rotation,
     quat_to_rotation,
     rotation_angle,
     sigma_from_angle,
 )
-from .imu import GyroSample, angle_between_frames, integrate_gyro
+from .imu import GyroSample, integrate_gyro
 from .robust import RansacConfig, RansacResult, ransac_estimate
-from .solver_gen5 import ray_point_error, solve_gen5pt_angle
-from .solver_reg4 import sampson_error, solve_4pt_angle
+from .solver_gen5 import solve_gen5pt_angle
+from .solver_reg4 import solve_4pt_angle
 
 # The benchmark harness loads on first use, so that the solvers and RANSAC
 # run without it.
@@ -80,25 +76,18 @@ __all__ = [
     "RotationConstraint",
     "ScaleUnobservable",
     "SceneConfig",
-    "SkewDegenerate",
     "TrialRecord",
     "UnitQuaternion",
     "UnreachableMonomial",
     "add_angle_noise",
     "add_image_noise",
-    "angle_between_frames",
-    "epipolar_residual",
-    "generalized_epipolar_residual",
     "generate_scene",
     "integrate_gyro",
-    "quat_from_rotation",
     "quat_to_rotation",
     "ransac_estimate",
-    "ray_point_error",
     "rotation_angle",
     "rotation_error",
     "run_trials",
-    "sampson_error",
     "sigma_from_angle",
     "solve_4pt_angle",
     "solve_gen5pt_angle",

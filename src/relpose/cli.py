@@ -47,7 +47,7 @@ def _write_output(text: str, out: str | None) -> None:
 def cmd_solve(args) -> int:
     doc = formats.parse_correspondence_document(Path(args.input).read_text())
     solve = solve_4pt_angle if doc.kind == "regular" else solve_gen5pt_angle
-    poses = solve(doc.pairs, doc.theta_rad, anchor=args.anchor)
+    poses = solve(doc.pairs, doc.theta_rad)
     _write_output(formats.emit_pose_document(poses, doc.kind), args.out)
     return 0
 
@@ -137,8 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve a correspondence document")
     p.add_argument("input")
-    p.add_argument("--anchor", type=int, default=0,
-                   help="index of the correspondence used as parametrization anchor")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_solve)
 

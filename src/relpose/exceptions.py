@@ -9,15 +9,15 @@ class DegreeOverflow(RelposeError):
     """A polynomial product does not fit in the requested coefficient basis."""
 
 
-class DegenerateInput(RelposeError):
+class DegenerateConfiguration(RelposeError):
+    """The correspondence configuration does not admit a generic solve."""
+
+
+class DegenerateInput(DegenerateConfiguration):
     """Input correspondences are degenerate (coincident rays, rank collapse)."""
 
 
-class SkewDegenerate(RelposeError):
-    """Two rays are parallel beyond tolerance and cannot be triangulated."""
-
-
-class RankDeficient(RelposeError):
+class RankDeficient(DegenerateConfiguration):
     """Row reduction found fewer pivots than rows."""
 
 
@@ -29,12 +29,8 @@ class UnreachableMonomial(RelposeError):
     """A multiplied basis monomial is neither standard nor a pivot leading monomial."""
 
 
-class EigenFailure(RelposeError):
+class EigenFailure(DegenerateConfiguration):
     """The eigendecomposition did not converge."""
-
-
-class DegenerateConfiguration(RelposeError):
-    """The correspondence configuration does not admit a generic solve."""
 
 
 class NoCheiralSolution(RelposeError):

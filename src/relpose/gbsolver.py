@@ -60,7 +60,6 @@ from numpy.linalg import _umath_linalg
 from .exceptions import (
     BasisAnomaly,
     DegenerateConfiguration,
-    DegenerateInput,
     DegreeOverflow,
     EigenFailure,
     RankDeficient,
@@ -73,7 +72,6 @@ from .geom import (
     UnitQuaternion,
     check_poses,
     check_unit_quaternions,
-    is_integer,
     rotation_stack,
     sigma_from_angle,
     stacked_dot,
@@ -122,17 +120,14 @@ class TemplateProblem:
     basis_size: int
     partitions: tuple[tuple[int, ...], ...]
 
-    def sample_stack(self, pairs, theta: float, anchor: int, samples):
+    def sample_stack(self, pairs, theta: float, samples):
         """The ``(len(ray_names), B, sample_size, 3)`` ray rows of the B
         samples of ``pairs`` (a list, or its ``RayTable``), B and the sphere
         constraint.  Without ``samples`` the pairs are one sample of exactly
         ``sample_size``; otherwise ``samples`` indexes the N pairs, ``(B,
-        sample_size)`` integers in ``[0, N)``.  Each sample is relabelled
-        cyclically so that its ``anchor``-th pair comes first, for any
-        integer ``anchor``."""
+        sample_size)`` integers in ``[0, N)``.  A sample's first pair is its
+        anchor."""
         n = self.sample_size
-        if not is_integer(anchor):
-            raise ValueError(f"anchor must be an integer, got {anchor!r}")
         table = pairs if isinstance(pairs, RayTable) else RayTable(pairs, self.ray_names)
         if table.names != self.ray_names:
             raise ValueError(f"a table of {table.names} rays, not {self.ray_names}")
@@ -154,7 +149,7 @@ class TemplateProblem:
                 lo, hi = samples.min(), samples.max()
                 raise ValueError(f"sample indices must lie in [0, {n_pairs}), got {lo} to {hi}")
         c = sigma_from_angle(theta)
-        return table.rays.take(samples[:, (np.arange(n) + int(anchor)) % n], 1), len(samples), c
+        return table.rays.take(samples, 1), len(samples), c
 
 
 class RayTable:
@@ -207,21 +202,6 @@ def check_shape(what: str, shape: tuple[int, ...], expected: tuple[int, ...]) ->
     """Raise ``BasisAnomaly`` on a wrong shape; unlike ``assert``, this survives ``-O``."""
     if shape != expected:
         raise BasisAnomaly(f"{what} has shape {shape}, expected {expected}")
-
-
-# The failures of a sample's data that a template meets; a fault of the
-# problem raises out of the solve as it is.
-_TEMPLATE_FAILURES = (DegenerateInput, RankDeficient, EigenFailure)
-
-
-def as_degenerate(exc: RelposeError) -> RelposeError:
-    """A template failure as the ``DegenerateConfiguration`` it causes; any
-    other error as it is."""
-    if not isinstance(exc, _TEMPLATE_FAILURES):
-        return exc
-    out = DegenerateConfiguration(str(exc))
-    out.__cause__ = exc
-    return out
 
 
 class Losses:
@@ -939,7 +919,7 @@ class SamplePoses:
         return [_frozen(RelativePose, zip(names, row)) for row in rows]
 
 
-def solve(layers, problem: TemplateProblem, generators, screen, pose, pairs, theta, anchor, samples):
+def solve(layers, problem: TemplateProblem, generators, screen, pose, pairs, theta, samples):
     """A solver's answer for the samples of ``pairs`` (``sample_stack``),
     solved as one stack with the layers of the solver module ``layers``:
     with ``samples``, their ``SamplePoses`` from roots of one
@@ -955,7 +935,7 @@ def solve(layers, problem: TemplateProblem, generators, screen, pose, pairs, the
     # One error state for every kernel of the solve: each marks what it
     # cannot solve NaN, which the stages read, and none warns.
     with np.errstate(all="ignore"):
-        rays, n, c = problem.sample_stack(pairs, theta, anchor, samples)
+        rays, n, c = problem.sample_stack(pairs, theta, samples)
         losses = Losses(n)
         if screen is not None:
             screen(rays, losses)
@@ -974,5 +954,5 @@ def solve(layers, problem: TemplateProblem, generators, screen, pose, pairs, the
     if samples is not None:
         return answer
     if losses.status[0]:
-        raise as_degenerate(losses.errors[losses.status[0] - 1])
+        raise losses.errors[losses.status[0] - 1]
     return answer.poses()

@@ -94,16 +94,6 @@ def integrate_gyro(
     return R
 
 
-def angle_between_frames(
-    samples: list[GyroSample],
-    t_start_ns: int,
-    t_end_ns: int,
-    bias: np.ndarray | None = None,
-) -> float:
-    """Relative rotation angle over the interval, in ``[0, pi)`` radians."""
-    return frame_angle(integrate_gyro(samples, t_start_ns, t_end_ns, bias=bias))
-
-
 def frame_angle(R: np.ndarray) -> float:
     """The rotation angle of ``R`` in ``[0, pi)`` radians, the domain the
     solvers accept: a half turn maps to the largest float below pi."""

@@ -29,8 +29,8 @@ def sampson_threshold_from_pixels(px2: float, focal_px: float) -> float:
 
 @dataclass(frozen=True)
 class RansacConfig:
+    inlier_threshold: float
     max_iterations: int = 1000
-    inlier_threshold: float = 0.0
     confidence: float = 0.99
     seed: int | None = 0
 

@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 
-from .exceptions import ScaleUnobservable, SkewDegenerate
+from .exceptions import ScaleUnobservable
 from .gbsolver import (
     GENERAL,
     SamplePoses,
@@ -29,7 +29,7 @@ from .geom import (
     stacked_cross,
     stacked_dot,
 )
-from .poly import _ray_stack, build_g_polynomials
+from .poly import build_g_polynomials
 
 # All moments below this norm mean a purely central configuration, which
 # the screen of a solve and RANSAC both reject with ``_CENTRAL``.
@@ -116,14 +116,16 @@ def _poses(rays: np.ndarray, sample: np.ndarray, u: np.ndarray, Rs: np.ndarray, 
 
 
 def solve_gen5pt_angle(
-    pairs: list[PluckerPair], theta: float, *, anchor: int = 0, samples=None
+    pairs: list[PluckerPair], theta: float, *, samples=None
 ) -> list[RelativePose] | SamplePoses:
     """All relative poses consistent with five Pluecker pairs and the rotation angle.
 
     Returns up to 44 poses with metric translation.  For each rotation
-    candidate the depth pair of the anchor correspondence is recovered as the
-    null vector of the stacked constraint rows, scaled so its inhomogeneous
-    component is one; candidates whose scale is unobservable are dropped.
+    candidate the depth pair of the anchor correspondence, the first pair,
+    is recovered as the null vector of the stacked constraint rows, scaled
+    so its inhomogeneous component is one; candidates whose scale is
+    unobservable are dropped.  The pairs in any cyclic order, ``pairs[k:] +
+    pairs[:k]``, yield the same solution set.
 
     With ``samples``, a ``(B, 5)`` array of integer indices into ``pairs``
     (or their ``gbsolver.RayTable``), the samples are solved as one stack
@@ -135,14 +137,7 @@ def solve_gen5pt_angle(
     ``RelposeError``.  An index that is negative, not below ``len(pairs)``
     or not an integer raises ``ValueError``.
     """
-    return solve(
-        _LAYERS, GENERAL, build_g_polynomials, _screen, _poses, pairs, theta, anchor, samples
-    )
-
-
-def ray_arrays(pairs: list[PluckerPair]) -> tuple[np.ndarray, ...]:
-    """The rays of the pairs as ``point_rays`` gives them."""
-    return point_rays(*_ray_stack(pairs, "q1", "q2", "m1", "m2"))
+    return solve(_LAYERS, GENERAL, build_g_polynomials, _screen, _poses, pairs, theta, samples)
 
 
 def point_rays(q1, q2, m1, m2) -> tuple[np.ndarray, ...]:
@@ -160,7 +155,7 @@ def ray_point_errors(
     ``(K, N)`` with each row as the single pose gives it.
 
     ``d1``, ``o1``, ``q2`` and ``c2`` are ``(N, 3)`` arrays as returned by
-    ``ray_arrays``.  The second-view rays are moved into the first frame.
+    ``point_rays``.  The second-view rays are moved into the first frame.
     The point minimizing the summed squared distance to two skew rays is
     the midpoint of their common perpendicular, so both distances, and
     their RMS, are half the line-to-line distance
@@ -177,12 +172,3 @@ def ray_point_errors(
     norm = np.sqrt(np.einsum("...ij,...ij->...i", n, n))
     return np.divide(scaled_gap, 2.0 * norm, out=np.full_like(scaled_gap, np.inf), where=~parallel)
 
-
-def ray_point_error(pose: RelativePose, pair: PluckerPair) -> float:
-    """RMS of the two distances from the rays to the point closest to both,
-    which is half the length of the rays' common perpendicular.  Raises
-    ``SkewDegenerate`` for parallel rays."""
-    err = float(ray_point_errors(pose.R, pose.t, *ray_arrays([pair]))[0])
-    if not np.isfinite(err):
-        raise SkewDegenerate("rays are parallel; the correspondence cannot be triangulated")
-    return err

@@ -66,14 +66,14 @@ def _poses(rays: np.ndarray, sample: np.ndarray, u: np.ndarray, Rs: np.ndarray, 
 
 
 def solve_4pt_angle(
-    pairs: list[BearingPair], theta: float, *, anchor: int = 0, samples=None
+    pairs: list[BearingPair], theta: float, *, samples=None
 ) -> list[RelativePose] | SamplePoses:
     """All relative poses consistent with four bearing pairs and the rotation angle.
 
     Returns up to 20 poses with the first camera at ``[I | 0]`` and unit-norm
-    translation, sign-disambiguated by cheirality.  ``anchor`` cyclically
-    relabels the correspondences before the constraint system is built; any
-    choice yields the same solution set.
+    translation, sign-disambiguated by cheirality.  The constraint system is
+    built with the first pair as its anchor; the pairs in any cyclic order,
+    ``pairs[k:] + pairs[:k]``, yield the same solution set.
 
     With ``samples``, a ``(B, 4)`` array of integer indices into ``pairs``
     (or their ``gbsolver.RayTable``), the samples are solved as one stack
@@ -85,7 +85,7 @@ def solve_4pt_angle(
     ``RelposeError``.  An index that is negative, not below ``len(pairs)``
     or not an integer raises ``ValueError``.
     """
-    return solve(_LAYERS, REGULAR, build_f_polynomials, None, _poses, pairs, theta, anchor, samples)
+    return solve(_LAYERS, REGULAR, build_f_polynomials, None, _poses, pairs, theta, samples)
 
 
 def sampson_errors(R: np.ndarray, t: np.ndarray, q1s: np.ndarray, q2s: np.ndarray) -> np.ndarray:
@@ -162,8 +162,3 @@ def epipolar_step(
     t /= math.sqrt(t @ t)
     return rotation_stack(sigma, u[None])[0], t, u
 
-
-def sampson_error(R: np.ndarray, t: np.ndarray, pair: BearingPair) -> float:
-    """First-order epipolar error of one correspondence; +inf when both
-    epipolar line gradients degenerate."""
-    return float(sampson_errors(R, t, pair.q1[None, :], pair.q2[None, :])[0])

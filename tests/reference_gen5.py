@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from reference_geom import generalized_epipolar_residual
 from reference_templates import (
     ZERO_ANGLE_ROOTS,
     NearZeroVector,
-    degenerate_configuration,
     prepare,
     rectified_quaternions,
     rectify_quaternion,
@@ -25,7 +25,6 @@ from relpose.geom import (
     PluckerPair,
     RelativePose,
     UnitQuaternion,
-    generalized_epipolar_residual,
     quat_to_rotation,
     rotation_stack,
     stacked_cross,
@@ -134,19 +133,15 @@ def passes_residual_gate(pose: RelativePose, pairs: list[PluckerPair]) -> bool:
     )
 
 
-def loop_solve_gen5pt_angle(pairs: list[PluckerPair], theta: float, anchor: int = 0):
+def loop_solve_gen5pt_angle(pairs: list[PluckerPair], theta: float):
     """``solve_gen5pt_angle`` with one ``np.linalg.norm`` per moment and the
     depths, translation and pose of each observable root built in a loop."""
-    ordered, c = prepare(GENERAL, pairs, theta, anchor)
+    ordered, c = prepare(GENERAL, pairs, theta)
     if max(float(np.linalg.norm(m)) for p in ordered for m in (p.m1, p.m2)) < CENTRAL_MOMENT_EPS:
         raise ScaleUnobservable(
             "all ray moments vanish: a central configuration carries no translation scale"
         )
-    with degenerate_configuration():
-        if c.tau != 0.0:
-            roots = rotation_candidates(solver_gen5, ordered, c)
-        else:
-            roots = ZERO_ANGLE_ROOTS
+    roots = rotation_candidates(solver_gen5, ordered, c) if c.tau != 0.0 else ZERO_ANGLE_ROOTS
     root_count = len(roots)
 
     quats = rectified_quaternions(roots, c)

@@ -7,9 +7,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from reference_geom import essential_residual
 from reference_templates import (
     ZERO_ANGLE_ROOTS,
-    degenerate_configuration,
     prepare,
     rectified_quaternions,
     rotation_candidates,
@@ -17,13 +17,7 @@ from reference_templates import (
 from relpose import solver_reg4
 from relpose.exceptions import DegenerateConfiguration, NoCheiralSolution
 from relpose.gbsolver import POSE_RESIDUAL_TOL, REGULAR
-from relpose.geom import (
-    PARALLEL_RAY_EPS,
-    BearingPair,
-    RelativePose,
-    essential_residual,
-    quat_to_rotation,
-)
+from relpose.geom import PARALLEL_RAY_EPS, BearingPair, RelativePose, quat_to_rotation
 
 
 def triangulate_midpoint(
@@ -66,14 +60,11 @@ def triangulate_and_count_cheiral(
     return count, depths
 
 
-def loop_solve_4pt_angle(
-    pairs: list[BearingPair], theta: float, *, anchor: int = 0
-) -> list[RelativePose]:
+def loop_solve_4pt_angle(pairs: list[BearingPair], theta: float) -> list[RelativePose]:
     """``solve_4pt_angle`` with one translation stack, one SVD and two
     cheirality counts per rotation root."""
-    ordered, c = prepare(REGULAR, pairs, theta, anchor)
-    with degenerate_configuration():
-        roots = rotation_candidates(solver_reg4, ordered, c) if c.tau != 0.0 else ZERO_ANGLE_ROOTS
+    ordered, c = prepare(REGULAR, pairs, theta)
+    roots = rotation_candidates(solver_reg4, ordered, c) if c.tau != 0.0 else ZERO_ANGLE_ROOTS
     root_count = len(roots)
 
     poses: list[RelativePose] = []

@@ -14,7 +14,8 @@ from relpose import robust
 from relpose.exceptions import NoHypothesis, RelposeError
 from relpose.geom import BearingPair, PluckerPair, RelativePose, UnitQuaternion
 from relpose.robust import RansacConfig, RansacResult
-from relpose.solver_gen5 import ray_arrays, ray_point_errors, solve_gen5pt_angle
+from relpose.poly import _ray_stack
+from relpose.solver_gen5 import point_rays, ray_point_errors, solve_gen5pt_angle
 from relpose.solver_reg4 import epipolar_step, sampson_errors, solve_4pt_angle
 
 
@@ -54,7 +55,7 @@ def loop_ransac_estimate(
     if kind == "reg4":
         rays = (np.array([o.q1 for o in observations]), np.array([o.q2 for o in observations]))
     else:
-        rays = ray_arrays(observations)
+        rays = point_rays(*_ray_stack(observations, "q1", "q2", "m1", "m2"))
 
     def needed_for(count: int) -> float:
         p_good = (count / n) ** sample_size

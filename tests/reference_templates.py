@@ -35,7 +35,6 @@ here; the package uses none of them.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +59,6 @@ from relpose.gbsolver import (
     U_DIRECTION_EPS,
     Losses,
     QuotientBasis,
-    as_degenerate,
     rotation_roots,
     usable_rotations,
 )
@@ -78,27 +76,13 @@ from relpose.poly import (
 PIVOT_TOL = 1e-10
 
 
-@contextmanager
-def degenerate_configuration():
-    """Re-raise template failures as the ``DegenerateConfiguration`` a
-    solver reports for them."""
-    try:
-        yield
-    except RelposeError as exc:
-        if as_degenerate(exc) is exc:
-            raise
-        raise as_degenerate(exc) from exc
-
-
-def prepare(problem, pairs: list, theta: float, anchor: int):
-    """The pairs of one sample of ``problem``, checked for size and relabelled
-    cyclically so that ``pairs[anchor]`` comes first, and the sphere
-    constraint."""
+def prepare(problem, pairs: list, theta: float):
+    """The pairs of one sample of ``problem``, checked for size, and the
+    sphere constraint."""
     n = problem.sample_size
     if len(pairs) != n:
         raise ValueError(f"exactly {n} correspondences required, got {len(pairs)}")
-    c = sigma_from_angle(theta)
-    return list(pairs[anchor % n :]) + list(pairs[: anchor % n]), c
+    return list(pairs), sigma_from_angle(theta)
 
 
 def rotation_candidates(module, pairs: list, c) -> np.ndarray:

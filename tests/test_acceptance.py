@@ -11,12 +11,7 @@ import pytest
 
 from relpose import gbsolver
 from relpose.exceptions import RelposeError
-from relpose.geom import (
-    BearingPair,
-    quat_from_rotation,
-    rotation_angle,
-    sigma_from_angle,
-)
+from relpose.geom import BearingPair, rotation_angle, sigma_from_angle
 from relpose.gbsolver import (
     GENERAL,
     REGULAR,
@@ -47,6 +42,7 @@ from relpose.synth import (
     summarize,
     translation_errors,
 )
+from reference_geom import quat_from_rotation
 from reference_templates import (
     as_polynomials,
     f_determinant,

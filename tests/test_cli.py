@@ -136,15 +136,23 @@ class TestCmdSolve:
         path.write_text("type regular\ntheta_rad 0.5\npair q1 0 0 x q2 0 0 1\n")
         assert main(["solve", str(path)]) == 1
 
-    def test_solver_failure_exit_code(self, tmp_path):
+    def test_solver_failure_exit_code(self, tmp_path, capsys):
+        # The error line names the failure that lost the sample.
         truth, pairs = generate_scene(SceneConfig(seed=3), 4)
         dup = [pairs[0], pairs[0], pairs[2], pairs[3]]
         path = tmp_path / "dup.txt"
         path.write_text(formats.emit_correspondence_document("regular", 0.4, dup))
         assert main(["solve", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("solver error: DegenerateInput: rays 0 and 1 ")
 
     def test_usage_error_exit_code(self):
         assert main(["solve"]) == 1
+
+    def test_anchor_is_not_an_option(self, regular_doc, capsys):
+        # Another anchor is the pairs of the document in another order.
+        _, _, _, path = regular_doc
+        assert main(["solve", str(path), "--anchor", "1"]) == 1
+        assert "unrecognized arguments: --anchor 1" in capsys.readouterr().err
 
     def test_pose_document_roundtrip_precision(self, regular_doc, tmp_path):
         truth, pairs, theta, path = regular_doc
@@ -337,11 +345,11 @@ class TestCmdImuAngle:
 
     def test_integrates_the_log_once(self, tmp_path, capsys, monkeypatch):
         # A half turn: the printed angle is the clamped one of
-        # angle_between_frames and R the one of integrate_gyro, from one pass.
+        # frame_angle and R the one of integrate_gyro, from one pass.
         path = self.write_log(tmp_path, w=(0.0, 0.0, math.pi))
         samples = formats.parse_gyro_csv(path.read_text())
         R = imu.integrate_gyro(samples, 0, 1_000_000_000)
-        angle = imu.angle_between_frames(samples, 0, 1_000_000_000)
+        angle = imu.frame_angle(R)
         assert angle == math.nextafter(math.pi, 0.0)
         calls, original = [], imu.integrate_gyro
 

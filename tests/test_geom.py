@@ -10,11 +10,6 @@ from relpose.geom import (
     RelativePose,
     UnitQuaternion,
     check_unit_quaternions,
-    epipolar_residual,
-    essential_residual,
-    generalized_epipolar_residual,
-    generalized_residual,
-    quat_from_rotation,
     quat_to_rotation,
     rotation_angle,
     rotation_stack,
@@ -24,6 +19,13 @@ from relpose.geom import (
 )
 from relpose.gbsolver import SamplePoses
 from relpose.synth import SceneConfig, generate_scene
+from reference_geom import (
+    epipolar_residual,
+    essential_residual,
+    generalized_epipolar_residual,
+    generalized_residual,
+    quat_from_rotation,
+)
 from reference_gen5 import inverse_pose
 from reference_reg4 import triangulate_and_count_cheiral
 

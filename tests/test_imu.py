@@ -5,7 +5,7 @@ import pytest
 
 from relpose.exceptions import CoverageGap
 from relpose.geom import rotation_angle
-from relpose.imu import GyroSample, angle_between_frames, integrate_gyro, rotation_from_rate
+from relpose.imu import GyroSample, frame_angle, integrate_gyro, rotation_from_rate
 
 
 def constant_rate_log(w, n=101, dt_ns=10_000_000):
@@ -122,22 +122,20 @@ class TestIntegrateGyro:
         log = constant_rate_log([0.1, 0.0, 0.0])
         with pytest.raises(ValueError, match="bias must be a 3-vector"):
             integrate_gyro(log, 0, 1_000_000_000, bias=bias)
-        with pytest.raises(ValueError, match="bias must be a 3-vector"):
-            angle_between_frames(log, 0, 1_000_000_000, bias=bias)
 
 
-class TestAngleBetweenFrames:
+class TestFrameAngle:
     def test_zero_rates(self):
         log = constant_rate_log([0.0, 0.0, 0.0])
-        assert angle_between_frames(log, 0, 1_000_000_000) == 0.0
+        assert frame_angle(integrate_gyro(log, 0, 1_000_000_000)) == 0.0
 
     def test_constant_rate(self):
         log = constant_rate_log([0.0, 0.7, 0.0])
-        assert abs(angle_between_frames(log, 0, 1_000_000_000) - 0.7) < 1e-12
+        assert abs(frame_angle(integrate_gyro(log, 0, 1_000_000_000)) - 0.7) < 1e-12
 
     def test_result_below_pi(self):
         log = constant_rate_log([0.0, 0.0, math.pi])
-        assert angle_between_frames(log, 0, 1_000_000_000) < math.pi
+        assert frame_angle(integrate_gyro(log, 0, 1_000_000_000)) < math.pi
 
     def test_frame_change_invariance(self):
         from relpose.geom import UnitQuaternion, quat_to_rotation
@@ -148,8 +146,8 @@ class TestAngleBetweenFrames:
         Q = quat_to_rotation(UnitQuaternion(math.cos(0.6), math.sin(0.6) * axis))
         log = sinusoid_log(0, 1_000_000_000, 101)
         rotated = [GyroSample(s.timestamp_ns, Q @ s.w) for s in log]
-        a1 = angle_between_frames(log, 0, 1_000_000_000)
-        a2 = angle_between_frames(rotated, 0, 1_000_000_000)
+        a1 = frame_angle(integrate_gyro(log, 0, 1_000_000_000))
+        a2 = frame_angle(integrate_gyro(rotated, 0, 1_000_000_000))
         assert abs(a1 - a2) < 1e-12
 
 

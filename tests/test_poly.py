@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from relpose.exceptions import DegenerateInput, DegreeOverflow
-from relpose.geom import quat_from_rotation, quat_to_rotation, rotation_angle, sigma_from_angle
+from relpose.geom import quat_to_rotation, rotation_angle, sigma_from_angle
 from relpose.poly import (
     _ray_stack,
     build_f_polynomials,
@@ -13,8 +13,8 @@ from relpose.poly import (
     grevlex_basis,
     grevlex_key,
 )
-from relpose.geom import generalized_residual
 from relpose.synth import SceneConfig, generate_scene
+from reference_geom import generalized_residual, quat_from_rotation
 from reference_reg4 import triangulate_midpoint
 from reference_templates import (
     DensePolynomial,

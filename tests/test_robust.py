@@ -66,6 +66,12 @@ def default_cfg(seed=0, **kw):
 
 
 class TestRansacConfig:
+    def test_the_inlier_threshold_is_required(self):
+        with pytest.raises(TypeError, match="inlier_threshold"):
+            RansacConfig()
+        with pytest.raises(TypeError, match="inlier_threshold"):
+            RansacConfig(max_iterations=10, seed=1)
+
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             RansacConfig(inlier_threshold=0.0)

@@ -11,9 +11,6 @@ from relpose.geom import (
     PluckerPair,
     RelativePose,
     UnitQuaternion,
-    epipolar_residual,
-    generalized_epipolar_residual,
-    quat_from_rotation,
     quat_to_rotation,
     rotation_angle,
 )
@@ -31,6 +28,7 @@ from relpose.synth import (
     translation_errors,
     trial_inputs,
 )
+from reference_geom import epipolar_residual, generalized_epipolar_residual, quat_from_rotation
 
 
 class TestSceneConfig:
