@@ -7,9 +7,14 @@ samples a stacked stage loses: surface that only tests use belongs in
 ``tests/``."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
+
+import relpose
+from relpose import gbsolver, solver_gen5, solver_reg4
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "relpose"
 MODULES = (
@@ -63,6 +68,38 @@ def test_public_name_is_used_by_the_package(module, name, definition):
     assert referenced_outside(module, name, definition), (
         f"{module} defines {name}, which no other package module uses"
     )
+
+
+# Names that only tests used, and where what stays lives: the oracles in
+# ``tests/reference_geom.py``, the scalar scorers as one row of the array
+# scorers, another anchor as a rotated list of pairs.
+REMOVED = [
+    ("geom", "essential_residual"), ("geom", "epipolar_residual"),
+    ("geom", "generalized_residual"), ("geom", "generalized_epipolar_residual"),
+    ("geom", "quat_from_rotation"), ("solver_reg4", "sampson_error"),
+    ("solver_gen5", "ray_point_error"), ("solver_gen5", "ray_arrays"),
+    ("imu", "angle_between_frames"), ("gbsolver", "as_degenerate"),
+    ("exceptions", "SkewDegenerate"),
+]
+
+
+@pytest.mark.parametrize("module,name", REMOVED, ids=[f"{m}.py:{n}" for m, n in REMOVED])
+def test_surface_only_tests_used_stays_out_of_the_package(module, name):
+    assert not hasattr(importlib.import_module(f"relpose.{module}"), name)
+    assert name not in relpose.__all__
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        solver_reg4.solve_4pt_angle, solver_gen5.solve_gen5pt_angle, gbsolver.solve,
+        gbsolver.TemplateProblem.sample_stack,
+    ],
+    ids=lambda f: f.__qualname__,
+)
+def test_no_entry_point_takes_an_anchor(entry):
+    # A sample's first pair is its anchor; another anchor is pairs[k:] + pairs[:k].
+    assert "anchor" not in inspect.signature(entry).parameters
 
 
 # The method of ``gbsolver.Losses`` through which every stage records the

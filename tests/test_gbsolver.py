@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from relpose import gbsolver, solver_reg4
-from relpose.exceptions import BasisAnomaly, DegenerateConfiguration, EigenFailure, RankDeficient
+from relpose.exceptions import (
+    BasisAnomaly,
+    DegenerateConfiguration,
+    DegenerateInput,
+    EigenFailure,
+    RankDeficient,
+    UnreachableMonomial,
+)
 from relpose.gbsolver import (
     GENERAL,
     REGULAR,
@@ -374,6 +381,20 @@ class TestEigensolve:
             solver_reg4.solve_4pt_angle(pairs, rotation_angle(truth.R))
         assert type(info.value) is EigenFailure
         assert isinstance(info.value, DegenerateConfiguration)
+
+
+@pytest.mark.parametrize(
+    "error,of_the_data",
+    [
+        (DegenerateInput, True), (RankDeficient, True), (EigenFailure, True),
+        (BasisAnomaly, False), (UnreachableMonomial, False),
+    ],
+)
+def test_only_a_failure_of_the_data_is_a_degenerate_configuration(error, of_the_data):
+    # A single solve raises the error its sample recorded as it is, so
+    # ``except DegenerateConfiguration`` catches the failures that a sample's
+    # data cause and none of the engine faults.
+    assert issubclass(error, DegenerateConfiguration) is of_the_data
 
 
 class TestLosses:

@@ -68,7 +68,7 @@ class TestSolveGen5ptAngle:
         # the anchor point sits in front of both rays at roughly scene distance
         assert 0.5 < lam < 1.6 and 0.5 < mu < 1.6
 
-    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_rotated_pairs_give_the_same_solutions(self, k):
         # Another anchor is the pairs in another cyclic order.
         truth, pairs = generate_scene(SceneConfig(seed=11, generalized=True), 5)
