@@ -70,6 +70,7 @@ from .geom import (
     RelativePose,
     RotationConstraint,
     UnitQuaternion,
+    _frozen,
     check_poses,
     check_unit_quaternions,
     rotation_stack,
@@ -245,9 +246,10 @@ def usable_rotations(roots: np.ndarray, sample: np.ndarray, c, losses: Losses):
         # NaN norm passes the drop test, so a NaN root fails the
         # unit-quaternion check instead of vanishing.
         n = np.sqrt(stacked_dot(roots, roots))
-        keep = (~(n <= U_DIRECTION_EPS)).nonzero()[0]
-        sample = sample.take(keep)
-        u = (math.sqrt(1.0 - c.sigma * c.sigma) / n.take(keep))[:, None] * roots.take(keep, 0)
+        if np.count_nonzero(n <= U_DIRECTION_EPS):
+            keep = (~(n <= U_DIRECTION_EPS)).nonzero()[0]
+            sample, n, roots = sample.take(keep), n.take(keep), roots.take(keep, 0)
+        u = (math.sqrt(1.0 - c.sigma * c.sigma) / n)[:, None] * roots
     losses.lose(losses.unowned(sample), DegenerateConfiguration(_NO_AXIS))
     check_unit_quaternions(c.sigma, u)
     return root_count, sample, u, rotation_stack(c.sigma, u)
@@ -260,7 +262,7 @@ def residual_gate(residuals: np.ndarray, sample: np.ndarray, c, losses: Losses):
     angle fixes the rotation, so there the sample over-determines the pose
     and every pose passes."""
     passed = np.abs(residuals).max(axis=1) <= POSE_RESIDUAL_TOL
-    if c.tau == 0.0 or passed.all():
+    if c.tau == 0.0 or np.count_nonzero(passed) == len(passed):
         return slice(None)
     keep = passed.nonzero()[0]
     losses.lose(
@@ -352,7 +354,8 @@ def rref_conditioned(B: np.ndarray, qb: QuotientBasis) -> np.ndarray:
     A = _solve_or_nan(block, B.take(qb.template_cols, -1))
     # A non-finite block reduces to non-finite pivot columns, which are not
     # computed, even where the standard ones come out finite.
-    if not (np.isfinite(A).all() and np.isfinite(block).all()):
+    finite = np.count_nonzero(np.isfinite(A)) + np.count_nonzero(np.isfinite(block))
+    if finite < A.size + block.size:
         A[~(np.isfinite(A).all((-2, -1)) & np.isfinite(block).all((-2, -1)))] = np.nan
     return A
 
@@ -482,7 +485,7 @@ def eigensolve_real(M: np.ndarray) -> np.ndarray:
     error state ignores it, as ``solve`` holds it).  ``extract_roots``
     rebuilds the eigenvectors of the ones it needs from the gamma chains.
     """
-    finite = np.isfinite(M).all()
+    finite = np.count_nonzero(np.isfinite(M)) == M.size
     if finite:
         w = _umath_linalg.eigvals(M, signature="d->D")
         if w[0] == w[0]:
@@ -609,12 +612,11 @@ def extract_roots(
     inconsistent = (np.abs(m - x * y) > ROOT_TOL).any(axis=0)
     keep = ~(at_infinity | inconsistent)
     inconsistent &= ~at_infinity
-    return ExtractedRoots(
-        roots=V.take(root_cols, 1)[keep],
-        sample=sample[keep],
+    return _frozen(ExtractedRoots, dict(
+        roots=V.take(root_cols, 1).compress(keep, 0), sample=sample[keep],
         at_infinity=np.bincount(sample[at_infinity], minlength=len(sizes)),
         inconsistent=np.bincount(sample[inconsistent], minlength=len(sizes)),
-    )
+    ))
 
 
 def _chain_eigenvectors(
@@ -645,7 +647,7 @@ def _chain_eigenvectors(
     sample = mask.nonzero()[0]
     padded = np.zeros(mask.shape + (n_powers,))
     padded[mask] = powers
-    K = (padded @ C).reshape(-1, size, size)[mask.ravel()]
+    K = (padded @ C).reshape(-1, size, size).compress(mask.ravel(), 0)
     # A column right-hand side of the stack's rank reads alike in every
     # numpy: a 1-D one is one vector per matrix only from numpy 2.0 on.
     rhs = np.zeros((len(lam), size, 1))
@@ -755,11 +757,11 @@ def polish_roots(generators: np.ndarray, roots: np.ndarray, c: RotationConstrain
         x_new = x.take(live, 0) - step
         f_new, jac_new, cost_new = evaluate(x_new)
         better = cost_new < cost
-        x[live[better]] = x_new[better]
+        x[live[better]] = x_new.compress(better, 0)
         go = better & (cost_new > POLISH_ROUNDING)
         if not np.count_nonzero(go):
             break
-        live, f, jac, cost = live[go], f_new[go], jac_new[go], cost_new[go]
+        live, f, jac, cost = live[go], f_new.compress(go, 0), jac_new.compress(go, 0), cost_new[go]
     return x
 
 
@@ -801,9 +803,9 @@ def _eliminate(
     solves is lost for what lost it on the last."""
     n_samples = len(generators)
     # Per sample, the fewest roots an attempt dropped (more than any can for
-    # a live sample until one solves it, none for a lost one) and that attempt.
-    dropped = np.where(losses.status == 0, problem.basis_size + 1, 0)
-    kept, pending = np.full(n_samples, -1), dropped.nonzero()[0]
+    # a live sample until one solves it, none for a lost one) and 1 + that attempt.
+    dropped = (losses.status == 0) * (problem.basis_size + 1)
+    kept, pending = np.zeros(n_samples, dtype=np.int64), dropped.nonzero()[0]
     if not pending.size:
         return _NOTHING[2:]
     template = layers.assemble_reduced_template(generators, problem, c)
@@ -819,15 +821,15 @@ def _eliminate(
             return roots, owner
         fewer = now < dropped[solved]
         won = solved[fewer]
-        dropped[won], kept[won] = now[fewer], attempt
+        dropped[won], kept[won] = now[fewer], attempt + 1
         found.append((roots, owner))
         pending = dropped.nonzero()[0]
         if not pending.size:
             break
     for k, exc in enumerate(tried.errors, 1):
-        losses.lose((tried.status == k) & (kept < 0), exc)
+        losses.lose((tried.status == k) & (kept == 0), exc)
     # Each sample's roots from the attempt it keeps, in ascending order.
-    mine = [kept[owner] == attempt for attempt, (_, owner) in enumerate(found)]
+    mine = [kept[owner] == attempt for attempt, (_, owner) in enumerate(found, 1)]
     owner = np.concatenate([o[m] for (_, o), m in zip(found, mine)])
     order = owner.argsort(kind="stable")
     return np.concatenate([r[m] for (r, _), m in zip(found, mine)])[order], owner[order]
@@ -868,15 +870,6 @@ def _attempt(layers, problem, matrix, pivots, pending: np.ndarray, tried: Losses
             return _NOTHING
     extracted = layers.extract_roots(values, action, qb, steps)
     return pending, extracted.inconsistent, extracted.roots, pending[extracted.sample]
-
-
-def _frozen(cls, fields):
-    """An instance of the frozen dataclass ``cls`` with the ``(name, value)``
-    ``fields`` set and the others at their defaults, the constructor's
-    checks skipped: ``SamplePoses`` ran them on the whole stack already."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
 
 
 @dataclass(frozen=True, eq=False)
@@ -941,15 +934,12 @@ def solve(layers, problem: TemplateProblem, generators, screen, pose, pairs, the
             screen(rays, losses)
         # Only a single solve refines its roots: a RANSAC hypothesis gains
         # nothing from a second inverse-iteration step or from polishing.
-        single = samples is None
-        roots, sample = rotation_roots(layers, problem, generators, rays, c, losses, single)
+        roots, sample = rotation_roots(layers, problem, generators, rays, c, losses, samples is None)
         root_count, sample, u, Rs = usable_rotations(roots, sample, c, losses)
         Rs, T, u, sample, columns = pose(rays, sample, u, Rs, c, losses)
         columns["root_count"] = root_count.take(sample)
         # The rows are grouped by sample, in ascending order.
-        bounds = (
-            [0, len(sample)] if n == 1 else np.searchsorted(sample, np.arange(n + 1)).tolist()
-        )
+        bounds = [0, len(sample)] if n == 1 else np.searchsorted(sample, np.arange(n + 1)).tolist()
         answer = SamplePoses(Rs, T, c.sigma, u, bounds, columns)
     if samples is not None:
         return answer

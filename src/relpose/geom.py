@@ -24,6 +24,8 @@ import numpy as np
 
 # Rays whose normalized Gram determinant falls below this are treated as parallel.
 PARALLEL_RAY_EPS = 1e-12
+# The translation sign of each row of ``cheiral_counts``.
+_SIGNS = np.array([1.0, -1.0])
 
 
 # Entries of ``[v]x``, row after row, in ``(x, y, z, -x, -y, -z, 0)``.
@@ -72,6 +74,14 @@ def _as_unit3(v, name: str) -> np.ndarray:
     return v
 
 
+def _frozen(cls, fields):
+    """An instance of the frozen dataclass ``cls`` with the ``(name, value)``
+    ``fields`` set, others at their defaults, and no constructor or check run."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass(frozen=True, eq=False)
 class UnitQuaternion:
     """Rotation quaternion with scalar part ``sigma >= 0`` and vector part ``u``."""
@@ -102,7 +112,7 @@ def sigma_from_angle(theta: float) -> RotationConstraint:
     if not 0.0 <= theta < math.pi:
         raise ValueError(f"rotation angle must lie in [0, pi), got {theta!r}")
     sigma = math.sqrt((math.cos(theta) + 1.0) / 2.0)
-    return RotationConstraint(theta=theta, sigma=sigma, tau=sigma * sigma - 1.0)
+    return _frozen(RotationConstraint, {"theta": theta, "sigma": sigma, "tau": sigma * sigma - 1.0})
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,7 +213,7 @@ def check_unit_quaternions(sigma: float, u: np.ndarray) -> None:
         raise ValueError("quaternion scalar part must be non-negative")
     n2 = sigma * sigma + stacked_dot(u, u)
     unit = np.abs(n2 - 1.0) <= 2e-12
-    if not unit.all():
+    if np.count_nonzero(unit) < len(unit):
         n2 = float(n2[np.argmin(unit)])
         raise ValueError(f"quaternion is not unit: sigma^2 + |u|^2 = {n2!r}")
 
@@ -241,15 +251,15 @@ def cheiral_counts(Rs: np.ndarray, T: np.ndarray, q1: np.ndarray, q2: np.ndarray
     Rt = Rs.transpose(0, 2, 1)
     d2 = (Rt[:, None] @ q2[..., None])[..., 0]
     origin2 = (-Rt @ T[:, :, None])[:, None, :, 0]
-    a, b, d, e1, e2 = map(stacked_dot, (q1, q1, d2, q1, d2), (q1, d2, d2, origin2, origin2))
+    r1, r2, c2, co = q1[..., None, :], d2[..., None, :], d2[..., None], origin2[..., None]
+    a, b, d = (r1 @ q1[..., None])[..., 0, 0], (r1 @ c2)[..., 0, 0], (r2 @ c2)[..., 0, 0]
+    e1, e2 = (r1 @ co)[..., 0, 0], (r2 @ co)[..., 0, 0]
     det = b * b - a * d
-    parallel = np.abs(det) <= PARALLEL_RAY_EPS * a * d
-    # A parallel pair is not counted, so its determinant may as well be 1:
-    # then no division by zero needs an error state.
-    det[parallel] = 1.0
-    # Closest approach of rays s q1 and origin2 + r d2:
-    # [a -b; b -d] [s r]^T = [e1 e2]^T.  Negating the translation negates
-    # origin2, e1, e2 and so s and r exactly: one solve serves both signs.
-    s = (-d * e1 + b * e2) / det
-    r = (-b * e1 + a * e2) / det
-    return (~parallel & np.array([(s > 0.0) & (r > 0.0), (s < 0.0) & (r < 0.0)])).sum(axis=2)
+    # A parallel pair is not counted: its NaN determinant fails the depth test.
+    det[np.abs(det) <= PARALLEL_RAY_EPS * a * d] = np.nan
+    # Closest approach of rays s q1 and origin2 + r d2: [a -b; b -d] [s r]^T = [e1 e2]^T.
+    # Negating T negates origin2, e1, e2 and so s and r, exactly as negating det
+    # does: one solve serves both signs.  Both are positive where the smaller is.
+    det = det * _SIGNS[:, None, None]
+    smaller = np.minimum((-d * e1 + b * e2) / det, (-b * e1 + a * e2) / det)
+    return np.add.reduce(smaller > 0.0, 2)

@@ -131,11 +131,12 @@ def reduce_columns_mod_h(stack: np.ndarray, basis: GrevlexBasis, tau: float) -> 
     Each entry gets the subtractions of a sequential run of the basis's
     ``_reduction_steps``, in the same order (see ``GrevlexBasis``).
     """
+    # ``take`` gathers rows at a fraction of the cost of fancy indexing.
     for sources, ib, ic, it in basis._reduction_rounds:
         v = stack.take(sources, 0)
-        stack[it] -= tau * v
-        stack[ic] -= v
-        stack[ib] -= v
+        stack[it] = stack.take(it, 0) - tau * v
+        stack[ic] = stack.take(ic, 0) - v
+        stack[ib] = stack.take(ib, 0) - v
     stack[: basis.alpha2_size] = 0.0
 
 
@@ -234,7 +235,7 @@ def build_f_polynomials(
         raise ValueError("exactly 4 bearing pairs required")
     rays = _f_rays(q1, q2, _F_ANCHORS, _F_FREE)
     coincident = np.sqrt(_dot(rays[:2], rays[:2])) < COINCIDENT_RAY_EPS
-    if coincident.any():
+    if np.count_nonzero(coincident):
         # Per sample, the first coincident pair, view 1 before view 2.
         found = coincident.reshape(2, -1, 8).take(_F_PAIR_CROSSES, -1).transpose(1, 2, 0)
         first, second = _F_RAY_PAIRS
@@ -257,10 +258,8 @@ def _g_rows(q1, q2, m1, m2, i, j, sigma: float) -> np.ndarray:
     rays = np.concatenate([_cross(np.concatenate([ri[:2], e]), rj.take(_G_VIEWS, 0)), rj])
     f = _bilinear_coeffs(rays.take(_G_LEFT, 0), rays.take(_G_RIGHT, 0), sigma)
     # w sums the last four forms in order, in place.
-    w = f[2]
-    w += f[3]
-    w += f[4]
-    w += f[5]
+    for k in (3, 4, 5):
+        f[2] += f[k]
     return f[:3].transpose(*range(1, f.ndim - 1), 0, -1)
 
 
@@ -288,7 +287,7 @@ def build_g_polynomials(
         raise ValueError("exactly 5 Pluecker pairs required")
     dets = _g_dets(_g_rows(q1, q2, m1, m2, _G_ANCHORS, _G_FREE, c.sigma))
     collapsed = np.abs(dets).max(axis=-1) < 1e-12
-    if collapsed.any():
+    if np.count_nonzero(collapsed):
         message = "a determinant constraint collapsed to zero; the ray configuration is degenerate"
         _degenerate(collapsed.reshape(-1, 5).any(-1), message, losses)
     return dets

@@ -26,6 +26,7 @@ from .gbsolver import (
     solve,
 )
 from .geom import (
+    _SIGNS,
     BearingPair,
     RelativePose,
     cheiral_counts,
@@ -59,8 +60,8 @@ def _poses(rays: np.ndarray, sample: np.ndarray, u: np.ndarray, Rs: np.ndarray, 
     k, flip = ((votes > 0) & (votes >= votes[::-1])).T.nonzero()
     sample = sample.take(k)
     losses.lose(losses.unowned(sample), NoCheiralSolution(_NOT_CHEIRAL))
-    T = T.take(k, 0)
-    T[flip == 1] *= -1.0
+    # Multiplying by -1 negates exactly, and by 1 changes no bit.
+    T = T.take(k, 0) * _SIGNS.take(flip)[:, None]
     columns = {"cheiral_count": votes[flip, k], "cheirality_tie": (votes[0] == votes[1]).take(k)}
     return Rs.take(k, 0), T, u.take(k, 0), sample, columns
 
