@@ -286,11 +286,11 @@ def _basis_of_width(width: int) -> GrevlexBasis:
 
 @lru_cache(maxsize=None)
 def _assembly_plan(multipliers, extra_rows, n_generators: int, degree: int, target_degree: int):
-    """Row labels and the gather of every multiplier-times-generator row.
+    """The row count and the gather of every multiplier-times-generator row.
 
-    Entry ``dest[k]`` of the flat monomial-major ``(basis.size, n_rows)``
-    stack receives entry ``src[k]`` of the flattened ``(n_generators,
-    n_coeffs)`` array of degree-``degree`` generators.
+    Entry ``k`` of the flat monomial-major ``(basis.size, n_rows)`` stack is
+    entry ``gather[k]`` of the flattened ``(n_generators, n_coeffs)`` array
+    of degree-``degree`` generators, or 0 where ``gather[k]`` is past its end.
     """
     basis = grevlex_basis(target_degree)
     labels = tuple((m, gi) for m in multipliers for gi in range(n_generators)) + extra_rows
@@ -300,14 +300,15 @@ def _assembly_plan(multipliers, extra_rows, n_generators: int, degree: int, targ
                 f"multiplier {m} on a degree-{degree} generator exceeds degree {target_degree}"
             )
     # Basis position of every exponent triple, and every product's triple.
-    position = np.zeros((target_degree + 1,) * 3, dtype=np.int64)
-    position[tuple(basis.exponents.T)] = np.arange(basis.size)
+    pos = np.zeros((target_degree + 1,) * 3, dtype=np.int64)
+    pos[tuple(basis.exponents.T)] = np.arange(basis.size)
     exponents = grevlex_basis(degree).exponents
     products = np.array([m for m, _ in labels])[:, None, :] + exponents
-    rows = np.arange(len(labels))[:, None]
-    dest = position[tuple(np.moveaxis(products, -1, 0))] * len(labels) + rows
+    dest = pos[tuple(np.moveaxis(products, -1, 0))] * len(labels) + np.arange(len(labels))[:, None]
     src = np.array([gi for _, gi in labels])[:, None] * len(exponents) + np.arange(len(exponents))
-    return len(labels), dest.ravel(), src.ravel()
+    gather = np.full(basis.size * len(labels), n_generators * len(exponents))
+    gather[dest] = src
+    return len(labels), gather
 
 
 def assemble_reduced_template(generators: np.ndarray, problem: TemplateProblem, c) -> np.ndarray:
@@ -324,14 +325,13 @@ def assemble_reduced_template(generators: np.ndarray, problem: TemplateProblem, 
     """
     basis = grevlex_basis(problem.target_degree)
     *lead, n_generators, width = generators.shape
-    n_rows, dest, src = _assembly_plan(
+    n_rows, gather = _assembly_plan(
         problem.multipliers, problem.extra_rows, n_generators, _basis_of_width(width).max_degree,
         problem.target_degree,
     )
     n_samples = math.prod(lead)
-    stack = np.zeros((basis.size * n_rows, n_samples))
-    stack[dest] = generators.reshape(n_samples, -1)[:, src].T
-    stack = stack.reshape(basis.size, n_rows * n_samples)
+    coeffs = np.concatenate([generators.reshape(n_samples, -1).T, np.zeros((1, n_samples))])
+    stack = coeffs.take(gather, 0).reshape(basis.size, n_rows * n_samples)
     reduce_columns_mod_h(stack, basis, c.tau)
     remainder = stack[basis.alpha2_size :].reshape(-1, n_rows, n_samples)
     return np.ascontiguousarray(remainder.transpose(2, 1, 0)).reshape(*lead, n_rows, -1)
@@ -354,8 +354,7 @@ def rref_conditioned(B: np.ndarray, qb: QuotientBasis) -> np.ndarray:
     A = _solve_or_nan(block, B.take(qb.template_cols, -1))
     # A non-finite block reduces to non-finite pivot columns, which are not
     # computed, even where the standard ones come out finite.
-    finite = np.count_nonzero(np.isfinite(A)) + np.count_nonzero(np.isfinite(block))
-    if finite < A.size + block.size:
+    if not (np.isfinite(A).all() and np.isfinite(block).all()):
         A[~(np.isfinite(A).all((-2, -1)) & np.isfinite(block).all((-2, -1)))] = np.nan
     return A
 

@@ -176,7 +176,8 @@ def _bilinear_coeffs(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
 def _ray_stack(pairs, *names: str) -> np.ndarray:
     """The named ray attributes of ``pairs``, one ``(N, 3)`` row each, as
     the generator builders take them."""
-    return np.array([[getattr(p, name) for p in pairs] for name in names], dtype=float)
+    rows = np.array([getattr(p, name) for name in names for p in pairs], dtype=float)
+    return rows.reshape(len(names), len(pairs), *rows.shape[1:])
 
 
 def _f_rays(q1: np.ndarray, q2: np.ndarray, i, j) -> np.ndarray:
