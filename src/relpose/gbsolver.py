@@ -242,9 +242,8 @@ def usable_rotations(roots: np.ndarray, sample: np.ndarray, c, losses: Losses):
     if c.tau == 0.0:
         u = np.zeros_like(roots)
     else:
-        # The stacked dot rounds as ``np.linalg.norm`` of each row does.  A
-        # NaN norm passes the drop test, so a NaN root fails the
-        # unit-quaternion check instead of vanishing.
+        # The stacked dot rounds as ``np.linalg.norm`` of each row does.  A NaN norm
+        # passes the drop test, so a NaN root fails the unit-quaternion check instead.
         n = np.sqrt(stacked_dot(roots, roots))
         if np.count_nonzero(n <= U_DIRECTION_EPS):
             keep = (~(n <= U_DIRECTION_EPS)).nonzero()[0]
@@ -354,7 +353,8 @@ def rref_conditioned(B: np.ndarray, qb: QuotientBasis) -> np.ndarray:
     A = _solve_or_nan(block, B.take(qb.template_cols, -1))
     # A non-finite block reduces to non-finite pivot columns, which are not
     # computed, even where the standard ones come out finite.
-    if not (np.isfinite(A).all() and np.isfinite(block).all()):
+    n_finite = np.count_nonzero(np.isfinite(A)) + np.count_nonzero(np.isfinite(block))
+    if n_finite < A.size + block.size:
         A[~(np.isfinite(A).all((-2, -1)) & np.isfinite(block).all((-2, -1)))] = np.nan
     return A
 

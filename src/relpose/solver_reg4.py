@@ -57,7 +57,7 @@ def _poses(rays: np.ndarray, sample: np.ndarray, u: np.ndarray, Rs: np.ndarray, 
     sample, Rs, T, u, Q1, Q2 = sample[keep], Rs[keep], T[keep], u[keep], Q1[keep], Q2[keep]
     votes = cheiral_counts(Rs, T, Q1, Q2)
     # Keep each sign that wins the cheirality vote, both on a tie, none at 0-0.
-    k, flip = ((votes > 0) & (votes >= votes[::-1])).T.nonzero()
+    k, flip = (votes >= np.maximum(votes[::-1], 1)).T.nonzero()
     sample = sample.take(k)
     losses.lose(losses.unowned(sample), NoCheiralSolution(_NOT_CHEIRAL))
     # Multiplying by -1 negates exactly, and by 1 changes no bit.

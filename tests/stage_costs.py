@@ -1,7 +1,7 @@
 """Fixed and per-sample cost of every stage of a stacked solver call, and
 its cost in a single solve.
 
-    python3 tests/stage_costs.py [--pairs 15] [--problems 30] [--repeats 15]
+    python3 tests/stage_costs.py [--pairs 15] [--problems 30] [--repeats 15] [--calls]
 
 Takes the first ``--pairs`` frame pairs of the ``ransac`` panel of
 ``perfbench/run.py`` and, on each, the first 32 samples its RANSAC run
@@ -37,16 +37,28 @@ round: the step on the first round's best hypothesis (the most inliers
 among the poses of its first ``robust.BATCH_LIMIT`` samples, ties to the
 lower total) and the ``sampson_errors`` call that re-scores the stepped
 pose on all observations.  Their rows give microseconds per call.
+
+With ``--calls`` it times nothing and instead counts, with ``cProfile``,
+the function calls per single solve of the ``minimal`` problems and per
+stacked call of 8 samples on the frame pairs, averaged over them and
+split into three kinds: Python functions of the package (with the
+``__init__`` that ``dataclasses`` generates for its classes), numpy's
+Python wrappers, and C-level calls (builtins, ndarray methods, ufunc
+methods).  A cut in a solve's fixed cost that trades one kind for another
+shows there.
 """
 
 from __future__ import annotations
 
 import argparse
+import cProfile
 import importlib.util
+import pstats
 import statistics
 import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
@@ -183,11 +195,53 @@ def step_pass(rp, bests) -> Counter:
     return own
 
 
+def call_counts(calls, raised=()) -> dict[str, float]:
+    """Function calls per call of ``calls``, ``(solve, args, kwargs)``, by
+    kind: ``relpose`` (every Python function outside numpy: the package's
+    own and the ``__init__`` that ``dataclasses`` generates for its
+    classes), ``numpy`` (its Python wrappers) and ``C``, and their
+    ``total``.  A solve that raises one of ``raised`` counts as it ran."""
+    profile = cProfile.Profile()
+    for fn, args, kwargs in calls:
+        try:
+            profile.enable()
+            try:
+                fn(*args, **kwargs)
+            finally:
+                profile.disable()
+        except raised:
+            pass
+    numpy_dir = str(Path(np.__file__).resolve().parent) + "/"
+    kinds: Counter = Counter()
+    for (path, _, name), (_, n_calls, *_rest) in pstats.Stats(profile).stats.items():
+        if path == "~":
+            # The profiler's own ``disable`` is no call of the solve.
+            kinds["C"] += 0 if "_lsprof.Profiler" in name else n_calls
+        elif str(Path(path).resolve()).startswith(numpy_dir):
+            kinds["numpy"] += n_calls
+        else:
+            kinds["relpose"] += n_calls
+    counts = {kind: kinds[kind] / len(calls) for kind in ("relpose", "numpy", "C")}
+    counts["total"] = sum(counts.values())
+    return counts
+
+
+def print_calls(rp, solver: str, single: list, stacked: list) -> None:
+    """Print the call counts of ``single`` and ``stacked`` solves."""
+    print(f"{solver}: function calls per call, counted with cProfile")
+    print(f"  {'call':28s} {'total':>8s} {'relpose':>8s} {'numpy':>8s} {'C':>8s}")
+    for label, calls in (("single solve", single), ("stack of 8", stacked)):
+        counts = call_counts(calls, rp.RelposeError)
+        print(f"  {label:28s} " + " ".join(f"{counts[k]:8.1f}" for k in
+                                          ("total", "relpose", "numpy", "C")))
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--pairs", type=int, default=15)
     ap.add_argument("--problems", type=int, default=30)
     ap.add_argument("--repeats", type=int, default=15)
+    ap.add_argument("--calls", action="store_true", help="count calls instead of timing")
     args = ap.parse_args(argv)
     run = load_run()
     rp = run.load_relpose()
@@ -207,6 +261,14 @@ def main(argv=None) -> int:
             calls.append((getattr(rp, f"solve_{'4pt' if solver == 'reg4' else 'gen5pt'}_angle"),
                           pairs, theta, samples))
         problems = [(op.fn, *op.args) for op in minimal[solver][: args.problems]]
+        if args.calls:
+            # One untimed pass first, so that every cache is filled.
+            single = [(fn, (pairs, theta), {}) for fn, pairs, theta in problems]
+            stacked = [(fn, (pairs, theta), {"samples": samples[:8]})
+                       for fn, pairs, theta, samples in calls]
+            call_counts(single + stacked, rp.RelposeError)
+            print_calls(rp, solver, single, stacked)
+            continue
         names = stage_names(rp, solver)
         bests = []
         if solver == "reg4" and hasattr(rp.solver_reg4, "epipolar_step"):

@@ -1,8 +1,9 @@
 """``tests/stage_costs.py`` runs outside the test suite, so a stage that
 moves would break it unseen: every stage it spies on must be a callable
 attribute where it spies, and a solve must call it there: a stacked solve
-every stage but those of ``SINGLE``, a single solve every one; and the
-rows of the reg4 step must time a step and its re-score."""
+every stage but those of ``SINGLE``, a single solve every one; the
+rows of the reg4 step must time a step and its re-score; and ``--calls``
+must split every call of a solve into its three kinds."""
 
 import numpy as np
 import pytest
@@ -10,7 +11,16 @@ import pytest
 import relpose
 from relpose.geom import rotation_angle
 from relpose.synth import SceneConfig, generate_scene
-from stage_costs import SINGLE, first_round_bests, one_pass, single_pass, stage_names, step_pass
+from stage_costs import (
+    SINGLE,
+    call_counts,
+    first_round_bests,
+    main,
+    one_pass,
+    single_pass,
+    stage_names,
+    step_pass,
+)
 
 
 @pytest.mark.parametrize("solver", ["reg4", "gen5"])
@@ -43,3 +53,30 @@ def test_the_step_rows_time_a_step_and_its_re_score():
     assert all(relpose.solver_reg4.epipolar_step(*args) is not None for args, _ in bests)
     own = step_pass(relpose, bests)
     assert sorted(own) == ["epipolar_step", "re-score"] and min(own.values()) > 0
+
+
+@pytest.mark.parametrize("solver", ["reg4", "gen5"])
+def test_call_counts_split_every_call_into_three_kinds(solver):
+    size = 4 if solver == "reg4" else 5
+    truth, pairs = generate_scene(SceneConfig(seed=3, generalized=solver == "gen5"), 2 * size)
+    solve = relpose.solve_4pt_angle if solver == "reg4" else relpose.solve_gen5pt_angle
+    theta = rotation_angle(truth.R)
+    samples = np.arange(2 * size).reshape(-1, size)
+    for calls in ([(solve, (pairs[:size], theta), {})],
+                  [(solve, (pairs, theta), {"samples": samples})] * 2):
+        counts = call_counts(calls, relpose.RelposeError)
+        assert sorted(counts) == ["C", "numpy", "relpose", "total"]
+        parts = [counts[kind] for kind in ("relpose", "numpy", "C")]
+        assert sum(parts) == counts["total"] and min(parts) > 0
+
+
+def test_the_calls_option_prints_both_rows_per_solver(capsys):
+    assert main(["--pairs", "1", "--problems", "1", "--calls"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for solver in ("reg4", "gen5"):
+        at = lines.index(f"{solver}: function calls per call, counted with cProfile")
+        rows = [line.split() for line in lines[at + 2 : at + 4]]
+        assert [row[:-4] for row in rows] == [["single", "solve"], ["stack", "of", "8"]]
+        for row in rows:
+            total, *parts = map(float, row[-4:])
+            assert total == pytest.approx(sum(parts)) and min(parts) > 0
