@@ -226,12 +226,12 @@ def call_counts(calls, raised=()) -> dict[str, float]:
     return counts
 
 
-def print_calls(rp, solver: str, single: list, stacked: list) -> None:
+def print_calls(solver: str, single: list, stacked: list, raised) -> None:
     """Print the call counts of ``single`` and ``stacked`` solves."""
     print(f"{solver}: function calls per call, counted with cProfile")
     print(f"  {'call':28s} {'total':>8s} {'relpose':>8s} {'numpy':>8s} {'C':>8s}")
     for label, calls in (("single solve", single), ("stack of 8", stacked)):
-        counts = call_counts(calls, rp.RelposeError)
+        counts = call_counts(calls, raised)
         print(f"  {label:28s} " + " ".join(f"{counts[k]:8.1f}" for k in
                                           ("total", "relpose", "numpy", "C")))
 
@@ -262,12 +262,12 @@ def main(argv=None) -> int:
                           pairs, theta, samples))
         problems = [(op.fn, *op.args) for op in minimal[solver][: args.problems]]
         if args.calls:
-            # One untimed pass first, so that every cache is filled.
+            # One uncounted pass first, so that every cache is filled.
             single = [(fn, (pairs, theta), {}) for fn, pairs, theta in problems]
             stacked = [(fn, (pairs, theta), {"samples": samples[:8]})
                        for fn, pairs, theta, samples in calls]
             call_counts(single + stacked, rp.RelposeError)
-            print_calls(rp, solver, single, stacked)
+            print_calls(solver, single, stacked, rp.RelposeError)
             continue
         names = stage_names(rp, solver)
         bests = []
