@@ -20,11 +20,10 @@ from .imu import frame_angle, integrate_gyro
 from .robust import (
     DEFAULT_POINT_RAY_THRESHOLD,
     DEFAULT_SAMPSON_PX2,
+    SOLVERS,
     RansacConfig,
     sampson_threshold_from_pixels,
 )
-from .solver_gen5 import solve_gen5pt_angle
-from .solver_reg4 import solve_4pt_angle
 from .synth import SceneConfig, run_ransac_trials, run_trials, summarize
 
 
@@ -46,9 +45,8 @@ def _write_output(text: str, out: str | None) -> None:
 
 def cmd_solve(args) -> int:
     doc = formats.parse_correspondence_document(Path(args.input).read_text())
-    solve = solve_4pt_angle if doc.kind == "regular" else solve_gen5pt_angle
-    poses = solve(doc.pairs, doc.theta_rad)
-    _write_output(formats.emit_pose_document(poses, doc.kind), args.out)
+    poses = doc.solver.solve(doc.pairs, doc.theta_rad)
+    _write_output(formats.emit_pose_document(poses), args.out)
     return 0
 
 
@@ -78,6 +76,7 @@ def cmd_synth_bench(args) -> int:
 
 def cmd_ransac_bench(args) -> int:
     cfg = _scene_config(args)
+    # The two scores take their thresholds in different units.
     if args.solver == "reg4":
         threshold = sampson_threshold_from_pixels(args.sampson_px2, cfg.focal_px)
     else:
@@ -118,7 +117,7 @@ def cmd_imu_angle(args) -> int:
 
 
 def _add_bench_flags(p) -> None:
-    p.add_argument("--solver", choices=("reg4", "gen5"), required=True)
+    p.add_argument("--solver", choices=tuple(SOLVERS), required=True)
     p.add_argument("--noise-px", type=float, default=0.0)
     p.add_argument("--angle-noise-sigma", type=float, default=0.0,
                    help="relative angle noise, not radians: the solver gets theta * (1 + s) "

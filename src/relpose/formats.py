@@ -16,7 +16,11 @@ import numpy as np
 from .exceptions import DocumentError
 from .geom import BearingPair, PluckerPair, RelativePose, rotation_angle
 from .imu import GyroSample
+from .robust import SOLVERS, Solver
 from .synth import METRICS, TrialRecord
+
+# The solver of each correspondence document ``type``.
+_DOCUMENTS = {solver.document: solver for solver in SOLVERS.values()}
 
 
 def format_float(x: float) -> str:
@@ -25,7 +29,7 @@ def format_float(x: float) -> str:
 
 @dataclass(frozen=True)
 class CorrespondenceSet:
-    kind: str  # "regular" | "generalized"
+    solver: Solver  # the solver of the document's type
     theta_rad: float
     pairs: list
 
@@ -83,7 +87,7 @@ def parse_correspondence_document(text: str) -> CorrespondenceSet:
             raise DocumentError(f"line {line}: header field {tok!r} given twice")
         if tok == "type":
             val, vline = ts.next("type value")
-            if val not in ("regular", "generalized"):
+            if val not in _DOCUMENTS:
                 raise DocumentError(f"line {vline}: field 'type': must be 'regular' or 'generalized'")
             header[tok] = val
         elif tok == "theta_rad":
@@ -93,7 +97,7 @@ def parse_correspondence_document(text: str) -> CorrespondenceSet:
     for field in ("type", "theta_rad"):
         if field not in header:
             raise DocumentError(f"missing header field {field!r}")
-    kind, theta = header["type"], header["theta_rad"]
+    solver, theta = _DOCUMENTS[header["type"]], header["theta_rad"]
 
     pairs = []
     while ts.peek() is not None:
@@ -108,7 +112,7 @@ def parse_correspondence_document(text: str) -> CorrespondenceSet:
         # Rescale and re-orthogonalize only when the input actually violates
         # the constraints, so that emitted documents re-parse bit-identically.
         fix1, fix2 = abs(n1 - 1.0) > 1e-13, abs(n2 - 1.0) > 1e-13
-        if kind == "generalized":
+        if solver.pair_type is PluckerPair:
             ts.expect("m1")
             m1 = ts.floats(3, "m1")
             ts.expect("m2")
@@ -124,25 +128,25 @@ def parse_correspondence_document(text: str) -> CorrespondenceSet:
             pairs.append(PluckerPair(q1=q1, q2=q2, m1=m1, m2=m2))
         else:
             pairs.append(BearingPair(q1=q1 / n1 if fix1 else q1, q2=q2 / n2 if fix2 else q2))
-    return CorrespondenceSet(kind=kind, theta_rad=theta, pairs=pairs)
+    return CorrespondenceSet(solver=solver, theta_rad=theta, pairs=pairs)
 
 
 def emit_correspondence_document(kind: str, theta_rad: float, pairs) -> str:
+    """The document of ``type`` ``kind``: each pair with the rays that its
+    solver reads, in their order."""
+    names = _DOCUMENTS[kind].problem.ray_names
     lines = [f"type {kind}", f"theta_rad {format_float(theta_rad)}"]
     for p in pairs:
-        fields = [
-            "pair",
-            "q1", *(format_float(v) for v in p.q1),
-            "q2", *(format_float(v) for v in p.q2),
-        ]
-        if kind == "generalized":
-            fields += ["m1", *(format_float(v) for v in p.m1)]
-            fields += ["m2", *(format_float(v) for v in p.m2)]
+        fields = ["pair"]
+        for name in names:
+            fields += [name, *(format_float(v) for v in getattr(p, name))]
         lines.append(" ".join(fields))
     return "\n".join(lines) + "\n"
 
 
-def emit_pose_document(poses: list[RelativePose], kind: str) -> str:
+def emit_pose_document(poses: list[RelativePose]) -> str:
+    """The pose document of ``poses``; a pose with a metric translation
+    also lists its anchor depths."""
     lines = [f"solutions {len(poses)}"]
     for i, p in enumerate(poses):
         lines.append(f"solution {i}")
@@ -152,7 +156,7 @@ def emit_pose_document(poses: list[RelativePose], kind: str) -> str:
             "quat " + " ".join(format_float(v) for v in (p.quat.sigma, *p.quat.u))
         )
         lines.append(f"rotation_angle_rad {format_float(rotation_angle(p.R))}")
-        if kind == "generalized" and p.depths is not None:
+        if p.depths is not None:
             lines.append(
                 "depths " + " ".join(format_float(v) for v in p.depths)
             )

@@ -209,15 +209,8 @@ _F_RAY_PAIRS = np.triu_indices(4, 1)
 _F_PAIR_CROSSES = np.array([6, 7, 4, 0, 1, 2])
 
 
-def _degenerate(where, message: str, losses) -> None:
-    """Lose the samples ``where`` for a ``DegenerateInput`` in ``losses``, or raise it."""
-    if losses is None:
-        raise DegenerateInput(message)
-    losses.lose(where, DegenerateInput(message))
-
-
 def build_f_polynomials(
-    q1: np.ndarray, q2: np.ndarray, c: RotationConstraint, losses=None
+    q1: np.ndarray, q2: np.ndarray, c: RotationConstraint, losses
 ) -> np.ndarray:
     """The four quartic determinant constraints of the 4-point problem, as a
     ``(..., 4, 35)`` coefficient array on the degree-4 basis.
@@ -229,8 +222,7 @@ def build_f_polynomials(
     with coincident rays is lost in ``losses``, the solve's ``gbsolver.Losses``
     over the flat leading index, for a ``DegenerateInput`` naming its first
     such pair, view 1 before view 2 (its rows are left as they come out), so
-    that a solver drops it alone.  Without ``losses`` the first is raised:
-    the public contract of a direct call, which the solvers do not use.
+    that a solver drops it alone.
     """
     if q1.shape[-2:] != (4, 3):
         raise ValueError("exactly 4 bearing pairs required")
@@ -243,7 +235,7 @@ def build_f_polynomials(
         for s in found.reshape(-1, 12).any(-1).nonzero()[0].tolist():
             k = int(found[s].argmax())
             message = f"rays {first[k // 2]} and {second[k // 2]} coincide in view {k % 2 + 1}; "
-            _degenerate(s, message + "correspondences must be distinct", losses)
+            losses.lose(s, DegenerateInput(message + "correspondences must be distinct"))
     return _f_dets(rays, c.sigma)
 
 
@@ -276,8 +268,7 @@ def _g_dets(rows: np.ndarray) -> np.ndarray:
 
 
 def build_g_polynomials(
-    q1: np.ndarray, q2: np.ndarray, m1: np.ndarray, m2: np.ndarray, c: RotationConstraint,
-    losses=None,
+    q1: np.ndarray, q2: np.ndarray, m1: np.ndarray, m2: np.ndarray, c: RotationConstraint, losses
 ) -> np.ndarray:
     """The five sextic determinant constraints of the generalized 5-point
     problem, formed in one batch, as a ``(..., 5, 84)`` coefficient array on
@@ -290,5 +281,5 @@ def build_g_polynomials(
     collapsed = np.abs(dets).max(axis=-1) < 1e-12
     if np.count_nonzero(collapsed):
         message = "a determinant constraint collapsed to zero; the ray configuration is degenerate"
-        _degenerate(collapsed.reshape(-1, 5).any(-1), message, losses)
+        losses.lose(collapsed.reshape(-1, 5).any(-1), DegenerateInput(message))
     return dets

@@ -1,19 +1,23 @@
 """RANSAC hypothesize-and-test wrapper over either minimal solver: minimal
-samples solved as stacks in rounds, scored in one call, and, for reg4, a
-local optimization of each round's best.  The benchmark harness that runs
-it over outlier-contaminated scenes is ``synth.run_ransac_trials``."""
+samples solved as stacks in rounds, scored in one call, and, where the
+solver has one, a local optimization of each round's best.  Each solver is
+one ``Solver`` record in ``SOLVERS``, which RANSAC, the benchmark harness
+and the document formats read instead of deciding by its name.  The
+harness that runs RANSAC over outlier-contaminated scenes is
+``synth.run_ransac_trials``."""
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exceptions import NoHypothesis, ScaleUnobservable
+from .exceptions import NoHypothesis
 from .geom import BearingPair, PluckerPair, RelativePose, UnitQuaternion, is_integer
-from .gbsolver import GENERAL, REGULAR, RayTable
-from .solver_gen5 import _CENTRAL, central, point_rays, ray_point_errors, solve_gen5pt_angle
+from .gbsolver import GENERAL, REGULAR, RayTable, TemplateProblem
+from .solver_gen5 import point_rays, ray_point_errors, solve_gen5pt_angle
 from .solver_reg4 import epipolar_step, sampson_errors, solve_4pt_angle
 
 # Default inlier thresholds: squared pixels for the Sampson score of central
@@ -51,8 +55,6 @@ class RansacResult:
     inlier_mask: np.ndarray
     iterations: int
     n_hypotheses: int
-    # The best inlier count after each hypothesis, in the order weighed.
-    trace: tuple[int, ...]
 
     @property
     def inlier_count(self) -> int:
@@ -68,7 +70,41 @@ class RansacResult:
 BATCH_LIMIT = 8
 ROUND_LIMIT = 64
 
-_KINDS = {"reg4": (BearingPair, REGULAR), "gen5": (PluckerPair, GENERAL)}
+
+@dataclass(frozen=True)
+class Solver:
+    """One minimal solver as RANSAC, the benchmark harness and the document
+    formats see it: the ``type`` of its correspondence documents, its pair
+    type and ``TemplateProblem``, its ``solve`` and its ``score`` of poses
+    on rays; ``rays``, which turns a ``RayTable``'s rays into the rays that
+    ``score`` takes, or raises where they can score no pose; and ``step``,
+    the local optimization of a round's best, or None."""
+
+    document: str
+    pair_type: type
+    problem: TemplateProblem
+    solve: Callable
+    score: Callable
+    rays: Callable
+    step: Callable | None
+
+
+# Each solver by its name, the ``kind`` of ``ransac_estimate``.  reg4 scores
+# the table's rays as they are.  gen5 takes no step: its score accepts
+# outliers that a least-squares step would fit.
+SOLVERS = {
+    "reg4": Solver(document="regular", pair_type=BearingPair, problem=REGULAR,
+                   solve=solve_4pt_angle, score=sampson_errors, rays=tuple, step=epipolar_step),
+    "gen5": Solver(document="generalized", pair_type=PluckerPair, problem=GENERAL,
+                   solve=solve_gen5pt_angle, score=ray_point_errors, rays=point_rays, step=None),
+}
+
+
+def solver_named(name: str) -> Solver:
+    """The record ``SOLVERS[name]``; ``ValueError`` for a name it lacks."""
+    if name not in SOLVERS:
+        raise ValueError(f"unknown solver {name!r}")
+    return SOLVERS[name]
 
 
 def ransac_estimate(
@@ -92,37 +128,32 @@ def ransac_estimate(
     stopping rule applied sample by sample, also after a sample that yields
     no pose, and the samples of a round past the stop are discarded.
 
-    A reg4 round whose hypotheses raised the best inlier count ends with a
-    local optimization of its best (Chum, Matas and Kittler, "Locally
-    optimized RANSAC", DAGM 2003): one ``epipolar_step`` on the inliers,
-    the angle held.  The stepped pose replaces the best if it scores more
-    inliers on all observations, or as many with a lower total, and then the
-    stopping bound is recomputed from its count before the next round is
-    sized.  A stepped winner keeps the diagnostics of its hypothesis.  gen5
-    takes no step: its score accepts outliers that a least-squares step
-    would fit.  So the result is that of solving one sample at a time, in
+    ``kind`` names the solver in ``SOLVERS``.  Where its record has a
+    ``step``, a round whose hypotheses raised the best inlier count ends
+    with a local optimization of its best (Chum, Matas and Kittler,
+    "Locally optimized RANSAC", DAGM 2003): for reg4 one ``epipolar_step``
+    on the inliers, the angle held.  The stepped pose replaces the best if
+    it scores more inliers on all observations, or as many with a lower
+    total, and then the stopping bound is recomputed from its count before
+    the next round is sized.  A stepped winner keeps the diagnostics of its
+    hypothesis.  So the result is that of solving one sample at a time, in
     these rounds, with a step at each round's end.
     """
-    if kind not in _KINDS:
-        raise ValueError(f"unknown solver kind {kind!r}")
-    pair_type, problem = _KINDS[kind]
-    if not all(isinstance(o, pair_type) for o in observations):
-        raise ValueError(f"{kind} RANSAC takes {pair_type.__name__} observations")
-    sample_size = problem.sample_size
+    solver = solver_named(kind)
+    # The tracer of ``perfbench/spans.py``, and tests, replace these
+    # functions as attributes of this module: look each up here by name.
+    solve, score = globals()[solver.solve.__name__], globals()[solver.score.__name__]
+    step = solver.step and globals()[solver.step.__name__]
+    if not all(isinstance(o, solver.pair_type) for o in observations):
+        raise ValueError(f"{kind} RANSAC takes {solver.pair_type.__name__} observations")
+    sample_size = solver.problem.sample_size
     n = len(observations)
     if n < sample_size:
         raise ValueError(f"at least {sample_size} observations required, got {n}")
     # Stacked once per call: every round's solve indexes the table, and each
     # hypothesis only moves the rays by its pose.
-    table = RayTable(observations, problem.ray_names)
-    if kind == "reg4":
-        rays = table.rays
-        solve, score = solve_4pt_angle, sampson_errors
-    else:
-        if central(table.rays[2:]):
-            raise ScaleUnobservable(_CENTRAL)
-        rays = point_rays(*table.rays)
-        solve, score = solve_gen5pt_angle, ray_point_errors
+    table = RayTable(observations, solver.problem.ray_names)
+    rays = solver.rays(table.rays)
     rng = np.random.default_rng(cfg.seed)
     log_miss = math.log(1.0 - cfg.confidence)
 
@@ -135,7 +166,6 @@ def ransac_estimate(
     # ``(R, t, u)`` once a step has beaten it.
     best = best_mask = None
     best_count, best_score = -1, math.inf
-    trace: list[int] = []
     n_hypotheses = iterations = 0
     needed = math.inf
     cap = BATCH_LIMIT
@@ -164,16 +194,15 @@ def ransac_estimate(
                     if count > best_count or total < best_score:
                         best, best_mask = (answer, h, None), mask
                         best_count, best_score = count, total
-                trace.append(best_count)
             if best_count > 0:
                 needed = bound(best_count)
                 if iterations >= needed:
                     break
-        if kind == "reg4" and best_count > before:
+        if step is not None and best_count > before:
             # Local optimization of the round's best (LO-RANSAC): one step
             # on its inliers, kept if it scores better on all observations.
             owner, row, _ = best
-            stepped = epipolar_step(
+            stepped = step(
                 owner.R[row], owner.t[row], owner.sigma, owner.u[row], *(r[best_mask] for r in rays)
             )
             if stepped is not None:
@@ -197,5 +226,4 @@ def ransac_estimate(
         inlier_mask=best_mask,
         iterations=iterations,
         n_hypotheses=n_hypotheses,
-        trace=tuple(trace),
     )

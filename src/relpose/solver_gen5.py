@@ -32,7 +32,7 @@ from .geom import (
 from .poly import build_g_polynomials
 
 # All moments below this norm mean a purely central configuration, which
-# the screen of a solve and RANSAC both reject with ``_CENTRAL``.
+# the screen of a solve and ``point_rays`` both reject with ``_CENTRAL``.
 CENTRAL_MOMENT_EPS = 1e-12
 _CENTRAL = "all ray moments vanish: a central configuration carries no translation scale"
 
@@ -50,7 +50,7 @@ _LAYERS = sys.modules[__name__]
 _VIEWS, _LEFT, _RIGHT = np.array([0, 1, 0, 1]), np.array([1, 3, 1, 5]), np.array([2, 0, 4, 0])
 
 
-def central(moments: np.ndarray) -> np.ndarray:
+def _central(moments: np.ndarray) -> np.ndarray:
     """Which of the ``(2, ..., N, 3)`` moment rows ``m1``, ``m2`` all vanish:
     a central configuration, which carries no translation scale."""
     return np.sqrt(stacked_dot(moments, moments)).max(axis=(0, -1)) < CENTRAL_MOMENT_EPS
@@ -58,8 +58,8 @@ def central(moments: np.ndarray) -> np.ndarray:
 
 def _screen(rays: np.ndarray, losses) -> None:
     """Lose the samples of the ``(4, B, 5, 3)`` Pluecker rows that are
-    ``central``."""
-    losses.lose(central(rays[2:]), ScaleUnobservable(_CENTRAL))
+    ``_central``."""
+    losses.lose(_central(rays[2:]), ScaleUnobservable(_CENTRAL))
 
 
 def _depth_rows(own: np.ndarray, Rs: np.ndarray) -> np.ndarray:
@@ -140,10 +140,15 @@ def solve_gen5pt_angle(
     return solve(_LAYERS, GENERAL, build_g_polynomials, _screen, _poses, pairs, theta, samples)
 
 
-def point_rays(q1, q2, m1, m2) -> tuple[np.ndarray, ...]:
-    """The rays ``(d1, o1, q2, c2)`` of ``(N, 3)`` Pluecker rows: first-view
-    directions and origins ``m1 x q1``, second-view directions and origins
-    ``m2 x q2`` in the second camera's frame."""
+def point_rays(rays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The rays ``(d1, o1, q2, c2)`` of the ``(4, N, 3)`` Pluecker rows ``q1,
+    q2, m1, m2``: first-view directions and origins ``m1 x q1``, second-view
+    directions and origins ``m2 x q2`` in the second camera's frame.  Rows
+    whose moments all vanish, a central configuration, carry no translation
+    scale to score and raise ``ScaleUnobservable``."""
+    if _central(rays[2:]):
+        raise ScaleUnobservable(_CENTRAL)
+    q1, q2, m1, m2 = rays
     return q1, stacked_cross(m1, q1), q2, stacked_cross(m2, q2)
 
 

@@ -23,9 +23,7 @@ from .geom import (
     rotation_angle,
     stacked_cross,
 )
-from .robust import RansacConfig, ransac_estimate
-from .solver_gen5 import solve_gen5pt_angle
-from .solver_reg4 import solve_4pt_angle
+from .robust import RansacConfig, ransac_estimate, solver_named
 
 # Ground-truth rotation magnitude is drawn from this range when not fixed.
 THETA_RANGE_RAD = (math.radians(5.0), math.radians(60.0))
@@ -311,15 +309,14 @@ def trial_inputs(
     pose, the ``n_obs`` observations, the mask of their inliers and the
     input angle.  Each trial draws its scene, image noise, outliers and
     angle noise in this order; later draws of the caller follow them."""
-    if solver not in ("reg4", "gen5"):
-        raise ValueError(f"unknown solver {solver!r}")
+    pair_type = solver_named(solver).pair_type
     if not is_integer(n_trials):
         raise ValueError(f"n_trials must be an integer, got {n_trials!r}")
     if not n_trials >= 1:
         raise ValueError(f"n_trials must be at least 1, got {n_trials!r}")
     if not 0.0 <= outlier_frac < 1.0:
         raise ValueError(f"outlier_frac must lie in [0, 1), got {outlier_frac!r}")
-    base = replace(cfg, generalized=solver == "gen5")
+    base = replace(cfg, generalized=pair_type is PluckerPair)
     for child in np.random.SeedSequence(cfg.seed).spawn(n_trials):
         rng = np.random.default_rng(child)
         truth, pairs = generate_scene(base, n_obs, rng=rng)
@@ -357,16 +354,18 @@ def _ransac_fields(result, inliers: np.ndarray):
                            "precision": precision, "iterations": result.iterations}
 
 
-def _record(trial, truth, inliers, out, solve_ms, generalized, fields) -> TrialRecord:
+def _record(trial, truth, inliers, out, solve_ms, fields) -> TrialRecord:
     """The record of a trial whose call returned ``out``, or raised it, in
     ``solve_ms``: ``fields(out, inliers)`` gives the poses to score against
-    ``truth`` and the fields that its harness measures."""
+    ``truth`` and the fields that its harness measures.  The scale error is
+    measured where the poses have a metric translation, which the anchor
+    depths that they carry show."""
     theta = rotation_angle(truth.R)
     if isinstance(out, RelposeError):
         return TrialRecord(trial, theta, math.inf, math.inf, math.inf, solve_ms,
                            type(out).__name__)
     poses, measured = fields(out, inliers)
-    ang, scale = translation_errors(poses, truth.t, with_scale=generalized)
+    ang, scale = translation_errors(poses, truth.t, with_scale=poses[0].depths is not None)
     return TrialRecord(trial, theta, rotation_error(poses, truth.R), ang, scale, solve_ms,
                        **measured)
 
@@ -379,13 +378,11 @@ def run_trials(
     angle_noise_sigma: float = 0.0,
 ) -> list[TrialRecord]:
     """Run independent minimal-solver trials with per-trial derived seeds."""
-    generalized = solver == "gen5"
-    solve = solve_gen5pt_angle if generalized else solve_4pt_angle
-    inputs = trial_inputs(solver, cfg, n_trials, 5 if generalized else 4, noise_px,
+    record = solver_named(solver)
+    inputs = trial_inputs(solver, cfg, n_trials, record.problem.sample_size, noise_px,
                           angle_noise_sigma)
     return [
-        _record(idx, truth, inliers, *timed(solve, observed, theta_in), generalized,
-                _minimal_fields)
+        _record(idx, truth, inliers, *timed(record.solve, observed, theta_in), _minimal_fields)
         for idx, (_, truth, observed, inliers, theta_in) in enumerate(inputs)
     ]
 
@@ -407,7 +404,7 @@ def run_ransac_trials(
     for idx, (rng, truth, observed, inliers, theta_in) in enumerate(inputs):
         trial_cfg = replace(ransac_cfg, seed=int(rng.integers(0, 2**63 - 1)))
         out = timed(ransac_estimate, observed, theta_in, trial_cfg, solver)
-        records.append(_record(idx, truth, inliers, *out, solver == "gen5", _ransac_fields))
+        records.append(_record(idx, truth, inliers, *out, _ransac_fields))
     return records
 
 

@@ -43,7 +43,11 @@ import math
 
 import numpy as np
 
-from reference_templates import pivot_hints, rref_conditioned as complete_pivoting
+from reference_templates import (
+    package_generators,
+    pivot_hints,
+    rref_conditioned as complete_pivoting,
+)
 from relpose.exceptions import RelposeError
 from relpose.gbsolver import (
     GENERAL,
@@ -85,7 +89,7 @@ def scenes(problem, seeds):
                           motion=("forward", "sideways")[k % 2])
         truth, pairs = generate_scene(cfg, problem.sample_size)
         c = sigma_from_angle(theta)
-        gens = build(*_ray_stack(pairs, *names), c)
+        gens = package_generators(build, _ray_stack(pairs, *names), c)
         tpl = assemble_reduced_template(gens, problem, c)
         out.append((c, truth.R, gens, tpl))
     return out

@@ -55,7 +55,7 @@ def loop_ransac_estimate(
     if kind == "reg4":
         rays = (np.array([o.q1 for o in observations]), np.array([o.q2 for o in observations]))
     else:
-        rays = point_rays(*_ray_stack(observations, "q1", "q2", "m1", "m2"))
+        rays = point_rays(_ray_stack(observations, "q1", "q2", "m1", "m2"))
 
     def needed_for(count: int) -> float:
         p_good = (count / n) ** sample_size
@@ -68,7 +68,6 @@ def loop_ransac_estimate(
     best_count = -1
     best_score = math.inf
     n_hypotheses = 0
-    trace: list[int] = []
     iterations = 0
     needed = math.inf
     cap = robust.BATCH_LIMIT
@@ -95,7 +94,6 @@ def loop_ransac_estimate(
                 total = float(np.sum(errors[mask])) if count else math.inf
                 if count > best_count or (count == best_count and total < best_score):
                     best_pose, best_mask, best_count, best_score = pose, mask, count, total
-                trace.append(best_count)
             if best_count > 0:
                 needed = needed_for(best_count)
                 if iterations >= needed:
@@ -123,5 +121,4 @@ def loop_ransac_estimate(
         inlier_mask=best_mask,
         iterations=iterations,
         n_hypotheses=n_hypotheses,
-        trace=tuple(trace),
     )

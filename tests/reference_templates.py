@@ -26,7 +26,8 @@ one, ``extract_roots`` filters one eigenpair at a time against the checks
 rescales the roots one ``rectify_quaternion`` at a time, with the zero
 angle's one root in ``ZERO_ANGLE_ROOTS``; the package's versions must
 reproduce them bit for bit too.  ``prepare`` and ``rotation_candidates``
-give one sample's pairs and polished roots as the solvers find them.  The
+give one sample's pairs and polished roots as the solvers find them, and
+``package_generators`` the package's generators of one sample.  The
 left-to-right Gauss-Jordan reduction ``rref``, the ``grevlex_compare`` order
 predicate and the Schur-complement cross-check of the template also live
 here; the package uses none of them.
@@ -83,6 +84,18 @@ def prepare(problem, pairs: list, theta: float):
     if len(pairs) != n:
         raise ValueError(f"exactly {n} correspondences required, got {len(pairs)}")
     return list(pairs), sigma_from_angle(theta)
+
+
+def package_generators(build, rays: np.ndarray, c) -> np.ndarray:
+    """The generators that the package's ``build``, ``build_f_polynomials``
+    or ``build_g_polynomials``, makes of the ray rows of one sample, or the
+    ``DegenerateInput`` that it records for the sample in a
+    ``gbsolver.Losses``, raised."""
+    losses = Losses(1)
+    generators = build(*rays, c, losses)
+    if losses.errors:
+        raise losses.errors[0]
+    return generators
 
 
 def rotation_candidates(module, pairs: list, c) -> np.ndarray:

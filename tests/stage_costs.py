@@ -68,7 +68,7 @@ from panel_digests import PERFBENCH, load_run
 COMMON = ("residual_gate", "_poses")
 HELPERS = {
     "reg4": ("cheiral_counts",),
-    "gen5": ("_screen", "central", "_depth_rows", "_sample_residuals"),
+    "gen5": ("_screen", "_central", "_depth_rows", "_sample_residuals"),
 }
 # The shared pipeline steps, spied in ``gbsolver``.
 GBSOLVER = ("rotation_roots", "_eliminate", "_attempt", "usable_rotations", "SamplePoses")

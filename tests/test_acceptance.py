@@ -46,6 +46,7 @@ from reference_geom import quat_from_rotation
 from reference_templates import (
     as_polynomials,
     f_determinant,
+    package_generators,
     reduce_mod_h,
     rref_conditioned,
     schur_equivalence_check,
@@ -100,7 +101,7 @@ def test_criterion_02_noise_free_generalized(generalized_noise_free):
 def _regular_pipeline_stats(seed):
     truth, pairs = generate_scene(SceneConfig(seed=seed), 4)
     c = sigma_from_angle(rotation_angle(truth.R))
-    fs = build_f_polynomials(*_ray_stack(pairs, "q1", "q2"), c)
+    fs = package_generators(build_f_polynomials, _ray_stack(pairs, "q1", "q2"), c)
     tpl = assemble_reduced_template(fs, REGULAR, c)
     rem = grevlex_basis(5).remainder_monomials
     top = tuple(j for j, m in enumerate(rem) if sum(m) == 5)
@@ -117,7 +118,7 @@ def _regular_pipeline_stats(seed):
 def _general_pipeline_stats(seed):
     truth, pairs = generate_scene(SceneConfig(seed=seed, generalized=True), 5)
     c = sigma_from_angle(rotation_angle(truth.R))
-    gs = build_g_polynomials(*_ray_stack(pairs, "q1", "q2", "m1", "m2"), c)
+    gs = package_generators(build_g_polynomials, _ray_stack(pairs, "q1", "q2", "m1", "m2"), c)
     tpl = assemble_reduced_template(gs, GENERAL, c)
     rem = grevlex_basis(8).remainder_monomials
     top = tuple(j for j, m in enumerate(rem) if sum(m) == 8)
@@ -164,13 +165,15 @@ def test_criterion_04_template_shapes():
     for seed in range(5):
         truth, pairs = generate_scene(SceneConfig(seed=seed), 4)
         c = sigma_from_angle(rotation_angle(truth.R))
-        fs = build_f_polynomials(*_ray_stack(pairs, "q1", "q2"), c)
+        fs = package_generators(build_f_polynomials, _ray_stack(pairs, "q1", "q2"), c)
         tpl = assemble_reduced_template(fs, REGULAR, c)
         assert tpl.shape == (16, 36)
         truth, pairs = generate_scene(SceneConfig(seed=seed, generalized=True), 5)
         c = sigma_from_angle(rotation_angle(truth.R))
         tpl = assemble_reduced_template(
-            build_g_polynomials(*_ray_stack(pairs, "q1", "q2", "m1", "m2"), c), GENERAL, c
+            package_generators(build_g_polynomials, _ray_stack(pairs, "q1", "q2", "m1", "m2"), c),
+            GENERAL,
+            c,
         )
         assert tpl.shape == (37, 81)
     report(4, "template shapes", "16x36 and 37x81 on every instance")
@@ -192,7 +195,8 @@ def test_criterion_05_schur_equivalence():
     for theta in angles:
         c = sigma_from_angle(theta)
         for _ in range(100):
-            fs = build_f_polynomials(*_ray_stack(_random_bearing_pairs(rng, 4), "q1", "q2"), c)
+            rays = _ray_stack(_random_bearing_pairs(rng, 4), "q1", "q2")
+            fs = package_generators(build_f_polynomials, rays, c)
             worst = max(worst, schur_equivalence_check(fs, c))
     assert worst < 1e-11, f"max deviation {worst:.3e}"
 
@@ -203,7 +207,8 @@ def test_criterion_05_schur_equivalence():
     for _ in range(3):
         theta = rng.uniform(0.2, 2.8)
         c = sigma_from_angle(theta)
-        fs = build_f_polynomials(*_ray_stack(_random_bearing_pairs(rng, 4), "q1", "q2"), c)
+        rays = _ray_stack(_random_bearing_pairs(rng, 4), "q1", "q2")
+        fs = package_generators(build_f_polynomials, rays, c)
         tpl = assemble_reduced_template(fs, REGULAR, c)
         A = np.zeros((4, 35))
         for r, f in enumerate(as_polynomials(fs)):

@@ -32,6 +32,7 @@ from relpose.gbsolver import (
     REGULAR,
     ROOT_TOL,
     U_DIRECTION_EPS,
+    Losses,
     assemble_reduced_template,
     build_action_matrix,
     eigensolve_real,
@@ -98,8 +99,12 @@ def generators_and_template(module, solver: str, pairs, c):
 
 
 BATCHED = SimpleNamespace(
-    build_f_polynomials=lambda pairs, c: build_f_polynomials(*_ray_stack(pairs, "q1", "q2"), c),
-    build_g_polynomials=lambda pairs, c: build_g_polynomials(*_ray_stack(pairs, *PLUCKER), c),
+    build_f_polynomials=lambda pairs, c: ref.package_generators(
+        build_f_polynomials, _ray_stack(pairs, "q1", "q2"), c
+    ),
+    build_g_polynomials=lambda pairs, c: ref.package_generators(
+        build_g_polynomials, _ray_stack(pairs, *PLUCKER), c
+    ),
     assemble_reduced_template=assemble_reduced_template,
 )
 
@@ -142,7 +147,8 @@ class TestGeneratorsMatchSpecs:
         pairs = problem("reg4", "central", "forward", theta, seed)
         c = sigma_from_angle(theta)
         q1, q2 = _ray_stack(pairs, "q1", "q2")
-        for f, (i, j, k) in zip(build_f_polynomials(q1, q2, c), F_TRIPLES, strict=True):
+        gens = build_f_polynomials(q1, q2, c, Losses(1))
+        for f, (i, j, k) in zip(gens, F_TRIPLES, strict=True):
             rays = _f_rays(q1, q2, np.array([i, i]), np.array([j, k]))
             assert_bits(f, _f_dets(rays, c.sigma))
             assert_bits(f, ref.f_determinant(pairs, i, j, k, c).coeffs)
@@ -153,7 +159,8 @@ class TestGeneratorsMatchSpecs:
         pairs = problem("gen5", "generalized", "sideways", theta, seed)
         c = sigma_from_angle(theta)
         rays = _ray_stack(pairs, *PLUCKER)
-        for g, (i, j, k, l) in zip(build_g_polynomials(*rays, c), G_QUADRUPLES, strict=True):
+        gens = build_g_polynomials(*rays, c, Losses(1))
+        for g, (i, j, k, l) in zip(gens, G_QUADRUPLES, strict=True):
             rows = _g_rows(*rays, np.array([i, i, i]), np.array([j, k, l]), c.sigma)
             assert_bits(g, _g_dets(rows))
             assert_bits(g, ref.g_determinant(pairs, i, j, k, l, c).coeffs)
@@ -702,13 +709,15 @@ class TestDegenerateInputs:
         bad = list(pairs)
         names = [f"q{v}" for v in views]
         bad[second] = replace(pairs[second], **{name: getattr(pairs[first], name) for name in names})
-        with pytest.raises(DegenerateInput) as batched:
-            build_f_polynomials(*_ray_stack(bad, "q1", "q2"), c)
+        losses = Losses(1)
+        build_f_polynomials(*_ray_stack(bad, "q1", "q2"), c, losses)
+        [batched] = losses.errors
+        assert type(batched) is DegenerateInput and losses.status.tolist() == [1]
         with pytest.raises(DegenerateInput) as scalar:
             ref.build_f_polynomials(bad, c)
-        assert str(batched.value) == str(scalar.value)
+        assert str(batched) == str(scalar.value)
         named = f"rays {first} and {second} coincide in view {views[0]};"
-        assert str(batched.value).startswith(named)
+        assert str(batched).startswith(named)
         with pytest.raises(DegenerateInput) as solved:
             solve_4pt_angle(bad, 0.5)
         assert type(solved.value) is DegenerateInput
@@ -718,15 +727,18 @@ class TestDegenerateInputs:
     def test_collapsed_determinant(self):
         pairs = problem("gen5", "generalized", "forward", 0.5, 2)
         c = sigma_from_angle(0.5)
-        with pytest.raises(DegenerateInput):
-            build_g_polynomials(*_ray_stack([pairs[0]] * 5, *PLUCKER), c)
+        losses = Losses(1)
+        build_g_polynomials(*_ray_stack([pairs[0]] * 5, *PLUCKER), c, losses)
+        [error] = losses.errors
+        assert type(error) is DegenerateInput and losses.status.tolist() == [1]
+        assert str(error).startswith("a determinant constraint collapsed to zero")
         with pytest.raises(DegenerateConfiguration):
             solve_gen5pt_angle([pairs[0]] * 5, 0.5)
 
     def test_degree_overflow(self):
         pairs = problem("reg4", "central", "forward", 0.5, 3)
         c = sigma_from_angle(0.5)
-        fs = build_f_polynomials(*_ray_stack(pairs, "q1", "q2"), c)
+        fs = ref.package_generators(build_f_polynomials, _ray_stack(pairs, "q1", "q2"), c)
         message = "^multiplier {} on a degree-4 generator exceeds degree 5$"
         with pytest.raises(DegreeOverflow, match=message.format(r"\(0, 0, 2\)")):
             assemble_reduced_template(fs, replace(REGULAR, multipliers=((0, 0, 2),)), c)

@@ -10,6 +10,7 @@ from relpose.cli import main
 from relpose.exceptions import DocumentError
 from relpose.geom import rotation_angle
 from relpose.imu import GyroSample
+from relpose.robust import SOLVERS
 from relpose.synth import SceneConfig, TrialRecord, generate_scene, summarize
 
 
@@ -56,7 +57,7 @@ class TestCorrespondenceDocuments:
            q2 0.1 0 0.99498743710661997 # trailing comment
         """
         parsed = formats.parse_correspondence_document(text)
-        assert parsed.kind == "regular" and len(parsed.pairs) == 1
+        assert parsed.solver is SOLVERS["reg4"] and len(parsed.pairs) == 1
 
     def test_malformed_number_names_field_and_line(self):
         text = "type regular\ntheta_rad 0.5\npair q1 0 0 one q2 0 0 1\n"
@@ -153,6 +154,30 @@ class TestCmdSolve:
         _, _, _, path = regular_doc
         assert main(["solve", str(path), "--anchor", "1"]) == 1
         assert "unrecognized arguments: --anchor 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "fixture, keys",
+        [
+            ("regular_doc", ["cheiral_count", "cheirality_tie", "root_count"]),
+            ("generalized_doc", ["depths", "root_count"]),
+        ],
+    )
+    def test_pose_document_lines(self, request, capsys, fixture, keys):
+        # Every solution lists its fields in one order, and only a pose with
+        # a metric translation, a generalized document's, its anchor depths.
+        _, _, _, path = request.getfixturevalue(fixture)
+        doc = formats.parse_correspondence_document(path.read_text())
+        poses = doc.solver.solve(doc.pairs, doc.theta_rad)
+        assert main(["solve", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"solutions {len(poses)}"
+        per_pose = ["solution", "R", "t", "quat", "rotation_angle_rad", *keys]
+        assert [line.split()[0] for line in lines[1:]] == per_pose * len(poses)
+        depths = [line for line in lines if line.startswith("depths ")]
+        assert depths == [
+            "depths " + " ".join(formats.format_float(v) for v in p.depths)
+            for p in poses if p.depths is not None
+        ]
 
     def test_pose_document_roundtrip_precision(self, regular_doc, tmp_path):
         truth, pairs, theta, path = regular_doc

@@ -39,6 +39,7 @@ from reference_templates import (
     DensePolynomial,
     as_polynomials,
     candidate_rotations,
+    package_generators,
     reduce_mod_h,
     rref,
     schur_equivalence_check,
@@ -57,7 +58,7 @@ def regular_instance(seed):
     truth, pairs = generate_scene(SceneConfig(seed=seed), 4)
     theta = rotation_angle(truth.R)
     c = sigma_from_angle(theta)
-    gens = build_f_polynomials(*_ray_stack(pairs, "q1", "q2"), c)
+    gens = package_generators(build_f_polynomials, _ray_stack(pairs, "q1", "q2"), c)
     return gens, c, quat_from_rotation(truth.R).u
 
 
@@ -65,7 +66,7 @@ def general_instance(seed):
     truth, pairs = generate_scene(SceneConfig(seed=seed, generalized=True), 5)
     theta = rotation_angle(truth.R)
     c = sigma_from_angle(theta)
-    gens = build_g_polynomials(*_ray_stack(pairs, "q1", "q2", "m1", "m2"), c)
+    gens = package_generators(build_g_polynomials, _ray_stack(pairs, "q1", "q2", "m1", "m2"), c)
     return gens, c, quat_from_rotation(truth.R).u
 
 
@@ -117,7 +118,7 @@ class TestSchurEquivalence:
     def test_right_angle_instance(self):
         truth, pairs = generate_scene(SceneConfig(seed=6, theta_rad=math.pi / 2), 4)
         c = sigma_from_angle(math.pi / 2)
-        fs = build_f_polynomials(*_ray_stack(pairs, "q1", "q2"), c)
+        fs = package_generators(build_f_polynomials, _ray_stack(pairs, "q1", "q2"), c)
         assert schur_equivalence_check(fs, c) < 1e-11
 
     def test_spot_entry_formula(self):
@@ -516,7 +517,8 @@ class TestRootResiduals:
         truth, pairs = generate_scene(SceneConfig(seed=seed), 4)
         theta = rotation_angle(truth.R)
         c = sigma_from_angle(theta)
-        fs = as_polynomials(build_f_polynomials(*_ray_stack(pairs, "q1", "q2"), c))
+        rays = _ray_stack(pairs, "q1", "q2")
+        fs = as_polynomials(package_generators(build_f_polynomials, rays, c))
         roots = ref.rotation_candidates(solver_reg4, pairs, c)
         scale = max(f.max_abs() for f in fs)
         quats, _ = candidate_rotations(roots, c)

@@ -60,8 +60,9 @@ def scaled_residual(pose, pair) -> float:
 def generators(module, pairs, theta):
     c = sigma_from_angle(theta)
     if module is solver_gen5:
-        return module.build_g_polynomials(*_ray_stack(pairs, "q1", "q2", "m1", "m2"), c), c
-    return module.build_f_polynomials(*_ray_stack(pairs, "q1", "q2"), c), c
+        rays = _ray_stack(pairs, "q1", "q2", "m1", "m2")
+        return ref.package_generators(module.build_g_polynomials, rays, c), c
+    return ref.package_generators(module.build_f_polynomials, _ray_stack(pairs, "q1", "q2"), c), c
 
 
 class TestPolishRoots:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from relpose.exceptions import DegenerateInput, DegreeOverflow
+from relpose.gbsolver import Losses
 from relpose.geom import quat_to_rotation, rotation_angle, sigma_from_angle
 from relpose.poly import (
     _ray_stack,
@@ -24,6 +25,7 @@ from reference_templates import (
     g_constraint_row,
     grevlex_compare,
     monomial_poly,
+    package_generators,
     poly_mul,
     reduce_mod_h,
     rotation_bilinear_form,
@@ -182,7 +184,7 @@ def scene_with_truth(seed, generalized=False, n=None):
 class TestBuildF:
     def test_vanishes_at_ground_truth(self):
         truth, pairs, c, u = scene_with_truth(11)
-        for f in as_polynomials(build_f_polynomials(*_ray_stack(pairs, "q1", "q2"), c)):
+        for f in as_polynomials(package_generators(build_f_polynomials, _ray_stack(pairs, "q1", "q2"), c)):
             assert abs(f(u)) < 1e-12
 
     def test_cyclic_determinant_identity(self):
@@ -218,10 +220,14 @@ class TestBuildF:
                     assert np.max(np.abs(F @ np.array([lam, mu]))) < 1e-10
 
     def test_duplicate_pair_rejected(self):
+        # The sample is lost for a DegenerateInput naming the pair.
         truth, pairs, c, _ = scene_with_truth(14)
-        with pytest.raises(DegenerateInput):
-            bad = [pairs[0], pairs[0], pairs[2], pairs[3]]
-            build_f_polynomials(*_ray_stack(bad, "q1", "q2"), c)
+        bad = [pairs[0], pairs[0], pairs[2], pairs[3]]
+        losses = Losses(1)
+        build_f_polynomials(*_ray_stack(bad, "q1", "q2"), c, losses)
+        [error] = losses.errors
+        assert type(error) is DegenerateInput and losses.status.tolist() == [1]
+        assert str(error) == "rays 0 and 1 coincide in view 1; correspondences must be distinct"
 
 
 class TestAuxiliaryDeterminantIdentity:
@@ -237,14 +243,14 @@ class TestAuxiliaryDeterminantIdentity:
 class TestBuildG:
     def test_vanishes_at_ground_truth(self):
         truth, pairs, c, u = scene_with_truth(16, generalized=True)
-        for g in as_polynomials(build_g_polynomials(*_ray_stack(pairs, "q1", "q2", "m1", "m2"), c)):
+        for g in as_polynomials(package_generators(build_g_polynomials, _ray_stack(pairs, "q1", "q2", "m1", "m2"), c)):
             assert abs(g(u)) < 1e-10
 
     def test_total_degree_is_six(self):
         truth, pairs, c, _ = scene_with_truth(17, generalized=True)
         b6 = grevlex_basis(6)
         deg6 = np.array([sum(m) == 6 for m in b6.monomials])
-        for g in as_polynomials(build_g_polynomials(*_ray_stack(pairs, "q1", "q2", "m1", "m2"), c)):
+        for g in as_polynomials(package_generators(build_g_polynomials, _ray_stack(pairs, "q1", "q2", "m1", "m2"), c)):
             assert np.max(np.abs(g.coeffs[deg6])) > 1e-10 * g.max_abs()
 
     def test_constraint_row_matches_residual(self):
@@ -269,5 +275,10 @@ class TestBuildG:
 
     def test_zero_rows_rejected(self):
         truth, pairs, c, _ = scene_with_truth(19, generalized=True)
-        with pytest.raises(DegenerateInput):
-            build_g_polynomials(*_ray_stack([pairs[0]] * 5, "q1", "q2", "m1", "m2"), c)
+        losses = Losses(1)
+        build_g_polynomials(*_ray_stack([pairs[0]] * 5, "q1", "q2", "m1", "m2"), c, losses)
+        [error] = losses.errors
+        assert type(error) is DegenerateInput and losses.status.tolist() == [1]
+        assert str(error) == (
+            "a determinant constraint collapsed to zero; the ray configuration is degenerate"
+        )

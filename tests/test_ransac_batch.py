@@ -4,9 +4,11 @@ after every round, up to ``ROUND_LIMIT``.  A stack takes one
 inverse-iteration step per root and does not polish, so against the
 one-sample-at-a-time loop of ``reference_robust``, its single solves
 refined alike (``unrefined``), in the same rounds and with the same reg4
-step at a round's end, it must return the same inlier mask, trace,
-iteration and hypothesis counts, and the same pose to ``POSE_TOL``."""
+step at a round's end, it must return the same inlier mask, iteration and
+hypothesis counts, and the same pose to ``POSE_TOL``.  What differs
+between the solvers is read off their records in ``robust.SOLVERS``."""
 
+import sys
 from contextlib import contextmanager
 
 import numpy as np
@@ -25,13 +27,14 @@ from relpose.exceptions import (
     RelposeError,
     ScaleUnobservable,
 )
-from relpose.gbsolver import GENERAL, REGULAR, RayTable, SamplePoses
+from relpose.gbsolver import GENERAL, RayTable, SamplePoses
 from relpose.geom import BearingPair, PluckerPair, rotation_angle, sigma_from_angle
 from relpose.poly import _ray_stack
 from relpose.robust import (
     BATCH_LIMIT,
     DEFAULT_POINT_RAY_THRESHOLD,
     ROUND_LIMIT,
+    SOLVERS,
     RansacConfig,
     ransac_estimate,
     sampson_threshold_from_pixels,
@@ -41,11 +44,26 @@ from relpose.synth import SceneConfig, _corrupt, add_image_noise, generate_scene
 KINDS = ["reg4", "gen5"]
 SEEDS = range(20)
 POSE_TOL = 1e-12
+# The inlier threshold of each solver's score, in its own units.
+THRESHOLDS = {
+    "reg4": sampson_threshold_from_pixels(1.5, SceneConfig().focal_px),
+    "gen5": DEFAULT_POINT_RAY_THRESHOLD,
+}
+
+
+def generalized(kind) -> bool:
+    """Whether the solver ``kind`` takes generalized-camera scenes."""
+    return SOLVERS[kind].pair_type is PluckerPair
+
+
+def solver_module(kind):
+    """The module that defines the solver ``kind`` and holds its layers."""
+    return sys.modules[SOLVERS[kind].solve.__module__]
 
 
 def frame_pair(kind, seed, n_obs=100):
     """Observations with 0.5 px noise and 30% outliers, and the angle."""
-    cfg = SceneConfig(seed=seed, generalized=kind == "gen5")
+    cfg = SceneConfig(seed=seed, generalized=generalized(kind))
     rng = np.random.default_rng(seed)
     truth, pairs = generate_scene(cfg, n_obs, rng=rng)
     observed, _ = _corrupt(add_image_noise(pairs, 0.5, cfg, rng), cfg, 0.3, rng)
@@ -53,11 +71,7 @@ def frame_pair(kind, seed, n_obs=100):
 
 
 def config(kind, seed, **kw):
-    if kind == "reg4":
-        threshold = sampson_threshold_from_pixels(1.5, SceneConfig().focal_px)
-    else:
-        threshold = DEFAULT_POINT_RAY_THRESHOLD
-    return RansacConfig(inlier_threshold=threshold, seed=seed, **kw)
+    return RansacConfig(inlier_threshold=THRESHOLDS[kind], seed=seed, **kw)
 
 
 @contextmanager
@@ -93,7 +107,6 @@ def loop_ransac_estimate(observations, theta, cfg, kind):
 
 def assert_same(result, oracle):
     assert np.array_equal(result.inlier_mask, oracle.inlier_mask)
-    assert np.array_equal(np.asarray(result.trace), np.asarray(oracle.trace))
     assert result.iterations == oracle.iterations
     assert result.n_hypotheses == oracle.n_hypotheses
     assert np.max(np.abs(result.pose.R - oracle.pose.R)) <= POSE_TOL
@@ -102,7 +115,7 @@ def assert_same(result, oracle):
 
 def spy_on_rounds(monkeypatch, kind):
     """Record the samples and the ``SamplePoses`` of every stacked solve."""
-    name = "solve_4pt_angle" if kind == "reg4" else "solve_gen5pt_angle"
+    name = SOLVERS[kind].solve.__name__
     original = getattr(robust, name)
     rounds = []
 
@@ -122,7 +135,6 @@ def test_matches_the_sequential_loop(kind, seed):
     cfg = config(kind, seed)
     result = ransac_estimate(observed, theta, cfg, kind)
     assert_same(result, loop_ransac_estimate(observed, theta, cfg, kind))
-    assert len(result.trace) == result.n_hypotheses
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -255,9 +267,6 @@ def test_a_degenerate_sample_fails_alone(monkeypatch, kind):
     assert_each_solved_as_alone(kind, observed, theta, samples, out)
 
 
-SOLVES = {"reg4": solver_reg4.solve_4pt_angle, "gen5": solver_gen5.solve_gen5pt_angle}
-
-
 def assert_bits(got, want):
     """Equal arrays of one shape and type, the signs of zeros included."""
     got, want = np.asarray(got), np.asarray(want)
@@ -280,7 +289,7 @@ def assert_each_solved_as_alone(kind, observed, theta, samples, out: SamplePoses
         rows = slice(out.bounds[s], out.bounds[s + 1])
         try:
             with unrefined():
-                alone = SOLVES[kind]([observed[i] for i in samples[s]], theta)
+                alone = SOLVERS[kind].solve([observed[i] for i in samples[s]], theta)
         except RelposeError:
             assert rows.start == rows.stop
             continue
@@ -303,14 +312,14 @@ def test_a_stack_solves_each_sample_bit_for_bit_as_alone(monkeypatch, kind):
     seed, fallback = FALLBACK_SAMPLES[kind]
     observed, theta = frame_pair(kind, seed)
     rng = np.random.default_rng(seed)
-    size = 4 if kind == "reg4" else 5
+    size = SOLVERS[kind].problem.sample_size
     drawn = np.array([rng.choice(len(observed), size, replace=False) for _ in range(300)])
     repeated = drawn[fallback - 1].copy()
     repeated[1] = repeated[0]
     before, after = drawn[fallback - 8 : fallback], drawn[fallback : fallback + 8]
     samples = np.vstack([before, [repeated], after])
-    module = solver_reg4 if kind == "reg4" else solver_gen5
-    second = (REGULAR if kind == "reg4" else GENERAL).partitions[1]
+    module = solver_module(kind)
+    second = SOLVERS[kind].problem.partitions[1]
     original = module.rref_conditioned
     calls = []
 
@@ -320,10 +329,10 @@ def test_a_stack_solves_each_sample_bit_for_bit_as_alone(monkeypatch, kind):
 
     with monkeypatch.context() as m:
         m.setattr(module, "rref_conditioned", spy)
-        out = SOLVES[kind](observed, theta, samples=samples)
+        out = SOLVERS[kind].solve(observed, theta, samples=samples)
         assert (1, True) in calls
         calls.clear()
-        SOLVES[kind]([observed[i] for i in drawn[fallback]], theta)
+        SOLVERS[kind].solve([observed[i] for i in drawn[fallback]], theta)
         assert (1, True) in calls
     assert len(out) == len(samples) and not solved(out)[8]
     assert_each_solved_as_alone(kind, observed, theta, samples, out)
@@ -357,14 +366,14 @@ def force_loss(monkeypatch, kind, target):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_a_lost_sample_raises_its_reason_and_fails_alone(monkeypatch, kind):
-    size = 4 if kind == "reg4" else 5
-    truth, observed = generate_scene(SceneConfig(seed=6, generalized=kind == "gen5"), 3 * size)
+    size = SOLVERS[kind].problem.sample_size
+    truth, observed = generate_scene(SceneConfig(seed=6, generalized=generalized(kind)), 3 * size)
     theta = rotation_angle(truth.R)
     samples = np.arange(3 * size).reshape(3, size)
     error, message = force_loss(monkeypatch, kind, observed[size].q1)
     with pytest.raises(error, match=message):
-        SOLVES[kind](observed[size : 2 * size], theta)
-    out = SOLVES[kind](observed, theta, samples=samples)
+        SOLVERS[kind].solve(observed[size : 2 * size], theta)
+    out = SOLVERS[kind].solve(observed, theta, samples=samples)
     assert solved(out) == [True, False, True]
     assert_each_solved_as_alone(kind, observed, theta, samples, out)
 
@@ -374,11 +383,11 @@ def test_an_answer_with_a_lost_sample_counts_samples_and_partitions_its_rows(mon
     # Its length is the sample count, which the benchmark's tracer reads,
     # and its bounds cut its rows into one block per sample, the lost
     # sample's empty.
-    size = 4 if kind == "reg4" else 5
-    truth, observed = generate_scene(SceneConfig(seed=6, generalized=kind == "gen5"), 3 * size)
+    size = SOLVERS[kind].problem.sample_size
+    truth, observed = generate_scene(SceneConfig(seed=6, generalized=generalized(kind)), 3 * size)
     samples = np.arange(3 * size).reshape(3, size)
     force_loss(monkeypatch, kind, observed[size].q1)
-    out = SOLVES[kind](observed, rotation_angle(truth.R), samples=samples)
+    out = SOLVERS[kind].solve(observed, rotation_angle(truth.R), samples=samples)
     bounds = out.bounds
     assert len(out) == len(samples) == len(bounds) - 1
     assert bounds[0] == 0 and bounds[1] == bounds[2] and bounds == sorted(bounds)
@@ -405,13 +414,13 @@ def test_an_answer_with_a_lost_sample_counts_samples_and_partitions_its_rows(mon
 def test_a_bad_sample_index_raises_value_error(kind, first, message):
     # A negative index used to wrap around to a pair from the end, one past
     # the end raised a bare IndexError and a float one a TypeError.
-    size = 4 if kind == "reg4" else 5
-    truth, observed = generate_scene(SceneConfig(seed=6, generalized=kind == "gen5"), 12)
+    size = SOLVERS[kind].problem.sample_size
+    truth, observed = generate_scene(SceneConfig(seed=6, generalized=generalized(kind)), 12)
     samples = np.array([[first, *range(1, size)]])
-    table = RayTable(observed, (REGULAR if kind == "reg4" else GENERAL).ray_names)
+    table = RayTable(observed, SOLVERS[kind].problem.ray_names)
     for pairs in (observed, table):
         with pytest.raises(ValueError) as info:
-            SOLVES[kind](pairs, rotation_angle(truth.R), samples=samples)
+            SOLVERS[kind].solve(pairs, rotation_angle(truth.R), samples=samples)
         assert str(info.value) == message.format(last=size - 1)
 
 
@@ -423,11 +432,11 @@ def test_rotated_index_rows_solve_as_the_rotated_pairs_alone(kind, k):
     # cyclic order of its pairs: a stack whose index rows are rotated by k
     # solves each row bit for bit as the single solve of pairs[k:] +
     # pairs[:k].
-    size = 4 if kind == "reg4" else 5
-    truth, observed = generate_scene(SceneConfig(seed=6, generalized=kind == "gen5"), 3 * size)
+    size = SOLVERS[kind].problem.sample_size
+    truth, observed = generate_scene(SceneConfig(seed=6, generalized=generalized(kind)), 3 * size)
     theta = rotation_angle(truth.R)
     rotated = np.roll(np.arange(3 * size).reshape(3, size), -k, axis=1)
-    out = SOLVES[kind](observed, theta, samples=rotated)
+    out = SOLVERS[kind].solve(observed, theta, samples=rotated)
     assert all(solved(out))
     assert_each_solved_as_alone(kind, observed, theta, rotated, out)
 
@@ -445,11 +454,11 @@ def test_a_svd_that_does_not_converge_loses_only_its_own_sample(monkeypatch, kin
     # LAPACK's SVD gufunc marks a matrix that does not converge NaN, where
     # np.linalg.svd raises an untyped LinAlgError; stub that for every
     # matrix of the sample ``lost`` as the pose rule sees it.
-    size = 4 if kind == "reg4" else 5
-    truth, observed = generate_scene(SceneConfig(seed=6, generalized=kind == "gen5"), 3 * size)
+    size = SOLVERS[kind].problem.sample_size
+    truth, observed = generate_scene(SceneConfig(seed=6, generalized=generalized(kind)), 3 * size)
     theta = rotation_angle(truth.R)
     samples = np.arange(3 * size).reshape(3, size)
-    module = solver_reg4 if kind == "reg4" else solver_gen5
+    module = solver_module(kind)
     poses, svd, seen = module._poses, module._svd_or_nan, {}
 
     def spy(rays, sample, *rest):
@@ -467,9 +476,9 @@ def test_a_svd_that_does_not_converge_loses_only_its_own_sample(monkeypatch, kin
     error, message = SVD_LOSS[kind]
     seen["lost"] = 0
     with pytest.raises(error, match=message):
-        SOLVES[kind](observed[size : 2 * size], theta)
+        SOLVERS[kind].solve(observed[size : 2 * size], theta)
     seen["lost"] = 1
-    out = SOLVES[kind](observed, theta, samples=samples)
+    out = SOLVERS[kind].solve(observed, theta, samples=samples)
     assert solved(out) == [True, False, True]
     seen["lost"] = -1
     assert_each_solved_as_alone(kind, observed, theta, samples, out, which=(0, 2))
@@ -485,7 +494,7 @@ def test_a_degenerate_sample_costs_one_generator_call(monkeypatch, kind):
     # it is solved alone.
     observed, theta = frame_pair(kind, 4)
     rng = np.random.default_rng(4)
-    size = 4 if kind == "reg4" else 5
+    size = SOLVERS[kind].problem.sample_size
     samples = np.array([rng.choice(len(observed), size, replace=False) for _ in range(32)])
     samples[13, 2] = samples[13, 0]
     module, name = GENERATORS[kind]
@@ -497,24 +506,25 @@ def test_a_degenerate_sample_costs_one_generator_call(monkeypatch, kind):
 
     with monkeypatch.context() as m:
         m.setattr(module, name, spy)
-        out = SOLVES[kind](observed, theta, samples=samples)
+        out = SOLVERS[kind].solve(observed, theta, samples=samples)
     assert calls == [32]
     assert len(out) == 32 and not solved(out)[13]
     assert_each_solved_as_alone(kind, observed, theta, samples, out)
     # Alone, the sample raises the DegenerateInput, a DegenerateConfiguration,
-    # that a direct call of the generators raises.
+    # that a direct call of the generators records for it.
     pairs = [observed[i] for i in samples[13]]
     with pytest.raises(DegenerateInput) as alone:
-        SOLVES[kind](pairs, theta)
-    names = (REGULAR if kind == "reg4" else GENERAL).ray_names
-    with pytest.raises(DegenerateInput) as direct:
-        original(*_ray_stack(pairs, *names), sigma_from_angle(theta))
+        SOLVERS[kind].solve(pairs, theta)
+    names = SOLVERS[kind].problem.ray_names
+    losses = gbsolver.Losses(1)
+    original(*_ray_stack(pairs, *names), sigma_from_angle(theta), losses)
+    [direct] = losses.errors
     assert type(alone.value) is DegenerateInput
     assert isinstance(alone.value, DegenerateConfiguration)
-    assert str(alone.value) == str(direct.value)
+    assert str(alone.value) == str(direct)
     if kind == "reg4":
         # Rays 0 and 2 are one correspondence: view 1 is named first.
-        assert str(direct.value).startswith("rays 0 and 2 coincide in view 1;")
+        assert str(direct).startswith("rays 0 and 2 coincide in view 1;")
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -523,16 +533,16 @@ def test_a_template_no_partition_reduces_fails_alone(monkeypatch, kind):
     # one with an exactly singular pivot block, one with a non-finite entry.
     observed, theta = frame_pair(kind, 5)
     rng = np.random.default_rng(5)
-    size = 4 if kind == "reg4" else 5
+    size = SOLVERS[kind].problem.sample_size
     samples = np.array([rng.choice(len(observed), size, replace=False) for _ in range(6)])
     module, name = GENERATORS[kind]
-    problem = REGULAR if kind == "reg4" else GENERAL
+    problem = SOLVERS[kind].problem
     generators, c = getattr(module, name), sigma_from_angle(theta)
     # The generators of a sample, as bytes, name it in the template stack.
     spoiled = {}
     for k, how in ((1, "singular"), (4, "non-finite")):
         rays = _ray_stack([observed[i] for i in samples[k]], *problem.ray_names)
-        spoiled[generators(*rays, c).tobytes()] = how
+        spoiled[generators(*rays, c, gbsolver.Losses(1)).tobytes()] = how
     assemble = module.assemble_reduced_template
 
     def spoiling(gens, *args, **kwargs):
@@ -544,7 +554,7 @@ def test_a_template_no_partition_reduces_fails_alone(monkeypatch, kind):
         return template
 
     monkeypatch.setattr(module, "assemble_reduced_template", spoiling)
-    out = SOLVES[kind](observed, theta, samples=samples)
+    out = SOLVERS[kind].solve(observed, theta, samples=samples)
     assert solved(out) == [True, False, True, True, False, True]
     assert_each_solved_as_alone(kind, observed, theta, samples, out)
     for k, message in (
@@ -552,7 +562,7 @@ def test_a_template_no_partition_reduces_fails_alone(monkeypatch, kind):
         (4, "the fixed pivot block reduced to non-finite rows"),
     ):
         with pytest.raises(RankDeficient) as alone:
-            SOLVES[kind]([observed[i] for i in samples[k]], theta)
+            SOLVERS[kind].solve([observed[i] for i in samples[k]], theta)
         assert type(alone.value) is RankDeficient
         assert isinstance(alone.value, DegenerateConfiguration)
         assert str(alone.value) == message

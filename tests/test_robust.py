@@ -184,15 +184,6 @@ class TestRansacEstimate:
         assert result.iterations == 5
         assert np.flatnonzero(result.inlier_mask).tolist() == [17]
 
-    def test_trace_monotone(self):
-        truth, pairs = generate_scene(SceneConfig(seed=5), 60)
-        theta = rotation_angle(truth.R)
-        cfg = default_cfg(seed=5)
-        result = ransac_estimate(pairs, theta, cfg, "reg4")
-        trace = np.array(result.trace)
-        assert np.all(np.diff(trace) >= 0)
-        assert result.inlier_count == trace[-1]
-
     def test_unknown_kind(self):
         truth, pairs = generate_scene(SceneConfig(seed=6), 10)
         with pytest.raises(ValueError):

@@ -117,12 +117,13 @@ class TestSolveGen5ptAngle:
     def test_roots_satisfy_generating_polynomials(self, seed):
         from relpose.geom import sigma_from_angle
         from relpose.poly import _ray_stack, build_g_polynomials
-        from reference_templates import as_polynomials
+        from reference_templates import as_polynomials, package_generators
 
         truth, pairs = generate_scene(SceneConfig(seed=seed, generalized=True), 5)
         theta = rotation_angle(truth.R)
         c = sigma_from_angle(theta)
-        gs = as_polynomials(build_g_polynomials(*_ray_stack(pairs, "q1", "q2", "m1", "m2"), c))
+        rays = _ray_stack(pairs, "q1", "q2", "m1", "m2")
+        gs = as_polynomials(package_generators(build_g_polynomials, rays, c))
         scale = max(g.max_abs() for g in gs)
         for pose in solve_gen5pt_angle(pairs, theta):
             u = pose.quat.u
@@ -169,7 +170,7 @@ class TestSolveGen5ptAngle:
 
 def ray_arrays(pairs: list[PluckerPair]) -> tuple[np.ndarray, ...]:
     """The rays of the pairs as ``ray_point_errors`` takes them."""
-    return point_rays(*_ray_stack(pairs, "q1", "q2", "m1", "m2"))
+    return point_rays(_ray_stack(pairs, "q1", "q2", "m1", "m2"))
 
 
 def ray_point_error(pose, pair: PluckerPair) -> float:
