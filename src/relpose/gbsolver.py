@@ -73,6 +73,7 @@ from .geom import (
     _frozen,
     check_poses,
     check_unit_quaternions,
+    count_nonzero,
     rotation_stack,
     sigma_from_angle,
     stacked_dot,
@@ -136,21 +137,18 @@ class TemplateProblem:
         if samples is None:
             if n_pairs != n:
                 raise ValueError(f"exactly {n} correspondences required, got {n_pairs}")
-            samples = np.arange(n)[None]
-        else:
-            samples = np.asarray(samples)
-            if samples.ndim != 2 or samples.shape[1] != n:
-                raise ValueError(
-                    f"samples must be a (B, {n}) index array, got shape {samples.shape}"
-                )
-            if samples.dtype.kind not in "iu":
-                raise ValueError(f"samples must hold integer indices, got dtype {samples.dtype}")
-            # A negative index would wrap around to a pair from the end.
-            if samples.size and not 0 <= samples.min() <= samples.max() < n_pairs:
-                lo, hi = samples.min(), samples.max()
-                raise ValueError(f"sample indices must lie in [0, {n_pairs}), got {lo} to {hi}")
-        c = sigma_from_angle(theta)
-        return table.rays.take(samples, 1), len(samples), c
+            # The table's rows as they stand: the one sample's own.
+            return table.rays[:, None], 1, sigma_from_angle(theta)
+        samples = np.asarray(samples)
+        if samples.ndim != 2 or samples.shape[1] != n:
+            raise ValueError(f"samples must be a (B, {n}) index array, got shape {samples.shape}")
+        if samples.dtype.kind not in "iu":
+            raise ValueError(f"samples must hold integer indices, got dtype {samples.dtype}")
+        # A negative index would wrap around to a pair from the end.
+        if samples.size and not 0 <= samples.min() <= samples.max() < n_pairs:
+            lo, hi = samples.min(), samples.max()
+            raise ValueError(f"sample indices must lie in [0, {n_pairs}), got {lo} to {hi}")
+        return table.rays.take(samples, 1), len(samples), sigma_from_angle(theta)
 
 
 class RayTable:
@@ -218,7 +216,7 @@ class Losses:
     def lose(self, where, error: RelposeError) -> None:
         """Lose for ``error`` each live sample that the mask, indices or slice
         ``where`` picks, if any; ``None`` picks none."""
-        if where is None or not np.count_nonzero(self.status[where] == 0):
+        if where is None or not count_nonzero(self.status[where] == 0):
             return
         hit = np.zeros(len(self.status), dtype=bool)
         hit[where] = True
@@ -228,9 +226,9 @@ class Losses:
 
     def unowned(self, sample: np.ndarray):
         """``where`` for ``lose`` of the live samples owning none of the rows ``sample``."""
-        if len(self.status) == 1:
-            return None if len(sample) else slice(None)
-        return np.bincount(sample, minlength=len(self.status)) == 0
+        if self.status.size == 1:
+            return None if sample.size else slice(None)
+        return np.bincount(sample, minlength=self.status.size) == 0
 
 
 def usable_rotations(roots: np.ndarray, sample: np.ndarray, c, losses: Losses):
@@ -245,7 +243,7 @@ def usable_rotations(roots: np.ndarray, sample: np.ndarray, c, losses: Losses):
         # The stacked dot rounds as ``np.linalg.norm`` of each row does.  A NaN norm
         # passes the drop test, so a NaN root fails the unit-quaternion check instead.
         n = np.sqrt(stacked_dot(roots, roots))
-        if np.count_nonzero(n <= U_DIRECTION_EPS):
+        if count_nonzero(n <= U_DIRECTION_EPS):
             keep = (~(n <= U_DIRECTION_EPS)).nonzero()[0]
             sample, n, roots = sample.take(keep), n.take(keep), roots.take(keep, 0)
         u = (math.sqrt(1.0 - c.sigma * c.sigma) / n)[:, None] * roots
@@ -260,8 +258,8 @@ def residual_gate(residuals: np.ndarray, sample: np.ndarray, c, losses: Losses):
     all pass, a whole slice; a sample left without one is lost.  A zero
     angle fixes the rotation, so there the sample over-determines the pose
     and every pose passes."""
-    passed = np.abs(residuals).max(axis=1) <= POSE_RESIDUAL_TOL
-    if c.tau == 0.0 or np.count_nonzero(passed) == len(passed):
+    passed = np.maximum.reduce(np.abs(residuals), 1) <= POSE_RESIDUAL_TOL
+    if c.tau == 0.0 or count_nonzero(passed) == len(passed):
         return slice(None)
     keep = passed.nonzero()[0]
     losses.lose(
@@ -353,7 +351,7 @@ def rref_conditioned(B: np.ndarray, qb: QuotientBasis) -> np.ndarray:
     A = _solve_or_nan(block, B.take(qb.template_cols, -1))
     # A non-finite block reduces to non-finite pivot columns, which are not
     # computed, even where the standard ones come out finite.
-    n_finite = np.count_nonzero(np.isfinite(A)) + np.count_nonzero(np.isfinite(block))
+    n_finite = count_nonzero(np.isfinite(A)) + count_nonzero(np.isfinite(block))
     if n_finite < A.size + block.size:
         A[~(np.isfinite(A).all((-2, -1)) & np.isfinite(block).all((-2, -1)))] = np.nan
     return A
@@ -484,7 +482,7 @@ def eigensolve_real(M: np.ndarray) -> np.ndarray:
     error state ignores it, as ``solve`` holds it).  ``extract_roots``
     rebuilds the eigenvectors of the ones it needs from the gamma chains.
     """
-    finite = np.count_nonzero(np.isfinite(M)) == M.size
+    finite = count_nonzero(np.isfinite(M)) == M.size
     if finite:
         w = _umath_linalg.eigvals(M, signature="d->D")
         if w[0] == w[0]:
@@ -605,10 +603,10 @@ def extract_roots(
     V, sample = _chain_eigenvectors(np.concatenate(eigenvalues), sizes, action, qb, steps)
     # Normalized at 1, an eigenvector whose entry there is at most 1e-10 of
     # its largest one is at infinity, and so is a NaN one.
-    at_infinity = ~(np.abs(V).max(axis=1) < 1e10)
+    at_infinity = ~(np.maximum.reduce(np.abs(V), 1) < 1e10)
     products, root_cols = _root_tables(qb)
     m, x, y = V.T.take(products, 0)
-    inconsistent = (np.abs(m - x * y) > ROOT_TOL).any(axis=0)
+    inconsistent = np.logical_or.reduce(np.abs(m - x * y) > ROOT_TOL, 0)
     keep = ~(at_infinity | inconsistent)
     inconsistent &= ~at_infinity
     return _frozen(ExtractedRoots, dict(
@@ -633,7 +631,7 @@ def _chain_eigenvectors(
     single solve takes two; a RANSAC hypothesis, which is only scored, one.
     """
     chain, depth, gather, constants = _gamma_chains(qb)
-    n_samples, n_powers, size = len(action), len(gather), len(gather[0])
+    n_samples, (n_powers, size) = len(action), gather.shape[:2]
     table = np.concatenate([action.reshape(n_samples, -1), constants[None].repeat(n_samples, 0)], 1)
     C = table.take(gather.reshape(n_powers, -1), 1)
     # The powers 1, lambda, lambda^2, ... of each root, as np.vander forms them.
@@ -758,7 +756,7 @@ def polish_roots(generators: np.ndarray, roots: np.ndarray, c: RotationConstrain
         better = cost_new < cost
         x[live[better]] = x_new.compress(better, 0)
         go = better & (cost_new > POLISH_ROUNDING)
-        if not np.count_nonzero(go):
+        if not count_nonzero(go):
             break
         live, f, jac, cost = live[go], f_new.compress(go, 0), jac_new.compress(go, 0), cost_new[go]
     return x
@@ -772,7 +770,7 @@ def rotation_roots(
     layers, problem: TemplateProblem, generators, rays, c, losses: Losses, refine: bool
 ):
     """Rotation roots of the live samples of the ``(k, B, n, 3)`` ray rows
-    ``rays``, solved as one stack with ``generators(*rays, c, losses)`` and
+    ``rays``, solved as one stack with ``generators(rays, c, losses)`` and
     the layers of the solver module ``layers``; a zero angle pins one root
     of each to the identity.  If ``refine`` (a single solve, B = 1), each
     eigenvector takes two steps of inverse iteration and each root is then
@@ -783,7 +781,7 @@ def rotation_roots(
     live = (losses.status == 0).nonzero()[0]
     if c.tau == 0.0 or not live.size:
         return np.zeros((len(live), 3)), live
-    gens = generators(*rays, c, losses)
+    gens = generators(rays, c, losses)
     roots, sample = _eliminate(layers, problem, gens, c, losses, 2 if refine else 1)
     if refine:
         roots = layers.polish_roots(gens[0], roots, c)
@@ -815,7 +813,7 @@ def _eliminate(
         solved, now, roots, owner = _attempt(
             layers, problem, template, pivots, pending, tried, steps
         )
-        if not attempt and len(solved) == len(pending) and not np.count_nonzero(now):
+        if not attempt and len(solved) == len(pending) and not count_nonzero(now):
             # The first partition solves every sample and drops no root.
             return roots, owner
         fewer = now < dropped[solved]
@@ -845,7 +843,7 @@ def _attempt(layers, problem, matrix, pivots, pending: np.ndarray, tried: Losses
     qb = layers.quotient_basis_from_pivots(problem, pivots)
     reduced = layers.rref_conditioned(matrix, qb)
     lost = np.isnan(reduced[:, 0, 0])
-    if np.count_nonzero(lost):
+    if count_nonzero(lost):
         # A lost template whose entries are all finite was singular.
         singular = lost & np.isfinite(matrix).all((1, 2))
         for where, what in (

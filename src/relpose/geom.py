@@ -22,6 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# ``np.count_nonzero`` of a whole array, without the Python wrapper and
+# dispatcher that cost more than the count (numpy 1 names the module ``core``).
+count_nonzero = (getattr(np, "_core", None) or np.core).multiarray.count_nonzero
 # Rays whose normalized Gram determinant falls below this are treated as parallel.
 PARALLEL_RAY_EPS = 1e-12
 # The translation sign of each row of ``cheiral_counts``.
@@ -53,6 +56,14 @@ def stacked_cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``np.cross`` of stacked 3-vectors, rounded as ``np.cross`` rounds it,
     without its argument handling, which costs more than the arithmetic."""
     return a.take(_NEXT, -1) * b.take(_LAST, -1) - a.take(_LAST, -1) * b.take(_NEXT, -1)
+
+
+def line_points(rays: np.ndarray) -> np.ndarray:
+    """The points ``m x q`` nearest the origin on the lines of the ``(4,
+    ..., 3)`` Pluecker rows ``q1, q2, m1, m2``, ``(2, ..., 3)``: both views'
+    ``stacked_cross(m, q)`` from one gather of each factor."""
+    after, before = rays.take(_NEXT, -1), rays.take(_LAST, -1)
+    return after[2:] * before[:2] - before[2:] * after[:2]
 
 
 def is_integer(value) -> bool:
@@ -169,7 +180,7 @@ def check_poses(Rs: np.ndarray, ts: np.ndarray) -> None:
     det = np.abs((factors[:, 0] * factors[:, 1] * factors[:, 2]) @ _LEIBNIZ_SIGNS - 1.0) <= 1e-9
     gram = np.abs(Rs.transpose(0, 2, 1) @ Rs - _IDENTITY) <= 1e-9
     finite = np.isfinite(ts)
-    if np.count_nonzero(det) + np.count_nonzero(gram) + np.count_nonzero(finite) < 13 * len(Rs):
+    if count_nonzero(det) + count_nonzero(gram) + count_nonzero(finite) < 13 * len(Rs):
         rotation = det & gram.all(axis=(1, 2))
         first = np.argmin(rotation & finite.all(axis=1))
         if not rotation[first]:
@@ -213,7 +224,7 @@ def check_unit_quaternions(sigma: float, u: np.ndarray) -> None:
         raise ValueError("quaternion scalar part must be non-negative")
     n2 = sigma * sigma + stacked_dot(u, u)
     unit = np.abs(n2 - 1.0) <= 2e-12
-    if np.count_nonzero(unit) < len(unit):
+    if count_nonzero(unit) < len(unit):
         n2 = float(n2[np.argmin(unit)])
         raise ValueError(f"quaternion is not unit: sigma^2 + |u|^2 = {n2!r}")
 

@@ -21,7 +21,13 @@ from functools import lru_cache
 import numpy as np
 
 from .exceptions import DegenerateInput
-from .geom import RotationConstraint, stacked_cross as _cross, stacked_dot as _dot
+from .geom import (
+    RotationConstraint,
+    count_nonzero,
+    line_points,
+    stacked_cross as _cross,
+    stacked_dot as _dot,
+)
 
 Monomial = tuple[int, int, int]
 
@@ -100,15 +106,17 @@ def _mul_table(d1: int, d2: int, dout: int) -> np.ndarray:
 _MUL_INDEX: dict[tuple[int, int, int], np.ndarray] = {}
 
 
-def _mul_index(d1: int, d2: int, dout: int, k: int) -> np.ndarray:
-    """Flat output index of every product of :func:`_mul_table` for ``k``
-    stacked products, product ``j`` owning outputs ``j * n_out`` onwards."""
-    table = _mul_table(d1, d2, dout).ravel()
+def _mul_index(d1: int, d2: int, dout: int, size: int) -> np.ndarray:
+    """Flat output index of the first ``size`` products of :func:`_mul_table`
+    stacked product after product, product ``j`` owning outputs ``j * n_out``
+    onwards."""
     index = _MUL_INDEX.get((d1, d2, dout))
-    if index is None or len(index) < k * table.size:
+    if index is None or index.size < size:
+        table = _mul_table(d1, d2, dout)
         n_out = grevlex_basis(dout).size
-        index = _MUL_INDEX[(d1, d2, dout)] = (np.arange(k)[:, None] * n_out + table).ravel()
-    return index[: k * table.size]
+        index = np.arange(size // table.size)[:, None] * n_out + table.ravel()
+        index = _MUL_INDEX[(d1, d2, dout)] = index.ravel()
+    return index[:size]
 
 
 def _mul_stack(p: np.ndarray, q: np.ndarray, d1: int, d2: int, dout: int) -> np.ndarray:
@@ -116,12 +124,12 @@ def _mul_stack(p: np.ndarray, q: np.ndarray, d1: int, d2: int, dout: int) -> np.
     degree-``d2`` rows on the degree-``dout`` basis, by one ``bincount`` over
     :func:`_mul_table`; it adds in order, exactly as a sequential scatter."""
     n_out = grevlex_basis(dout).size
-    lead = p.shape[:-1]
-    k = p.size // p.shape[-1]
-    weights = (p.reshape(k, -1, 1) * q.reshape(k, 1, -1)).ravel()
-    return np.bincount(
-        _mul_index(d1, d2, dout, k), weights=weights, minlength=k * n_out
-    ).reshape(*lead, n_out)
+    weights = (p[..., :, None] * q[..., None, :]).ravel()
+    sums = np.bincount(
+        _mul_index(d1, d2, dout, weights.size), weights=weights,
+        minlength=p.size // p.shape[-1] * n_out,
+    )
+    return sums.reshape(p.shape[:-1] + (n_out,))
 
 
 def reduce_columns_mod_h(stack: np.ndarray, basis: GrevlexBasis, tau: float) -> None:
@@ -140,13 +148,14 @@ def reduce_columns_mod_h(stack: np.ndarray, basis: GrevlexBasis, tau: float) -> 
     stack[: basis.alpha2_size] = 0.0
 
 
-# Flat indices into the outer product ``b_k a_l`` (at ``3 k + l``): the
-# minuends of ``a x b`` and the first terms of ab, ac, bc, then the
-# subtrahends and the second terms.
-_PAIRED = np.array([7, 2, 3, 1, 2, 5, 5, 6, 1, 3, 6, 7])
-# From the blocks (a^2, b^2, c^2), (ab, ac, bc), (a, b, c), (1) to the
-# degree-2 basis order a^2, ab, b^2, ac, bc, c^2, a, b, c, 1.
-_BILINEAR_ORDER = np.array([0, 3, 1, 4, 5, 2, 6, 7, 8, 9])
+# The factors ``(b_k, a_l)`` of 18 products: the degree-2 coefficients in
+# basis order, a^2, ab, b^2, ac, bc, c^2 (squares once), the minuends of
+# ``a x b``, the same coefficients' other terms (squares again) and the
+# subtrahends of ``a x b``.
+_B_FACTOR = np.array([0, 0, 1, 0, 1, 2, 2, 0, 1, 0, 1, 1, 2, 2, 2, 1, 2, 0])
+_A_FACTOR = np.array([0, 1, 1, 2, 2, 2, 1, 2, 0, 0, 0, 1, 0, 1, 2, 2, 0, 1])
+# A square sums one product with itself, a cross term its two products.
+_DOUBLE = np.array([1.0, 2.0, 1.0, 2.0, 2.0, 1.0])[:, None]
 # Index arrays of ``_f_dets``, ``_g_rows`` and ``_g_dets``: the rays paired
 # in bilinear forms, and the entries multiplied in determinants.
 _F_LEFT, _F_RIGHT, _G_VIEWS = np.array([0, 2]), np.array([3, 1]), np.array([0, 1, 0, 1])
@@ -158,19 +167,18 @@ def _bilinear_coeffs(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
     """Degree-2 coefficient rows of ``b^T R a`` for stacked ``(..., 3)`` vectors.
 
     Every coefficient is rounded as in the single-pair formula: the constant
-    from ``a @ b``, the linear terms from ``np.cross(a, b)``.
+    from ``a @ b``, the linear terms from ``np.cross(a, b)``, each square
+    as ``2 b_k a_k`` and each cross term as ``2 (b_k a_l + b_l a_k)``.  The
+    products are formed coefficient after coefficient, so that every step
+    runs over all the rows at once; the result is a view.
     """
-    outer = (b[..., :, None] * a[..., None, :]).reshape(a.shape[:-1] + (9,))
-    paired = outer.take(_PAIRED, -1)
-    pick, other = paired[..., :6], paired[..., 6:]
-    const = (2.0 * sigma * sigma - 1.0) * _dot(a, b)
+    prods = b.reshape(-1, 3).T.take(_B_FACTOR, 0) * a.reshape(-1, 3).T.take(_A_FACTOR, 0)
     parts = (
-        2.0 * b * a,
-        2.0 * (pick[..., 3:] + other[..., 3:]),
-        -2.0 * sigma * (pick[..., :3] - other[..., :3]),
-        const[..., None],
+        (prods[:6] + prods[9:15]) * _DOUBLE,
+        -2.0 * sigma * (prods[6:9] - prods[15:]),
+        (2.0 * sigma * sigma - 1.0) * _dot(a, b).reshape(1, -1),
     )
-    return np.concatenate(parts, axis=-1).take(_BILINEAR_ORDER, -1)
+    return np.concatenate(parts).T.reshape(a.shape[:-1] + (10,))
 
 
 def _ray_stack(pairs, *names: str) -> np.ndarray:
@@ -180,12 +188,12 @@ def _ray_stack(pairs, *names: str) -> np.ndarray:
     return rows.reshape(len(names), len(pairs), *rows.shape[1:])
 
 
-def _f_rays(q1: np.ndarray, q2: np.ndarray, i, j) -> np.ndarray:
-    """``[q1_i x q1_j, q2_i x q2_j, q1_j, q2_j]`` of the ``(..., N, 3)``
-    bearing rows for anchors ``i`` and correspondences ``j`` of one shape."""
-    q = np.array([q1, q2])
-    qj = q.take(j, -2)
-    return np.concatenate([_cross(q.take(i, -2), qj), qj])
+def _f_rays(rays: np.ndarray, i, j) -> np.ndarray:
+    """``[q1_i x q1_j, q2_i x q2_j, q1_j, q2_j]`` of the ``(2, ..., N, 3)``
+    bearing rows ``q1``, ``q2`` for anchors ``i`` and correspondences ``j``
+    of one shape."""
+    qj = rays.take(j, -2)
+    return np.concatenate([_cross(rays.take(i, -2), qj), qj])
 
 
 def _f_dets(rays: np.ndarray, sigma: float) -> np.ndarray:
@@ -209,26 +217,24 @@ _F_RAY_PAIRS = np.triu_indices(4, 1)
 _F_PAIR_CROSSES = np.array([6, 7, 4, 0, 1, 2])
 
 
-def build_f_polynomials(
-    q1: np.ndarray, q2: np.ndarray, c: RotationConstraint, losses
-) -> np.ndarray:
+def build_f_polynomials(rays: np.ndarray, c: RotationConstraint, losses) -> np.ndarray:
     """The four quartic determinant constraints of the 4-point problem, as a
     ``(..., 4, 35)`` coefficient array on the degree-4 basis.
 
-    ``q1`` and ``q2`` are the ``(..., 4, 3)`` bearing rows of one sample per
-    leading index.  The cyclic anchor pattern (2,3,4), (3,4,1), (4,1,2),
-    (1,2,3) makes each set symmetric under relabelling of the four
-    correspondences.  All determinants are formed in one batch.  A sample
-    with coincident rays is lost in ``losses``, the solve's ``gbsolver.Losses``
-    over the flat leading index, for a ``DegenerateInput`` naming its first
-    such pair, view 1 before view 2 (its rows are left as they come out), so
-    that a solver drops it alone.
+    ``rays`` holds the ``(..., 4, 3)`` bearing rows ``q1`` and ``q2`` of one
+    sample per leading index, ``(2, ..., 4, 3)``.  The cyclic anchor pattern
+    (2,3,4), (3,4,1), (4,1,2), (1,2,3) makes each set symmetric under
+    relabelling of the four correspondences.  All determinants are formed
+    in one batch.  A sample with coincident rays is lost in ``losses``, the
+    solve's ``gbsolver.Losses`` over the flat leading index, for a
+    ``DegenerateInput`` naming its first such pair, view 1 before view 2
+    (its rows are left as they come out), so that a solver drops it alone.
     """
-    if q1.shape[-2:] != (4, 3):
+    if rays.shape[-2:] != (4, 3):
         raise ValueError("exactly 4 bearing pairs required")
-    rays = _f_rays(q1, q2, _F_ANCHORS, _F_FREE)
+    rays = _f_rays(rays, _F_ANCHORS, _F_FREE)
     coincident = np.sqrt(_dot(rays[:2], rays[:2])) < COINCIDENT_RAY_EPS
-    if np.count_nonzero(coincident):
+    if count_nonzero(coincident):
         # Per sample, the first coincident pair, view 1 before view 2.
         found = coincident.reshape(2, -1, 8).take(_F_PAIR_CROSSES, -1).transpose(1, 2, 0)
         first, second = _F_RAY_PAIRS
@@ -239,21 +245,21 @@ def build_f_polynomials(
     return _f_dets(rays, c.sigma)
 
 
-def _g_rows(q1, q2, m1, m2, i, j, sigma: float) -> np.ndarray:
+def _g_rows(rays: np.ndarray, i, j, sigma: float) -> np.ndarray:
     """Generalized constraint rows ``(..., 3, 10)``, the quadratics ``(a, b, w)``
-    acting on (lambda, mu, 1), of the ``(..., N, 3)`` Pluecker rows for
-    anchors ``i`` and correspondences ``j``."""
-    r = np.array([q1, q2, m1, m2])
-    ri, rj = r.take(i, -2), r.take(j, -2)
-    # The points m x q nearest the origin on the anchor lines, then
-    # [q1_i x q1_j, q2_i x q2_j, e1 x q1_j, e2 x q2_j, q1_j, q2_j, m1_j, m2_j].
-    e = _cross(ri[2:], ri[:2])
-    rays = np.concatenate([_cross(np.concatenate([ri[:2], e]), rj.take(_G_VIEWS, 0)), rj])
-    f = _bilinear_coeffs(rays.take(_G_LEFT, 0), rays.take(_G_RIGHT, 0), sigma)
+    acting on (lambda, mu, 1), of the ``(4, ..., N, 3)`` Pluecker rows ``q1,
+    q2, m1, m2`` for anchors ``i`` and correspondences ``j``."""
+    # [q1, q2, e1, e2] with the points e = m x q nearest the origin on the
+    # lines, then the rows; the anchors' first four and the others' last four.
+    x = np.concatenate([rays[:2], line_points(rays), rays])
+    xi, xj = x[:4].take(i, -2), x[4:].take(j, -2)
+    # [q1_i x q1_j, q2_i x q2_j, e1_i x q1_j, e2_i x q2_j, q1_j, q2_j, m1_j, m2_j].
+    rows = np.concatenate([_cross(xi, xj.take(_G_VIEWS, 0)), xj])
+    f = _bilinear_coeffs(rows.take(_G_LEFT, 0), rows.take(_G_RIGHT, 0), sigma)
     # w sums the last four forms in order, in place.
     for k in (3, 4, 5):
         f[2] += f[k]
-    return f[:3].transpose(*range(1, f.ndim - 1), 0, -1)
+    return np.ascontiguousarray(f[:3].transpose(*range(1, f.ndim - 1), 0, -1))
 
 
 def _g_dets(rows: np.ndarray) -> np.ndarray:
@@ -267,19 +273,18 @@ def _g_dets(rows: np.ndarray) -> np.ndarray:
     return terms[..., 0, :] - terms[..., 1, :] + terms[..., 2, :]
 
 
-def build_g_polynomials(
-    q1: np.ndarray, q2: np.ndarray, m1: np.ndarray, m2: np.ndarray, c: RotationConstraint, losses
-) -> np.ndarray:
+def build_g_polynomials(rays: np.ndarray, c: RotationConstraint, losses) -> np.ndarray:
     """The five sextic determinant constraints of the generalized 5-point
     problem, formed in one batch, as a ``(..., 5, 84)`` coefficient array on
-    the degree-6 basis, from the ``(..., 5, 3)`` Pluecker rows of one sample
-    per leading index.  A sample with a collapsed determinant is lost for a
-    ``DegenerateInput``, as ``build_f_polynomials`` reports it."""
-    if q1.shape[-2:] != (5, 3):
+    the degree-6 basis, from the ``(..., 5, 3)`` Pluecker rows ``q1, q2, m1,
+    m2`` of one sample per leading index, ``(4, ..., 5, 3)``.  A sample with
+    a collapsed determinant is lost for a ``DegenerateInput``, as
+    ``build_f_polynomials`` reports it."""
+    if rays.shape[-2:] != (5, 3):
         raise ValueError("exactly 5 Pluecker pairs required")
-    dets = _g_dets(_g_rows(q1, q2, m1, m2, _G_ANCHORS, _G_FREE, c.sigma))
-    collapsed = np.abs(dets).max(axis=-1) < 1e-12
-    if np.count_nonzero(collapsed):
+    dets = _g_dets(_g_rows(rays, _G_ANCHORS, _G_FREE, c.sigma))
+    collapsed = np.maximum.reduce(np.abs(dets), -1) < 1e-12
+    if count_nonzero(collapsed):
         message = "a determinant constraint collapsed to zero; the ray configuration is degenerate"
         losses.lose(collapsed.reshape(-1, 5).any(-1), DegenerateInput(message))
     return dets

@@ -26,6 +26,7 @@ from .gbsolver import (
 from .geom import (
     PluckerPair,
     RelativePose,
+    line_points,
     stacked_cross,
     stacked_dot,
 )
@@ -46,14 +47,18 @@ _NO_SCALE = "translation scale is unobservable for every rotation candidate"
 # The layers are called through this module's attributes.
 _LAYERS = sys.modules[__name__]
 
-# The view of each of ``_depth_rows``' crosses, and the factors of its forms.
-_VIEWS, _LEFT, _RIGHT = np.array([0, 1, 0, 1]), np.array([1, 3, 1, 5]), np.array([2, 0, 4, 0])
+# ``np.einsum`` without the Python wrapper and dispatcher (numpy 1 names the
+# module ``core``).
+_einsum = (getattr(np, "_core", None) or np.core).multiarray.c_einsum
+# The view of each of ``_depth_rows``' crosses, and the factors of its
+# forms: the left ones, then the right ones.
+_VIEWS, _FACTORS = np.array([0, 1, 0, 1]), np.array([1, 3, 1, 5, 2, 0, 4, 0])
 
 
 def _central(moments: np.ndarray) -> np.ndarray:
     """Which of the ``(2, ..., N, 3)`` moment rows ``m1``, ``m2`` all vanish:
     a central configuration, which carries no translation scale."""
-    return np.sqrt(stacked_dot(moments, moments)).max(axis=(0, -1)) < CENTRAL_MOMENT_EPS
+    return np.maximum.reduce(np.sqrt(stacked_dot(moments, moments)), (0, -1)) < CENTRAL_MOMENT_EPS
 
 
 def _screen(rays: np.ndarray, losses) -> None:
@@ -62,33 +67,37 @@ def _screen(rays: np.ndarray, losses) -> None:
     losses.lose(_central(rays[2:]), ScaleUnobservable(_CENTRAL))
 
 
-def _depth_rows(own: np.ndarray, Rs: np.ndarray) -> np.ndarray:
+def _depth_rows(rays: np.ndarray, e: np.ndarray, sample: np.ndarray, Rs: np.ndarray) -> np.ndarray:
     """Constraint rows on (lambda, mu, 1) for anchor 0, one (4, 3) block per
-    rotation of the ``(K, 3, 3)`` stack ``Rs``, from the ``(4, K, 5, 3)``
-    Pluecker rows ``own`` of its sample; every entry is a bilinear form
-    ``x @ R @ y`` in the non-anchor rays."""
-    anchors, rays = own[:, :, :1], own[:, :, 1:]
-    # The points m x q nearest the origin on the anchor lines, then
-    # [q1, q2, a1 x q1, a2 x q2, e1 x q1 + m1, e2 x q2 + m2] of the others.
-    e = stacked_cross(anchors[2:], anchors[:2])
-    crosses = stacked_cross(np.concatenate([anchors[:2], e]), rays.take(_VIEWS, 0))
-    crosses[2:] += rays[2:]
-    factors = np.concatenate([rays[:2], crosses])
+    rotation of the ``(K, 3, 3)`` stack ``Rs``, from the rows of its sample
+    ``sample[k]`` of the ``(4, B, 5, 3)`` Pluecker rows ``rays``, whose
+    anchor lines pass nearest the origin at ``e``, ``(2, B, 3)``; every
+    entry is a bilinear form ``x @ R @ y`` in the non-anchor rays."""
+    anchors, others = rays[:2, :, :1], rays[:, :, 1:]
+    # [q1, q2, a1 x q1, a2 x q2, e1 x q1 + m1, e2 x q2 + m2] of the others,
+    # per sample, then per rotation.
+    crosses = stacked_cross(np.concatenate([anchors, e[:, :, None]]), others.take(_VIEWS, 0))
+    crosses[2:] += others[2:]
+    factors = np.concatenate([others[:2], crosses]).take(_FACTORS, 0).take(sample, 1)
     # The forms of a, of b and of the two terms of w, at once.
-    forms = np.einsum("ikja,kab,ikjb->kji", factors.take(_LEFT, 0), Rs, factors.take(_RIGHT, 0))
+    forms = _einsum("ikja,kab,ikjb->kji", factors[:4], Rs, factors[4:])
     rows = forms[..., :3].copy()
     rows[..., 2] += forms[..., 3]
     return rows
 
 
-def _sample_residuals(own: np.ndarray, Rs: np.ndarray, T: np.ndarray) -> np.ndarray:
+def _sample_residuals(
+    rays: np.ndarray, sample: np.ndarray, Rs: np.ndarray, T: np.ndarray
+) -> np.ndarray:
     """Generalized epipolar residuals ``-q2^T [t]x R q1 + q2^T R m1 + m2^T R
-    q1`` of each pose of the stack ``(Rs, T)`` on the ``(4, K, N, 3)``
-    Pluecker rows ``own`` of its sample, ``(K, N)``, each over ``|t| + |m1|
-    + |m2|`` so that it does not depend on the scale of the rig."""
+    q1`` of each pose of the stack ``(Rs, T)`` on the rows of its sample
+    ``sample[k]`` of the ``(4, B, N, 3)`` Pluecker rows ``rays``, ``(K,
+    N)``, each over ``|t| + |m1| + |m2|`` so that it does not depend on the
+    scale of the rig."""
+    own = rays.take(sample, 1)
     Rq1, Rm1 = (Rs[:, None] @ own[::2, ..., None])[..., 0]
     r = stacked_dot(own[1], Rm1 - stacked_cross(T[:, None], Rq1)) + stacked_dot(own[3], Rq1)
-    n1, n2 = np.sqrt(stacked_dot(own[2:], own[2:]))
+    n1, n2 = np.sqrt(stacked_dot(rays[2:], rays[2:])).take(sample, 1)
     return r / (np.sqrt(stacked_dot(T, T))[:, None] + n1 + n2)
 
 
@@ -96,8 +105,9 @@ def _poses(rays: np.ndarray, sample: np.ndarray, u: np.ndarray, Rs: np.ndarray, 
     """The pose rule of ``gbsolver.solve`` for the ``(4, B, 5, 3)`` Pluecker
     rows: each rotation's metric translation from the anchor depths that its
     sample's depth rows determine, where they do, gated."""
-    own = rays.take(sample, 1)
-    _, s, vt = _svd_or_nan(_depth_rows(own, Rs))
+    # The points nearest the origin on each sample's anchor lines.
+    anchors, e = rays[:2, :, 0], line_points(rays[:, :, 0])
+    _, s, vt = _svd_or_nan(_depth_rows(rays, e, sample, Rs))
     v = vt[:, -1]
     # Negated, so that a NaN from a decomposition that did not converge fails.
     observable = (s[:, 1] > SCALE_RANK_EPS * s[:, 0]) & (np.abs(v[:, 2]) >= SCALE_COMPONENT_EPS)
@@ -105,13 +115,11 @@ def _poses(rays: np.ndarray, sample: np.ndarray, u: np.ndarray, Rs: np.ndarray, 
     sample = sample.take(observable)
     losses.lose(losses.unowned(sample), ScaleUnobservable(_NO_SCALE))
     v, Rs, u = v.take(observable, 0), Rs.take(observable, 0), u.take(observable, 0)
-    own = own.take(observable, 1)
     depths = v[:, :2] / v[:, 2:]
-    anchors = own[:, :, 0]
-    t1, t2 = stacked_cross(anchors[2:], anchors[:2]) + depths.T[:, :, None] * anchors[:2]
+    t1, t2 = e.take(sample, 1) + depths.T[:, :, None] * anchors.take(sample, 1)
     # The stacked matmul rounds as the per-root R @ t1 does.
     T = t2 - (Rs @ t1[:, :, None])[..., 0]
-    keep = residual_gate(_sample_residuals(own, Rs, T), sample, c, losses)
+    keep = residual_gate(_sample_residuals(rays, sample, Rs, T), sample, c, losses)
     return Rs[keep], T[keep], u[keep], sample[keep], {"depths": depths[keep]}
 
 
@@ -148,8 +156,8 @@ def point_rays(rays: np.ndarray) -> tuple[np.ndarray, ...]:
     scale to score and raise ``ScaleUnobservable``."""
     if _central(rays[2:]):
         raise ScaleUnobservable(_CENTRAL)
-    q1, q2, m1, m2 = rays
-    return q1, stacked_cross(m1, q1), q2, stacked_cross(m2, q2)
+    o1, o2 = line_points(rays)
+    return rays[0], o1, rays[1], o2
 
 
 def ray_point_errors(

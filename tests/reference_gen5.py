@@ -146,9 +146,10 @@ def loop_solve_gen5pt_angle(pairs: list[PluckerPair], theta: float):
 
     quats = rectified_quaternions(roots, c)
     Rs = rotation_stack(c.sigma, np.array([q.u for q in quats]))
-    rays = (np.array([getattr(p, a) for p in ordered]) for a in ("q1", "q2", "m1", "m2"))
-    own = np.array([np.repeat(r[None], len(Rs), axis=0) for r in rays])
-    _, s, vt = np.linalg.svd(solver_gen5._depth_rows(own, Rs))
+    rays = np.array([[getattr(p, a) for p in ordered] for a in ("q1", "q2", "m1", "m2")])[:, None]
+    e = stacked_cross(rays[2:, :, 0], rays[:2, :, 0])
+    sample = np.zeros(len(Rs), dtype=np.int64)
+    _, s, vt = np.linalg.svd(solver_gen5._depth_rows(rays, e, sample, Rs))
     v = vt[:, -1]
     unobservable = (s[:, 1] <= SCALE_RANK_EPS * s[:, 0]) | (np.abs(v[:, 2]) < SCALE_COMPONENT_EPS)
 

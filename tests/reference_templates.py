@@ -92,7 +92,7 @@ def package_generators(build, rays: np.ndarray, c) -> np.ndarray:
     ``DegenerateInput`` that it records for the sample in a
     ``gbsolver.Losses``, raised."""
     losses = Losses(1)
-    generators = build(*rays, c, losses)
+    generators = build(rays, c, losses)
     if losses.errors:
         raise losses.errors[0]
     return generators

@@ -62,7 +62,7 @@ from pathlib import Path
 
 import numpy as np
 
-from panel_digests import PERFBENCH, load_run
+from panel_digests import PERFBENCH, STACK_SIZES as SIZES, load_run, stacked_calls
 
 # The stages spied in each solver module besides the traced layers.
 COMMON = ("residual_gate", "_poses")
@@ -74,7 +74,6 @@ HELPERS = {
 GBSOLVER = ("rotation_roots", "_eliminate", "_attempt", "usable_rotations", "SamplePoses")
 # The stages that only a single solve calls, spied in the solver module.
 SINGLE = ("polish_roots",)
-SIZES = (1, 8, 32)
 
 
 class Spies:
@@ -248,18 +247,7 @@ def main(argv=None) -> int:
     reference = run.Reference()
     panel, minimal = run.make_panel(rp, "ransac"), run.make_panel(rp, "minimal")
     for solver, ops in panel.items():
-        size = 4 if solver == "reg4" else 5
-        calls = []
-        for op in ops[: args.pairs]:
-            pairs, theta, cfg, _ = op.args
-            rng = np.random.default_rng(cfg.seed)
-            samples = np.array([rng.choice(len(pairs), size, replace=False) for _ in range(32)])
-            if hasattr(rp.gbsolver, "RayTable"):
-                # As ransac_estimate hands the pairs over.
-                problem = rp.gbsolver.REGULAR if solver == "reg4" else rp.gbsolver.GENERAL
-                pairs = rp.gbsolver.RayTable(pairs, problem.ray_names)
-            calls.append((getattr(rp, f"solve_{'4pt' if solver == 'reg4' else 'gen5pt'}_angle"),
-                          pairs, theta, samples))
+        calls = stacked_calls(rp, solver, ops[: args.pairs])
         problems = [(op.fn, *op.args) for op in minimal[solver][: args.problems]]
         if args.calls:
             # One uncounted pass first, so that every cache is filled.

@@ -146,11 +146,10 @@ class TestGeneratorsMatchSpecs:
         theta = float(np.random.default_rng(seed).uniform(0.05, 3.1))
         pairs = problem("reg4", "central", "forward", theta, seed)
         c = sigma_from_angle(theta)
-        q1, q2 = _ray_stack(pairs, "q1", "q2")
-        gens = build_f_polynomials(q1, q2, c, Losses(1))
+        rays = _ray_stack(pairs, "q1", "q2")
+        gens = build_f_polynomials(rays, c, Losses(1))
         for f, (i, j, k) in zip(gens, F_TRIPLES, strict=True):
-            rays = _f_rays(q1, q2, np.array([i, i]), np.array([j, k]))
-            assert_bits(f, _f_dets(rays, c.sigma))
+            assert_bits(f, _f_dets(_f_rays(rays, np.array([i, i]), np.array([j, k])), c.sigma))
             assert_bits(f, ref.f_determinant(pairs, i, j, k, c).coeffs)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -159,9 +158,9 @@ class TestGeneratorsMatchSpecs:
         pairs = problem("gen5", "generalized", "sideways", theta, seed)
         c = sigma_from_angle(theta)
         rays = _ray_stack(pairs, *PLUCKER)
-        gens = build_g_polynomials(*rays, c, Losses(1))
+        gens = build_g_polynomials(rays, c, Losses(1))
         for g, (i, j, k, l) in zip(gens, G_QUADRUPLES, strict=True):
-            rows = _g_rows(*rays, np.array([i, i, i]), np.array([j, k, l]), c.sigma)
+            rows = _g_rows(rays, np.array([i, i, i]), np.array([j, k, l]), c.sigma)
             assert_bits(g, _g_dets(rows))
             assert_bits(g, ref.g_determinant(pairs, i, j, k, l, c).coeffs)
 
@@ -169,7 +168,7 @@ class TestGeneratorsMatchSpecs:
         pairs = problem("gen5", "generalized", "forward", 0.7, 5)
         c = sigma_from_angle(0.7)
         rays = _ray_stack(pairs, *PLUCKER)
-        rows = _g_rows(*rays, np.array([2, 2, 2]), np.array([0, 3, 4]), c.sigma)
+        rows = _g_rows(rays, np.array([2, 2, 2]), np.array([0, 3, 4]), c.sigma)
         for row, j in zip(rows, (0, 3, 4), strict=True):
             for e, r in zip(row, ref.g_constraint_row(pairs, 2, j, c), strict=True):
                 assert_bits(e, r.coeffs)
@@ -710,7 +709,7 @@ class TestDegenerateInputs:
         names = [f"q{v}" for v in views]
         bad[second] = replace(pairs[second], **{name: getattr(pairs[first], name) for name in names})
         losses = Losses(1)
-        build_f_polynomials(*_ray_stack(bad, "q1", "q2"), c, losses)
+        build_f_polynomials(_ray_stack(bad, "q1", "q2"), c, losses)
         [batched] = losses.errors
         assert type(batched) is DegenerateInput and losses.status.tolist() == [1]
         with pytest.raises(DegenerateInput) as scalar:
@@ -728,7 +727,7 @@ class TestDegenerateInputs:
         pairs = problem("gen5", "generalized", "forward", 0.5, 2)
         c = sigma_from_angle(0.5)
         losses = Losses(1)
-        build_g_polynomials(*_ray_stack([pairs[0]] * 5, *PLUCKER), c, losses)
+        build_g_polynomials(_ray_stack([pairs[0]] * 5, *PLUCKER), c, losses)
         [error] = losses.errors
         assert type(error) is DegenerateInput and losses.status.tolist() == [1]
         assert str(error).startswith("a determinant constraint collapsed to zero")

@@ -224,7 +224,7 @@ class TestBuildF:
         truth, pairs, c, _ = scene_with_truth(14)
         bad = [pairs[0], pairs[0], pairs[2], pairs[3]]
         losses = Losses(1)
-        build_f_polynomials(*_ray_stack(bad, "q1", "q2"), c, losses)
+        build_f_polynomials(_ray_stack(bad, "q1", "q2"), c, losses)
         [error] = losses.errors
         assert type(error) is DegenerateInput and losses.status.tolist() == [1]
         assert str(error) == "rays 0 and 1 coincide in view 1; correspondences must be distinct"
@@ -276,7 +276,7 @@ class TestBuildG:
     def test_zero_rows_rejected(self):
         truth, pairs, c, _ = scene_with_truth(19, generalized=True)
         losses = Losses(1)
-        build_g_polynomials(*_ray_stack([pairs[0]] * 5, "q1", "q2", "m1", "m2"), c, losses)
+        build_g_polynomials(_ray_stack([pairs[0]] * 5, "q1", "q2", "m1", "m2"), c, losses)
         [error] = losses.errors
         assert type(error) is DegenerateInput and losses.status.tolist() == [1]
         assert str(error) == (

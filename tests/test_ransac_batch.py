@@ -355,9 +355,9 @@ def force_loss(monkeypatch, kind, target):
         return NoCheiralSolution, "no candidate places any point in front of both cameras"
     depth_rows = solver_gen5._depth_rows
 
-    def zero_rows(own, Rs):
-        rows = depth_rows(own, Rs)
-        rows[(own[0, :, 0] == target).all(-1)] = 0.0
+    def zero_rows(rays, e, sample, Rs):
+        rows = depth_rows(rays, e, sample, Rs)
+        rows[(rays[0, sample, 0] == target).all(-1)] = 0.0
         return rows
 
     monkeypatch.setattr(solver_gen5, "_depth_rows", zero_rows)
@@ -501,7 +501,7 @@ def test_a_degenerate_sample_costs_one_generator_call(monkeypatch, kind):
     original, calls = getattr(module, name), []
 
     def spy(*args):
-        calls.append(len(args[0]))
+        calls.append(args[0].shape[1])
         return original(*args)
 
     with monkeypatch.context() as m:
@@ -517,7 +517,7 @@ def test_a_degenerate_sample_costs_one_generator_call(monkeypatch, kind):
         SOLVERS[kind].solve(pairs, theta)
     names = SOLVERS[kind].problem.ray_names
     losses = gbsolver.Losses(1)
-    original(*_ray_stack(pairs, *names), sigma_from_angle(theta), losses)
+    original(_ray_stack(pairs, *names), sigma_from_angle(theta), losses)
     [direct] = losses.errors
     assert type(alone.value) is DegenerateInput
     assert isinstance(alone.value, DegenerateConfiguration)
@@ -542,7 +542,7 @@ def test_a_template_no_partition_reduces_fails_alone(monkeypatch, kind):
     spoiled = {}
     for k, how in ((1, "singular"), (4, "non-finite")):
         rays = _ray_stack([observed[i] for i in samples[k]], *problem.ray_names)
-        spoiled[generators(*rays, c, gbsolver.Losses(1)).tobytes()] = how
+        spoiled[generators(rays, c, gbsolver.Losses(1)).tobytes()] = how
     assemble = module.assemble_reduced_template
 
     def spoiling(gens, *args, **kwargs):
