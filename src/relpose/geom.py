@@ -229,12 +229,19 @@ def check_unit_quaternions(sigma: float, u: np.ndarray) -> None:
         raise ValueError(f"quaternion is not unit: sigma^2 + |u|^2 = {n2!r}")
 
 
+# The factor and sign of each entry of ``[v]x``, row after row.
+_SKEW_FACTORS = np.array([0, 2, 1, 2, 0, 0, 1, 0, 0])
+_SKEW_SIGNS = np.array([0.0, -1.0, 1.0, 1.0, 0.0, -1.0, -1.0, 1.0, 0.0])
+
+
 def rotation_stack(sigma: float, u: np.ndarray) -> np.ndarray:
     """Rotations ``(2 sigma^2 - 1) I + 2 (u u^T - sigma [u]x)`` of a ``(K, 3)``
     stack of vector parts sharing the scalar part ``sigma``, as ``(K, 3, 3)``."""
     outer = u[:, :, None] * u[:, None, :]
     # [sigma u]x is sigma [u]x bit for bit, and a stack of vectors is smaller.
-    return (2.0 * sigma * sigma - 1.0) * _IDENTITY + 2.0 * (outer - skew(sigma * u))
+    # Its diagonal holds +-0, which leaves u_i^2 >= 0 as it is.
+    cross = ((sigma * u).take(_SKEW_FACTORS, -1) * _SKEW_SIGNS).reshape(-1, 3, 3)
+    return (2.0 * sigma * sigma - 1.0) * _IDENTITY + 2.0 * (outer - cross)
 
 
 def quat_to_rotation(q: UnitQuaternion) -> np.ndarray:

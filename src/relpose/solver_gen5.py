@@ -26,6 +26,7 @@ from .gbsolver import (
 from .geom import (
     PluckerPair,
     RelativePose,
+    count_nonzero,
     line_points,
     stacked_cross,
     stacked_dot,
@@ -64,7 +65,9 @@ def _central(moments: np.ndarray) -> np.ndarray:
 def _screen(rays: np.ndarray, losses) -> None:
     """Lose the samples of the ``(4, B, 5, 3)`` Pluecker rows that are
     ``_central``."""
-    losses.lose(_central(rays[2:]), ScaleUnobservable(_CENTRAL))
+    central = _central(rays[2:])
+    if count_nonzero(central):
+        losses.lose(central, ScaleUnobservable(_CENTRAL))
 
 
 def _depth_rows(rays: np.ndarray, e: np.ndarray, sample: np.ndarray, Rs: np.ndarray) -> np.ndarray:
