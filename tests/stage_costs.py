@@ -12,9 +12,11 @@ none is polished), on the pairs as ``ransac_estimate`` hands them over
 every stage where the one solve path of ``gbsolver.solve`` calls it: in
 the solver module, the attributes that ``perfbench/spans.py`` traces, plus
 ``residual_gate``, the pose rule ``_poses`` and its rows and, for gen5,
-the central screen; in ``gbsolver``, the shared steps ``rotation_roots``,
-``_eliminate``, ``_attempt``, ``usable_rotations`` and the answer
-``SamplePoses``, and the recording call ``Losses.lose``.  It also solves
+the central screen; for gen5, the generator internals ``_g_rows`` and
+``_g_dets`` in ``poly``; in ``gbsolver``, the shared steps
+``rotation_roots``, ``_eliminate``, ``_attempt``, ``usable_rotations``, the
+answer ``SamplePoses`` and the reduction ``reduce_columns_mod_h`` that
+template assembly calls there, and the recording call ``Losses.lose``.  It also solves
 the first ``--problems`` problems of the ``minimal`` panel as single
 solves (no ``samples``: two steps per root, then ``polish_roots``, which
 is spied only there).  A stage's time is its own, less that of the spied
@@ -70,8 +72,14 @@ HELPERS = {
     "reg4": ("cheiral_counts",),
     "gen5": ("_screen", "_central", "_depth_rows", "_sample_residuals"),
 }
-# The shared pipeline steps, spied in ``gbsolver``.
-GBSOLVER = ("rotation_roots", "_eliminate", "_attempt", "usable_rotations", "SamplePoses")
+# The generator internals, spied in ``poly``.
+POLY = {"reg4": (), "gen5": ("_g_rows", "_g_dets")}
+# The shared pipeline steps, spied in ``gbsolver``, and the reduction that
+# ``gbsolver`` calls.
+GBSOLVER = (
+    "rotation_roots", "_eliminate", "_attempt", "usable_rotations", "SamplePoses",
+    "reduce_columns_mod_h",
+)
 # The stages that only a single solve calls, spied in the solver module.
 SINGLE = ("polish_roots",)
 
@@ -104,6 +112,7 @@ def stage_names(rp, solver: str) -> list[tuple[object, str]]:
     spans = load_spans()
     traced = [attr for mod, attr, _ in spans.LAYERS if mod == module.__name__.split(".")[-1]]
     names = [(module, attr) for attr in (*traced, *COMMON, *HELPERS[solver], *SINGLE)]
+    names += [(rp.poly, attr) for attr in POLY[solver]]
     names += [(rp.gbsolver, attr) for attr in GBSOLVER]
     if hasattr(rp.gbsolver, "Losses"):
         # The recording call, where the package has one.

@@ -241,16 +241,6 @@ def test_fewer_iterations_than_one_round(kind, max_iterations):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_without_trace(kind):
-    observed, theta = frame_pair(kind, 3)
-    cfg = config(kind, 3)
-    result = ransac_estimate(observed, theta, cfg, kind)
-    oracle = loop_ransac_estimate(observed, theta, cfg, kind)
-    assert np.array_equal(result.inlier_mask, oracle.inlier_mask)
-    assert (result.iterations, result.n_hypotheses) == (oracle.iterations, oracle.n_hypotheses)
-
-
-@pytest.mark.parametrize("kind", KINDS)
 def test_a_degenerate_sample_fails_alone(monkeypatch, kind):
     # Every observation appears five times, so many samples hold coincident
     # rays and raise DegenerateInput inside a round of good samples.

@@ -5,7 +5,12 @@ import pytest
 
 import relpose.solver_gen5 as solver_gen5
 import relpose.solver_reg4 as solver_reg4
-from relpose.exceptions import BasisAnomaly, DegenerateConfiguration, ScaleUnobservable
+from relpose.exceptions import (
+    BasisAnomaly,
+    DegenerateConfiguration,
+    RelposeError,
+    ScaleUnobservable,
+)
 from relpose.gbsolver import ExtractedRoots
 from relpose.geom import PluckerPair, rotation_angle, sigma_from_angle
 from relpose.poly import _ray_stack
@@ -14,7 +19,7 @@ from relpose.solver_reg4 import solve_4pt_angle
 from relpose.geom import BearingPair
 from relpose.synth import SceneConfig, _corrupt, generate_scene, rotation_error, translation_errors
 from reference_geom import generalized_epipolar_residual, quat_from_rotation
-from reference_gen5 import loop_depth_poses, loop_ray_point_errors
+from reference_gen5 import loop_depth_poses, loop_ray_point_errors, passes_residual_gate
 from reference_templates import rotation_candidates
 
 
@@ -356,3 +361,26 @@ def test_wrong_shape_raises(monkeypatch, stage):
     monkeypatch.setattr(solver_gen5, stage, truncated)
     with pytest.raises(BasisAnomaly, match="shape"):
         solve_gen5pt_angle(pairs, rotation_angle(truth.R))
+
+
+def test_a_rank_deficient_template_raises_or_satisfies_its_sample(monkeypatch):
+    # Row 7 of every template set equal to row 3 makes each pivot block
+    # singular, yet blocked LU rounds the two equal rows apart, so no exact
+    # zero pivot flags it and the reduction comes out finite.  What stands
+    # behind it downstream must hold: a solve raises, or each pose it returns
+    # satisfies its own sample.
+    assemble = solver_gen5.assemble_reduced_template
+
+    def rank_deficient(*args, **kwargs):
+        template = assemble(*args, **kwargs)
+        template[..., 7, :] = template[..., 3, :]
+        return template
+
+    monkeypatch.setattr(solver_gen5, "assemble_reduced_template", rank_deficient)
+    for seed in range(40):
+        truth, pairs = generate_scene(SceneConfig(seed=seed, generalized=True), 5)
+        try:
+            poses = solve_gen5pt_angle(pairs, rotation_angle(truth.R))
+        except RelposeError:
+            continue
+        assert all(passes_residual_gate(pose, pairs) for pose in poses), seed

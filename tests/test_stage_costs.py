@@ -1,7 +1,8 @@
 """``tests/stage_costs.py`` runs outside the test suite, so a stage that
 moves would break it unseen: every stage it spies on must be a callable
 attribute where it spies, and a solve must call it there: a stacked solve
-every stage but those of ``SINGLE``, a single solve every one; the
+every stage but those of ``SINGLE``, a single solve every one, gen5's
+generator internals and the reduction included; the
 rows of the reg4 step must time a step and its re-score; and ``--calls``
 must split every call of a solve into its three kinds."""
 
@@ -37,6 +38,23 @@ def test_every_spied_stage_is_called_where_it_is_spied(solver):
         assert [attr for _, attr in names if attr not in spied] == list(SINGLE)
     single = single_pass(relpose, names, [(solve, pairs[:size], theta)])
     assert [attr for _, attr in names if attr not in single] == []
+
+
+@pytest.mark.parametrize("solver", ["reg4", "gen5"])
+def test_the_generator_internals_and_the_reduction_take_their_own_time(solver):
+    # gen5's rows and determinants are spied in ``poly`` and the reduction
+    # where ``gbsolver`` calls it, so that each shows apart from its caller.
+    names = stage_names(relpose, solver)
+    inner = [(relpose.poly, "_g_rows"), (relpose.poly, "_g_dets")] if solver == "gen5" else []
+    inner.append((relpose.gbsolver, "reduce_columns_mod_h"))
+    assert all(name in names for name in inner)
+    size = 4 if solver == "reg4" else 5
+    truth, pairs = generate_scene(SceneConfig(seed=4, generalized=solver == "gen5"), size)
+    solve = relpose.solve_4pt_angle if solver == "reg4" else relpose.solve_gen5pt_angle
+    own = single_pass(relpose, names, [(solve, pairs, rotation_angle(truth.R))])
+    outer = "build_f_polynomials" if solver == "reg4" else "build_g_polynomials"
+    assert min(own[attr] for _, attr in inner) > 0 and own[outer] > 0
+    assert own["assemble_reduced_template"] > 0
 
 
 def test_the_step_rows_time_a_step_and_its_re_score():
