@@ -21,13 +21,8 @@ from functools import lru_cache
 import numpy as np
 
 from .exceptions import DegenerateInput
-from .geom import (
-    RotationConstraint,
-    count_nonzero,
-    line_points,
-    stacked_cross as _cross,
-    stacked_dot as _dot,
-)
+from .geom import RotationConstraint, count_nonzero, line_points
+from .geom import stacked_cross as _cross, stacked_dot as _dot
 
 Monomial = tuple[int, int, int]
 
@@ -113,8 +108,7 @@ def _mul_index(d1: int, d2: int, dout: int, size: int) -> np.ndarray:
     index = _MUL_INDEX.get((d1, d2, dout))
     if index is None or index.size < size:
         table = _mul_table(d1, d2, dout)
-        n_out = grevlex_basis(dout).size
-        index = np.arange(size // table.size)[:, None] * n_out + table.ravel()
+        index = np.arange(size // table.size)[:, None] * grevlex_basis(dout).size + table.ravel()
         index = _MUL_INDEX[(d1, d2, dout)] = index.ravel()
     return index[:size]
 
@@ -125,10 +119,8 @@ def _mul_stack(p: np.ndarray, q: np.ndarray, d1: int, d2: int, dout: int) -> np.
     :func:`_mul_table`; it adds in order, exactly as a sequential scatter."""
     n_out = grevlex_basis(dout).size
     weights = (p[..., :, None] * q[..., None, :]).ravel()
-    sums = np.bincount(
-        _mul_index(d1, d2, dout, weights.size), weights=weights,
-        minlength=p.size // p.shape[-1] * n_out,
-    )
+    index = _mul_index(d1, d2, dout, weights.size)
+    sums = np.bincount(index, weights=weights, minlength=p.size // p.shape[-1] * n_out)
     return sums.reshape(p.shape[:-1] + (n_out,))
 
 

@@ -89,9 +89,7 @@ def _depth_rows(rays: np.ndarray, e: np.ndarray, sample: np.ndarray, Rs: np.ndar
     return rows
 
 
-def _sample_residuals(
-    rays: np.ndarray, sample: np.ndarray, Rs: np.ndarray, T: np.ndarray
-) -> np.ndarray:
+def _sample_residuals(rays: np.ndarray, sample: np.ndarray, Rs: np.ndarray, T) -> np.ndarray:
     """Generalized epipolar residuals ``-q2^T [t]x R q1 + q2^T R m1 + m2^T R
     q1`` of each pose of the stack ``(Rs, T)`` on the rows of its sample
     ``sample[k]`` of the ``(4, B, N, 3)`` Pluecker rows ``rays``, ``(K,
