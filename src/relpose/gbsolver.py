@@ -347,14 +347,21 @@ def rref_conditioned(B: np.ndarray, qb: QuotientBasis) -> np.ndarray:
     solvers catch it downstream.  The name is what ``perfbench/spans.py``
     traces as the ``gbsolver.rref`` layer.
     """
-    block = B.take(qb.pivots, -1)
-    A = _solve_or_nan(block, B.take(qb.template_cols, -1))
+    columns = B.take(_rref_columns(qb), -1)
+    block, standard = columns[..., : len(qb.pivots)], columns[..., len(qb.pivots) :]
+    A = _solve_or_nan(block, standard)
     # A non-finite block reduces to non-finite pivot columns, which are not
     # computed, even where the standard ones come out finite.
     n_finite = count_nonzero(np.isfinite(A)) + count_nonzero(np.isfinite(block))
     if n_finite < A.size + block.size:
         A[~(np.isfinite(A).all((-2, -1)) & np.isfinite(block).all((-2, -1)))] = np.nan
     return A
+
+
+@lru_cache(maxsize=None)
+def _rref_columns(qb: QuotientBasis) -> np.ndarray:
+    """The pivot columns of ``qb``, then its standard ones, as one index."""
+    return np.concatenate([qb.pivots, qb.template_cols])
 
 
 @dataclass(frozen=True, eq=False)

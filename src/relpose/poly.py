@@ -165,12 +165,10 @@ def _bilinear_coeffs(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
     runs over all the rows at once; the result is a view.
     """
     prods = b.reshape(-1, 3).T.take(_B_FACTOR, 0) * a.reshape(-1, 3).T.take(_A_FACTOR, 0)
-    parts = (
-        (prods[:6] + prods[9:15]) * _DOUBLE,
-        -2.0 * sigma * (prods[6:9] - prods[15:]),
-        (2.0 * sigma * sigma - 1.0) * _dot(a, b).reshape(1, -1),
-    )
-    return np.concatenate(parts).T.reshape(a.shape[:-1] + (10,))
+    quadratic = (prods[:6] + prods[9:15]) * _DOUBLE
+    linear = -2.0 * sigma * (prods[6:9] - prods[15:])
+    constant = (2.0 * sigma * sigma - 1.0) * _dot(a, b).reshape(1, -1)
+    return np.concatenate([quadratic, linear, constant]).T.reshape(a.shape[:-1] + (10,))
 
 
 def _ray_stack(pairs, *names: str) -> np.ndarray:
