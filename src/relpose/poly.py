@@ -239,8 +239,9 @@ def _g_rows(rays: np.ndarray, i, j, sigma: float) -> np.ndarray:
     """Generalized constraint rows ``(..., 3, 10)``, the quadratics ``(a, b, w)``
     acting on (lambda, mu, 1), of the ``(4, ..., N, 3)`` Pluecker rows ``q1,
     q2, m1, m2`` for anchors ``i`` and correspondences ``j``."""
-    # [q1, q2, e1, e2] with the points e = m x q nearest the origin on the
-    # lines, then the rows; the anchors' first four and the others' last four.
+    # x = [q1, q2, e1, e2, q1, q2, m1, m2] with e = m x q, the points nearest
+    # the origin on the lines: an anchor's factors are its first four rows,
+    # a correspondence's its last four.
     x = np.concatenate([rays[:2], line_points(rays), rays])
     xi, xj = x[:4].take(i, -2), x[4:].take(j, -2)
     # [q1_i x q1_j, q2_i x q2_j, e1_i x q1_j, e2_i x q2_j, q1_j, q2_j, m1_j, m2_j].
