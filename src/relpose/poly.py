@@ -162,13 +162,13 @@ def _bilinear_coeffs(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
     from ``a @ b``, the linear terms from ``np.cross(a, b)``, each square
     as ``2 b_k a_k`` and each cross term as ``2 (b_k a_l + b_l a_k)``.  The
     products are formed coefficient after coefficient, so that every step
-    runs over all the rows at once; the result is a view.
+    runs over all the rows at once.
     """
     prods = b.reshape(-1, 3).T.take(_B_FACTOR, 0) * a.reshape(-1, 3).T.take(_A_FACTOR, 0)
     quadratic = (prods[:6] + prods[9:15]) * _DOUBLE
     linear = -2.0 * sigma * (prods[6:9] - prods[15:])
     constant = (2.0 * sigma * sigma - 1.0) * _dot(a, b).reshape(1, -1)
-    return np.concatenate([quadratic, linear, constant]).T.reshape(a.shape[:-1] + (10,))
+    return np.concatenate([quadratic, linear, constant]).T.copy().reshape(a.shape[:-1] + (10,))
 
 
 def _ray_stack(pairs, *names: str) -> np.ndarray:
@@ -250,7 +250,7 @@ def _g_rows(rays: np.ndarray, i, j, sigma: float) -> np.ndarray:
     # w sums the last four forms in order, in place.
     for k in (3, 4, 5):
         f[2] += f[k]
-    return np.ascontiguousarray(f[:3].transpose(*range(1, f.ndim - 1), 0, -1))
+    return f[:3].transpose(*range(1, f.ndim - 1), 0, -1)
 
 
 def _g_dets(rows: np.ndarray) -> np.ndarray:
