@@ -52,30 +52,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .exceptions import (
-    BasisAnomaly,
-    DegenerateConfiguration,
-    DegreeOverflow,
-    EigenFailure,
-    RankDeficient,
-    RelposeError,
-    UnreachableMonomial,
+    BasisAnomaly, DegenerateConfiguration, DegreeOverflow, EigenFailure, RankDeficient,
+    RelposeError, UnreachableMonomial,
 )
 from .geom import (
-    RelativePose,
-    RotationConstraint,
-    UnitQuaternion,
-    _frozen,
-    check_poses,
-    check_unit_quaternions,
-    count_nonzero,
-    rotation_stack,
-    sigma_from_angle,
+    RelativePose, RotationConstraint, UnitQuaternion, _frozen, bincount, check_poses,
+    check_unit_quaternions, concatenate, count_nonzero, rotation_stack, sigma_from_angle,
     stacked_dot,
 )
 from .poly import GrevlexBasis, Monomial, _ray_stack, grevlex_basis, reduce_columns_mod_h
@@ -94,6 +82,17 @@ POSE_RESIDUAL_TOL = 1e-6
 # Below this norm a root carries no usable rotation axis.
 U_DIRECTION_EPS = 1e-10
 _NO_AXIS = "no usable rotation candidates survived filtering"
+
+# Most Gauss-Newton steps of ``polish_roots``.  A root stops once its
+# squared residual is at rounding level or a step fails to lower it.
+POLISH_STEPS = 8
+POLISH_ROUNDING = 1e-28
+
+# The operands of the kernels' tests as 0-d arrays, which numpy takes at less
+# cost than Python floats: the same values, so the same bits.
+_IMAG, _ROOT, _GATE, _AXIS, _POLISHED, _INFINITE, _ONE = map(
+    np.array, (IMAG_TOL, ROOT_TOL, POSE_RESIDUAL_TOL, U_DIRECTION_EPS, POLISH_ROUNDING, 1e10, 1.0)
+)
 
 # Roots are read off the eigenvector entries at 1, alpha, beta and gamma, so
 # these monomials must stay in the quotient basis.
@@ -228,7 +227,7 @@ class Losses:
         """``where`` for ``lose`` of the live samples owning none of the rows ``sample``."""
         if self.status.size == 1:
             return None if sample.size else slice(None)
-        return np.bincount(sample, minlength=self.status.size) == 0
+        return bincount(sample, minlength=self.status.size) == 0
 
 
 def usable_rotations(roots: np.ndarray, sample: np.ndarray, c, losses: Losses):
@@ -236,17 +235,17 @@ def usable_rotations(roots: np.ndarray, sample: np.ndarray, c, losses: Losses):
     rotation of each of the ``(K, 3)`` roots that carries a usable rotation
     axis, rescaled onto the sphere ``|u| = sqrt(1 - sigma^2)``; a zero angle
     pins every root to the identity.  A sample left without one is lost."""
-    root_count = np.bincount(sample, minlength=len(losses.status))
+    root_count = bincount(sample, minlength=len(losses.status))
     if c.tau == 0.0:
         u = np.zeros_like(roots)
     else:
-        # The stacked dot rounds as ``np.linalg.norm`` of each row does.  A NaN norm
-        # passes the drop test, so a NaN root fails the unit-quaternion check instead.
-        n = np.sqrt(stacked_dot(roots, roots))
-        if count_nonzero(n <= U_DIRECTION_EPS):
-            keep = (~(n <= U_DIRECTION_EPS)).nonzero()[0]
-            sample, n, roots = sample.take(keep), n.take(keep), roots.take(keep, 0)
-        u = (math.sqrt(1.0 - c.sigma * c.sigma) / n)[:, None] * roots
+        # The stacked dot, a column, rounds as ``np.linalg.norm`` of each row does.  A NaN
+        # norm passes the drop test, so a NaN root fails the unit-quaternion check instead.
+        n = np.sqrt(roots[:, None] @ roots[:, :, None])[:, 0]
+        if count_nonzero(n <= _AXIS):
+            keep = (~(n <= _AXIS)).nonzero()[0]
+            sample, n, roots = sample.take(keep), n.take(keep, 0), roots.take(keep, 0)
+        u = math.sqrt(1.0 - c.sigma * c.sigma) / n * roots
     losses.lose(losses.unowned(sample), DegenerateConfiguration(_NO_AXIS))
     check_unit_quaternions(c.sigma, u)
     return root_count, sample, u, rotation_stack(c.sigma, u)
@@ -258,7 +257,7 @@ def residual_gate(residuals: np.ndarray, sample: np.ndarray, c, losses: Losses):
     all pass, a whole slice; a sample left without one is lost.  A zero
     angle fixes the rotation, so there the sample over-determines the pose
     and every pose passes."""
-    passed = np.maximum.reduce(np.abs(residuals), 1) <= POSE_RESIDUAL_TOL
+    passed = np.maximum.reduce(np.abs(residuals), 1) <= _GATE
     if c.tau == 0.0 or count_nonzero(passed) == len(passed):
         return slice(None)
     keep = passed.nonzero()[0]
@@ -327,7 +326,7 @@ def assemble_reduced_template(generators: np.ndarray, problem: TemplateProblem, 
         problem.target_degree,
     )
     n_samples = math.prod(lead)
-    coeffs = np.concatenate([generators.reshape(n_samples, -1).T, np.zeros((1, n_samples))])
+    coeffs = concatenate([generators.reshape(n_samples, -1).T, np.zeros((1, n_samples))])
     stack = coeffs.take(gather, 0).reshape(basis.size, n_rows * n_samples)
     reduce_columns_mod_h(stack, basis, c.tau)
     remainder = stack[basis.alpha2_size :].reshape(-1, n_rows, n_samples)
@@ -494,7 +493,7 @@ def eigensolve_real(M: np.ndarray) -> np.ndarray:
         w = _umath_linalg.eigvals(M, signature="d->D")
         if w[0] == w[0]:
             # A negated ">" keeps NaN eigenvalues, as the scalar test always has.
-            return w.real[~(np.abs(w.imag) > IMAG_TOL * (1.0 + np.abs(w.real)))]
+            return w.real[~(np.abs(w.imag) > _IMAG * (_ONE + np.abs(w.real)))]
     message = "Eigenvalues did not converge" if finite else "Array must not contain infs or NaNs"
     raise EigenFailure(message) from np.linalg.LinAlgError(message)
 
@@ -606,20 +605,21 @@ def extract_roots(
     degree-one entries, are dropped.  The chains make the gamma entry and
     every product with a gamma factor hold, so those are not tested.
     """
-    sizes = [len(w) for w in eigenvalues]
-    V, sample = _chain_eigenvectors(np.concatenate(eigenvalues), sizes, action, qb, steps)
+    sizes = list(map(len, eigenvalues))
+    V, sample = _chain_eigenvectors(concatenate(eigenvalues), sizes, action, qb, steps)
     # Normalized at 1, an eigenvector whose entry there is at most 1e-10 of
     # its largest one is at infinity, and so is a NaN one.
-    at_infinity = ~(np.maximum.reduce(np.abs(V), 1) < 1e10)
+    at_infinity = ~(np.maximum.reduce(np.abs(V), 1) < _INFINITE)
     products, root_cols = _root_tables(qb)
     m, x, y = V.T.take(products, 0)
-    inconsistent = np.logical_or.reduce(np.abs(m - x * y) > ROOT_TOL, 0)
+    inconsistent = np.logical_or.reduce(np.abs(m - x * y) > _ROOT, 0)
     keep = ~(at_infinity | inconsistent)
-    inconsistent &= ~at_infinity
+    # Dropped as inconsistent: inconsistent and not at infinity.
+    inconsistent = inconsistent > at_infinity
     return _frozen(ExtractedRoots, dict(
         roots=V.take(root_cols, 1).compress(keep, 0), sample=sample[keep],
-        at_infinity=np.bincount(sample[at_infinity], minlength=len(sizes)),
-        inconsistent=np.bincount(sample[inconsistent], minlength=len(sizes)),
+        at_infinity=bincount(sample[at_infinity], minlength=len(sizes)),
+        inconsistent=bincount(sample[inconsistent], minlength=len(sizes)),
     ))
 
 
@@ -639,7 +639,7 @@ def _chain_eigenvectors(
     """
     chain, depth, gather, constants = _gamma_chains(qb)
     n_samples, (n_powers, size) = len(action), gather.shape[:2]
-    table = np.concatenate([action.reshape(n_samples, -1), constants[None].repeat(n_samples, 0)], 1)
+    table = concatenate([action.reshape(n_samples, -1), constants[None].repeat(n_samples, 0)], 1)
     C = table.take(gather.reshape(n_powers, -1), 1)
     # The powers 1, lambda, lambda^2, ... of each root, as np.vander forms them.
     powers = lam[:, None].repeat(n_powers, 1)
@@ -661,28 +661,19 @@ def _chain_eigenvectors(
         K[:, :-1, -1] = x[:, :-1, 0]
         x = _solve_or_nan(K, rhs)
     V = x[:, :-1, 0].take(chain, 1) * powers.take(depth, 1)
-    V /= V[:, qb.pos_one, None]
+    # Normalized at 1, a chain head: its entry is its head entry times 1.
+    V /= x[:, chain[qb.pos_one], 0, None]
     return V, sample
 
 
-def _solve_or_nan(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.linalg.solve`` of each system of the stack ``A x = b``, ``b`` a
-    stack of columns, NaN where a system is exactly singular: the gufunc
-    behind ``np.linalg.solve``, which marks such a system NaN and raises
-    only through the error state, which ``solve`` holds ignoring."""
-    return _umath_linalg.solve(A, b, signature="dd->d")
-
-
-def _svd_or_nan(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``np.linalg.svd`` of each matrix of the stack ``A`` by its gufunc,
-    NaN where one fails (a warning unless the error state ignores it)."""
-    return _SVD_F(A, signature="d->ddd")
-
-
-# Most Gauss-Newton steps of ``polish_roots``.  A root stops once its
-# squared residual is at rounding level or a step fails to lower it.
-POLISH_STEPS = 8
-POLISH_ROUNDING = 1e-28
+# ``np.linalg.solve`` of each system of the stack ``A x = b``, ``b`` a stack of
+# columns, NaN where a system is exactly singular: the gufunc behind
+# ``np.linalg.solve``, which marks such a system NaN and raises only through
+# the error state, which ``solve`` holds ignoring.  Bound without a Python frame.
+_solve_or_nan = partial(_umath_linalg.solve, signature="dd->d")
+# ``np.linalg.svd`` of each matrix of the stack ``A`` by its gufunc, NaN where
+# one fails (a warning unless the error state ignores it).
+_svd_or_nan = partial(_SVD_F, signature="d->ddd")
 
 
 @lru_cache(maxsize=None)
@@ -712,7 +703,7 @@ def _polish_tables(n_gen: int, width: int) -> tuple[np.ndarray, ...]:
     scale = np.concatenate([np.ones((n_gen + 1, width)), np.tile(factor, (n_gen + 1, 1))])
     blank = np.zeros((n_gen + 1, width + 1))
     blank[n_gen, [basis.index[m] for m in ((2, 0, 0), (0, 2, 0), (0, 0, 2))]] = 1.0
-    return np.arange(degree + 1), powers, gather, scale, blank, basis.index[(0, 0, 0)]
+    return np.arange(degree + 1.0), powers, gather, scale, blank, basis.index[(0, 0, 0)]
 
 
 def polish_roots(generators: np.ndarray, roots: np.ndarray, c: RotationConstraint) -> np.ndarray:
@@ -735,22 +726,25 @@ def polish_roots(generators: np.ndarray, roots: np.ndarray, c: RotationConstrain
     n_eq = n_gen + 1
     # The equations, then their derivatives by each variable.
     eqs = blank.copy()
-    np.divide(generators, np.abs(generators).max(-1, keepdims=True), out=eqs[:n_gen, :width])
+    np.divide(generators, np.maximum.reduce(np.abs(generators), -1, keepdims=True),
+              out=eqs[:n_gen, :width])
     eqs[n_gen, one] = c.tau
     # Small BLAS matmuls round by the memory layout of their operands: the
     # poses of a single solve rest on this (width, rows) transposed view.
     coeffs = (eqs.ravel().take(gather) * scale).T
 
     def evaluate(x):
-        table = (x[:, :, None] ** exponents).reshape(len(x), -1)[:, powers]
-        out = (table[:, 0] * table[:, 1] * table[:, 2]) @ coeffs
+        # Each monomial the product of its three powers in order, with the
+        # roots innermost in memory, as the matmul has always read them.
+        table = (x[:, :, None] ** exponents).reshape(len(x), -1).T.take(powers, 0)
+        out = np.multiply.reduce(table, 0).T @ coeffs
         f = out[:, :n_eq]
         return f, out[:, n_eq:].reshape(-1, n_eq, 3), stacked_dot(f, f)
 
     x = roots.copy()
     f, jac, cost = evaluate(x)
     # Roots still moving: not yet at rounding level, and their last step helped.
-    live = (cost > POLISH_ROUNDING).nonzero()[0]
+    live = (cost > _POLISHED).nonzero()[0]
     f, jac, cost = f.take(live, 0), jac.take(live, 0), cost.take(live)
     for _ in range(POLISH_STEPS):
         if not live.size:
@@ -762,7 +756,7 @@ def polish_roots(generators: np.ndarray, roots: np.ndarray, c: RotationConstrain
         f_new, jac_new, cost_new = evaluate(x_new)
         better = cost_new < cost
         x[live[better]] = x_new.compress(better, 0)
-        go = better & (cost_new > POLISH_ROUNDING)
+        go = better & (cost_new > _POLISHED)
         if not count_nonzero(go):
             break
         live, f, jac, cost = live[go], f_new.compress(go, 0), jac_new.compress(go, 0), cost_new[go]
@@ -785,8 +779,8 @@ def rotation_roots(
     that the generators find degenerate or that is left without roots is
     lost.  Returns the ``(K, 3)`` roots, grouped by sample in ascending
     order, and the sample of each."""
-    live = (losses.status == 0).nonzero()[0]
-    if c.tau == 0.0 or not live.size:
+    if c.tau == 0.0:
+        live = (losses.status == 0).nonzero()[0]
         return np.zeros((len(live), 3)), live
     gens = generators(rays, c, losses)
     roots, sample = _eliminate(layers, problem, gens, c, losses, 2 if refine else 1)
@@ -806,10 +800,8 @@ def _eliminate(
     of the attempt that dropped the fewest; a sample that no partition
     solves is lost for what lost it on the last."""
     n_samples = len(generators)
-    # Per sample, the fewest roots an attempt dropped (more than any can for
-    # a live sample until one solves it, none for a lost one) and 1 + that attempt.
-    dropped = (losses.status == 0) * (problem.basis_size + 1)
-    kept, pending = np.zeros(n_samples, dtype=np.int64), dropped.nonzero()[0]
+    live = losses.status == 0
+    pending = live.nonzero()[0]
     if not pending.size:
         return _NOTHING[2:]
     template = layers.assemble_reduced_template(generators, problem, c)
@@ -817,12 +809,14 @@ def _eliminate(
     found = []
     for attempt, pivots in enumerate(problem.partitions):
         tried = Losses(n_samples)
-        solved, now, roots, owner = _attempt(
-            layers, problem, template, pivots, pending, tried, steps
-        )
-        if not attempt and len(solved) == len(pending) and not count_nonzero(now):
-            # The first partition solves every sample and drops no root.
-            return roots, owner
+        solved, now, roots, owner = _attempt(layers, problem, template, pivots, pending, tried, steps)
+        if not attempt:
+            if len(solved) == len(pending) and not count_nonzero(now):
+                # The first partition solves every sample and drops no root.
+                return roots, owner
+            # Per sample, the fewest roots an attempt dropped (more than any can for a
+            # live sample until one solves it, none for a lost one) and 1 + that attempt.
+            dropped, kept = live * (problem.basis_size + 1), np.zeros(n_samples, dtype=np.int64)
         fewer = now < dropped[solved]
         won = solved[fewer]
         dropped[won], kept[won] = now[fewer], attempt + 1
@@ -834,9 +828,9 @@ def _eliminate(
         losses.lose((tried.status == k) & (kept == 0), exc)
     # Each sample's roots from the attempt it keeps, in ascending order.
     mine = [kept[owner] == attempt for attempt, (_, owner) in enumerate(found, 1)]
-    owner = np.concatenate([o[m] for (_, o), m in zip(found, mine)])
+    owner = concatenate([o[m] for (_, o), m in zip(found, mine)])
     order = owner.argsort(kind="stable")
-    return np.concatenate([r[m] for (r, _), m in zip(found, mine)])[order], owner[order]
+    return concatenate([r[m] for (r, _), m in zip(found, mine)])[order], owner[order]
 
 
 def _attempt(layers, problem, matrix, pivots, pending: np.ndarray, tried: Losses, steps: int):
@@ -873,7 +867,7 @@ def _attempt(layers, problem, matrix, pivots, pending: np.ndarray, tried: Losses
         if not pending.size:
             return _NOTHING
     extracted = layers.extract_roots(values, action, qb, steps)
-    return pending, extracted.inconsistent, extracted.roots, pending[extracted.sample]
+    return pending, extracted.inconsistent, extracted.roots, pending.take(extracted.sample)
 
 
 @dataclass(frozen=True, eq=False)

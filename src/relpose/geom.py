@@ -22,13 +22,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# ``np.count_nonzero`` of a whole array, without the Python wrapper and
-# dispatcher that cost more than the count (numpy 1 names the module ``core``).
-count_nonzero = (getattr(np, "_core", None) or np.core).multiarray.count_nonzero
+# numpy's ``count_nonzero`` of a whole array, ``bincount`` and ``concatenate`` without
+# the Python wrappers and dispatchers that cost more than the work on small
+# arrays (numpy 1 names the module ``core``).
+_C = (getattr(np, "_core", None) or np.core)._multiarray_umath
+count_nonzero, bincount, concatenate = _C.count_nonzero, _C.bincount, _C.concatenate
 # Rays whose normalized Gram determinant falls below this are treated as parallel.
 PARALLEL_RAY_EPS = 1e-12
 # The translation sign of each row of ``cheiral_counts``.
 _SIGNS = np.array([1.0, -1.0])
+# Operands of the checks and kernels as 0-d arrays, which numpy takes at less
+# cost than Python floats: the same values, so the same bits.
+_ZERO, _ONE, _TWO, _PARALLEL, _UNIT_TOL, _ROTATION_TOL = map(
+    np.array, (0.0, 1.0, 2.0, PARALLEL_RAY_EPS, 2e-12, 1e-9)
+)
 
 
 # Entries of ``[v]x``, row after row, in ``(x, y, z, -x, -y, -z, 0)``.
@@ -177,8 +184,8 @@ def check_poses(Rs: np.ndarray, ts: np.ndarray) -> None:
     and ``det R - 1`` (the Leibniz sum) within 1e-9, or not finite.  A NaN
     fails every test."""
     factors = Rs.reshape(-1, 9).take(_LEIBNIZ, 1)
-    det = np.abs((factors[:, 0] * factors[:, 1] * factors[:, 2]) @ _LEIBNIZ_SIGNS - 1.0) <= 1e-9
-    gram = np.abs(Rs.transpose(0, 2, 1) @ Rs - _IDENTITY) <= 1e-9
+    det = np.abs(np.multiply.reduce(factors, 1) @ _LEIBNIZ_SIGNS - _ONE) <= _ROTATION_TOL
+    gram = np.abs(Rs.transpose(0, 2, 1) @ Rs - _IDENTITY) <= _ROTATION_TOL
     finite = np.isfinite(ts)
     if count_nonzero(det) + count_nonzero(gram) + count_nonzero(finite) < 13 * len(Rs):
         rotation = det & gram.all(axis=(1, 2))
@@ -223,7 +230,7 @@ def check_unit_quaternions(sigma: float, u: np.ndarray) -> None:
     if len(u) and not sigma >= 0.0:
         raise ValueError("quaternion scalar part must be non-negative")
     n2 = sigma * sigma + stacked_dot(u, u)
-    unit = np.abs(n2 - 1.0) <= 2e-12
+    unit = np.abs(n2 - _ONE) <= _UNIT_TOL
     if count_nonzero(unit) < len(unit):
         n2 = float(n2[np.argmin(unit)])
         raise ValueError(f"quaternion is not unit: sigma^2 + |u|^2 = {n2!r}")
@@ -241,7 +248,7 @@ def rotation_stack(sigma: float, u: np.ndarray) -> np.ndarray:
     # [sigma u]x is sigma [u]x bit for bit, and a stack of vectors is smaller.
     # Its diagonal holds +-0, which leaves u_i^2 >= 0 as it is.
     cross = ((sigma * u).take(_SKEW_FACTORS, -1) * _SKEW_SIGNS).reshape(-1, 3, 3)
-    return (2.0 * sigma * sigma - 1.0) * _IDENTITY + 2.0 * (outer - cross)
+    return (2.0 * sigma * sigma - 1.0) * _IDENTITY + _TWO * (outer - cross)
 
 
 def quat_to_rotation(q: UnitQuaternion) -> np.ndarray:
@@ -274,10 +281,10 @@ def cheiral_counts(Rs: np.ndarray, T: np.ndarray, q1: np.ndarray, q2: np.ndarray
     e1, e2 = (r1 @ co)[..., 0, 0], (r2 @ co)[..., 0, 0]
     det = b * b - a * d
     # A parallel pair is not counted: its NaN determinant fails the depth test.
-    det[np.abs(det) <= PARALLEL_RAY_EPS * a * d] = np.nan
+    det[np.abs(det) <= _PARALLEL * a * d] = np.nan
     # Closest approach of rays s q1 and origin2 + r d2: [a -b; b -d] [s r]^T = [e1 e2]^T.
     # Negating T negates origin2, e1, e2 and so s and r, exactly as negating det
     # does: one solve serves both signs.  Both are positive where the smaller is.
     det = det * _SIGNS[:, None, None]
-    smaller = np.minimum((-d * e1 + b * e2) / det, (-b * e1 + a * e2) / det)
-    return np.add.reduce(smaller > 0.0, 2)
+    smaller = np.minimum((b * e2 - d * e1) / det, (a * e2 - b * e1) / det)
+    return np.add.reduce(smaller > _ZERO, 2)

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .exceptions import DegenerateInput
-from .geom import RotationConstraint, count_nonzero, line_points
+from .geom import RotationConstraint, bincount, concatenate, count_nonzero, line_points
 from .geom import stacked_cross as _cross, stacked_dot as _dot
 
 Monomial = tuple[int, int, int]
@@ -120,7 +120,7 @@ def _mul_stack(p: np.ndarray, q: np.ndarray, d1: int, d2: int, dout: int) -> np.
     n_out = grevlex_basis(dout).size
     weights = (p[..., :, None] * q[..., None, :]).ravel()
     index = _mul_index(d1, d2, dout, weights.size)
-    sums = np.bincount(index, weights=weights, minlength=p.size // p.shape[-1] * n_out)
+    sums = bincount(index, weights=weights, minlength=p.size // p.shape[-1] * n_out)
     return sums.reshape(p.shape[:-1] + (n_out,))
 
 
@@ -168,7 +168,7 @@ def _bilinear_coeffs(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
     quadratic = (prods[:6] + prods[9:15]) * _DOUBLE
     linear = -2.0 * sigma * (prods[6:9] - prods[15:])
     constant = (2.0 * sigma * sigma - 1.0) * _dot(a, b).reshape(1, -1)
-    return np.concatenate([quadratic, linear, constant]).T.copy().reshape(a.shape[:-1] + (10,))
+    return concatenate([quadratic, linear, constant]).T.copy().reshape(a.shape[:-1] + (10,))
 
 
 def _ray_stack(pairs, *names: str) -> np.ndarray:
@@ -183,7 +183,7 @@ def _f_rays(rays: np.ndarray, i, j) -> np.ndarray:
     bearing rows ``q1``, ``q2`` for anchors ``i`` and correspondences ``j``
     of one shape."""
     qj = rays.take(j, -2)
-    return np.concatenate([_cross(rays.take(i, -2), qj), qj])
+    return concatenate([_cross(rays.take(i, -2), qj), qj])
 
 
 def _f_dets(rays: np.ndarray, sigma: float) -> np.ndarray:
@@ -242,10 +242,10 @@ def _g_rows(rays: np.ndarray, i, j, sigma: float) -> np.ndarray:
     # x = [q1, q2, e1, e2, q1, q2, m1, m2] with e = m x q, the points nearest
     # the origin on the lines: an anchor's factors are its first four rows,
     # a correspondence's its last four.
-    x = np.concatenate([rays[:2], line_points(rays), rays])
+    x = concatenate([rays[:2], line_points(rays), rays])
     xi, xj = x[:4].take(i, -2), x[4:].take(j, -2)
     # [q1_i x q1_j, q2_i x q2_j, e1_i x q1_j, e2_i x q2_j, q1_j, q2_j, m1_j, m2_j].
-    rows = np.concatenate([_cross(xi, xj.take(_G_VIEWS, 0)), xj])
+    rows = concatenate([_cross(xi, xj.take(_G_VIEWS, 0)), xj])
     f = _bilinear_coeffs(rows.take(_G_LEFT, 0), rows.take(_G_RIGHT, 0), sigma)
     # w sums the last four forms in order, in place.
     for k in (3, 4, 5):

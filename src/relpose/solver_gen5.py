@@ -10,26 +10,12 @@ import numpy as np
 
 from .exceptions import ScaleUnobservable
 from .gbsolver import (
-    GENERAL,
-    SamplePoses,
-    _svd_or_nan,
-    assemble_reduced_template,
-    build_action_matrix,
-    eigensolve_real,
-    extract_roots,
-    polish_roots,
-    quotient_basis_from_pivots,
-    residual_gate,
-    rref_conditioned,
-    solve,
+    GENERAL, SamplePoses, _svd_or_nan, assemble_reduced_template, build_action_matrix,
+    eigensolve_real, extract_roots, polish_roots, quotient_basis_from_pivots, residual_gate,
+    rref_conditioned, solve,
 )
 from .geom import (
-    PluckerPair,
-    RelativePose,
-    count_nonzero,
-    line_points,
-    stacked_cross,
-    stacked_dot,
+    PluckerPair, RelativePose, concatenate, count_nonzero, line_points, stacked_cross, stacked_dot,
 )
 from .poly import build_g_polynomials
 
@@ -79,9 +65,9 @@ def _depth_rows(rays: np.ndarray, e: np.ndarray, sample: np.ndarray, Rs: np.ndar
     anchors, others = rays[:2, :, :1], rays[:, :, 1:]
     # [q1, q2, a1 x q1, a2 x q2, e1 x q1 + m1, e2 x q2 + m2] of the others,
     # per sample, then per rotation.
-    crosses = stacked_cross(np.concatenate([anchors, e[:, :, None]]), others.take(_VIEWS, 0))
+    crosses = stacked_cross(concatenate([anchors, e[:, :, None]]), others.take(_VIEWS, 0))
     crosses[2:] += others[2:]
-    factors = np.concatenate([others[:2], crosses]).take(_FACTORS, 0).take(sample, 1)
+    factors = concatenate([others[:2], crosses]).take(_FACTORS, 0).take(sample, 1)
     # The forms of a, of b and of the two terms of w, at once.
     forms = _einsum("ikja,kab,ikjb->kji", factors[:4], Rs, factors[4:])
     rows = forms[..., :3].copy()

@@ -46,16 +46,16 @@ def _poses(rays: np.ndarray, sample: np.ndarray, u: np.ndarray, Rs: np.ndarray, 
     """The pose rule of ``gbsolver.solve`` for the ``(2, B, 4, 3)`` bearing
     rows: each rotation's unit translation from its sample's epipolar rows,
     gated, with the sign or signs that win the cheirality vote."""
-    Q1, Q2 = rays.take(sample, 1)
+    Q = rays.take(sample, 1)
     # Rows cross(R q1_i, q2_i) for every root at once; the stacked matmul
     # rounds as the per-root R @ q1_i does.
-    rows = stacked_cross((Rs[:, None] @ Q1[..., None])[..., 0], Q2)
+    rows = stacked_cross((Rs[:, None] @ Q[0, ..., None])[..., 0], Q[1])
     T = _svd_or_nan(rows)[2][:, -1]
     # Each row dotted with the unit translation is the scaled epipolar
     # residual q2^T [t]x R q1 of its pair.
     keep = residual_gate((rows @ T[:, :, None])[..., 0], sample, c, losses)
-    sample, Rs, T, u, Q1, Q2 = sample[keep], Rs[keep], T[keep], u[keep], Q1[keep], Q2[keep]
-    votes = cheiral_counts(Rs, T, Q1, Q2)
+    sample, Rs, T, u, Q = sample[keep], Rs[keep], T[keep], u[keep], Q[:, keep]
+    votes = cheiral_counts(Rs, T, *Q)
     # Keep each sign that wins the cheirality vote, both on a tie, none at 0-0.
     k, flip = (votes >= np.maximum(votes[::-1], 1)).T.nonzero()
     sample = sample.take(k)

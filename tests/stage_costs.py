@@ -203,12 +203,18 @@ def step_pass(rp, bests) -> Counter:
     return own
 
 
+# Comprehensions run as functions of their own up to Python 3.11 and inline
+# from 3.12 on (PEP 709), so ``call_counts`` leaves them out.
+INLINED = ("<listcomp>", "<dictcomp>", "<setcomp>")
+
+
 def call_counts(calls, raised=()) -> dict[str, float]:
     """Function calls per call of ``calls``, ``(solve, args, kwargs)``, by
     kind: ``relpose`` (every Python function outside numpy: the package's
     own and the ``__init__`` that ``dataclasses`` generates for its
-    classes), ``numpy`` (its Python wrappers) and ``C``, and their
-    ``total``.  A solve that raises one of ``raised`` counts as it ran."""
+    classes, but no comprehension, see ``INLINED``), ``numpy`` (its Python
+    wrappers) and ``C``, and their ``total``.  A solve that raises one of
+    ``raised`` counts as it ran."""
     profile = cProfile.Profile()
     for fn, args, kwargs in calls:
         try:
@@ -222,6 +228,8 @@ def call_counts(calls, raised=()) -> dict[str, float]:
     numpy_dir = str(Path(np.__file__).resolve().parent) + "/"
     kinds: Counter = Counter()
     for (path, _, name), (_, n_calls, *_rest) in pstats.Stats(profile).stats.items():
+        if name in INLINED:
+            continue
         if path == "~":
             # The profiler's own ``disable`` is no call of the solve.
             kinds["C"] += 0 if "_lsprof.Profiler" in name else n_calls
@@ -244,69 +252,117 @@ def print_calls(solver: str, single: list, stacked: list, raised) -> None:
                                           ("total", "relpose", "numpy", "C")))
 
 
+def load_tree(root, name: str = "relpose_against"):
+    """The ``src/relpose`` package of the checkout ``root``, imported under
+    the module name ``name``, so that it runs in one process next to
+    ``relpose``; the package imports its own modules relatively."""
+    for loaded in [m for m in sys.modules if m == name or m.startswith(name + ".")]:
+        del sys.modules[loaded]
+    init = Path(root).resolve() / "src" / "relpose" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)]
+    )
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+class Tree:
+    """One package's stacked calls, single solves, spied stages and step
+    arguments for one solver, and the times of its passes."""
+
+    def __init__(self, label: str, rp, panels, solver: str, args):
+        self.label, self.rp = label, rp
+        ops = panels["ransac"][solver][: args.pairs]
+        self.calls = stacked_calls(rp, solver, ops)
+        self.problems = [(op.fn, *op.args) for op in panels["minimal"][solver][: args.problems]]
+        self.names = stage_names(rp, solver)
+        self.bests = []
+        if solver == "reg4" and hasattr(rp.solver_reg4, "epipolar_step"):
+            self.bests = first_round_bests(rp, self.calls, ops[0].args[2].inlier_threshold)
+        self.passes, self.singles, self.steps, self.ref_ms = [], [], [], []
+
+    def time_pass(self, reference, record: bool = True) -> None:
+        """One pass over every call, then runs of the reference kernel."""
+        start = time.perf_counter()
+        passes = one_pass(self.rp, self.names, self.calls)
+        singles = single_pass(self.rp, self.names, self.problems)
+        steps = step_pass(self.rp, self.bests)
+        if record:
+            self.passes.append(passes)
+            self.singles.append(singles)
+            self.steps.append(steps)
+            self.ref_ms.append(reference.after(1e3 * (time.perf_counter() - start)))
+
+    def report(self, run, solver: str) -> None:
+        """Print the stage table of the passes."""
+        # Per pass, the factor from its summed seconds to microseconds per
+        # call at the reference speed, and per single solve.
+        n_calls, n_problems, repeats = len(self.calls), len(self.problems), len(self.passes)
+        scales = run.scale_to_reference(np.full(repeats, 1e6 / n_calls), self.ref_ms)
+        single_scales = scales * n_calls / n_problems
+        stages = ["solve", *(attr for _, attr in self.names)]
+        print(f"{solver}{self.label}: us per call, {n_calls} frame pairs and {n_problems} "
+              f"single solves, median of {repeats}, scaled to the reference kernel")
+        print(f"  {'stage':28s} {'fixed':>9s} {'per sample at 8':>16s} {'at 32':>8s} "
+              f"{'single':>8s}")
+        totals = [0.0, 0.0, 0.0, 0.0]
+        for stage in stages:
+            per = {
+                size: [f * (p[size][stage] - p[1][stage]) / (size - 1)
+                       for p, f in zip(self.passes, scales)]
+                for size in SIZES[1:]
+            }
+            fixed = [f * p[1][stage] - s for p, f, s in zip(self.passes, scales, per[8])]
+            single = [f * p[stage] for p, f in zip(self.singles, single_scales)]
+            row = [statistics.median(x) for x in (fixed, per[8], per[32], single)]
+            totals = [a + b for a, b in zip(totals, row)]
+            print(f"  {stage:28s} {row[0]:9.1f} {row[1]:16.1f} {row[2]:8.1f} {row[3]:8.1f}")
+        print(f"  {'total':28s} {totals[0]:9.1f} {totals[1]:16.1f} {totals[2]:8.1f} "
+              f"{totals[3]:8.1f}")
+        if self.bests:
+            print(f"  local optimization, per call on the first round's best of "
+                  f"{len(self.bests)} frame pairs:")
+            for stage in ("epipolar_step", "re-score"):
+                per_call = statistics.median(f * p[stage] for p, f in zip(self.steps, scales))
+                print(f"  {stage:28s} {per_call:9.1f}")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--pairs", type=int, default=15)
     ap.add_argument("--problems", type=int, default=30)
     ap.add_argument("--repeats", type=int, default=15)
     ap.add_argument("--calls", action="store_true", help="count calls instead of timing")
+    ap.add_argument("--against", metavar="DIR", help="also run the package of checkout DIR")
     args = ap.parse_args(argv)
     run = load_run()
-    rp = run.load_relpose()
+    packages = [("", run.load_relpose())]
+    if args.against:
+        packages.append((f" against {args.against}", load_tree(args.against)))
+    panels = [{w: run.make_panel(rp, w) for w in ("ransac", "minimal")} for _, rp in packages]
     reference = run.Reference()
-    panel, minimal = run.make_panel(rp, "ransac"), run.make_panel(rp, "minimal")
-    for solver, ops in panel.items():
-        calls = stacked_calls(rp, solver, ops[: args.pairs])
-        problems = [(op.fn, *op.args) for op in minimal[solver][: args.problems]]
+    for solver in ("reg4", "gen5"):
+        trees = [Tree(label, rp, panel, solver, args)
+                 for (label, rp), panel in zip(packages, panels)]
         if args.calls:
-            # One uncounted pass first, so that every cache is filled.
-            single = [(fn, (pairs, theta), {}) for fn, pairs, theta in problems]
-            stacked = [(fn, (pairs, theta), {"samples": samples[:8]})
-                       for fn, pairs, theta, samples in calls]
-            call_counts(single + stacked, rp.RelposeError)
-            print_calls(solver, single, stacked, rp.RelposeError)
+            for tree in trees:
+                # One uncounted pass first, so that every cache is filled.
+                single = [(fn, (pairs, theta), {}) for fn, pairs, theta in tree.problems]
+                stacked = [(fn, (pairs, theta), {"samples": samples[:8]})
+                           for fn, pairs, theta, samples in tree.calls]
+                call_counts(single + stacked, tree.rp.RelposeError)
+                print_calls(solver + tree.label, single, stacked, tree.rp.RelposeError)
             continue
-        names = stage_names(rp, solver)
-        bests = []
-        if solver == "reg4" and hasattr(rp.solver_reg4, "epipolar_step"):
-            bests = first_round_bests(rp, calls, ops[0].args[2].inlier_threshold)
-        one_pass(rp, names, calls)
-        single_pass(rp, names, problems)
-        passes, singles, steps, ref_ms = [], [], [], []
-        for _ in range(args.repeats):
-            start = time.perf_counter()
-            passes.append(one_pass(rp, names, calls))
-            singles.append(single_pass(rp, names, problems))
-            steps.append(step_pass(rp, bests))
-            ref_ms.append(reference.after(1e3 * (time.perf_counter() - start)))
-        # Per pass, the factor from its summed seconds to microseconds per
-        # call at the reference speed, and per single solve.
-        scales = run.scale_to_reference(np.full(len(passes), 1e6 / len(calls)), ref_ms)
-        single_scales = scales * len(calls) / len(problems)
-        stages = ["solve", *(attr for _, attr in names)]
-        print(f"{solver}: us per call, {len(calls)} frame pairs and {len(problems)} single "
-              f"solves, median of {args.repeats}, scaled to the reference kernel")
-        print(f"  {'stage':28s} {'fixed':>9s} {'per sample at 8':>16s} {'at 32':>8s} "
-              f"{'single':>8s}")
-        totals = [0.0, 0.0, 0.0, 0.0]
-        for stage in stages:
-            per = {
-                size: [f * (p[size][stage] - p[1][stage]) / (size - 1) for p, f in zip(passes, scales)]
-                for size in SIZES[1:]
-            }
-            fixed = [f * p[1][stage] - s for p, f, s in zip(passes, scales, per[8])]
-            single = [f * p[stage] for p, f in zip(singles, single_scales)]
-            row = [statistics.median(x) for x in (fixed, per[8], per[32], single)]
-            totals = [a + b for a, b in zip(totals, row)]
-            print(f"  {stage:28s} {row[0]:9.1f} {row[1]:16.1f} {row[2]:8.1f} {row[3]:8.1f}")
-        print(f"  {'total':28s} {totals[0]:9.1f} {totals[1]:16.1f} {totals[2]:8.1f} "
-              f"{totals[3]:8.1f}")
-        if bests:
-            print(f"  local optimization, per call on the first round's best of {len(bests)} "
-                  f"frame pairs:")
-            for stage in ("epipolar_step", "re-score"):
-                per_call = statistics.median(f * p[stage] for p, f in zip(steps, scales))
-                print(f"  {stage:28s} {per_call:9.1f}")
+        for tree in trees:
+            tree.time_pass(reference, record=False)
+        for repeat in range(args.repeats):
+            # The trees alternate pass by pass, each first in turn.
+            for tree in trees[::-1] if repeat % 2 else trees:
+                tree.time_pass(reference)
+        for tree in trees:
+            tree.report(run, solver)
     return 0
 
 

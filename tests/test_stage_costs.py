@@ -3,8 +3,13 @@ moves would break it unseen: every stage it spies on must be a callable
 attribute where it spies, and a solve must call it there: a stacked solve
 every stage but those of ``SINGLE``, a single solve every one, gen5's
 generator internals and the reduction included; the
-rows of the reg4 step must time a step and its re-score; and ``--calls``
-must split every call of a solve into its three kinds."""
+rows of the reg4 step must time a step and its re-score; ``--calls``
+must split every call of a solve into its three kinds; and ``--against``
+must run a second checkout's package next to this one.  The package's own
+calls of one single solve per solver are pinned, so that a change that adds
+fixed cost to a single solve shows as an edit of ``SINGLE_SOLVE_CALLS``."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,12 +21,19 @@ from stage_costs import (
     SINGLE,
     call_counts,
     first_round_bests,
+    load_tree,
     main,
     one_pass,
     single_pass,
     stage_names,
     step_pass,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
+# The package's Python calls (``call_counts``' ``relpose`` kind) of one single
+# solve of the scene of seed 1, caches filled.  They do not move with the
+# numpy version; the numpy and C kinds do, so those are not pinned.
+SINGLE_SOLVE_CALLS = {"reg4": 62, "gen5": 80}
 
 
 @pytest.mark.parametrize("solver", ["reg4", "gen5"])
@@ -98,3 +110,40 @@ def test_the_calls_option_prints_both_rows_per_solver(capsys):
         for row in rows:
             total, *parts = map(float, row[-4:])
             assert total == pytest.approx(sum(parts)) and min(parts) > 0
+
+
+@pytest.mark.parametrize("solver", ["reg4", "gen5"])
+def test_a_single_solve_makes_the_pinned_package_calls(solver):
+    size = 4 if solver == "reg4" else 5
+    truth, pairs = generate_scene(SceneConfig(seed=1, generalized=solver == "gen5"), size)
+    solve = relpose.solve_4pt_angle if solver == "reg4" else relpose.solve_gen5pt_angle
+    calls = [(solve, (pairs, rotation_angle(truth.R)), {})]
+    call_counts(calls)
+    assert call_counts(calls)["relpose"] == SINGLE_SOLVE_CALLS[solver]
+
+
+def test_a_second_checkout_loads_beside_the_package():
+    other = load_tree(ROOT)
+    assert other.__name__ == "relpose_against" and other is not relpose
+    assert Path(other.solver_reg4.__file__) == Path(relpose.solver_reg4.__file__)
+    assert other.solve_4pt_angle is not relpose.solve_4pt_angle
+    assert other.gbsolver.RayTable is not relpose.gbsolver.RayTable
+
+
+def test_the_against_option_prints_each_table_per_checkout(capsys):
+    args = ["--pairs", "1", "--problems", "1", "--repeats", "2", "--against", str(ROOT)]
+    assert main(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for solver in ("reg4", "gen5"):
+        heads = [line for line in lines if line.startswith(solver) and "us per call" in line]
+        assert [head.split(":")[0] for head in heads] == [solver, f"{solver} against {ROOT}"]
+        for head in heads:
+            assert "median of 2" in head
+            total = lines[lines.index(head) + 2 :]
+            total = next(line for line in total if line.split()[0] == "total")
+            assert min(map(float, total.split()[1:])) > 0
+    assert main(["--pairs", "1", "--problems", "1", "--calls", "--against", str(ROOT)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for solver in ("reg4", "gen5"):
+        at = lines.index(f"{solver} against {ROOT}: function calls per call, counted with cProfile")
+        assert lines[at + 2].split()[:2] == ["single", "solve"]
