@@ -737,7 +737,7 @@ def polish_roots(generators: np.ndarray, roots: np.ndarray, c: RotationConstrain
         # Each monomial the product of its three powers in order, with the
         # roots innermost in memory, as the matmul has always read them.
         table = (x[:, :, None] ** exponents).reshape(len(x), -1).T.take(powers, 0)
-        out = np.multiply.reduce(table, 0).T @ coeffs
+        out = (table[0] * table[1] * table[2]).T @ coeffs
         f = out[:, :n_eq]
         return f, out[:, n_eq:].reshape(-1, n_eq, 3), stacked_dot(f, f)
 
@@ -870,7 +870,7 @@ def _attempt(layers, problem, matrix, pivots, pending: np.ndarray, tried: Losses
     return pending, extracted.inconsistent, extracted.roots, pending.take(extracted.sample)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class SamplePoses:
     """The poses of a solve as rows of arrays, sample after sample:
     ``(P, 3, 3)`` rotations ``R``, ``(P, 3)`` translations ``t``, ``(P, 3)``
@@ -881,7 +881,8 @@ class SamplePoses:
     of samples.
 
     The constructor runs ``check_poses`` once on the whole stack, as
-    ``RelativePose`` does on one pose.  ``poses`` builds the objects.
+    ``RelativePose`` does on one pose, and sets the fields without a call
+    each.  ``poses`` builds the objects.
     """
 
     R: np.ndarray
@@ -891,8 +892,9 @@ class SamplePoses:
     bounds: list[int]
     columns: dict
 
-    def __post_init__(self):
-        check_poses(self.R, self.t)
+    def __init__(self, R, t, sigma, u, bounds, columns):
+        check_poses(R, t)
+        self.__dict__.update(R=R, t=t, sigma=sigma, u=u, bounds=bounds, columns=columns)
 
     def __len__(self) -> int:
         return len(self.bounds) - 1

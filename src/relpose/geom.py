@@ -29,8 +29,8 @@ _C = (getattr(np, "_core", None) or np.core)._multiarray_umath
 count_nonzero, bincount, concatenate = _C.count_nonzero, _C.bincount, _C.concatenate
 # Rays whose normalized Gram determinant falls below this are treated as parallel.
 PARALLEL_RAY_EPS = 1e-12
-# The translation sign of each row of ``cheiral_counts``.
-_SIGNS = np.array([1.0, -1.0])
+# The translation sign of each row of ``cheiral_counts``, as a column.
+_SIGNS = np.array([[1.0], [-1.0]])
 # Operands of the checks and kernels as 0-d arrays, which numpy takes at less
 # cost than Python floats: the same values, so the same bits.
 _ZERO, _ONE, _TWO, _PARALLEL, _UNIT_TOL, _ROTATION_TOL = map(
@@ -285,6 +285,6 @@ def cheiral_counts(Rs: np.ndarray, T: np.ndarray, q1: np.ndarray, q2: np.ndarray
     # Closest approach of rays s q1 and origin2 + r d2: [a -b; b -d] [s r]^T = [e1 e2]^T.
     # Negating T negates origin2, e1, e2 and so s and r, exactly as negating det
     # does: one solve serves both signs.  Both are positive where the smaller is.
-    det = det * _SIGNS[:, None, None]
+    det = det * _SIGNS[:, None]
     smaller = np.minimum((b * e2 - d * e1) / det, (a * e2 - b * e1) / det)
     return np.add.reduce(smaller > _ZERO, 2)

@@ -30,6 +30,8 @@ _CENTRAL = "all ray moments vanish: a central configuration carries no translati
 SCALE_RANK_EPS = 1e-10
 SCALE_COMPONENT_EPS = 1e-10
 _NO_SCALE = "translation scale is unobservable for every rotation candidate"
+# The three as 0-d arrays, which numpy compares at less cost than Python floats.
+_MOMENT, _RANK, _COMPONENT = map(np.array, (CENTRAL_MOMENT_EPS, SCALE_RANK_EPS, SCALE_COMPONENT_EPS))
 
 # The layers are called through this module's attributes.
 _LAYERS = sys.modules[__name__]
@@ -45,7 +47,7 @@ _VIEWS, _FACTORS = np.array([0, 1, 0, 1]), np.array([1, 3, 1, 5, 2, 0, 4, 0])
 def _central(moments: np.ndarray) -> np.ndarray:
     """Which of the ``(2, ..., N, 3)`` moment rows ``m1``, ``m2`` all vanish:
     a central configuration, which carries no translation scale."""
-    return np.maximum.reduce(np.sqrt(stacked_dot(moments, moments)), (0, -1)) < CENTRAL_MOMENT_EPS
+    return np.maximum.reduce(np.sqrt(stacked_dot(moments, moments)), (0, -1)) < _MOMENT
 
 
 def _screen(rays: np.ndarray, losses) -> None:
@@ -97,7 +99,7 @@ def _poses(rays: np.ndarray, sample: np.ndarray, u: np.ndarray, Rs: np.ndarray, 
     _, s, vt = _svd_or_nan(_depth_rows(rays, e, sample, Rs))
     v = vt[:, -1]
     # Negated, so that a NaN from a decomposition that did not converge fails.
-    observable = (s[:, 1] > SCALE_RANK_EPS * s[:, 0]) & (np.abs(v[:, 2]) >= SCALE_COMPONENT_EPS)
+    observable = (s[:, 1] > _RANK * s[:, 0]) & (np.abs(v[:, 2]) >= _COMPONENT)
     observable = observable.nonzero()[0]
     sample = sample.take(observable)
     losses.lose(losses.unowned(sample), ScaleUnobservable(_NO_SCALE))

@@ -61,7 +61,7 @@ def _poses(rays: np.ndarray, sample: np.ndarray, u: np.ndarray, Rs: np.ndarray, 
     sample = sample.take(k)
     losses.lose(losses.unowned(sample), NoCheiralSolution(_NOT_CHEIRAL))
     # Multiplying by -1 negates exactly, and by 1 changes no bit.
-    T = T.take(k, 0) * _SIGNS.take(flip)[:, None]
+    T = T.take(k, 0) * _SIGNS.take(flip, 0)
     columns = {"cheiral_count": votes[flip, k], "cheirality_tie": (votes[0] == votes[1]).take(k)}
     return Rs.take(k, 0), T, u.take(k, 0), sample, columns
 
