@@ -452,18 +452,17 @@ def build_action_matrix(reduced: np.ndarray, qb: QuotientBasis) -> np.ndarray:
     the negated row, as ``rref_conditioned`` returns it on the standard
     columns, of the pivot polynomial whose leading monomial it hits.
     """
-    n = qb.size
-    unit_rows, unit_cols, pivot_rows, pivot_polys = _action_plan(qb)
-    M = np.zeros(reduced.shape[:-2] + (n, n))
-    M[..., unit_rows, unit_cols] = 1.0
+    units, pivot_rows, pivot_polys = _action_plan(qb)
+    M = np.empty(reduced.shape[:-2] + units.shape)
+    M[...] = units
     M[..., pivot_rows, :] = -reduced.take(pivot_polys, -2)
     return M
 
 
 @lru_cache(maxsize=None)
 def _action_plan(qb: QuotientBasis):
-    """Where ``build_action_matrix`` puts its unit entries, ``(rows,
-    columns)``, and which rows are negated pivot polynomials, ``(rows,
+    """The unit rows of ``build_action_matrix``, as a matrix that is zero
+    elsewhere, and which rows are negated pivot polynomials, ``(rows,
     polynomials)``."""
     # Pivot row of every remainder column.  The extra last slot stays -1, so
     # a product outside the template (column -1) finds none.
@@ -476,7 +475,9 @@ def _action_plan(qb: QuotientBasis):
         a, b, c = m = qb.monomials[int(bad[0])]
         raise UnreachableMonomial(f"gamma * {m} = {(a, b, c + 1)} is outside the template")
     is_unit = unit >= 0
-    return np.flatnonzero(is_unit), unit[is_unit], np.flatnonzero(~is_unit), rows[~is_unit]
+    units = np.zeros((qb.size, qb.size))
+    units[is_unit, unit[is_unit]] = 1.0
+    return units, np.flatnonzero(~is_unit), rows[~is_unit]
 
 
 def eigensolve_real(M: np.ndarray) -> np.ndarray:

@@ -473,7 +473,7 @@ class TestGammaChains:
                     assert following == (a, b, g + 1)
             for a, b, g in heads:
                 assert g == 0 or (a, b, g - 1) not in qb.index
-            _, _, pivot_rows, _ = gbsolver._action_plan(qb)
+            _, pivot_rows, _ = gbsolver._action_plan(qb)
             assert len(heads) == len(pivot_rows)
             if k == 0:
                 assert len(heads) == n_heads
