@@ -62,7 +62,7 @@ from .exceptions import (
     RelposeError, UnreachableMonomial,
 )
 from .geom import (
-    RelativePose, RotationConstraint, UnitQuaternion, _frozen, bincount, check_poses,
+    _ONE, RelativePose, RotationConstraint, UnitQuaternion, _frozen, bincount, check_poses,
     check_unit_quaternions, concatenate, count_nonzero, rotation_stack, sigma_from_angle,
     stacked_dot,
 )
@@ -90,8 +90,8 @@ POLISH_ROUNDING = 1e-28
 
 # The operands of the kernels' tests as 0-d arrays, which numpy takes at less
 # cost than Python floats: the same values, so the same bits.
-_IMAG, _ROOT, _GATE, _AXIS, _POLISHED, _INFINITE, _ONE = map(
-    np.array, (IMAG_TOL, ROOT_TOL, POSE_RESIDUAL_TOL, U_DIRECTION_EPS, POLISH_ROUNDING, 1e10, 1.0)
+_IMAG, _ROOT, _GATE, _AXIS, _POLISHED, _INFINITE = map(
+    np.array, (IMAG_TOL, ROOT_TOL, POSE_RESIDUAL_TOL, U_DIRECTION_EPS, POLISH_ROUNDING, 1e10)
 )
 
 # Roots are read off the eigenvector entries at 1, alpha, beta and gamma, so

@@ -2,6 +2,7 @@
 its cost in a single solve.
 
     python3 tests/stage_costs.py [--pairs 15] [--problems 30] [--repeats 15] [--calls]
+                                 [--against DIR]
 
 Takes the first ``--pairs`` frame pairs of the ``ransac`` panel of
 ``perfbench/run.py`` and, on each, the first 32 samples its RANSAC run
@@ -47,7 +48,15 @@ split into three kinds: Python functions of the package (with the
 ``__init__`` that ``dataclasses`` generates for its classes), numpy's
 Python wrappers, and C-level calls (builtins, ndarray methods, ufunc
 methods).  A cut in a solve's fixed cost that trades one kind for another
-shows there.
+shows there.  Comprehensions are not counted: Python 3.12 inlines them.
+
+With ``--against DIR`` it also loads the package of the checkout ``DIR``
+(its ``src/relpose``) under the module name ``relpose_against`` in the same
+process and measures both, the two packages alternating pass by pass and
+each going first in turn, then prints this checkout's table and the other's.
+Two packages in one process share the memory state that separate runs do
+not, so a stage whose code is unchanged reads the same on both sides; a
+per-stage comparison of two checkouts needs this mode.
 """
 
 from __future__ import annotations
