@@ -51,9 +51,10 @@ methods).  A cut in a solve's fixed cost that trades one kind for another
 shows there.  Comprehensions are not counted: Python 3.12 inlines them.
 
 With ``--against DIR`` it also loads the package of the checkout ``DIR``
-(its ``src/relpose``) under the module name ``relpose_against`` in the same
-process and measures both, the two packages alternating pass by pass and
-each going first in turn, then prints this checkout's table and the other's.
+(its ``src/relpose``) under the module name ``AGAINST``, ``relpose_against``,
+in the same process and measures both, the two packages alternating pass
+by pass and each going first in turn, then prints this checkout's table
+and the other's.
 Two packages in one process share the memory state that separate runs do
 not, so a stage whose code is unchanged reads the same on both sides; a
 per-stage comparison of two checkouts needs this mode.
@@ -91,6 +92,8 @@ GBSOLVER = (
 )
 # The stages that only a single solve calls, spied in the solver module.
 SINGLE = ("polish_roots",)
+# The module name of the package that ``--against`` loads.
+AGAINST = "relpose_against"
 
 
 class Spies:
@@ -261,18 +264,18 @@ def print_calls(solver: str, single: list, stacked: list, raised) -> None:
                                           ("total", "relpose", "numpy", "C")))
 
 
-def load_tree(root, name: str = "relpose_against"):
+def load_tree(root):
     """The ``src/relpose`` package of the checkout ``root``, imported under
-    the module name ``name``, so that it runs in one process next to
+    the module name ``AGAINST``, so that it runs in one process next to
     ``relpose``; the package imports its own modules relatively."""
-    for loaded in [m for m in sys.modules if m == name or m.startswith(name + ".")]:
+    for loaded in [m for m in sys.modules if m == AGAINST or m.startswith(AGAINST + ".")]:
         del sys.modules[loaded]
     init = Path(root).resolve() / "src" / "relpose" / "__init__.py"
     spec = importlib.util.spec_from_file_location(
-        name, init, submodule_search_locations=[str(init.parent)]
+        AGAINST, init, submodule_search_locations=[str(init.parent)]
     )
     package = importlib.util.module_from_spec(spec)
-    sys.modules[name] = package
+    sys.modules[AGAINST] = package
     spec.loader.exec_module(package)
     return package
 

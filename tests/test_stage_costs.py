@@ -18,6 +18,7 @@ import relpose
 from relpose.geom import rotation_angle
 from relpose.synth import SceneConfig, generate_scene
 from stage_costs import (
+    AGAINST,
     SINGLE,
     call_counts,
     first_round_bests,
@@ -124,7 +125,7 @@ def test_a_single_solve_makes_the_pinned_package_calls(solver):
 
 def test_a_second_checkout_loads_beside_the_package():
     other = load_tree(ROOT)
-    assert other.__name__ == "relpose_against" and other is not relpose
+    assert other.__name__ == AGAINST and other is not relpose
     assert Path(other.solver_reg4.__file__) == Path(relpose.solver_reg4.__file__)
     assert other.solve_4pt_angle is not relpose.solve_4pt_angle
     assert other.gbsolver.RayTable is not relpose.gbsolver.RayTable
