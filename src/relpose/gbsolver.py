@@ -58,12 +58,27 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .exceptions import (
-    BasisAnomaly, DegenerateConfiguration, DegreeOverflow, EigenFailure, RankDeficient,
-    RelposeError, UnreachableMonomial,
+    BasisAnomaly,
+    DegenerateConfiguration,
+    DegreeOverflow,
+    EigenFailure,
+    RankDeficient,
+    RelposeError,
+    UnreachableMonomial,
 )
 from .geom import (
-    _ONE, RelativePose, RotationConstraint, UnitQuaternion, _frozen, bincount, check_poses,
-    check_unit_quaternions, concatenate, count_nonzero, rotation_stack, sigma_from_angle,
+    _ONE,
+    RelativePose,
+    RotationConstraint,
+    UnitQuaternion,
+    _frozen,
+    bincount,
+    check_poses,
+    check_unit_quaternions,
+    concatenate,
+    count_nonzero,
+    rotation_stack,
+    sigma_from_angle,
     stacked_dot,
 )
 from .poly import GrevlexBasis, Monomial, _ray_stack, grevlex_basis, reduce_columns_mod_h
@@ -780,8 +795,8 @@ def rotation_roots(
     that the generators find degenerate or that is left without roots is
     lost.  Returns the ``(K, 3)`` roots, grouped by sample in ascending
     order, and the sample of each."""
-    if c.tau == 0.0:
-        live = (losses.status == 0).nonzero()[0]
+    live = (losses.status == 0).nonzero()[0]
+    if c.tau == 0.0 or not live.size:
         return np.zeros((len(live), 3)), live
     gens = generators(rays, c, losses)
     roots, sample = _eliminate(layers, problem, gens, c, losses, 2 if refine else 1)
@@ -810,7 +825,9 @@ def _eliminate(
     found = []
     for attempt, pivots in enumerate(problem.partitions):
         tried = Losses(n_samples)
-        solved, now, roots, owner = _attempt(layers, problem, template, pivots, pending, tried, steps)
+        solved, now, roots, owner = _attempt(
+            layers, problem, template, pivots, pending, tried, steps
+        )
         if not attempt:
             if len(solved) == len(pending) and not count_nonzero(now):
                 # The first partition solves every sample and drops no root.

@@ -10,12 +10,27 @@ import numpy as np
 
 from .exceptions import ScaleUnobservable
 from .gbsolver import (
-    GENERAL, SamplePoses, _svd_or_nan, assemble_reduced_template, build_action_matrix,
-    eigensolve_real, extract_roots, polish_roots, quotient_basis_from_pivots, residual_gate,
-    rref_conditioned, solve,
+    GENERAL,
+    SamplePoses,
+    _svd_or_nan,
+    assemble_reduced_template,
+    build_action_matrix,
+    eigensolve_real,
+    extract_roots,
+    polish_roots,
+    quotient_basis_from_pivots,
+    residual_gate,
+    rref_conditioned,
+    solve,
 )
 from .geom import (
-    PluckerPair, RelativePose, concatenate, count_nonzero, line_points, stacked_cross, stacked_dot,
+    PluckerPair,
+    RelativePose,
+    concatenate,
+    count_nonzero,
+    line_points,
+    stacked_cross,
+    stacked_dot,
 )
 from .poly import build_g_polynomials
 
