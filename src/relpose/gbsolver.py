@@ -18,7 +18,7 @@ Eigenvalues (``eigensolve_real``), SVDs (``_svd_or_nan``) and solves
 overhead, and NaN for a matrix they cannot solve.  No kernel sets the
 error state: ``solve`` holds one ignoring state for all of them, so a
 kernel called alone warns where it marks NaN.  The eigenvectors are
-rebuilt from the gamma chains of the quotient basis (``_gamma_chains``) by
+rebuilt from the gamma chains of the quotient basis (``QuotientBasis``) by
 batched steps of inverse iteration over every real eigenvalue of a
 partition attempt (``extract_roots``), so their cost is traced in the
 ``gbsolver.extract`` layer, not in ``gbsolver.eig``.  The chains make the
@@ -71,6 +71,7 @@ from .geom import (
     RelativePose,
     RotationConstraint,
     UnitQuaternion,
+    _constant,
     _frozen,
     bincount,
     check_poses,
@@ -83,8 +84,10 @@ from .geom import (
 )
 from .poly import GrevlexBasis, Monomial, _ray_stack, grevlex_basis, reduce_columns_mod_h
 
-IMAG_TOL = 1e-6
-ROOT_TOL = 1e-6
+# Every tolerance is a read-only 0-d array (``_constant``), the very operand
+# of the kernels' tests.
+IMAG_TOL = _constant(1e-6)
+ROOT_TOL = _constant(1e-6)
 
 # numpy 1 names the gufunc by shape: ``svd_n_f`` for the pose rules' tall matrices.
 _SVD_F = getattr(_umath_linalg, "svd_f", None) or _umath_linalg.svd_n_f
@@ -92,22 +95,16 @@ _SVD_F = getattr(_umath_linalg, "svd_f", None) or _umath_linalg.svd_n_f
 # A pose is returned only if every scaled residual it leaves on its own
 # sample (see ``residual_gate``) is at most this.  A rotation off by d
 # radians leaves residuals of about d, and a polished root about 1e-15.
-POSE_RESIDUAL_TOL = 1e-6
+POSE_RESIDUAL_TOL = _constant(1e-6)
 
 # Below this norm a root carries no usable rotation axis.
-U_DIRECTION_EPS = 1e-10
+U_DIRECTION_EPS = _constant(1e-10)
 _NO_AXIS = "no usable rotation candidates survived filtering"
 
 # Most Gauss-Newton steps of ``polish_roots``.  A root stops once its
 # squared residual is at rounding level or a step fails to lower it.
 POLISH_STEPS = 8
-POLISH_ROUNDING = 1e-28
-
-# The operands of the kernels' tests as 0-d arrays, which numpy takes at less
-# cost than Python floats: the same values, so the same bits.
-_IMAG, _ROOT, _GATE, _AXIS, _POLISHED, _INFINITE = map(
-    np.array, (IMAG_TOL, ROOT_TOL, POSE_RESIDUAL_TOL, U_DIRECTION_EPS, POLISH_ROUNDING, 1e10)
-)
+POLISH_ROUNDING = _constant(1e-28)
 
 # Roots are read off the eigenvector entries at 1, alpha, beta and gamma, so
 # these monomials must stay in the quotient basis.
@@ -257,8 +254,8 @@ def usable_rotations(roots: np.ndarray, sample: np.ndarray, c, losses: Losses):
         # The stacked dot, a column, rounds as ``np.linalg.norm`` of each row does.  A NaN
         # norm passes the drop test, so a NaN root fails the unit-quaternion check instead.
         n = np.sqrt(roots[:, None] @ roots[:, :, None])[:, 0]
-        if count_nonzero(n <= _AXIS):
-            keep = (~(n <= _AXIS)).nonzero()[0]
+        if count_nonzero(n <= U_DIRECTION_EPS):
+            keep = (~(n <= U_DIRECTION_EPS)).nonzero()[0]
             sample, n, roots = sample.take(keep), n.take(keep, 0), roots.take(keep, 0)
         u = math.sqrt(1.0 - c.sigma * c.sigma) / n * roots
     losses.lose(losses.unowned(sample), DegenerateConfiguration(_NO_AXIS))
@@ -272,7 +269,7 @@ def residual_gate(residuals: np.ndarray, sample: np.ndarray, c, losses: Losses):
     all pass, a whole slice; a sample left without one is lost.  A zero
     angle fixes the rotation, so there the sample over-determines the pose
     and every pose passes."""
-    passed = np.maximum.reduce(np.abs(residuals), 1) <= _GATE
+    passed = np.maximum.reduce(np.abs(residuals), 1) <= POSE_RESIDUAL_TOL
     if c.tau == 0.0 or count_nonzero(passed) == len(passed):
         return slice(None)
     keep = passed.nonzero()[0]
@@ -361,7 +358,7 @@ def rref_conditioned(B: np.ndarray, qb: QuotientBasis) -> np.ndarray:
     solvers catch it downstream.  The name is what ``perfbench/spans.py``
     traces as the ``gbsolver.rref`` layer.
     """
-    columns = B.take(_rref_columns(qb), -1)
+    columns = B.take(qb.rref_columns, -1)
     block, standard = columns[..., : len(qb.pivots)], columns[..., len(qb.pivots) :]
     A = _solve_or_nan(block, standard)
     # A non-finite block reduces to non-finite pivot columns, which are not
@@ -372,35 +369,113 @@ def rref_conditioned(B: np.ndarray, qb: QuotientBasis) -> np.ndarray:
     return A
 
 
-@lru_cache(maxsize=None)
-def _rref_columns(qb: QuotientBasis) -> np.ndarray:
-    """The pivot columns of ``qb``, then its standard ones, as one index."""
-    return np.concatenate([qb.pivots, qb.template_cols])
-
-
-@dataclass(frozen=True, eq=False)
 class QuotientBasis:
-    """Standard monomials of the quotient ring, ascending grevlex: the
-    columns of the degree-``degree`` remainder block outside ``pivots``.
+    """The fixed data of one pivot partition, every index table that a
+    stage reads, built once (``_quotient_basis``); no array of it can be
+    written.
+
+    ``monomials`` are the standard monomials of the quotient ring, ascending
+    grevlex: the columns ``template_cols`` of the degree-``degree``
+    remainder block outside ``pivots``, each at ``index[m]``; ``pos_one``,
+    ``pos_alpha``, ``pos_beta`` and ``pos_gamma`` are the positions of
+    ``ROOT_MONOMIALS``.  ``rref_conditioned`` takes the template columns
+    ``rref_columns``: the pivots, then the standard ones.
 
     ``successor[i]`` is the index of gamma times monomial ``i``, or -1 where
-    that product is not standard: the unit rows of the action matrix.
+    that product is not standard: the unit rows of the action matrix, as
+    the matrix ``units`` that is zero elsewhere.  Its other rows,
+    ``pivot_rows``, are the negated pivot polynomials ``pivot_polys`` whose
+    leading monomials they hit; ``unreachable`` is the first monomial whose
+    product with gamma leaves the template, or None.
+
+    A unit row ``i -> j`` means ``v[j] = lambda * v[i]`` for every
+    eigenvector, so the basis splits into chains ``m, gamma m, gamma^2 m,
+    ...``, each ending at a non-unit row, its tail; ``chain`` and ``depth``
+    (power of gamma) place every index.  An eigenvector is fixed by its
+    entries ``h`` at the chain heads, and the tail rows read ``A(lambda) h =
+    0`` with ``A(lambda) = sum_d lambda^d C_d``: ``C_d`` holds each tail
+    row's entries at depth ``d`` of every chain, less 1 on the diagonal of
+    each chain of length ``d``.  Each system is bordered by a fixed column
+    and the row ``h[1] = 1`` in ``C_0``, the monomial 1 being a head.
+    ``chain_gather`` builds every ``C_d`` of an action matrix at once from
+    its flattened entries followed by ``chain_constants``.
+
+    ``products`` holds the positions ``(m, x, y)`` of the degree-two
+    monomials of ``_DEGREE_TWO_PRODUCTS`` in the basis and of their
+    degree-one factors, and ``root_cols`` those of alpha, beta and gamma.
     """
 
-    pivots: tuple[int, ...]
-    degree: int
-    monomials: tuple[Monomial, ...]
-    template_cols: np.ndarray
-    index: dict[Monomial, int]
-    successor: np.ndarray
-    pos_one: int
-    pos_alpha: int
-    pos_beta: int
-    pos_gamma: int
+    def __init__(self, degree: int, pivots: tuple[int, ...], expected_size: int):
+        remainder = grevlex_basis(degree).remainder_monomials
+        standard = np.ones(len(remainder), dtype=bool)
+        standard[list(pivots)] = False
+        # The remainder block descends in grevlex, so its reverse ascends.
+        cols = np.flatnonzero(standard)[::-1]
+        monomials = tuple(remainder[j] for j in cols.tolist())
+        index = {m: i for i, m in enumerate(monomials)}
+        n = len(monomials)
+        if n != expected_size:
+            raise BasisAnomaly(f"quotient basis has size {n}, expected {expected_size}")
+        for needed in ROOT_MONOMIALS:
+            if needed not in index:
+                raise BasisAnomaly(f"quotient basis is missing monomial {needed}")
+        self.pivots, self.degree, self.size = pivots, degree, n
+        self.monomials, self.template_cols, self.index = monomials, cols, index
+        self.pos_one, self.pos_alpha, self.pos_beta, self.pos_gamma = map(index.get, ROOT_MONOMIALS)
+        self.rref_columns = np.concatenate([pivots, cols])
+        # The remainder column of gamma times each standard monomial, or -1
+        # where that product exceeds the degree and so leaves the template.
+        column = {m: j for j, m in enumerate(remainder)}
+        shift = np.array([column.get((a, b, c + 1), -1) for a, b, c in monomials], dtype=np.int64)
+        # Standard position and pivot row of every remainder column.  The extra
+        # last slot stays -1, so a product outside the template finds neither.
+        position, pivot_row = np.full((2, len(remainder) + 1), -1)
+        position[cols] = np.arange(n)
+        pivot_row[list(pivots)] = np.arange(len(pivots))
+        self.successor = successor = position[shift]
+        rows = pivot_row[shift]
+        is_unit = successor >= 0
+        bad = np.flatnonzero(~is_unit & (rows < 0))
+        self.unreachable = monomials[bad[0]] if bad.size else None
+        self.units = np.zeros((n, n))
+        self.units[is_unit, successor[is_unit]] = 1.0
+        self.pivot_rows, self.pivot_polys = np.flatnonzero(~is_unit), rows[~is_unit]
+        # Each gamma chain, walked from its head: a monomial no unit row reaches.
+        chain, depth = np.empty((2, n), dtype=np.int64)
+        tails = []
+        for c, head in enumerate(sorted(set(range(n)).difference(successor.tolist()))):
+            k, d = head, 0
+            while k >= 0:
+                chain[k], depth[k] = c, d
+                tail, k, d = k, successor[k], d + 1
+            tails.append(tail)
+        n_heads, lengths, diagonal = len(tails), np.bincount(chain), np.arange(len(tails))
+        at = np.full((lengths.max() + 1, n_heads), -1)
+        at[depth, chain] = np.arange(n)
+        # Past the end of the matrix: 0, -1, 1, then the border, a fixed column
+        # without structure.
+        constants = np.concatenate([[0.0, -1.0, 1.0], np.cos(math.e * np.arange(1, n_heads + 1))])
+        zero, minus_one, one, border = n * n, n * n + 1, n * n + 2, n * n + 3
+        gather = np.full((len(at), n_heads + 1, n_heads + 1), zero)
+        gather[:, :n_heads, :n_heads] = np.where(
+            at[:, None, :] >= 0, np.array(tails)[:, None] * n + at[:, None, :], zero
+        )
+        gather[lengths, diagonal, diagonal] = minus_one
+        gather[0, :n_heads, n_heads] = border + diagonal
+        gather[0, n_heads, chain[self.pos_one]] = one
+        self.chain, self.depth = chain, depth
+        self.chain_gather, self.chain_constants = gather, constants
+        # The root-check tables of ``extract_roots``.
+        checks = [(index[m], index[x], index[y]) for m, x, y in _DEGREE_TWO_PRODUCTS if m in index]
+        self.products = np.array(checks, dtype=np.int64).reshape(-1, 3).T.copy()
+        self.root_cols = np.array([self.pos_alpha, self.pos_beta, self.pos_gamma])
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
-    @property
-    def size(self) -> int:
-        return len(self.monomials)
+
+# The only cache of partition data: one ``QuotientBasis`` per partition.
+_quotient_basis = lru_cache(maxsize=None)(QuotientBasis)
 
 
 def quotient_basis_from_pivots(problem: TemplateProblem, pivots: tuple[int, ...]) -> QuotientBasis:
@@ -414,85 +489,22 @@ def quotient_basis_from_pivots(problem: TemplateProblem, pivots: tuple[int, ...]
     return _quotient_basis(problem.target_degree, tuple(pivots), problem.basis_size)
 
 
-@lru_cache(maxsize=None)
-def _quotient_basis(degree: int, pivots: tuple[int, ...], expected_size: int) -> QuotientBasis:
-    remainder = grevlex_basis(degree).remainder_monomials
-    standard = np.ones(len(remainder), dtype=bool)
-    standard[list(pivots)] = False
-    # The remainder block descends in grevlex, so its reverse ascends.
-    cols = np.flatnonzero(standard)[::-1]
-    cols.setflags(write=False)
-    monomials = tuple(remainder[j] for j in cols.tolist())
-    index = {m: i for i, m in enumerate(monomials)}
-    # Standard position of every remainder column.  The extra last slot
-    # stays -1, so a product outside the template (column -1) finds none.
-    position = np.full(len(remainder) + 1, -1)
-    position[cols] = np.arange(len(cols))
-    successor = position[_gamma_shift(degree)[cols]]
-    successor.setflags(write=False)
-    if len(monomials) != expected_size:
-        raise BasisAnomaly(f"quotient basis has size {len(monomials)}, expected {expected_size}")
-    for needed in ROOT_MONOMIALS:
-        if needed not in index:
-            raise BasisAnomaly(f"quotient basis is missing monomial {needed}")
-    return QuotientBasis(
-        pivots=pivots,
-        degree=degree,
-        monomials=monomials,
-        template_cols=cols,
-        index=index,
-        successor=successor,
-        pos_one=index[(0, 0, 0)],
-        pos_alpha=index[(1, 0, 0)],
-        pos_beta=index[(0, 1, 0)],
-        pos_gamma=index[(0, 0, 1)],
-    )
-
-
-@lru_cache(maxsize=None)
-def _gamma_shift(degree: int) -> np.ndarray:
-    """For each remainder column of the degree-``degree`` basis, the
-    remainder column of gamma times its monomial, or -1 where that product
-    exceeds the degree and so leaves the template."""
-    remainder = grevlex_basis(degree).remainder_monomials
-    col = {m: j for j, m in enumerate(remainder)}
-    return np.array([col.get((a, b, c + 1), -1) for a, b, c in remainder], dtype=np.int64)
-
-
 def build_action_matrix(reduced: np.ndarray, qb: QuotientBasis) -> np.ndarray:
     """Multiplication-by-gamma matrices on the quotient basis ``qb``, one per
     leading index of the ``reduced`` stack.
 
     Each row is either a unit row (gamma times the monomial stays standard) or
     the negated row, as ``rref_conditioned`` returns it on the standard
-    columns, of the pivot polynomial whose leading monomial it hits.
+    columns, of the pivot polynomial whose leading monomial it hits.  Raises
+    ``UnreachableMonomial`` where gamma times a monomial leaves the template.
     """
-    units, pivot_rows, pivot_polys = _action_plan(qb)
-    M = np.empty(reduced.shape[:-2] + units.shape)
-    M[...] = units
-    M[..., pivot_rows, :] = -reduced.take(pivot_polys, -2)
-    return M
-
-
-@lru_cache(maxsize=None)
-def _action_plan(qb: QuotientBasis):
-    """The unit rows of ``build_action_matrix``, as a matrix that is zero
-    elsewhere, and which rows are negated pivot polynomials, ``(rows,
-    polynomials)``."""
-    # Pivot row of every remainder column.  The extra last slot stays -1, so
-    # a product outside the template (column -1) finds none.
-    shift = _gamma_shift(qb.degree)
-    pivot_row = np.full(len(shift) + 1, -1)
-    pivot_row[list(qb.pivots)] = np.arange(len(qb.pivots))
-    unit, rows = qb.successor, pivot_row[shift[qb.template_cols]]
-    bad = np.flatnonzero((unit < 0) & (rows < 0))
-    if bad.size:
-        a, b, c = m = qb.monomials[int(bad[0])]
+    if qb.unreachable is not None:
+        a, b, c = m = qb.unreachable
         raise UnreachableMonomial(f"gamma * {m} = {(a, b, c + 1)} is outside the template")
-    is_unit = unit >= 0
-    units = np.zeros((qb.size, qb.size))
-    units[is_unit, unit[is_unit]] = 1.0
-    return units, np.flatnonzero(~is_unit), rows[~is_unit]
+    M = np.empty(reduced.shape[:-2] + qb.units.shape)
+    M[...] = qb.units
+    M[..., qb.pivot_rows, :] = -reduced.take(qb.pivot_polys, -2)
+    return M
 
 
 def eigensolve_real(M: np.ndarray) -> np.ndarray:
@@ -509,55 +521,9 @@ def eigensolve_real(M: np.ndarray) -> np.ndarray:
         w = _umath_linalg.eigvals(M, signature="d->D")
         if w[0] == w[0]:
             # A negated ">" keeps NaN eigenvalues, as the scalar test always has.
-            return w.real[~(np.abs(w.imag) > _IMAG * (_ONE + np.abs(w.real)))]
+            return w.real[~(np.abs(w.imag) > IMAG_TOL * (_ONE + np.abs(w.real)))]
     message = "Eigenvalues did not converge" if finite else "Array must not contain infs or NaNs"
     raise EigenFailure(message) from np.linalg.LinAlgError(message)
-
-
-@lru_cache(maxsize=None)
-def _gamma_chains(qb: QuotientBasis):
-    """The gamma chains of the quotient basis, and how ``extract_roots``
-    builds its chain systems from them.
-
-    A unit row ``i -> j`` of the action matrix (gamma times monomial ``i`` is
-    monomial ``j``) means ``v[j] = lambda * v[i]`` for every eigenvector, so
-    the basis splits into chains ``m, gamma m, gamma^2 m, ...``, each ending
-    at a non-unit row, its tail, and an eigenvector is fixed by its entries
-    ``h`` at the chain heads.  The tail rows then read ``A(lambda) h = 0``
-    with ``A(lambda) = sum_d lambda^d C_d``: ``C_d`` holds each tail row's
-    entries at depth ``d`` of every chain, less 1 on the diagonal of each
-    chain of length ``d``.  Each system is bordered by a fixed column and
-    the row ``h[1] = 1`` in ``C_0``, the monomial 1 being a head.
-
-    Returns the chain and depth (power of gamma) of every basis index, and a
-    gather that builds every ``C_d`` of an action matrix at once from its
-    flattened entries followed by ``constants``.
-    """
-    n = qb.size
-    successor = qb.successor.tolist()
-    chain, depth = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-    tails = []
-    for c, head in enumerate(sorted(set(range(n)).difference(successor))):
-        k, d = head, 0
-        while k >= 0:
-            chain[k], depth[k] = c, d
-            tail, k, d = k, successor[k], d + 1
-        tails.append(tail)
-    n_heads, lengths, diagonal = len(tails), np.bincount(chain), np.arange(len(tails))
-    cols = np.full((lengths.max() + 1, n_heads), -1)
-    cols[depth, chain] = np.arange(n)
-    # Past the end of the matrix: 0, -1, 1, then the border, a fixed column
-    # without structure.
-    constants = np.concatenate([[0.0, -1.0, 1.0], np.cos(math.e * np.arange(1, n_heads + 1))])
-    zero, minus_one, one, border = n * n, n * n + 1, n * n + 2, n * n + 3
-    gather = np.full((len(cols), n_heads + 1, n_heads + 1), zero)
-    gather[:, :n_heads, :n_heads] = np.where(
-        cols[:, None, :] >= 0, np.array(tails)[:, None] * n + cols[:, None, :], zero
-    )
-    gather[lengths, diagonal, diagonal] = minus_one
-    gather[0, :n_heads, n_heads] = border + diagonal
-    gather[0, n_heads, chain[qb.pos_one]] = one
-    return chain, depth, gather, constants
 
 
 @dataclass(frozen=True, eq=False)
@@ -591,16 +557,9 @@ _DEGREE_TWO_PRODUCTS = (
     ((2, 0, 0), _ALPHA, _ALPHA),
 )
 
-
-@lru_cache(maxsize=None)
-def _root_tables(qb: QuotientBasis) -> tuple[np.ndarray, ...]:
-    """Positions ``(m, x, y)`` in ``qb`` of the degree-two monomials of
-    ``_DEGREE_TWO_PRODUCTS`` it holds and of their degree-one factors, and
-    the positions of alpha, beta and gamma."""
-    ix = qb.index
-    checks = [(ix[m], ix[x], ix[y]) for m, x, y in _DEGREE_TWO_PRODUCTS if m in ix]
-    factors = np.array([qb.pos_alpha, qb.pos_beta, qb.pos_gamma])
-    return np.array(checks, dtype=np.int64).reshape(-1, 3).T.copy(), factors
+# Normalized at 1, an eigenvector whose entry there is at most 1e-10 of its
+# largest one is at infinity, and so is a NaN one.
+_INFINITE = _constant(1e10)
 
 
 def extract_roots(
@@ -611,10 +570,10 @@ def extract_roots(
 
     ``eigenvalues[b]`` are eigenvalues of ``action[b]``, one array per matrix
     of the ``(B, n, n)`` stack.  Each eigenvector is rebuilt from the gamma
-    chains (see ``_gamma_chains``): ``steps`` bordered chain systems per root,
-    each stack solved at once.  A root whose bordered system is singular has no
-    eigenvector, unique up to scale, that is non-zero at 1; it is dropped as
-    at infinity, alone.
+    chains (see ``QuotientBasis``): ``steps`` bordered chain systems per
+    root, each stack solved at once.  A root whose bordered system is
+    singular has no eigenvector, unique up to scale, that is non-zero at 1;
+    it is dropped as at infinity, alone.
 
     Candidates whose eigenvector cannot be normalized at the monomial 1, or
     whose alpha^2, alpha beta or beta^2 entries are not products of the
@@ -623,17 +582,14 @@ def extract_roots(
     """
     sizes = list(map(len, eigenvalues))
     V, sample = _chain_eigenvectors(concatenate(eigenvalues), sizes, action, qb, steps)
-    # Normalized at 1, an eigenvector whose entry there is at most 1e-10 of
-    # its largest one is at infinity, and so is a NaN one.
     at_infinity = ~(np.maximum.reduce(np.abs(V), 1) < _INFINITE)
-    products, root_cols = _root_tables(qb)
-    m, x, y = V.T.take(products, 0)
-    inconsistent = np.logical_or.reduce(np.abs(m - x * y) > _ROOT, 0)
+    m, x, y = V.T.take(qb.products, 0)
+    inconsistent = np.logical_or.reduce(np.abs(m - x * y) > ROOT_TOL, 0)
     keep = ~(at_infinity | inconsistent)
     # Dropped as inconsistent: inconsistent and not at infinity.
     inconsistent = inconsistent > at_infinity
     return _frozen(ExtractedRoots, dict(
-        roots=V.take(root_cols, 1).compress(keep, 0), sample=sample[keep],
+        roots=V.take(qb.root_cols, 1).compress(keep, 0), sample=sample[keep],
         at_infinity=bincount(sample[at_infinity], minlength=len(sizes)),
         inconsistent=bincount(sample[inconsistent], minlength=len(sizes)),
     ))
@@ -653,7 +609,7 @@ def _chain_eigenvectors(
     neighbours' eigenvectors in a root's; a second squares their share.  A
     single solve takes two; a RANSAC hypothesis, which is only scored, one.
     """
-    chain, depth, gather, constants = _gamma_chains(qb)
+    gather, constants = qb.chain_gather, qb.chain_constants
     n_samples, (n_powers, size) = len(action), gather.shape[:2]
     table = concatenate([action.reshape(n_samples, -1), constants[None].repeat(n_samples, 0)], 1)
     C = table.take(gather.reshape(n_powers, -1), 1)
@@ -676,9 +632,9 @@ def _chain_eigenvectors(
     for _ in range(steps - 1):
         K[:, :-1, -1] = x[:, :-1, 0]
         x = _solve_or_nan(K, rhs)
-    V = x[:, :-1, 0].take(chain, 1) * powers.take(depth, 1)
+    V = x[:, :-1, 0].take(qb.chain, 1) * powers.take(qb.depth, 1)
     # Normalized at 1, a chain head: its entry is its head entry times 1.
-    V /= x[:, chain[qb.pos_one], 0, None]
+    V /= x[:, qb.chain[qb.pos_one], 0, None]
     return V, sample
 
 
@@ -760,7 +716,7 @@ def polish_roots(generators: np.ndarray, roots: np.ndarray, c: RotationConstrain
     x = roots.copy()
     f, jac, cost = evaluate(x)
     # Roots still moving: not yet at rounding level, and their last step helped.
-    live = (cost > _POLISHED).nonzero()[0]
+    live = (cost > POLISH_ROUNDING).nonzero()[0]
     f, jac, cost = f.take(live, 0), jac.take(live, 0), cost.take(live)
     for _ in range(POLISH_STEPS):
         if not live.size:
@@ -772,7 +728,7 @@ def polish_roots(generators: np.ndarray, roots: np.ndarray, c: RotationConstrain
         f_new, jac_new, cost_new = evaluate(x_new)
         better = cost_new < cost
         x[live[better]] = x_new.compress(better, 0)
-        go = better & (cost_new > _POLISHED)
+        go = better & (cost_new > POLISH_ROUNDING)
         if not count_nonzero(go):
             break
         live, f, jac, cost = live[go], f_new.compress(go, 0), jac_new.compress(go, 0), cost_new[go]
@@ -856,7 +812,6 @@ def _attempt(layers, problem, matrix, pivots, pending: np.ndarray, tried: Losses
     the samples it solves, the count of roots each dropped as inconsistent,
     their roots, grouped by sample in ascending order, and the sample of
     each root.  Every other sample is lost in ``tried``; a problem fault raises."""
-    n = problem.basis_size
     if len(pending) < len(matrix):
         matrix = matrix[pending]
     qb = layers.quotient_basis_from_pivots(problem, pivots)
@@ -870,7 +825,6 @@ def _attempt(layers, problem, matrix, pivots, pending: np.ndarray, tried: Losses
         ):
             tried.lose(pending[where], RankDeficient(f"the fixed pivot block {what}"))
     action = layers.build_action_matrix(reduced, qb)
-    check_shape("action matrix", action.shape, (pending.size, n, n))
     # The action matrix of a sample lost above has NaN rows, which
     # ``eigensolve_real`` rejects; the sample keeps its first loss.
     values = []

@@ -22,20 +22,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# numpy's ``count_nonzero`` of a whole array, ``bincount`` and ``concatenate`` without
-# the Python wrappers and dispatchers that cost more than the work on small
-# arrays (numpy 1 names the module ``core``).
+# numpy's ``count_nonzero`` of a whole array, ``bincount``, ``concatenate`` and
+# ``einsum`` without the Python wrappers and dispatchers that cost more than the
+# work on small arrays (numpy 1 names the module ``core``).
 _C = (getattr(np, "_core", None) or np.core)._multiarray_umath
 count_nonzero, bincount, concatenate = _C.count_nonzero, _C.bincount, _C.concatenate
+c_einsum = _C.c_einsum
+
+
+def _constant(value: float) -> np.ndarray:
+    """``value`` as a read-only 0-d array, the operand of the checks and
+    kernels: numpy takes it at less cost than a Python float or an
+    ``np.float64``, and it holds the same value, so the same bits."""
+    constant = np.array(value)
+    constant.setflags(write=False)
+    return constant
+
+
 # Rays whose normalized Gram determinant falls below this are treated as parallel.
-PARALLEL_RAY_EPS = 1e-12
+PARALLEL_RAY_EPS = _constant(1e-12)
 # The translation sign of each row of ``cheiral_counts``, as a column.
 _SIGNS = np.array([[1.0], [-1.0]])
-# Operands of the checks and kernels as 0-d arrays, which numpy takes at less
-# cost than Python floats: the same values, so the same bits.
-_ZERO, _ONE, _TWO, _PARALLEL, _UNIT_TOL, _ROTATION_TOL = map(
-    np.array, (0.0, 1.0, 2.0, PARALLEL_RAY_EPS, 2e-12, 1e-9)
-)
+_ZERO, _ONE, _TWO, _UNIT_TOL, _ROTATION_TOL = map(_constant, (0.0, 1.0, 2.0, 2e-12, 1e-9))
 
 
 # Entries of ``[v]x``, row after row, in ``(x, y, z, -x, -y, -z, 0)``.
@@ -281,7 +289,7 @@ def cheiral_counts(Rs: np.ndarray, T: np.ndarray, q1: np.ndarray, q2: np.ndarray
     e1, e2 = (r1 @ co)[..., 0, 0], (r2 @ co)[..., 0, 0]
     det = b * b - a * d
     # A parallel pair is not counted: its NaN determinant fails the depth test.
-    det[np.abs(det) <= _PARALLEL * a * d] = np.nan
+    det[np.abs(det) <= PARALLEL_RAY_EPS * a * d] = np.nan
     # Closest approach of rays s q1 and origin2 + r d2: [a -b; b -d] [s r]^T = [e1 e2]^T.
     # Negating T negates origin2, e1, e2 and so s and r, exactly as negating det
     # does: one solve serves both signs.  Both are positive where the smaller is.

@@ -26,6 +26,8 @@ from .gbsolver import (
 from .geom import (
     PluckerPair,
     RelativePose,
+    _constant,
+    c_einsum,
     concatenate,
     count_nonzero,
     line_points,
@@ -36,24 +38,19 @@ from .poly import build_g_polynomials
 
 # All moments below this norm mean a purely central configuration, which
 # the screen of a solve and ``point_rays`` both reject with ``_CENTRAL``.
-CENTRAL_MOMENT_EPS = 1e-12
+CENTRAL_MOMENT_EPS = _constant(1e-12)
 _CENTRAL = "all ray moments vanish: a central configuration carries no translation scale"
 
 # Depth-system singular values: scale is unobservable when the second singular
 # value collapses relative to the first, or when the null vector has no
 # inhomogeneous component.
-SCALE_RANK_EPS = 1e-10
-SCALE_COMPONENT_EPS = 1e-10
+SCALE_RANK_EPS = _constant(1e-10)
+SCALE_COMPONENT_EPS = _constant(1e-10)
 _NO_SCALE = "translation scale is unobservable for every rotation candidate"
-# The three as 0-d arrays, which numpy compares at less cost than Python floats.
-_MOMENT, _RANK, _COMPONENT = map(np.array, (CENTRAL_MOMENT_EPS, SCALE_RANK_EPS, SCALE_COMPONENT_EPS))
 
 # The layers are called through this module's attributes.
 _LAYERS = sys.modules[__name__]
 
-# ``np.einsum`` without the Python wrapper and dispatcher (numpy 1 names the
-# module ``core``).
-_einsum = (getattr(np, "_core", None) or np.core).multiarray.c_einsum
 # The view of each of ``_depth_rows``' crosses, and the factors of its
 # forms: the left ones, then the right ones.
 _VIEWS, _FACTORS = np.array([0, 1, 0, 1]), np.array([1, 3, 1, 5, 2, 0, 4, 0])
@@ -62,7 +59,7 @@ _VIEWS, _FACTORS = np.array([0, 1, 0, 1]), np.array([1, 3, 1, 5, 2, 0, 4, 0])
 def _central(moments: np.ndarray) -> np.ndarray:
     """Which of the ``(2, ..., N, 3)`` moment rows ``m1``, ``m2`` all vanish:
     a central configuration, which carries no translation scale."""
-    return np.maximum.reduce(np.sqrt(stacked_dot(moments, moments)), (0, -1)) < _MOMENT
+    return np.maximum.reduce(np.sqrt(stacked_dot(moments, moments)), (0, -1)) < CENTRAL_MOMENT_EPS
 
 
 def _screen(rays: np.ndarray, losses) -> None:
@@ -86,7 +83,7 @@ def _depth_rows(rays: np.ndarray, e: np.ndarray, sample: np.ndarray, Rs: np.ndar
     crosses[2:] += others[2:]
     factors = concatenate([others[:2], crosses]).take(_FACTORS, 0).take(sample, 1)
     # The forms of a, of b and of the two terms of w, at once.
-    forms = _einsum("ikja,kab,ikjb->kji", factors[:4], Rs, factors[4:])
+    forms = c_einsum("ikja,kab,ikjb->kji", factors[:4], Rs, factors[4:])
     rows = forms[..., :3].copy()
     rows[..., 2] += forms[..., 3]
     return rows
@@ -114,7 +111,7 @@ def _poses(rays: np.ndarray, sample: np.ndarray, u: np.ndarray, Rs: np.ndarray, 
     _, s, vt = _svd_or_nan(_depth_rows(rays, e, sample, Rs))
     v = vt[:, -1]
     # Negated, so that a NaN from a decomposition that did not converge fails.
-    observable = (s[:, 1] > _RANK * s[:, 0]) & (np.abs(v[:, 2]) >= _COMPONENT)
+    observable = (s[:, 1] > SCALE_RANK_EPS * s[:, 0]) & (np.abs(v[:, 2]) >= SCALE_COMPONENT_EPS)
     observable = observable.nonzero()[0]
     sample = sample.take(observable)
     losses.lose(losses.unowned(sample), ScaleUnobservable(_NO_SCALE))

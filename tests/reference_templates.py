@@ -59,7 +59,6 @@ from relpose.gbsolver import (
     ROOT_TOL,
     U_DIRECTION_EPS,
     Losses,
-    QuotientBasis,
     rotation_roots,
     usable_rotations,
 )
@@ -144,6 +143,24 @@ class LoopRoots:
     roots: tuple
     n_dropped_at_infinity: int
     n_dropped_inconsistent: int
+
+
+@dataclass(frozen=True, eq=False)
+class LoopBasis:
+    """The quotient basis of one partition, as ``quotient_basis_from_pivots``
+    finds it by key sort: every field the package's ``QuotientBasis`` must
+    match."""
+
+    pivots: tuple[int, ...]
+    degree: int
+    monomials: tuple[tuple[int, int, int], ...]
+    template_cols: np.ndarray
+    index: dict
+    successor: np.ndarray
+    pos_one: int
+    pos_alpha: int
+    pos_beta: int
+    pos_gamma: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -478,7 +495,7 @@ def hand_built_action(qb):
     (0.0), at a head other than 1, so that the bordered chain system of the
     eigenvalue 0 has a zero column.  Returns the matrix, its eigenvalues and
     the points."""
-    chain, depth, _, _ = gbsolver._gamma_chains(qb)
+    chain, depth = qb.chain, qb.depth
     rng = np.random.default_rng(3)
     exponents = np.array(qb.monomials)
     points = rng.uniform(-0.5, 0.5, size=(qb.size - 3, 3))
@@ -514,7 +531,7 @@ def quotient_basis_from_pivots(basis: GrevlexBasis, pivots: list[int], expected_
     for needed in ROOT_MONOMIALS:
         if needed not in index:
             raise BasisAnomaly(f"quotient basis is missing monomial {needed}")
-    return QuotientBasis(
+    return LoopBasis(
         pivots=tuple(pivots),
         degree=basis.max_degree,
         monomials=monomials,

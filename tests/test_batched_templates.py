@@ -364,14 +364,12 @@ def assert_same_basis(qb, ref_qb) -> None:
     if isinstance(ref_qb, tuple):
         assert qb == ref_qb
         return
-    assert (qb.pivots, qb.degree) == (ref_qb.pivots, ref_qb.degree)
-    assert qb.monomials == ref_qb.monomials and qb.index == ref_qb.index
-    assert np.array_equal(qb.template_cols, ref_qb.template_cols)
-    assert qb.template_cols.dtype == ref_qb.template_cols.dtype
-    assert np.array_equal(qb.successor, ref_qb.successor)
-    assert (qb.pos_one, qb.pos_alpha, qb.pos_beta, qb.pos_gamma) == (
-        ref_qb.pos_one, ref_qb.pos_alpha, ref_qb.pos_beta, ref_qb.pos_gamma
-    )
+    for f in fields(ref_qb):
+        got, want = getattr(qb, f.name), getattr(ref_qb, f.name)
+        if isinstance(want, np.ndarray):
+            assert np.array_equal(got, want) and got.dtype == want.dtype
+        else:
+            assert got == want
 
 
 def assert_same_roots(M: np.ndarray, qb) -> None:

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from relpose import gbsolver, solver_reg4
+from relpose import gbsolver, geom, solver_gen5, solver_reg4
 from relpose.exceptions import (
     BasisAnomaly,
     DegenerateConfiguration,
@@ -281,6 +281,19 @@ class TestQuotientBasis:
         assert qb.size == 44
         assert qb.pivots == tuple(piv) and qb.degree == 8
 
+    @pytest.mark.parametrize("problem", [REGULAR, GENERAL], ids=["regular", "general"])
+    def test_no_array_can_be_written(self, problem):
+        # Every later solve on the partition shares these tables.
+        qb = quotient_basis_from_pivots(problem, problem.partitions[0])
+        arrays = {name: v for name, v in vars(qb).items() if isinstance(v, np.ndarray)}
+        assert set(arrays) == {
+            "template_cols", "rref_columns", "successor", "units", "pivot_rows", "pivot_polys",
+            "chain", "depth", "chain_gather", "chain_constants", "products", "root_cols",
+        }
+        for array in arrays.values():
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+
     def test_unexpected_size_raises(self):
         tpl, _, _ = regular_template(10)
         _, piv = rref(tpl)
@@ -450,6 +463,37 @@ class TestLosses:
         assert single.status.tolist() == [1]
 
 
+# Each public tolerance, and the private copy that no kernel may read in its
+# place: setting the public name must set what the kernels compare against.
+TOLERANCES = [
+    (gbsolver, "IMAG_TOL", "_IMAG"), (gbsolver, "ROOT_TOL", "_ROOT"),
+    (gbsolver, "POSE_RESIDUAL_TOL", "_GATE"), (gbsolver, "U_DIRECTION_EPS", "_AXIS"),
+    (gbsolver, "POLISH_ROUNDING", "_POLISHED"), (solver_gen5, "CENTRAL_MOMENT_EPS", "_MOMENT"),
+    (solver_gen5, "SCALE_RANK_EPS", "_RANK"), (solver_gen5, "SCALE_COMPONENT_EPS", "_COMPONENT"),
+    (geom, "PARALLEL_RAY_EPS", "_PARALLEL"),
+]
+
+
+@pytest.mark.parametrize("module, name, twin", TOLERANCES, ids=[t[1] for t in TOLERANCES])
+def test_a_tolerance_is_the_one_read_only_array_its_kernels_read(module, name, twin):
+    value = getattr(module, name)
+    assert type(value) is np.ndarray and value.shape == () and value.dtype == np.float64
+    assert not value.flags.writeable
+    assert not hasattr(module, twin)
+
+
+def test_the_kernels_read_the_public_tolerance(monkeypatch):
+    # A generous root tolerance keeps a root that the committed one drops.
+    qb = quotient_basis_from_pivots(REGULAR, REGULAR.partitions[0])
+    M, values, _ = ref.hand_built_action(qb)
+    # As ``solve`` holds it: the eigenvalue 0 has a singular chain system.
+    with np.errstate(all="ignore"):
+        dropped = extract_roots([np.array(values)], M[None], qb).n_dropped_inconsistent
+        monkeypatch.setattr(gbsolver, "ROOT_TOL", np.array(np.inf))
+        kept = extract_roots([np.array(values)], M[None], qb).n_dropped_inconsistent
+    assert kept < dropped
+
+
 class TestGammaChains:
     @pytest.mark.parametrize(
         "problem, n_heads", [(REGULAR, 11), (GENERAL, 22)], ids=["regular", "general"]
@@ -457,7 +501,7 @@ class TestGammaChains:
     def test_every_index_lies_in_one_chain(self, problem, n_heads):
         for k, pivots in enumerate(problem.partitions):
             qb = quotient_basis_from_pivots(problem, pivots)
-            chain, depth, _, _ = gbsolver._gamma_chains(qb)
+            chain, depth = qb.chain, qb.depth
             members = {}
             for i, (cn, d) in enumerate(zip(chain.tolist(), depth.tolist())):
                 assert (cn, d) not in members
@@ -473,8 +517,7 @@ class TestGammaChains:
                     assert following == (a, b, g + 1)
             for a, b, g in heads:
                 assert g == 0 or (a, b, g - 1) not in qb.index
-            _, pivot_rows, _ = gbsolver._action_plan(qb)
-            assert len(heads) == len(pivot_rows)
+            assert len(heads) == len(qb.pivot_rows)
             if k == 0:
                 assert len(heads) == n_heads
 

@@ -6,7 +6,10 @@ private parts of numpy the package uses, the LAPACK gufuncs of
 numpy 1 ``svd_n_f`` for a matrix taller than wide), keep the contract the
 package relies on: bit for bit the public function, NaN where it raises.
 They warn where they mark NaN unless the error state ignores it, so a
-solve holds one ignoring state for all its kernels."""
+solve holds one ignoring state for all its kernels.  So do the bindings of
+numpy's ``_multiarray_umath`` that ``geom`` takes, ``count_nonzero``,
+``bincount``, ``concatenate`` and ``c_einsum``: bit for bit the public
+functions."""
 
 import os
 import subprocess
@@ -18,6 +21,7 @@ import numpy as np
 import pytest
 from numpy.linalg import _umath_linalg
 
+from relpose import geom
 from relpose import (
     SceneConfig,
     generate_scene,
@@ -121,3 +125,32 @@ def test_a_solve_enters_one_error_state(monkeypatch, generalized):
             entered.clear()
             solve(pairs if kwargs else pairs[:size], theta, **kwargs)
             assert entered == [{"all": "ignore"}]
+
+
+def test_the_private_counting_and_joining_bindings_are_numpys():
+    # Losses, the filters and the pose checks count, tally and join through
+    # geom's bindings of numpy's _multiarray_umath.
+    rng = np.random.default_rng(2)
+    x = rng.normal(size=(6, 7))
+    mask = x > 0.3
+    assert geom.count_nonzero(mask) == np.count_nonzero(mask)
+    assert geom.count_nonzero(x) == np.count_nonzero(x)
+    labels, weights = rng.integers(0, 5, size=40), rng.normal(size=40)
+    for kwargs in ({}, {"minlength": 9}, {"weights": weights}, dict(weights=weights, minlength=9)):
+        got, want = geom.bincount(labels, **kwargs), np.bincount(labels, **kwargs)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    parts = [x, rng.normal(size=(2, 7)), x[:0]]
+    for axis, blocks in ((0, parts), (1, [x, x[:, :3]])):
+        got, want = geom.concatenate(blocks, axis), np.concatenate(blocks, axis)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("stack", [1, 8])
+def test_the_private_einsum_binding_is_numpys_einsum(stack):
+    # gen5's depth rows form their bilinear forms through geom.c_einsum.
+    rng = np.random.default_rng(stack)
+    left, right = rng.normal(size=(2, 4, stack, 4, 3))
+    Rs = rng.normal(size=(stack, 3, 3))
+    spec = "ikja,kab,ikjb->kji"
+    got, want = geom.c_einsum(spec, left, Rs, right), np.einsum(spec, left, Rs, right)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
