@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DocumentError
-from .geom import BearingPair, PluckerPair, RelativePose, rotation_angle
+from .geom import RelativePose, rotation_angle
 from .imu import GyroSample
 from .robust import SOLVERS, Solver
 from .synth import METRICS, TrialRecord
@@ -53,11 +53,10 @@ class _TokenStream:
         self.pos += 1
         return tok
 
-    def expect(self, keyword: str) -> int:
+    def expect(self, keyword: str) -> None:
         tok, line = self.next(f"keyword {keyword!r}")
         if tok != keyword:
             raise DocumentError(f"line {line}: expected {keyword!r}, found {tok!r}")
-        return line
 
     def floats(self, n: int, field: str) -> np.ndarray:
         vals = []
@@ -71,7 +70,8 @@ class _TokenStream:
 
 
 def parse_correspondence_document(text: str) -> CorrespondenceSet:
-    """Parse a correspondence document.
+    """Parse a correspondence document: each pair with the rays that its
+    solver reads, in their order.
 
     Directions are normalized on input; moments are rescaled with their
     direction and projected onto the incidence constraint.
@@ -88,7 +88,8 @@ def parse_correspondence_document(text: str) -> CorrespondenceSet:
         if tok == "type":
             val, vline = ts.next("type value")
             if val not in _DOCUMENTS:
-                raise DocumentError(f"line {vline}: field 'type': must be 'regular' or 'generalized'")
+                types = " or ".join(map(repr, _DOCUMENTS))
+                raise DocumentError(f"line {vline}: field 'type': must be {types}")
             header[tok] = val
         elif tok == "theta_rad":
             header[tok] = float(ts.floats(1, "theta_rad")[0])
@@ -102,32 +103,24 @@ def parse_correspondence_document(text: str) -> CorrespondenceSet:
     pairs = []
     while ts.peek() is not None:
         ts.expect("pair")
-        ts.expect("q1")
-        q1 = ts.floats(3, "q1")
-        ts.expect("q2")
-        q2 = ts.floats(3, "q2")
-        n1, n2 = np.linalg.norm(q1), np.linalg.norm(q2)
-        if n1 < 1e-12 or n2 < 1e-12:
-            raise DocumentError("a ray direction has zero norm")
-        # Rescale and re-orthogonalize only when the input actually violates
-        # the constraints, so that emitted documents re-parse bit-identically.
-        fix1, fix2 = abs(n1 - 1.0) > 1e-13, abs(n2 - 1.0) > 1e-13
-        if solver.pair_type is PluckerPair:
-            ts.expect("m1")
-            m1 = ts.floats(3, "m1")
-            ts.expect("m2")
-            m2 = ts.floats(3, "m2")
-            if fix1:
-                q1, m1 = q1 / n1, m1 / n1
-            if fix2:
-                q2, m2 = q2 / n2, m2 / n2
-            if abs(q1 @ m1) > 1e-13 * max(1.0, np.linalg.norm(m1)):
-                m1 = m1 - (q1 @ m1) * q1
-            if abs(q2 @ m2) > 1e-13 * max(1.0, np.linalg.norm(m2)):
-                m2 = m2 - (q2 @ m2) * q2
-            pairs.append(PluckerPair(q1=q1, q2=q2, m1=m1, m2=m2))
-        else:
-            pairs.append(BearingPair(q1=q1 / n1 if fix1 else q1, q2=q2 / n2 if fix2 else q2))
+        rays = {}
+        for name in solver.problem.ray_names:
+            ts.expect(name)
+            rays[name] = ts.floats(3, name)
+        # Each view's direction, with its moment where the pair has one.
+        for q, m in (("q1", "m1"), ("q2", "m2")):
+            n = np.linalg.norm(rays[q])
+            if n < 1e-12:
+                raise DocumentError("a ray direction has zero norm")
+            # Rescale and re-orthogonalize only when the input actually violates
+            # the constraints, so that emitted documents re-parse bit-identically.
+            if abs(n - 1.0) > 1e-13:
+                rays[q] = rays[q] / n
+                if m in rays:
+                    rays[m] = rays[m] / n
+            if m in rays and abs(rays[q] @ rays[m]) > 1e-13 * max(1.0, np.linalg.norm(rays[m])):
+                rays[m] = rays[m] - (rays[q] @ rays[m]) * rays[q]
+        pairs.append(solver.pair_type(**rays))
     return CorrespondenceSet(solver=solver, theta_rad=theta, pairs=pairs)
 
 

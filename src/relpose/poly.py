@@ -21,13 +21,16 @@ from functools import lru_cache
 import numpy as np
 
 from .exceptions import DegenerateInput
-from .geom import RotationConstraint, bincount, concatenate, count_nonzero, line_points
+from .geom import RotationConstraint, _constant, bincount, concatenate, count_nonzero, line_points
 from .geom import stacked_cross as _cross, stacked_dot as _dot
 
 Monomial = tuple[int, int, int]
 
 # Coincident rays are detected on cross-product norms below this.
-COINCIDENT_RAY_EPS = 1e-12
+COINCIDENT_RAY_EPS = _constant(1e-12)
+# A determinant constraint whose coefficients all fall below this in
+# magnitude has collapsed to zero.
+COLLAPSED_DETERMINANT_EPS = _constant(1e-12)
 
 
 def grevlex_key(m: Monomial) -> tuple[int, int, int, int]:
@@ -274,7 +277,7 @@ def build_g_polynomials(rays: np.ndarray, c: RotationConstraint, losses) -> np.n
     if rays.shape[-2:] != (5, 3):
         raise ValueError("exactly 5 Pluecker pairs required")
     dets = _g_dets(_g_rows(rays, _G_ANCHORS, _G_FREE, c.sigma))
-    collapsed = np.maximum.reduce(np.abs(dets), -1) < 1e-12
+    collapsed = np.maximum.reduce(np.abs(dets), -1) < COLLAPSED_DETERMINANT_EPS
     if count_nonzero(collapsed):
         message = "a determinant constraint collapsed to zero; the ray configuration is degenerate"
         losses.lose(collapsed.reshape(-1, 5).any(-1), DegenerateInput(message))

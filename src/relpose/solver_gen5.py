@@ -24,6 +24,7 @@ from .gbsolver import (
     solve,
 )
 from .geom import (
+    PARALLEL_RAY_EPS,
     PluckerPair,
     RelativePose,
     _constant,
@@ -179,7 +180,7 @@ def ray_point_errors(
     o2 = (c2 - t[..., None, :]) @ R
     d2 = q2 @ R
     gram = np.einsum("...ij,...ij->...i", d1, d2)
-    parallel = 1.0 - gram**2 <= 1e-12
+    parallel = 1.0 - gram**2 <= PARALLEL_RAY_EPS
     n = stacked_cross(d1, d2)
     # |n| times the distance between the lines.
     scaled_gap = np.abs(np.einsum("...ij,...ij->...i", o2 - o1, n))

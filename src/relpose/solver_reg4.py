@@ -99,9 +99,7 @@ def sampson_errors(R: np.ndarray, t: np.ndarray, q1s: np.ndarray, q2s: np.ndarra
     ety = q2s @ E
     num = np.einsum("...ij,...ij->...i", q2s, ex) ** 2
     den = ex[..., 0] ** 2 + ex[..., 1] ** 2 + ety[..., 0] ** 2 + ety[..., 1] ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), np.inf)
-    return out
+    return np.divide(num, den, out=np.full_like(num, np.inf), where=den > 0.0)
 
 
 def _tangents(v: np.ndarray) -> np.ndarray:

@@ -86,6 +86,51 @@ class TestCorrespondenceDocuments:
         assert main(["solve", str(path)]) == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("type regular theta_rad 0.5 pair q1 0 0 1 q2 0 0", "unexpected end of document while reading q2"),
+            ("type generalized theta_rad 0.5 pair q1 0 0 1 q2 0 0 1 m1 0 0",
+             "unexpected end of document while reading m1"),
+            ("type regular\ntheta_rad 0.5\npair q1 0 0 1 m1 0 0 1", "line 3: expected 'q2', found 'm1'"),
+            ("type generalized\ntheta_rad 0.5\npair q1 0 0 1 q2 0 0 1 m2 0 0 0",
+             "line 3: expected 'm1', found 'm2'"),
+            ("theta_rad 0.5\ntype central", "line 2: field 'type': must be 'regular' or 'generalized'"),
+            ("type regular\nangle 0.5", "line 2: unknown header field 'angle'"),
+            ("type regular theta_rad 0.5 pair q1 0 0 1 q2 0 0 0", "a ray direction has zero norm"),
+            ("type generalized theta_rad 0.5 pair q1 0 0 0 q2 0 0 1 m1 0 0 0 m2 0 0 0",
+             "a ray direction has zero norm"),
+        ],
+        ids=["truncated-regular", "truncated-generalized", "keyword-regular", "keyword-generalized",
+             "type", "unknown-field", "zero-regular", "zero-generalized"],
+    )
+    def test_malformed_document_is_validation_error(self, tmp_path, capsys, text, message):
+        with pytest.raises(DocumentError) as raised:
+            formats.parse_correspondence_document(text)
+        assert str(raised.value) == message
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        assert main(["solve", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "text, parsed",
+        [
+            ("type regular theta_rad 0.5 pair q1 0 0 2 q2 0 3 0", {"q1": [0, 0, 1], "q2": [0, 1, 0]}),
+            # Each direction scaled by 2, its (incident) moment with it.
+            ("type generalized theta_rad 0.5 pair q1 0 0 2 q2 0 2 0 m1 2 4 0 m2 6 0 2",
+             {"q1": [0, 0, 1], "q2": [0, 1, 0], "m1": [1, 2, 0], "m2": [3, 0, 1]}),
+            # Unit directions, moments with q.m = 3 and 5.
+            ("type generalized theta_rad 0.5 pair q1 0 0 1 q2 0 1 0 m1 1 2 3 m2 4 5 6",
+             {"q1": [0, 0, 1], "q2": [0, 1, 0], "m1": [1, 2, 0], "m2": [4, 0, 6]}),
+        ],
+        ids=["regular-direction", "plucker-direction", "non-incident-moment"],
+    )
+    def test_rays_are_normalized_on_input(self, text, parsed):
+        (pair,) = formats.parse_correspondence_document(text).pairs
+        for name, ray in parsed.items():
+            assert np.array_equal(getattr(pair, name), ray), name
+
 
 class TestCmdSolve:
     def test_recovers_ground_truth(self, regular_doc, tmp_path, capsys):

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from relpose import gbsolver, geom, solver_gen5, solver_reg4
+from relpose import gbsolver, geom, poly, solver_gen5, solver_reg4
 from relpose.exceptions import (
     BasisAnomaly,
     DegenerateConfiguration,
@@ -470,7 +470,8 @@ TOLERANCES = [
     (gbsolver, "POSE_RESIDUAL_TOL", "_GATE"), (gbsolver, "U_DIRECTION_EPS", "_AXIS"),
     (gbsolver, "POLISH_ROUNDING", "_POLISHED"), (solver_gen5, "CENTRAL_MOMENT_EPS", "_MOMENT"),
     (solver_gen5, "SCALE_RANK_EPS", "_RANK"), (solver_gen5, "SCALE_COMPONENT_EPS", "_COMPONENT"),
-    (geom, "PARALLEL_RAY_EPS", "_PARALLEL"),
+    (geom, "PARALLEL_RAY_EPS", "_PARALLEL"), (poly, "COINCIDENT_RAY_EPS", "_COINCIDENT"),
+    (poly, "COLLAPSED_DETERMINANT_EPS", "_COLLAPSED"),
 ]
 
 

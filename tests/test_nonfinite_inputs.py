@@ -181,8 +181,16 @@ def test_bench_nan_option_is_validation_error(tmp_path, capsys, argv):
         ("1000000000,nan,0,0.1", None, "line 3: rate must be finite"),
         ("1000000000,inf,0,0.1", None, "line 3: rate must be finite"),
         ("1000000000,0,0,0.1", "nan,0,0", "bias must be finite"),
+        # Every other fault of a gyro log or a bias is a validation error too.
+        ("1000000000,0,0", None, "line 3: expected 4 comma-separated values"),
+        ("1e9,0,0,0.1", None, "line 3: field 'timestamp_ns': not an integer"),
+        ("1000000000,0,zero,0.1", None, "line 3: rate fields must be numbers"),
+        ("0,0,0,0.1", None, "line 3: timestamps must be strictly increasing"),
+        ("1000000000,0,0,0.1", "0.1,0.2", "--bias-correct expects three comma-separated rates"),
+        ("1000000000,0,0,0.1", "0.1,y,0.3", "--bias-correct rates must be numbers"),
     ],
-    ids=["nan-rate", "inf-rate", "nan-bias"],
+    ids=["nan-rate", "inf-rate", "nan-bias", "cells", "timestamp", "rate", "order", "bias-count",
+         "bias-number"],
 )
 def test_imu_angle_nonfinite_is_validation_error(tmp_path, capsys, row, bias, message):
     path = tmp_path / "gyro.csv"
