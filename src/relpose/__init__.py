@@ -6,6 +6,8 @@ rotation by a quaternion whose scalar part is fixed by the known angle and
 solving the resulting polynomial systems through fixed elimination templates.
 """
 
+from importlib import import_module
+
 from .exceptions import (
     BasisAnomaly,
     CoverageGap,
@@ -33,25 +35,35 @@ from .geom import (
     rotation_angle,
     sigma_from_angle,
 )
-from .imu import GyroSample, integrate_gyro
-from .robust import RansacConfig, RansacResult, ransac_estimate
 from .solver_gen5 import solve_gen5pt_angle
 from .solver_reg4 import solve_4pt_angle
 
-# The benchmark harness loads on first use, so that the solvers and RANSAC
-# run without it.
-_SYNTH = {
-    "SceneConfig", "TrialRecord", "add_angle_noise", "add_image_noise", "generate_scene",
-    "rotation_error", "run_trials", "summarize", "translation_errors",
+# RANSAC, the gyro integration and the benchmark harness load on the first
+# use of one of their names or of the module itself, so that a solve imports
+# none of them.
+_LAZY = {
+    name: module
+    for module, names in (
+        ("robust", "RansacConfig RansacResult ransac_estimate"),
+        ("imu", "GyroSample integrate_gyro"),
+        ("synth", "SceneConfig TrialRecord add_angle_noise add_image_noise generate_scene "
+                  "rotation_error run_trials summarize translation_errors"),
+    )
+    for name in (module, *names.split())
 }
 
 
 def __getattr__(name):
-    if name in _SYNTH:
-        from . import synth
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f".{_LAZY[name]}", __name__)
+    value = globals()[name] = module if name == _LAZY[name] else getattr(module, name)
+    return value
 
-        return getattr(synth, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+def __dir__():
+    return sorted({*globals(), *__all__})
+
 
 __all__ = [
     "BasisAnomaly",

@@ -66,6 +66,8 @@ class _TokenStream:
                 vals.append(float(tok))
             except ValueError:
                 raise DocumentError(f"line {line}: field {field!r}: not a number: {tok!r}") from None
+            if not math.isfinite(vals[-1]):
+                raise DocumentError(f"line {line}: field {field!r}: not finite: {tok!r}")
         return np.array(vals)
 
 

@@ -53,6 +53,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from types import MappingProxyType
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -371,8 +372,8 @@ def rref_conditioned(B: np.ndarray, qb: QuotientBasis) -> np.ndarray:
 
 class QuotientBasis:
     """The fixed data of one pivot partition, every index table that a
-    stage reads, built once (``_quotient_basis``); no array of it can be
-    written.
+    stage reads, built once (``_quotient_basis``); neither its arrays nor
+    its ``index`` mapping can be written.
 
     ``monomials`` are the standard monomials of the quotient ring, ascending
     grevlex: the columns ``template_cols`` of the degree-``degree``
@@ -420,7 +421,7 @@ class QuotientBasis:
             if needed not in index:
                 raise BasisAnomaly(f"quotient basis is missing monomial {needed}")
         self.pivots, self.degree, self.size = pivots, degree, n
-        self.monomials, self.template_cols, self.index = monomials, cols, index
+        self.monomials, self.template_cols, self.index = monomials, cols, MappingProxyType(index)
         self.pos_one, self.pos_alpha, self.pos_beta, self.pos_gamma = map(index.get, ROOT_MONOMIALS)
         self.rref_columns = np.concatenate([pivots, cols])
         # The remainder column of gamma times each standard monomial, or -1
@@ -441,7 +442,7 @@ class QuotientBasis:
         self.units[is_unit, successor[is_unit]] = 1.0
         self.pivot_rows, self.pivot_polys = np.flatnonzero(~is_unit), rows[~is_unit]
         # Each gamma chain, walked from its head: a monomial no unit row reaches.
-        chain, depth = np.empty((2, n), dtype=np.int64)
+        self.chain, self.depth = chain, depth = np.empty((2, n), dtype=np.int64)
         tails = []
         for c, head in enumerate(sorted(set(range(n)).difference(successor.tolist()))):
             k, d = head, 0
@@ -463,7 +464,6 @@ class QuotientBasis:
         gather[lengths, diagonal, diagonal] = minus_one
         gather[0, :n_heads, n_heads] = border + diagonal
         gather[0, n_heads, chain[self.pos_one]] = one
-        self.chain, self.depth = chain, depth
         self.chain_gather, self.chain_constants = gather, constants
         # The root-check tables of ``extract_roots``.
         checks = [(index[m], index[x], index[y]) for m, x, y in _DEGREE_TWO_PRODUCTS if m in index]

@@ -294,6 +294,15 @@ class TestQuotientBasis:
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
 
+    @pytest.mark.parametrize("problem", [REGULAR, GENERAL], ids=["regular", "general"])
+    def test_the_index_cannot_be_written(self, problem):
+        qb = quotient_basis_from_pivots(problem, problem.partitions[0])
+        with pytest.raises(TypeError):
+            qb.index[(0, 0, 0)] = 1
+        with pytest.raises(TypeError):
+            qb.index[(99, 0, 0)] = 1
+        assert qb.index[(0, 0, 0)] == qb.pos_one and (99, 0, 0) not in qb.index
+
     def test_unexpected_size_raises(self):
         tpl, _, _ = regular_template(10)
         _, piv = rref(tpl)

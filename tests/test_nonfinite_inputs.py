@@ -10,6 +10,7 @@ import pytest
 
 from relpose import formats
 from relpose.cli import main
+from relpose.exceptions import DocumentError
 from relpose.geom import BearingPair, PluckerPair, RelativePose, UnitQuaternion, rotation_angle
 from relpose.imu import GyroSample, integrate_gyro
 from relpose.robust import RansacConfig
@@ -148,15 +149,24 @@ def generalized_document(moment: str) -> str:
 
 
 @pytest.mark.parametrize(
-    "document",
-    [regular_document("nan"), generalized_document("nan")],
-    ids=["regular", "generalized"],
+    "document,message",
+    [
+        (regular_document("nan"), "line 6: field 'q1': not finite: 'nan'"),
+        (generalized_document("nan"), "line 7: field 'm1': not finite: 'nan'"),
+        # An infinite coordinate is rejected as it is read, before a
+        # direction is divided by its norm.
+        (regular_document("inf"), "line 6: field 'q1': not finite: 'inf'"),
+        (generalized_document("-inf"), "line 7: field 'm1': not finite: '-inf'"),
+    ],
+    ids=["regular", "generalized", "regular-inf-direction", "generalized-minus-inf-moment"],
 )
-def test_solve_nan_document_is_validation_error(tmp_path, capsys, document):
+def test_solve_nan_document_is_validation_error(tmp_path, capsys, document, message):
+    with pytest.raises(DocumentError, match=f"^{message}$"):
+        formats.parse_correspondence_document(document)
     path = tmp_path / "doc.txt"
     path.write_text(document)
     assert main(["solve", str(path)]) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(
